@@ -92,36 +92,24 @@ def cmd_evolve(args):
     sub = SubsystemSpec(cfg.get("subsystem_start", 1),
                         cfg.get("subsystem_length", max(2, lat.L // 10)))
     dump_dir = Path(args.dump_correlations) if args.dump_correlations else None
-    frames = [] if dump_dir else None
+    files = []
+
+    def dump(frame):
+        fname = f"correlations_{frame.period_count:05d}.bin"
+        gaussian.correlation_from_frame(frame).c.astype("<c16").tofile(dump_dir / fname)
+        files.append(fname)
 
     if dump_dir:
         dump_dir.mkdir(parents=True, exist_ok=True)
-        w1, w2 = spectral.build_kick_forms(params, lat)
-        tm = spectral.build_transfer_matrix(w1, w2)
-        frame = gaussian.initial_frame(quench, lat)
-        rows, files = [], []
-        idx = sub.majorana_indices(lat)
-        for t in range(1, quench.n_periods + 1):
-            frame = gaussian.period_map(frame, tm)
-            corr = gaussian.correlation_from_frame(frame)
-            rep = entanglement.entropy_from_majorana_block(
-                corr.c[np.ix_(idx, idx)])
-            rows.append({"period": t, "S_A": rep.entropy,
-                         "norm_log": frame.norm_log,
-                         "purity_residual": corr.purity_defect()})
-            fname = f"correlations_{t:05d}.bin"
-            corr.c.astype("<c16").tofile(dump_dir / fname)
-            files.append(fname)
+    trace = gaussian.stroboscopic_run(params, lat, quench, sub, dump if dump_dir else None)
+    if dump_dir:
         sidecar = {"dtype": "complex128", "byte_order": "little-endian",
                    "layout": "row-major", "shape": [2 * lat.L, 2 * lat.L],
                    "files": files}
         (dump_dir / "correlations.json").write_text(json.dumps(sidecar, indent=2))
-    else:
-        trace = gaussian.stroboscopic_run(params, lat, quench, sub)
-        rows = [{"period": int(p), "S_A": s, "norm_log": nl,
-                 "purity_residual": pr}
-                for p, s, nl, pr in zip(trace.periods, trace.entropy,
-                                        trace.norm_log, trace.purity_residual)]
+    rows = [{"period": int(p), "S_A": s, "norm_log": nl, "purity_residual": pr}
+            for p, s, nl, pr in zip(trace.periods, trace.entropy,
+                                    trace.norm_log, trace.purity_residual)]
 
     csv_path = _out_dir(args) / (args.out or "evolve.csv")
     sweep.write_csv(csv_path, rows, ["period", "S_A", "norm_log",

@@ -20,6 +20,7 @@ rounding level.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,7 @@ from .errors import (DegenerateEvolution, IntegrationFailure, PurityViolation,
                      UnsupportedStateError, ValidationError)
 from .params import (LatticeSpec, ModelParams, ProductState,
                      QuenchConfig, SubsystemSpec)
-from .spectral import (TransferMatrix, build_kick_forms,
-                       build_transfer_matrix)
+from .spectral import KickForms, build_kick_forms
 
 _ISO_TOL = 1e-13
 _RANK_TOL = 1e-13
@@ -51,9 +51,6 @@ class GaussianFrame:
 
     def orthonormality_defect(self) -> float:
         return float(np.linalg.norm(self.phi.conj().T @ self.phi - np.eye(self.L)))
-
-    def copy(self) -> "GaussianFrame":
-        return GaussianFrame(self.phi.copy(), self.period_count, self.norm_log)
 
 
 def initial_frame(state: QuenchConfig | ProductState, lat: LatticeSpec) -> GaussianFrame:
@@ -98,13 +95,15 @@ def orthonormalize(phi: np.ndarray, max_sweeps: int = 4):
     return q, log_mag
 
 
-def period_map(frame: GaussianFrame, tm: TransferMatrix) -> GaussianFrame:
-    """Advance the state by one Floquet period."""
-    f = getattr(tm, "_frame_cache", None)
-    if f is None:
-        f = tm.frame_matrix()
-        tm._frame_cache = f
-    phi, log_mag = orthonormalize(f @ frame.phi)
+def period_map(frame: GaussianFrame, kicks: KickForms) -> GaussianFrame:
+    """Advance the state by one Floquet period.
+
+    Annihilator frames transform with exp(-4W') exp(-4W''), the transpose of
+    the operator conjugation exp(4W'') exp(4W'), applied bond by bond in
+    O(L^2).  Only ``coupling_form`` and ``field_form`` of ``kicks`` are read.
+    """
+    phi = kicks.coupling_form.kick(kicks.field_form.kick(frame.phi, -1.0), -1.0)
+    phi, log_mag = orthonormalize(phi)
     return GaussianFrame(phi, frame.period_count + 1, frame.norm_log + log_mag)
 
 
@@ -160,6 +159,9 @@ def correlation_block(frame: GaussianFrame, majorana_idx: np.ndarray) -> np.ndar
     return 2.0 * np.conj(sub) @ sub.T
 
 
+Observer = Callable[[GaussianFrame], None]
+
+
 @dataclass
 class EntropyTrace:
     periods: np.ndarray
@@ -179,46 +181,51 @@ class EntropyTrace:
         return float(self.entropy[horizon - 1] / (2.0 * horizon))
 
 
+def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig,
+                        observe: Observer | None = None) -> GaussianFrame:
+    """Evolve for the configured number of periods and return the frame.
+
+    This is the one stroboscopic loop: ``observe(frame)``, when given, is
+    called with the frame after every period.
+    """
+    if quench.K != 0.0:
+        raise ValidationError("longitudinal K field breaks Gaussianity; "
+                              "use the spin simulator")
+    kicks = build_kick_forms(params, lat)
+    frame = initial_frame(quench, lat)
+    for _ in range(quench.n_periods):
+        frame = period_map(frame, kicks)
+        if observe is not None:
+            observe(frame)
+    return frame
+
+
 def stroboscopic_run(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig,
-                     subsystem: SubsystemSpec, entropy_stride: int = 1,
-                     frame_out: list | None = None) -> EntropyTrace:
+                     subsystem: SubsystemSpec, observe: Observer | None = None) -> EntropyTrace:
     """Per-period subsystem entropy for the configured quench.
+
+    Records after every period the entropy, the norm bookkeeping and the
+    frame's isotropy plus orthonormality defect (``purity_residual``), then
+    calls ``observe(frame)`` when given.
 
     On periodic chains the parity sector is taken from the lattice spec; use
     ``preferred_sector`` to match the initial state's fermion parity when
     comparing against the spin-language oracle.
     """
-    if quench.K != 0.0:
-        raise ValidationError("longitudinal K field breaks Gaussianity; "
-                              "use the spin simulator")
-    w1, w2 = build_kick_forms(params, lat)
-    tm = build_transfer_matrix(w1, w2)
-    frame = initial_frame(quench, lat)
     idx = subsystem.majorana_indices(lat)
-    periods, ents, norms, purs = [], [], [], []
-    for t in range(1, quench.n_periods + 1):
-        frame = period_map(frame, tm)
-        if t % entropy_stride == 0 or t == quench.n_periods:
-            block = correlation_block(frame, idx)
-            report = entanglement.entropy_from_majorana_block(block)
-            periods.append(t)
-            ents.append(report.entropy)
-            norms.append(frame.norm_log)
-            purs.append(frame.isotropy_defect() + frame.orthonormality_defect())
-    if frame_out is not None:
-        frame_out.append(frame)
-    return EntropyTrace(np.asarray(periods), np.asarray(ents),
+    ents, norms, purs = [], [], []
+
+    def record(frame: GaussianFrame):
+        block = correlation_block(frame, idx)
+        ents.append(entanglement.entropy_from_majorana_block(block).entropy)
+        norms.append(frame.norm_log)
+        purs.append(frame.isotropy_defect() + frame.orthonormality_defect())
+        if observe is not None:
+            observe(frame)
+
+    run_to_steady_state(params, lat, quench, record)
+    return EntropyTrace(np.arange(1, len(ents) + 1), np.asarray(ents),
                         np.asarray(norms), np.asarray(purs))
-
-
-def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig) -> GaussianFrame:
-    """Evolve for the configured number of periods and return the frame."""
-    w1, w2 = build_kick_forms(params, lat)
-    tm = build_transfer_matrix(w1, w2)
-    frame = initial_frame(quench, lat)
-    for _ in range(quench.n_periods):
-        frame = period_map(frame, tm)
-    return frame
 
 
 # --------------------------------------------------------------------------

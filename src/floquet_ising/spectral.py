@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -41,6 +42,9 @@ class MajoranaQuadraticForm:
 
     ``bonds`` lists the (p, q, w) entries in 0-based Majorana indices;
     kicks touch each Majorana at most once, enabling exact exponentials.
+    Derived once here: ``partner``, each Majorana's bond partner (itself
+    if unbonded); ``angle``, its rotation angle (+4w at p, -4w at q, 0 if
+    unbonded); ``cos`` and ``sin`` of the angles as complex128 columns.
     """
 
     w: np.ndarray
@@ -49,10 +53,42 @@ class MajoranaQuadraticForm:
     def __post_init__(self):
         if np.linalg.norm(self.w + self.w.T) > 1e-12 * max(1.0, np.linalg.norm(self.w)):
             raise ValidationError("quadratic form must be antisymmetric")
+        partner = np.arange(self.n)
+        angle = np.zeros(self.n, dtype=complex)
+        for p, q, s in self.bonds:
+            if partner[p] != p or partner[q] != q:
+                raise ValidationError("kick bonds must be disjoint")
+            partner[p], partner[q] = q, p
+            angle[p], angle[q] = 4 * s, -4 * s
+        for name, value in (("partner", partner), ("angle", angle),
+                            ("cos", np.cos(angle)[:, None]), ("sin", np.sin(angle)[:, None])):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
         return self.w.shape[0]
+
+    def kick(self, x: np.ndarray, sign: float = 1.0) -> np.ndarray:
+        """exp(sign * 4 W) @ x as one rotation per bond, O(n) per column.
+
+        Row p of the result is cos(t_p) x_p + sign sin(t_p) x_partner(p),
+        t_p = angle_p.  For clongdouble ``x`` (the edge-pair refine) the
+        cosines and sines of the exact angles are taken in that precision.
+        """
+        c, s = self.cos, self.sin
+        if x.dtype == np.clongdouble:
+            t = self.angle.astype(np.clongdouble)[:, None]
+            c, s = np.cos(t), np.sin(t)
+        y = x[self.partner] * (sign * s)
+        y += c * x
+        return y
+
+
+class KickForms(NamedTuple):
+    """The two kick generators (W', W'') of one period."""
+
+    coupling_form: MajoranaQuadraticForm
+    field_form: MajoranaQuadraticForm
 
 
 def _form_from_bonds(n: int, bonds) -> MajoranaQuadraticForm:
@@ -63,7 +99,7 @@ def _form_from_bonds(n: int, bonds) -> MajoranaQuadraticForm:
     return MajoranaQuadraticForm(w, tuple(bonds))
 
 
-def build_kick_forms(params: ModelParams, lat: LatticeSpec):
+def build_kick_forms(params: ModelParams, lat: LatticeSpec) -> KickForms:
     """The two kick generators (W', W'') for the given chain.
 
     W' couples Majoranas (2j, 2j+1) with strength J/2; W'' couples
@@ -78,27 +114,14 @@ def build_kick_forms(params: ModelParams, lat: LatticeSpec):
         coupling_bonds.append((0, n - 1, -lat.bc.wrap_sign * params.J / 2.0))
     # (0, n-1) stores the (a_{2L}, a_1) bond with reversed orientation,
     # hence the extra minus sign on top of the sector sign.
-    return (_form_from_bonds(n, coupling_bonds),
-            _form_from_bonds(n, field_bonds))
+    return KickForms(_form_from_bonds(n, coupling_bonds),
+                     _form_from_bonds(n, field_bonds))
 
 
 def kick_exponential(form: MajoranaQuadraticForm, sign: float = 1.0,
                      dtype=np.complex128) -> np.ndarray:
-    """exp(sign * 4 W) assembled bond by bond (exact for disjoint bonds)."""
-    n = form.n
-    m = np.eye(n, dtype=dtype)
-    seen = np.zeros(n, dtype=bool)
-    for p, q, s in form.bonds:
-        if seen[p] or seen[q]:
-            raise ValidationError("kick bonds must be disjoint")
-        seen[p] = seen[q] = True
-        w = dtype(sign) * 4 * dtype(s)
-        c, sn = np.cos(w), np.sin(w)
-        m[p, p] = c
-        m[q, q] = c
-        m[p, q] += sn
-        m[q, p] -= sn
-    return m
+    """exp(sign * 4 W) as a dense matrix (exact for disjoint bonds)."""
+    return form.kick(np.eye(form.n, dtype=dtype), sign)
 
 
 # --------------------------------------------------------------------------
@@ -122,17 +145,6 @@ class TransferMatrix:
     def n(self) -> int:
         return self.m.shape[0]
 
-    def frame_matrix(self) -> np.ndarray:
-        """Propagator for annihilator frames: exp(-4W') exp(-4W'').
-
-        Annihilator coefficient vectors transform with the transpose of the
-        operator conjugation matrix exp(4W'') exp(4W'), which is this
-        product by antisymmetry of the generators.
-        """
-        e1 = kick_exponential(self.coupling_form, sign=-1.0)
-        e2 = kick_exponential(self.field_form, sign=-1.0)
-        return e1 @ e2
-
 
 def build_transfer_matrix(coupling_form: MajoranaQuadraticForm,
                           field_form: MajoranaQuadraticForm,
@@ -140,7 +152,7 @@ def build_transfer_matrix(coupling_form: MajoranaQuadraticForm,
                           cond_cutoff: float = 1e10) -> TransferMatrix:
     if coupling_form.n != field_form.n:
         raise ValidationError("kick forms must have matching dimension")
-    m = kick_exponential(coupling_form) @ kick_exponential(field_form)
+    m = coupling_form.kick(kick_exponential(field_form))
     try:
         if want_left:
             mu, vl, vr = scipy.linalg.eig(m, left=True, right=True)
@@ -332,21 +344,19 @@ def _refine_pair(tm: TransferMatrix, idx: np.ndarray) -> np.ndarray:
     """Eigenvalues of a two-mode cluster via biorthogonal projection.
 
     The invariant plane of a nearly degenerate pair is well conditioned even
-    when the individual eigenvectors are not; restricting an extended
-    precision rebuild of M to that plane resolves exponentially small edge
-    splittings that plain double-precision eig smears to ~1e-6.
+    when the individual eigenvectors are not; applying M to that plane in
+    extended precision resolves exponentially small edge splittings that
+    plain double-precision eig smears to ~1e-6.
     """
     if tm.right_eigenvectors is None or tm.left_eigenvectors is None or len(idx) != 2:
         return tm.eigenvalues[idx]
     vr = np.linalg.qr(tm.right_eigenvectors[:, idx])[0].astype(np.clongdouble)
     vl = np.linalg.qr(tm.left_eigenvectors[:, idx])[0].astype(np.clongdouble)
-    e1 = kick_exponential(tm.coupling_form, dtype=np.clongdouble)
-    e2 = kick_exponential(tm.field_form, dtype=np.clongdouble)
-    mq = e1 @ e2
     s = vl.conj().T @ vr
     if abs(s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]) < 1e-12:
         return tm.eigenvalues[idx]
-    b = _inv2_ld(s) @ (vl.conj().T @ (mq @ vr))
+    mvr = tm.coupling_form.kick(tm.field_form.kick(vr))
+    b = _inv2_ld(s) @ (vl.conj().T @ mvr)
     tr = b[0, 0] + b[1, 1]
     det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
     disc = np.sqrt(tr * tr - 4 * det)
@@ -612,18 +622,13 @@ def classify_phase(params: ModelParams, L: int = 40,
                    confirm_L: int | None = 144) -> PhaseLabel:
     """Convenience wrapper: momentum census plus open-chain edge scan.
 
-    Edge modes within a few localization lengths of a phase boundary are
-    invisible at small L, so a disagreeing edge census at ``confirm_L``
-    overrides the one at ``L`` (the bulk census is size-insensitive).
+    ``L`` sizes the momentum census.  Edge modes within a few localization
+    lengths of a phase boundary are invisible at small L, so the edge scan
+    runs once, at ``confirm_L`` when that is larger than ``L`` (the bulk
+    census is size-insensitive).
     """
     census = count_real_modes(params, L)
-    obc = detect_edge_modes(params, LatticeSpec(L, BoundaryCondition.OBC),
+    scan_L = confirm_L if confirm_L and confirm_L > L else L
+    obc = detect_edge_modes(params, LatticeSpec(scan_L, BoundaryCondition.OBC),
                             tol_edge=tol_edge, im_tol=im_tol, refine=False)
-    label = classify_phase_from_spectrum(obc, census)
-    if confirm_L and confirm_L > L:
-        obc2 = detect_edge_modes(params, LatticeSpec(confirm_L, BoundaryCondition.OBC),
-                                 tol_edge=tol_edge, im_tol=im_tol, refine=False)
-        label2 = classify_phase_from_spectrum(obc2, census)
-        if label2 is not label:
-            label = label2
-    return label
+    return classify_phase_from_spectrum(obc, census)

@@ -146,10 +146,8 @@ def task_tee(cfg):
     lat = lattice(L, "obc")
     state = named_state(cfg.get("initial_state", "neel-fermion"), L)
     quench = QuenchConfig(state, n_periods=int(cfg.get("n_periods", 300)))
-    frames = []
-    gaussian.stroboscopic_run(params, lat, quench, SubsystemSpec(1, max(2, L // 4)),
-                              entropy_stride=quench.n_periods, frame_out=frames)
-    corr = gaussian.correlation_from_frame(frames[0])
+    frame = gaussian.run_to_steady_state(params, lat, quench)
+    corr = gaussian.correlation_from_frame(frame)
     result = entanglement.tee(corr, TeePartition.quarters(L), lat)
     return [{"L": L, "beta_J": cfg.get("beta_J", 0.0), "S_top": result.s_top}]
 

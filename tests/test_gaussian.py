@@ -219,6 +219,30 @@ def test_stroboscopic_rejects_k_field():
         gaussian.stroboscopic_run(p, P.lattice(8), quench, P.SubsystemSpec(1, 2))
 
 
+def test_run_to_steady_state_rejects_k_field():
+    p = P.make_params(0.2, -0.1, 0.2, 0.1)
+    quench = P.QuenchConfig(P.named_state("neel-fermion", 8), n_periods=5, K=0.1)
+    with pytest.raises(ValidationError):
+        gaussian.run_to_steady_state(p, P.lattice(8), quench)
+
+
+def test_run_to_steady_state_observes_every_period():
+    p = P.make_params(0.2, -0.1, 0.2, 0.1)
+    lat = P.lattice(10, "pbc-even")
+    quench = P.QuenchConfig(P.named_state("neel-fermion", 10), n_periods=7)
+    seen = []
+    frame = gaussian.run_to_steady_state(p, lat, quench, seen.append)
+    assert [f.period_count for f in seen] == list(range(1, 8))
+    assert seen[-1] is frame
+    # the observer sees the same frames the trace is recorded from
+    norms = []
+    trace = gaussian.stroboscopic_run(p, lat, quench, P.SubsystemSpec(1, 3),
+                                      lambda f: norms.append(f.norm_log))
+    assert np.array_equal(trace.periods, np.arange(1, 8))
+    assert np.array_equal(trace.norm_log, norms)
+    assert norms[-1] == frame.norm_log
+
+
 def test_bulk_subsystem_obc_approaches_pbc():
     p = P.make_params(0.2, -0.2, 0.2, 0.1)  # area-law interior point
     la = 8

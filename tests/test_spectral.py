@@ -50,6 +50,28 @@ def test_kick_exponential_matches_expm():
         assert np.allclose(exact, dense, atol=1e-12)
 
 
+@pytest.mark.parametrize("bc", ["pbc-even", "pbc-odd", "obc"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_kick_matches_expm_every_boundary_and_sign(bc, sign):
+    # pbc-even carries the wrap sign, obc leaves both end Majoranas unbonded
+    rng = np.random.default_rng(7)
+    p = random_params(rng)
+    x = rng.normal(size=(10, 3)) + 1j * rng.normal(size=(10, 3))
+    for form in S.build_kick_forms(p, P.lattice(5, bc)):
+        dense = scipy.linalg.expm(sign * 4 * form.w)
+        assert np.allclose(S.kick_exponential(form, sign=sign), dense, atol=1e-12)
+        assert np.allclose(form.kick(x, sign), dense @ x, atol=1e-12)
+
+
+def test_overlapping_kick_bonds_rejected():
+    bonds = ((0, 1, 0.3), (1, 2, 0.2))
+    w = np.zeros((4, 4), dtype=complex)
+    for p, q, s in bonds:
+        w[p, q], w[q, p] = s, -s
+    with pytest.raises(ValidationError):
+        S.MajoranaQuadraticForm(w, bonds)
+
+
 def test_transfer_matrix_invariants():
     p = random_params()
     lat = P.lattice(6, "pbc-even")

@@ -187,6 +187,31 @@ def test_cli_evolve_with_dump(tmp_path):
     assert np.linalg.norm(c + c.T - 2 * np.eye(24)) < 1e-8
 
 
+def test_cli_evolve_dump_rejects_k_field(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("alpha_J = 0.2\nbeta_J = -0.1\nalpha_h = 0.2\n"
+                       "beta_h = 0.1\nL = 12\nn_periods = 4\nK = 0.1\n")
+    for extra in ([], ["--dump-correlations", str(tmp_path / "corr")]):
+        rc = cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path),
+                       "evolve", *extra])
+        assert rc == 2
+
+
+def test_cli_evolve_csv_same_with_and_without_dump(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("alpha_J = 0.2\nbeta_J = -0.1\nalpha_h = 0.2\n"
+                       "beta_h = 0.1\nL = 12\nn_periods = 4\n"
+                       "subsystem_length = 3\n")
+    outs = []
+    for name, extra in (("plain", []),
+                        ("dump", ["--dump-correlations", str(tmp_path / "corr")])):
+        rc = cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path / name),
+                       "evolve", *extra])
+        assert rc == 0
+        outs.append((tmp_path / name / "evolve.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_cli_validation_exit_code(tmp_path):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("alpha_J = 0.2\n")  # missing everything else
