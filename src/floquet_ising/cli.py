@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 validation error, 3 numerical breakdown.
+Exit codes: 0 success, 1 a sweep point crashed, 2 validation error,
+3 numerical breakdown.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ def cmd_cft_compare(args):
     frame = gaussian.initial_frame(named_state("neel-fermion", L), lat)
     c0 = gaussian.correlation_from_frame(frame)
     sub = SubsystemSpec(1, la)
-    states = gaussian.evolve_continuous(c0, hmat, t_grid, rtol=args.rtol)
+    states = gaussian.evolve_continuous(c0, hmat, t_grid)
     idx = sub.majorana_indices(lat)
     s_num = np.array([entanglement.entropy_from_majorana_block(
         cm.c[np.ix_(idx, idx)]).entropy for cm in states])
@@ -231,7 +232,7 @@ def cmd_sweep(args):
     manifest = sweep.run_sweep(spec, _out_dir(args), seed=args.seed)
     n_err = sum(1 for p in manifest.points if p["status"] != "ok")
     print(f"sweep complete: {len(manifest.points)} points, {n_err} failures")
-    return 0
+    return 1 if any(p["status"] == "crash" for p in manifest.points) else 0
 
 
 def cmd_emit_plots(args):
@@ -292,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     cc.add_argument("--n-times", type=int, default=60)
     cc.add_argument("--amplitude", type=float, default=0.5,
                     help="coupling scale; 0.5 gives unit front velocity")
-    cc.add_argument("--rtol", type=float, default=1e-9)
+    cc.add_argument("--rtol", type=float, default=1e-9,
+                    help="ignored: the continuous flow is exact")
     cc.add_argument("--out")
     cc.set_defaults(func=cmd_cft_compare)
 

@@ -33,14 +33,6 @@ class PurityViolation(NumericalBreakdown):
     """Correlation eigenvalue left [-1, 1]: upstream evolution is broken."""
 
 
-class IntegrationFailure(NumericalBreakdown):
-    """Continuous-time integrator stalled; carries the last good time."""
-
-    def __init__(self, msg, last_time=None):
-        super().__init__(msg)
-        self.last_time = last_time
-
-
 class MetricPoleError(ValidationError):
     """The closed-form similarity metric is singular at this momentum."""
 

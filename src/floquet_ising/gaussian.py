@@ -24,9 +24,10 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import entanglement
-from .errors import (DegenerateEvolution, IntegrationFailure, PurityViolation,
+from .errors import (DegenerateEvolution, NumericalBreakdown,
                      UnsupportedStateError, ValidationError)
 from .params import (LatticeSpec, ModelParams, ProductState,
                      QuenchConfig, SubsystemSpec)
@@ -34,6 +35,7 @@ from .spectral import KickForms, build_kick_forms
 
 _ISO_TOL = 1e-13
 _RANK_TOL = 1e-13
+_PURE_TOL = 1e-10
 
 
 @dataclass
@@ -76,7 +78,9 @@ def orthonormalize(phi: np.ndarray, max_sweeps: int = 4):
     """Span-preserving factorization restoring orthonormality and isotropy.
 
     Returns the new frame and the log-magnitude discarded by the first QR
-    (the state-norm bookkeeping).  Raises DegenerateEvolution on rank loss.
+    (the state-norm bookkeeping).  Raises DegenerateEvolution on rank loss,
+    and NumericalBreakdown (``condition`` = the defect) if the isotropy
+    defect is still above tolerance after ``max_sweeps`` corrections.
     """
     q, r = np.linalg.qr(phi)
     rd = np.abs(np.diag(r))
@@ -86,10 +90,15 @@ def orthonormalize(phi: np.ndarray, max_sweeps: int = 4):
         raise DegenerateEvolution("frame lost rank during evolution",
                                   condition=cond)
     log_mag = float(np.sum(np.log(rd)))
-    for _ in range(max_sweeps):
+    for sweep in range(max_sweeps + 1):
         s = q.T @ q
-        if np.linalg.norm(s) < _ISO_TOL:
+        defect = np.linalg.norm(s)
+        if defect < _ISO_TOL:
             break
+        if sweep == max_sweeps:
+            raise NumericalBreakdown(
+                f"isotropy defect {defect:.3g} left after {max_sweeps} sweeps",
+                condition=float(defect))
         q = q - 0.5 * np.conj(q) @ s
         q, _ = np.linalg.qr(q)
     return q, log_mag
@@ -229,7 +238,7 @@ def stroboscopic_run(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig
 
 
 # --------------------------------------------------------------------------
-# continuous-time evolution of the correlation matrix
+# continuous-time evolution
 # --------------------------------------------------------------------------
 
 def continuous_hamiltonian(params: ModelParams, lat: LatticeSpec) -> np.ndarray:
@@ -239,40 +248,31 @@ def continuous_hamiltonian(params: ModelParams, lat: LatticeSpec) -> np.ndarray:
     return 1j * (w1.w + w2.w)
 
 
-def evolve_continuous(c0: CorrelationMatrix | np.ndarray, hmat: np.ndarray,
-                      t_grid, rtol: float = 1e-9, atol: float = 1e-11,
-                      check_invariants: bool = True) -> list[CorrelationMatrix]:
-    """Integrate the normalized correlation-matrix flow under exp(-i H_op t).
+def evolve_continuous(c0: CorrelationMatrix, hmat: np.ndarray,
+                      t_grid) -> list[CorrelationMatrix]:
+    """Correlation matrices of exp(-i H_op t)|psi_0>, normalized, at each
+    time of the non-decreasing, non-negative ``t_grid``.
 
-        dC/dt = i (-C^T Hbar^T C + C^T Hbar C + C H C^T - C H^T C^T)
-
-    with Hbar the entrywise conjugate of the coefficient matrix.
+    Exact: the frame, recovered once from C0/2 (the projector onto span
+    conj(Phi)), moves as exp(-4i t H) Phi; one matrix exponential per
+    distinct step, orthonormalize after each.  Raises ValidationError
+    unless ``c0`` belongs to a pure Gaussian state.
     """
-    from scipy.integrate import solve_ivp
-
-    c0 = c0.c if isinstance(c0, CorrelationMatrix) else np.asarray(c0, dtype=complex)
-    n = c0.shape[0]
-    hb = hmat.conj()
-    ht = hmat.T
-    hbt = hb.T
-
-    def rhs(_t, y):
-        c = y.reshape(n, n)
-        ct = c.T
-        dc = 1j * (-ct @ hbt @ c + ct @ hb @ c + c @ hmat @ ct - c @ ht @ ct)
-        return dc.ravel()
-
-    t_grid = np.asarray(t_grid, dtype=float)
-    sol = solve_ivp(rhs, (0.0, float(t_grid[-1])), c0.ravel(), t_eval=t_grid,
-                    method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise IntegrationFailure(f"integrator stopped: {sol.message}",
-                                 last_time=float(sol.t[-1]) if len(sol.t) else 0.0)
-    out = []
-    for i in range(sol.y.shape[1]):
-        cm = CorrelationMatrix(sol.y[:, i].reshape(n, n))
-        if check_invariants and cm.anticommutation_defect() > 1e-6:
-            raise PurityViolation(
-                f"correlation invariants drifted at t={t_grid[i]:.4g}")
-        out.append(cm)
+    steps = np.diff(np.atleast_1d(np.asarray(t_grid, dtype=float)), prepend=0.0)
+    if steps.ndim != 1 or steps.size == 0 or not np.all(steps >= 0):
+        raise ValidationError("t_grid must be a non-empty, non-decreasing "
+                              "grid of non-negative times")
+    L = c0.n_sites
+    evals, evecs = np.linalg.eigh(c0.c)
+    if (np.max(np.abs(evals - np.repeat([0.0, 2.0], L))) > _PURE_TOL
+            or c0.anticommutation_defect() > _PURE_TOL):
+        raise ValidationError("initial correlation matrix is not that of a "
+                              "pure Gaussian state")
+    phi = np.conj(evecs[:, L:])
+    out, dt_u, u = [], None, None
+    for dt in steps:
+        if u is None or abs(dt - dt_u) > 1e-12 * dt:
+            dt_u, u = dt, scipy.linalg.expm(-4j * dt * hmat)
+        phi, _ = orthonormalize(u @ phi)
+        out.append(correlation_from_frame(GaussianFrame(phi)))
     return out

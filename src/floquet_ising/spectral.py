@@ -53,13 +53,15 @@ class MajoranaQuadraticForm:
     def __post_init__(self):
         if np.linalg.norm(self.w + self.w.T) > 1e-12 * max(1.0, np.linalg.norm(self.w)):
             raise ValidationError("quadratic form must be antisymmetric")
+        p, q = np.array([b[:2] for b in self.bonds], dtype=int).reshape(-1, 2).T
+        s = np.array([b[2] for b in self.bonds], dtype=complex)
+        touched = np.concatenate([p, q])
+        if np.unique(touched).size != touched.size:
+            raise ValidationError("kick bonds must be disjoint")
         partner = np.arange(self.n)
+        partner[p], partner[q] = q, p
         angle = np.zeros(self.n, dtype=complex)
-        for p, q, s in self.bonds:
-            if partner[p] != p or partner[q] != q:
-                raise ValidationError("kick bonds must be disjoint")
-            partner[p], partner[q] = q, p
-            angle[p], angle[q] = 4 * s, -4 * s
+        angle[p], angle[q] = 4 * s, -4 * s
         for name, value in (("partner", partner), ("angle", angle),
                             ("cos", np.cos(angle)[:, None]), ("sin", np.sin(angle)[:, None])):
             object.__setattr__(self, name, value)
@@ -91,12 +93,12 @@ class KickForms(NamedTuple):
     field_form: MajoranaQuadraticForm
 
 
-def _form_from_bonds(n: int, bonds) -> MajoranaQuadraticForm:
+def _form_from_bonds(n: int, p, q, s) -> MajoranaQuadraticForm:
+    """Form with the bonds (p[i], q[i], s[i]) from index and value arrays."""
     w = np.zeros((n, n), dtype=complex)
-    for p, q, s in bonds:
-        w[p, q] += s
-        w[q, p] -= s
-    return MajoranaQuadraticForm(w, tuple(bonds))
+    w[p, q] += s
+    w[q, p] -= s
+    return MajoranaQuadraticForm(w, tuple(zip(p.tolist(), q.tolist(), s.tolist())))
 
 
 def build_kick_forms(params: ModelParams, lat: LatticeSpec) -> KickForms:
@@ -108,14 +110,15 @@ def build_kick_forms(params: ModelParams, lat: LatticeSpec) -> KickForms:
     open chains drop it.
     """
     L, n = lat.L, lat.n_majorana
-    field_bonds = [(2 * j - 2, 2 * j - 1, params.h / 2.0) for j in range(1, L + 1)]
-    coupling_bonds = [(2 * j - 1, 2 * j, params.J / 2.0) for j in range(1, L)]
+    site = np.arange(0, n, 2)
+    p, q, s = site[1:] - 1, site[1:], np.full(L - 1, params.J / 2.0)
     if lat.bc.periodic:
-        coupling_bonds.append((0, n - 1, -lat.bc.wrap_sign * params.J / 2.0))
-    # (0, n-1) stores the (a_{2L}, a_1) bond with reversed orientation,
-    # hence the extra minus sign on top of the sector sign.
-    return KickForms(_form_from_bonds(n, coupling_bonds),
-                     _form_from_bonds(n, field_bonds))
+        # (0, n-1) stores the (a_{2L}, a_1) bond with reversed orientation,
+        # hence the extra minus sign on top of the sector sign.
+        p, q, s = (np.append(p, 0), np.append(q, n - 1),
+                   np.append(s, -lat.bc.wrap_sign * params.J / 2.0))
+    return KickForms(_form_from_bonds(n, p, q, s),
+                     _form_from_bonds(n, site, site + 1, np.full(L, params.h / 2.0)))
 
 
 def kick_exponential(form: MajoranaQuadraticForm, sign: float = 1.0,

@@ -4,7 +4,8 @@ A sweep evaluates one task over the Cartesian grid of its axes with a
 process pool.  Grid points are independent; results are gathered and
 written in grid order regardless of completion order, so reruns and
 different worker counts produce byte-identical CSVs.  Failures of single
-points are recorded in the manifest and do not abort the sweep.
+points are recorded in the manifest and do not abort the sweep; the
+manifest tells expected failures (``error``) apart from crashes.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import hashlib
 import json
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ValidationError
+from .errors import NumericalBreakdown, ValidationError
 from .params import (SubsystemSpec, TeePartition, QuenchConfig,
                      lattice, make_params, named_state, PI4)
 from . import entanglement, gaussian, spectral
@@ -176,11 +178,15 @@ def run_point(task_name: str, cfg: dict):
 
 
 def _pool_entry(args):
+    """Run one point.  Bad input and numerical breakdowns are an ``error``;
+    any other exception is a ``crash``, recorded with its traceback."""
     index, task_name, cfg = args
     try:
         return index, "ok", run_point(task_name, cfg), None
-    except Exception as exc:  # fail-soft: record and continue
+    except (ValidationError, NumericalBreakdown) as exc:
         return index, "error", [], f"{type(exc).__name__}: {exc}"
+    except Exception:
+        return index, "crash", [], traceback.format_exc()
 
 
 # --------------------------------------------------------------------------

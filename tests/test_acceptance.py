@@ -348,7 +348,7 @@ def test_criterion_9_cft_comparison():
     hmat = gaussian.continuous_hamiltonian(p, lat)
     frame = gaussian.initial_frame(P.named_state("neel-fermion", L), lat)
     c0 = gaussian.correlation_from_frame(frame)
-    states = gaussian.evolve_continuous(c0, hmat, t_grid, rtol=1e-7, atol=1e-9)
+    states = gaussian.evolve_continuous(c0, hmat, t_grid)
     idx = P.SubsystemSpec(1, la).majorana_indices(lat)
     s_num = np.array([E.entropy_from_majorana_block(
         cm.c[np.ix_(idx, idx)]).entropy for cm in states])

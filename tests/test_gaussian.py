@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from floquet_ising import ed, entanglement, gaussian, params as P, spectral
-from floquet_ising.errors import (DegenerateEvolution, UnsupportedStateError,
-                                  ValidationError)
+from floquet_ising.errors import (DegenerateEvolution, NumericalBreakdown,
+                                  UnsupportedStateError, ValidationError)
 
 
 def make_tm(p, lat):
@@ -131,6 +133,23 @@ def test_rank_collapse_raises():
     with pytest.raises(DegenerateEvolution):
         for _ in range(10):
             frame = gaussian.period_map(frame, tm)
+
+
+def test_orthonormalize_raises_when_sweeps_run_out():
+    # an isotropic frame knocked off isotropy by random complex noise
+    rng = np.random.default_rng(3)
+    p = P.ModelParams(0.4, -0.2, 0.7, 0.3)
+    lat = P.lattice(6, "pbc-even")
+    frame = gaussian.initial_frame(P.named_state("neel-fermion", 6), lat)
+    for _ in range(3):
+        frame = gaussian.period_map(frame, make_tm(p, lat))
+    phi = frame.phi + 1e-4 * (rng.normal(size=(12, 6)) + 1j * rng.normal(size=(12, 6)))
+    with pytest.raises(NumericalBreakdown) as err:
+        gaussian.orthonormalize(phi, max_sweeps=0)
+    assert err.value.condition > 1e-6
+    q, _ = gaussian.orthonormalize(phi)
+    assert np.linalg.norm(q.T @ q) < 1e-13
+    assert np.linalg.norm(q.conj().T @ q - np.eye(6)) < 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -295,8 +314,7 @@ def test_continuous_flow_matches_dense_propagator():
     frame = gaussian.initial_frame(state, lat)
     c0 = gaussian.correlation_from_frame(frame)
     t_end = 0.8
-    states = gaussian.evolve_continuous(c0, hmat, [0.0, t_end], rtol=1e-11,
-                                        atol=1e-13)
+    states = gaussian.evolve_continuous(c0, hmat, [0.0, t_end])
 
     dim = 2 ** L
     idx = np.arange(dim)
@@ -316,6 +334,63 @@ def test_continuous_flow_matches_dense_propagator():
     z_ode = states[-1].z_expectations()
     z_dense = ed.z_expectations(psi, L)
     assert np.allclose(z_ode, z_dense, atol=1e-8)
+
+
+def _direct_flow(frame, hmat, t):
+    """Oracle: one matrix exponential of the initial frame from t = 0."""
+    phi, _ = gaussian.orthonormalize(expm(-4j * t * hmat) @ frame.phi)
+    return gaussian.correlation_from_frame(gaussian.GaussianFrame(phi)).c
+
+
+def test_continuous_steps_match_direct_exponential():
+    L = 6
+    lat = P.lattice(L, "pbc-even")
+    hmat = gaussian.continuous_hamiltonian(P.ModelParams(0.4, -0.15, 0.6, 0.2), lat)
+    frame = gaussian.initial_frame(P.named_state("neel-fermion", L), lat)
+    t_grid = [0.0, 0.1, 0.35, 0.35, 0.6, 1.4, 1.45, 3.0]
+    states = gaussian.evolve_continuous(gaussian.correlation_from_frame(frame),
+                                        hmat, t_grid)
+    assert len(states) == len(t_grid)
+    for t, cm in zip(t_grid, states):
+        assert np.linalg.norm(cm.c - _direct_flow(frame, hmat, t)) < 1e-12
+
+
+@pytest.mark.parametrize("t_grid", [[0.0, 0.5, 0.4], [-0.1, 0.2], [], [0.1, np.nan]])
+def test_continuous_rejects_bad_time_grid(t_grid):
+    lat = P.lattice(4, "obc")
+    hmat = gaussian.continuous_hamiltonian(P.ModelParams(0.3, 0.0, 0.5, 0.0), lat)
+    c0 = gaussian.correlation_from_frame(
+        gaussian.initial_frame(P.named_state("neel-fermion", 4), lat))
+    with pytest.raises(ValidationError):
+        gaussian.evolve_continuous(c0, hmat, t_grid)
+
+
+def test_continuous_rejects_mixed_state():
+    lat = P.lattice(4, "obc")
+    hmat = gaussian.continuous_hamiltonian(P.ModelParams(0.3, 0.0, 0.5, 0.0), lat)
+    c1, c2 = (gaussian.correlation_from_frame(
+        gaussian.initial_frame(P.named_state(name, 4), lat)).c
+        for name in ("neel-fermion", "all-up"))
+    with pytest.raises(ValidationError):
+        gaussian.evolve_continuous(gaussian.CorrelationMatrix(0.5 * (c1 + c2)),
+                                   hmat, [0.0, 0.5])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(2, 12), st.sampled_from(["pbc-even", "pbc-odd", "obc"]),
+       st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_continuous_flow_invariants_random_couplings(L, bc, couplings):
+    lat = P.lattice(L, bc)
+    hmat = gaussian.continuous_hamiltonian(P.ModelParams(*couplings), lat)
+    c0 = gaussian.correlation_from_frame(
+        gaussian.initial_frame(P.named_state("neel-fermion", L), lat))
+    la = L // 2
+    idx = P.SubsystemSpec(1, la).majorana_indices(lat)
+    for cm in gaussian.evolve_continuous(c0, hmat, np.linspace(0.0, 2.0, 5)):
+        assert cm.anticommutation_defect() <= 1e-10
+        assert cm.purity_defect() <= 1e-10
+        s_a = entanglement.entropy_from_majorana_block(cm.c[np.ix_(idx, idx)]).entropy
+        assert -1e-10 <= s_a <= la * np.log(2) + 1e-10
 
 
 def test_area_phase_trace_rises_then_saturates():

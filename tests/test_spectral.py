@@ -63,6 +63,22 @@ def test_kick_matches_expm_every_boundary_and_sign(bc, sign):
         assert np.allclose(form.kick(x, sign), dense @ x, atol=1e-12)
 
 
+@pytest.mark.parametrize("bc", ["pbc-even", "pbc-odd", "obc"])
+def test_kick_forms_match_bond_loop(bc):
+    # reference: the forms filled one bond at a time
+    p = random_params(np.random.default_rng(11))
+    for form in S.build_kick_forms(p, P.lattice(7, bc)):
+        w = np.zeros((14, 14), dtype=complex)
+        partner, angle = np.arange(14), np.zeros(14, dtype=complex)
+        for a, b, s in form.bonds:
+            w[a, b], w[b, a] = w[a, b] + s, w[b, a] - s
+            partner[a], partner[b] = b, a
+            angle[a], angle[b] = 4 * s, -4 * s
+        assert np.array_equal(form.w, w)
+        assert np.array_equal(form.partner, partner)
+        assert np.array_equal(form.angle, angle)
+
+
 def test_overlapping_kick_bonds_rejected():
     bonds = ((0, 1, 0.3), (1, 2, 0.2))
     w = np.zeros((4, 4), dtype=complex)

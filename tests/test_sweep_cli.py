@@ -77,6 +77,23 @@ def test_sweep_fail_soft(tmp_path):
     assert {r["grid_index"] for r in rows} == {"1"}
 
 
+@pytest.mark.parametrize("exc, status, rc", [(TypeError, "crash", 1),
+                                             (ValidationError, "error", 0)])
+def test_sweep_tells_crashes_from_errors(tmp_path, monkeypatch, exc, status, rc):
+    def task(cfg):
+        if cfg["alpha"] > 1.0:
+            raise exc("bad point")
+        return [{"x": 1.0}]
+
+    monkeypatch.setitem(sweep.TASKS, "spectrum", task)
+    code = cli.main(["--out-dir", str(tmp_path), "sweep", "--task", "spectrum",
+                     "--axis", "alpha:0.5:1.5:2"])
+    assert code == rc
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert [p["status"] for p in manifest["points"]] == ["ok", status]
+    assert "bad point" in manifest["points"][1]["error"]
+
+
 def test_single_point_sweep_matches_direct(tmp_path):
     fixed = {"beta_h": 0.1, "L": 16, "n_periods": 10, "subsystem_length": 4,
              "alpha_J": 0.2, "alpha_h": 0.2}
