@@ -123,7 +123,7 @@ def cmd_scaling(args):
     cfg = _load_config(args)
     params, _, quench0 = model_from_config(cfg)
     ratio = cfg.get("scaling_ratio", 10)
-    sizes = [int(s) for s in str(cfg.get("scaling_sizes", "60,100,140,200")).split(",")]
+    sizes = [int(s) for s in str(cfg.get("scaling_sizes", "60,80,100,140,180,200")).split(",")]
     points = []
     for L in sizes:
         lat = lattice(L, cfg.get("bc", "pbc-even"))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollapseError, PurityViolation, ValidationError
-from .params import LatticeSpec, SubsystemSpec, TeePartition
+from .params import LatticeSpec, SubsystemSpec, TeePartition, majorana_indices
 
 _CLAMP = 1e-14
 _PURITY_SLACK = 1e-6
@@ -114,10 +114,7 @@ def tee(corr, partition: TeePartition, lat: LatticeSpec) -> TeeResult:
     c = corr.c if hasattr(corr, "c") else np.asarray(corr)
 
     def s(sites):
-        idx = []
-        for site in sorted(sites):
-            idx.extend((2 * site - 2, 2 * site - 1))
-        idx = np.asarray(idx, dtype=int)
+        idx = majorana_indices(sorted(sites))
         return entropy_from_majorana_block(c[np.ix_(idx, idx)]).entropy
 
     a, b, cseg = segs["A"], segs["B"], segs["C"]

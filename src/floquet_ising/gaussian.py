@@ -40,9 +40,13 @@ _PURE_TOL = 1e-10
 
 @dataclass
 class GaussianFrame:
+    """``isotropy`` is ||Phi^T Phi|| as ``orthonormalize`` measured it on this
+    frame (``isotropy_defect()`` bit for bit); None unless from ``period_map``."""
+
     phi: np.ndarray
     period_count: int = 0
     norm_log: float = 0.0
+    isotropy: float | None = None
 
     @property
     def L(self) -> int:
@@ -77,8 +81,9 @@ def initial_frame(state: QuenchConfig | ProductState, lat: LatticeSpec) -> Gauss
 def orthonormalize(phi: np.ndarray, max_sweeps: int = 4):
     """Span-preserving factorization restoring orthonormality and isotropy.
 
-    Returns the new frame and the log-magnitude discarded by the first QR
-    (the state-norm bookkeeping).  Raises DegenerateEvolution on rank loss,
+    Returns the new frame, the log-magnitude discarded by the first QR (the
+    state-norm bookkeeping) and the isotropy defect ||q^T q|| measured on
+    the returned frame.  Raises DegenerateEvolution on rank loss,
     and NumericalBreakdown (``condition`` = the defect) if the isotropy
     defect is still above tolerance after ``max_sweeps`` corrections.
     """
@@ -101,7 +106,7 @@ def orthonormalize(phi: np.ndarray, max_sweeps: int = 4):
                 condition=float(defect))
         q = q - 0.5 * np.conj(q) @ s
         q, _ = np.linalg.qr(q)
-    return q, log_mag
+    return q, log_mag, float(defect)
 
 
 def period_map(frame: GaussianFrame, kicks: KickForms) -> GaussianFrame:
@@ -112,8 +117,8 @@ def period_map(frame: GaussianFrame, kicks: KickForms) -> GaussianFrame:
     O(L^2).  Only ``coupling_form`` and ``field_form`` of ``kicks`` are read.
     """
     phi = kicks.coupling_form.kick(kicks.field_form.kick(frame.phi, -1.0), -1.0)
-    phi, log_mag = orthonormalize(phi)
-    return GaussianFrame(phi, frame.period_count + 1, frame.norm_log + log_mag)
+    phi, log_mag, defect = orthonormalize(phi)
+    return GaussianFrame(phi, frame.period_count + 1, frame.norm_log + log_mag, defect)
 
 
 @dataclass(frozen=True)
@@ -214,8 +219,9 @@ def stroboscopic_run(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig
     """Per-period subsystem entropy for the configured quench.
 
     Records after every period the entropy, the norm bookkeeping and the
-    frame's isotropy plus orthonormality defect (``purity_residual``), then
-    calls ``observe(frame)`` when given.
+    frame's isotropy defect ||Phi^T Phi|| as ``orthonormalize`` measured it
+    (``purity_residual``; orthonormality holds by QR), then calls
+    ``observe(frame)`` when given.
 
     On periodic chains the parity sector is taken from the lattice spec; use
     ``preferred_sector`` to match the initial state's fermion parity when
@@ -228,7 +234,7 @@ def stroboscopic_run(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig
         block = correlation_block(frame, idx)
         ents.append(entanglement.entropy_from_majorana_block(block).entropy)
         norms.append(frame.norm_log)
-        purs.append(frame.isotropy_defect() + frame.orthonormality_defect())
+        purs.append(frame.isotropy)
         if observe is not None:
             observe(frame)
 
@@ -273,6 +279,6 @@ def evolve_continuous(c0: CorrelationMatrix, hmat: np.ndarray,
     for dt in steps:
         if u is None or abs(dt - dt_u) > 1e-12 * dt:
             dt_u, u = dt, scipy.linalg.expm(-4j * dt * hmat)
-        phi, _ = orthonormalize(u @ phi)
+        phi, _, _ = orthonormalize(u @ phi)
         out.append(correlation_from_frame(GaussianFrame(phi)))
     return out

@@ -151,10 +151,13 @@ class SubsystemSpec:
 
     def majorana_indices(self, lat: LatticeSpec) -> np.ndarray:
         """0-based Majorana row indices for the block, in site order."""
-        idx = []
-        for s in self.sites(lat):
-            idx.extend((2 * s - 2, 2 * s - 1))
-        return np.asarray(idx, dtype=int)
+        return majorana_indices(self.sites(lat))
+
+
+def majorana_indices(sites) -> np.ndarray:
+    """0-based Majorana rows (2j-2, 2j-1) of each 1-based site j, in order."""
+    j = np.asarray(sites, dtype=int)
+    return np.stack([2 * j - 2, 2 * j - 1], axis=-1).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -308,7 +311,7 @@ _CONFIG_KEYS = {
     "units": str, "L": int, "bc": str, "n_periods": int, "K": float,
     "initial_state": str, "seed": int,
     "subsystem_start": int, "subsystem_length": int,
-    "tee_lengths": str, "t_max": float, "n_times": int,
+    "tee_lengths": str, "t_max": float, "n_times": int, "scaling_ratio": int,
 }
 
 

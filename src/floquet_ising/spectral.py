@@ -11,8 +11,8 @@ Conventions
   eigenvalues {mu} close under mu -> 1/mu.
 * Quasienergies are eps = i Log(mu) on the principal branch, real parts
   folded to (-pi, pi].  For PBC-even the multiset equals the analytic
-  momentum pairs {+-eps_k} over antiperiodic momenta; the test suite pins
-  this calibration, so the branch scale is fixed at unity.
+  momentum pairs {+-eps_k} over antiperiodic momenta, a calibration the
+  test suite pins.
 * Each kick is a direct sum of commuting two-Majorana rotations, so its
   exponential is assembled bond by bond in closed form (exact, O(L)).
 """
@@ -30,29 +30,26 @@ from .errors import MetricPoleError, NumericalBreakdown, ValidationError
 from .params import (BoundaryCondition, LatticeSpec, ModelParams, PhaseLabel,
                      PI4)
 
-QUASIENERGY_BRANCH_SCALE = 1.0  # pinned by the momentum-oracle calibration
-
 # --------------------------------------------------------------------------
 # quadratic forms and kick exponentials
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class MajoranaQuadraticForm:
-    """Antisymmetric coefficient matrix W of H = i sum_jk a_j W_jk a_k.
+    """Antisymmetric W of H = i sum_jk a_j W_jk a_k on ``n`` Majoranas.
 
-    ``bonds`` lists the (p, q, w) entries in 0-based Majorana indices;
-    kicks touch each Majorana at most once, enabling exact exponentials.
-    Derived once here: ``partner``, each Majorana's bond partner (itself
-    if unbonded); ``angle``, its rotation angle (+4w at p, -4w at q, 0 if
-    unbonded); ``cos`` and ``sin`` of the angles as complex128 columns.
+    ``bonds`` lists the entries W_pq = w = -W_qp as (p, q, w) in 0-based
+    Majorana indices; kicks touch each Majorana at most once, which makes
+    their exponentials exact closed forms.  Derived once here:
+    ``partner``, each Majorana's bond partner (itself if unbonded);
+    ``angle``, its rotation angle (+4w at p, -4w at q, 0 if unbonded);
+    ``cos`` and ``sin`` of the angles as complex128 columns.
     """
 
-    w: np.ndarray
+    n: int
     bonds: tuple[tuple[int, int, complex], ...] = ()
 
     def __post_init__(self):
-        if np.linalg.norm(self.w + self.w.T) > 1e-12 * max(1.0, np.linalg.norm(self.w)):
-            raise ValidationError("quadratic form must be antisymmetric")
         p, q = np.array([b[:2] for b in self.bonds], dtype=int).reshape(-1, 2).T
         s = np.array([b[2] for b in self.bonds], dtype=complex)
         touched = np.concatenate([p, q])
@@ -67,8 +64,11 @@ class MajoranaQuadraticForm:
             object.__setattr__(self, name, value)
 
     @property
-    def n(self) -> int:
-        return self.w.shape[0]
+    def w(self) -> np.ndarray:
+        """The dense n x n matrix W, built on demand: W[j, partner[j]] = angle[j]/4."""
+        w = np.zeros((self.n, self.n), dtype=complex)
+        w[np.arange(self.n), self.partner] = self.angle / 4
+        return w
 
     def kick(self, x: np.ndarray, sign: float = 1.0) -> np.ndarray:
         """exp(sign * 4 W) @ x as one rotation per bond, O(n) per column.
@@ -95,10 +95,7 @@ class KickForms(NamedTuple):
 
 def _form_from_bonds(n: int, p, q, s) -> MajoranaQuadraticForm:
     """Form with the bonds (p[i], q[i], s[i]) from index and value arrays."""
-    w = np.zeros((n, n), dtype=complex)
-    w[p, q] += s
-    w[q, p] -= s
-    return MajoranaQuadraticForm(w, tuple(zip(p.tolist(), q.tolist(), s.tolist())))
+    return MajoranaQuadraticForm(n, tuple(zip(p.tolist(), q.tolist(), s.tolist())))
 
 
 def build_kick_forms(params: ModelParams, lat: LatticeSpec) -> KickForms:
@@ -121,10 +118,9 @@ def build_kick_forms(params: ModelParams, lat: LatticeSpec) -> KickForms:
                      _form_from_bonds(n, site, site + 1, np.full(L, params.h / 2.0)))
 
 
-def kick_exponential(form: MajoranaQuadraticForm, sign: float = 1.0,
-                     dtype=np.complex128) -> np.ndarray:
+def kick_exponential(form: MajoranaQuadraticForm, sign: float = 1.0) -> np.ndarray:
     """exp(sign * 4 W) as a dense matrix (exact for disjoint bonds)."""
-    return form.kick(np.eye(form.n, dtype=dtype), sign)
+    return form.kick(np.eye(form.n, dtype=complex), sign)
 
 
 # --------------------------------------------------------------------------
@@ -186,7 +182,7 @@ def fold_real_part(re: np.ndarray | float) -> np.ndarray | float:
 
 
 def quasienergies_from_eigenvalues(mu: np.ndarray) -> np.ndarray:
-    eps = QUASIENERGY_BRANCH_SCALE * 1j * np.log(mu.astype(complex))
+    eps = 1j * np.log(mu.astype(complex))
     return fold_real_part(eps.real) + 1j * eps.imag
 
 
@@ -319,10 +315,8 @@ class SpectrumReport:
     quasienergies: np.ndarray
     n_real_modes: int
     edge_modes: list[EdgeModeRecord]
-    phase_label: PhaseLabel | None
     boundary_condition: BoundaryCondition
     diagonalizable: bool = True
-    real_mode_density: float = 0.0
     delocalization_warning: bool = False
 
 
@@ -333,8 +327,7 @@ def quasienergies_from_transfer(tm: TransferMatrix,
     radius = max(float(np.max(np.abs(eps))), 1.0)
     tol = tol_real if tol_real is not None else 1e-8 * radius
     n_real = int(np.sum(np.abs(eps.imag) < tol))
-    return SpectrumReport(eps, n_real, [], None, bc, tm.diagonalizable,
-                          n_real / len(eps))
+    return SpectrumReport(eps, n_real, [], bc, tm.diagonalizable)
 
 
 def _inv2_ld(s):

@@ -147,7 +147,7 @@ def test_orthonormalize_raises_when_sweeps_run_out():
     with pytest.raises(NumericalBreakdown) as err:
         gaussian.orthonormalize(phi, max_sweeps=0)
     assert err.value.condition > 1e-6
-    q, _ = gaussian.orthonormalize(phi)
+    q, _, _ = gaussian.orthonormalize(phi)
     assert np.linalg.norm(q.T @ q) < 1e-13
     assert np.linalg.norm(q.conj().T @ q - np.eye(6)) < 1e-12
 
@@ -229,6 +229,46 @@ def test_stroboscopic_trace_shapes_and_growth():
     assert np.all(trace.purity_residual < 1e-9)
     with pytest.raises(ValidationError):
         trace.growth_rate(0)
+
+
+def test_purity_residual_is_the_measured_isotropy_defect():
+    # recomputing ||Phi^T Phi|| on each recorded frame gives the recorded
+    # value bit for bit: the trace keeps what orthonormalize measured
+    p = P.make_params(0.2, -0.1, 0.2, 0.1)
+    lat = P.lattice(24, "pbc-even")
+    quench = P.QuenchConfig(P.named_state("neel-fermion", 24), n_periods=12)
+    seen = []
+    trace = gaussian.stroboscopic_run(p, lat, quench, P.SubsystemSpec(1, 6),
+                                      lambda frame: seen.append(frame.isotropy_defect()))
+    assert trace.purity_residual.tolist() == seen
+    assert gaussian.initial_frame(quench, lat).isotropy is None
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(2, 16), st.sampled_from(["pbc-even", "pbc-odd", "obc"]),
+       st.tuples(st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
+                 st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0)),
+       st.integers(1, 20), st.data())
+def test_frame_invariants_every_period_random_couplings(L, bc, couplings, n_periods, data):
+    la = data.draw(st.integers(1, L - 1))
+    lat = P.lattice(L, bc)
+    quench = P.QuenchConfig(P.named_state("neel-fermion", L), n_periods=n_periods)
+    idx_a = P.SubsystemSpec(1, la).majorana_indices(lat)
+    idx_rest = P.SubsystemSpec(la + 1, L - la).majorana_indices(lat)
+    periods = []
+
+    def check(frame):
+        periods.append(frame.period_count)
+        assert frame.isotropy == frame.isotropy_defect()
+        assert frame.isotropy < 1e-13
+        assert frame.orthonormality_defect() < 1e-12
+        s_a, s_rest = (entanglement.entropy_from_majorana_block(
+            gaussian.correlation_block(frame, idx)).entropy for idx in (idx_a, idx_rest))
+        assert 0.0 <= s_a <= la * np.log(2) + 1e-12
+        assert abs(s_a - s_rest) < 1e-10
+
+    gaussian.run_to_steady_state(P.ModelParams(*couplings), lat, quench, check)
+    assert periods == list(range(1, n_periods + 1))
 
 
 def test_stroboscopic_rejects_k_field():
@@ -338,7 +378,7 @@ def test_continuous_flow_matches_dense_propagator():
 
 def _direct_flow(frame, hmat, t):
     """Oracle: one matrix exponential of the initial frame from t = 0."""
-    phi, _ = gaussian.orthonormalize(expm(-4j * t * hmat) @ frame.phi)
+    phi, _, _ = gaussian.orthonormalize(expm(-4j * t * hmat) @ frame.phi)
     return gaussian.correlation_from_frame(gaussian.GaussianFrame(phi)).c
 
 

@@ -93,6 +93,12 @@ def test_subsystem_sites_and_wraparound():
         P.SubsystemSpec(start=7, length=4).sites(P.lattice(8, "obc"))
 
 
+def test_majorana_indices_of_sites():
+    assert P.majorana_indices([3, 1]).tolist() == [4, 5, 0, 1]
+    spec = P.SubsystemSpec(5, 4)  # wraps: sites 5, 6, 1, 2
+    assert spec.majorana_indices(P.lattice(6)).tolist() == [8, 9, 10, 11, 0, 1, 2, 3]
+
+
 def test_tee_partition_segments():
     part = P.TeePartition.quarters(16)
     segs = part.segments(P.lattice(16, "obc"))

@@ -79,13 +79,18 @@ def test_kick_forms_match_bond_loop(bc):
         assert np.array_equal(form.angle, angle)
 
 
+def test_kick_forms_hold_no_dense_matrix():
+    # only per-Majorana columns are stored; the dense W is built on demand
+    for form in S.build_kick_forms(random_params(), P.lattice(40, "obc")):
+        arrays = [v for v in vars(form).values() if isinstance(v, np.ndarray)]
+        assert arrays and all(a.size == form.n for a in arrays)
+        assert form.w.shape == (form.n, form.n)
+
+
 def test_overlapping_kick_bonds_rejected():
     bonds = ((0, 1, 0.3), (1, 2, 0.2))
-    w = np.zeros((4, 4), dtype=complex)
-    for p, q, s in bonds:
-        w[p, q], w[q, p] = s, -s
     with pytest.raises(ValidationError):
-        S.MajoranaQuadraticForm(w, bonds)
+        S.MajoranaQuadraticForm(4, bonds)
 
 
 def test_transfer_matrix_invariants():

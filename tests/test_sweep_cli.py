@@ -229,6 +229,31 @@ def test_cli_evolve_csv_same_with_and_without_dump(tmp_path):
     assert outs[0] == outs[1]
 
 
+SCALING_CFG = ("alpha_J = 0.2\nbeta_J = -0.1\nalpha_h = 0.2\nbeta_h = 0.1\n"
+               "L = 8\nn_periods = 2\n")
+
+
+def test_cli_scaling_default_sizes_fit(tmp_path):
+    cfgfile = tmp_path / "sc.cfg"
+    cfgfile.write_text(SCALING_CFG)
+    rc = cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path), "scaling"])
+    assert rc == 0
+    rows = read_rows(tmp_path / "scaling.csv")
+    assert [int(r["L"]) for r in rows] == [60, 80, 100, 140, 180, 200]
+    assert [int(r["L_A"]) for r in rows] == [6, 8, 10, 14, 18, 20]
+
+
+def test_cli_scaling_ratio_from_config(tmp_path):
+    cfgfile = tmp_path / "sc.cfg"
+    cfgfile.write_text(SCALING_CFG + "scaling_ratio = 5\n"
+                       "scaling_sizes = 20,25,30,40,50,60\n")
+    rc = cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path), "scaling"])
+    assert rc == 0
+    rows = read_rows(tmp_path / "scaling.csv")
+    assert [int(r["L_A"]) for r in rows] == [int(r["L"]) // 5 for r in rows]
+    assert len(rows) == 6
+
+
 def test_cli_validation_exit_code(tmp_path):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("alpha_J = 0.2\n")  # missing everything else
