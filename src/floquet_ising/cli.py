@@ -15,8 +15,9 @@ import numpy as np
 
 from . import __version__, cft, ed, entanglement, gaussian, spectral, sweep
 from .errors import NumericalBreakdown, ValidationError
-from .params import (QuenchConfig, SubsystemSpec, lattice, make_params,
-                     model_from_config, named_state, parse_config)
+from .params import (SubsystemSpec, lattice, make_params, model_from_config,
+                     named_state, params_from_config, parse_config,
+                     quench_from_config)
 
 
 def _load_config(args) -> dict:
@@ -121,17 +122,14 @@ def cmd_evolve(args):
 
 def cmd_scaling(args):
     cfg = _load_config(args)
-    params, _, quench0 = model_from_config(cfg)
+    params = params_from_config(cfg)
     ratio = cfg.get("scaling_ratio", 10)
     sizes = [int(s) for s in str(cfg.get("scaling_sizes", "60,80,100,140,180,200")).split(",")]
     points = []
     for L in sizes:
-        lat = lattice(L, cfg.get("bc", "pbc-even"))
         la = max(2, L // ratio)
-        state = named_state(cfg.get("initial_state", "neel-fermion"), L)
-        quench = QuenchConfig(state, n_periods=quench0.n_periods)
-        trace = gaussian.stroboscopic_run(params, lat, quench,
-                                          SubsystemSpec(1, la))
+        trace = gaussian.stroboscopic_run(params, lattice(L, cfg.get("bc", "pbc-even")),
+                                          quench_from_config(cfg, L), SubsystemSpec(1, la))
         points.append((L, la, trace.steady_state()))
     fit = entanglement.fit_scaling(points)
     out = _out_dir(args)

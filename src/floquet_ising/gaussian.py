@@ -31,22 +31,27 @@ from .errors import (DegenerateEvolution, NumericalBreakdown,
                      UnsupportedStateError, ValidationError)
 from .params import (LatticeSpec, ModelParams, ProductState,
                      QuenchConfig, SubsystemSpec)
-from .spectral import KickForms, build_kick_forms
+from .spectral import KickForms, build_kick_forms, kick_exponential
 
 _ISO_TOL = 1e-13
 _RANK_TOL = 1e-13
 _PURE_TOL = 1e-10
+_DIRECT_TOL = 1e-10
+_OVERLAP_TOL = 1e-10
 
 
 @dataclass
 class GaussianFrame:
     """``isotropy`` is ||Phi^T Phi|| as ``orthonormalize`` measured it on this
-    frame (``isotropy_defect()`` bit for bit); None unless from ``period_map``."""
+    frame (``isotropy_defect()`` bit for bit); ``route`` is how the frame was
+    made: ``"loop"`` by ``period_map``, ``"schur"`` by the direct steady
+    state of ``run_to_steady_state``.  Both are None for initial frames."""
 
     phi: np.ndarray
     period_count: int = 0
     norm_log: float = 0.0
     isotropy: float | None = None
+    route: str | None = None
 
     @property
     def L(self) -> int:
@@ -118,7 +123,8 @@ def period_map(frame: GaussianFrame, kicks: KickForms) -> GaussianFrame:
     """
     phi = kicks.coupling_form.kick(kicks.field_form.kick(frame.phi, -1.0), -1.0)
     phi, log_mag, defect = orthonormalize(phi)
-    return GaussianFrame(phi, frame.period_count + 1, frame.norm_log + log_mag, defect)
+    return GaussianFrame(phi, frame.period_count + 1, frame.norm_log + log_mag,
+                         defect, "loop")
 
 
 @dataclass(frozen=True)
@@ -195,18 +201,89 @@ class EntropyTrace:
         return float(self.entropy[horizon - 1] / (2.0 * horizon))
 
 
+def _scaled_power(t: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """t**n = exp(log_s) m as (m, log_s), by repeated squaring with every
+    product rescaled to unit largest entry, so nothing overflows."""
+    def rescale(m, log_s):
+        s = np.abs(m).max()
+        return (m / s, log_s + np.log(s)) if s > 0 else (m, log_s)
+
+    out, log_out = np.eye(len(t), dtype=complex), 0.0
+    base, log_base = t, 0.0
+    while n:
+        if n & 1:
+            out, log_out = rescale(out @ base, log_out + log_base)
+        n >>= 1
+        if n:
+            base, log_base = rescale(base @ base, 2.0 * log_base)
+    return out, log_out
+
+
+def _dominant_frame(kicks: KickForms, phi0: np.ndarray, n: int) -> GaussianFrame | None:
+    """The n-period frame taken from the dominant invariant subspace of the
+    frame map, or None unless that provably equals the loop's frame.
+
+    With the frame map F = Q [[T11, T12], [0, T22]] Q^dag ordered on |mu| > 1
+    and T11 X - X T22 = -T12, the exact frame F^n Phi0 spans Q [1 + X E; E],
+    E = T22^n y2 a^-1 T11^-n, where y = Q^dag Phi0 and a = y1 - X y2.  The
+    span Q1 is returned when a is well conditioned and the measured distance
+    ||E (1 + X E)^-1|| from it is at most _DIRECT_TOL.  None when the
+    spectrum has no L/L split in |mu|, the reorder or the Sylvester solve
+    fails, Phi0 has (nearly) no component on the dominant subspace, or E is
+    not small and finite.
+    """
+    L = phi0.shape[1]
+    f = kicks.coupling_form.kick(kick_exponential(kicks.field_form, -1.0), -1.0)
+    try:
+        t, q, sdim = scipy.linalg.schur(f, output="complex", sort="ouc")
+    except np.linalg.LinAlgError:  # eigenvalues too close to reorder
+        return None
+    if sdim != L:
+        return None
+    t11, t22 = t[:L, :L], t[L:, L:]
+    x, scale, info = scipy.linalg.lapack.ztrsyl(t11, t22, -t[:L, L:], isgn=-1)
+    if info != 0:  # T11 and T22 share (nearly) an eigenvalue
+        return None
+    x /= scale
+    y = q.conj().T @ phi0
+    a = y[:L] - x @ y[L:]
+    sv = np.linalg.svd(a, compute_uv=False)
+    if not sv[-1] > _OVERLAP_TOL * sv[0]:
+        return None
+    p22, log22 = _scaled_power(t22, n)
+    p11, log11 = _scaled_power(scipy.linalg.solve_triangular(t11, np.eye(L)), n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(log22 + log11) * (p22 @ np.linalg.solve(a.T, y[L:].T).T @ p11)
+    if not np.all(np.isfinite(e)):
+        return None
+    dist = np.linalg.norm(np.linalg.solve((np.eye(L) + x @ e).T, e.T))
+    if not dist <= _DIRECT_TOL:
+        return None
+    phi, _, defect = orthonormalize(q[:, :L])
+    norm_log = n * float(np.sum(np.log(np.abs(np.diag(t11))))) + np.linalg.slogdet(a)[1]
+    return GaussianFrame(phi, n, float(norm_log), defect, "schur")
+
+
 def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig,
                         observe: Observer | None = None) -> GaussianFrame:
     """Evolve for the configured number of periods and return the frame.
 
     This is the one stroboscopic loop: ``observe(frame)``, when given, is
-    called with the frame after every period.
+    called with the frame after every period.  Without an observer the
+    frame is first sought directly, from one ordered Schur factorization
+    of the frame map (``_dominant_frame``); it is returned, with
+    ``route == "schur"``, only where it provably equals the loop's frame.
+    Otherwise the loop runs (``route == "loop"``).
     """
     if quench.K != 0.0:
         raise ValidationError("longitudinal K field breaks Gaussianity; "
                               "use the spin simulator")
     kicks = build_kick_forms(params, lat)
     frame = initial_frame(quench, lat)
+    if observe is None:
+        direct = _dominant_frame(kicks, frame.phi, quench.n_periods)
+        if direct is not None:
+            return direct
     for _ in range(quench.n_periods):
         frame = period_map(frame, kicks)
         if observe is not None:

@@ -310,8 +310,7 @@ _CONFIG_KEYS = {
     "alpha_J": float, "beta_J": float, "alpha_h": float, "beta_h": float,
     "units": str, "L": int, "bc": str, "n_periods": int, "K": float,
     "initial_state": str, "seed": int,
-    "subsystem_start": int, "subsystem_length": int,
-    "tee_lengths": str, "t_max": float, "n_times": int, "scaling_ratio": int,
+    "subsystem_start": int, "subsystem_length": int, "scaling_ratio": int,
 }
 
 
@@ -333,20 +332,31 @@ def parse_config(text: str) -> dict:
     return out
 
 
+def _required(cfg: dict, key: str):
+    if key not in cfg:
+        raise ValidationError(f"config missing required key {key!r}")
+    return cfg[key]
+
+
+def params_from_config(cfg: dict) -> ModelParams:
+    return make_params(_required(cfg, "alpha_J"), cfg.get("beta_J", 0.0),
+                       _required(cfg, "alpha_h"), cfg.get("beta_h", 0.0),
+                       units=cfg.get("units", "pi4"))
+
+
+def quench_from_config(cfg: dict, L: int) -> QuenchConfig:
+    """The configured quench of an ``L``-site chain (``L`` need not be a
+    config key, so size scans build one quench per size)."""
+    seed = cfg.get("seed")
+    K = cfg.get("K", 0.0)
+    return QuenchConfig(named_state(cfg.get("initial_state", "neel-fermion"), L, seed=seed),
+                        n_periods=cfg.get("n_periods", 200),
+                        K=K * PI4 if cfg.get("units", "pi4") == "pi4" else K,
+                        seed=seed)
+
+
 def model_from_config(cfg: dict) -> tuple[ModelParams, LatticeSpec, QuenchConfig]:
     """Assemble the three core objects from a parsed config mapping."""
-    try:
-        params = make_params(cfg["alpha_J"], cfg.get("beta_J", 0.0),
-                             cfg["alpha_h"], cfg.get("beta_h", 0.0),
-                             units=cfg.get("units", "pi4"))
-        lat = lattice(cfg["L"], cfg.get("bc", "pbc-even"))
-    except KeyError as exc:
-        raise ValidationError(f"config missing required key {exc}") from exc
-    seed = cfg.get("seed")
-    state = named_state(cfg.get("initial_state", "neel-fermion"), lat.L, seed=seed)
-    quench = QuenchConfig(initial_state=state,
-                          n_periods=cfg.get("n_periods", 200),
-                          K=cfg.get("K", 0.0) * PI4 if cfg.get("units", "pi4") == "pi4"
-                          else cfg.get("K", 0.0),
-                          seed=seed)
-    return params, lat, quench
+    params = params_from_config(cfg)
+    lat = lattice(_required(cfg, "L"), cfg.get("bc", "pbc-even"))
+    return params, lat, quench_from_config(cfg, lat.L)

@@ -380,6 +380,13 @@ def _localization_length(weights: np.ndarray) -> float:
     return float(-2.0 / slope)  # weights are |psi|^2
 
 
+def _require_edge_lattice(lat: LatticeSpec) -> None:
+    if lat.bc.periodic:
+        raise ValidationError("edge modes are defined for open chains")
+    if lat.L < 8:
+        raise ValidationError("edge detection needs L >= 8")
+
+
 def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
                       tol_edge: float = 1e-3, im_tol: float = 1e-2,
                       edge_fraction: float = 0.1,
@@ -389,10 +396,7 @@ def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
     Near alpha = pi/4 the edge modes delocalize at finite size; an empty
     scan there raises no error but sets ``delocalization_warning``.
     """
-    if lat.bc.periodic:
-        raise ValidationError("edge modes are defined for open chains")
-    if lat.L < 8:
-        raise ValidationError("edge detection needs L >= 8")
+    _require_edge_lattice(lat)
     w1, w2 = build_kick_forms(params, lat)
     tm = build_transfer_matrix(w1, w2, want_left=refine)
     report = quasienergies_from_transfer(tm, lat.bc)
@@ -592,11 +596,15 @@ def spectrum_conjugation_defect(eps: np.ndarray) -> float:
 # classification
 # --------------------------------------------------------------------------
 
-def classify_phase_from_spectrum(obc_report: SpectrumReport,
+def classify_phase_from_spectrum(obc_report: SpectrumReport | None,
                                  pbc_census: RealModeCensus,
                                  density_threshold: float = 0.1,
                                  few_mode_max: int = 4) -> PhaseLabel:
-    """Phase label from the edge-mode census plus the real-mode density."""
+    """Phase label from the edge-mode census plus the real-mode density.
+
+    ``obc_report`` is read only when the census finds no real modes, and
+    may be None otherwise.
+    """
     if pbc_census.density >= density_threshold:
         return PhaseLabel.CRITICAL_VOLUME
     if pbc_census.count > few_mode_max:
@@ -621,10 +629,13 @@ def classify_phase(params: ModelParams, L: int = 40,
     ``L`` sizes the momentum census.  Edge modes within a few localization
     lengths of a phase boundary are invisible at small L, so the edge scan
     runs once, at ``confirm_L`` when that is larger than ``L`` (the bulk
-    census is size-insensitive).
+    census is size-insensitive).  It is skipped when the census finds real
+    modes, which decide the label on their own.
     """
     census = count_real_modes(params, L)
     scan_L = confirm_L if confirm_L and confirm_L > L else L
-    obc = detect_edge_modes(params, LatticeSpec(scan_L, BoundaryCondition.OBC),
-                            tol_edge=tol_edge, im_tol=im_tol, refine=False)
+    lat = LatticeSpec(scan_L, BoundaryCondition.OBC)
+    _require_edge_lattice(lat)
+    obc = None if census.count else detect_edge_modes(
+        params, lat, tol_edge=tol_edge, im_tol=im_tol, refine=False)
     return classify_phase_from_spectrum(obc, census)

@@ -302,6 +302,64 @@ def test_run_to_steady_state_observes_every_period():
     assert norms[-1] == frame.norm_log
 
 
+def _direct_and_loop(p, lat, n_periods):
+    """run_to_steady_state as called (direct route allowed) and forced onto
+    the loop by a no-op observer."""
+    quench = P.QuenchConfig(P.named_state("neel-fermion", lat.L), n_periods=n_periods)
+    return (gaussian.run_to_steady_state(p, lat, quench),
+            gaussian.run_to_steady_state(p, lat, quench, lambda frame: None))
+
+
+def _assert_same_steady_state(direct, loop):
+    c_direct, c_loop = (gaussian.correlation_from_frame(f).c for f in (direct, loop))
+    assert np.max(np.abs(c_direct - c_loop)) <= 1e-10
+    assert abs(direct.norm_log - loop.norm_log) <= 1e-10 * abs(loop.norm_log)
+    assert direct.isotropy == direct.isotropy_defect() < 1e-13
+    assert direct.period_count == loop.period_count
+
+
+_NONUNITARY_BETA = st.floats(0.05, 1.0) | st.floats(-1.0, -0.05)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 24), st.sampled_from(["pbc-even", "pbc-odd", "obc"]),
+       st.tuples(st.floats(-np.pi, np.pi), _NONUNITARY_BETA,
+                 st.floats(-np.pi, np.pi), _NONUNITARY_BETA),
+       st.integers(1, 400))
+def test_direct_steady_state_equals_loop_random_couplings(L, bc, couplings, n_periods):
+    direct, loop = _direct_and_loop(P.ModelParams(*couplings), P.lattice(L, bc), n_periods)
+    assert loop.route == "loop"
+    if direct.route == "schur":
+        _assert_same_steady_state(direct, loop)
+    else:
+        assert direct.route == "loop"
+        assert np.array_equal(direct.phi, loop.phi)
+
+
+@pytest.mark.parametrize("couplings, L, bc, n_periods", [
+    # Neel has no component on the dominant subspace (sigma_min(a) ~ 1e-14)
+    ((0.2, -0.40, 0.2, -0.3), 24, "obc", 300),
+    # volume-law point: the |mu| spectrum has no L/L split (gap ~ 2e-16)
+    ((0.2, -0.1, 0.2, 0.1), 24, "pbc-even", 300),
+    # too short for the frame to have reached the dominant subspace
+    ((0.0, 0.4, 0.0, 0.4), 24, "pbc-even", 2),
+])
+def test_direct_steady_state_falls_back_to_loop(couplings, L, bc, n_periods):
+    direct, loop = _direct_and_loop(P.make_params(*couplings), P.lattice(L, bc), n_periods)
+    assert direct.route == loop.route == "loop"
+    assert np.array_equal(direct.phi, loop.phi)
+
+
+@pytest.mark.parametrize("couplings, L, bc, n_periods", [
+    ((0.0, 0.4, 0.0, 0.4), 100, "pbc-even", 900),   # criterion-8 chord fit
+    ((0.2, -0.05, 0.2, -0.3), 48, "obc", 300),      # deep trivial TEE point
+])
+def test_direct_steady_state_taken_where_converged(couplings, L, bc, n_periods):
+    direct, loop = _direct_and_loop(P.make_params(*couplings), P.lattice(L, bc), n_periods)
+    assert direct.route == "schur"
+    _assert_same_steady_state(direct, loop)
+
+
 def test_bulk_subsystem_obc_approaches_pbc():
     p = P.make_params(0.2, -0.2, 0.2, 0.1)  # area-law interior point
     la = 8

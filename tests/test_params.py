@@ -157,3 +157,11 @@ def test_config_errors():
         P.parse_config("L = not_an_int")
     with pytest.raises(ValidationError):
         P.model_from_config({"alpha_J": 0.1})
+
+
+def test_config_keys_nothing_reads_still_parse():
+    cfg = P.parse_config("alpha_J = 0.2\nalpha_h = 0.2\nL = 8\n"
+                         "tee_lengths = 8,16\nt_max = 15\nn_times = 60\n")
+    assert cfg["tee_lengths"] == "8,16" and cfg["t_max"] == "15" and cfg["n_times"] == "60"
+    p, lat, quench = P.model_from_config(cfg)
+    assert lat.L == 8 and quench.n_periods == 200

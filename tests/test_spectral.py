@@ -386,3 +386,19 @@ def test_dispersion_pair_sums_to_zero():
         assert abs(pt.epsilon[0] + pt.epsilon[1]) < 1e-10
         pt = S.dispersion_continuous(0.6 - 0.4j, 0.2 + 0.9j, k)
         assert abs(pt.epsilon[0] + pt.epsilon[1]) < 1e-10
+
+
+def test_classify_phase_skips_the_edge_scan_the_census_decides(monkeypatch):
+    # real modes fix the label without the open-chain scan, so it is not run
+    p = P.make_params(0.2, -0.1, 0.2, 0.1)
+    scanned = S.classify_phase_from_spectrum(
+        S.detect_edge_modes(p, P.lattice(144, "obc"), refine=False),
+        S.count_real_modes(p, 40))
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("edge scan ran")
+
+    monkeypatch.setattr(S, "detect_edge_modes", no_scan)
+    assert S.classify_phase(p, L=40) is scanned is P.PhaseLabel.CRITICAL_VOLUME
+    with pytest.raises(ValidationError):
+        S.classify_phase(p, L=4, confirm_L=None)

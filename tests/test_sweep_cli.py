@@ -254,6 +254,21 @@ def test_cli_scaling_ratio_from_config(tmp_path):
     assert len(rows) == 6
 
 
+def test_cli_scaling_needs_no_L(tmp_path):
+    cfgfile = tmp_path / "sc.cfg"
+    cfgfile.write_text(SCALING_CFG.replace("L = 8\n", ""))
+    rc = cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path), "scaling"])
+    assert rc == 0
+    assert len(read_rows(tmp_path / "scaling.csv")) == 6
+
+
+def test_cli_scaling_rejects_k_field(tmp_path):
+    cfgfile = tmp_path / "sc.cfg"
+    cfgfile.write_text(SCALING_CFG + "K = 0.1\n")
+    rc = cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path), "scaling"])
+    assert rc == 2
+
+
 def test_cli_validation_exit_code(tmp_path):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("alpha_J = 0.2\n")  # missing everything else
