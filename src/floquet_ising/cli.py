@@ -56,8 +56,7 @@ def cmd_spectrum(args):
                 rows.append({"k_or_index": k, "re_eps": eps.real,
                              "im_eps": eps.imag,
                              "classification": pt.classification})
-        report = None
-        census = spectral.count_real_modes(params, lat.L)
+        census = spectral.count_real_modes(params, lat.L, sectors=str(lat.bc))
         n_real, edge_modes = census.count, []
         label = None
     else:

@@ -16,12 +16,18 @@ nonunitary map and silently derails the state after ~40 periods, so the
 re-orthonormalization below interleaves QR with first-order isotropy
 corrections Phi <- Phi - conj(Phi) (Phi^T Phi) / 2 until the defect is at
 rounding level.
+
+On periodic chains of even length the map commutes with translation by
+two sites, so a state with that symmetry keeps it: the frame splits into
+one 4x2 block per two-site Bloch momentum q, each moved by its own 4x4
+block F_q, and isotropy pairs q with -q (``MomentumFrame``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -29,9 +35,10 @@ import scipy.linalg
 from . import entanglement
 from .errors import (DegenerateEvolution, NumericalBreakdown,
                      UnsupportedStateError, ValidationError)
-from .params import (LatticeSpec, ModelParams, ProductState,
-                     QuenchConfig, SubsystemSpec)
-from .spectral import KickForms, build_kick_forms, kick_exponential
+from .params import (BoundaryCondition, LatticeSpec, ModelParams,
+                     ProductState, QuenchConfig, SubsystemSpec)
+from .spectral import (KickForms, build_kick_forms, cell_momenta,
+                       frame_map_blocks, kick_exponential)
 
 _ISO_TOL = 1e-13
 _RANK_TOL = 1e-13
@@ -45,7 +52,8 @@ class GaussianFrame:
     """``isotropy`` is ||Phi^T Phi|| as ``orthonormalize`` measured it on this
     frame (``isotropy_defect()`` bit for bit); ``route`` is how the frame was
     made: ``"loop"`` by ``period_map``, ``"schur"`` by the direct steady
-    state of ``run_to_steady_state``.  Both are None for initial frames."""
+    state of ``run_to_steady_state``, ``"momentum"`` by its momentum-block
+    step (a ``MomentumFrame``).  Both are None for initial frames."""
 
     phi: np.ndarray
     period_count: int = 0
@@ -58,10 +66,50 @@ class GaussianFrame:
         return self.phi.shape[1]
 
     def isotropy_defect(self) -> float:
-        return float(np.linalg.norm(self.phi.T @ self.phi))
+        return _isotropy(self.phi)[1]
 
     def orthonormality_defect(self) -> float:
-        return float(np.linalg.norm(self.phi.conj().T @ self.phi - np.eye(self.L)))
+        return _orthonormality(self.phi)
+
+
+class MomentumFrame(GaussianFrame):
+    """Frame of a state invariant under two-site translation on a periodic
+    chain of even length L = 2N, held as one 4x2 block Phi_q per momentum q
+    of ``cell_momenta``.  The dense frame's columns are U_q Phi_q, with
+    U_q[(x, a), b] = e^{iqx} delta_ab / sqrt(N) on cell x (Majorana rows
+    4x + a); ``phi`` builds it on demand.  Isotropy pairs block q with
+    block ``partner[q]`` = -q: Phi^T Phi = 0 is Phi_{-q}^T Phi_q = 0."""
+
+    def __init__(self, blocks: np.ndarray, momenta: np.ndarray, partner: np.ndarray,
+                 period_count: int = 0, norm_log: float = 0.0,
+                 isotropy: float | None = None, route: str | None = None):
+        self.blocks, self.momenta, self.partner = blocks, momenta, partner
+        self.period_count, self.norm_log = period_count, norm_log
+        self.isotropy, self.route = isotropy, route
+
+    @classmethod
+    def from_dense(cls, frame: GaussianFrame, lat: LatticeSpec) -> "MomentumFrame":
+        """Blocks of a dense initial frame whose first cell, columns 2x and
+        2x+1 on rows 4x..4x+3, repeats on every cell."""
+        q = cell_momenta(lat)
+        partner = np.argmin(np.abs(np.exp(1j * (q[:, None] + q[None, :])) - 1), axis=1)
+        return cls(np.repeat(frame.phi[None, :4, :2], len(q), axis=0), q, partner)
+
+    @property
+    def L(self) -> int:
+        return 2 * len(self.momenta)
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        n = len(self.momenta)
+        u = np.exp(1j * np.outer(np.arange(n), self.momenta)) / np.sqrt(n)
+        return np.einsum("xq,qab->xaqb", u, self.blocks).reshape(4 * n, 2 * n)
+
+    def isotropy_defect(self) -> float:
+        return _isotropy(self.blocks, self.partner)[1]
+
+    def orthonormality_defect(self) -> float:
+        return _orthonormality(self.blocks)
 
 
 def initial_frame(state: QuenchConfig | ProductState, lat: LatticeSpec) -> GaussianFrame:
@@ -83,17 +131,34 @@ def initial_frame(state: QuenchConfig | ProductState, lat: LatticeSpec) -> Gauss
     return GaussianFrame(phi)
 
 
-def orthonormalize(phi: np.ndarray, max_sweeps: int = 4):
+def _isotropy(q: np.ndarray, partner: np.ndarray | None = None):
+    """S = q_{-}^T q and ||S||: with ``partner``, q is a stack of blocks and
+    block i pairs with block partner[i]; a dense frame pairs with itself."""
+    pq = q if partner is None else q[partner]
+    s = np.swapaxes(pq, -1, -2) @ q
+    return s, float(np.linalg.norm(s))
+
+
+def _orthonormality(q: np.ndarray) -> float:
+    """||q^dag q - 1|| over one frame or a stack of blocks."""
+    return float(np.linalg.norm(np.swapaxes(q.conj(), -1, -2) @ q - np.eye(q.shape[-1])))
+
+
+def orthonormalize(phi: np.ndarray, max_sweeps: int = 4,
+                   partner: np.ndarray | None = None):
     """Span-preserving factorization restoring orthonormality and isotropy.
 
+    ``phi`` is one dense frame or, with ``partner``, a stack of blocks
+    whose isotropy pairs block i with block partner[i] (the dense frame is
+    one block paired with itself); each block is factorized on its own.
     Returns the new frame, the log-magnitude discarded by the first QR (the
-    state-norm bookkeeping) and the isotropy defect ||q^T q|| measured on
+    state-norm bookkeeping) and the isotropy defect ||q_-^T q|| measured on
     the returned frame.  Raises DegenerateEvolution on rank loss,
     and NumericalBreakdown (``condition`` = the defect) if the isotropy
     defect is still above tolerance after ``max_sweeps`` corrections.
     """
     q, r = np.linalg.qr(phi)
-    rd = np.abs(np.diag(r))
+    rd = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
     if rd.min() < _RANK_TOL * max(rd.max(), 1.0):
         tiny = rd.max() * 1e-290
         cond = float(rd.max() / rd.min()) if rd.min() > tiny else float("inf")
@@ -101,17 +166,16 @@ def orthonormalize(phi: np.ndarray, max_sweeps: int = 4):
                                   condition=cond)
     log_mag = float(np.sum(np.log(rd)))
     for sweep in range(max_sweeps + 1):
-        s = q.T @ q
-        defect = np.linalg.norm(s)
+        s, defect = _isotropy(q, partner)
         if defect < _ISO_TOL:
             break
         if sweep == max_sweeps:
             raise NumericalBreakdown(
                 f"isotropy defect {defect:.3g} left after {max_sweeps} sweeps",
-                condition=float(defect))
-        q = q - 0.5 * np.conj(q) @ s
+                condition=defect)
+        q = q - 0.5 * np.conj(q if partner is None else q[partner]) @ s
         q, _ = np.linalg.qr(q)
-    return q, log_mag, float(defect)
+    return q, log_mag, defect
 
 
 def period_map(frame: GaussianFrame, kicks: KickForms) -> GaussianFrame:
@@ -125,6 +189,13 @@ def period_map(frame: GaussianFrame, kicks: KickForms) -> GaussianFrame:
     phi, log_mag, defect = orthonormalize(phi)
     return GaussianFrame(phi, frame.period_count + 1, frame.norm_log + log_mag,
                          defect, "loop")
+
+
+def _momentum_period(frame: MomentumFrame, fq: np.ndarray) -> MomentumFrame:
+    """One period on the momentum route: block q moves by F_q, O(L)."""
+    blocks, log_mag, defect = orthonormalize(fq @ frame.blocks, partner=frame.partner)
+    return MomentumFrame(blocks, frame.momenta, frame.partner, frame.period_count + 1,
+                         frame.norm_log + log_mag, defect, "momentum")
 
 
 @dataclass(frozen=True)
@@ -174,9 +245,22 @@ def correlation_from_frame(frame: GaussianFrame) -> CorrelationMatrix:
 
 
 def correlation_block(frame: GaussianFrame, majorana_idx: np.ndarray) -> np.ndarray:
-    """Restricted C block without forming the full matrix."""
-    sub = frame.phi[majorana_idx, :]
-    return 2.0 * np.conj(sub) @ sub.T
+    """Restricted C block without forming the full matrix.
+
+    A ``MomentumFrame`` gives it in block-Toeplitz form: with Majorana row
+    4x + a on cell x,
+    C[(x, a), (y, b)] = (2/N) sum_q e^{iq(y-x)} (conj(Phi_q) Phi_q^T)[a, b].
+    """
+    if not isinstance(frame, MomentumFrame):
+        sub = frame.phi[majorana_idx, :]
+        return 2.0 * np.conj(sub) @ sub.T
+    x, a = np.divmod(np.asarray(majorana_idx), 4)
+    n = len(frame.momenta)
+    g = np.conj(frame.blocks) @ np.swapaxes(frame.blocks, -1, -2)
+    lo = x.min() - x.max()
+    t = np.exp(1j * np.outer(np.arange(lo, 1 - lo), frame.momenta)) @ g.reshape(n, 16)
+    t *= 2.0 / n
+    return t.reshape(-1)[(x[None, :] - x[:, None] - lo) * 16 + 4 * a[:, None] + a[None, :]]
 
 
 Observer = Callable[[GaussianFrame], None]
@@ -273,7 +357,17 @@ def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchCon
     frame is first sought directly, from one ordered Schur factorization
     of the frame map (``_dominant_frame``); it is returned, with
     ``route == "schur"``, only where it provably equals the loop's frame.
-    Otherwise the loop runs (``route == "loop"``).
+    Otherwise the loop runs.  From a state invariant under two-site
+    translation (z-basis occupations of period 2) on a pbc-even chain with
+    L divisible by 4 it steps one 4x2 block per momentum (``route ==
+    "momentum"``, a ``MomentumFrame``); elsewhere it steps the dense frame
+    with ``period_map`` (``route == "loop"``).  Those are the chains where
+    no two-site momentum is its own partner (q = -q: q = 0 on pbc-odd,
+    q = pi on pbc-odd with L = 0 mod 4 and on pbc-even with L = 2 mod 4).
+    Where one is, the two engines part by O(1) within tens of periods at
+    random couplings: the exact trajectory is unstable to rounding that
+    breaks the translation symmetry or a conserved mode occupation, so
+    the dense loop is kept there.
     """
     if quench.K != 0.0:
         raise ValidationError("longitudinal K field breaks Gaussianity; "
@@ -284,8 +378,15 @@ def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchCon
         direct = _dominant_frame(kicks, frame.phi, quench.n_periods)
         if direct is not None:
             return direct
+    occ = quench.initial_state.occupations()
+    if lat.bc is BoundaryCondition.PBC_EVEN and lat.L % 4 == 0 and occ[2:] == occ[:-2]:
+        frame = MomentumFrame.from_dense(frame, lat)
+        fq = frame_map_blocks(params, frame.momenta)
+        step = partial(_momentum_period, fq=fq)
+    else:
+        step = partial(period_map, kicks=kicks)
     for _ in range(quench.n_periods):
-        frame = period_map(frame, kicks)
+        frame = step(frame)
         if observe is not None:
             observe(frame)
     return frame

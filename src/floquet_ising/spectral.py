@@ -476,6 +476,35 @@ def momentum_kick_blocks(J: complex, h: complex, k: float):
     return e1, e2
 
 
+def cell_momenta(lat: LatticeSpec) -> np.ndarray:
+    """Two-site Bloch momenta q = 2 pi (m + theta) / N, m = 0..N-1, of a
+    periodic chain of even length L = 2N: theta = 1/2 (antiperiodic) for
+    pbc-even, 0 for pbc-odd.  q/2 and q/2 + pi run over ``allowed_momenta``."""
+    if not lat.bc.periodic or lat.L % 2:
+        raise ValidationError("two-site cells need a periodic chain of even length")
+    n = lat.L // 2
+    theta = 0.5 if lat.bc is BoundaryCondition.PBC_EVEN else 0.0
+    return 2 * np.pi * (np.arange(n) + theta) / n
+
+
+def frame_map_blocks(params: ModelParams, q: np.ndarray) -> np.ndarray:
+    """4x4 blocks F_q of the annihilator-frame map exp(-4W') exp(-4W'').
+
+    A two-site Bloch vector carries e^{iqx} u on cell x (sites 2x+1, 2x+2,
+    Majorana rows 4x..4x+3).  The kicks act bond by bond, as in
+    ``period_map``: the bonds inside a cell are those of a two-site open
+    chain, and the coupling bond from row 3 to row 0 of the next cell
+    carries e^{iq}.  The spectrum of F_q is that of the one-site blocks of
+    ``momentum_kick_blocks`` at k = q/2 and k + pi.
+    """
+    w1, w2 = build_kick_forms(params, LatticeSpec(2, BoundaryCondition.OBC))
+    f = np.repeat(w1.kick(kick_exponential(w2, -1.0), -1.0)[None], len(q), axis=0)
+    c, s = np.cos(2 * params.J), np.sin(2 * params.J)
+    phase = np.exp(1j * np.asarray(q, dtype=float))[:, None]
+    f[:, 3], f[:, 0] = c * f[:, 3] - s * phase * f[:, 0], c * f[:, 0] + s / phase * f[:, 3]
+    return f
+
+
 def _branch_log(mu: complex) -> complex:
     """Principal log with Arg(-r) pinned to +pi regardless of signed zeros."""
     ang = math.atan2(mu.imag, mu.real)

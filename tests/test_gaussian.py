@@ -302,12 +302,22 @@ def test_run_to_steady_state_observes_every_period():
     assert norms[-1] == frame.norm_log
 
 
+def _dense_frames(p, lat, quench):
+    """Every frame of the dense reference: period_map looped over the kick
+    forms from the initial frame."""
+    kicks = spectral.build_kick_forms(p, lat)
+    frame, frames = gaussian.initial_frame(quench, lat), []
+    for _ in range(quench.n_periods):
+        frame = gaussian.period_map(frame, kicks)
+        frames.append(frame)
+    return frames
+
+
 def _direct_and_loop(p, lat, n_periods):
-    """run_to_steady_state as called (direct route allowed) and forced onto
-    the loop by a no-op observer."""
+    """run_to_steady_state as called (direct route allowed) and the dense
+    loop built explicitly."""
     quench = P.QuenchConfig(P.named_state("neel-fermion", lat.L), n_periods=n_periods)
-    return (gaussian.run_to_steady_state(p, lat, quench),
-            gaussian.run_to_steady_state(p, lat, quench, lambda frame: None))
+    return gaussian.run_to_steady_state(p, lat, quench), _dense_frames(p, lat, quench)[-1]
 
 
 def _assert_same_steady_state(direct, loop):
@@ -329,7 +339,7 @@ _NONUNITARY_BETA = st.floats(0.05, 1.0) | st.floats(-1.0, -0.05)
 def test_direct_steady_state_equals_loop_random_couplings(L, bc, couplings, n_periods):
     direct, loop = _direct_and_loop(P.ModelParams(*couplings), P.lattice(L, bc), n_periods)
     assert loop.route == "loop"
-    if direct.route == "schur":
+    if direct.route in ("schur", "momentum"):
         _assert_same_steady_state(direct, loop)
     else:
         assert direct.route == "loop"
@@ -346,8 +356,12 @@ def test_direct_steady_state_equals_loop_random_couplings(L, bc, couplings, n_pe
 ])
 def test_direct_steady_state_falls_back_to_loop(couplings, L, bc, n_periods):
     direct, loop = _direct_and_loop(P.make_params(*couplings), P.lattice(L, bc), n_periods)
-    assert direct.route == loop.route == "loop"
-    assert np.array_equal(direct.phi, loop.phi)
+    assert loop.route == "loop"
+    if direct.route == "momentum":
+        _assert_same_steady_state(direct, loop)
+    else:
+        assert direct.route == "loop"
+        assert np.array_equal(direct.phi, loop.phi)
 
 
 @pytest.mark.parametrize("couplings, L, bc, n_periods", [
@@ -358,6 +372,127 @@ def test_direct_steady_state_taken_where_converged(couplings, L, bc, n_periods):
     direct, loop = _direct_and_loop(P.make_params(*couplings), P.lattice(L, bc), n_periods)
     assert direct.route == "schur"
     _assert_same_steady_state(direct, loop)
+
+
+# --------------------------------------------------------------------------
+# momentum route
+# --------------------------------------------------------------------------
+
+def _momentum_and_dense(p, lat, quench, subsystem):
+    """stroboscopic_run with the frames it observed, and the dense frames."""
+    frames = []
+    trace = gaussian.stroboscopic_run(p, lat, quench, subsystem, frames.append)
+    return trace, frames, _dense_frames(p, lat, quench)
+
+
+def _assert_trace_matches_dense(trace, frames, dense, idx):
+    assert [f.route for f in frames] == ["momentum"] * len(dense)
+    for t, (f, d) in enumerate(zip(frames, dense)):
+        assert f.period_count == d.period_count == t + 1
+        assert np.max(np.abs(gaussian.correlation_from_frame(f).c
+                             - gaussian.correlation_from_frame(d).c)) <= 1e-10
+        block, block_d = (gaussian.correlation_block(x, idx) for x in (f, d))
+        assert np.max(np.abs(block - block_d)) <= 1e-10
+        s_d = entanglement.entropy_from_majorana_block(block_d).entropy
+        assert abs(trace.entropy[t] - s_d) <= 1e-10
+        assert abs(trace.purity_residual[t] - d.isotropy) <= 1e-10
+        assert abs(trace.norm_log[t] - d.norm_log) <= 1e-10 * max(abs(d.norm_log), 1.0)
+        assert f.isotropy == f.isotropy_defect() < 1e-13
+        assert f.orthonormality_defect() < 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 10), st.sampled_from(["neel-fermion", "all-up", "all-down"]),
+       st.tuples(st.floats(-np.pi, np.pi), _NONUNITARY_BETA,
+                 st.floats(-np.pi, np.pi), _NONUNITARY_BETA),
+       st.integers(1, 60), st.data())
+def test_momentum_route_matches_dense_loop_random_couplings(cells, state, couplings,
+                                                            n_periods, data):
+    # |beta| >= 0.05 keeps every bond coupled.  Near a decoupled bond (J or h
+    # within ~1e-6 of a multiple of pi/2) under strong damping the exact
+    # trajectory starts on an unstable fixed point, and rounding alone moves
+    # it: the two engines then part beyond 1e-10 (J = 1e-6 i, h = i, L = 4:
+    # 8e-6 after 30 periods, the dense loop being the one off a 60-digit
+    # evolution).  Subsystems of any start and length: odd lengths, odd
+    # starts and wrapped blocks.
+    L = 4 * cells
+    sub = P.SubsystemSpec(data.draw(st.integers(1, L)), data.draw(st.integers(1, L - 1)))
+    lat = P.lattice(L, "pbc-even")
+    quench = P.QuenchConfig(P.named_state(state, L), n_periods=n_periods)
+    trace, frames, dense = _momentum_and_dense(P.ModelParams(*couplings), lat, quench, sub)
+    _assert_trace_matches_dense(trace, frames, dense, sub.majorana_indices(lat))
+
+
+def test_momentum_route_pairs_each_momentum_with_its_negative():
+    # isotropy pairs block q with block -q.  On the alpha = pi/4 line the
+    # paired sweep fires 7 times in these 150 periods (QR alone would leave
+    # ||Phi^T Phi|| = 6e-13); the route tracks the dense loop throughout
+    L = 40
+    lat = P.lattice(L, "pbc-even")
+    quench = P.QuenchConfig(P.named_state("neel-fermion", L), n_periods=150)
+    sub = P.SubsystemSpec(L - 2, 7)
+    trace, frames, dense = _momentum_and_dense(P.make_params(1.0, -0.3, 1.0, 0.5),
+                                               lat, quench, sub)
+    _assert_trace_matches_dense(trace, frames, dense, sub.majorana_indices(lat))
+    assert np.all(trace.purity_residual < 1e-13)
+
+
+@pytest.mark.parametrize("L, bc, pattern", [
+    (10, "pbc-even", None),   # q = pi is its own partner
+    (8, "pbc-odd", None),     # q = 0 and q = pi are their own partners
+    (10, "pbc-odd", None),    # q = 0 is its own partner
+    (8, "obc", None),
+    (9, "pbc-even", None),
+    (8, "pbc-even", (1, -1, -1, 1, 1, -1, -1, 1)),  # occupations of period 4
+])
+def test_momentum_route_taken_only_without_self_paired_momenta(L, bc, pattern):
+    p = P.make_params(0.2, -0.2, 0.2, 0.1)
+    lat = P.lattice(L, bc)
+    state = P.ProductState("z", pattern) if pattern else P.named_state("neel-fermion", L)
+    quench = P.QuenchConfig(state, n_periods=20)
+    frames = []
+    gaussian.run_to_steady_state(p, lat, quench, frames.append)
+    dense = _dense_frames(p, lat, quench)
+    assert {f.route for f in frames} == {"loop"}
+    assert np.array_equal(frames[-1].phi, dense[-1].phi)
+
+
+def test_momentum_route_raises_on_rank_loss():
+    # overwhelming damping annihilates the Neel state's surviving amplitude
+    p = P.ModelParams(0.0, 0.0, 0.0, 25.0)
+    lat = P.lattice(8, "pbc-even")
+    frame = gaussian.MomentumFrame.from_dense(
+        gaussian.initial_frame(P.named_state("neel-fermion", 8), lat), lat)
+    fq = spectral.frame_map_blocks(p, frame.momenta)
+    with pytest.raises(DegenerateEvolution):
+        gaussian.orthonormalize(fq @ frame.blocks, partner=frame.partner)
+    quench = P.QuenchConfig(P.named_state("neel-fermion", 8), n_periods=10)
+    with pytest.raises(DegenerateEvolution):
+        gaussian.run_to_steady_state(p, lat, quench, lambda frame: None)
+
+
+def test_orthonormalize_pairs_blocks_with_their_partners():
+    # pbc-odd blocks at L = 8: q = 0 and q = pi pair with themselves,
+    # q = pi/2 with q = 3pi/2
+    rng = np.random.default_rng(5)
+    lat = P.lattice(8, "pbc-odd")
+    frame = gaussian.MomentumFrame.from_dense(
+        gaussian.initial_frame(P.named_state("neel-fermion", 8), lat), lat)
+    assert frame.partner.tolist() == [0, 3, 2, 1]
+    fq = spectral.frame_map_blocks(P.ModelParams(0.4, -0.2, 0.7, 0.3), frame.momenta)
+    blocks, _, _ = gaussian.orthonormalize(fq @ frame.blocks, partner=frame.partner)
+    noisy = blocks + 1e-4 * (rng.normal(size=blocks.shape) + 1j * rng.normal(size=blocks.shape))
+    with pytest.raises(NumericalBreakdown) as err:
+        gaussian.orthonormalize(noisy, max_sweeps=0, partner=frame.partner)
+    assert err.value.condition > 1e-6
+    q, _, defect = gaussian.orthonormalize(noisy, partner=frame.partner)
+    fixed = gaussian.MomentumFrame(q, frame.momenta, frame.partner)
+    assert defect == fixed.isotropy_defect() < 1e-13
+    assert max(np.linalg.norm(q[j].T @ q[i]) for i, j in enumerate(frame.partner)) < 1e-13
+    assert fixed.orthonormality_defect() < 1e-12
+    # the real-space frame built from the blocks has the same defects
+    assert np.linalg.norm(fixed.phi.T @ fixed.phi) < 1e-13
+    assert np.linalg.norm(fixed.phi.conj().T @ fixed.phi - np.eye(8)) < 1e-12
 
 
 def test_bulk_subsystem_obc_approaches_pbc():

@@ -147,6 +147,45 @@ def test_transfer_spectrum_matches_momentum(bc):
         assert _match_multisets(rep.quasienergies, np.asarray(ana), 1e-8)
 
 
+@pytest.mark.parametrize("bc", ["pbc-even", "pbc-odd"])
+@pytest.mark.parametrize("L", [8, 10, 12, 14])
+def test_frame_map_blocks_are_the_dense_map_in_momentum(bc, L):
+    # F U_q = U_q F_q with U_q[(x, a), b] = e^{iqx} delta_ab / sqrt(N), and
+    # the spectrum of F_q is that of the one-site blocks at q/2, q/2 + pi
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(L)
+    lat = P.lattice(L, bc)
+    q = S.cell_momenta(lat)
+    n = L // 2
+    for _ in range(4):
+        p = P.ModelParams(rng.uniform(-np.pi, np.pi), rng.uniform(-1.0, 1.0),
+                          rng.uniform(-np.pi, np.pi), rng.uniform(-1.0, 1.0))
+        w1, w2 = S.build_kick_forms(p, lat)
+        f = w1.kick(S.kick_exponential(w2, -1.0), -1.0)
+        fq = S.frame_map_blocks(p, q)
+        for qi, fi in zip(q, fq):
+            u = np.kron(np.exp(1j * qi * np.arange(n))[:, None], np.eye(4)) / np.sqrt(n)
+            assert np.linalg.norm(f @ u - u @ fi) <= 1e-13
+            mu = np.concatenate([np.linalg.eigvals(np.matmul(*S.momentum_kick_blocks(p.J, p.h, k)))
+                                 for k in (qi / 2, qi / 2 + np.pi)])
+            cost = np.abs(np.linalg.eigvals(fi)[:, None] - mu[None, :])
+            r, c = linear_sum_assignment(cost)
+            assert cost[r, c].max() <= 1e-12
+
+
+def test_cell_momenta_cover_the_allowed_momenta():
+    for L, bc in ((8, "pbc-even"), (10, "pbc-even"), (8, "pbc-odd"), (10, "pbc-odd")):
+        lat = P.lattice(L, bc)
+        q = S.cell_momenta(lat)
+        assert len(q) == L // 2
+        k = S.fold_real_part(np.concatenate([q / 2, q / 2 + np.pi]))
+        assert np.allclose(np.sort(k), np.sort(S.allowed_momenta(lat)), atol=1e-13)
+    for L, bc in ((7, "pbc-even"), (8, "obc")):
+        with pytest.raises(ValidationError):
+            S.cell_momenta(P.lattice(L, bc))
+
+
 def test_dispersion_continuous_examples():
     # J = h at k = 0: exact zero pair
     pt = S.dispersion_continuous(0.2 + 0.1j, 0.2 + 0.1j, 0.0)

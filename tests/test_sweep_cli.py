@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from floquet_ising import cli, gaussian, params as P, sweep
+from floquet_ising import cli, gaussian, params as P, spectral, sweep
 from floquet_ising.errors import ValidationError
 
 
@@ -185,6 +185,16 @@ def test_cli_spectrum(tmp_path):
     assert {m["kind"] for m in summary["edge_modes"]} == {"zero"}
 
 
+@pytest.mark.parametrize("bc, n_real", [("pbc-even", 0), ("pbc-odd", 2)])
+def test_cli_spectrum_counts_the_listed_sector(tmp_path, bc, n_real):
+    # the J = h line: the k = 0 zero mode lives in the periodic sector only
+    rc = cli.main(["--out-dir", str(tmp_path), "spectrum", "--alpha", "0.2",
+                   "--beta-j", "0.1", "--beta-h", "0.1", "--L", "40", "--bc", bc])
+    assert rc == 0
+    summary = json.loads((tmp_path / "spectrum_summary.json").read_text())
+    assert summary["n_real_modes"] == n_real
+
+
 def test_cli_evolve_with_dump(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("alpha_J = 0.2\nbeta_J = -0.1\nalpha_h = 0.2\n"
@@ -231,6 +241,27 @@ def test_cli_evolve_csv_same_with_and_without_dump(tmp_path):
 
 SCALING_CFG = ("alpha_J = 0.2\nbeta_J = -0.1\nalpha_h = 0.2\nbeta_h = 0.1\n"
                "L = 8\nn_periods = 2\n")
+
+
+def test_cli_evolve_dump_on_the_momentum_route_matches_the_dense_loop(tmp_path):
+    text = ("alpha_J = 0.2\nbeta_J = -0.2\nalpha_h = 0.2\nbeta_h = 0.1\n"
+            "L = 16\nn_periods = 6\nsubsystem_start = 14\nsubsystem_length = 5\n")
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text)
+    dump = tmp_path / "corr"
+    rc = cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path),
+                   "evolve", "--dump-correlations", str(dump)])
+    assert rc == 0
+    params, lat, quench = P.model_from_config(P.parse_config(text))
+    assert gaussian.run_to_steady_state(params, lat, quench, lambda f: None).route == "momentum"
+    kicks = spectral.build_kick_forms(params, lat)
+    frame = gaussian.initial_frame(quench, lat)
+    files = json.loads((dump / "correlations.json").read_text())["files"]
+    assert len(files) == 6
+    for name in files:
+        frame = gaussian.period_map(frame, kicks)
+        c = np.fromfile(dump / name, dtype="<c16").reshape(32, 32)
+        assert np.max(np.abs(c - gaussian.correlation_from_frame(frame).c)) <= 1e-10
 
 
 def test_cli_scaling_default_sizes_fit(tmp_path):
