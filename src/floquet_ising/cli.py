@@ -16,14 +16,14 @@ import numpy as np
 from . import __version__, cft, ed, entanglement, gaussian, spectral, sweep
 from .errors import NumericalBreakdown, ValidationError
 from .params import (SubsystemSpec, lattice, make_params, model_from_config,
-                     named_state, params_from_config, parse_config,
-                     quench_from_config)
+                     named_state, parse_config, subsystem_from_config)
 
 
-def _load_config(args) -> dict:
-    cfg = {}
+def _load_config(args, task=None) -> dict:
+    """The config file written over the defaults of sweep task ``task``."""
+    cfg = dict(sweep.DEFAULTS.get(task, {}))
     if getattr(args, "config", None):
-        cfg = parse_config(Path(args.config).read_text())
+        cfg.update(parse_config(Path(args.config).read_text()))
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
     return cfg
@@ -38,15 +38,14 @@ def _out_dir(args) -> Path:
 # --------------------------------------------------------------------------
 
 def cmd_spectrum(args):
-    cfg = _load_config(args)
-    units = args.units or cfg.get("units", "pi4")
-    alpha = args.alpha if args.alpha is not None else cfg.get("alpha_J", 0.5)
-    beta_j = args.beta_j if args.beta_j is not None else cfg.get("beta_J", 0.0)
-    beta_h = args.beta_h if args.beta_h is not None else cfg.get("beta_h", 0.0)
-    L = args.L or cfg.get("L", 40)
-    bc = args.bc or cfg.get("bc", "obc")
-    params = make_params(alpha, beta_j, alpha, beta_h, units=units)
-    lat = lattice(L, bc)
+    cfg = _load_config(args, "spectrum")
+    if args.alpha is not None:  # --alpha sets both alphas
+        cfg = {k: v for k, v in cfg.items() if k not in ("alpha_J", "alpha_h")}
+    flags = {"alpha": args.alpha, "beta_J": args.beta_j, "beta_h": args.beta_h,
+             "L": args.L, "bc": args.bc, "units": args.units,
+             "tol_edge": args.tol_edge, "im_tol": args.im_tol}
+    cfg.update((k, v) for k, v in flags.items() if v is not None)
+    params, lat, _ = model_from_config(cfg)
 
     rows = []
     if lat.bc.periodic:
@@ -60,8 +59,8 @@ def cmd_spectrum(args):
         n_real, edge_modes = census.count, []
         label = None
     else:
-        report = spectral.detect_edge_modes(params, lat, tol_edge=args.tol_edge,
-                                            im_tol=args.im_tol)
+        report = spectral.detect_edge_modes(params, lat, tol_edge=cfg["tol_edge"],
+                                            im_tol=cfg["im_tol"])
         for i, eps in enumerate(report.quasienergies):
             cls = spectral.ModeClass.REAL if abs(eps.imag) < args.tol_real \
                 else spectral.ModeClass.GROW_DECAY
@@ -88,10 +87,8 @@ def cmd_spectrum(args):
 
 
 def cmd_evolve(args):
-    cfg = _load_config(args)
+    cfg = _load_config(args, "evolve")
     params, lat, quench = model_from_config(cfg)
-    sub = SubsystemSpec(cfg.get("subsystem_start", 1),
-                        cfg.get("subsystem_length", max(2, lat.L // 10)))
     dump_dir = Path(args.dump_correlations) if args.dump_correlations else None
     files = []
 
@@ -102,33 +99,29 @@ def cmd_evolve(args):
 
     if dump_dir:
         dump_dir.mkdir(parents=True, exist_ok=True)
-    trace = gaussian.stroboscopic_run(params, lat, quench, sub, dump if dump_dir else None)
+    trace = gaussian.stroboscopic_run(params, lat, quench, subsystem_from_config(cfg, lat.L),
+                                      dump if dump_dir else None)
     if dump_dir:
         sidecar = {"dtype": "complex128", "byte_order": "little-endian",
                    "layout": "row-major", "shape": [2 * lat.L, 2 * lat.L],
                    "files": files}
         (dump_dir / "correlations.json").write_text(json.dumps(sidecar, indent=2))
-    rows = [{"period": int(p), "S_A": s, "norm_log": nl, "purity_residual": pr}
-            for p, s, nl, pr in zip(trace.periods, trace.entropy,
-                                    trace.norm_log, trace.purity_residual)]
-
     csv_path = _out_dir(args) / (args.out or "evolve.csv")
-    sweep.write_csv(csv_path, rows, ["period", "S_A", "norm_log",
-                                     "purity_residual"])
+    sweep.write_csv(csv_path, sweep.trace_rows(trace),
+                    ["period", "S_A", "norm_log", "purity_residual"])
     print(f"wrote {csv_path}")
     return 0
 
 
 def cmd_scaling(args):
     cfg = _load_config(args)
-    params = params_from_config(cfg)
     ratio = cfg.get("scaling_ratio", 10)
     sizes = [int(s) for s in str(cfg.get("scaling_sizes", "60,80,100,140,180,200")).split(",")]
     points = []
     for L in sizes:
         la = max(2, L // ratio)
-        trace = gaussian.stroboscopic_run(params, lattice(L, cfg.get("bc", "pbc-even")),
-                                          quench_from_config(cfg, L), SubsystemSpec(1, la))
+        trace = gaussian.stroboscopic_run(*model_from_config({**cfg, "L": L}),
+                                          SubsystemSpec(1, la))
         points.append((L, la, trace.steady_state()))
     fit = entanglement.fit_scaling(points)
     out = _out_dir(args)
@@ -143,7 +136,7 @@ def cmd_scaling(args):
 
 
 def cmd_tee(args):
-    cfg = _load_config(args)
+    cfg = _load_config(args, "tee")
     sizes = [int(s) for s in str(cfg.get("tee_sizes", "32,48,64")).split(",")]
     bj_spec = str(cfg.get("tee_beta_j", "-0.55,-0.05,11")).split(",")
     betas = np.linspace(float(bj_spec[0]), float(bj_spec[1]), int(bj_spec[2]))
@@ -168,14 +161,10 @@ def cmd_tee(args):
 
 
 def cmd_spin_quench(args):
-    cfg = _load_config(args)
-    params, lat, quench = model_from_config(cfg)
-    trace = ed.quench_experiment(params, lat, quench)
-    rows = [{"period": t + 1, "site": j + 1, "Sx": trace.sx[t, j]}
-            for t in range(trace.n_periods) for j in range(lat.L)]
+    trace = ed.quench_experiment(*model_from_config(_load_config(args, "spin-quench")))
     out = _out_dir(args)
     csv_path = out / (args.out or "spin_quench.csv")
-    sweep.write_csv(csv_path, rows, ["period", "site", "Sx"])
+    sweep.write_csv(csv_path, sweep.spin_rows(trace), ["period", "site", "Sx"])
     summary = [{"period": t + 1, "SxSx_edge": trace.sx_edge_corr[t],
                 "ghz_overlap": trace.ghz[t]} for t in range(trace.n_periods)]
     sweep.write_csv(out / "spin_quench_summary.csv", summary,
@@ -198,12 +187,10 @@ def cmd_cft_compare(args):
                          units="rad")
     hmat = gaussian.continuous_hamiltonian(params, lat)
     frame = gaussian.initial_frame(named_state("neel-fermion", L), lat)
-    c0 = gaussian.correlation_from_frame(frame)
-    sub = SubsystemSpec(1, la)
-    states = gaussian.evolve_continuous(c0, hmat, t_grid)
-    idx = sub.majorana_indices(lat)
+    idx = SubsystemSpec(1, la).majorana_indices(lat)
     s_num = np.array([entanglement.entropy_from_majorana_block(
-        cm.c[np.ix_(idx, idx)]).entropy for cm in states])
+        gaussian.correlation_block(f, idx)).entropy
+        for f in gaussian.evolve_continuous(frame, hmat, t_grid)])
     s_num -= s_num[0]
 
     rows = [{"t": float(t), "S_cft": float(sc), "S_numeric": float(sn),
@@ -259,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bc", choices=["pbc-even", "pbc-odd", "obc"])
     sp.add_argument("--units", choices=["pi4", "rad"])
     sp.add_argument("--tol-real", type=float, default=1e-8)
-    sp.add_argument("--tol-edge", type=float, default=1e-3)
-    sp.add_argument("--im-tol", type=float, default=1e-2)
+    sp.add_argument("--tol-edge", type=float)
+    sp.add_argument("--im-tol", type=float)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_spectrum)
 

@@ -42,7 +42,6 @@ from .spectral import (KickForms, build_kick_forms, cell_momenta,
 
 _ISO_TOL = 1e-13
 _RANK_TOL = 1e-13
-_PURE_TOL = 1e-10
 _DIRECT_TOL = 1e-10
 _OVERLAP_TOL = 1e-10
 
@@ -432,31 +431,22 @@ def continuous_hamiltonian(params: ModelParams, lat: LatticeSpec) -> np.ndarray:
     return 1j * (w1.w + w2.w)
 
 
-def evolve_continuous(c0: CorrelationMatrix, hmat: np.ndarray,
-                      t_grid) -> list[CorrelationMatrix]:
-    """Correlation matrices of exp(-i H_op t)|psi_0>, normalized, at each
-    time of the non-decreasing, non-negative ``t_grid``.
+def evolve_continuous(frame: GaussianFrame, hmat: np.ndarray,
+                      t_grid) -> list[GaussianFrame]:
+    """Frames of exp(-i H_op t)|psi_0>, normalized, at each time of the
+    non-decreasing, non-negative ``t_grid``, from the frame of psi_0.
 
-    Exact: the frame, recovered once from C0/2 (the projector onto span
-    conj(Phi)), moves as exp(-4i t H) Phi; one matrix exponential per
-    distinct step, orthonormalize after each.  Raises ValidationError
-    unless ``c0`` belongs to a pure Gaussian state.
+    Exact: the frame moves as exp(-4i t H) Phi; one matrix exponential per
+    distinct step, orthonormalize after each.
     """
     steps = np.diff(np.atleast_1d(np.asarray(t_grid, dtype=float)), prepend=0.0)
     if steps.ndim != 1 or steps.size == 0 or not np.all(steps >= 0):
         raise ValidationError("t_grid must be a non-empty, non-decreasing "
                               "grid of non-negative times")
-    L = c0.n_sites
-    evals, evecs = np.linalg.eigh(c0.c)
-    if (np.max(np.abs(evals - np.repeat([0.0, 2.0], L))) > _PURE_TOL
-            or c0.anticommutation_defect() > _PURE_TOL):
-        raise ValidationError("initial correlation matrix is not that of a "
-                              "pure Gaussian state")
-    phi = np.conj(evecs[:, L:])
-    out, dt_u, u = [], None, None
+    phi, out, dt_u, u = frame.phi, [], None, None
     for dt in steps:
         if u is None or abs(dt - dt_u) > 1e-12 * dt:
             dt_u, u = dt, scipy.linalg.expm(-4j * dt * hmat)
         phi, _, _ = orthonormalize(u @ phi)
-        out.append(correlation_from_frame(GaussianFrame(phi)))
+        out.append(GaussianFrame(phi))
     return out

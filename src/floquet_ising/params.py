@@ -308,9 +308,11 @@ def phase_label_from_params(p: ModelParams, tol: float = _CRIT_TOL) -> PhaseLabe
 
 _CONFIG_KEYS = {
     "alpha_J": float, "beta_J": float, "alpha_h": float, "beta_h": float,
-    "units": str, "L": int, "bc": str, "n_periods": int, "K": float,
-    "initial_state": str, "seed": int,
+    "alpha": float, "units": str, "L": int, "bc": str, "n_periods": int,
+    "K": float, "initial_state": str, "seed": int,
     "subsystem_start": int, "subsystem_length": int, "scaling_ratio": int,
+    "scaling_sizes": str, "tee_sizes": str, "tee_beta_j": str,
+    "tol_edge": float, "im_tol": float,
 }
 
 
@@ -332,6 +334,16 @@ def parse_config(text: str) -> dict:
     return out
 
 
+def swept_value(key: str, value: float):
+    """A grid value of config key ``key``: a whole number for an int key,
+    else the float as given."""
+    if _CONFIG_KEYS.get(key) is not int:
+        return value
+    if not value.is_integer():
+        raise ValidationError(f"{key} takes whole numbers, got {value!r}")
+    return int(value)
+
+
 def _required(cfg: dict, key: str):
     if key not in cfg:
         raise ValidationError(f"config missing required key {key!r}")
@@ -339,6 +351,11 @@ def _required(cfg: dict, key: str):
 
 
 def params_from_config(cfg: dict) -> ModelParams:
+    """Couplings from the config; ``alpha`` sets both alpha_J and alpha_h."""
+    if "alpha" in cfg:
+        if "alpha_J" in cfg or "alpha_h" in cfg:
+            raise ValidationError("give alpha or alpha_J and alpha_h, not both")
+        cfg = {**cfg, "alpha_J": cfg["alpha"], "alpha_h": cfg["alpha"]}
     return make_params(_required(cfg, "alpha_J"), cfg.get("beta_J", 0.0),
                        _required(cfg, "alpha_h"), cfg.get("beta_h", 0.0),
                        units=cfg.get("units", "pi4"))
@@ -353,6 +370,12 @@ def quench_from_config(cfg: dict, L: int) -> QuenchConfig:
                         n_periods=cfg.get("n_periods", 200),
                         K=K * PI4 if cfg.get("units", "pi4") == "pi4" else K,
                         seed=seed)
+
+
+def subsystem_from_config(cfg: dict, L: int) -> SubsystemSpec:
+    """The configured entropy block of an ``L``-site chain."""
+    return SubsystemSpec(cfg.get("subsystem_start", 1),
+                         cfg.get("subsystem_length", max(2, L // 10)))
 
 
 def model_from_config(cfg: dict) -> tuple[ModelParams, LatticeSpec, QuenchConfig]:

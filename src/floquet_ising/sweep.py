@@ -23,16 +23,19 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalBreakdown, ValidationError
-from .params import (SubsystemSpec, TeePartition, QuenchConfig,
-                     lattice, make_params, named_state, PI4)
-from . import entanglement, gaussian, spectral
+from .params import (TeePartition, model_from_config, subsystem_from_config,
+                     swept_value)
+from . import ed, entanglement, gaussian, spectral
 
 TASKS = {}
+DEFAULTS = {}
 
 
-def _task(name):
+def _task(name, **defaults):
+    """Register a sweep task with the config defaults that its CLI command
+    of the same name shares."""
     def deco(fn):
-        TASKS[name] = fn
+        TASKS[name], DEFAULTS[name] = fn, defaults
         return fn
     return deco
 
@@ -71,30 +74,32 @@ class SweepSpec:
             rem = flat
             for dim in reversed(range(len(shape))):
                 rem, pos = divmod(rem, shape[dim])
-                cfg[names[dim]] = float(axes_vals[dim][pos])
+                cfg[names[dim]] = swept_value(names[dim], float(axes_vals[dim][pos]))
             yield flat, cfg
 
 
 # --------------------------------------------------------------------------
-# tasks: each maps a point config to a list of row dicts
+# tasks: each maps a point config, defaults filled in, to a list of row dicts
 # --------------------------------------------------------------------------
 
-def _point_params(cfg):
-    return make_params(cfg.get("alpha_J", cfg.get("alpha", 0.0)),
-                       cfg.get("beta_J", 0.0),
-                       cfg.get("alpha_h", cfg.get("alpha", 0.0)),
-                       cfg.get("beta_h", 0.0),
-                       units=cfg.get("units", "pi4"))
+def trace_rows(trace: gaussian.EntropyTrace) -> list[dict]:
+    return [{"period": int(p), "S_A": s, "norm_log": nl, "purity_residual": pr}
+            for p, s, nl, pr in zip(trace.periods, trace.entropy,
+                                    trace.norm_log, trace.purity_residual)]
 
 
-@_task("spectrum")
+def spin_rows(trace: ed.ObservableTrace) -> list[dict]:
+    n_periods, L = trace.sx.shape
+    return [{"period": t + 1, "site": j + 1, "Sx": trace.sx[t, j]}
+            for t in range(n_periods) for j in range(L)]
+
+
+@_task("spectrum", L=40, bc="obc", tol_edge=1e-3, im_tol=1e-2)
 def task_spectrum(cfg):
-    params = _point_params(cfg)
-    L = int(cfg.get("L", 40))
-    census = spectral.count_real_modes(params, L)
-    obc = spectral.detect_edge_modes(
-        params, lattice(L, "obc"),
-        tol_edge=cfg.get("tol_edge", 1e-3), im_tol=cfg.get("im_tol", 1e-2))
+    params, lat, _ = model_from_config(cfg)
+    census = spectral.count_real_modes(params, lat.L)
+    obc = spectral.detect_edge_modes(params, lat, tol_edge=cfg["tol_edge"],
+                                     im_tol=cfg["im_tol"])
     label = spectral.classify_phase_from_spectrum(obc, census)
     rows = []
     for i, rec in enumerate(obc.edge_modes):
@@ -110,71 +115,42 @@ def task_spectrum(cfg):
     return rows
 
 
-@_task("evolve")
+@_task("evolve", L=100)
 def task_evolve(cfg):
-    params = _point_params(cfg)
-    lat = lattice(int(cfg.get("L", 100)), cfg.get("bc", "pbc-even"))
-    state = named_state(cfg.get("initial_state", "neel-fermion"), lat.L,
-                        seed=cfg.get("seed"))
-    quench = QuenchConfig(state, n_periods=int(cfg.get("n_periods", 200)))
-    sub = SubsystemSpec(int(cfg.get("subsystem_start", 1)),
-                        int(cfg.get("subsystem_length", max(2, lat.L // 10))))
-    trace = gaussian.stroboscopic_run(params, lat, quench, sub)
-    return [{"period": int(p), "S_A": s, "norm_log": nl, "purity_residual": pr}
-            for p, s, nl, pr in zip(trace.periods, trace.entropy,
-                                    trace.norm_log, trace.purity_residual)]
+    params, lat, quench = model_from_config(cfg)
+    return trace_rows(gaussian.stroboscopic_run(params, lat, quench,
+                                                subsystem_from_config(cfg, lat.L)))
 
 
-@_task("steady-entropy")
+@_task("steady-entropy", L=120, n_periods=300)
 def task_steady_entropy(cfg):
     """Steady-state density and early growth rate of one parameter point."""
-    params = _point_params(cfg)
-    lat = lattice(int(cfg.get("L", 120)), cfg.get("bc", "pbc-even"))
-    la = int(cfg.get("subsystem_length", lat.L // 10))
-    state = named_state(cfg.get("initial_state", "neel-fermion"), lat.L)
-    quench = QuenchConfig(state, n_periods=int(cfg.get("n_periods", 300)))
-    trace = gaussian.stroboscopic_run(params, lat, quench, SubsystemSpec(1, la))
-    horizon = max(1, la // 2)
-    return [{"L": lat.L, "L_A": la,
+    params, lat, quench = model_from_config(cfg)
+    sub = subsystem_from_config(cfg, lat.L)
+    trace = gaussian.stroboscopic_run(params, lat, quench, sub)
+    return [{"L": lat.L, "L_A": sub.length,
              "S_A": trace.steady_state(),
-             "density": trace.steady_state() / la,
-             "growth_rate": trace.growth_rate(horizon)}]
+             "density": trace.steady_state() / sub.length,
+             "growth_rate": trace.growth_rate(max(1, sub.length // 2))}]
 
 
-@_task("tee")
+@_task("tee", L=48, n_periods=300)
 def task_tee(cfg):
-    params = _point_params(cfg)
-    L = int(cfg.get("L", 48))
-    lat = lattice(L, "obc")
-    state = named_state(cfg.get("initial_state", "neel-fermion"), L)
-    quench = QuenchConfig(state, n_periods=int(cfg.get("n_periods", 300)))
+    """S_top of the four-quarter partition; the chain is always open."""
+    params, lat, quench = model_from_config({**cfg, "bc": "obc"})
     frame = gaussian.run_to_steady_state(params, lat, quench)
-    corr = gaussian.correlation_from_frame(frame)
-    result = entanglement.tee(corr, TeePartition.quarters(L), lat)
-    return [{"L": L, "beta_J": cfg.get("beta_J", 0.0), "S_top": result.s_top}]
+    result = entanglement.tee(gaussian.correlation_from_frame(frame),
+                              TeePartition.quarters(lat.L), lat)
+    return [{"L": lat.L, "beta_J": cfg.get("beta_J", 0.0), "S_top": result.s_top}]
 
 
-@_task("spin-quench")
+@_task("spin-quench", L=12, bc="obc", initial_state="x-down", n_periods=100)
 def task_spin_quench(cfg):
-    from . import ed
-    params = _point_params(cfg)
-    lat = lattice(int(cfg.get("L", 12)), cfg.get("bc", "obc"))
-    state = named_state(cfg.get("initial_state", "x-down"), lat.L,
-                        seed=cfg.get("seed"))
-    K = cfg.get("K", 0.0)
-    if cfg.get("units", "pi4") == "pi4":
-        K = K * PI4
-    quench = QuenchConfig(state, n_periods=int(cfg.get("n_periods", 100)), K=K)
-    trace = ed.quench_experiment(params, lat, quench)
-    rows = []
-    for t in range(trace.n_periods):
-        for j in range(lat.L):
-            rows.append({"period": t + 1, "site": j + 1, "Sx": trace.sx[t, j]})
-    return rows
+    return spin_rows(ed.quench_experiment(*model_from_config(cfg)))
 
 
 def run_point(task_name: str, cfg: dict):
-    return TASKS[task_name](cfg)
+    return TASKS[task_name]({**DEFAULTS[task_name], **cfg})
 
 
 def _pool_entry(args):

@@ -165,3 +165,23 @@ def test_config_keys_nothing_reads_still_parse():
     assert cfg["tee_lengths"] == "8,16" and cfg["t_max"] == "15" and cfg["n_times"] == "60"
     p, lat, quench = P.model_from_config(cfg)
     assert lat.L == 8 and quench.n_periods == 200
+
+
+@pytest.mark.parametrize("cfg", [{"alpha": 0.3, "beta_J": -0.1},
+                                 {"alpha_J": 0.3, "alpha_h": 0.3, "beta_J": -0.1}])
+def test_alpha_sets_both_alphas(cfg):
+    assert P.params_from_config(cfg) == P.make_params(0.3, -0.1, 0.3, 0.0)
+
+
+@pytest.mark.parametrize("cfg", [{"alpha": 0.3, "alpha_J": 0.3},
+                                 {"beta_J": -0.1, "beta_h": 0.1}])
+def test_alphas_missing_or_given_twice_rejected(cfg):
+    with pytest.raises(ValidationError):
+        P.params_from_config(cfg)
+
+
+@pytest.mark.parametrize("cfg, L, expect", [
+    ({}, 15, (1, 2)), ({}, 120, (1, 12)),
+    ({"subsystem_start": 5, "subsystem_length": 3}, 120, (5, 3))])
+def test_subsystem_from_config(cfg, L, expect):
+    assert P.subsystem_from_config(cfg, L) == P.SubsystemSpec(*expect)

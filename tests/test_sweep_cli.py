@@ -1,4 +1,6 @@
+import ast
 import csv
+import inspect
 import json
 
 import numpy as np
@@ -108,6 +110,23 @@ def test_single_point_sweep_matches_direct(tmp_path):
     assert np.allclose(got, trace.entropy, atol=1e-12)
 
 
+@pytest.mark.parametrize("task", ["evolve", "steady-entropy", "tee"])
+def test_sweep_tasks_reject_k_field(tmp_path, task):
+    fixed = {"alpha_J": 0.2, "alpha_h": 0.2, "beta_h": 0.1, "L": 16,
+             "n_periods": 4, "subsystem_length": 4, "K": 0.1}
+    spec = sweep.SweepSpec((("beta_J", -0.1, -0.1, 1),), fixed, task)
+    manifest = sweep.run_sweep(spec, tmp_path)
+    assert [p["status"] for p in manifest.points] == ["error"]
+    assert "longitudinal K field" in manifest.points[0]["error"]
+
+
+def test_sweep_axis_of_an_int_key_takes_whole_numbers(tmp_path):
+    fixed = {"alpha": 0.5, "beta_J": -1.0, "beta_h": 0.5}
+    spec = sweep.SweepSpec((("L", 8, 9, 3),), fixed, "spectrum")
+    with pytest.raises(ValidationError, match="whole numbers"):
+        sweep.run_sweep(spec, tmp_path)
+
+
 def test_manifest_contents(tmp_path):
     spec = sweep.SweepSpec((("alpha", 0.5, 0.5, 1),),
                            {"beta_J": -1.0, "beta_h": 0.5, "L": 16},
@@ -171,6 +190,83 @@ def test_emit_fig6_and_missing_column(tmp_path):
 # --------------------------------------------------------------------------
 # CLI
 # --------------------------------------------------------------------------
+
+def test_cli_spectrum_reads_both_alphas_from_config(tmp_path):
+    cfgfile = tmp_path / "spec.cfg"
+    cfgfile.write_text("alpha_J = 0.2\nbeta_J = -0.5\nalpha_h = 1.4\nbeta_h = 0.5\n")
+    rc = cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path), "spectrum"])
+    assert rc == 0
+    summary = json.loads((tmp_path / "spectrum_summary.json").read_text())
+    p = P.make_params(0.2, -0.5, 1.4, 0.5)
+    assert summary["phase"] == str(spectral.classify_phase(p)) == "critical-log"
+
+
+@pytest.mark.parametrize("key, value", [("tol_edge", "1e-3"), ("im_tol", "1e-2")])
+def test_sweep_reads_tolerances_from_config_as_numbers(tmp_path, key, value):
+    cfgfile = tmp_path / "spec.cfg"
+    cfgfile.write_text(f"beta_J = -1.0\nbeta_h = 0.5\n{key} = {value}\n")
+    rc = cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path), "sweep",
+                   "--task", "spectrum", "--axis", "alpha:0.5:0.5:1"])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert [p["status"] for p in manifest["points"]] == ["ok"]
+
+
+@pytest.mark.parametrize("task, csv_name, column, n_rows", [
+    ("evolve", "evolve.csv", "S_A", 3), ("spin-quench", "spin_quench.csv", "Sx", 3 * 12)])
+def test_cli_and_sweep_share_task_defaults(tmp_path, task, csv_name, column, n_rows):
+    # no L, bc or initial_state: both paths fill in the task's defaults
+    fixed = {"alpha_J": 1.5, "alpha_h": 1.5, "beta_h": 0.5, "n_periods": 3}
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in fixed.items())
+                       + "beta_J = -1.5\n")
+    rc = cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path / "cli"), task])
+    assert rc == 0
+    spec = sweep.SweepSpec((("beta_J", -1.5, -1.5, 1),), fixed, task)
+    sweep.run_sweep(spec, tmp_path / "sweep")
+    sweep_csv = tmp_path / "sweep" / f"{task}_sweep.csv"
+    got = [r[column] for r in read_rows(sweep_csv)]
+    assert len(got) == n_rows
+    assert got == [r[column] for r in read_rows(tmp_path / "cli" / csv_name)]
+
+
+@pytest.mark.parametrize("K, rc", [(0.0, 0), (0.1, 2)])
+def test_cli_tee_rejects_k_field(tmp_path, K, rc):
+    cfgfile = tmp_path / "tee.cfg"
+    cfgfile.write_text("alpha_J = 0.2\nalpha_h = 0.2\nbeta_h = -0.3\nn_periods = 40\n"
+                       f"tee_sizes = 8,12,16\ntee_beta_j = -0.4,-0.2,5\nK = {K}\n")
+    assert cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path), "tee"]) == rc
+
+
+def _config_keys_read(module):
+    """String keys read by ``cfg.get``, ``_required(cfg, ...)`` or ``cfg[...]``."""
+    keys = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Call) and node.args:
+            f = node.func
+            if isinstance(f, ast.Attribute) and f.attr == "get" \
+                    and isinstance(f.value, ast.Name) and f.value.id == "cfg":
+                arg = node.args[0]
+            elif isinstance(f, ast.Name) and f.id == "_required":
+                arg = node.args[1]
+            else:
+                continue
+        elif isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) \
+                and node.value.id == "cfg":
+            arg = node.slice
+        else:
+            continue
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+            keys.add(arg.value)
+    return keys
+
+
+@pytest.mark.parametrize("module", [P, sweep, cli], ids=lambda m: m.__name__)
+def test_every_config_key_read_is_typed(module):
+    keys = _config_keys_read(module)
+    assert keys  # the walk finds the readers
+    assert keys <= set(P._CONFIG_KEYS), keys - set(P._CONFIG_KEYS)
+
 
 def test_cli_spectrum(tmp_path):
     rc = cli.main(["--out-dir", str(tmp_path), "spectrum", "--alpha", "0.5",
