@@ -45,7 +45,11 @@ def cmd_spectrum(args):
              "L": args.L, "bc": args.bc, "units": args.units,
              "tol_edge": args.tol_edge, "im_tol": args.im_tol}
     cfg.update((k, v) for k, v in flags.items() if v is not None)
-    params, lat, _ = model_from_config(cfg)
+    params, lat, quench = model_from_config(cfg)
+    quench.require_free_fermion()
+    # the census the phase label reads: the listed sector, or both on an open chain
+    census = spectral.count_real_modes(params, lat.L,
+                                       sectors=str(lat.bc) if lat.bc.periodic else "both")
 
     rows = []
     if lat.bc.periodic:
@@ -55,9 +59,7 @@ def cmd_spectrum(args):
                 rows.append({"k_or_index": k, "re_eps": eps.real,
                              "im_eps": eps.imag,
                              "classification": pt.classification})
-        census = spectral.count_real_modes(params, lat.L, sectors=str(lat.bc))
-        n_real, edge_modes = census.count, []
-        label = None
+        edge_modes, label = [], None
     else:
         report = spectral.detect_edge_modes(params, lat, tol_edge=cfg["tol_edge"],
                                             im_tol=cfg["im_tol"])
@@ -66,8 +68,7 @@ def cmd_spectrum(args):
                 else spectral.ModeClass.GROW_DECAY
             rows.append({"k_or_index": i, "re_eps": eps.real,
                          "im_eps": eps.imag, "classification": cls})
-        census = spectral.count_real_modes(params, lat.L)
-        n_real, edge_modes = report.n_real_modes, report.edge_modes
+        edge_modes = report.edge_modes
         label = spectral.classify_phase_from_spectrum(report, census)
 
     out = _out_dir(args)
@@ -75,7 +76,7 @@ def cmd_spectrum(args):
     sweep.write_csv(csv_path, rows, ["k_or_index", "re_eps", "im_eps",
                                      "classification"])
     summary = {
-        "n_real_modes": int(n_real),
+        "n_real_modes": census.count,
         "edge_modes": [{"kind": m.kind, "re": m.energy.real,
                         "im": m.energy.imag, "loc_len": m.localization_length}
                        for m in edge_modes],

@@ -20,13 +20,14 @@ rounding level.
 On periodic chains of even length the map commutes with translation by
 two sites, so a state with that symmetry keeps it: the frame splits into
 one 4x2 block per two-site Bloch momentum q, each moved by its own 4x4
-block F_q, and isotropy pairs q with -q (``MomentumFrame``).
+block F_q, and isotropy pairs q with -q.  Every frame is such a stack of
+Bloch blocks (``GaussianFrame``); the dense frame is the one-cell stack.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -48,61 +49,40 @@ _OVERLAP_TOL = 1e-10
 
 @dataclass
 class GaussianFrame:
-    """``isotropy`` is ||Phi^T Phi|| as ``orthonormalize`` measured it on this
+    """A stack of Bloch blocks: ``blocks`` is N x r x c, one Phi_q per
+    momentum q of ``momenta``.  The dense frame's columns are U_q Phi_q, with
+    U_q[(x, a), b] = e^{iqx} delta_ab / sqrt(N) on cell x (Majorana rows
+    r x + a); ``phi`` builds it on demand.  Isotropy pairs block q with block
+    ``partner[q]`` = -q: Phi^T Phi = 0 is Phi_{-q}^T Phi_q = 0.  A dense
+    frame is the one-cell stack (N = 1, q = 0, paired with itself).
+
+    ``isotropy`` is ||Phi^T Phi|| as ``orthonormalize`` measured it on this
     frame (``isotropy_defect()`` bit for bit); ``route`` is how the frame was
     made: ``"loop"`` by ``period_map``, ``"schur"`` by the direct steady
     state of ``run_to_steady_state``, ``"momentum"`` by its momentum-block
-    step (a ``MomentumFrame``).  Both are None for initial frames."""
+    step.  Both are None for initial frames."""
 
-    phi: np.ndarray
+    blocks: np.ndarray
+    momenta: np.ndarray = field(default_factory=lambda: np.zeros(1))
+    partner: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=int))
     period_count: int = 0
     norm_log: float = 0.0
     isotropy: float | None = None
     route: str | None = None
 
-    @property
-    def L(self) -> int:
-        return self.phi.shape[1]
-
-    def isotropy_defect(self) -> float:
-        return _isotropy(self.phi)[1]
-
-    def orthonormality_defect(self) -> float:
-        return _orthonormality(self.phi)
-
-
-class MomentumFrame(GaussianFrame):
-    """Frame of a state invariant under two-site translation on a periodic
-    chain of even length L = 2N, held as one 4x2 block Phi_q per momentum q
-    of ``cell_momenta``.  The dense frame's columns are U_q Phi_q, with
-    U_q[(x, a), b] = e^{iqx} delta_ab / sqrt(N) on cell x (Majorana rows
-    4x + a); ``phi`` builds it on demand.  Isotropy pairs block q with
-    block ``partner[q]`` = -q: Phi^T Phi = 0 is Phi_{-q}^T Phi_q = 0."""
-
-    def __init__(self, blocks: np.ndarray, momenta: np.ndarray, partner: np.ndarray,
-                 period_count: int = 0, norm_log: float = 0.0,
-                 isotropy: float | None = None, route: str | None = None):
-        self.blocks, self.momenta, self.partner = blocks, momenta, partner
-        self.period_count, self.norm_log = period_count, norm_log
-        self.isotropy, self.route = isotropy, route
-
     @classmethod
-    def from_dense(cls, frame: GaussianFrame, lat: LatticeSpec) -> "MomentumFrame":
-        """Blocks of a dense initial frame whose first cell, columns 2x and
-        2x+1 on rows 4x..4x+3, repeats on every cell."""
+    def from_dense(cls, frame: GaussianFrame, lat: LatticeSpec) -> GaussianFrame:
+        """Blocks of a one-cell frame whose first cell, columns 2x and 2x+1
+        on rows 4x..4x+3, repeats on every cell of ``cell_momenta``."""
         q = cell_momenta(lat)
         partner = np.argmin(np.abs(np.exp(1j * (q[:, None] + q[None, :])) - 1), axis=1)
-        return cls(np.repeat(frame.phi[None, :4, :2], len(q), axis=0), q, partner)
-
-    @property
-    def L(self) -> int:
-        return 2 * len(self.momenta)
+        return cls(np.repeat(frame.blocks[:, :4, :2], len(q), axis=0), q, partner)
 
     @cached_property
     def phi(self) -> np.ndarray:
-        n = len(self.momenta)
+        n, r, c = self.blocks.shape
         u = np.exp(1j * np.outer(np.arange(n), self.momenta)) / np.sqrt(n)
-        return np.einsum("xq,qab->xaqb", u, self.blocks).reshape(4 * n, 2 * n)
+        return np.einsum("xq,qab->xaqb", u, self.blocks).reshape(n * r, n * c)
 
     def isotropy_defect(self) -> float:
         return _isotropy(self.blocks, self.partner)[1]
@@ -127,14 +107,19 @@ def initial_frame(state: QuenchConfig | ProductState, lat: LatticeSpec) -> Gauss
     for j, n in enumerate(state.occupations()):
         phi[2 * j, j] = inv
         phi[2 * j + 1, j] = (1j if n else -1j) * inv
-    return GaussianFrame(phi)
+    return GaussianFrame(phi[None])
+
+
+def _partners(q: np.ndarray, partner: np.ndarray | None) -> np.ndarray:
+    """Block partner[i] for each block i of the stack q.  A dense frame or
+    a one-cell stack pairs with itself in place, so that S = q^T q is one
+    symmetric product and comes out exactly symmetric."""
+    return q if partner is None or len(partner) == 1 else q[partner]
 
 
 def _isotropy(q: np.ndarray, partner: np.ndarray | None = None):
-    """S = q_{-}^T q and ||S||: with ``partner``, q is a stack of blocks and
-    block i pairs with block partner[i]; a dense frame pairs with itself."""
-    pq = q if partner is None else q[partner]
-    s = np.swapaxes(pq, -1, -2) @ q
+    """S = q_{-}^T q and ||S|| over one dense frame or a stack of blocks."""
+    s = np.swapaxes(_partners(q, partner), -1, -2) @ q
     return s, float(np.linalg.norm(s))
 
 
@@ -172,29 +157,28 @@ def orthonormalize(phi: np.ndarray, max_sweeps: int = 4,
             raise NumericalBreakdown(
                 f"isotropy defect {defect:.3g} left after {max_sweeps} sweeps",
                 condition=defect)
-        q = q - 0.5 * np.conj(q if partner is None else q[partner]) @ s
+        q = q - 0.5 * np.conj(_partners(q, partner)) @ s
         q, _ = np.linalg.qr(q)
     return q, log_mag, defect
 
 
 def period_map(frame: GaussianFrame, kicks: KickForms) -> GaussianFrame:
-    """Advance the state by one Floquet period.
+    """Advance the state of a one-cell frame by one Floquet period.
 
     Annihilator frames transform with exp(-4W') exp(-4W''), the transpose of
     the operator conjugation exp(4W'') exp(4W'), applied bond by bond in
-    O(L^2).  Only ``coupling_form`` and ``field_form`` of ``kicks`` are read.
+    O(L^2) to the frame's one block.  Only ``coupling_form`` and
+    ``field_form`` of ``kicks`` are read.
     """
-    phi = kicks.coupling_form.kick(kicks.field_form.kick(frame.phi, -1.0), -1.0)
-    phi, log_mag, defect = orthonormalize(phi)
-    return GaussianFrame(phi, frame.period_count + 1, frame.norm_log + log_mag,
-                         defect, "loop")
+    phi = kicks.coupling_form.kick(kicks.field_form.kick(frame.blocks[0], -1.0), -1.0)
+    return _advance(frame, phi[None], "loop")
 
 
-def _momentum_period(frame: MomentumFrame, fq: np.ndarray) -> MomentumFrame:
-    """One period on the momentum route: block q moves by F_q, O(L)."""
-    blocks, log_mag, defect = orthonormalize(fq @ frame.blocks, partner=frame.partner)
-    return MomentumFrame(blocks, frame.momenta, frame.partner, frame.period_count + 1,
-                         frame.norm_log + log_mag, defect, "momentum")
+def _advance(frame: GaussianFrame, blocks: np.ndarray, route: str) -> GaussianFrame:
+    """The frame one period on, from its blocks moved by the frame map."""
+    blocks, log_mag, defect = orthonormalize(blocks, partner=frame.partner)
+    return GaussianFrame(blocks, frame.momenta, frame.partner, frame.period_count + 1,
+                         frame.norm_log + log_mag, defect, route)
 
 
 @dataclass(frozen=True)
@@ -244,22 +228,22 @@ def correlation_from_frame(frame: GaussianFrame) -> CorrelationMatrix:
 
 
 def correlation_block(frame: GaussianFrame, majorana_idx: np.ndarray) -> np.ndarray:
-    """Restricted C block without forming the full matrix.
-
-    A ``MomentumFrame`` gives it in block-Toeplitz form: with Majorana row
-    4x + a on cell x,
-    C[(x, a), (y, b)] = (2/N) sum_q e^{iq(y-x)} (conj(Phi_q) Phi_q^T)[a, b].
+    """Restricted C block without forming the full matrix, in block-Toeplitz
+    form: with Majorana row r x + a on cell x,
+    C[(x, a), (y, b)] = (2/N) sum_q e^{iq(y-x)} (conj(Phi_q) Phi_q^T)[a, b],
+    over the within-cell rows a that the block uses.  One cell gives
+    2 conj(Phi) Phi^T restricted to those rows.
     """
-    if not isinstance(frame, MomentumFrame):
-        sub = frame.phi[majorana_idx, :]
-        return 2.0 * np.conj(sub) @ sub.T
-    x, a = np.divmod(np.asarray(majorana_idx), 4)
-    n = len(frame.momenta)
-    g = np.conj(frame.blocks) @ np.swapaxes(frame.blocks, -1, -2)
+    n, r = frame.blocks.shape[:2]
+    x, a = np.divmod(np.asarray(majorana_idx), r)
+    rows, a = np.unique(a, return_inverse=True)
+    k = len(rows)
+    sub = frame.blocks[:, rows]
+    g = np.conj(sub) @ np.swapaxes(sub, -1, -2)
     lo = x.min() - x.max()
-    t = np.exp(1j * np.outer(np.arange(lo, 1 - lo), frame.momenta)) @ g.reshape(n, 16)
+    t = np.exp(1j * np.outer(np.arange(lo, 1 - lo), frame.momenta)) @ g.reshape(n, k * k)
     t *= 2.0 / n
-    return t.reshape(-1)[(x[None, :] - x[:, None] - lo) * 16 + 4 * a[:, None] + a[None, :]]
+    return t.reshape(-1)[(x[None, :] - x[:, None] - lo) * k * k + k * a[:, None] + a[None, :]]
 
 
 Observer = Callable[[GaussianFrame], None]
@@ -302,9 +286,10 @@ def _scaled_power(t: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     return out, log_out
 
 
-def _dominant_frame(kicks: KickForms, phi0: np.ndarray, n: int) -> GaussianFrame | None:
-    """The n-period frame taken from the dominant invariant subspace of the
-    frame map, or None unless that provably equals the loop's frame.
+def _dominant_frame(kicks: KickForms, frame: GaussianFrame, n: int) -> GaussianFrame | None:
+    """The n-period frame from the one-cell ``frame`` Phi0, taken from the
+    dominant invariant subspace of the frame map, or None unless that
+    provably equals the loop's frame.
 
     With the frame map F = Q [[T11, T12], [0, T22]] Q^dag ordered on |mu| > 1
     and T11 X - X T22 = -T12, the exact frame F^n Phi0 spans Q [1 + X E; E],
@@ -315,7 +300,7 @@ def _dominant_frame(kicks: KickForms, phi0: np.ndarray, n: int) -> GaussianFrame
     fails, Phi0 has (nearly) no component on the dominant subspace, or E is
     not small and finite.
     """
-    L = phi0.shape[1]
+    L = frame.blocks.shape[2]
     f = kicks.coupling_form.kick(kick_exponential(kicks.field_form, -1.0), -1.0)
     try:
         t, q, sdim = scipy.linalg.schur(f, output="complex", sort="ouc")
@@ -328,7 +313,7 @@ def _dominant_frame(kicks: KickForms, phi0: np.ndarray, n: int) -> GaussianFrame
     if info != 0:  # T11 and T22 share (nearly) an eigenvalue
         return None
     x /= scale
-    y = q.conj().T @ phi0
+    y = q.conj().T @ frame.blocks[0]
     a = y[:L] - x @ y[L:]
     sv = np.linalg.svd(a, compute_uv=False)
     if not sv[-1] > _OVERLAP_TOL * sv[0]:
@@ -342,9 +327,10 @@ def _dominant_frame(kicks: KickForms, phi0: np.ndarray, n: int) -> GaussianFrame
     dist = np.linalg.norm(np.linalg.solve((np.eye(L) + x @ e).T, e.T))
     if not dist <= _DIRECT_TOL:
         return None
-    phi, _, defect = orthonormalize(q[:, :L])
+    blocks, _, defect = orthonormalize(q[None, :, :L], partner=frame.partner)
     norm_log = n * float(np.sum(np.log(np.abs(np.diag(t11))))) + np.linalg.slogdet(a)[1]
-    return GaussianFrame(phi, n, float(norm_log), defect, "schur")
+    return GaussianFrame(blocks, frame.momenta, frame.partner, n, float(norm_log),
+                         defect, "schur")
 
 
 def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig,
@@ -359,8 +345,8 @@ def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchCon
     Otherwise the loop runs.  From a state invariant under two-site
     translation (z-basis occupations of period 2) on a pbc-even chain with
     L divisible by 4 it steps one 4x2 block per momentum (``route ==
-    "momentum"``, a ``MomentumFrame``); elsewhere it steps the dense frame
-    with ``period_map`` (``route == "loop"``).  Those are the chains where
+    "momentum"``); elsewhere it steps the one-cell frame with
+    ``period_map`` (``route == "loop"``).  Those are the chains where
     no two-site momentum is its own partner (q = -q: q = 0 on pbc-odd,
     q = pi on pbc-odd with L = 0 mod 4 and on pbc-even with L = 2 mod 4).
     Where one is, the two engines part by O(1) within tens of periods at
@@ -368,20 +354,18 @@ def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchCon
     breaks the translation symmetry or a conserved mode occupation, so
     the dense loop is kept there.
     """
-    if quench.K != 0.0:
-        raise ValidationError("longitudinal K field breaks Gaussianity; "
-                              "use the spin simulator")
+    quench.require_free_fermion()
     kicks = build_kick_forms(params, lat)
     frame = initial_frame(quench, lat)
     if observe is None:
-        direct = _dominant_frame(kicks, frame.phi, quench.n_periods)
+        direct = _dominant_frame(kicks, frame, quench.n_periods)
         if direct is not None:
             return direct
     occ = quench.initial_state.occupations()
     if lat.bc is BoundaryCondition.PBC_EVEN and lat.L % 4 == 0 and occ[2:] == occ[:-2]:
-        frame = MomentumFrame.from_dense(frame, lat)
+        frame = GaussianFrame.from_dense(frame, lat)
         fq = frame_map_blocks(params, frame.momenta)
-        step = partial(_momentum_period, fq=fq)
+        step = lambda f: _advance(f, fq @ f.blocks, "momentum")
     else:
         step = partial(period_map, kicks=kicks)
     for _ in range(quench.n_periods):
@@ -448,5 +432,5 @@ def evolve_continuous(frame: GaussianFrame, hmat: np.ndarray,
         if u is None or abs(dt - dt_u) > 1e-12 * dt:
             dt_u, u = dt, scipy.linalg.expm(-4j * dt * hmat)
         phi, _, _ = orthonormalize(u @ phi)
-        out.append(GaussianFrame(phi))
+        out.append(GaussianFrame(phi[None]))
     return out

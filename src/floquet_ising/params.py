@@ -99,6 +99,10 @@ class BoundaryCondition(enum.Enum):
     def __str__(self):
         return self.value
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValidationError(f"bc must be one of {', '.join(map(str, cls))}, got {value!r}")
+
     @property
     def periodic(self) -> bool:
         return self is not BoundaryCondition.OBC
@@ -258,6 +262,12 @@ class QuenchConfig:
     def __post_init__(self):
         if self.n_periods < 1:
             raise ValidationError("n_periods must be positive")
+
+    def require_free_fermion(self) -> None:
+        """The Gaussian engine and the quasienergy spectra cover K = 0 only."""
+        if self.K != 0.0:
+            raise ValidationError("longitudinal K field breaks Gaussianity; "
+                                  "use the spin simulator")
 
 
 def preferred_sector(state: ProductState) -> BoundaryCondition:

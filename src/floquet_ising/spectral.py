@@ -344,8 +344,6 @@ def _refine_pair(tm: TransferMatrix, idx: np.ndarray) -> np.ndarray:
     extended precision resolves exponentially small edge splittings that
     plain double-precision eig smears to ~1e-6.
     """
-    if tm.right_eigenvectors is None or tm.left_eigenvectors is None or len(idx) != 2:
-        return tm.eigenvalues[idx]
     vr = np.linalg.qr(tm.right_eigenvectors[:, idx])[0].astype(np.clongdouble)
     vl = np.linalg.qr(tm.left_eigenvectors[:, idx])[0].astype(np.clongdouble)
     s = vl.conj().T @ vr
@@ -394,18 +392,23 @@ def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
     """Scan the open-chain spectrum for localized zero and pi modes.
 
     Near alpha = pi/4 the edge modes delocalize at finite size; an empty
-    scan there raises no error but sets ``delocalization_warning``.
+    scan there raises no error but sets ``delocalization_warning``.  At an
+    exceptional point the transfer matrix has no eigenvector basis to scan,
+    and NumericalBreakdown carries its condition estimate.
     """
     _require_edge_lattice(lat)
     w1, w2 = build_kick_forms(params, lat)
     tm = build_transfer_matrix(w1, w2, want_left=refine)
+    if tm.right_eigenvectors is None:
+        raise NumericalBreakdown("open-chain transfer matrix is not diagonalizable; "
+                                 "no edge-mode scan", condition=tm.condition_estimate)
     report = quasienergies_from_transfer(tm, lat.bc)
     eps = report.quasienergies
     ne = max(1, int(edge_fraction * lat.L))
 
     candidates = {"zero": [], "pi": []}
     for i in range(tm.n):
-        if abs(eps[i].imag) > im_tol or tm.right_eigenvectors is None:
+        if abs(eps[i].imag) > im_tol:
             continue
         re = abs(eps[i].real)
         kind = None

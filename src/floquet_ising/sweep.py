@@ -96,7 +96,8 @@ def spin_rows(trace: ed.ObservableTrace) -> list[dict]:
 
 @_task("spectrum", L=40, bc="obc", tol_edge=1e-3, im_tol=1e-2)
 def task_spectrum(cfg):
-    params, lat, _ = model_from_config(cfg)
+    params, lat, quench = model_from_config(cfg)
+    quench.require_free_fermion()
     census = spectral.count_real_modes(params, lat.L)
     obc = spectral.detect_edge_modes(params, lat, tol_edge=cfg["tol_edge"],
                                      im_tol=cfg["im_tol"])

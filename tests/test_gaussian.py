@@ -461,7 +461,7 @@ def test_momentum_route_raises_on_rank_loss():
     # overwhelming damping annihilates the Neel state's surviving amplitude
     p = P.ModelParams(0.0, 0.0, 0.0, 25.0)
     lat = P.lattice(8, "pbc-even")
-    frame = gaussian.MomentumFrame.from_dense(
+    frame = gaussian.GaussianFrame.from_dense(
         gaussian.initial_frame(P.named_state("neel-fermion", 8), lat), lat)
     fq = spectral.frame_map_blocks(p, frame.momenta)
     with pytest.raises(DegenerateEvolution):
@@ -476,7 +476,7 @@ def test_orthonormalize_pairs_blocks_with_their_partners():
     # q = pi/2 with q = 3pi/2
     rng = np.random.default_rng(5)
     lat = P.lattice(8, "pbc-odd")
-    frame = gaussian.MomentumFrame.from_dense(
+    frame = gaussian.GaussianFrame.from_dense(
         gaussian.initial_frame(P.named_state("neel-fermion", 8), lat), lat)
     assert frame.partner.tolist() == [0, 3, 2, 1]
     fq = spectral.frame_map_blocks(P.ModelParams(0.4, -0.2, 0.7, 0.3), frame.momenta)
@@ -486,13 +486,31 @@ def test_orthonormalize_pairs_blocks_with_their_partners():
         gaussian.orthonormalize(noisy, max_sweeps=0, partner=frame.partner)
     assert err.value.condition > 1e-6
     q, _, defect = gaussian.orthonormalize(noisy, partner=frame.partner)
-    fixed = gaussian.MomentumFrame(q, frame.momenta, frame.partner)
+    fixed = gaussian.GaussianFrame(q, frame.momenta, frame.partner)
     assert defect == fixed.isotropy_defect() < 1e-13
     assert max(np.linalg.norm(q[j].T @ q[i]) for i, j in enumerate(frame.partner)) < 1e-13
     assert fixed.orthonormality_defect() < 1e-12
     # the real-space frame built from the blocks has the same defects
     assert np.linalg.norm(fixed.phi.T @ fixed.phi) < 1e-13
     assert np.linalg.norm(fixed.phi.conj().T @ fixed.phi - np.eye(8)) < 1e-12
+
+
+@pytest.mark.parametrize("idx", [[5, 0, 3, 1], [14, 15, 0, 1, 2], [2, 7, 2, 7, 4]],
+                         ids=["unsorted", "wrapping", "repeated"])
+@pytest.mark.parametrize("route", ["loop", "momentum"])
+def test_correlation_block_is_the_restricted_dense_formula(idx, route):
+    # L = 8 pbc-even Neel: the loop holds one cell, the momentum route four
+    p = P.ModelParams(0.4, -0.2, 0.7, 0.3)
+    lat = P.lattice(8, "pbc-even")
+    quench = P.QuenchConfig(P.named_state("neel-fermion", 8), n_periods=3)
+    if route == "loop":
+        frame = _dense_frames(p, lat, quench)[-1]
+    else:
+        frame = gaussian.run_to_steady_state(p, lat, quench, lambda f: None)
+    assert (frame.route, len(frame.blocks)) == (route, 1 if route == "loop" else 4)
+    sub = frame.phi[idx]
+    block = gaussian.correlation_block(frame, np.array(idx))
+    assert np.max(np.abs(block - 2.0 * np.conj(sub) @ sub.T)) < 1e-14
 
 
 def test_bulk_subsystem_obc_approaches_pbc():
@@ -574,7 +592,7 @@ def test_continuous_flow_matches_dense_propagator():
 def _direct_flow(frame, hmat, t):
     """Oracle: one matrix exponential of the initial frame from t = 0."""
     phi, _, _ = gaussian.orthonormalize(expm(-4j * t * hmat) @ frame.phi)
-    return gaussian.correlation_from_frame(gaussian.GaussianFrame(phi)).c
+    return gaussian.correlation_from_frame(gaussian.GaussianFrame(phi[None])).c
 
 
 def test_continuous_steps_match_direct_exponential():

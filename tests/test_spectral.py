@@ -1,10 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from floquet_ising import params as P
 from floquet_ising import spectral as S
-from floquet_ising.errors import MetricPoleError, ValidationError
+from floquet_ising.errors import MetricPoleError, NumericalBreakdown, ValidationError
 
 RNG = np.random.default_rng(42)
 
@@ -417,6 +419,20 @@ def test_forced_schur_path_flags_nondiagonalizable():
     assert _match_multisets(
         S.quasienergies_from_eigenvalues(forced.eigenvalues),
         S.quasienergies_from_eigenvalues(normal.eigenvalues), 1e-8)
+
+
+def test_edge_scan_raises_at_an_exceptional_point(monkeypatch):
+    # the Schur fallback leaves no eigenvectors to scan: no silent empty scan
+    forced = functools.partial(S.build_transfer_matrix, cond_cutoff=1.0)
+    monkeypatch.setattr(S, "build_transfer_matrix", forced)
+    p = P.make_params(0.5, -1.0, 0.5, 0.5)
+    lat = P.lattice(16, "obc")
+    tm = forced(*S.build_kick_forms(p, lat), want_left=True)
+    with pytest.raises(NumericalBreakdown) as err:
+        S.detect_edge_modes(p, lat)
+    assert err.value.condition == tm.condition_estimate
+    with pytest.raises(NumericalBreakdown):
+        S.classify_phase(p, L=16, confirm_L=None)
 
 
 def test_dispersion_pair_sums_to_zero():

@@ -1,5 +1,6 @@
 import ast
 import csv
+import functools
 import inspect
 import json
 
@@ -110,7 +111,7 @@ def test_single_point_sweep_matches_direct(tmp_path):
     assert np.allclose(got, trace.entropy, atol=1e-12)
 
 
-@pytest.mark.parametrize("task", ["evolve", "steady-entropy", "tee"])
+@pytest.mark.parametrize("task", ["evolve", "steady-entropy", "tee", "spectrum"])
 def test_sweep_tasks_reject_k_field(tmp_path, task):
     fixed = {"alpha_J": 0.2, "alpha_h": 0.2, "beta_h": 0.1, "L": 16,
              "n_periods": 4, "subsystem_length": 4, "K": 0.1}
@@ -118,6 +119,20 @@ def test_sweep_tasks_reject_k_field(tmp_path, task):
     manifest = sweep.run_sweep(spec, tmp_path)
     assert [p["status"] for p in manifest.points] == ["error"]
     assert "longitudinal K field" in manifest.points[0]["error"]
+
+
+@pytest.mark.parametrize("bc", ["open", "pbc"])
+def test_unknown_bc_is_a_validation_error(tmp_path, bc):
+    cfgfile = tmp_path / "bc.cfg"
+    cfgfile.write_text(f"alpha = 0.2\nbeta_J = -0.1\nbeta_h = 0.1\nL = 8\n"
+                       f"n_periods = 4\nbc = {bc}\n")
+    assert cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path), "evolve"]) == 2
+    spec = sweep.SweepSpec((("beta_J", -0.1, -0.1, 1),),
+                           {"alpha": 0.2, "beta_h": 0.1, "L": 8, "n_periods": 4, "bc": bc},
+                           "evolve")
+    manifest = sweep.run_sweep(spec, tmp_path)
+    assert [p["status"] for p in manifest.points] == ["error"]
+    assert "pbc-even, pbc-odd, obc" in manifest.points[0]["error"]
 
 
 def test_sweep_axis_of_an_int_key_takes_whole_numbers(tmp_path):
@@ -279,6 +294,36 @@ def test_cli_spectrum(tmp_path):
     summary = json.loads((tmp_path / "spectrum_summary.json").read_text())
     assert summary["phase"] == "0"
     assert {m["kind"] for m in summary["edge_modes"]} == {"zero"}
+
+
+@pytest.mark.parametrize("K, rc", [(0.0, 0), (0.5, 2)])
+def test_cli_spectrum_rejects_k_field(tmp_path, K, rc):
+    cfgfile = tmp_path / "k.cfg"
+    cfgfile.write_text(f"alpha = 0.5\nbeta_J = -1.0\nbeta_h = 0.5\nK = {K}\n")
+    assert cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path), "spectrum"]) == rc
+
+
+def test_cli_spectrum_exits_3_at_an_exceptional_point(tmp_path, monkeypatch):
+    monkeypatch.setattr(spectral, "build_transfer_matrix",
+                        functools.partial(spectral.build_transfer_matrix, cond_cutoff=1.0))
+    rc = cli.main(["--out-dir", str(tmp_path), "spectrum", "--alpha", "0.5",
+                   "--beta-j", "-1.0", "--beta-h", "0.5", "--L", "40", "--bc", "obc"])
+    assert rc == 3
+
+
+def test_cli_and_sweep_count_the_same_real_modes(tmp_path):
+    # on an open chain both report the two-sector momentum census that the
+    # phase label reads, not the open-chain eigenvalues
+    rc = cli.main(["--out-dir", str(tmp_path), "spectrum", "--alpha", "0.2",
+                   "--beta-j", "-0.1", "--beta-h", "0.1", "--L", "40", "--bc", "obc"])
+    assert rc == 0
+    summary = json.loads((tmp_path / "spectrum_summary.json").read_text())
+    spec = sweep.SweepSpec((("beta_J", -0.1, -0.1, 1),),
+                           {"alpha": 0.2, "beta_h": 0.1, "L": 40, "bc": "obc"}, "spectrum")
+    sweep.run_sweep(spec, tmp_path / "sweep")
+    row = read_rows(tmp_path / "sweep" / "spectrum_sweep.csv")[0]
+    assert summary["phase"] == row["phase"] == "critical-volume"
+    assert summary["n_real_modes"] == int(row["n_real_modes"]) == 110
 
 
 @pytest.mark.parametrize("bc, n_real", [("pbc-even", 0), ("pbc-odd", 2)])
