@@ -15,12 +15,20 @@ Conventions
   test suite pins.
 * Each kick is a direct sum of commuting two-Majorana rotations, so its
   exponential is assembled bond by bond in closed form (exact, O(L)).
+* Both kicks are odd under the chiral sign Gamma = diag((-1)^m) and the
+  mirror P: m -> 2L-1-m, so M commutes with R = Gamma P and splits into
+  two L-dimensional reflection sectors.  Gamma swaps them and, in the
+  symmetric time frame, inverts the map (chiral pairing): one L x L eig
+  of the sector R = +i gives every mu, its inverse, and all right
+  eigenvectors.  Left eigenvectors need no second eig: M^T M = 1 makes
+  the left vector of mu the conjugate of the right vector of 1/mu.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -129,47 +137,102 @@ def kick_exponential(form: MajoranaQuadraticForm, sign: float = 1.0) -> np.ndarr
 
 @dataclass
 class TransferMatrix:
-    """One-period Majorana map M = exp(4W') exp(4W'') with its spectrum."""
+    """One-period Majorana map M = exp(4W') exp(4W'') with its spectrum.
 
-    m: np.ndarray
+    ``eigenvalues`` lists the L eigenvalues mu of the reflection sector B_+
+    and then their inverses; column i + L of ``right_eigenvectors`` is the
+    chiral partner of column i (see ``build_transfer_matrix``).  Columns
+    have unit norm.  ``m`` is built only when read.
+    """
+
     eigenvalues: np.ndarray
     right_eigenvectors: np.ndarray | None
     diagonalizable: bool
     condition_estimate: float
     coupling_form: MajoranaQuadraticForm
     field_form: MajoranaQuadraticForm
-    left_eigenvectors: np.ndarray | None = None
 
     @property
     def n(self) -> int:
-        return self.m.shape[0]
+        return self.coupling_form.n
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        return self.coupling_form.kick(kick_exponential(self.field_form))
+
+    @property
+    def left_eigenvectors(self) -> np.ndarray | None:
+        """Columns l with l^H M = mu l^H.  M^T M = 1, so l = conj(v) for
+        the right vector v of 1/mu, which sits half the columns away."""
+        if self.right_eigenvectors is None:
+            return None
+        return np.roll(self.right_eigenvectors, self.n // 2, axis=1).conj()
+
+
+def _require_reflection_odd(form: MajoranaQuadraticForm) -> None:
+    """W must be odd under Gamma = diag((-1)^m) and under the mirror
+    P: m -> n-1-m, i.e. bonds join Majoranas of opposite parity and the
+    mirror image of each bond is a bond with the opposite angle."""
+    j = np.arange(form.n)
+    mirror = form.n - 1 - j
+    bonded = form.partner != j
+    if not (np.all((j[bonded] + form.partner[bonded]) % 2 == 1)
+            and np.array_equal(form.partner[mirror], mirror[form.partner])
+            and np.array_equal(form.angle[mirror], -form.angle)):
+        raise ValidationError("kick forms must be odd under the chiral sign "
+                              "(-1)^m and the chain mirror")
 
 
 def build_transfer_matrix(coupling_form: MajoranaQuadraticForm,
                           field_form: MajoranaQuadraticForm,
-                          want_left: bool = False,
                           cond_cutoff: float = 1e10) -> TransferMatrix:
+    """Spectrum of M = K1 K2 (K1 = exp(4W'), K2 = exp(4W'')) from one L x L eig.
+
+    Both kicks are odd under Gamma and P, so M commutes with R = Gamma P
+    (R^2 = -1) and leaves the sector R = +i, with basis
+    (e_m + i(-1)^m e_{n-1-m}) / sqrt(2), m < L, invariant.  Without the
+    1/sqrt(2) the basis is e_m on rows m < L, so the block B_+ of M is the
+    top L rows of the kicked basis.  Gamma swaps the sectors and inverts
+    the map in the symmetric frame K2^{1/2} K1 K2^{1/2}, so for
+    M v = mu v the vector K2^{-1/2} Gamma K2^{1/2} v = Gamma K2 v has
+    eigenvalue 1/mu.  The eigenvector matrix is the unitary sector basis
+    times the two L x L coordinate blocks, whose singular values give its
+    condition number.
+    """
     if coupling_form.n != field_form.n:
         raise ValidationError("kick forms must have matching dimension")
-    m = coupling_form.kick(kick_exponential(field_form))
+    _require_reflection_odd(coupling_form)
+    _require_reflection_odd(field_form)
+    n = coupling_form.n
+    L = n // 2
+    sign = (-1.0) ** np.arange(n)
+    top = np.arange(L)
+    mirror = n - 1 - top
+    basis = np.zeros((n, L), dtype=complex)
+    basis[top, top] = 1.0
+    basis[mirror, top] = 1j * sign[:L]
+    b_plus = coupling_form.kick(field_form.kick(basis))[:L]
     try:
-        if want_left:
-            mu, vl, vr = scipy.linalg.eig(m, left=True, right=True)
-        else:
-            mu, vr = np.linalg.eig(m)
-            vl = None
+        mu, c_plus = np.linalg.eig(b_plus)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalBreakdown(f"eigendecomposition failed: {exc}") from exc
-    sv = np.linalg.svd(vr, compute_uv=False)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    diag = cond < cond_cutoff
-    if not diag:
+    v_plus = np.empty((n, L), dtype=complex)
+    v_plus[:L] = c_plus / math.sqrt(2.0)
+    v_plus[mirror] = 1j * sign[:L, None] * v_plus[:L]
+    v_minus = sign[:, None] * field_form.kick(v_plus)
+    v_minus /= np.linalg.norm(v_minus, axis=0)
+    sv = np.linalg.svd(np.stack([c_plus, math.sqrt(2.0) * v_minus[:L]]),
+                       compute_uv=False)
+    cond = float(sv.max() / sv.min()) if sv.min() > 0 else np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):  # mu underflowed to 0: no partner
+        mu = np.concatenate([mu, 1.0 / mu])
+    tm = TransferMatrix(mu, np.hstack([v_plus, v_minus]), cond < cond_cutoff, cond,
+                        coupling_form, field_form)
+    if not tm.diagonalizable:
         # exceptional point: fall back to Schur values, flagged
-        t, _ = scipy.linalg.schur(m, output="complex")
-        mu = np.diag(t).copy()
-        vr = None
-        vl = None
-    return TransferMatrix(m, mu, vr, diag, cond, coupling_form, field_form, vl)
+        t, _ = scipy.linalg.schur(tm.m, output="complex")
+        tm.eigenvalues, tm.right_eigenvectors = np.diag(t).copy(), None
+    return tm
 
 
 def fold_real_part(re: np.ndarray | float) -> np.ndarray | float:
@@ -217,28 +280,36 @@ def _classify_pair(eps: complex, defect: float, tol: float) -> str:
     return ModeClass.GROW_DECAY
 
 
-def floquet_dispersion(J: complex, h: complex, k: float,
-                       tol: float = 1e-10) -> DispersionPoint:
-    """Quasienergy pair at momentum k for the kicked chain.
+def _dispersion(J: complex, h: complex, k) -> tuple[np.ndarray, ...]:
+    """x, disc = (x/4)^2 - 1, w_k and eps = i w_k (folded) at each momentum.
 
     x = 2(1+cos k) cos(2h-2J) + 2(1-cos k) cos(2h+2J) and exp(w_k) are the
     two reciprocal roots of a quadratic with cosh(w_k) = x/4; the pair is
     eps = +-i w_k folded to the principal zone.
     """
+    k = np.asarray(k, dtype=float)
     x = (2 * (1 + np.cos(k)) * np.cos(2 * h - 2 * J)
          + 2 * (1 - np.cos(k)) * np.cos(2 * h + 2 * J))
     disc = (x / 4.0) ** 2 - 1.0
-    ew = x / 4.0 + np.sqrt(complex(disc))
-    if abs(ew) < 1e-300:  # degenerate root at x = -4 exactly
-        ew = x / 4.0 - np.sqrt(complex(disc))
-    w = np.log(complex(ew))
+    root = np.sqrt(np.asarray(disc, dtype=complex))
+    ew = x / 4.0 + root
+    ew = np.where(np.abs(ew) < 1e-300, x / 4.0 - root, ew)  # degenerate root at x = -4
+    w = np.log(ew)
     eps = 1j * w
-    eps = complex(fold_real_part(eps.real), eps.imag)
+    eps.real = fold_real_part(eps.real)
+    return x, disc, w, eps
+
+
+def floquet_dispersion(J: complex, h: complex, k: float,
+                       tol: float = 1e-10) -> DispersionPoint:
+    """Quasienergy pair at momentum k for the kicked chain (see ``_dispersion``)."""
+    x, disc, w, eps = (a[0] for a in _dispersion(J, h, [k]))
+    eps = complex(eps)
     # the partner is the exact negative so the pair sums to zero; for a
     # +pi mode it therefore prints as -pi (same quasienergy class)
     pair = (eps, -eps)
     cls = _classify_pair(eps, abs(disc), tol)
-    return DispersionPoint(float(k), pair, w, complex(x), cls)
+    return DispersionPoint(float(k), pair, complex(w), complex(x), cls)
 
 
 def dispersion_continuous(J: complex, h: complex, k: float,
@@ -252,11 +323,11 @@ def dispersion_continuous(J: complex, h: complex, k: float,
 
 def allowed_momenta(lat: LatticeSpec) -> np.ndarray:
     """Momenta of the fermion sector in (-pi, pi]."""
-    L = lat.L
+    L, m = lat.L, np.arange(lat.L)
     if lat.bc is BoundaryCondition.PBC_EVEN:
-        return np.array([-np.pi + (2 * m + 1) * np.pi / L for m in range(L)])
+        return -np.pi + (2 * m + 1) * np.pi / L
     if lat.bc is BoundaryCondition.PBC_ODD:
-        return np.array([fold_real_part(2 * np.pi * m / L) for m in range(L)])
+        return fold_real_part(2 * np.pi * m / L)
     raise ValidationError("momenta are defined for periodic chains")
 
 
@@ -284,16 +355,12 @@ def count_real_modes(params: ModelParams, lat_or_L, tol_real: float | None = Non
         bcs = [BoundaryCondition(sectors)]
     count = total = 0
     for bc in bcs:
-        lat = LatticeSpec(L, bc)
-        eps = []
-        for k in allowed_momenta(lat):
-            pt = floquet_dispersion(params.J, params.h, k)
-            eps.extend(pt.epsilon)
-        eps = np.asarray(eps)
+        # one eps of each +-eps pair per momentum; both have the same |eps|
+        eps = _dispersion(params.J, params.h, allowed_momenta(LatticeSpec(L, bc)))[3]
         radius = max(np.max(np.abs(eps)), 1.0)
         tol = tol_real if tol_real is not None else 1e-8 * radius
-        count += int(np.sum(np.abs(eps.imag) < tol))
-        total += len(eps)
+        count += 2 * int(np.sum(np.abs(eps.imag) < tol))
+        total += 2 * len(eps)
     return RealModeCensus(count, total)
 
 
@@ -313,7 +380,6 @@ class EdgeModeRecord:
 @dataclass
 class SpectrumReport:
     quasienergies: np.ndarray
-    n_real_modes: int
     edge_modes: list[EdgeModeRecord]
     boundary_condition: BoundaryCondition
     diagonalizable: bool = True
@@ -321,13 +387,9 @@ class SpectrumReport:
 
 
 def quasienergies_from_transfer(tm: TransferMatrix,
-                                bc: BoundaryCondition,
-                                tol_real: float | None = None) -> SpectrumReport:
-    eps = quasienergies_from_eigenvalues(tm.eigenvalues)
-    radius = max(float(np.max(np.abs(eps))), 1.0)
-    tol = tol_real if tol_real is not None else 1e-8 * radius
-    n_real = int(np.sum(np.abs(eps.imag) < tol))
-    return SpectrumReport(eps, n_real, [], bc, tm.diagonalizable)
+                                bc: BoundaryCondition) -> SpectrumReport:
+    return SpectrumReport(quasienergies_from_eigenvalues(tm.eigenvalues), [], bc,
+                          tm.diagonalizable)
 
 
 def _inv2_ld(s):
@@ -342,7 +404,10 @@ def _refine_pair(tm: TransferMatrix, idx: np.ndarray) -> np.ndarray:
     The invariant plane of a nearly degenerate pair is well conditioned even
     when the individual eigenvectors are not; applying M to that plane in
     extended precision resolves exponentially small edge splittings that
-    plain double-precision eig smears to ~1e-6.
+    plain double-precision eig smears to ~1e-6.  An edge pair mu, 1/mu sits
+    in two reflection sectors, so the projected 2x2 map is near diagonal and
+    its eigenvalues are split with (b00 - b11)^2 + 4 b01 b10, not with
+    tr^2 - 4 det, which cancels there.
     """
     vr = np.linalg.qr(tm.right_eigenvectors[:, idx])[0].astype(np.clongdouble)
     vl = np.linalg.qr(tm.left_eigenvectors[:, idx])[0].astype(np.clongdouble)
@@ -352,8 +417,7 @@ def _refine_pair(tm: TransferMatrix, idx: np.ndarray) -> np.ndarray:
     mvr = tm.coupling_form.kick(tm.field_form.kick(vr))
     b = _inv2_ld(s) @ (vl.conj().T @ mvr)
     tr = b[0, 0] + b[1, 1]
-    det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
-    disc = np.sqrt(tr * tr - 4 * det)
+    disc = np.sqrt((b[0, 0] - b[1, 1]) ** 2 + 4 * b[0, 1] * b[1, 0])
     return np.array([complex((tr + disc) / 2), complex((tr - disc) / 2)])
 
 
@@ -398,7 +462,7 @@ def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
     """
     _require_edge_lattice(lat)
     w1, w2 = build_kick_forms(params, lat)
-    tm = build_transfer_matrix(w1, w2, want_left=refine)
+    tm = build_transfer_matrix(w1, w2)
     if tm.right_eigenvectors is None:
         raise NumericalBreakdown("open-chain transfer matrix is not diagonalizable; "
                                  "no edge-mode scan", condition=tm.condition_estimate)

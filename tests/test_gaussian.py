@@ -244,7 +244,7 @@ def test_purity_residual_is_the_measured_isotropy_defect():
     assert gaussian.initial_frame(quench, lat).isotropy is None
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(st.integers(2, 16), st.sampled_from(["pbc-even", "pbc-odd", "obc"]),
        st.tuples(st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
                  st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0)),
@@ -331,7 +331,7 @@ def _assert_same_steady_state(direct, loop):
 _NONUNITARY_BETA = st.floats(0.05, 1.0) | st.floats(-1.0, -0.05)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(st.integers(2, 24), st.sampled_from(["pbc-even", "pbc-odd", "obc"]),
        st.tuples(st.floats(-np.pi, np.pi), _NONUNITARY_BETA,
                  st.floats(-np.pi, np.pi), _NONUNITARY_BETA),
@@ -401,7 +401,7 @@ def _assert_trace_matches_dense(trace, frames, dense, idx):
         assert f.orthonormality_defect() < 1e-12
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(st.integers(1, 10), st.sampled_from(["neel-fermion", "all-up", "all-down"]),
        st.tuples(st.floats(-np.pi, np.pi), _NONUNITARY_BETA,
                  st.floats(-np.pi, np.pi), _NONUNITARY_BETA),
@@ -617,7 +617,7 @@ def test_continuous_rejects_bad_time_grid(t_grid):
         gaussian.evolve_continuous(frame, hmat, t_grid)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(st.integers(2, 12), st.sampled_from(["pbc-even", "pbc-odd", "obc"]),
        st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
 def test_continuous_flow_invariants_random_couplings(L, bc, couplings):

@@ -3,6 +3,8 @@ import functools
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from floquet_ising import params as P
 from floquet_ising import spectral as S
@@ -113,7 +115,6 @@ def test_unitary_case_orthogonal_unit_modulus():
     assert np.allclose(np.abs(tm.eigenvalues), 1.0, atol=1e-10)
     rep = S.quasienergies_from_transfer(tm, P.BoundaryCondition.PBC_EVEN)
     assert np.max(np.abs(rep.quasienergies.imag)) < 1e-10
-    assert rep.n_real_modes == tm.n
 
 
 def test_identity_when_couplings_vanish():
@@ -263,6 +264,41 @@ def test_census_log_line_isolated_zero_mode():
     assert both.count == 2
 
 
+def _census_per_momentum(p, L, bcs):
+    """Reference census: one ``floquet_dispersion`` call per momentum."""
+    count = total = 0
+    for bc in bcs:
+        eps = np.array([e for k in S.allowed_momenta(P.lattice(L, bc))
+                        for e in S.floquet_dispersion(p.J, p.h, k).epsilon])
+        tol = 1e-8 * max(np.max(np.abs(eps)), 1.0)
+        count += int(np.sum(np.abs(eps.imag) < tol))
+        total += len(eps)
+    return count, total
+
+
+@settings(max_examples=150)
+@given(st.integers(2, 64), st.sampled_from(["free", "J=h", "unitary", "x=-4"]),
+       st.floats(-np.pi, np.pi), st.floats(-1.5, 1.5),
+       st.floats(-np.pi, np.pi), st.floats(-1.5, 1.5))
+def test_census_equals_the_per_momentum_loop(L, line, aj, bj, ah, bh):
+    # J = h puts the zero mode at k = 0 (pbc-odd); h - J = pi/2 puts the
+    # double root x = -4 there; zero imaginary parts make every mode real
+    if line == "J=h":
+        ah, bh = aj, bj
+    elif line == "unitary":
+        bj = bh = 0.0
+    elif line == "x=-4":
+        ah, bh = aj + np.pi / 2, bj
+    p = P.ModelParams(aj, bj, ah, bh)
+    both = S.count_real_modes(p, L)
+    assert (both.count, both.total) == _census_per_momentum(p, L, ["pbc-even", "pbc-odd"])
+    for bc in ("pbc-even", "pbc-odd"):
+        one = S.count_real_modes(p, L, sectors=bc)
+        assert (one.count, one.total) == _census_per_momentum(p, L, [bc])
+    if line == "unitary":
+        assert both.count == both.total
+
+
 # --------------------------------------------------------------------------
 # edge modes
 # --------------------------------------------------------------------------
@@ -298,6 +334,15 @@ def test_edge_mode_refinement_beats_raw_eig():
     rep = S.detect_edge_modes(p, P.lattice(40, "obc"), refine=True)
     worst = max(abs(m.energy.imag) for m in rep.edge_modes)
     assert worst < 1e-8
+
+
+def test_refined_edge_pair_has_no_cancellation_floor():
+    # the pair mu, 1/mu sits in two reflection sectors, so the projected
+    # 2x2 map is diagonal; tr^2 - 4 det cancelled to |eps| ~ 1e-10 here,
+    # while a 40-digit eig of the sector block gives 3.8e-16
+    rep = S.detect_edge_modes(P.make_params(0.4, -1.0, 0.4, 0.5), P.lattice(96, "obc"))
+    assert [m.kind for m in rep.edge_modes] == ["zero", "zero"]
+    assert max(abs(m.energy) for m in rep.edge_modes) <= 1e-12
 
 
 def test_edge_detection_requires_open_chain():
@@ -427,7 +472,7 @@ def test_edge_scan_raises_at_an_exceptional_point(monkeypatch):
     monkeypatch.setattr(S, "build_transfer_matrix", forced)
     p = P.make_params(0.5, -1.0, 0.5, 0.5)
     lat = P.lattice(16, "obc")
-    tm = forced(*S.build_kick_forms(p, lat), want_left=True)
+    tm = forced(*S.build_kick_forms(p, lat))
     with pytest.raises(NumericalBreakdown) as err:
         S.detect_edge_modes(p, lat)
     assert err.value.condition == tm.condition_estimate
@@ -457,3 +502,80 @@ def test_classify_phase_skips_the_edge_scan_the_census_decides(monkeypatch):
     assert S.classify_phase(p, L=40) is scanned is P.PhaseLabel.CRITICAL_VOLUME
     with pytest.raises(ValidationError):
         S.classify_phase(p, L=4, confirm_L=None)
+
+
+# --------------------------------------------------------------------------
+# reflection sectors against the dense 2L x 2L eig
+# --------------------------------------------------------------------------
+
+def _dense_edge_kinds(p, L, tol_edge=1e-3, im_tol=1e-2, edge_fraction=0.1):
+    """Kinds of localized zero and pi modes from one eig of the dense map."""
+    tm = S.build_transfer_matrix(*S.build_kick_forms(p, P.lattice(L, "obc")))
+    mu, vr = np.linalg.eig(tm.m)
+    ne = max(1, int(edge_fraction * L))
+    kinds = set()
+    for eps, vec in zip(S.quasienergies_from_eigenvalues(mu), vr.T):
+        re = abs(eps.real)
+        kind = "zero" if re < tol_edge else "pi" if abs(re - np.pi) < tol_edge else None
+        if kind is None or abs(eps.imag) > im_tol:
+            continue
+        w = np.abs(vec[0::2]) ** 2 + np.abs(vec[1::2]) ** 2
+        w /= w.sum()
+        if w[:ne].sum() + w[-ne:].sum() > 0.5:
+            kinds.add(kind)
+    return kinds
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 24), st.sampled_from(["pbc-even", "pbc-odd", "obc"]),
+       st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
+       st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0))
+def test_sector_spectrum_matches_the_dense_eig(L, bc, aj, bj, ah, bh):
+    lat = P.lattice(L, bc)
+    w1, w2 = S.build_kick_forms(P.ModelParams(aj, bj, ah, bh), lat)
+    tm = S.build_transfer_matrix(w1, w2)
+    m = tm.m
+    scale = np.linalg.norm(m, 2)
+    mu, vr = np.linalg.eig(m)
+    cost = np.abs(tm.eigenvalues[:, None] - mu[None, :])
+    r, c = linear_sum_assignment(cost)
+    assert cost[r, c].max() <= 1e-9 * scale
+    assert tm.right_eigenvectors is not None
+    v, lv = tm.right_eigenvectors, tm.left_eigenvectors
+    lv = lv / np.linalg.norm(lv, axis=0)
+    assert np.allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-12)
+    assert np.abs(m @ v - v * tm.eigenvalues).max() <= 1e-10 * scale
+    assert np.abs(lv.conj().T @ m - tm.eigenvalues[:, None] * lv.conj().T).max() <= 1e-10 * scale
+    gaps = np.abs(mu[:, None] - mu[None, :]) + np.eye(len(mu))
+    if gaps.min() > 1e-6:  # the dense eigenvectors are determined
+        sv = np.linalg.svd(vr, compute_uv=False)
+        assert tm.condition_estimate == pytest.approx(sv[0] / sv[-1], rel=1e-6)
+    # a form whose mirror image is not its negative has no sectors: the
+    # first field bond (0, 1) is mirrored on the last one (n-2, n-1)
+    bonds = list(w2.bonds)
+    bonds[0] = (*bonds[0][:2], bonds[0][2] + 0.1)
+    with pytest.raises(ValidationError):
+        S.build_transfer_matrix(w1, S.MajoranaQuadraticForm(w2.n, tuple(bonds)))
+
+
+@pytest.mark.parametrize("L", [40, 96])
+def test_edge_kinds_match_the_dense_eig_on_the_edge_grid(L):
+    for alpha in (0.2, 0.4, 0.6, 1.4, 1.6, 1.8):
+        for bj in (-1.0, -0.1):
+            p = P.make_params(alpha, bj, alpha, 0.5)
+            expected = _dense_edge_kinds(p, L)
+            for refine in (True, False):
+                rep = S.detect_edge_modes(p, P.lattice(L, "obc"), refine=refine)
+                assert {m.kind for m in rep.edge_modes} == expected, (alpha, bj, refine)
+
+
+def test_forms_without_chiral_or_mirror_symmetry_rejected():
+    n = 8
+    ok = S.MajoranaQuadraticForm(n, ((1, 2, 0.3), (3, 4, 0.3), (5, 6, 0.3)))
+    field = S.MajoranaQuadraticForm(n, tuple((j, j + 1, 0.2) for j in range(0, n, 2)))
+    S.build_transfer_matrix(ok, field)
+    for bonds in (((1, 2, 0.3), (3, 4, 0.3)),                # mirror image missing
+                  ((1, 2, 0.3), (3, 4, 0.3), (6, 5, 0.3)),   # mirror image same sign
+                  ((0, 2, 0.3), (5, 7, -0.3))):              # equal-parity bond
+        with pytest.raises(ValidationError):
+            S.build_transfer_matrix(S.MajoranaQuadraticForm(n, bonds), field)
