@@ -141,22 +141,18 @@ def cmd_tee(args):
     sizes = [int(s) for s in str(cfg.get("tee_sizes", "32,48,64")).split(",")]
     bj_spec = str(cfg.get("tee_beta_j", "-0.55,-0.05,11")).split(",")
     betas = np.linspace(float(bj_spec[0]), float(bj_spec[1]), int(bj_spec[2]))
-    rows = []
-    curves = {}
+    rows, curves = [], {}
     for L in sizes:
-        vals = []
-        for bj in betas:
-            point = dict(cfg, L=L, beta_J=float(bj))
-            vals.append(sweep.task_tee(point)[0]["S_top"])
-            rows.append({"L": L, "beta_J": float(bj), "S_top": vals[-1]})
-        curves[L] = (betas.copy(), np.array(vals))
+        rows += [sweep.task_tee(dict(cfg, L=L, beta_J=float(bj)))[0] for bj in betas]
+        curves[L] = (betas.copy(), np.array([r["S_top"] for r in rows[-len(betas):]]))
     fit = entanglement.tee_collapse(curves)
+    routes = {route: sum(r["route"] == route for r in rows) for route in ("schur", "loop")}
     out = _out_dir(args)
     csv_path = out / (args.out or "tee.csv")
     sweep.write_csv(csv_path, rows, ["L", "beta_J", "S_top"])
     (out / "tee_collapse.json").write_text(json.dumps(
-        {"beta_J0": fit.beta_J0, "nu": fit.nu, "residual": fit.collapse_residual},
-        indent=2))
+        {"beta_J0": fit.beta_J0, "nu": fit.nu, "residual": fit.collapse_residual,
+         "routes": routes}, indent=2))
     print(f"wrote {csv_path} and tee_collapse.json")
     return 0
 

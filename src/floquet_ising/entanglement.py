@@ -188,31 +188,37 @@ class CollapseResult:
     collapse_residual: float
 
 
-def _collapse_cost(curves, beta0: float, nu: float):
+def _interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """np.interp(x, xp, fp) over each row of the leading axes of x and xp,
+    with np.interp's arithmetic, for xp increasing along its last axis."""
+    j = np.clip(np.count_nonzero(xp[..., None, :] <= x[..., None], axis=-1) - 1,
+                0, xp.shape[-1] - 2)
+    x0 = np.take_along_axis(xp, j, -1)
+    slope = (fp[j + 1] - fp[j]) / (np.take_along_axis(xp, j + 1, -1) - x0)
+    out = slope * (x - x0) + fp[j]
+    return np.where(x < xp[..., :1], fp[0], np.where(x >= xp[..., -1:], fp[-1], out))
+
+
+def _collapse_costs(curves, beta0s: np.ndarray, nus: np.ndarray):
     """Mean squared deviation of every sample from the other curves'
-    piecewise-linear interpolants over the common rescaled window."""
-    rescaled = []
-    for L, (betas, values) in curves.items():
-        x = (np.asarray(betas) - beta0) * L ** nu
-        rescaled.append((x, np.asarray(values)))
-    lo = max(x.min() for x, _ in rescaled)
-    hi = min(x.max() for x, _ in rescaled)
-    if hi <= lo:
-        return None
-    total, count = 0.0, 0
-    for i, (xi, vi) in enumerate(rescaled):
-        sel = (xi >= lo) & (xi <= hi)
-        if not np.any(sel):
-            continue
-        for j, (xj, vj) in enumerate(rescaled):
-            if i == j:
-                continue
-            pred = np.interp(xi[sel], xj, vj)
-            total += float(np.sum((vi[sel] - pred) ** 2))
-            count += int(sel.sum())
-    if count == 0:
-        return None
-    return total / count
+    piecewise-linear interpolants over the common rescaled window, for
+    each (beta0, nu) of the grid beta0s x nus at once.  Returns the cost
+    array and the mask of grid points where that window holds samples."""
+    b0, nu = beta0s[:, None, None], nus[None, :, None]
+    xs = [(np.asarray(betas) - b0) * L ** nu for L, (betas, _) in curves.items()]
+    vs = [np.asarray(values) for _, values in curves.values()]
+    lo = np.max([x.min(axis=-1) for x in xs], axis=0)[..., None]
+    hi = np.min([x.max(axis=-1) for x in xs], axis=0)[..., None]
+    total, count = np.zeros(lo.shape[:2]), np.zeros(lo.shape[:2], dtype=int)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, (xi, vi) in enumerate(zip(xs, vs)):
+            sel = (xi >= lo) & (xi <= hi)
+            for j, (xj, vj) in enumerate(zip(xs, vs)):
+                if i != j:
+                    total += np.sum(np.where(sel, (vi - _interp(xi, xj, vj)) ** 2, 0.0), axis=-1)
+                    count += np.count_nonzero(sel, axis=-1)
+        valid = (hi[..., 0] > lo[..., 0]) & (count > 0)
+        return total / count, valid
 
 
 def tee_collapse(curves: dict[int, tuple[np.ndarray, np.ndarray]],
@@ -220,8 +226,10 @@ def tee_collapse(curves: dict[int, tuple[np.ndarray, np.ndarray]],
                  refinements: int = 2) -> CollapseResult:
     """Grid search for (beta_J0, nu) collapsing S_top(beta_J; L) curves.
 
-    ``curves`` maps L to (beta_J grid, S_top values).  Ties break toward
-    smaller nu.  Raises CollapseError if no rescaled overlap exists.
+    ``curves`` maps L to (beta_J grid, S_top values), each beta_J grid
+    increasing.  Each refinement evaluates the whole grid at once; ties
+    break toward smaller nu, then smaller beta0.  Raises CollapseError if
+    no rescaled overlap exists.
     """
     if len(curves) < 3:
         raise ValidationError("collapse needs at least 3 system sizes")
@@ -230,16 +238,16 @@ def tee_collapse(curves: dict[int, tuple[np.ndarray, np.ndarray]],
         beta0_grid = np.linspace(all_betas.min(), all_betas.max(), 41)
     if nu_grid is None:
         nu_grid = np.linspace(0.3, 2.0, 35)
+    beta0_grid, nu_grid = np.asarray(beta0_grid, dtype=float), np.asarray(nu_grid, dtype=float)
     best = None
     for _ in range(refinements + 1):
-        for b0 in beta0_grid:
-            for nu in nu_grid:
-                cost = _collapse_cost(curves, float(b0), float(nu))
-                if cost is None:
-                    continue
-                key = (cost, nu)
-                if best is None or key < (best[0], best[1][1]):
-                    best = (cost, (float(b0), float(nu)))
+        cost, valid = _collapse_costs(curves, beta0_grid, nu_grid)
+        ib, inu = np.nonzero(valid)  # beta0-major, as the grid is scanned
+        if len(ib):
+            k = np.lexsort((nu_grid[inu], cost[ib, inu]))[0]
+            key = (float(cost[ib[k], inu[k]]), float(nu_grid[inu[k]]))
+            if best is None or key < (best[0], best[1][1]):
+                best = (key[0], (float(beta0_grid[ib[k]]), key[1]))
         if best is None:
             raise CollapseError("rescaled curves never overlap")
         b0c, nuc = best[1]

@@ -45,6 +45,8 @@ _ISO_TOL = 1e-13
 _RANK_TOL = 1e-13
 _DIRECT_TOL = 1e-10
 _OVERLAP_TOL = 1e-10
+_ISOLATION_TOL = 1e-6
+_ROUNDING_TOL = 1e-12
 
 
 @dataclass
@@ -288,17 +290,16 @@ def _scaled_power(t: np.ndarray, n: int) -> tuple[np.ndarray, float]:
 
 def _dominant_frame(kicks: KickForms, frame: GaussianFrame, n: int) -> GaussianFrame | None:
     """The n-period frame from the one-cell ``frame`` Phi0, taken from the
-    dominant invariant subspace of the frame map, or None unless that
-    provably equals the loop's frame.
+    dominant invariant subspaces of the frame map F = Q T Q^dag (complex
+    Schur, ordered on |mu| > 1), or None unless it provably equals the
+    loop's frame.
 
-    With the frame map F = Q [[T11, T12], [0, T22]] Q^dag ordered on |mu| > 1
-    and T11 X - X T22 = -T12, the exact frame F^n Phi0 spans Q [1 + X E; E],
-    E = T22^n y2 a^-1 T11^-n, where y = Q^dag Phi0 and a = y1 - X y2.  The
-    span Q1 is returned when a is well conditioned and the measured distance
-    ||E (1 + X E)^-1|| from it is at most _DIRECT_TOL.  None when the
-    spectrum has no L/L split in |mu|, the reorder or the Sylvester solve
-    fails, Phi0 has (nearly) no component on the dominant subspace, or E is
-    not small and finite.
+    Two splits of the spectrum are tried, the second only where the first
+    misses: ``_cut_split`` (the L/L split across the unit circle, converged
+    to its span) and ``_pair_split`` (an isolated edge pair straddling the
+    L/L cut, carried exactly).  Each gives the unnormalized n-period frame
+    and the log-magnitude it dropped; the frame's QR adds the rest, so
+    ``norm_log`` is the loop's.
     """
     L = frame.blocks.shape[2]
     f = kicks.coupling_form.kick(kick_exponential(kicks.field_form, -1.0), -1.0)
@@ -306,17 +307,43 @@ def _dominant_frame(kicks: KickForms, frame: GaussianFrame, n: int) -> GaussianF
         t, q, sdim = scipy.linalg.schur(f, output="complex", sort="ouc")
     except np.linalg.LinAlgError:  # eigenvalues too close to reorder
         return None
-    if sdim != L:
+    phi0 = frame.blocks[0]
+    found = _cut_split(t, q, phi0, n) if sdim == L else None
+    if found is None:
+        found = _pair_split(t, q, phi0, n)
+    if found is None:
         return None
+    phi, log_scale = found
+    blocks, log_mag, defect = orthonormalize(phi[None], partner=frame.partner)
+    return GaussianFrame(blocks, frame.momenta, frame.partner, n, float(log_scale + log_mag),
+                         defect, "schur")
+
+
+def _cut_split(t: np.ndarray, q: np.ndarray, phi0: np.ndarray, n: int):
+    """The span Q1 of the L modes with |mu| > 1, where F^n Phi0 has converged
+    to it.
+
+    With T = [[T11, T12], [0, T22]] and T11 X - X T22 = -T12, the exact
+    frame F^n Phi0 spans Q [1 + X E; E], E = T22^n y2 a^-1 T11^-n, where
+    y = Q^dag Phi0 and a = y1 - X y2.  Q1 is returned when a is well
+    conditioned, sigma_min(a) > _OVERLAP_TOL max(sigma_max(a), 1), and the
+    measured distance ||E (1 + X E)^-1|| from it is at most _DIRECT_TOL.
+    The unit floor matters: y has orthonormal columns, and a Phi0 inside
+    the decaying subspace leaves an a of rounding size whose singular value
+    ratio may still be O(1).  None when the Sylvester solve fails, Phi0 has
+    (nearly) no component on the dominant subspace, or E is not small and
+    finite.
+    """
+    L = phi0.shape[1]
     t11, t22 = t[:L, :L], t[L:, L:]
     x, scale, info = scipy.linalg.lapack.ztrsyl(t11, t22, -t[:L, L:], isgn=-1)
     if info != 0:  # T11 and T22 share (nearly) an eigenvalue
         return None
     x /= scale
-    y = q.conj().T @ frame.blocks[0]
+    y = q.conj().T @ phi0
     a = y[:L] - x @ y[L:]
     sv = np.linalg.svd(a, compute_uv=False)
-    if not sv[-1] > _OVERLAP_TOL * sv[0]:
+    if not sv[-1] > _OVERLAP_TOL * max(sv[0], 1.0):
         return None
     p22, log22 = _scaled_power(t22, n)
     p11, log11 = _scaled_power(scipy.linalg.solve_triangular(t11, np.eye(L)), n)
@@ -327,10 +354,84 @@ def _dominant_frame(kicks: KickForms, frame: GaussianFrame, n: int) -> GaussianF
     dist = np.linalg.norm(np.linalg.solve((np.eye(L) + x @ e).T, e.T))
     if not dist <= _DIRECT_TOL:
         return None
-    blocks, _, defect = orthonormalize(q[None, :, :L], partner=frame.partner)
-    norm_log = n * float(np.sum(np.log(np.abs(np.diag(t11))))) + np.linalg.slogdet(a)[1]
-    return GaussianFrame(blocks, frame.momenta, frame.partner, n, float(norm_log),
-                         defect, "schur")
+    return q[:, :L], n * float(np.sum(np.log(np.abs(np.diag(t11))))) + np.linalg.slogdet(a)[1]
+
+
+def _pair_split(t: np.ndarray, q: np.ndarray, phi0: np.ndarray, n: int):
+    """F^n Phi0 exactly, where a 2x2 pair sits alone at the L/L cut in |mu|.
+
+    T is reordered on |mu| into blocks T1 (the top L-1 modes), T2 (the
+    pair) and T3 (the bottom L-1) and decoupled, T = S diag(T1, T2, T3)
+    S^-1, by two Sylvester solves.  With z = S^-1 Q^dag Phi0, G1 the right
+    inverse of z1 and w its null vector, v = z2 w is Phi0's pair component
+    outside the top modes, and
+
+        F^n Phi0 ~ Q S [[1, 0], [E_mid, p], [E_bot, e]]
+        E_mid = T2^n z2 G1 T1^-n,  E_bot = T3^n z3 G1 T1^-n,
+        p = T2^n v / ||T2^n v||,   e = T3^n z3 w / ||T2^n v||,
+
+    every term kept (no convergence assumed).  The loop amplifies rounding
+    on the pair's growing member by r^n, r = |mu_a / mu_b|, so the frame
+    is taken only where eps r^n / (|alpha| / ||v|| r^n + 1) <= _ROUNDING_TOL,
+    alpha being v's component on that member.  None unless the pair is
+    isolated by _ISOLATION_TOL in log|mu| from its neighbours, both
+    reorders and Sylvester solves succeed, sigma_min(z1) > _OVERLAP_TOL ||z||,
+    v != 0, that rounding gate holds and every term is finite.
+    """
+    L = phi0.shape[1]
+    k, m = L - 1, L + 1
+    if k < 1:
+        return None
+    log_mu = np.sort(np.log(np.abs(np.diag(t))))[::-1]
+    if not min(log_mu[k - 1] - log_mu[k], log_mu[L] - log_mu[m]) > _ISOLATION_TOL:
+        return None
+    for cut, count in (((log_mu[L] + log_mu[m]) / 2, m), ((log_mu[k - 1] + log_mu[k]) / 2, k)):
+        select = np.log(np.abs(np.diag(t))) > cut
+        if np.count_nonzero(select) != count:
+            return None
+        t, q, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select, t, q, job="N")
+        if info != 0:
+            return None
+    t1, t2, t3 = t[:k, :k], t[k:m, k:m], t[m:, m:]
+    x1, s1, info1 = scipy.linalg.lapack.ztrsyl(t1, t[k:, k:], -t[:k, k:], isgn=-1)
+    x2, s2, info2 = scipy.linalg.lapack.ztrsyl(t2, t3, -t[k:m, m:], isgn=-1)
+    if info1 != 0 or info2 != 0:
+        return None
+    x1, x2 = x1 / s1, x2 / s2
+    y = q.conj().T @ phi0
+    z = np.vstack([y[:k] - x1 @ y[k:], y[k:m] - x2 @ y[m:], y[m:]])
+    u, sv, vh = np.linalg.svd(z[:k])
+    if not sv[-1] > _OVERLAP_TOL * np.linalg.norm(z, 2):
+        return None
+    g1 = (vh[:k].conj().T / sv) @ u.conj().T
+    w = vh[k].conj()
+    v = z[k:m] @ w
+    (mu_a, tau), mu_b = t2[0], t2[1, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_b = tau / (mu_b - mu_a)  # T2 [r_b, 1] = mu_b [r_b, 1]
+        alpha = v[0] - v[1] * r_b if abs(mu_a) >= abs(mu_b) else v[1] * np.hypot(1.0, abs(r_b))
+        decay = np.exp(-n * abs(np.log(abs(mu_a / mu_b))))
+        if not abs(alpha) / np.linalg.norm(v) + decay >= np.finfo(float).eps / _ROUNDING_TOL:
+            return None
+    p2, log2 = _scaled_power(t2, n)
+    p1, log1 = _scaled_power(scipy.linalg.solve_triangular(t1, np.eye(k)), n)
+    p3, log3 = _scaled_power(t3, n)
+    pv = p2 @ v
+    norm_pv = np.linalg.norm(pv)
+    log_pair = log2 + np.log(norm_pv)
+    zg = z[k:] @ g1
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        coords = np.block([
+            [np.eye(k), np.zeros((k, 1))],
+            [np.exp(log2 + log1) * (p2 @ zg[:2] @ p1), (pv / norm_pv)[:, None]],
+            [np.exp(log3 + log1) * (p3 @ zg[2:] @ p1),
+             np.exp(log3 - log_pair) * (p3 @ z[m:] @ w)[:, None]]])
+    if not np.all(np.isfinite(coords)):
+        return None
+    coords[k:m] += x2 @ coords[m:]
+    coords[:k] += x1 @ coords[k:]
+    log_scale = n * float(np.sum(np.log(np.abs(np.diag(t1))))) + log_pair + np.sum(np.log(sv))
+    return q @ coords, log_scale
 
 
 def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig,
@@ -340,9 +441,11 @@ def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchCon
     This is the one stroboscopic loop: ``observe(frame)``, when given, is
     called with the frame after every period.  Without an observer the
     frame is first sought directly, from one ordered Schur factorization
-    of the frame map (``_dominant_frame``); it is returned, with
-    ``route == "schur"``, only where it provably equals the loop's frame.
-    Otherwise the loop runs.  From a state invariant under two-site
+    of the frame map (``_dominant_frame``): the span of the L modes with
+    |mu| > 1 where the frame has converged to it, else the exact n-period
+    frame where one edge pair sits alone at that L/L cut.  It is returned,
+    with ``route == "schur"``, only where it provably equals the loop's
+    frame.  Otherwise the loop runs.  From a state invariant under two-site
     translation (z-basis occupations of period 2) on a pbc-even chain with
     L divisible by 4 it steps one 4x2 block per momentum (``route ==
     "momentum"``); elsewhere it steps the one-cell frame with

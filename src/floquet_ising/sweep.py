@@ -137,12 +137,14 @@ def task_steady_entropy(cfg):
 
 @_task("tee", L=48, n_periods=300)
 def task_tee(cfg):
-    """S_top of the four-quarter partition; the chain is always open."""
+    """S_top of the four-quarter partition, and the route the steady-state
+    frame took; the chain is always open."""
     params, lat, quench = model_from_config({**cfg, "bc": "obc"})
     frame = gaussian.run_to_steady_state(params, lat, quench)
     result = entanglement.tee(gaussian.correlation_from_frame(frame),
                               TeePartition.quarters(lat.L), lat)
-    return [{"L": lat.L, "beta_J": cfg.get("beta_J", 0.0), "S_top": result.s_top}]
+    return [{"L": lat.L, "beta_J": cfg.get("beta_J", 0.0), "S_top": result.s_top,
+             "route": frame.route}]
 
 
 @_task("spin-quench", L=12, bc="obc", initial_state="x-down", n_periods=100)

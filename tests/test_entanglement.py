@@ -309,6 +309,80 @@ def test_collapse_disjoint_windows_error():
                        nu_grid=np.array([1.0]), refinements=0)
 
 
+def _collapse_cost_loop(curves, beta0, nu):
+    """Reference collapse cost at one (beta0, nu), sample by sample with
+    np.interp; None where the rescaled curves share no window."""
+    rescaled = [((np.asarray(b) - beta0) * L ** nu, np.asarray(v)) for L, (b, v) in curves.items()]
+    lo = max(x.min() for x, _ in rescaled)
+    hi = min(x.max() for x, _ in rescaled)
+    if hi <= lo:
+        return None
+    total, count = 0.0, 0
+    for i, (xi, vi) in enumerate(rescaled):
+        sel = (xi >= lo) & (xi <= hi)
+        for j, (xj, vj) in enumerate(rescaled):
+            if i != j and np.any(sel):
+                total += float(np.sum((vi[sel] - np.interp(xi[sel], xj, vj)) ** 2))
+                count += int(sel.sum())
+    return total / count if count else None
+
+
+def _tee_collapse_loop(curves, refinements=2):
+    """Reference grid search: one cost per grid point, scanned beta0-major,
+    ties toward smaller nu."""
+    betas = np.concatenate([np.asarray(b) for b, _ in curves.values()])
+    b0s, nus = np.linspace(betas.min(), betas.max(), 41), np.linspace(0.3, 2.0, 35)
+    best = None
+    for _ in range(refinements + 1):
+        for b0 in b0s:
+            for nu in nus:
+                cost = _collapse_cost_loop(curves, float(b0), float(nu))
+                if cost is not None and (best is None or (cost, nu) < (best[0], best[2])):
+                    best = (cost, float(b0), float(nu))
+        db, dn = b0s[1] - b0s[0], nus[1] - nus[0]
+        b0s = np.linspace(best[1] - db, best[1] + db, 21)
+        nus = np.linspace(max(0.05, best[2] - dn), best[2] + dn, 21)
+    return best
+
+
+def _noisy_curves(seed):
+    rng = np.random.default_rng(seed)
+    sizes = tuple(sorted(rng.choice([8, 12, 16, 24, 32, 48, 64], size=rng.integers(3, 5),
+                                    replace=False)))
+    curves = _synthetic_curves(rng.uniform(-0.5, -0.1), rng.uniform(0.5, 1.5), sizes,
+                               int(rng.integers(5, 30)))
+    return {L: (b, v + rng.uniform(0, 0.05) * rng.standard_normal(len(v)))
+            for L, (b, v) in curves.items()}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_collapse_costs_equal_the_per_point_loop(seed):
+    curves = _noisy_curves(seed)
+    b0s, nus = np.linspace(-0.6, 0.0, 13), np.linspace(0.3, 2.0, 9)
+    cost, valid = E._collapse_costs(curves, b0s, nus)
+    for ib, b0 in enumerate(b0s):
+        for inu, nu in enumerate(nus):
+            ref = _collapse_cost_loop(curves, float(b0), float(nu))
+            assert valid[ib, inu] == (ref is not None)
+            if ref is not None:
+                assert cost[ib, inu] == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_collapse_equals_the_per_point_search(seed):
+    curves = _noisy_curves(seed)
+    res, (cost, b0, nu) = E.tee_collapse(curves), _tee_collapse_loop(curves)
+    assert (res.beta_J0, res.nu) == (b0, nu)
+    assert res.collapse_residual == pytest.approx(cost, rel=1e-12)
+
+
+def test_collapse_ties_break_toward_smaller_nu():
+    flat = {L: (np.linspace(-0.4, -0.2, 11), np.zeros(11)) for L in (24, 32, 48)}
+    res = E.tee_collapse(flat)
+    assert res.collapse_residual == 0.0
+    assert (res.beta_J0, res.nu) == _tee_collapse_loop(flat)[1:]
+
+
 def test_mutual_information_matches_dense_at_volume_point():
     p = P.make_params(0.2, -0.1, 0.2, 0.1)  # volume-law line
     frame, psi, lat = evolved_state(8, p, 30)

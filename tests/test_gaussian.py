@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import scipy.linalg
 from scipy.linalg import expm
 
 from floquet_ising import ed, entanglement, gaussian, params as P, spectral
@@ -313,10 +314,10 @@ def _dense_frames(p, lat, quench):
     return frames
 
 
-def _direct_and_loop(p, lat, n_periods):
+def _direct_and_loop(p, lat, n_periods, state="neel-fermion"):
     """run_to_steady_state as called (direct route allowed) and the dense
-    loop built explicitly."""
-    quench = P.QuenchConfig(P.named_state("neel-fermion", lat.L), n_periods=n_periods)
+    loop built explicitly, from the named initial state."""
+    quench = P.QuenchConfig(P.named_state(state, lat.L), n_periods=n_periods)
     return gaussian.run_to_steady_state(p, lat, quench), _dense_frames(p, lat, quench)[-1]
 
 
@@ -328,16 +329,7 @@ def _assert_same_steady_state(direct, loop):
     assert direct.period_count == loop.period_count
 
 
-_NONUNITARY_BETA = st.floats(0.05, 1.0) | st.floats(-1.0, -0.05)
-
-
-@settings(max_examples=60)
-@given(st.integers(2, 24), st.sampled_from(["pbc-even", "pbc-odd", "obc"]),
-       st.tuples(st.floats(-np.pi, np.pi), _NONUNITARY_BETA,
-                 st.floats(-np.pi, np.pi), _NONUNITARY_BETA),
-       st.integers(1, 400))
-def test_direct_steady_state_equals_loop_random_couplings(L, bc, couplings, n_periods):
-    direct, loop = _direct_and_loop(P.ModelParams(*couplings), P.lattice(L, bc), n_periods)
+def _assert_equal_or_fell_back(direct, loop):
     assert loop.route == "loop"
     if direct.route in ("schur", "momentum"):
         _assert_same_steady_state(direct, loop)
@@ -346,9 +338,38 @@ def test_direct_steady_state_equals_loop_random_couplings(L, bc, couplings, n_pe
         assert np.array_equal(direct.phi, loop.phi)
 
 
+_NONUNITARY_BETA = st.floats(0.05, 1.0) | st.floats(-1.0, -0.05)
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 24), st.sampled_from(["pbc-even", "pbc-odd", "obc"]),
+       st.tuples(st.floats(-np.pi, np.pi), _NONUNITARY_BETA,
+                 st.floats(-np.pi, np.pi), _NONUNITARY_BETA),
+       st.integers(1, 400), st.sampled_from(["neel-fermion", "all-up", "all-down"]))
+def test_direct_steady_state_equals_loop_random_couplings(L, bc, couplings, n_periods, state):
+    _assert_equal_or_fell_back(*_direct_and_loop(P.ModelParams(*couplings), P.lattice(L, bc),
+                                                 n_periods, state))
+
+
+@pytest.mark.parametrize("couplings, L, bc, n_periods, state", [
+    # the initial frame spans an invariant pair without the growing member
+    ((1.1854482579045473, -0.5888206257022658, 1.1288586067985533, -0.47657483126141276),
+     2, "pbc-odd", 174, "all-up"),
+    # the 0 and pi edge pairs both sit at |mu| ~ 1
+    ((1.6315447150408646, 0.22045633876886986, -0.9514622862649302, -0.06916727753450067),
+     14, "obc", 141, "all-down"),
+    # the initial frame lies in the decaying L/L subspace: a is of rounding
+    # size, yet its singular value ratio is O(1)
+    ((2.8613222614987572, 0.4772190346395886, -0.10373702295586584, -0.8070067389110737),
+     2, "pbc-odd", 141, "all-down"),
+])
+def test_direct_steady_state_edge_cases_equal_loop_or_fall_back(couplings, L, bc,
+                                                                n_periods, state):
+    _assert_equal_or_fell_back(*_direct_and_loop(P.ModelParams(*couplings), P.lattice(L, bc),
+                                                 n_periods, state))
+
+
 @pytest.mark.parametrize("couplings, L, bc, n_periods", [
-    # Neel has no component on the dominant subspace (sigma_min(a) ~ 1e-14)
-    ((0.2, -0.40, 0.2, -0.3), 24, "obc", 300),
     # volume-law point: the |mu| spectrum has no L/L split (gap ~ 2e-16)
     ((0.2, -0.1, 0.2, 0.1), 24, "pbc-even", 300),
     # too short for the frame to have reached the dominant subspace
@@ -367,11 +388,42 @@ def test_direct_steady_state_falls_back_to_loop(couplings, L, bc, n_periods):
 @pytest.mark.parametrize("couplings, L, bc, n_periods", [
     ((0.0, 0.4, 0.0, 0.4), 100, "pbc-even", 900),   # criterion-8 chord fit
     ((0.2, -0.05, 0.2, -0.3), 48, "obc", 300),      # deep trivial TEE point
+    # Neel has no component on the growing edge-pair member (sigma_min(a)
+    # ~ 1e-14 at the L/L cut); the pair split carries the pair exactly
+    ((0.2, -0.40, 0.2, -0.3), 24, "obc", 300),
 ])
 def test_direct_steady_state_taken_where_converged(couplings, L, bc, n_periods):
     direct, loop = _direct_and_loop(P.make_params(*couplings), P.lattice(L, bc), n_periods)
     assert direct.route == "schur"
     _assert_same_steady_state(direct, loop)
+
+
+def _cut_split_hits(p, lat, n_periods):
+    """Whether the L/L split alone certifies the n-period Neel frame."""
+    kicks = spectral.build_kick_forms(p, lat)
+    f = kicks.coupling_form.kick(spectral.kick_exponential(kicks.field_form, -1.0), -1.0)
+    t, q, sdim = scipy.linalg.schur(f, output="complex", sort="ouc")
+    phi0 = gaussian.initial_frame(P.named_state("neel-fermion", lat.L), lat).blocks[0]
+    return sdim == lat.L and gaussian._cut_split(t, q, phi0, n_periods) is not None
+
+
+def test_tee_row_steady_states_all_direct():
+    """The steady-final TEE row at L = 24 and 32: every point takes the
+    direct route and equals the dense loop.  The row holds both kinds of
+    L/L misses: overlap misses, which no run length cures, and distance
+    misses, where the edge pair has not converged after 300 periods but
+    has after 3000."""
+    kinds = []
+    for L in (24, 32):
+        lat = P.lattice(L, "obc")
+        for bj in np.linspace(-0.40, -0.20, 11):
+            p = P.make_params(0.2, bj, 0.2, -0.3)
+            direct, loop = _direct_and_loop(p, lat, 300)
+            assert direct.route == "schur"
+            _assert_same_steady_state(direct, loop)
+            if not _cut_split_hits(p, lat, 300):
+                kinds.append("distance" if _cut_split_hits(p, lat, 3000) else "overlap")
+    assert sorted(kinds) == ["distance"] + ["overlap"] * 7
 
 
 # --------------------------------------------------------------------------

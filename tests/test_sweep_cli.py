@@ -253,6 +253,20 @@ def test_cli_tee_rejects_k_field(tmp_path, K, rc):
     assert cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path), "tee"]) == rc
 
 
+def test_cli_tee_reports_the_route_of_every_point(tmp_path):
+    cfgfile = tmp_path / "tee.cfg"
+    cfgfile.write_text("alpha_J = 0.2\nalpha_h = 0.2\nbeta_h = -0.3\nn_periods = 40\n"
+                       "tee_sizes = 8,12,16\ntee_beta_j = -0.4,-0.2,5\n")
+    assert cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path), "tee"]) == 0
+    routes = [gaussian.run_to_steady_state(
+                  P.make_params(0.2, bj, 0.2, -0.3), P.lattice(L, "obc"),
+                  P.QuenchConfig(P.named_state("neel-fermion", L), n_periods=40)).route
+              for L in (8, 12, 16) for bj in np.linspace(-0.4, -0.2, 5)]
+    fit = json.loads((tmp_path / "tee_collapse.json").read_text())
+    assert fit["routes"] == {"schur": routes.count("schur"), "loop": routes.count("loop")}
+    assert sum(fit["routes"].values()) == 15
+
+
 def _config_keys_read(module):
     """String keys read by ``cfg.get``, ``_required(cfg, ...)`` or ``cfg[...]``."""
     keys = set()
