@@ -43,7 +43,6 @@ from .spectral import (KickForms, build_kick_forms, cell_momenta,
 
 _ISO_TOL = 1e-13
 _RANK_TOL = 1e-13
-_DIRECT_TOL = 1e-10
 _OVERLAP_TOL = 1e-10
 _ISOLATION_TOL = 1e-6
 _ROUNDING_TOL = 1e-12
@@ -270,11 +269,19 @@ class EntropyTrace:
         return float(self.entropy[horizon - 1] / (2.0 * horizon))
 
 
+def _flush(a: np.ndarray) -> np.ndarray:
+    """``a`` with its subnormal parts set to zero, in place: they change no
+    product at working precision, but slow every BLAS call they enter."""
+    for part in (a.real, a.imag):
+        part[np.abs(part) < np.finfo(float).tiny] = 0.0
+    return a
+
+
 def _scaled_power(t: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     """t**n = exp(log_s) m as (m, log_s), by repeated squaring with every
     product rescaled to unit largest entry, so nothing overflows."""
     def rescale(m, log_s):
-        s = np.abs(m).max()
+        s = np.abs(m).max(initial=0.0)
         return (m / s, log_s + np.log(s)) if s > 0 else (m, log_s)
 
     out, log_out = np.eye(len(t), dtype=complex), 0.0
@@ -290,27 +297,22 @@ def _scaled_power(t: np.ndarray, n: int) -> tuple[np.ndarray, float]:
 
 def _dominant_frame(kicks: KickForms, frame: GaussianFrame, n: int) -> GaussianFrame | None:
     """The n-period frame from the one-cell ``frame`` Phi0, taken from the
-    dominant invariant subspaces of the frame map F = Q T Q^dag (complex
-    Schur, ordered on |mu| > 1), or None unless it provably equals the
-    loop's frame.
+    Schur form F = Q T Q^dag of the frame map, or None unless it provably
+    equals the loop's frame.  T is ordered on |mu| > 1, so that where L
+    modes lie outside the unit circle the L/L split reorders nothing.
 
-    Two splits of the spectrum are tried, the second only where the first
-    misses: ``_cut_split`` (the L/L split across the unit circle, converged
-    to its span) and ``_pair_split`` (an isolated edge pair straddling the
-    L/L cut, carried exactly).  Each gives the unnormalized n-period frame
-    and the log-magnitude it dropped; the frame's QR adds the rest, so
-    ``norm_log`` is the loop's.
+    ``_split`` is tried with an empty middle block (the L/L split) and,
+    where that misses, with an edge pair straddling the L/L cut.  Either
+    gives the unnormalized n-period frame and the log-magnitude it dropped;
+    the frame's QR adds the rest, so ``norm_log`` is the loop's.
     """
-    L = frame.blocks.shape[2]
     f = kicks.coupling_form.kick(kick_exponential(kicks.field_form, -1.0), -1.0)
     try:
-        t, q, sdim = scipy.linalg.schur(f, output="complex", sort="ouc")
+        t, q, _ = scipy.linalg.schur(f, output="complex", sort="ouc")
     except np.linalg.LinAlgError:  # eigenvalues too close to reorder
         return None
     phi0 = frame.blocks[0]
-    found = _cut_split(t, q, phi0, n) if sdim == L else None
-    if found is None:
-        found = _pair_split(t, q, phi0, n)
+    found = _split(t, q, phi0, n, 0) or _split(t, q, phi0, n, 2)
     if found is None:
         return None
     phi, log_scale = found
@@ -319,119 +321,94 @@ def _dominant_frame(kicks: KickForms, frame: GaussianFrame, n: int) -> GaussianF
                          defect, "schur")
 
 
-def _cut_split(t: np.ndarray, q: np.ndarray, phi0: np.ndarray, n: int):
-    """The span Q1 of the L modes with |mu| > 1, where F^n Phi0 has converged
-    to it.
-
-    With T = [[T11, T12], [0, T22]] and T11 X - X T22 = -T12, the exact
-    frame F^n Phi0 spans Q [1 + X E; E], E = T22^n y2 a^-1 T11^-n, where
-    y = Q^dag Phi0 and a = y1 - X y2.  Q1 is returned when a is well
-    conditioned, sigma_min(a) > _OVERLAP_TOL max(sigma_max(a), 1), and the
-    measured distance ||E (1 + X E)^-1|| from it is at most _DIRECT_TOL.
-    The unit floor matters: y has orthonormal columns, and a Phi0 inside
-    the decaying subspace leaves an a of rounding size whose singular value
-    ratio may still be O(1).  None when the Sylvester solve fails, Phi0 has
-    (nearly) no component on the dominant subspace, or E is not small and
-    finite.
-    """
-    L = phi0.shape[1]
-    t11, t22 = t[:L, :L], t[L:, L:]
-    x, scale, info = scipy.linalg.lapack.ztrsyl(t11, t22, -t[:L, L:], isgn=-1)
-    if info != 0:  # T11 and T22 share (nearly) an eigenvalue
-        return None
-    x /= scale
-    y = q.conj().T @ phi0
-    a = y[:L] - x @ y[L:]
-    sv = np.linalg.svd(a, compute_uv=False)
-    if not sv[-1] > _OVERLAP_TOL * max(sv[0], 1.0):
-        return None
-    p22, log22 = _scaled_power(t22, n)
-    p11, log11 = _scaled_power(scipy.linalg.solve_triangular(t11, np.eye(L)), n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = np.exp(log22 + log11) * (p22 @ np.linalg.solve(a.T, y[L:].T).T @ p11)
-    if not np.all(np.isfinite(e)):
-        return None
-    dist = np.linalg.norm(np.linalg.solve((np.eye(L) + x @ e).T, e.T))
-    if not dist <= _DIRECT_TOL:
-        return None
-    return q[:, :L], n * float(np.sum(np.log(np.abs(np.diag(t11))))) + np.linalg.slogdet(a)[1]
+def _sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray | None:
+    """X with a X - X b = -c for upper-triangular a and b, or None where they
+    (nearly) share an eigenvalue.  ``ztrsyl`` rejects empty blocks."""
+    if not a.size:
+        return np.zeros(c.shape, dtype=complex)
+    x, scale, info = scipy.linalg.lapack.ztrsyl(a, b, -c, isgn=-1)
+    return x / scale if info == 0 else None
 
 
-def _pair_split(t: np.ndarray, q: np.ndarray, phi0: np.ndarray, n: int):
-    """F^n Phi0 exactly, where a 2x2 pair sits alone at the L/L cut in |mu|.
+def _split(t: np.ndarray, q: np.ndarray, phi0: np.ndarray, n: int, m: int):
+    """F^n Phi0 exactly, with T split on |mu| into the top k = L - m/2
+    modes, a middle block of m modes straddling the L/L cut and the bottom
+    k modes.
 
-    T is reordered on |mu| into blocks T1 (the top L-1 modes), T2 (the
-    pair) and T3 (the bottom L-1) and decoupled, T = S diag(T1, T2, T3)
-    S^-1, by two Sylvester solves.  With z = S^-1 Q^dag Phi0, G1 the right
-    inverse of z1 and w its null vector, v = z2 w is Phi0's pair component
-    outside the top modes, and
+    T is reordered into blocks T1, T2, T3 and decoupled, T = S diag(T1, T2,
+    T3) S^-1, by two Sylvester solves.  With z = S^-1 Q^dag Phi0, G1 a
+    right inverse of z1 and W an orthonormal basis of its null space, and
+    T2^n z2 W = P R (QR),
 
-        F^n Phi0 ~ Q S [[1, 0], [E_mid, p], [E_bot, e]]
+        F^n Phi0 ~ Q S [[1, 0], [E_mid, P], [E_bot, T3^n z3 W R^-1]]
         E_mid = T2^n z2 G1 T1^-n,  E_bot = T3^n z3 G1 T1^-n,
-        p = T2^n v / ||T2^n v||,   e = T3^n z3 w / ||T2^n v||,
 
-    every term kept (no convergence assumed).  The loop amplifies rounding
-    on the pair's growing member by r^n, r = |mu_a / mu_b|, so the frame
-    is taken only where eps r^n / (|alpha| / ||v|| r^n + 1) <= _ROUNDING_TOL,
-    alpha being v's component on that member.  None unless the pair is
-    isolated by _ISOLATION_TOL in log|mu| from its neighbours, both
-    reorders and Sylvester solves succeed, sigma_min(z1) > _OVERLAP_TOL ||z||,
-    v != 0, that rounding gate holds and every term is finite.
+    every term kept (no convergence assumed).  m = 0 is the L/L split,
+    F^n Phi0 ~ Q S [1; E_bot]; m = 2 carries an edge pair at |mu| ~ 1.
+    Returns the frame and the log-magnitude dropped from it, or None unless
+
+    - a middle block (m > 0) is isolated by _ISOLATION_TOL in log|mu|
+      from its neighbours, and the reorders and Sylvester solves succeed;
+    - sigma_min(z1) > _OVERLAP_TOL max(sigma_max(z1), 1).  The unit floor
+      matters: y = Q^dag Phi0 has orthonormal columns, and a Phi0 inside
+      the decaying subspace leaves a z1 of rounding size whose singular
+      value ratio may still be O(1);
+    - the loop's rounding on the middle block, amplified like T2^n, stays
+      below _ROUNDING_TOL of the smallest middle column:
+      eps ||T2^n|| ||z2 W|| < _ROUNDING_TOL sigma_min(T2^n z2 W);
+    - every term is finite and |E_mid|, |E_bot| <= 1.  Far above that
+      bound the exact frame leaves the loop (by 1e-9 at |E| ~ 1e8), and a
+      60-digit evolution sides with the loop.
     """
     L = phi0.shape[1]
-    k, m = L - 1, L + 1
-    if k < 1:
-        return None
+    k, b = L - m // 2, L + m // 2
     log_mu = np.sort(np.log(np.abs(np.diag(t))))[::-1]
-    if not min(log_mu[k - 1] - log_mu[k], log_mu[L] - log_mu[m]) > _ISOLATION_TOL:
+    if m and not min(log_mu[k - 1] - log_mu[k], log_mu[b - 1] - log_mu[b]) > _ISOLATION_TOL:
         return None
-    for cut, count in (((log_mu[L] + log_mu[m]) / 2, m), ((log_mu[k - 1] + log_mu[k]) / 2, k)):
-        select = np.log(np.abs(np.diag(t))) > cut
+    for count in sorted({b, k}, reverse=True):
+        select = np.log(np.abs(np.diag(t))) > (log_mu[count - 1] + log_mu[count]) / 2
         if np.count_nonzero(select) != count:
             return None
         t, q, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select, t, q, job="N")
         if info != 0:
             return None
-    t1, t2, t3 = t[:k, :k], t[k:m, k:m], t[m:, m:]
-    x1, s1, info1 = scipy.linalg.lapack.ztrsyl(t1, t[k:, k:], -t[:k, k:], isgn=-1)
-    x2, s2, info2 = scipy.linalg.lapack.ztrsyl(t2, t3, -t[k:m, m:], isgn=-1)
-    if info1 != 0 or info2 != 0:
+    t1, t2, t3 = t[:k, :k], t[k:b, k:b], t[b:, b:]
+    x1, x2 = _sylvester(t1, t[k:, k:], t[:k, k:]), _sylvester(t2, t3, t[k:b, b:])
+    if x1 is None or x2 is None:
         return None
-    x1, x2 = x1 / s1, x2 / s2
     y = q.conj().T @ phi0
-    z = np.vstack([y[:k] - x1 @ y[k:], y[k:m] - x2 @ y[m:], y[m:]])
-    u, sv, vh = np.linalg.svd(z[:k])
-    if not sv[-1] > _OVERLAP_TOL * np.linalg.norm(z, 2):
+    z = np.vstack([y[:k] - x1 @ y[k:], y[k:b] - x2 @ y[b:], y[b:]])
+    qz, rz = np.linalg.qr(z[:k].conj().T, mode="complete")  # z1 = rz^dag qz[:, :k]^dag
+    rz = rz[:k]
+    sv = np.linalg.svd(rz, compute_uv=False)
+    if not sv[-1] > _OVERLAP_TOL * max(sv[0], 1.0):
         return None
-    g1 = (vh[:k].conj().T / sv) @ u.conj().T
-    w = vh[k].conj()
-    v = z[k:m] @ w
-    (mu_a, tau), mu_b = t2[0], t2[1, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r_b = tau / (mu_b - mu_a)  # T2 [r_b, 1] = mu_b [r_b, 1]
-        alpha = v[0] - v[1] * r_b if abs(mu_a) >= abs(mu_b) else v[1] * np.hypot(1.0, abs(r_b))
-        decay = np.exp(-n * abs(np.log(abs(mu_a / mu_b))))
-        if not abs(alpha) / np.linalg.norm(v) + decay >= np.finfo(float).eps / _ROUNDING_TOL:
-            return None
-    p2, log2 = _scaled_power(t2, n)
+    w = qz[:, k:]
     p1, log1 = _scaled_power(scipy.linalg.solve_triangular(t1, np.eye(k)), n)
+    p2, log2 = _scaled_power(t2, n)
     p3, log3 = _scaled_power(t3, n)
-    pv = p2 @ v
-    norm_pv = np.linalg.norm(pv)
-    log_pair = log2 + np.log(norm_pv)
-    zg = z[k:] @ g1
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        coords = np.block([
-            [np.eye(k), np.zeros((k, 1))],
-            [np.exp(log2 + log1) * (p2 @ zg[:2] @ p1), (pv / norm_pv)[:, None]],
-            [np.exp(log3 + log1) * (p3 @ zg[2:] @ p1),
-             np.exp(log3 - log_pair) * (p3 @ z[m:] @ w)[:, None]]])
-    if not np.all(np.isfinite(coords)):
+    v = z[k:b] @ w
+    pair, r = np.linalg.qr(p2 @ v)
+    sv_pair = np.linalg.svd(r, compute_uv=False)
+    if not (np.finfo(float).eps * np.linalg.norm(p2, 2) * np.linalg.norm(v, 2)
+            < _ROUNDING_TOL * sv_pair.min(initial=np.inf)):
         return None
-    coords[k:m] += x2 @ coords[m:]
+    # z[k:] G1 with G1 = qz[:, :k] rz^-dag
+    zg = scipy.linalg.solve_triangular(rz, (z[k:] @ qz[:, :k]).conj().T).conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        coords = np.block([
+            [np.eye(k), np.zeros((k, m // 2))],
+            [np.exp(log2 + log1) * (p2 @ zg[:m] @ p1), pair],
+            [np.exp(log3 + log1) * (p3 @ zg[m:] @ p1),
+             np.exp(log3 - log2) * (p3 @ np.linalg.solve(r.T, (z[b:] @ w).T).T)]])
+    if not (np.all(np.isfinite(coords)) and np.abs(coords[k:, :k]).max() <= 1.0):
+        return None
+    _flush(coords)
+    coords[k:b] += x2 @ coords[b:]
     coords[:k] += x1 @ coords[k:]
-    log_scale = n * float(np.sum(np.log(np.abs(np.diag(t1))))) + log_pair + np.sum(np.log(sv))
-    return q @ coords, log_scale
+    log_scale = (n * float(np.sum(np.log(np.abs(np.diag(t1))))) + np.sum(np.log(sv))
+                 + m // 2 * log2 + np.sum(np.log(sv_pair)))
+    return q @ _flush(coords), log_scale
 
 
 def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig,
@@ -441,11 +418,11 @@ def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchCon
     This is the one stroboscopic loop: ``observe(frame)``, when given, is
     called with the frame after every period.  Without an observer the
     frame is first sought directly, from one ordered Schur factorization
-    of the frame map (``_dominant_frame``): the span of the L modes with
-    |mu| > 1 where the frame has converged to it, else the exact n-period
-    frame where one edge pair sits alone at that L/L cut.  It is returned,
-    with ``route == "schur"``, only where it provably equals the loop's
-    frame.  Otherwise the loop runs.  From a state invariant under two-site
+    of the frame map (``_dominant_frame``): the exact n-period frame from
+    the split of its spectrum at the L/L cut, else from the split that
+    carries one edge pair straddling that cut.  It is returned, with
+    ``route == "schur"``, only where it provably equals the loop's frame.
+    Otherwise the loop runs.  From a state invariant under two-site
     translation (z-basis occupations of period 2) on a pbc-even chain with
     L divisible by 4 it steps one 4x2 block per momentum (``route ==
     "momentum"``); elsewhere it steps the one-cell frame with

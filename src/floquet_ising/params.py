@@ -82,8 +82,6 @@ class ModelParams:
 def make_params(alpha_J, beta_J, alpha_h, beta_h, units="pi4") -> ModelParams:
     """Build ModelParams, converting from pi/4 units unless units="rad"."""
     vals = (alpha_J, beta_J, alpha_h, beta_h)
-    if not all(math.isfinite(v) for v in vals):
-        raise ValidationError(f"couplings must be finite, got {vals}")
     if units == "pi4":
         vals = tuple(v * PI4 for v in vals)
     elif units != "rad":

@@ -362,6 +362,13 @@ def test_direct_steady_state_equals_loop_random_couplings(L, bc, couplings, n_pe
     # size, yet its singular value ratio is O(1)
     ((2.8613222614987572, 0.4772190346395886, -0.10373702295586584, -0.8070067389110737),
      2, "pbc-odd", 141, "all-down"),
+    # L/L coordinates |E| ~ 5e7 and 1e8: without the bound on them the L/L
+    # frame is 1.0e-9 and 2.6e-9 off a 60-digit evolution, the loop 1.0e-14
+    # and 8.5e-14; the pair split takes both
+    ((1.336498736946278, -0.4050314463735682, 1.715984568067877, 0.3917689750388441),
+     11, "obc", 319, "all-down"),
+    ((-1.7056810533761728, -0.39470136260284566, -1.3424830854838075, -0.9621410710147132),
+     16, "obc", 286, "all-up"),
 ])
 def test_direct_steady_state_edge_cases_equal_loop_or_fall_back(couplings, L, bc,
                                                                 n_periods, state):
@@ -372,8 +379,6 @@ def test_direct_steady_state_edge_cases_equal_loop_or_fall_back(couplings, L, bc
 @pytest.mark.parametrize("couplings, L, bc, n_periods", [
     # volume-law point: the |mu| spectrum has no L/L split (gap ~ 2e-16)
     ((0.2, -0.1, 0.2, 0.1), 24, "pbc-even", 300),
-    # too short for the frame to have reached the dominant subspace
-    ((0.0, 0.4, 0.0, 0.4), 24, "pbc-even", 2),
 ])
 def test_direct_steady_state_falls_back_to_loop(couplings, L, bc, n_periods):
     direct, loop = _direct_and_loop(P.make_params(*couplings), P.lattice(L, bc), n_periods)
@@ -391,6 +396,8 @@ def test_direct_steady_state_falls_back_to_loop(couplings, L, bc, n_periods):
     # Neel has no component on the growing edge-pair member (sigma_min(a)
     # ~ 1e-14 at the L/L cut); the pair split carries the pair exactly
     ((0.2, -0.40, 0.2, -0.3), 24, "obc", 300),
+    # two periods: far from the dominant subspace, yet the L/L split is exact
+    ((0.0, 0.4, 0.0, 0.4), 24, "pbc-even", 2),
 ])
 def test_direct_steady_state_taken_where_converged(couplings, L, bc, n_periods):
     direct, loop = _direct_and_loop(P.make_params(*couplings), P.lattice(L, bc), n_periods)
@@ -399,21 +406,23 @@ def test_direct_steady_state_taken_where_converged(couplings, L, bc, n_periods):
 
 
 def _cut_split_hits(p, lat, n_periods):
-    """Whether the L/L split alone certifies the n-period Neel frame."""
+    """Whether the L/L split (no middle block) certifies the n-period Neel
+    frame."""
     kicks = spectral.build_kick_forms(p, lat)
     f = kicks.coupling_form.kick(spectral.kick_exponential(kicks.field_form, -1.0), -1.0)
-    t, q, sdim = scipy.linalg.schur(f, output="complex", sort="ouc")
+    t, q, _ = scipy.linalg.schur(f, output="complex", sort="ouc")
     phi0 = gaussian.initial_frame(P.named_state("neel-fermion", lat.L), lat).blocks[0]
-    return sdim == lat.L and gaussian._cut_split(t, q, phi0, n_periods) is not None
+    return gaussian._split(t, q, phi0, n_periods, 0) is not None
 
 
 def test_tee_row_steady_states_all_direct():
     """The steady-final TEE row at L = 24 and 32: every point takes the
-    direct route and equals the dense loop.  The row holds both kinds of
-    L/L misses: overlap misses, which no run length cures, and distance
-    misses, where the edge pair has not converged after 300 periods but
-    has after 3000."""
-    kinds = []
+    direct route and equals the dense loop.  The row needs both splits: 7
+    points miss the L/L split on overlap, which no run length cures, and
+    the pair split carries them.  The L/L split needs no convergence: at
+    L = 32, beta_J = -0.32 it takes the 300-period frame, still 3.8e-10
+    from the dominant span."""
+    misses = []
     for L in (24, 32):
         lat = P.lattice(L, "obc")
         for bj in np.linspace(-0.40, -0.20, 11):
@@ -422,8 +431,8 @@ def test_tee_row_steady_states_all_direct():
             assert direct.route == "schur"
             _assert_same_steady_state(direct, loop)
             if not _cut_split_hits(p, lat, 300):
-                kinds.append("distance" if _cut_split_hits(p, lat, 3000) else "overlap")
-    assert sorted(kinds) == ["distance"] + ["overlap"] * 7
+                misses.append("run length" if _cut_split_hits(p, lat, 3000) else "overlap")
+    assert misses == ["overlap"] * 7
 
 
 # --------------------------------------------------------------------------

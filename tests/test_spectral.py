@@ -327,13 +327,51 @@ def test_edge_modes_localized_and_real():
         assert m.localization_length < 10.0
 
 
+def _sector_energies_mp(p, lat):
+    """Quasienergies +-i log mu of the open chain from a 40-digit eig
+    of the reflection-sector block B_+ (``build_transfer_matrix``), with
+    the kick angles taken as the double values the kick forms hold."""
+    mpmath = pytest.importorskip("mpmath")
+    forms = S.build_kick_forms(p, lat)
+    n, L = forms.coupling_form.n, lat.L
+    with mpmath.workdps(40):
+        def kick(form, x):
+            c = [mpmath.cos(mpmath.mpc(a)) for a in form.angle]
+            s = [mpmath.sin(mpmath.mpc(a)) for a in form.angle]
+            return [[c[r] * x[r][j] + s[r] * x[form.partner[r]][j] for j in range(L)]
+                    for r in range(n)]
+        basis = [[mpmath.mpc(0)] * L for _ in range(n)]
+        for m in range(L):
+            basis[m][m] = mpmath.mpc(1)
+            basis[n - 1 - m][m] = mpmath.mpc(0, (-1) ** m)
+        b_plus = kick(forms.coupling_form, kick(forms.field_form, basis))[:L]
+        mu = mpmath.eig(mpmath.matrix(b_plus), left=False, right=False)
+        eps = [sign * 1j * mpmath.log(x) for x in mu for sign in (1, -1)]
+    return eps
+
+
 def test_edge_mode_refinement_beats_raw_eig():
-    # raw double-precision eig smears the exponentially small splitting of
-    # this pair to ~1e-5; the cluster refinement must keep it physical
-    p = P.make_params(0.3, -1.0, 0.3, 0.5)
-    rep = S.detect_edge_modes(p, P.lattice(40, "obc"), refine=True)
-    worst = max(abs(m.energy.imag) for m in rep.edge_modes)
-    assert worst < 1e-8
+    # against a 40-digit eig of B_+, the extended-precision refine puts the
+    # edge energies within 1.6e-16 and the raw double eig 8.5e-14 off
+    if np.finfo(np.longdouble).eps == np.finfo(float).eps:
+        pytest.skip("long double is plain double here: the refine gains no digits")
+    p = P.ModelParams(2.005652598123242, 0.2242496452185141,
+                      2.005652598123242, -1.3839106311816078)
+    lat = P.lattice(18, "obc")
+    ref = _sector_energies_mp(p, lat)
+    mpmath = pytest.importorskip("mpmath")
+
+    def worst_error(refine):
+        rep = S.detect_edge_modes(p, lat, refine=refine)
+        assert sorted(m.kind for m in rep.edge_modes) == ["pi", "pi", "zero", "zero"]
+        with mpmath.workdps(40):
+            return float(max(min(abs(m.energy - e - 2 * k * mpmath.pi)
+                                 for e in ref for k in (-1, 0, 1))
+                             for m in rep.edge_modes))
+
+    refined = worst_error(True)
+    assert refined <= 1e-15
+    assert refined < worst_error(False)
 
 
 def test_refined_edge_pair_has_no_cancellation_floor():
