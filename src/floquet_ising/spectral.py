@@ -18,10 +18,11 @@ Conventions
 * Both kicks are odd under the chiral sign Gamma = diag((-1)^m) and the
   mirror P: m -> 2L-1-m, so M commutes with R = Gamma P and splits into
   two L-dimensional reflection sectors.  Gamma swaps them and, in the
-  symmetric time frame, inverts the map (chiral pairing): one L x L eig
-  of the sector R = +i gives every mu, its inverse, and all right
-  eigenvectors.  Left eigenvectors need no second eig: M^T M = 1 makes
-  the left vector of mu the conjugate of the right vector of 1/mu.
+  symmetric time frame, inverts the map (chiral pairing): the eigenvalues
+  of the L x L sector block B_+ (R = +i) give every mu and its inverse, and
+  an eigenvector of B_+ gives the right vectors of both.  Left eigenvectors
+  need no second solve: M^T M = 1 makes the left vector of mu the
+  conjugate of the right vector of 1/mu.
 """
 
 from __future__ import annotations
@@ -139,16 +140,18 @@ def kick_exponential(form: MajoranaQuadraticForm, sign: float = 1.0) -> np.ndarr
 class TransferMatrix:
     """One-period Majorana map M = exp(4W') exp(4W'') with its spectrum.
 
-    ``eigenvalues`` lists the L eigenvalues mu of the reflection sector B_+
-    and then their inverses; column i + L of ``right_eigenvectors`` is the
-    chiral partner of column i (see ``build_transfer_matrix``).  Columns
-    have unit norm.  ``m`` is built only when read.
+    ``eigenvalues`` lists the L eigenvalues mu of the reflection-sector
+    block ``b_plus`` and then their inverses (see ``build_transfer_matrix``).
+    The rest is computed on first read: ``m``, and from one eig of
+    ``b_plus`` the unit ``right_eigenvectors`` (column i + L is the chiral
+    partner of column i), ``left_eigenvectors``, the basis condition
+    ``condition_estimate`` and ``diagonalizable`` (condition below
+    ``cond_cutoff``; both vector sets are None where it is not).
     """
 
     eigenvalues: np.ndarray
-    right_eigenvectors: np.ndarray | None
-    diagonalizable: bool
-    condition_estimate: float
+    b_plus: np.ndarray
+    cond_cutoff: float
     coupling_form: MajoranaQuadraticForm
     field_form: MajoranaQuadraticForm
 
@@ -160,6 +163,35 @@ class TransferMatrix:
     def m(self) -> np.ndarray:
         return self.coupling_form.kick(kick_exponential(self.field_form))
 
+    @cached_property
+    def _basis(self) -> tuple[np.ndarray, float]:
+        """Right eigenvectors from one eig of B_+; their condition number is
+        that of the two L x L coordinate blocks (the sector basis is unitary)."""
+        from scipy.optimize import linear_sum_assignment
+
+        L = self.n // 2
+        try:
+            mu, c = np.linalg.eig(self.b_plus)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+            raise NumericalBreakdown(f"eigendecomposition failed: {exc}") from exc
+        # eig may order (and round) the eigenvalues unlike eigvals
+        c = c[:, linear_sum_assignment(np.abs(self.eigenvalues[:L, None] - mu))[1]]
+        v = _sector_vectors(self.field_form, c)
+        sv = np.linalg.svd(np.stack([c, math.sqrt(2.0) * v[:L, L:]]), compute_uv=False)
+        return v, float(sv.max() / sv.min()) if sv.min() > 0 else np.inf
+
+    @property
+    def condition_estimate(self) -> float:
+        return self._basis[1]
+
+    @property
+    def diagonalizable(self) -> bool:
+        return self.condition_estimate < self.cond_cutoff
+
+    @property
+    def right_eigenvectors(self) -> np.ndarray | None:
+        return self._basis[0] if self.diagonalizable else None
+
     @property
     def left_eigenvectors(self) -> np.ndarray | None:
         """Columns l with l^H M = mu l^H.  M^T M = 1, so l = conj(v) for
@@ -167,6 +199,20 @@ class TransferMatrix:
         if self.right_eigenvectors is None:
             return None
         return np.roll(self.right_eigenvectors, self.n // 2, axis=1).conj()
+
+
+def _sector_vectors(field_form: MajoranaQuadraticForm, c: np.ndarray) -> np.ndarray:
+    """Unit right eigenvectors [v_+, v_-] of M for the unit eigenvectors c
+    (L x k) of B_+: v_+ is c in the sector basis and v_- = Gamma K2 v_+ is
+    the chiral partner with eigenvalue 1/mu."""
+    L = len(c)
+    sign = (-1.0) ** np.arange(2 * L)
+    v_plus = np.empty((2 * L, c.shape[1]), dtype=complex)
+    v_plus[:L] = c / math.sqrt(2.0)
+    v_plus[L:] = (1j * sign[:L, None] * v_plus[:L])[::-1]
+    v_minus = sign[:, None] * field_form.kick(v_plus)
+    v_minus /= np.linalg.norm(v_minus, axis=0)
+    return np.hstack([v_plus, v_minus])
 
 
 def _require_reflection_odd(form: MajoranaQuadraticForm) -> None:
@@ -186,18 +232,19 @@ def _require_reflection_odd(form: MajoranaQuadraticForm) -> None:
 def build_transfer_matrix(coupling_form: MajoranaQuadraticForm,
                           field_form: MajoranaQuadraticForm,
                           cond_cutoff: float = 1e10) -> TransferMatrix:
-    """Spectrum of M = K1 K2 (K1 = exp(4W'), K2 = exp(4W'')) from one L x L eig.
+    """Spectrum of M = K1 K2 (K1 = exp(4W'), K2 = exp(4W'')) from one L x L eigvals.
 
     Both kicks are odd under Gamma and P, so M commutes with R = Gamma P
     (R^2 = -1) and leaves the sector R = +i, with basis
     (e_m + i(-1)^m e_{n-1-m}) / sqrt(2), m < L, invariant.  Without the
     1/sqrt(2) the basis is e_m on rows m < L, so the block B_+ of M is the
-    top L rows of the kicked basis.  Gamma swaps the sectors and inverts
-    the map in the symmetric frame K2^{1/2} K1 K2^{1/2}, so for
-    M v = mu v the vector K2^{-1/2} Gamma K2^{1/2} v = Gamma K2 v has
-    eigenvalue 1/mu.  The eigenvector matrix is the unitary sector basis
-    times the two L x L coordinate blocks, whose singular values give its
-    condition number.
+    top L rows of the kicked basis; it is pentadiagonal, as each bond joins
+    neighbouring rows or (the periodic wrap) a row and its mirror.  Gamma
+    swaps the sectors and inverts the map in the symmetric frame
+    K2^{1/2} K1 K2^{1/2}, so for M v = mu v the vector
+    K2^{-1/2} Gamma K2^{1/2} v = Gamma K2 v has eigenvalue 1/mu.
+    Eigenvectors are read on demand (``TransferMatrix``); ``cond_cutoff`` is
+    the eigen-condition the edge scan tolerates.
     """
     if coupling_form.n != field_form.n:
         raise ValidationError("kick forms must have matching dimension")
@@ -205,34 +252,18 @@ def build_transfer_matrix(coupling_form: MajoranaQuadraticForm,
     _require_reflection_odd(field_form)
     n = coupling_form.n
     L = n // 2
-    sign = (-1.0) ** np.arange(n)
     top = np.arange(L)
-    mirror = n - 1 - top
     basis = np.zeros((n, L), dtype=complex)
     basis[top, top] = 1.0
-    basis[mirror, top] = 1j * sign[:L]
+    basis[n - 1 - top, top] = 1j * (-1.0) ** top
     b_plus = coupling_form.kick(field_form.kick(basis))[:L]
     try:
-        mu, c_plus = np.linalg.eig(b_plus)
+        mu = np.linalg.eigvals(b_plus)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericalBreakdown(f"eigendecomposition failed: {exc}") from exc
-    v_plus = np.empty((n, L), dtype=complex)
-    v_plus[:L] = c_plus / math.sqrt(2.0)
-    v_plus[mirror] = 1j * sign[:L, None] * v_plus[:L]
-    v_minus = sign[:, None] * field_form.kick(v_plus)
-    v_minus /= np.linalg.norm(v_minus, axis=0)
-    sv = np.linalg.svd(np.stack([c_plus, math.sqrt(2.0) * v_minus[:L]]),
-                       compute_uv=False)
-    cond = float(sv.max() / sv.min()) if sv.min() > 0 else np.inf
+        raise NumericalBreakdown(f"eigenvalue solve failed: {exc}") from exc
     with np.errstate(divide="ignore", invalid="ignore"):  # mu underflowed to 0: no partner
         mu = np.concatenate([mu, 1.0 / mu])
-    tm = TransferMatrix(mu, np.hstack([v_plus, v_minus]), cond < cond_cutoff, cond,
-                        coupling_form, field_form)
-    if not tm.diagonalizable:
-        # exceptional point: fall back to Schur values, flagged
-        t, _ = scipy.linalg.schur(tm.m, output="complex")
-        tm.eigenvalues, tm.right_eigenvectors = np.diag(t).copy(), None
-    return tm
+    return TransferMatrix(mu, b_plus, cond_cutoff, coupling_form, field_form)
 
 
 def fold_real_part(re: np.ndarray | float) -> np.ndarray | float:
@@ -382,14 +413,12 @@ class SpectrumReport:
     quasienergies: np.ndarray
     edge_modes: list[EdgeModeRecord]
     boundary_condition: BoundaryCondition
-    diagonalizable: bool = True
     delocalization_warning: bool = False
 
 
 def quasienergies_from_transfer(tm: TransferMatrix,
                                 bc: BoundaryCondition) -> SpectrumReport:
-    return SpectrumReport(quasienergies_from_eigenvalues(tm.eigenvalues), [], bc,
-                          tm.diagonalizable)
+    return SpectrumReport(quasienergies_from_eigenvalues(tm.eigenvalues), [], bc)
 
 
 def _inv2_ld(s):
@@ -398,7 +427,7 @@ def _inv2_ld(s):
                     dtype=s.dtype) / det
 
 
-def _refine_pair(tm: TransferMatrix, idx: np.ndarray) -> np.ndarray:
+def _refine_pair(tm: TransferMatrix, mu, vr, vl) -> np.ndarray:
     """Eigenvalues of a two-mode cluster via biorthogonal projection.
 
     The invariant plane of a nearly degenerate pair is well conditioned even
@@ -407,13 +436,13 @@ def _refine_pair(tm: TransferMatrix, idx: np.ndarray) -> np.ndarray:
     plain double-precision eig smears to ~1e-6.  An edge pair mu, 1/mu sits
     in two reflection sectors, so the projected 2x2 map is near diagonal and
     its eigenvalues are split with (b00 - b11)^2 + 4 b01 b10, not with
-    tr^2 - 4 det, which cancels there.
+    tr^2 - 4 det, which cancels there.  ``vr``, ``vl``: vectors of ``mu``.
     """
-    vr = np.linalg.qr(tm.right_eigenvectors[:, idx])[0].astype(np.clongdouble)
-    vl = np.linalg.qr(tm.left_eigenvectors[:, idx])[0].astype(np.clongdouble)
+    vr = np.linalg.qr(vr)[0].astype(np.clongdouble)
+    vl = np.linalg.qr(vl)[0].astype(np.clongdouble)
     s = vl.conj().T @ vr
     if abs(s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]) < 1e-12:
-        return tm.eigenvalues[idx]
+        return mu
     mvr = tm.coupling_form.kick(tm.field_form.kick(vr))
     b = _inv2_ld(s) @ (vl.conj().T @ mvr)
     tr = b[0, 0] + b[1, 1]
@@ -424,7 +453,7 @@ def _refine_pair(tm: TransferMatrix, idx: np.ndarray) -> np.ndarray:
 def _site_weights(vec: np.ndarray) -> np.ndarray:
     p = np.abs(vec) ** 2
     w = p[0::2] + p[1::2]
-    return w / w.sum()
+    return w / w.sum(axis=0)
 
 
 def _localization_length(weights: np.ndarray) -> float:
@@ -449,60 +478,88 @@ def _require_edge_lattice(lat: LatticeSpec) -> None:
         raise ValidationError("edge detection needs L >= 8")
 
 
+def _candidate_vectors(tm: TransferMatrix, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit right eigenvectors of mu_j, then of 1/mu_j (sector indices j),
+    and the eigenvalue condition kappa = 1/|l^H r| of each pair.
+
+    Two steps of inverse iteration on the pentadiagonal B_+ - mu_j (banded
+    LU, O(L)), shifted off mu_j by tol = L eps ||B_+||_1 so that no pivot
+    cancels to zero; a residual ||B_+ x - mu_j x|| above 64 tol raises
+    NumericalBreakdown.  l of mu is conj(r) of 1/mu, so kappa = 1/|v_-^T v_+|.
+    """
+    b, mu = tm.b_plus, tm.eigenvalues[j]
+    L = len(b)
+    tol = L * np.finfo(float).eps * np.linalg.norm(b, 1)
+    band = np.array([np.pad(np.diagonal(b, k), (max(k, 0), max(-k, 0)))
+                     for k in (2, 1, 0, -1, -2)])
+    c = np.empty((L, len(j)), dtype=complex)
+    try:
+        for col, shift in enumerate(mu + tol):
+            a, x = band.copy(), np.exp(1j * np.arange(L))
+            a[2] -= shift
+            for _ in range(2):
+                x = scipy.linalg.solve_banded((2, 2), a, x, check_finite=False)
+                x /= np.linalg.norm(x)
+            c[:, col] = x
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdown(f"inverse iteration failed: {exc}") from exc
+    residual = np.linalg.norm(b @ c - c * mu, axis=0)
+    if not np.all(residual <= 64 * tol):
+        raise NumericalBreakdown(f"edge candidate residual {np.max(residual):.1e} "
+                                 f"above its gate {64 * tol:.1e}")
+    v = _sector_vectors(tm.field_form, c)
+    with np.errstate(divide="ignore"):
+        kappa = 1.0 / np.abs(np.sum(v[:, :len(j)] * v[:, len(j):], axis=0))
+    return v, kappa
+
+
 def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
                       tol_edge: float = 1e-3, im_tol: float = 1e-2,
                       edge_fraction: float = 0.1,
                       refine: bool = True) -> SpectrumReport:
     """Scan the open-chain spectrum for localized zero and pi modes.
 
-    Near alpha = pi/4 the edge modes delocalize at finite size; an empty
-    scan there raises no error but sets ``delocalization_warning``.  At an
-    exceptional point the transfer matrix has no eigenvector basis to scan,
-    and NumericalBreakdown carries its condition estimate.
+    Candidates are the quasienergies within ``tol_edge`` of 0 or pi and
+    ``im_tol`` of the real axis, with their chiral partners; only they get
+    eigenvectors (``_candidate_vectors``).  One with more than half its
+    weight on the outer ``edge_fraction`` of sites is an edge mode.  A
+    candidate with eigenvalue condition kappa >= ``cond_cutoff`` (an
+    exceptional point in the edge window) or a failed residual gate raises
+    NumericalBreakdown, with the worst kappa as ``condition``; bulk
+    eigenvalues are not judged.  Near alpha = pi/4 the edge modes
+    delocalize at finite size; an empty scan there raises no error but sets
+    ``delocalization_warning``.
     """
     _require_edge_lattice(lat)
-    w1, w2 = build_kick_forms(params, lat)
-    tm = build_transfer_matrix(w1, w2)
-    if tm.right_eigenvectors is None:
-        raise NumericalBreakdown("open-chain transfer matrix is not diagonalizable; "
-                                 "no edge-mode scan", condition=tm.condition_estimate)
+    tm = build_transfer_matrix(*build_kick_forms(params, lat))
     report = quasienergies_from_transfer(tm, lat.bc)
     eps = report.quasienergies
+    re = np.abs(eps.real)
+    kinds = np.where(re < tol_edge, "zero", np.where(np.abs(re - np.pi) < tol_edge, "pi", ""))
+    kinds[np.abs(eps.imag) > im_tol] = ""
+    j = np.unique(np.flatnonzero(kinds) % lat.L)
+    idx = np.concatenate([j, j + lat.L])
+    vecs, kappa = _candidate_vectors(tm, j)
+    if np.any(kappa >= tm.cond_cutoff):
+        raise NumericalBreakdown("ill-conditioned edge candidate: exceptional point "
+                                 "in the edge window", condition=float(kappa.max()))
+    weights = _site_weights(vecs)
     ne = max(1, int(edge_fraction * lat.L))
-
-    candidates = {"zero": [], "pi": []}
-    for i in range(tm.n):
-        if abs(eps[i].imag) > im_tol:
-            continue
-        re = abs(eps[i].real)
-        kind = None
-        if re < tol_edge:
-            kind = "zero"
-        elif abs(re - np.pi) < tol_edge:
-            kind = "pi"
-        if kind is None:
-            continue
-        weights = _site_weights(tm.right_eigenvectors[:, i])
-        lw, rw = float(weights[:ne].sum()), float(weights[-ne:].sum())
-        if lw + rw <= 0.5:
-            continue
-        candidates[kind].append((i, weights, lw, rw))
+    lw, rw = weights[:ne].sum(axis=0), weights[-ne:].sum(axis=0)
 
     records = []
-    for kind, items in candidates.items():
-        idx = np.array([i for i, *_ in items], dtype=int)
-        energies = {i: eps[i] for i in idx}
-        if refine and len(idx) == 2:
-            mu_ref = _refine_pair(tm, idx)
-            eref = quasienergies_from_eigenvalues(mu_ref)
+    for kind in ("zero", "pi"):
+        sel = np.flatnonzero((kinds[idx] == kind) & (lw + rw > 0.5))
+        energies = eps[idx[sel]]
+        if refine and len(sel) == 2:
+            left = np.roll(vecs, len(j), axis=1).conj()
+            eref = quasienergies_from_eigenvalues(_refine_pair(
+                tm, tm.eigenvalues[idx[sel]], vecs[:, sel], left[:, sel]))
             # keep the refined value closest to each raw one
-            d = np.abs(eref[:, None] - np.array([eps[i] for i in idx])[None, :])
-            order = d.argmin(axis=0)
-            for j, i in enumerate(idx):
-                energies[i] = complex(eref[order[j]])
-        for i, weights, lw, rw in items:
-            records.append(EdgeModeRecord(kind, energies[i],
-                                          _localization_length(weights), lw, rw))
+            energies = eref[np.abs(eref[:, None] - energies[None, :]).argmin(axis=0)]
+        records += [EdgeModeRecord(kind, complex(e), _localization_length(weights[:, k]),
+                                   float(lw[k]), float(rw[k]))
+                    for e, k in zip(energies, sel)]
 
     report.edge_modes = records
     a = (params.alpha_J % (np.pi / 2.0))

@@ -492,7 +492,9 @@ def test_imaginary_couplings_eigenvalues_off_unit_circle():
     assert np.allclose(mu, np.sort_complex(1.0 / tm.eigenvalues), atol=1e-8)
 
 
-def test_forced_schur_path_flags_nondiagonalizable():
+def test_forced_cutoff_flags_nondiagonalizable():
+    # the eigenvalues never need an eigenvector basis; below the cutoff the
+    # lazily built basis is withheld, not the spectrum
     p = random_params()
     w1, w2 = S.build_kick_forms(p, P.lattice(6, "pbc-even"))
     normal = S.build_transfer_matrix(w1, w2)
@@ -505,17 +507,28 @@ def test_forced_schur_path_flags_nondiagonalizable():
 
 
 def test_edge_scan_raises_at_an_exceptional_point(monkeypatch):
-    # the Schur fallback leaves no eigenvectors to scan: no silent empty scan
-    forced = functools.partial(S.build_transfer_matrix, cond_cutoff=1.0)
-    monkeypatch.setattr(S, "build_transfer_matrix", forced)
-    p = P.make_params(0.5, -1.0, 0.5, 0.5)
-    lat = P.lattice(16, "obc")
-    tm = forced(*S.build_kick_forms(p, lat))
+    # the scan judges each edge candidate by its own eigenvalue condition
+    # kappa = 1/|l^H r|; a cutoff of 1 makes every candidate exceptional, so
+    # the point needs one (the zero-mode pair here): no silent empty scan
+    p = P.make_params(0.4, -1.0, 0.4, 0.5)
+    lat = P.lattice(40, "obc")
+    # kappa of every candidate from the full eig of the sector block
+    tm = S.build_transfer_matrix(*S.build_kick_forms(p, lat))
+    eps = S.quasienergies_from_eigenvalues(tm.eigenvalues)
+    re = np.abs(eps.real)
+    window = (np.minimum(re, np.abs(re - np.pi)) < 1e-3) & (np.abs(eps.imag) <= 1e-2)
+    v = tm.right_eigenvectors
+    kappa = 1.0 / np.abs(np.sum(v[:, :lat.L] * v[:, lat.L:], axis=0))
+    judged = kappa[np.unique(np.flatnonzero(window) % lat.L)]
+    assert judged.size
+    monkeypatch.setattr(S, "build_transfer_matrix",
+                        functools.partial(S.build_transfer_matrix, cond_cutoff=1.0))
     with pytest.raises(NumericalBreakdown) as err:
         S.detect_edge_modes(p, lat)
-    assert err.value.condition == tm.condition_estimate
+    assert err.value.condition == pytest.approx(judged.max(), rel=1e-6)
+    assert err.value.condition >= 1.0
     with pytest.raises(NumericalBreakdown):
-        S.classify_phase(p, L=16, confirm_L=None)
+        S.classify_phase(p, L=40, confirm_L=None)
 
 
 def test_dispersion_pair_sums_to_zero():
@@ -594,6 +607,31 @@ def test_sector_spectrum_matches_the_dense_eig(L, bc, aj, bj, ah, bh):
     bonds[0] = (*bonds[0][:2], bonds[0][2] + 0.1)
     with pytest.raises(ValidationError):
         S.build_transfer_matrix(w1, S.MajoranaQuadraticForm(w2.n, tuple(bonds)))
+
+
+@settings(max_examples=40)
+@given(st.integers(8, 40), st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
+       st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0))
+def test_candidate_vectors_match_the_dense_eig(L, aj, bj, ah, bh):
+    # inverse-iteration vectors of every sector eigenvalue, and their kappa,
+    # against the dense 2L x 2L eig wherever that eig determines them
+    tm = S.build_transfer_matrix(*S.build_kick_forms(P.ModelParams(aj, bj, ah, bh),
+                                                     P.lattice(L, "obc")))
+    v, kappa = S._candidate_vectors(tm, np.arange(L))
+    m = tm.m
+    scale = np.linalg.norm(m, 2)
+    assert np.allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-12)
+    assert np.linalg.norm(m @ v - v * tm.eigenvalues, axis=0).max() <= 1e-10 * scale
+    mu, vl, vr = scipy.linalg.eig(m, left=True)
+    vl /= np.linalg.norm(vl, axis=0)
+    vr /= np.linalg.norm(vr, axis=0)
+    for i, x in enumerate(tm.eigenvalues):
+        d = np.abs(mu - x)
+        k = d.argmin()
+        if np.partition(d, 1)[1] <= 1e-6:  # another eigenvalue within 1e-6
+            continue
+        assert abs(np.vdot(vr[:, k], v[:, i])) >= 1 - 1e-8
+        assert kappa[i % L] == pytest.approx(1 / abs(np.vdot(vl[:, k], vr[:, k])), rel=1e-6)
 
 
 @pytest.mark.parametrize("L", [40, 96])
