@@ -29,6 +29,9 @@ import numpy as np
 from .errors import ValidationError
 
 _LN2 = math.log(2.0)
+_T_FACTOR = 0.5     # validity: t <= _T_FACTOR * l / eta_rot
+_TAU_FACTOR = 0.2   # validity: tau0 <= _TAU_FACTOR * min(t, l)
+_LATE_WINDOW = 0.25  # trend comparison over the last quarter of the common grid
 
 
 @dataclass(frozen=True)
@@ -118,19 +121,18 @@ class CftCurve:
         return float(np.max(self.entropy))
 
 
-def entropy_curve(params: CftParams, t_grid,
-                  t_factor: float = 0.5, tau_factor: float = 0.2) -> CftCurve:
+def entropy_curve(params: CftParams, t_grid) -> CftCurve:
     """Normalized entropy S(t) - S(0) over the grid with its validity mask.
 
-    Points violate the mask when t > t_factor * l / eta_rot or when
-    tau0 > tau_factor * min(t, l).
+    Points violate the mask when t > _T_FACTOR * l / eta_rot or when
+    tau0 > _TAU_FACTOR * min(t, l).
     """
     t = np.asarray(t_grid, dtype=float)
     s = entropy_exact(params, t) - entropy_exact(params, 0.0)
     tau = params.tau0(t)
-    valid = tau <= tau_factor * np.minimum(np.maximum(t, 1e-300), params.l)
+    valid = tau <= _TAU_FACTOR * np.minimum(np.maximum(t, 1e-300), params.l)
     if params.eta_rot > 0:
-        valid &= t <= t_factor * params.l / params.eta_rot
+        valid &= t <= _T_FACTOR * params.l / params.eta_rot
     return CftCurve(t, np.asarray(s, dtype=float), valid)
 
 
@@ -142,8 +144,7 @@ class ComparisonReport:
     rms_deviation: float
 
 
-def compare_to_numerics(curve: CftCurve, t_numeric, s_numeric,
-                        late_window: float = 0.25) -> ComparisonReport:
+def compare_to_numerics(curve: CftCurve, t_numeric, s_numeric) -> ComparisonReport:
     """Peak and trend comparison between the analytic curve and a numeric
     entropy trace on its own time grid (normalized the same way)."""
     t_numeric = np.asarray(t_numeric, dtype=float)
@@ -159,10 +160,7 @@ def compare_to_numerics(curve: CftCurve, t_numeric, s_numeric,
     peak_s_cft = curve.peak_height()
 
     def late_slope(ts, ss):
-        t0 = hi - late_window * (hi - lo)
-        sel = ts >= t0
-        if sel.sum() < 3:
-            sel = ts >= (lo + 0.75 * (hi - lo))
+        sel = ts >= hi - _LATE_WINDOW * (hi - lo)
         return np.polyfit(ts[sel], ss[sel], 1)[0]
 
     trend = bool(np.sign(late_slope(curve.t, curve.entropy))

@@ -22,6 +22,8 @@ from .errors import CapacityError, ValidationError
 from .params import LatticeSpec, ModelParams, ProductState, QuenchConfig
 
 MAX_SITES = 14
+_STEADY_RTOL = 1e-6  # quench_experiment: relative repeat tolerance of the Sx vector
+_STEADY_RUNS = 10    # quench_experiment: consecutive repeats that mark the steady state
 
 
 def _check_size(L: int):
@@ -101,36 +103,20 @@ def sx_edge_correlation(psi: np.ndarray, L: int) -> float:
     return xx_expectation(psi, L, 1, L) / 4.0
 
 
-def ghz_overlap(psi: np.ndarray, basis: str = "x", sign: str = "best") -> float:
-    """Squared overlap with (|+...+> +- |-...->)/sqrt(2) in the X basis (the
-    ferromagnetic order parameter direction), or the Z-basis analog.
+def ghz_overlap(psi: np.ndarray) -> float:
+    """Larger squared overlap with (|+...+> +- |-...->)/sqrt(2) in the X
+    basis (the ferromagnetic order parameter direction).
 
     The two cat signs span the ferromagnetic doublet; their nonunitary decay
     rates split at finite size, so which one the steady state approaches is
-    an initial-state detail.  ``sign="best"`` reports the larger overlap.
+    an initial-state detail.
     """
     dim = len(psi)
-    if basis == "x":
-        plus = np.ones(dim) / np.sqrt(dim)
-        par = (-1.0) ** np.array([bin(i).count("1") for i in range(dim)])
-        minus = par / np.sqrt(dim)
-        cats = [(plus + minus) / np.sqrt(2.0), (plus - minus) / np.sqrt(2.0)]
-    elif basis == "z":
-        cat = np.zeros(dim)
-        cat[0] = cat[-1] = 1.0 / np.sqrt(2.0)
-        cat2 = np.zeros(dim)
-        cat2[0], cat2[-1] = 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)
-        cats = [cat, cat2]
-    else:
-        raise ValidationError("ghz basis must be 'x' or 'z'")
-    overlaps = [float(abs(np.vdot(c, psi)) ** 2) for c in cats]
-    if sign == "plus":
-        return overlaps[0]
-    if sign == "minus":
-        return overlaps[1]
-    if sign == "best":
-        return max(overlaps)
-    raise ValidationError("sign must be 'plus', 'minus' or 'best'")
+    plus = np.ones(dim) / np.sqrt(dim)
+    par = (-1.0) ** np.array([bin(i).count("1") for i in range(dim)])
+    minus = par / np.sqrt(dim)
+    cats = [(plus + minus) / np.sqrt(2.0), (plus - minus) / np.sqrt(2.0)]
+    return max(float(abs(np.vdot(c, psi)) ** 2) for c in cats)
 
 
 def global_spin_flip(psi: np.ndarray, L: int) -> np.ndarray:
@@ -200,14 +186,12 @@ class ObservableTrace:
 
 
 def quench_experiment(params: ModelParams, lat: LatticeSpec,
-                      quench: QuenchConfig,
-                      steady_rtol: float = 1e-6,
-                      steady_runs: int = 10) -> ObservableTrace:
+                      quench: QuenchConfig) -> ObservableTrace:
     """Per-period spin observables for the configured quench.
 
     The steady-state detector records the first period after which the
-    observable vector repeats (period-1 or period-2) within ``steady_rtol``
-    for ``steady_runs`` consecutive checks; evolution continues to
+    observable vector repeats (period-1 or period-2) within ``_STEADY_RTOL``
+    for ``_STEADY_RUNS`` consecutive checks; evolution continues to
     n_periods regardless.
     """
     L = lat.L
@@ -226,10 +210,10 @@ def quench_experiment(params: ModelParams, lat: LatticeSpec,
             scale = max(np.max(np.abs(sx[t])), 1e-9)
             d1 = np.max(np.abs(sx[t] - sx[t - 1])) / scale
             d2 = np.max(np.abs(sx[t] - sx[t - 2])) / scale
-            if min(d1, d2) < steady_rtol:
+            if min(d1, d2) < _STEADY_RTOL:
                 run += 1
-                if run >= steady_runs and first_steady is None:
-                    first_steady = t + 1 - steady_runs
+                if run >= _STEADY_RUNS and first_steady is None:
+                    first_steady = t + 1 - _STEADY_RUNS
             else:
                 run = 0
     return ObservableTrace(sx, edge, ghz, first_steady)

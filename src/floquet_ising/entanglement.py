@@ -18,13 +18,14 @@ from .params import LatticeSpec, SubsystemSpec, TeePartition, majorana_indices
 
 _CLAMP = 1e-14
 _PURITY_SLACK = 1e-6
+_VOLUME_SLOPE = 0.05     # fit_scaling: linear slope (nats/site) above which volume may win
+_LOG_COEFFICIENT = 0.02  # fit_scaling: chord-log coefficient above which log may win
 
 
 @dataclass(frozen=True)
 class EntropyReport:
     entropy: float
     nu: np.ndarray
-    renyi: dict[int, float] | None = None
 
 
 def _nu_spectrum(block_cprime: np.ndarray) -> np.ndarray:
@@ -46,21 +47,19 @@ def _binary_entropy_sum(nu: np.ndarray) -> float:
     return float(-0.5 * np.sum(p * np.log(p) + q * np.log(q)))
 
 
-def entropy_from_majorana_block(block_c: np.ndarray,
-                                renyi_orders=()) -> EntropyReport:
+def entropy_from_majorana_block(block_c: np.ndarray) -> EntropyReport:
     """Entropy of a subsystem given its restricted correlation block C_A."""
     cp = block_c - np.eye(block_c.shape[0])
     nu = _nu_spectrum(cp)
-    renyi = {n: _renyi_from_nu(nu, n) for n in renyi_orders} or None
-    return EntropyReport(_binary_entropy_sum(nu), nu, renyi)
+    return EntropyReport(_binary_entropy_sum(nu), nu)
 
 
 def entropy_from_correlations(corr, subsystem: SubsystemSpec,
-                              lat: LatticeSpec, renyi_orders=()) -> EntropyReport:
+                              lat: LatticeSpec) -> EntropyReport:
     """Restrict C to the subsystem's Majorana block and evaluate."""
     c = corr.c if hasattr(corr, "c") else np.asarray(corr)
     idx = subsystem.majorana_indices(lat)
-    return entropy_from_majorana_block(c[np.ix_(idx, idx)], renyi_orders)
+    return entropy_from_majorana_block(c[np.ix_(idx, idx)])
 
 
 def _renyi_from_nu(nu: np.ndarray, n: int) -> float:
@@ -141,14 +140,13 @@ def chord_abscissa(L, L_A) -> np.ndarray:
     return np.log(L / np.pi * np.sin(np.pi * L_A / L))
 
 
-def fit_scaling(points, volume_slope_threshold: float = 0.05,
-                log_coefficient_threshold: float = 0.02) -> ScalingFit:
+def fit_scaling(points) -> ScalingFit:
     """Classify entropy scaling from (L, L_A, S_A) samples.
 
     Fits S = a ln((L/pi) sin(pi L_A / L)) + b and a straight line in L_A;
-    volume wins if the linear slope exceeds the threshold and its residual
-    beats the log fit, log wins if a exceeds its threshold and the log fit
-    is tighter, otherwise area.
+    volume wins if the linear slope exceeds ``_VOLUME_SLOPE`` and its
+    residual beats the log fit, log wins if a exceeds ``_LOG_COEFFICIENT``
+    and the log fit is tighter, otherwise area.
     """
     pts = [(float(L), float(la), float(s)) for L, la, s in points]
     if len(pts) < 6:
@@ -161,9 +159,9 @@ def fit_scaling(points, volume_slope_threshold: float = 0.05,
         raise ValidationError("degenerate design: abscissa does not vary")
     (a, b), log_res = _lstsq_line(x, s)
     (slope, _), lin_res = _lstsq_line(la, s)
-    if slope > volume_slope_threshold and lin_res < log_res:
+    if slope > _VOLUME_SLOPE and lin_res < log_res:
         law = "volume"
-    elif a > log_coefficient_threshold and log_res <= lin_res:
+    elif a > _LOG_COEFFICIENT and log_res <= lin_res:
         law = "log"
     else:
         law = "area"

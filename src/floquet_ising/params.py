@@ -277,12 +277,12 @@ def preferred_sector(state: ProductState) -> BoundaryCondition:
 
 # --- phase labels from parameters (the alpha_J = alpha_h plane) ------------
 
-def phase_label_from_params(p: ModelParams, tol: float = _CRIT_TOL) -> PhaseLabel:
+def phase_label_from_params(p: ModelParams) -> PhaseLabel:
     """Phase of the steady state from couplings alone.
 
     Boundaries sit at |beta_J| = |beta_h| and alpha = pi/4 (mod pi/2); the
     four interior quadrants carry the edge-mode labels.  Points within
-    ``tol`` of a boundary are labeled critical.  Shifting alpha by pi/2
+    ``_CRIT_TOL`` of a boundary are labeled critical.  Shifting alpha by pi/2
     leaves the bulk spectrum invariant but moves the coupling kick by a
     quasienergy pi, exchanging zero and pi edge modes, so labels swap
     (0)<->(pi) and trivial<->(0 pi) on odd half-period windows.
@@ -294,14 +294,14 @@ def phase_label_from_params(p: ModelParams, tol: float = _CRIT_TOL) -> PhaseLabe
     half = math.pi / 2.0
     window = math.floor(p.alpha_J / half)
     a = p.alpha_J - window * half  # representative in [0, pi/2)
-    on_quarter_line = abs(a - PI4) < tol
-    on_axis = min(a, half - a) < tol
+    on_quarter_line = abs(a - PI4) < _CRIT_TOL
+    on_axis = min(a, half - a) < _CRIT_TOL
     if on_quarter_line:
         return PhaseLabel.CRITICAL_VOLUME
-    if abs(p.beta_J + p.beta_h) < tol:
+    if abs(p.beta_J + p.beta_h) < _CRIT_TOL:
         # volume law protected away from alpha = 0 mod pi/2 only
         return PhaseLabel.CRITICAL_LOG if on_axis else PhaseLabel.CRITICAL_VOLUME
-    if abs(p.beta_J - p.beta_h) < tol:
+    if abs(p.beta_J - p.beta_h) < _CRIT_TOL:
         return PhaseLabel.CRITICAL_LOG
     low = a < PI4
     weaker = abs(p.beta_J) < abs(p.beta_h)

@@ -39,6 +39,13 @@ from .errors import MetricPoleError, NumericalBreakdown, ValidationError
 from .params import (BoundaryCondition, LatticeSpec, ModelParams, PhaseLabel,
                      PI4)
 
+_MODE_CLASS_TOL = 1e-10  # dispersion pair classes: exceptional, real, conjugate
+_REAL_MODE_RTOL = 1e-8   # census: |Im eps| below this times max(|eps|, 1) is real
+_COND_CUTOFF = 1e10      # largest eigenvalue condition the edge scan accepts
+_EDGE_FRACTION = 0.1     # an edge mode holds half its weight on this end share
+_VOLUME_DENSITY = 0.1    # real-mode density at which the label is volume law
+_FEW_MODE_MAX = 4        # more isolated real modes than this are ambiguous
+
 # --------------------------------------------------------------------------
 # quadratic forms and kick exponentials
 # --------------------------------------------------------------------------
@@ -142,16 +149,12 @@ class TransferMatrix:
 
     ``eigenvalues`` lists the L eigenvalues mu of the reflection-sector
     block ``b_plus`` and then their inverses (see ``build_transfer_matrix``).
-    The rest is computed on first read: ``m``, and from one eig of
-    ``b_plus`` the unit ``right_eigenvectors`` (column i + L is the chiral
-    partner of column i), ``left_eigenvectors``, the basis condition
-    ``condition_estimate`` and ``diagonalizable`` (condition below
-    ``cond_cutoff``; both vector sets are None where it is not).
+    The dense ``m`` is built on first read.  Eigenvectors are computed only
+    for the edge scan's candidates (``_candidate_vectors``).
     """
 
     eigenvalues: np.ndarray
     b_plus: np.ndarray
-    cond_cutoff: float
     coupling_form: MajoranaQuadraticForm
     field_form: MajoranaQuadraticForm
 
@@ -162,43 +165,6 @@ class TransferMatrix:
     @cached_property
     def m(self) -> np.ndarray:
         return self.coupling_form.kick(kick_exponential(self.field_form))
-
-    @cached_property
-    def _basis(self) -> tuple[np.ndarray, float]:
-        """Right eigenvectors from one eig of B_+; their condition number is
-        that of the two L x L coordinate blocks (the sector basis is unitary)."""
-        from scipy.optimize import linear_sum_assignment
-
-        L = self.n // 2
-        try:
-            mu, c = np.linalg.eig(self.b_plus)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-            raise NumericalBreakdown(f"eigendecomposition failed: {exc}") from exc
-        # eig may order (and round) the eigenvalues unlike eigvals
-        c = c[:, linear_sum_assignment(np.abs(self.eigenvalues[:L, None] - mu))[1]]
-        v = _sector_vectors(self.field_form, c)
-        sv = np.linalg.svd(np.stack([c, math.sqrt(2.0) * v[:L, L:]]), compute_uv=False)
-        return v, float(sv.max() / sv.min()) if sv.min() > 0 else np.inf
-
-    @property
-    def condition_estimate(self) -> float:
-        return self._basis[1]
-
-    @property
-    def diagonalizable(self) -> bool:
-        return self.condition_estimate < self.cond_cutoff
-
-    @property
-    def right_eigenvectors(self) -> np.ndarray | None:
-        return self._basis[0] if self.diagonalizable else None
-
-    @property
-    def left_eigenvectors(self) -> np.ndarray | None:
-        """Columns l with l^H M = mu l^H.  M^T M = 1, so l = conj(v) for
-        the right vector v of 1/mu, which sits half the columns away."""
-        if self.right_eigenvectors is None:
-            return None
-        return np.roll(self.right_eigenvectors, self.n // 2, axis=1).conj()
 
 
 def _sector_vectors(field_form: MajoranaQuadraticForm, c: np.ndarray) -> np.ndarray:
@@ -230,8 +196,7 @@ def _require_reflection_odd(form: MajoranaQuadraticForm) -> None:
 
 
 def build_transfer_matrix(coupling_form: MajoranaQuadraticForm,
-                          field_form: MajoranaQuadraticForm,
-                          cond_cutoff: float = 1e10) -> TransferMatrix:
+                          field_form: MajoranaQuadraticForm) -> TransferMatrix:
     """Spectrum of M = K1 K2 (K1 = exp(4W'), K2 = exp(4W'')) from one L x L eigvals.
 
     Both kicks are odd under Gamma and P, so M commutes with R = Gamma P
@@ -243,8 +208,8 @@ def build_transfer_matrix(coupling_form: MajoranaQuadraticForm,
     swaps the sectors and inverts the map in the symmetric frame
     K2^{1/2} K1 K2^{1/2}, so for M v = mu v the vector
     K2^{-1/2} Gamma K2^{1/2} v = Gamma K2 v has eigenvalue 1/mu.
-    Eigenvectors are read on demand (``TransferMatrix``); ``cond_cutoff`` is
-    the eigen-condition the edge scan tolerates.
+    No eigenvectors are computed here; the edge scan solves for the few it
+    reads (``_candidate_vectors``).
     """
     if coupling_form.n != field_form.n:
         raise ValidationError("kick forms must have matching dimension")
@@ -263,7 +228,7 @@ def build_transfer_matrix(coupling_form: MajoranaQuadraticForm,
         raise NumericalBreakdown(f"eigenvalue solve failed: {exc}") from exc
     with np.errstate(divide="ignore", invalid="ignore"):  # mu underflowed to 0: no partner
         mu = np.concatenate([mu, 1.0 / mu])
-    return TransferMatrix(mu, b_plus, cond_cutoff, coupling_form, field_form)
+    return TransferMatrix(mu, b_plus, coupling_form, field_form)
 
 
 def fold_real_part(re: np.ndarray | float) -> np.ndarray | float:
@@ -300,13 +265,13 @@ class DispersionPoint:
     classification: str
 
 
-def _classify_pair(eps: complex, defect: float, tol: float) -> str:
-    if defect < tol:
+def _classify_pair(eps: complex, defect: float) -> str:
+    if defect < _MODE_CLASS_TOL:
         return ModeClass.EXCEPTIONAL
-    if abs(eps.imag) < tol:
+    if abs(eps.imag) < _MODE_CLASS_TOL:
         return ModeClass.REAL
     re = abs(fold_real_part(eps.real))
-    if re < tol or abs(re - np.pi) < tol:
+    if re < _MODE_CLASS_TOL or abs(re - np.pi) < _MODE_CLASS_TOL:
         return ModeClass.CONJUGATE_PAIR
     return ModeClass.GROW_DECAY
 
@@ -331,24 +296,22 @@ def _dispersion(J: complex, h: complex, k) -> tuple[np.ndarray, ...]:
     return x, disc, w, eps
 
 
-def floquet_dispersion(J: complex, h: complex, k: float,
-                       tol: float = 1e-10) -> DispersionPoint:
+def floquet_dispersion(J: complex, h: complex, k: float) -> DispersionPoint:
     """Quasienergy pair at momentum k for the kicked chain (see ``_dispersion``)."""
     x, disc, w, eps = (a[0] for a in _dispersion(J, h, [k]))
     eps = complex(eps)
     # the partner is the exact negative so the pair sums to zero; for a
     # +pi mode it therefore prints as -pi (same quasienergy class)
     pair = (eps, -eps)
-    cls = _classify_pair(eps, abs(disc), tol)
+    cls = _classify_pair(eps, abs(disc))
     return DispersionPoint(float(k), pair, complex(w), complex(x), cls)
 
 
-def dispersion_continuous(J: complex, h: complex, k: float,
-                          tol: float = 1e-10) -> DispersionPoint:
+def dispersion_continuous(J: complex, h: complex, k: float) -> DispersionPoint:
     """Continuous-time limit spectrum +-2 sqrt(h^2 - 2hJ cos k + J^2)."""
     rad = h * h - 2 * h * J * np.cos(k) + J * J
     lam = 2 * np.sqrt(complex(rad))
-    cls = _classify_pair(lam, abs(rad), tol)
+    cls = _classify_pair(lam, abs(rad))
     return DispersionPoint(float(k), (lam, -lam), complex("nan"), complex(rad), cls)
 
 
@@ -372,14 +335,12 @@ class RealModeCensus:
         return self.count / self.total
 
 
-def count_real_modes(params: ModelParams, lat_or_L, tol_real: float | None = None,
-                     sectors: str = "both") -> RealModeCensus:
+def count_real_modes(params: ModelParams, L: int, sectors: str = "both") -> RealModeCensus:
     """Census of real quasienergies over the allowed momenta.
 
     By default both parity sectors are scanned so that the isolated k = 0
     zero mode of the J = h line (periodic sector only) is visible.
     """
-    L = lat_or_L.L if isinstance(lat_or_L, LatticeSpec) else int(lat_or_L)
     if sectors == "both":
         bcs = [BoundaryCondition.PBC_EVEN, BoundaryCondition.PBC_ODD]
     else:
@@ -388,8 +349,7 @@ def count_real_modes(params: ModelParams, lat_or_L, tol_real: float | None = Non
     for bc in bcs:
         # one eps of each +-eps pair per momentum; both have the same |eps|
         eps = _dispersion(params.J, params.h, allowed_momenta(LatticeSpec(L, bc)))[3]
-        radius = max(np.max(np.abs(eps)), 1.0)
-        tol = tol_real if tol_real is not None else 1e-8 * radius
+        tol = _REAL_MODE_RTOL * max(np.max(np.abs(eps)), 1.0)
         count += 2 * int(np.sum(np.abs(eps.imag) < tol))
         total += 2 * len(eps)
     return RealModeCensus(count, total)
@@ -412,13 +372,11 @@ class EdgeModeRecord:
 class SpectrumReport:
     quasienergies: np.ndarray
     edge_modes: list[EdgeModeRecord]
-    boundary_condition: BoundaryCondition
     delocalization_warning: bool = False
 
 
-def quasienergies_from_transfer(tm: TransferMatrix,
-                                bc: BoundaryCondition) -> SpectrumReport:
-    return SpectrumReport(quasienergies_from_eigenvalues(tm.eigenvalues), [], bc)
+def quasienergies_from_transfer(tm: TransferMatrix) -> SpectrumReport:
+    return SpectrumReport(quasienergies_from_eigenvalues(tm.eigenvalues), [])
 
 
 def _inv2_ld(s):
@@ -515,24 +473,23 @@ def _candidate_vectors(tm: TransferMatrix, j: np.ndarray) -> tuple[np.ndarray, n
 
 def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
                       tol_edge: float = 1e-3, im_tol: float = 1e-2,
-                      edge_fraction: float = 0.1,
                       refine: bool = True) -> SpectrumReport:
     """Scan the open-chain spectrum for localized zero and pi modes.
 
     Candidates are the quasienergies within ``tol_edge`` of 0 or pi and
     ``im_tol`` of the real axis, with their chiral partners; only they get
     eigenvectors (``_candidate_vectors``).  One with more than half its
-    weight on the outer ``edge_fraction`` of sites is an edge mode.  A
-    candidate with eigenvalue condition kappa >= ``cond_cutoff`` (an
-    exceptional point in the edge window) or a failed residual gate raises
-    NumericalBreakdown, with the worst kappa as ``condition``; bulk
-    eigenvalues are not judged.  Near alpha = pi/4 the edge modes
-    delocalize at finite size; an empty scan there raises no error but sets
-    ``delocalization_warning``.
+    weight on the outer ``_EDGE_FRACTION`` of sites is an edge mode.  A
+    candidate with eigenvalue condition kappa >= ``_COND_CUTOFF`` (an
+    exceptional point in the edge window; the constant is read at call
+    time) or a failed residual gate raises NumericalBreakdown, with the
+    worst kappa as ``condition``; bulk eigenvalues are not judged.  Near
+    alpha = pi/4 the edge modes delocalize at finite size; an empty scan
+    there raises no error but sets ``delocalization_warning``.
     """
     _require_edge_lattice(lat)
     tm = build_transfer_matrix(*build_kick_forms(params, lat))
-    report = quasienergies_from_transfer(tm, lat.bc)
+    report = quasienergies_from_transfer(tm)
     eps = report.quasienergies
     re = np.abs(eps.real)
     kinds = np.where(re < tol_edge, "zero", np.where(np.abs(re - np.pi) < tol_edge, "pi", ""))
@@ -540,11 +497,11 @@ def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
     j = np.unique(np.flatnonzero(kinds) % lat.L)
     idx = np.concatenate([j, j + lat.L])
     vecs, kappa = _candidate_vectors(tm, j)
-    if np.any(kappa >= tm.cond_cutoff):
+    if np.any(kappa >= _COND_CUTOFF):
         raise NumericalBreakdown("ill-conditioned edge candidate: exceptional point "
                                  "in the edge window", condition=float(kappa.max()))
     weights = _site_weights(vecs)
-    ne = max(1, int(edge_fraction * lat.L))
+    ne = max(1, int(_EDGE_FRACTION * lat.L))
     lw, rw = weights[:ne].sum(axis=0), weights[-ne:].sum(axis=0)
 
     records = []
@@ -750,17 +707,15 @@ def spectrum_conjugation_defect(eps: np.ndarray) -> float:
 # --------------------------------------------------------------------------
 
 def classify_phase_from_spectrum(obc_report: SpectrumReport | None,
-                                 pbc_census: RealModeCensus,
-                                 density_threshold: float = 0.1,
-                                 few_mode_max: int = 4) -> PhaseLabel:
+                                 pbc_census: RealModeCensus) -> PhaseLabel:
     """Phase label from the edge-mode census plus the real-mode density.
 
     ``obc_report`` is read only when the census finds no real modes, and
     may be None otherwise.
     """
-    if pbc_census.density >= density_threshold:
+    if pbc_census.density >= _VOLUME_DENSITY:
         return PhaseLabel.CRITICAL_VOLUME
-    if pbc_census.count > few_mode_max:
+    if pbc_census.count > _FEW_MODE_MAX:
         return PhaseLabel.AMBIGUOUS
     if pbc_census.count > 0:
         return PhaseLabel.CRITICAL_LOG
@@ -775,7 +730,6 @@ def classify_phase_from_spectrum(obc_report: SpectrumReport | None,
 
 
 def classify_phase(params: ModelParams, L: int = 40,
-                   tol_edge: float = 1e-3, im_tol: float = 1e-2,
                    confirm_L: int | None = 144) -> PhaseLabel:
     """Convenience wrapper: momentum census plus open-chain edge scan.
 
@@ -789,6 +743,5 @@ def classify_phase(params: ModelParams, L: int = 40,
     scan_L = confirm_L if confirm_L and confirm_L > L else L
     lat = LatticeSpec(scan_L, BoundaryCondition.OBC)
     _require_edge_lattice(lat)
-    obc = None if census.count else detect_edge_modes(
-        params, lat, tol_edge=tol_edge, im_tol=im_tol, refine=False)
+    obc = None if census.count else detect_edge_modes(params, lat, refine=False)
     return classify_phase_from_spectrum(obc, census)

@@ -48,7 +48,7 @@ def test_criterion_1_spectrum_calibration():
         for L in (8, 12, 16):
             lat = P.lattice(L, "pbc-even")
             tm = S.build_transfer_matrix(*S.build_kick_forms(p, lat))
-            rep = S.quasienergies_from_transfer(tm, lat.bc)
+            rep = S.quasienergies_from_transfer(tm)
             ana = []
             for k in S.allowed_momenta(lat):
                 ana.extend(S.floquet_dispersion(p.J, p.h, k).epsilon)

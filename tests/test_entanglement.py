@@ -116,9 +116,10 @@ def test_renyi_product_state_zero():
 
 def test_renyi_two_equal_weights():
     # a single nu = 0 mode: two equal Schmidt weights, S2 = ln 2
-    block = np.eye(2, dtype=complex)
-    rep = E.entropy_from_majorana_block(block, renyi_orders=(2,))
-    assert rep.renyi[2] == pytest.approx(LN2, abs=1e-12)
+    lat = P.lattice(2, "obc")
+    corr = np.eye(4, dtype=complex)
+    assert E.renyi_entropy(corr, P.SubsystemSpec(1, 1), lat, 2) == \
+        pytest.approx(LN2, abs=1e-12)
 
 
 def test_renyi_matches_dense_trace_rho_squared():
@@ -206,15 +207,14 @@ def test_tee_trivial_phase():
 
 
 def test_tee_reflection_symmetry():
-    # exchanging the A and C segment lengths leaves S_top invariant for a
-    # reflection-symmetric steady state
-    corr, lat = steady_corr(0.2, -1.2, -0.3, 32)
-    s1 = E.tee(corr, P.TeePartition((6, 10, 10, 6)), lat).s_top
-    s2 = E.tee(corr, P.TeePartition((6, 10, 10, 6)), lat).s_top
-    assert s1 == pytest.approx(s2, abs=1e-9)
-    s3 = E.tee(corr, P.TeePartition((10, 6, 6, 10)), lat).s_top
-    s4 = E.tee(corr, P.TeePartition((10, 6, 6, 10)), lat).s_top
-    assert s3 == pytest.approx(s4, abs=1e-9)
+    # the mirror image (c, d, b, a) of the partition (a, b, d, c) has the
+    # same S_top: by the chain's reflection symmetry, and for a pure state
+    # also by S_X = S_complement
+    for bj in (-1.2, -0.05, -0.3):
+        corr, lat = steady_corr(0.2, bj, -0.3, 32)
+        s = E.tee(corr, P.TeePartition((5, 9, 11, 7)), lat).s_top
+        mirror = E.tee(corr, P.TeePartition((7, 11, 9, 5)), lat).s_top
+        assert s == pytest.approx(mirror, abs=1e-9)
 
 
 def test_tee_partition_validation():

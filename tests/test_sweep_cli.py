@@ -1,6 +1,5 @@
 import ast
 import csv
-import functools
 import inspect
 import json
 
@@ -318,8 +317,7 @@ def test_cli_spectrum_rejects_k_field(tmp_path, K, rc):
 
 
 def test_cli_spectrum_exits_3_at_an_exceptional_point(tmp_path, monkeypatch):
-    monkeypatch.setattr(spectral, "build_transfer_matrix",
-                        functools.partial(spectral.build_transfer_matrix, cond_cutoff=1.0))
+    monkeypatch.setattr(spectral, "_COND_CUTOFF", 1.0)
     rc = cli.main(["--out-dir", str(tmp_path), "spectrum", "--alpha", "0.5",
                    "--beta-j", "-1.0", "--beta-h", "0.5", "--L", "40", "--bc", "obc"])
     assert rc == 3
