@@ -1,9 +1,12 @@
 """Entropy functionals on Majorana correlation matrices and scaling fits.
 
-The restricted block C'_A of C' = C - 1 is Hermitian and antisymmetric, so
-its eigenvalues come in real pairs +-nu_i with nu_i in [-1, 1].  The von
-Neumann entropy sums the binary entropy of (1 + nu)/2 over one member of
-each pair; summing the full 2 L_A spectrum and halving avoids any pairing
+The restricted block C'_A of C' = C - 1 is i A with A real and
+antisymmetric, so its eigenvalues come in real pairs +-nu_i with nu_i in
+[-1, 1].  They are found in real arithmetic: A^T A = -A^2 is real
+symmetric with eigenvalues nu_i^2, each twice, so one real ``eigvalsh``
+of a 2 L_A x 2 L_A matrix gives the spectrum.  The von Neumann entropy
+sums the binary entropy of (1 + nu)/2 over one member of each pair;
+summing the full 2 L_A spectrum and halving avoids any pairing
 bookkeeping.
 """
 
@@ -29,15 +32,20 @@ class EntropyReport:
 
 
 def _nu_spectrum(block_cprime: np.ndarray) -> np.ndarray:
-    herm_defect = np.linalg.norm(block_cprime - block_cprime.conj().T)
-    if herm_defect > 1e-8 * max(1.0, np.linalg.norm(block_cprime)):
-        raise PurityViolation("restricted C' is not Hermitian: "
-                              f"defect {herm_defect:.2e}")
-    nu = np.linalg.eigvalsh(block_cprime)
-    worst = float(np.max(np.abs(nu)) - 1.0)
+    """The 2 L_A values +-nu of C'_A = i A, ascending, from the real
+    symmetric A^T A.  Raises PurityViolation unless C'_A is i times a real
+    antisymmetric matrix and every |nu| <= 1 (up to ``_PURITY_SLACK``)."""
+    a = np.ascontiguousarray(block_cprime.imag)
+    defect = max(np.linalg.norm(block_cprime.real), np.linalg.norm(a + a.T))
+    if defect > 1e-8 * max(1.0, np.linalg.norm(block_cprime)):
+        raise PurityViolation("restricted C' is not i*(real antisymmetric): "
+                              f"defect {defect:.2e}")
+    nu2 = np.linalg.eigvalsh(a.T @ a).reshape(-1, 2).mean(axis=1)
+    nu = np.sqrt(np.clip(nu2, 0.0, None))
+    worst = float(nu[-1] - 1.0)
     if worst > _PURITY_SLACK:
         raise PurityViolation(f"correlation eigenvalue outside [-1, 1] by {worst:.2e}")
-    return nu
+    return np.concatenate([-nu[::-1], nu])
 
 
 def _binary_entropy_sum(nu: np.ndarray) -> float:
@@ -48,7 +56,10 @@ def _binary_entropy_sum(nu: np.ndarray) -> float:
 
 
 def entropy_from_majorana_block(block_c: np.ndarray) -> EntropyReport:
-    """Entropy of a subsystem given its restricted correlation block C_A."""
+    """Entropy of a subsystem given its restricted correlation block C_A,
+    two Majorana rows per site."""
+    if block_c.shape[0] % 2:
+        raise ValidationError("Majorana block of odd size: a site has two rows")
     cp = block_c - np.eye(block_c.shape[0])
     nu = _nu_spectrum(cp)
     return EntropyReport(_binary_entropy_sum(nu), nu)

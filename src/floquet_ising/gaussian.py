@@ -51,11 +51,12 @@ _ROUNDING_TOL = 1e-12
 @dataclass
 class GaussianFrame:
     """A stack of Bloch blocks: ``blocks`` is N x r x c, one Phi_q per
-    momentum q of ``momenta``.  The dense frame's columns are U_q Phi_q, with
-    U_q[(x, a), b] = e^{iqx} delta_ab / sqrt(N) on cell x (Majorana rows
-    r x + a); ``phi`` builds it on demand.  Isotropy pairs block q with block
-    ``partner[q]`` = -q: Phi^T Phi = 0 is Phi_{-q}^T Phi_q = 0.  A dense
-    frame is the one-cell stack (N = 1, q = 0, paired with itself).
+    momentum q of ``momenta``, the grid of ``cell_momenta``.  The dense
+    frame's columns are U_q Phi_q, with U_q[(x, a), b] = e^{iqx} delta_ab /
+    sqrt(N) on cell x (Majorana rows r x + a); ``phi`` builds it on demand.
+    Isotropy pairs block q with block ``partner[q]`` = -q: Phi^T Phi = 0 is
+    Phi_{-q}^T Phi_q = 0.  A dense frame is the one-cell stack (N = 1,
+    q = 0, paired with itself).
 
     ``isotropy`` is ||Phi^T Phi|| as ``orthonormalize`` measured it on this
     frame (``isotropy_defect()`` bit for bit); ``route`` is how the frame was
@@ -231,19 +232,23 @@ def correlation_from_frame(frame: GaussianFrame) -> CorrelationMatrix:
 def correlation_block(frame: GaussianFrame, majorana_idx: np.ndarray) -> np.ndarray:
     """Restricted C block without forming the full matrix, in block-Toeplitz
     form: with Majorana row r x + a on cell x,
-    C[(x, a), (y, b)] = (2/N) sum_q e^{iq(y-x)} (conj(Phi_q) Phi_q^T)[a, b],
-    over the within-cell rows a that the block uses.  One cell gives
-    2 conj(Phi) Phi^T restricted to those rows.
+    C[(x, a), (y, b)] = T(y - x)[a, b],
+    T(d) = (2/N) sum_q e^{iqd} (conj(Phi_q) Phi_q^T)[a, b],
+    over the within-cell rows a that the block uses.  The momenta are the
+    grid q = 2 pi (m + theta) / N of ``cell_momenta``, so
+    T(d) = 2 e^{i q_0 d} ifft_m(conj(Phi_q) Phi_q^T)[d mod N]
+    (q_0 = 2 pi theta / N): one FFT over the stack.  One cell gives 2 conj(Phi) Phi^T restricted to
+    those rows.
     """
     n, r = frame.blocks.shape[:2]
     x, a = np.divmod(np.asarray(majorana_idx), r)
     rows, a = np.unique(a, return_inverse=True)
     k = len(rows)
     sub = frame.blocks[:, rows]
-    g = np.conj(sub) @ np.swapaxes(sub, -1, -2)
+    g = np.fft.ifft(np.conj(sub) @ np.swapaxes(sub, -1, -2), axis=0).reshape(n, k * k)
     lo = x.min() - x.max()
-    t = np.exp(1j * np.outer(np.arange(lo, 1 - lo), frame.momenta)) @ g.reshape(n, k * k)
-    t *= 2.0 / n
+    d = np.arange(lo, 1 - lo)
+    t = g[d % n] * (2.0 * np.exp(1j * frame.momenta[0] * d))[:, None]
     return t.reshape(-1)[(x[None, :] - x[:, None] - lo) * k * k + k * a[:, None] + a[None, :]]
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 import scipy.linalg
+import scipy.special
 
 from floquet_ising import ed, entanglement as E, gaussian, params as P, spectral
 from floquet_ising.errors import CollapseError, PurityViolation, ValidationError
@@ -79,6 +81,65 @@ def test_entropy_bound_and_purity_guard():
     bad[0, 0] = 2.5  # eigenvalue of C' outside [-1, 1]
     with pytest.raises(PurityViolation):
         E.entropy_from_majorana_block(bad)
+
+
+def test_purity_guard_rejects_a_real_symmetric_part():
+    # C' = iA + S is Hermitian with |nu| < 1, but S shifts nu at first order:
+    # C' of a Gaussian state is i times a real antisymmetric matrix
+    a = np.array([[0.0, 0.5], [-0.5, 0.0]])
+    s = np.array([[0.0, 0.1], [0.1, 0.0]])
+    bad = np.eye(2) + 1j * a + s
+    assert np.allclose(bad, bad.conj().T)
+    assert np.max(np.abs(np.linalg.eigvalsh(bad - np.eye(2)))) < 1.0
+    with pytest.raises(PurityViolation, match=r"not i\*\(real antisymmetric\)"):
+        E.entropy_from_majorana_block(bad)
+    # i times a real antisymmetric A passes that gate; the nu-range gate
+    # still rejects |nu| > 1
+    with pytest.raises(PurityViolation, match="outside"):
+        E.entropy_from_majorana_block(np.eye(2) + 3.0j * a)
+
+
+def test_odd_majorana_block_rejected():
+    with pytest.raises(ValidationError):
+        E.entropy_from_majorana_block(np.eye(3, dtype=complex))
+
+
+def _reference_nu(block_c: np.ndarray) -> np.ndarray:
+    """nu from the complex-Hermitian eigenproblem of C'_A."""
+    return np.linalg.eigvalsh(block_c - np.eye(len(block_c)))
+
+
+def _reference_renyi(nu: np.ndarray, n: int) -> float:
+    p = (1.0 + np.clip(nu, -1.0, 1.0)) / 2.0
+    if n == 1:
+        return float(-0.5 * np.sum(scipy.special.xlogy(p, p) + scipy.special.xlogy(1 - p, 1 - p)))
+    return float(np.sum(np.log(p ** n + (1 - p) ** n)) / (2.0 * (1.0 - n)))
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 24), st.sampled_from(["pbc-even", "pbc-odd", "obc"]),
+       st.tuples(st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
+                 st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0)),
+       st.integers(1, 30), st.data())
+def test_real_nu_spectrum_matches_complex_hermitian_reference(L, bc, couplings,
+                                                              n_periods, data):
+    # subsystems of any start and length, wrapped on periodic chains
+    lat = P.lattice(L, bc)
+    start = data.draw(st.integers(1, L))
+    top = L - 1 if lat.bc.periodic else L - start + 1
+    sub = P.SubsystemSpec(start, data.draw(st.integers(1, top)))
+    quench = P.QuenchConfig(P.named_state("neel-fermion", L), n_periods=n_periods)
+    corr = gaussian.correlation_from_frame(
+        gaussian.run_to_steady_state(P.ModelParams(*couplings), lat, quench, lambda f: None))
+    idx = sub.majorana_indices(lat)
+    ref = _reference_nu(corr.c[np.ix_(idx, idx)])
+    rep = E.entropy_from_correlations(corr, sub, lat)
+    assert np.all(np.diff(rep.nu) >= 0)
+    assert np.array_equal(rep.nu, -rep.nu[::-1])
+    # nu is only sqrt(eps)-accurate near 0 and every functional is even in nu
+    assert np.max(np.abs(np.sort(rep.nu ** 2) - np.sort(ref ** 2))) < 1e-12
+    assert abs(rep.entropy - _reference_renyi(ref, 1)) < 1e-10
+    assert abs(E.renyi_entropy(corr, sub, lat, 2) - _reference_renyi(ref, 2)) < 1e-10
 
 
 def test_pure_state_complementarity():

@@ -558,17 +558,29 @@ def test_orthonormalize_pairs_blocks_with_their_partners():
 
 @pytest.mark.parametrize("idx", [[5, 0, 3, 1], [14, 15, 0, 1, 2], [2, 7, 2, 7, 4]],
                          ids=["unsorted", "wrapping", "repeated"])
-@pytest.mark.parametrize("route", ["loop", "momentum"])
+@pytest.mark.parametrize("route", ["loop", "momentum", "pbc-odd", "momentum-40"])
 def test_correlation_block_is_the_restricted_dense_formula(idx, route):
-    # L = 8 pbc-even Neel: the loop holds one cell, the momentum route four
+    # L = 8 pbc-even Neel: the loop holds one cell, the momentum route four.
+    # pbc-odd: the initial frame cut into four blocks at theta = 0, moved by
+    # the block maps.  L = 40: twenty blocks, the indices spread over the
+    # chain so that y - x runs over most of -(N - 1)..N - 1.
     p = P.ModelParams(0.4, -0.2, 0.7, 0.3)
-    lat = P.lattice(8, "pbc-even")
-    quench = P.QuenchConfig(P.named_state("neel-fermion", 8), n_periods=3)
+    L = 40 if route == "momentum-40" else 8
+    lat = P.lattice(L, "pbc-odd" if route == "pbc-odd" else "pbc-even")
+    quench = P.QuenchConfig(P.named_state("neel-fermion", L), n_periods=3)
     if route == "loop":
         frame = _dense_frames(p, lat, quench)[-1]
+    elif route == "pbc-odd":
+        frame = gaussian.GaussianFrame.from_dense(gaussian.initial_frame(quench, lat), lat)
+        fq = spectral.frame_map_blocks(p, frame.momenta)
+        blocks, _, _ = gaussian.orthonormalize(fq @ fq @ fq @ frame.blocks,
+                                               partner=frame.partner)
+        frame = gaussian.GaussianFrame(blocks, frame.momenta, frame.partner)
+        assert frame.momenta[0] == 0.0 and frame.orthonormality_defect() < 1e-12
     else:
         frame = gaussian.run_to_steady_state(p, lat, quench, lambda f: None)
-    assert (frame.route, len(frame.blocks)) == (route, 1 if route == "loop" else 4)
+        assert (frame.route, len(frame.blocks)) == ("momentum", L // 2)
+        idx = [i * L // 8 for i in idx]
     sub = frame.phi[idx]
     block = gaussian.correlation_block(frame, np.array(idx))
     assert np.max(np.abs(block - 2.0 * np.conj(sub) @ sub.T)) < 1e-14
