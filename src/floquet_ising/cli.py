@@ -42,8 +42,7 @@ def cmd_spectrum(args):
     if args.alpha is not None:  # --alpha sets both alphas
         cfg = {k: v for k, v in cfg.items() if k not in ("alpha_J", "alpha_h")}
     flags = {"alpha": args.alpha, "beta_J": args.beta_j, "beta_h": args.beta_h,
-             "L": args.L, "bc": args.bc, "units": args.units,
-             "tol_edge": args.tol_edge, "im_tol": args.im_tol}
+             "L": args.L, "bc": args.bc, "units": args.units}
     cfg.update((k, v) for k, v in flags.items() if v is not None)
     params, lat, quench = model_from_config(cfg)
     quench.require_free_fermion()
@@ -51,25 +50,19 @@ def cmd_spectrum(args):
     census = spectral.count_real_modes(params, lat.L,
                                        sectors=str(lat.bc) if lat.bc.periodic else "both")
 
-    rows = []
     if lat.bc.periodic:
-        for k in spectral.allowed_momenta(lat):
-            pt = spectral.floquet_dispersion(params.J, params.h, k)
-            for eps in pt.epsilon:
-                rows.append({"k_or_index": k, "re_eps": eps.real,
-                             "im_eps": eps.imag,
-                             "classification": pt.classification})
+        # the census's grid, eps and real-mode scale
+        pts = spectral.dispersion_points(params.J, params.h, spectral.allowed_momenta(lat))
+        modes = [(pt.k, eps, pt.classification) for pt in pts for eps in pt.epsilon]
         edge_modes, label = [], None
     else:
-        report = spectral.detect_edge_modes(params, lat, tol_edge=cfg["tol_edge"],
-                                            im_tol=cfg["im_tol"])
-        for i, eps in enumerate(report.quasienergies):
-            cls = spectral.ModeClass.REAL if abs(eps.imag) < args.tol_real \
-                else spectral.ModeClass.GROW_DECAY
-            rows.append({"k_or_index": i, "re_eps": eps.real,
-                         "im_eps": eps.imag, "classification": cls})
+        report = spectral.detect_edge_modes(params, lat)
+        eps = report.quasienergies
+        modes = list(zip(range(len(eps)), eps, spectral.classify_modes(eps)))
         edge_modes = report.edge_modes
         label = spectral.classify_phase_from_spectrum(report, census)
+    rows = [{"k_or_index": k, "re_eps": eps.real, "im_eps": eps.imag, "classification": cls}
+            for k, eps, cls in modes]
 
     out = _out_dir(args)
     csv_path = out / (args.out or "spectrum.csv")
@@ -117,9 +110,8 @@ def cmd_evolve(args):
 def cmd_scaling(args):
     cfg = _load_config(args)
     ratio = cfg.get("scaling_ratio", 10)
-    sizes = [int(s) for s in str(cfg.get("scaling_sizes", "60,80,100,140,180,200")).split(",")]
     points = []
-    for L in sizes:
+    for L in cfg.get("scaling_sizes", [60, 80, 100, 140, 180, 200]):
         la = max(2, L // ratio)
         trace = gaussian.stroboscopic_run(*model_from_config({**cfg, "L": L}),
                                           SubsystemSpec(1, la))
@@ -138,11 +130,9 @@ def cmd_scaling(args):
 
 def cmd_tee(args):
     cfg = _load_config(args, "tee")
-    sizes = [int(s) for s in str(cfg.get("tee_sizes", "32,48,64")).split(",")]
-    bj_spec = str(cfg.get("tee_beta_j", "-0.55,-0.05,11")).split(",")
-    betas = np.linspace(float(bj_spec[0]), float(bj_spec[1]), int(bj_spec[2]))
+    betas = np.linspace(*cfg.get("tee_beta_j", (-0.55, -0.05, 11)))
     rows, curves = [], {}
-    for L in sizes:
+    for L in cfg.get("tee_sizes", [32, 48, 64]):
         rows += [sweep.task_tee(dict(cfg, L=L, beta_J=float(bj)))[0] for bj in betas]
         curves[L] = (betas.copy(), np.array([r["S_top"] for r in rows[-len(betas):]]))
     fit = entanglement.tee_collapse(curves)
@@ -201,12 +191,18 @@ def cmd_cft_compare(args):
     return 0
 
 
+def _axis(spec: str) -> tuple[str, float, float, int]:
+    """One sweep axis from ``name:start:stop:count``."""
+    try:
+        name, start, stop, count = spec.split(":")
+        return name, float(start), float(stop), int(count)
+    except ValueError as exc:
+        raise ValidationError(f"--axis {spec!r}: expected name:start:stop:count") from exc
+
+
 def cmd_sweep(args):
     cfg = _load_config(args)
-    axes = []
-    for spec in args.axis or []:
-        name, start, stop, count = spec.split(":")
-        axes.append((name, float(start), float(stop), int(count)))
+    axes = [_axis(spec) for spec in args.axis or []]
     if not axes:
         raise ValidationError("sweep needs at least one --axis name:start:stop:count")
     spec = sweep.SweepSpec(tuple(axes), cfg, args.task, workers=args.workers)
@@ -242,9 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--L", type=int)
     sp.add_argument("--bc", choices=["pbc-even", "pbc-odd", "obc"])
     sp.add_argument("--units", choices=["pi4", "rad"])
-    sp.add_argument("--tol-real", type=float, default=1e-8)
-    sp.add_argument("--tol-edge", type=float)
-    sp.add_argument("--im-tol", type=float)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_spectrum)
 

@@ -62,7 +62,8 @@ class GaussianFrame:
     frame (``isotropy_defect()`` bit for bit); ``route`` is how the frame was
     made: ``"loop"`` by ``period_map``, ``"schur"`` by the direct steady
     state of ``run_to_steady_state``, ``"momentum"`` by its momentum-block
-    step.  Both are None for initial frames."""
+    step, ``"continuous"`` by a step of ``evolve_continuous``.  Both are
+    None for initial frames."""
 
     blocks: np.ndarray
     momenta: np.ndarray = field(default_factory=lambda: np.zeros(1))
@@ -506,16 +507,17 @@ def evolve_continuous(frame: GaussianFrame, hmat: np.ndarray,
     non-decreasing, non-negative ``t_grid``, from the frame of psi_0.
 
     Exact: the frame moves as exp(-4i t H) Phi; one matrix exponential per
-    distinct step, orthonormalize after each.
+    distinct step, each taken like a period (``route == "continuous"``):
+    ``norm_log`` accumulates the log-norm of exp(-4i t H) Phi0.
     """
     steps = np.diff(np.atleast_1d(np.asarray(t_grid, dtype=float)), prepend=0.0)
     if steps.ndim != 1 or steps.size == 0 or not np.all(steps >= 0):
         raise ValidationError("t_grid must be a non-empty, non-decreasing "
                               "grid of non-negative times")
-    phi, out, dt_u, u = frame.phi, [], None, None
+    frame, out, dt_u, u = GaussianFrame(frame.phi[None]), [], None, None
     for dt in steps:
         if u is None or abs(dt - dt_u) > 1e-12 * dt:
             dt_u, u = dt, scipy.linalg.expm(-4j * dt * hmat)
-        phi, _, _ = orthonormalize(u @ phi)
-        out.append(GaussianFrame(phi[None]))
+        frame = _advance(frame, (u @ frame.blocks[0])[None], "continuous")
+        out.append(frame)
     return out

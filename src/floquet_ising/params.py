@@ -314,13 +314,21 @@ def phase_label_from_params(p: ModelParams) -> PhaseLabel:
 
 # --- config files -----------------------------------------------------------
 
+def _int_list(value: str) -> list[int]:
+    return [int(s) for s in value.split(",")]
+
+
+def _beta_grid(value: str) -> tuple[float, float, int]:
+    start, stop, count = value.split(",")  # the arguments of np.linspace
+    return float(start), float(stop), int(count)
+
+
 _CONFIG_KEYS = {
     "alpha_J": float, "beta_J": float, "alpha_h": float, "beta_h": float,
     "alpha": float, "units": str, "L": int, "bc": str, "n_periods": int,
     "K": float, "initial_state": str, "seed": int,
     "subsystem_start": int, "subsystem_length": int, "scaling_ratio": int,
-    "scaling_sizes": str, "tee_sizes": str, "tee_beta_j": str,
-    "tol_edge": float, "im_tol": float,
+    "scaling_sizes": _int_list, "tee_sizes": _int_list, "tee_beta_j": _beta_grid,
 }
 
 

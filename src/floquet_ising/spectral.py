@@ -39,8 +39,10 @@ from .errors import MetricPoleError, NumericalBreakdown, ValidationError
 from .params import (BoundaryCondition, LatticeSpec, ModelParams, PhaseLabel,
                      PI4)
 
-_MODE_CLASS_TOL = 1e-10  # dispersion pair classes: exceptional, real, conjugate
-_REAL_MODE_RTOL = 1e-8   # census: |Im eps| below this times max(|eps|, 1) is real
+_MODE_CLASS_TOL = 1e-10  # pair classes: exceptional defect, conjugate-pair Re eps
+_REAL_MODE_RTOL = 1e-8   # real mode: |Im eps| below this times max(max |eps|, 1)
+_EDGE_RE_TOL = 1e-3      # edge candidates: |Re eps| or |Re eps - pi| below this
+_EDGE_IM_TOL = 1e-2      # ... and |Im eps| at most this
 _COND_CUTOFF = 1e10      # largest eigenvalue condition the edge scan accepts
 _EDGE_FRACTION = 0.1     # an edge mode holds half its weight on this end share
 _VOLUME_DENSITY = 0.1    # real-mode density at which the label is volume law
@@ -260,15 +262,19 @@ class ModeClass:
 class DispersionPoint:
     k: float
     epsilon: tuple[complex, complex]
-    w_k: complex
-    x: complex
     classification: str
 
 
-def _classify_pair(eps: complex, defect: float) -> str:
+def _real(eps: np.ndarray) -> np.ndarray:
+    """The one real-mode rule: |Im eps| < _REAL_MODE_RTOL max(max |eps|, 1),
+    the max taken over the whole spectrum ``eps`` being classified."""
+    return np.abs(eps.imag) < _REAL_MODE_RTOL * max(np.max(np.abs(eps)), 1.0)
+
+
+def _classify_pair(eps: complex, defect: float, real: bool) -> str:
     if defect < _MODE_CLASS_TOL:
         return ModeClass.EXCEPTIONAL
-    if abs(eps.imag) < _MODE_CLASS_TOL:
+    if real:
         return ModeClass.REAL
     re = abs(fold_real_part(eps.real))
     if re < _MODE_CLASS_TOL or abs(re - np.pi) < _MODE_CLASS_TOL:
@@ -276,8 +282,15 @@ def _classify_pair(eps: complex, defect: float) -> str:
     return ModeClass.GROW_DECAY
 
 
-def _dispersion(J: complex, h: complex, k) -> tuple[np.ndarray, ...]:
-    """x, disc = (x/4)^2 - 1, w_k and eps = i w_k (folded) at each momentum.
+def classify_modes(eps: np.ndarray, defect=None) -> list[str]:
+    """Class of each pair +-eps, real by ``_real`` over all of ``eps``; the
+    exceptional test runs only where coalescence ``defect`` values are given."""
+    defect = np.full(len(eps), np.inf) if defect is None else np.abs(defect)
+    return [_classify_pair(complex(e), d, r) for e, d, r in zip(eps, defect, _real(eps))]
+
+
+def _dispersion(J: complex, h: complex, k) -> tuple[np.ndarray, np.ndarray]:
+    """disc = (x/4)^2 - 1 and eps = i w_k (folded) at each momentum.
 
     x = 2(1+cos k) cos(2h-2J) + 2(1-cos k) cos(2h+2J) and exp(w_k) are the
     two reciprocal roots of a quadratic with cosh(w_k) = x/4; the pair is
@@ -290,29 +303,31 @@ def _dispersion(J: complex, h: complex, k) -> tuple[np.ndarray, ...]:
     root = np.sqrt(np.asarray(disc, dtype=complex))
     ew = x / 4.0 + root
     ew = np.where(np.abs(ew) < 1e-300, x / 4.0 - root, ew)  # degenerate root at x = -4
-    w = np.log(ew)
-    eps = 1j * w
+    eps = 1j * np.log(ew)
     eps.real = fold_real_part(eps.real)
-    return x, disc, w, eps
+    return disc, eps
+
+
+def dispersion_points(J: complex, h: complex, k) -> list[DispersionPoint]:
+    """Quasienergy pairs at the momenta ``k``, the real-mode rule taken over
+    all of them.  The partner is the exact negative so the pair sums to
+    zero; for a +pi mode it therefore prints as -pi (same quasienergy class)."""
+    k = np.asarray(k, dtype=float)
+    disc, eps = _dispersion(J, h, k)
+    return [DispersionPoint(float(q), (complex(e), -complex(e)), c)
+            for q, e, c in zip(k, eps, classify_modes(eps, disc))]
 
 
 def floquet_dispersion(J: complex, h: complex, k: float) -> DispersionPoint:
     """Quasienergy pair at momentum k for the kicked chain (see ``_dispersion``)."""
-    x, disc, w, eps = (a[0] for a in _dispersion(J, h, [k]))
-    eps = complex(eps)
-    # the partner is the exact negative so the pair sums to zero; for a
-    # +pi mode it therefore prints as -pi (same quasienergy class)
-    pair = (eps, -eps)
-    cls = _classify_pair(eps, abs(disc))
-    return DispersionPoint(float(k), pair, complex(w), complex(x), cls)
+    return dispersion_points(J, h, [k])[0]
 
 
 def dispersion_continuous(J: complex, h: complex, k: float) -> DispersionPoint:
     """Continuous-time limit spectrum +-2 sqrt(h^2 - 2hJ cos k + J^2)."""
     rad = h * h - 2 * h * J * np.cos(k) + J * J
     lam = 2 * np.sqrt(complex(rad))
-    cls = _classify_pair(lam, abs(rad))
-    return DispersionPoint(float(k), (lam, -lam), complex("nan"), complex(rad), cls)
+    return DispersionPoint(float(k), (lam, -lam), classify_modes(np.array([lam]), [rad])[0])
 
 
 def allowed_momenta(lat: LatticeSpec) -> np.ndarray:
@@ -348,9 +363,8 @@ def count_real_modes(params: ModelParams, L: int, sectors: str = "both") -> Real
     count = total = 0
     for bc in bcs:
         # one eps of each +-eps pair per momentum; both have the same |eps|
-        eps = _dispersion(params.J, params.h, allowed_momenta(LatticeSpec(L, bc)))[3]
-        tol = _REAL_MODE_RTOL * max(np.max(np.abs(eps)), 1.0)
-        count += 2 * int(np.sum(np.abs(eps.imag) < tol))
+        eps = _dispersion(params.J, params.h, allowed_momenta(LatticeSpec(L, bc)))[1]
+        count += 2 * int(np.sum(_real(eps)))
         total += 2 * len(eps)
     return RealModeCensus(count, total)
 
@@ -379,12 +393,6 @@ def quasienergies_from_transfer(tm: TransferMatrix) -> SpectrumReport:
     return SpectrumReport(quasienergies_from_eigenvalues(tm.eigenvalues), [])
 
 
-def _inv2_ld(s):
-    det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
-    return np.array([[s[1, 1], -s[0, 1]], [-s[1, 0], s[0, 0]]],
-                    dtype=s.dtype) / det
-
-
 def _refine_pair(tm: TransferMatrix, mu, vr, vl) -> np.ndarray:
     """Eigenvalues of a two-mode cluster via biorthogonal projection.
 
@@ -399,10 +407,12 @@ def _refine_pair(tm: TransferMatrix, mu, vr, vl) -> np.ndarray:
     vr = np.linalg.qr(vr)[0].astype(np.clongdouble)
     vl = np.linalg.qr(vl)[0].astype(np.clongdouble)
     s = vl.conj().T @ vr
-    if abs(s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]) < 1e-12:
+    det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
+    if abs(det) < 1e-12:
         return mu
     mvr = tm.coupling_form.kick(tm.field_form.kick(vr))
-    b = _inv2_ld(s) @ (vl.conj().T @ mvr)
+    s_inv = np.array([[s[1, 1], -s[0, 1]], [-s[1, 0], s[0, 0]]], dtype=s.dtype) / det
+    b = s_inv @ (vl.conj().T @ mvr)
     tr = b[0, 0] + b[1, 1]
     disc = np.sqrt((b[0, 0] - b[1, 1]) ** 2 + 4 * b[0, 1] * b[1, 0])
     return np.array([complex((tr + disc) / 2), complex((tr - disc) / 2)])
@@ -472,13 +482,12 @@ def _candidate_vectors(tm: TransferMatrix, j: np.ndarray) -> tuple[np.ndarray, n
 
 
 def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
-                      tol_edge: float = 1e-3, im_tol: float = 1e-2,
                       refine: bool = True) -> SpectrumReport:
     """Scan the open-chain spectrum for localized zero and pi modes.
 
-    Candidates are the quasienergies within ``tol_edge`` of 0 or pi and
-    ``im_tol`` of the real axis, with their chiral partners; only they get
-    eigenvectors (``_candidate_vectors``).  One with more than half its
+    Candidates are the quasienergies within ``_EDGE_RE_TOL`` of 0 or pi and
+    ``_EDGE_IM_TOL`` of the real axis, with their chiral partners; only they
+    get eigenvectors (``_candidate_vectors``).  One with more than half its
     weight on the outer ``_EDGE_FRACTION`` of sites is an edge mode.  A
     candidate with eigenvalue condition kappa >= ``_COND_CUTOFF`` (an
     exceptional point in the edge window; the constant is read at call
@@ -492,8 +501,9 @@ def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
     report = quasienergies_from_transfer(tm)
     eps = report.quasienergies
     re = np.abs(eps.real)
-    kinds = np.where(re < tol_edge, "zero", np.where(np.abs(re - np.pi) < tol_edge, "pi", ""))
-    kinds[np.abs(eps.imag) > im_tol] = ""
+    kinds = np.where(re < _EDGE_RE_TOL, "zero",
+                     np.where(np.abs(re - np.pi) < _EDGE_RE_TOL, "pi", ""))
+    kinds[np.abs(eps.imag) > _EDGE_IM_TOL] = ""
     j = np.unique(np.flatnonzero(kinds) % lat.L)
     idx = np.concatenate([j, j + lat.L])
     vecs, kappa = _candidate_vectors(tm, j)

@@ -94,26 +94,20 @@ def spin_rows(trace: ed.ObservableTrace) -> list[dict]:
             for t in range(n_periods) for j in range(L)]
 
 
-@_task("spectrum", L=40, bc="obc", tol_edge=1e-3, im_tol=1e-2)
+@_task("spectrum", L=40, bc="obc")
 def task_spectrum(cfg):
     params, lat, quench = model_from_config(cfg)
     quench.require_free_fermion()
     census = spectral.count_real_modes(params, lat.L)
-    obc = spectral.detect_edge_modes(params, lat, tol_edge=cfg["tol_edge"],
-                                     im_tol=cfg["im_tol"])
+    obc = spectral.detect_edge_modes(params, lat)
     label = spectral.classify_phase_from_spectrum(obc, census)
-    rows = []
-    for i, rec in enumerate(obc.edge_modes):
-        rows.append({"mode_index": i, "kind": rec.kind,
-                     "re_eps": rec.energy.real, "im_eps": rec.energy.imag,
-                     "abs_eps": abs(rec.energy),
-                     "loc_len": rec.localization_length,
-                     "phase": str(label), "n_real_modes": census.count})
-    if not rows:
-        rows.append({"mode_index": -1, "kind": "none", "re_eps": 0.0,
-                     "im_eps": 0.0, "abs_eps": 0.0, "loc_len": 0.0,
-                     "phase": str(label), "n_real_modes": census.count})
-    return rows
+    point = {"phase": str(label), "n_real_modes": census.count}
+    rows = [{"mode_index": i, "kind": rec.kind, "re_eps": rec.energy.real,
+             "im_eps": rec.energy.imag, "abs_eps": abs(rec.energy),
+             "loc_len": rec.localization_length, **point}
+            for i, rec in enumerate(obc.edge_modes)]
+    return rows or [{"mode_index": -1, "kind": "none", "re_eps": 0.0, "im_eps": 0.0,
+                     "abs_eps": 0.0, "loc_len": 0.0, **point}]
 
 
 @_task("evolve", L=100)
@@ -185,12 +179,6 @@ class RunManifest:
         return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
-
-
 def write_csv(path: Path, rows: list[dict], fieldnames=None):
     if not rows:
         raise ValidationError("no rows to write")
@@ -203,9 +191,7 @@ def write_csv(path: Path, rows: list[dict], fieldnames=None):
 
 
 def _fmt(v):
-    if isinstance(v, float):
-        return format(v, ".12g")
-    if isinstance(v, (np.floating,)):
+    if isinstance(v, (float, np.floating)):
         return format(float(v), ".12g")
     if isinstance(v, (np.integer,)):
         return int(v)
@@ -241,7 +227,7 @@ def run_sweep(spec: SweepSpec, out_dir, seed=None) -> RunManifest:
     csv_path = out_dir / f"{spec.task}_sweep.csv"
     if rows:
         write_csv(csv_path, rows)
-    outputs = {csv_path.name: _sha256(csv_path)} if rows else {}
+    outputs = {csv_path.name: hashlib.sha256(csv_path.read_bytes()).hexdigest()} if rows else {}
     manifest = RunManifest(
         version=__version__,
         spec={"axes": [list(a) for a in spec.axes], "fixed": spec.fixed,

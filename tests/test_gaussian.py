@@ -681,6 +681,23 @@ def test_continuous_steps_match_direct_exponential():
         assert np.linalg.norm(cm.c - _direct_flow(frame, hmat, t)) < 1e-12
 
 
+def test_continuous_frames_carry_the_frame_counters():
+    # a non-Hermitian flow: each step is taken like a period, so norm_log
+    # adds up to the log-norm of one exponential of the initial frame
+    L = 6
+    lat = P.lattice(L, "pbc-even")
+    hmat = gaussian.continuous_hamiltonian(P.ModelParams(0.4, -0.15, 0.6, 0.2), lat)
+    frame = gaussian.initial_frame(P.named_state("neel-fermion", L), lat)
+    t_grid = [0.0, 0.1, 0.35, 0.35, 0.6, 1.4, 1.45, 3.0]
+    frames = gaussian.evolve_continuous(frame, hmat, t_grid)
+    _, log_mag, _ = gaussian.orthonormalize(expm(-4j * t_grid[-1] * hmat) @ frame.phi)
+    assert abs(log_mag) > 0.1
+    assert frames[-1].norm_log == pytest.approx(log_mag, rel=1e-10)
+    assert frames[-1].isotropy == frames[-1].isotropy_defect()
+    assert [f.period_count for f in frames] == list(range(1, len(t_grid) + 1))
+    assert {f.route for f in frames} == {"continuous"}
+
+
 @pytest.mark.parametrize("t_grid", [[0.0, 0.5, 0.4], [-0.1, 0.2], [], [0.1, np.nan]])
 def test_continuous_rejects_bad_time_grid(t_grid):
     lat = P.lattice(4, "obc")

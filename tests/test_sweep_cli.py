@@ -2,9 +2,13 @@ import ast
 import csv
 import inspect
 import json
+import shlex
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from floquet_ising import cli, gaussian, params as P, spectral, sweep
 from floquet_ising.errors import ValidationError
@@ -215,17 +219,6 @@ def test_cli_spectrum_reads_both_alphas_from_config(tmp_path):
     assert summary["phase"] == str(spectral.classify_phase(p)) == "critical-log"
 
 
-@pytest.mark.parametrize("key, value", [("tol_edge", "1e-3"), ("im_tol", "1e-2")])
-def test_sweep_reads_tolerances_from_config_as_numbers(tmp_path, key, value):
-    cfgfile = tmp_path / "spec.cfg"
-    cfgfile.write_text(f"beta_J = -1.0\nbeta_h = 0.5\n{key} = {value}\n")
-    rc = cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path), "sweep",
-                   "--task", "spectrum", "--axis", "alpha:0.5:0.5:1"])
-    assert rc == 0
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert [p["status"] for p in manifest["points"]] == ["ok"]
-
-
 @pytest.mark.parametrize("task, csv_name, column, n_rows", [
     ("evolve", "evolve.csv", "S_A", 3), ("spin-quench", "spin_quench.csv", "Sx", 3 * 12)])
 def test_cli_and_sweep_share_task_defaults(tmp_path, task, csv_name, column, n_rows):
@@ -336,6 +329,68 @@ def test_cli_and_sweep_count_the_same_real_modes(tmp_path):
     row = read_rows(tmp_path / "sweep" / "spectrum_sweep.csv")[0]
     assert summary["phase"] == row["phase"] == "critical-volume"
     assert summary["n_real_modes"] == int(row["n_real_modes"]) == 110
+
+
+def _spectrum_kinds(tmp_path, *flags):
+    """Row classes of spectrum.csv and n_real_modes of one spectrum run."""
+    assert cli.main(["--out-dir", str(tmp_path), "spectrum", *flags]) == 0
+    summary = json.loads((tmp_path / "spectrum_summary.json").read_text())
+    rows = read_rows(tmp_path / "spectrum.csv")
+    return Counter(r["classification"] for r in rows), summary["n_real_modes"]
+
+
+def test_periodic_spectrum_rows_are_classified_like_the_census(tmp_path):
+    # 2e-9 off beta_J = -beta_h: Im eps ~ 3e-9 is real by the census rule
+    kinds, n_real = _spectrum_kinds(tmp_path, "--alpha", "0.5", "--beta-j", "-0.5",
+                                    "--beta-h", "0.500000002", "--L", "40",
+                                    "--bc", "pbc-even")
+    assert kinds["real"] + kinds["exceptional"] == n_real == 36
+
+
+@settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.floats(0.0, 2.0), st.floats(-2.0, 2.0), st.floats(-1e-7, 1e-7),
+       st.sampled_from([1.0, -1.0]), st.integers(8, 64),
+       st.sampled_from(["pbc-even", "pbc-odd"]))
+def test_periodic_census_counts_exactly_the_real_rows(tmp_path, alpha, beta_h, delta,
+                                                      sign, L, bc):
+    # within 1e-7 of |beta_J| = |beta_h|: every real row is counted and no
+    # conjugate-pair or grow-decay row is (an exceptional row may be either)
+    kinds, n_real = _spectrum_kinds(tmp_path, f"--alpha={alpha!r}",
+                                    f"--beta-j={sign * beta_h + delta!r}",
+                                    f"--beta-h={beta_h!r}", f"--L={L}", f"--bc={bc}")
+    assert kinds["real"] <= n_real <= kinds["real"] + kinds["exceptional"]
+
+
+@pytest.mark.parametrize("argv, cfg, message", [
+    (["sweep", "--task", "spectrum", "--axis", "beta_J:0:2"], "", "--axis"),
+    (["sweep", "--task", "spectrum", "--axis", "beta_J:0:2:x"], "", "--axis"),
+    (["tee"], "tee_sizes = 8,x\n", "config line 4"),
+    (["tee"], "tee_beta_j = -0.4,-0.2\n", "config line 4"),
+    (["scaling"], "scaling_sizes = 20,x\n", "config line 4"),
+], ids=["axis-fields", "axis-count", "tee-sizes", "tee-beta-j", "scaling-sizes"])
+def test_cli_malformed_list_inputs_exit_2(tmp_path, capsys, argv, cfg, message):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("alpha = 0.2\nbeta_h = -0.3\nn_periods = 10\n" + cfg)
+    assert cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path), *argv]) == 2
+    assert message in capsys.readouterr().err
+
+
+def _readme_commands():
+    """The argument lists of every ``floquet-ising ...`` line of the README."""
+    text = (Path(__file__).parents[1] / "README.md").read_text().replace("\\\n", " ")
+    return [shlex.split(ln)[1:] for ln in text.splitlines()
+            if ln.startswith("floquet-ising ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: floquet-ising {shlex.join(argv)}")
 
 
 @pytest.mark.parametrize("bc, n_real", [("pbc-even", 0), ("pbc-odd", 2)])
