@@ -21,8 +21,8 @@ from .gaussian import (CorrelationMatrix, EntropyTrace, GaussianFrame,
                        continuous_hamiltonian, initial_frame, period_map,
                        run_to_steady_state, stroboscopic_run)
 from .entanglement import (CollapseResult, EntropyReport, ScalingFit,
-                           TeeResult, entropy_from_correlations, fit_scaling,
-                           mutual_information, renyi_entropy, tee,
+                           TeeResult, fit_scaling, mutual_information,
+                           renyi_entropy, subsystem_entropy, tee,
                            tee_collapse)
 from .cft import (CftCurve, CftParams, ComparisonReport, compare_to_numerics,
                   entropy_curve, tr_rho_n)

@@ -174,10 +174,9 @@ def cmd_cft_compare(args):
                          units="rad")
     hmat = gaussian.continuous_hamiltonian(params, lat)
     frame = gaussian.initial_frame(named_state("neel-fermion", L), lat)
-    idx = SubsystemSpec(1, la).majorana_indices(lat)
-    s_num = np.array([entanglement.entropy_from_majorana_block(
-        gaussian.correlation_block(f, idx)).entropy
-        for f in gaussian.evolve_continuous(frame, hmat, t_grid)])
+    sub = SubsystemSpec(1, la)
+    s_num = np.array([entanglement.subsystem_entropy(f, sub, lat).entropy
+                      for f in gaussian.evolve_continuous(frame, hmat, t_grid)])
     s_num -= s_num[0]
 
     rows = [{"t": float(t), "S_cft": float(sc), "S_numeric": float(sn),

@@ -1,4 +1,4 @@
-"""Entropy functionals on Majorana correlation matrices and scaling fits.
+"""Entropy functionals on Gaussian frames and scaling fits.
 
 The restricted block C'_A of C' = C - 1 is i A with A real and
 antisymmetric, so its eigenvalues come in real pairs +-nu_i with nu_i in
@@ -7,7 +7,8 @@ symmetric with eigenvalues nu_i^2, each twice, so one real ``eigvalsh``
 of a 2 L_A x 2 L_A matrix gives the spectrum.  The von Neumann entropy
 sums the binary entropy of (1 + nu)/2 over one member of each pair;
 summing the full 2 L_A spectrum and halving avoids any pairing
-bookkeeping.
+bookkeeping.  The functionals take a frame and read each block C_A
+through ``gaussian.correlation_block``; the dense C is never formed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gaussian
 from .errors import CollapseError, PurityViolation, ValidationError
 from .params import LatticeSpec, SubsystemSpec, TeePartition, majorana_indices
 
@@ -65,12 +67,14 @@ def entropy_from_majorana_block(block_c: np.ndarray) -> EntropyReport:
     return EntropyReport(_binary_entropy_sum(nu), nu)
 
 
-def entropy_from_correlations(corr, subsystem: SubsystemSpec,
-                              lat: LatticeSpec) -> EntropyReport:
-    """Restrict C to the subsystem's Majorana block and evaluate."""
-    c = corr.c if hasattr(corr, "c") else np.asarray(corr)
-    idx = subsystem.majorana_indices(lat)
-    return entropy_from_majorana_block(c[np.ix_(idx, idx)])
+def _entropy(frame: gaussian.GaussianFrame, idx: np.ndarray) -> EntropyReport:
+    return entropy_from_majorana_block(gaussian.correlation_block(frame, idx))
+
+
+def subsystem_entropy(frame: gaussian.GaussianFrame, subsystem: SubsystemSpec,
+                      lat: LatticeSpec) -> EntropyReport:
+    """Entropy of the subsystem in the frame's state, from its block of C."""
+    return _entropy(frame, subsystem.majorana_indices(lat))
 
 
 def _renyi_from_nu(nu: np.ndarray, n: int) -> float:
@@ -80,27 +84,25 @@ def _renyi_from_nu(nu: np.ndarray, n: int) -> float:
     return float(np.sum(np.log(p ** n + q ** n)) / (2.0 * (1.0 - n)))
 
 
-def renyi_entropy(corr, subsystem: SubsystemSpec, lat: LatticeSpec, n: int) -> float:
+def renyi_entropy(frame: gaussian.GaussianFrame, subsystem: SubsystemSpec,
+                  lat: LatticeSpec, n: int) -> float:
     """Order-n Renyi entropy from the same nu spectrum; n = 1 is von Neumann."""
     if n < 1 or int(n) != n:
         raise ValidationError("Renyi order must be a positive integer")
-    report = entropy_from_correlations(corr, subsystem, lat)
+    report = subsystem_entropy(frame, subsystem, lat)
     if n == 1:
         return report.entropy
     return _renyi_from_nu(report.nu, int(n))
 
 
-def mutual_information(corr, sub_a: SubsystemSpec, sub_b: SubsystemSpec,
-                       lat: LatticeSpec) -> float:
-    sites_a, sites_b = set(sub_a.sites(lat)), set(sub_b.sites(lat))
-    if sites_a & sites_b:
+def mutual_information(frame: gaussian.GaussianFrame, sub_a: SubsystemSpec,
+                       sub_b: SubsystemSpec, lat: LatticeSpec) -> float:
+    if set(sub_a.sites(lat)) & set(sub_b.sites(lat)):
         raise ValidationError("mutual information needs disjoint subsystems")
-    c = corr.c if hasattr(corr, "c") else np.asarray(corr)
     idx_a = sub_a.majorana_indices(lat)
     idx_b = sub_b.majorana_indices(lat)
-    idx_ab = np.concatenate([idx_a, idx_b])
-    s = lambda idx: entropy_from_majorana_block(c[np.ix_(idx, idx)]).entropy
-    return s(idx_a) + s(idx_b) - s(idx_ab)
+    s = lambda idx: _entropy(frame, idx).entropy
+    return s(idx_a) + s(idx_b) - s(np.concatenate([idx_a, idx_b]))
 
 
 # --------------------------------------------------------------------------
@@ -114,19 +116,15 @@ class TeeResult:
     L: int
 
 
-def tee(corr, partition: TeePartition, lat: LatticeSpec) -> TeeResult:
+def tee(frame: gaussian.GaussianFrame, partition: TeePartition,
+        lat: LatticeSpec) -> TeeResult:
     """S_AB + S_BC - S_B - S_ABC over the four-segment partition.
 
     Equal to the conditional mutual information I(A : C | B); quantized at
     ln 2 when the end segments A and C share the nonlocal Majorana pair.
     """
     segs = partition.segments(lat)
-    c = corr.c if hasattr(corr, "c") else np.asarray(corr)
-
-    def s(sites):
-        idx = majorana_indices(sorted(sites))
-        return entropy_from_majorana_block(c[np.ix_(idx, idx)]).entropy
-
+    s = lambda sites: _entropy(frame, majorana_indices(sorted(sites))).entropy
     a, b, cseg = segs["A"], segs["B"], segs["C"]
     s_top = s(a + b) + s(b + cseg) - s(b) - s(a + b + cseg)
     return TeeResult(float(s_top), partition.lengths, lat.L)

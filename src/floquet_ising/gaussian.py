@@ -238,10 +238,13 @@ def correlation_block(frame: GaussianFrame, majorana_idx: np.ndarray) -> np.ndar
     over the within-cell rows a that the block uses.  The momenta are the
     grid q = 2 pi (m + theta) / N of ``cell_momenta``, so
     T(d) = 2 e^{i q_0 d} ifft_m(conj(Phi_q) Phi_q^T)[d mod N]
-    (q_0 = 2 pi theta / N): one FFT over the stack.  One cell gives 2 conj(Phi) Phi^T restricted to
-    those rows.
+    (q_0 = 2 pi theta / N): one FFT over the stack.  One cell gives
+    2 conj(Phi) Phi^T restricted to those rows, taken directly.
     """
     n, r = frame.blocks.shape[:2]
+    if n == 1:
+        sub = frame.blocks[0, majorana_idx]
+        return 2.0 * (np.conj(sub) @ sub.T)
     x, a = np.divmod(np.asarray(majorana_idx), r)
     rows, a = np.unique(a, return_inverse=True)
     k = len(rows)
@@ -474,12 +477,10 @@ def stroboscopic_run(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig
     ``preferred_sector`` to match the initial state's fermion parity when
     comparing against the spin-language oracle.
     """
-    idx = subsystem.majorana_indices(lat)
     ents, norms, purs = [], [], []
 
     def record(frame: GaussianFrame):
-        block = correlation_block(frame, idx)
-        ents.append(entanglement.entropy_from_majorana_block(block).entropy)
+        ents.append(entanglement.subsystem_entropy(frame, subsystem, lat).entropy)
         norms.append(frame.norm_log)
         purs.append(frame.isotropy)
         if observe is not None:

@@ -320,6 +320,8 @@ def _int_list(value: str) -> list[int]:
 
 def _beta_grid(value: str) -> tuple[float, float, int]:
     start, stop, count = value.split(",")  # the arguments of np.linspace
+    if int(count) < 1:
+        raise ValidationError(f"grid count must be >= 1, got {count.strip()}")
     return float(start), float(stop), int(count)
 
 

@@ -620,44 +620,31 @@ def effective_hamiltonian_nambu(J: complex, h: complex, k: float) -> np.ndarray:
 
 
 def _metric_residual(eta: np.ndarray, hk: np.ndarray) -> float:
-    lhs = eta @ hk @ np.linalg.inv(eta)
-    return float(np.linalg.norm(lhs - hk.conj().T) / max(np.linalg.norm(hk), 1e-300))
-
-
-def _hermitian_lstsq_metric(hk: np.ndarray) -> np.ndarray:
-    """Least-squares Hermitian eta minimizing ||eta H - H^dag eta||."""
-    n = hk.shape[0]
-    basis = []
-    for i in range(n):
-        e = np.zeros((n, n), complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n), complex)
-            e[i, j] = e[j, i] = 1.0
-            basis.append(e)
-            e = np.zeros((n, n), complex)
-            e[i, j] = 1j
-            e[j, i] = -1j
-            basis.append(e)
-    cols = [ (b @ hk - hk.conj().T @ b).ravel() for b in basis ]
-    a = np.array([np.concatenate([c.real, c.imag]) for c in cols]).T
-    _, _, vt = np.linalg.svd(a)
-    coef = vt[-1]
-    eta = sum(c * b for c, b in zip(coef, basis))
-    eta = eta / np.linalg.norm(eta) * math.sqrt(n)
-    return eta
+    """||eta H eta^-1 - H^dag|| / ||H||; inf where eta is singular."""
+    with np.errstate(all="ignore"):
+        try:
+            lhs = eta @ hk @ np.linalg.inv(eta)
+        except np.linalg.LinAlgError:
+            return np.inf
+        res = float(np.linalg.norm(lhs - hk.conj().T) / max(np.linalg.norm(hk), 1e-300))
+    return res if np.isfinite(res) else np.inf
 
 
 def pseudo_hermiticity_certificate(params: ModelParams, k: float,
                                    continuous: bool | None = None) -> MetricOperator:
-    """Closed-form similarity metric where one is known, else a numerical
-    least-squares attempt (reported, not certified).
+    """Closed-form similarity metric where one is known, else the exact
+    eigenbasis verdict.
 
     Families: (i) continuous limit with J = conj(h) uses the cot(k/2)
     metric; (ii) the alpha = pi/4 line uses the first Pauli matrix on the
     effective Floquet Hamiltonian; Hermitian couplings use the identity.
+    Elsewhere ("numerical") a diagonalizable 2 x 2 block H = R D R^-1 is
+    pseudo-Hermitian iff its eigenvalues are real or a complex-conjugate
+    pair, with metric l1 l1^dag + l2 l2^dag or l1 l2^dag + l2 l1^dag over
+    the left eigenvectors l_i, the columns of R^-dag; the one with the
+    smaller residual is reported, certified under the same gate as the
+    families.  An exceptional block (coalesced eigenvectors) has no metric;
+    where R is singular in floating point its residual is inf.
     """
     J, h = params.J, params.h
     hermitian = params.beta_J == 0 and params.beta_h == 0
@@ -689,10 +676,17 @@ def pseudo_hermiticity_certificate(params: ModelParams, k: float,
         return MetricOperator(_SIGMA_X.copy(), res, "self-dual-line", res < 1e-8)
 
     hk = effective_hamiltonian_nambu(J, h, k)
-    eta = _hermitian_lstsq_metric(hk)
-    sv = np.linalg.svd(eta, compute_uv=False)
-    res = _metric_residual(eta, hk) if sv[-1] > 1e-8 * sv[0] else np.inf
-    return MetricOperator(eta, res, "numerical", False)
+    with np.errstate(all="ignore"):
+        try:
+            l1, l2 = np.linalg.inv(np.linalg.eig(hk)[1]).conj()
+        except np.linalg.LinAlgError:
+            l1 = l2 = np.zeros(2)
+        metrics = (np.outer(l1, l1.conj()) + np.outer(l2, l2.conj()),
+                   np.outer(l1, l2.conj()) + np.outer(l2, l1.conj()))
+    residuals = [_metric_residual(eta, hk) for eta in metrics]
+    best = int(np.argmin(residuals))
+    res = residuals[best]
+    return MetricOperator(metrics[best], res, "numerical", res < 1e-8)
 
 
 def spectrum_conjugation_defect(eps: np.ndarray) -> float:

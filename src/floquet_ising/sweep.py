@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalBreakdown, ValidationError
-from .params import (TeePartition, model_from_config, subsystem_from_config,
-                     swept_value)
+from .params import (_CONFIG_KEYS, TeePartition, model_from_config,
+                     subsystem_from_config, swept_value)
 from . import ed, entanglement, gaussian, spectral
 
 TASKS = {}
@@ -57,6 +57,8 @@ class SweepSpec:
         if set(names) & set(self.fixed):
             raise ValidationError("axis parameters may not also be fixed")
         for name, start, stop, count in self.axes:
+            if _CONFIG_KEYS.get(name) not in (float, int):
+                raise ValidationError(f"axis {name}: not a numeric config key")
             if count < 1:
                 raise ValidationError(f"axis {name}: count must be >= 1")
         if self.workers < 1:
@@ -135,8 +137,7 @@ def task_tee(cfg):
     frame took; the chain is always open."""
     params, lat, quench = model_from_config({**cfg, "bc": "obc"})
     frame = gaussian.run_to_steady_state(params, lat, quench)
-    result = entanglement.tee(gaussian.correlation_from_frame(frame),
-                              TeePartition.quarters(lat.L), lat)
+    result = entanglement.tee(frame, TeePartition.quarters(lat.L), lat)
     return [{"L": lat.L, "beta_J": cfg.get("beta_J", 0.0), "S_top": result.s_top,
              "route": frame.route}]
 

@@ -93,7 +93,7 @@ def test_criterion_2_oracle_equivalence():
                 corr = gaussian.correlation_from_frame(frame)
                 worst_z = max(worst_z, float(np.max(np.abs(
                     corr.z_expectations() - ed.z_expectations(psi, L)))))
-                s_g = E.entropy_from_correlations(corr, sub, lat).entropy
+                s_g = E.subsystem_entropy(frame, sub, lat).entropy
                 s_d = ed.reduced_entropy_oracle(psi, sites, L)
                 worst_s = max(worst_s, abs(s_g - s_d))
     elapsed = time.time() - t0
@@ -264,8 +264,7 @@ def tee_steady(alpha, bj, bh, L, n_periods=300):
     quench = P.QuenchConfig(P.named_state("neel-fermion", L),
                             n_periods=n_periods)
     frame = gaussian.run_to_steady_state(p, lat, quench)
-    corr = gaussian.correlation_from_frame(frame)
-    return E.tee(corr, P.TeePartition.quarters(L), lat).s_top
+    return E.tee(frame, P.TeePartition.quarters(L), lat).s_top
 
 
 def test_criterion_7_tee():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import scipy.linalg
 import scipy.special
 
@@ -25,9 +25,8 @@ def evolved_state(L, p, n_periods, bc=None):
 def test_product_state_zero_entropy():
     lat = P.lattice(6, "obc")
     frame = gaussian.initial_frame(P.named_state("neel-fermion", 6), lat)
-    corr = gaussian.correlation_from_frame(frame)
     for start, length in [(1, 1), (2, 3), (1, 6)]:
-        rep = E.entropy_from_correlations(corr, P.SubsystemSpec(start, length), lat)
+        rep = E.subsystem_entropy(frame, P.SubsystemSpec(start, length), lat)
         assert rep.entropy == pytest.approx(0.0, abs=1e-11)
 
 
@@ -41,9 +40,8 @@ def test_maximally_entangled_modes():
 def test_entropy_matches_dense_partial_trace():
     p = P.ModelParams(0.45, -0.35, 0.3, 0.25)
     frame, psi, lat = evolved_state(6, p, 25)
-    corr = gaussian.correlation_from_frame(frame)
     for start, length in [(1, 3), (2, 2), (1, 5)]:
-        s_g = E.entropy_from_correlations(corr, P.SubsystemSpec(start, length), lat)
+        s_g = E.subsystem_entropy(frame, P.SubsystemSpec(start, length), lat)
         sites = P.SubsystemSpec(start, length).sites(lat)
         s_d = ed.reduced_entropy_oracle(psi, sites, 6)
         assert s_g.entropy == pytest.approx(s_d, abs=1e-9)
@@ -62,15 +60,14 @@ def test_trace_form_equals_eigenvalue_form():
     m_minus = (one - cp) / 2
     trace_form = -0.5 * np.trace(
         m_plus @ scipy.linalg.logm(m_plus) + m_minus @ scipy.linalg.logm(m_minus)).real
-    eig_form = E.entropy_from_correlations(corr, sub, lat).entropy
+    eig_form = E.subsystem_entropy(frame, sub, lat).entropy
     assert trace_form == pytest.approx(eig_form, abs=1e-10)
 
 
 def test_nu_spectrum_symmetric():
     p = P.ModelParams(0.5, -0.2, 0.4, 0.3)
     frame, _, lat = evolved_state(6, p, 12)
-    corr = gaussian.correlation_from_frame(frame)
-    nu = E.entropy_from_correlations(corr, P.SubsystemSpec(1, 3), lat).nu
+    nu = E.subsystem_entropy(frame, P.SubsystemSpec(1, 3), lat).nu
     assert np.allclose(np.sort(nu), -np.sort(-nu)[::-1], atol=1e-8)
 
 
@@ -129,36 +126,34 @@ def test_real_nu_spectrum_matches_complex_hermitian_reference(L, bc, couplings,
     top = L - 1 if lat.bc.periodic else L - start + 1
     sub = P.SubsystemSpec(start, data.draw(st.integers(1, top)))
     quench = P.QuenchConfig(P.named_state("neel-fermion", L), n_periods=n_periods)
-    corr = gaussian.correlation_from_frame(
-        gaussian.run_to_steady_state(P.ModelParams(*couplings), lat, quench, lambda f: None))
+    frame = gaussian.run_to_steady_state(P.ModelParams(*couplings), lat, quench,
+                                         lambda f: None)
     idx = sub.majorana_indices(lat)
-    ref = _reference_nu(corr.c[np.ix_(idx, idx)])
-    rep = E.entropy_from_correlations(corr, sub, lat)
+    ref = _reference_nu(gaussian.correlation_from_frame(frame).c[np.ix_(idx, idx)])
+    rep = E.subsystem_entropy(frame, sub, lat)
     assert np.all(np.diff(rep.nu) >= 0)
     assert np.array_equal(rep.nu, -rep.nu[::-1])
     # nu is only sqrt(eps)-accurate near 0 and every functional is even in nu
     assert np.max(np.abs(np.sort(rep.nu ** 2) - np.sort(ref ** 2))) < 1e-12
     assert abs(rep.entropy - _reference_renyi(ref, 1)) < 1e-10
-    assert abs(E.renyi_entropy(corr, sub, lat, 2) - _reference_renyi(ref, 2)) < 1e-10
+    assert abs(E.renyi_entropy(frame, sub, lat, 2) - _reference_renyi(ref, 2)) < 1e-10
 
 
 def test_pure_state_complementarity():
     p = P.ModelParams(0.45, -0.35, 0.3, 0.25)
     frame, _, lat = evolved_state(8, p, 20)
-    corr = gaussian.correlation_from_frame(frame)
-    s_a = E.entropy_from_correlations(corr, P.SubsystemSpec(1, 3), lat).entropy
-    s_b = E.entropy_from_correlations(corr, P.SubsystemSpec(4, 5), lat).entropy
+    s_a = E.subsystem_entropy(frame, P.SubsystemSpec(1, 3), lat).entropy
+    s_b = E.subsystem_entropy(frame, P.SubsystemSpec(4, 5), lat).entropy
     assert s_a == pytest.approx(s_b, abs=1e-8)
 
 
 def test_subadditivity():
     p = P.ModelParams(0.45, -0.35, 0.3, 0.25)
     frame, _, lat = evolved_state(8, p, 20)
-    corr = gaussian.correlation_from_frame(frame)
     a, b = P.SubsystemSpec(1, 2), P.SubsystemSpec(3, 3)
-    s_a = E.entropy_from_correlations(corr, a, lat).entropy
-    s_b = E.entropy_from_correlations(corr, b, lat).entropy
-    s_ab = E.entropy_from_correlations(corr, P.SubsystemSpec(1, 5), lat).entropy
+    s_a = E.subsystem_entropy(frame, a, lat).entropy
+    s_b = E.subsystem_entropy(frame, b, lat).entropy
+    s_ab = E.subsystem_entropy(frame, P.SubsystemSpec(1, 5), lat).entropy
     assert s_ab <= s_a + s_b + 1e-9
 
 
@@ -168,26 +163,26 @@ def test_subadditivity():
 
 def test_renyi_product_state_zero():
     lat = P.lattice(4, "obc")
-    corr = gaussian.correlation_from_frame(
-        gaussian.initial_frame(P.named_state("all-up", 4), lat))
+    frame = gaussian.initial_frame(P.named_state("all-up", 4), lat)
     for n in (1, 2, 3):
-        assert E.renyi_entropy(corr, P.SubsystemSpec(1, 2), lat, n) == \
+        assert E.renyi_entropy(frame, P.SubsystemSpec(1, 2), lat, n) == \
             pytest.approx(0.0, abs=1e-11)
 
 
 def test_renyi_two_equal_weights():
-    # a single nu = 0 mode: two equal Schmidt weights, S2 = ln 2
+    # a single nu = 0 mode: two equal Schmidt weights, S2 = ln 2; the frame
+    # pairs a Majorana of site 1 with one of site 2, so C_A = 1 on site 1
     lat = P.lattice(2, "obc")
-    corr = np.eye(4, dtype=complex)
-    assert E.renyi_entropy(corr, P.SubsystemSpec(1, 1), lat, 2) == \
+    frame = gaussian.GaussianFrame(
+        np.array([[[1, 0], [0, 1], [0, 1j], [1j, 0]]]) / np.sqrt(2))
+    assert E.renyi_entropy(frame, P.SubsystemSpec(1, 1), lat, 2) == \
         pytest.approx(LN2, abs=1e-12)
 
 
 def test_renyi_matches_dense_trace_rho_squared():
     p = P.ModelParams(0.45, -0.35, 0.3, 0.25)
     frame, psi, lat = evolved_state(6, p, 25)
-    corr = gaussian.correlation_from_frame(frame)
-    s2 = E.renyi_entropy(corr, P.SubsystemSpec(1, 3), lat, 2)
+    s2 = E.renyi_entropy(frame, P.SubsystemSpec(1, 3), lat, 2)
     t = psi.reshape(8, 8)  # sites 1..3 are the low bits
     rho = t.T @ t.conj()
     s2_dense = -np.log(np.real(np.trace(rho @ rho)))
@@ -196,10 +191,9 @@ def test_renyi_matches_dense_trace_rho_squared():
 
 def test_renyi_validates_order():
     lat = P.lattice(4, "obc")
-    corr = gaussian.correlation_from_frame(
-        gaussian.initial_frame(P.named_state("all-up", 4), lat))
+    frame = gaussian.initial_frame(P.named_state("all-up", 4), lat)
     with pytest.raises(ValidationError):
-        E.renyi_entropy(corr, P.SubsystemSpec(1, 2), lat, 0)
+        E.renyi_entropy(frame, P.SubsystemSpec(1, 2), lat, 0)
 
 
 # --------------------------------------------------------------------------
@@ -208,9 +202,8 @@ def test_renyi_validates_order():
 
 def test_mutual_information_product_zero():
     lat = P.lattice(6, "obc")
-    corr = gaussian.correlation_from_frame(
-        gaussian.initial_frame(P.named_state("neel-fermion", 6), lat))
-    mi = E.mutual_information(corr, P.SubsystemSpec(1, 2),
+    frame = gaussian.initial_frame(P.named_state("neel-fermion", 6), lat)
+    mi = E.mutual_information(frame, P.SubsystemSpec(1, 2),
                               P.SubsystemSpec(4, 2), lat)
     assert mi == pytest.approx(0.0, abs=1e-10)
 
@@ -218,20 +211,18 @@ def test_mutual_information_product_zero():
 def test_mutual_information_pure_bipartition():
     p = P.ModelParams(0.45, -0.35, 0.3, 0.25)
     frame, _, lat = evolved_state(6, p, 20)
-    corr = gaussian.correlation_from_frame(frame)
     a, b = P.SubsystemSpec(1, 3), P.SubsystemSpec(4, 3)
-    s_a = E.entropy_from_correlations(corr, a, lat).entropy
-    mi = E.mutual_information(corr, a, b, lat)
+    s_a = E.subsystem_entropy(frame, a, lat).entropy
+    mi = E.mutual_information(frame, a, b, lat)
     assert mi == pytest.approx(2 * s_a, abs=1e-8)
     assert mi >= -1e-9
 
 
 def test_mutual_information_requires_disjoint():
     lat = P.lattice(6, "obc")
-    corr = gaussian.correlation_from_frame(
-        gaussian.initial_frame(P.named_state("neel-fermion", 6), lat))
+    frame = gaussian.initial_frame(P.named_state("neel-fermion", 6), lat)
     with pytest.raises(ValidationError):
-        E.mutual_information(corr, P.SubsystemSpec(1, 3),
+        E.mutual_information(frame, P.SubsystemSpec(1, 3),
                              P.SubsystemSpec(3, 2), lat)
 
 
@@ -241,49 +232,53 @@ def test_mutual_information_requires_disjoint():
 
 def test_tee_product_state_zero():
     lat = P.lattice(16, "obc")
-    corr = gaussian.correlation_from_frame(
-        gaussian.initial_frame(P.named_state("neel-fermion", 16), lat))
-    res = E.tee(corr, P.TeePartition.quarters(16), lat)
+    frame = gaussian.initial_frame(P.named_state("neel-fermion", 16), lat)
+    res = E.tee(frame, P.TeePartition.quarters(16), lat)
     assert res.s_top == pytest.approx(0.0, abs=1e-10)
 
 
-def steady_corr(alpha, bj, bh, L, n_periods=300):
+def steady_frame(alpha, bj, bh, L, n_periods=300):
     p = P.make_params(alpha, bj, alpha, bh)
     lat = P.lattice(L, "obc")
     quench = P.QuenchConfig(P.named_state("neel-fermion", L), n_periods=n_periods)
-    frame = gaussian.run_to_steady_state(p, lat, quench)
-    return gaussian.correlation_from_frame(frame), lat
+    return gaussian.run_to_steady_state(p, lat, quench), lat
 
 
 def test_tee_deep_zero_mode_phase():
-    corr, lat = steady_corr(0.2, -1.2, -0.3, 32)
-    res = E.tee(corr, P.TeePartition.quarters(32), lat)
+    frame, lat = steady_frame(0.2, -1.2, -0.3, 32)
+    res = E.tee(frame, P.TeePartition.quarters(32), lat)
     assert abs(res.s_top - LN2) < 0.05 * LN2
 
 
 def test_tee_trivial_phase():
-    corr, lat = steady_corr(0.2, -0.05, -0.3, 32)
-    res = E.tee(corr, P.TeePartition.quarters(32), lat)
+    frame, lat = steady_frame(0.2, -0.05, -0.3, 32)
+    res = E.tee(frame, P.TeePartition.quarters(32), lat)
     assert abs(res.s_top) < 0.05
 
 
-def test_tee_reflection_symmetry():
+@settings(max_examples=20)
+@given(st.floats(0.1, 0.3), st.floats(-1.5, 0.0), st.floats(-0.5, -0.1),
+       st.integers(8, 20).map(lambda n: 2 * n + 1))
+@example(0.2, -1.2, -0.3, 32)
+@example(0.2, -0.05, -0.3, 32)
+@example(0.2, -0.3, -0.3, 32)
+def test_tee_reflection_symmetry(alpha, bj, bh, L):
     # the mirror image (c, d, b, a) of the partition (a, b, d, c) has the
     # same S_top: by the chain's reflection symmetry, and for a pure state
-    # also by S_X = S_complement
-    for bj in (-1.2, -0.05, -0.3):
-        corr, lat = steady_corr(0.2, bj, -0.3, 32)
-        s = E.tee(corr, P.TeePartition((5, 9, 11, 7)), lat).s_top
-        mirror = E.tee(corr, P.TeePartition((7, 11, 9, 5)), lat).s_top
-        assert s == pytest.approx(mirror, abs=1e-9)
+    # also by S_X = S_complement.  On odd chains the Neel state is itself
+    # mirror symmetric, so every period's state is, converged or not.
+    frame, lat = steady_frame(alpha, bj, bh, L)
+    a, b, c = (round(f * L / 32) for f in (5, 9, 7))  # (5, 9, 11, 7) at L = 32
+    s = E.tee(frame, P.TeePartition((a, b, L - a - b - c, c)), lat).s_top
+    mirror = E.tee(frame, P.TeePartition((c, L - a - b - c, b, a)), lat).s_top
+    assert s == pytest.approx(mirror, abs=1e-9)
 
 
 def test_tee_partition_validation():
     lat = P.lattice(16, "obc")
-    corr = gaussian.correlation_from_frame(
-        gaussian.initial_frame(P.named_state("neel-fermion", 16), lat))
+    frame = gaussian.initial_frame(P.named_state("neel-fermion", 16), lat)
     with pytest.raises(ValidationError):
-        E.tee(corr, P.TeePartition((4, 4, 4, 5)), lat)
+        E.tee(frame, P.TeePartition((4, 4, 4, 5)), lat)
 
 
 # --------------------------------------------------------------------------
@@ -447,9 +442,8 @@ def test_collapse_ties_break_toward_smaller_nu():
 def test_mutual_information_matches_dense_at_volume_point():
     p = P.make_params(0.2, -0.1, 0.2, 0.1)  # volume-law line
     frame, psi, lat = evolved_state(8, p, 30)
-    corr = gaussian.correlation_from_frame(frame)
     a, b = P.SubsystemSpec(1, 4), P.SubsystemSpec(5, 4)
-    mi = E.mutual_information(corr, a, b, lat)
+    mi = E.mutual_information(frame, a, b, lat)
     s_a = ed.reduced_entropy_oracle(psi, [1, 2, 3, 4], 8)
     s_b = ed.reduced_entropy_oracle(psi, [5, 6, 7, 8], 8)
     mi_dense = s_a + s_b  # the union is the pure whole

@@ -176,8 +176,8 @@ def test_engine_matches_dense_oracle(bc_pair):
             corr = gaussian.correlation_from_frame(frame)
             assert np.allclose(corr.z_expectations(),
                                ed.z_expectations(psi, L), atol=1e-7)
-            s_frame = entanglement.entropy_from_correlations(
-                corr, P.SubsystemSpec(1, 2), lat_f).entropy
+            s_frame = entanglement.subsystem_entropy(
+                frame, P.SubsystemSpec(1, 2), lat_f).entropy
             s_dense = ed.reduced_entropy_oracle(psi, [1, 2], L)
             assert s_frame == pytest.approx(s_dense, abs=1e-7)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from floquet_ising import params as P
@@ -432,11 +432,39 @@ def test_metric_sigma_x_on_dual_line():
         assert cert.residual < 1e-8, (p, k)
 
 
-def test_metric_generic_params_not_certified():
-    p = P.make_params(0.3, -0.4, 0.3, 0.7)
-    cert = S.pseudo_hermiticity_certificate(p, k=0.9)
+@settings(max_examples=100)
+@given(st.floats(0.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.0, 2.0),
+       st.floats(-2.0, 2.0), st.floats(0.05, np.pi - 0.05, exclude_min=True,
+                                       exclude_max=True), st.booleans())
+@example(0.3, -0.4, 0.3, 0.7, 0.9, False)
+def test_metric_verdict_matches_the_dispersion_class(alpha_j, beta_j, alpha_h, beta_h,
+                                                     k, conjugate):
+    # off the named families the eigenbasis verdict certifies exactly the
+    # blocks whose quasienergy pair is real or complex-conjugate; couplings
+    # J = conj(h) outside the continuous limit are pseudo-Hermitian off them.
+    # Left out: coalesced pairs, where the class reads |disc| < 1e-10 as
+    # exceptional also for diagonalizable blocks (H = 0 at J = h = 0), and
+    # pairs within 1e-6 of real or conjugate but not at rounding level, where
+    # the class and the verdict gate the same small defect in different norms.
+    if conjugate:
+        alpha_h, beta_h = alpha_j, -beta_j
+    p = P.make_params(alpha_j, beta_j, alpha_h, beta_h)
+    cert = S.pseudo_hermiticity_certificate(p, k=k, continuous=False)
+    point = S.dispersion_points(p.J, p.h, [k])[0]
+    eps, kind = point.epsilon[0], point.classification
+    gap = min(abs(eps.imag), abs(eps.real), abs(abs(eps.real) - np.pi))
+    assume(cert.family == "numerical" and kind != S.ModeClass.EXCEPTIONAL
+           and not 1e-13 < gap < 1e-6)
+    assert cert.certified == (kind in (S.ModeClass.REAL, S.ModeClass.CONJUGATE_PAIR))
+
+
+def test_metric_exceptional_block_not_certified(monkeypatch):
+    # a Jordan block: eig returns a singular eigenvector matrix
+    monkeypatch.setattr(S, "effective_hamiltonian_nambu",
+                        lambda J, h, k: np.array([[0, 1], [0, 0]], dtype=complex))
+    cert = S.pseudo_hermiticity_certificate(P.make_params(0.3, -0.4, 0.3, 0.7), k=0.9)
     assert cert.family == "numerical"
-    assert not cert.certified
+    assert cert.residual == np.inf and not cert.certified
 
 
 def test_conjugation_closure_on_protected_families():

@@ -27,7 +27,7 @@ def test_sweep_spec_validation():
     with pytest.raises(ValidationError):
         sweep.SweepSpec((("alpha", 0, 1, 3),), {}, "no-such-task")
     with pytest.raises(ValidationError):
-        sweep.SweepSpec((("a", 0, 1, 2), ("a", 0, 1, 2)), {}, "spectrum")
+        sweep.SweepSpec((("alpha", 0, 1, 2), ("alpha", 0, 1, 2)), {}, "spectrum")
     with pytest.raises(ValidationError):
         sweep.SweepSpec((("alpha", 0, 1, 2),), {"alpha": 1.0}, "spectrum")
     with pytest.raises(ValidationError):
@@ -35,12 +35,13 @@ def test_sweep_spec_validation():
 
 
 def test_grid_enumeration_row_major():
-    spec = sweep.SweepSpec((("a", 0.0, 1.0, 2), ("b", 0.0, 2.0, 3)), {}, "spectrum")
+    spec = sweep.SweepSpec((("alpha", 0.0, 1.0, 2), ("beta_J", 0.0, 2.0, 3)), {},
+                           "spectrum")
     pts = list(spec.grid())
     assert [i for i, _ in pts] == list(range(6))
-    assert pts[0][1]["a"] == 0.0 and pts[0][1]["b"] == 0.0
-    assert pts[1][1]["b"] == 1.0
-    assert pts[3][1]["a"] == 1.0 and pts[3][1]["b"] == 0.0
+    assert pts[0][1]["alpha"] == 0.0 and pts[0][1]["beta_J"] == 0.0
+    assert pts[1][1]["beta_J"] == 1.0
+    assert pts[3][1]["alpha"] == 1.0 and pts[3][1]["beta_J"] == 0.0
 
 
 SPEC_ARGS = dict(
@@ -364,10 +365,15 @@ def test_periodic_census_counts_exactly_the_real_rows(tmp_path, alpha, beta_h, d
 @pytest.mark.parametrize("argv, cfg, message", [
     (["sweep", "--task", "spectrum", "--axis", "beta_J:0:2"], "", "--axis"),
     (["sweep", "--task", "spectrum", "--axis", "beta_J:0:2:x"], "", "--axis"),
+    # beta_j is the CLI flag spelling, not a config key
+    (["sweep", "--task", "spectrum", "--axis", "beta_j:0:1:3"], "", "axis beta_j"),
     (["tee"], "tee_sizes = 8,x\n", "config line 4"),
     (["tee"], "tee_beta_j = -0.4,-0.2\n", "config line 4"),
+    (["tee"], "tee_beta_j = -0.4,-0.2,0\n", "config line 4"),
+    (["tee"], "tee_beta_j = -0.4,-0.2,-1\n", "config line 4"),
     (["scaling"], "scaling_sizes = 20,x\n", "config line 4"),
-], ids=["axis-fields", "axis-count", "tee-sizes", "tee-beta-j", "scaling-sizes"])
+], ids=["axis-fields", "axis-count", "axis-name", "tee-sizes", "tee-beta-j",
+        "tee-beta-j-zero", "tee-beta-j-negative", "scaling-sizes"])
 def test_cli_malformed_list_inputs_exit_2(tmp_path, capsys, argv, cfg, message):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("alpha = 0.2\nbeta_h = -0.3\nn_periods = 10\n" + cfg)
