@@ -39,13 +39,14 @@ from .errors import (DegenerateEvolution, NumericalBreakdown,
 from .params import (BoundaryCondition, LatticeSpec, ModelParams,
                      ProductState, QuenchConfig, SubsystemSpec)
 from .spectral import (KickForms, build_kick_forms, cell_momenta,
-                       frame_map_blocks, kick_exponential)
+                       frame_map_blocks)
 
 _ISO_TOL = 1e-13
 _RANK_TOL = 1e-13
 _OVERLAP_TOL = 1e-10
 _ISOLATION_TOL = 1e-6
 _ROUNDING_TOL = 1e-12
+_MAX_SWEEPS = 4  # isotropy corrections before orthonormalize gives up (read at call time)
 
 
 @dataclass
@@ -131,8 +132,7 @@ def _orthonormality(q: np.ndarray) -> float:
     return float(np.linalg.norm(np.swapaxes(q.conj(), -1, -2) @ q - np.eye(q.shape[-1])))
 
 
-def orthonormalize(phi: np.ndarray, max_sweeps: int = 4,
-                   partner: np.ndarray | None = None):
+def orthonormalize(phi: np.ndarray, partner: np.ndarray | None = None):
     """Span-preserving factorization restoring orthonormality and isotropy.
 
     ``phi`` is one dense frame or, with ``partner``, a stack of blocks
@@ -142,7 +142,7 @@ def orthonormalize(phi: np.ndarray, max_sweeps: int = 4,
     state-norm bookkeeping) and the isotropy defect ||q_-^T q|| measured on
     the returned frame.  Raises DegenerateEvolution on rank loss,
     and NumericalBreakdown (``condition`` = the defect) if the isotropy
-    defect is still above tolerance after ``max_sweeps`` corrections.
+    defect is still above tolerance after ``_MAX_SWEEPS`` corrections.
     """
     q, r = np.linalg.qr(phi)
     rd = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
@@ -152,13 +152,13 @@ def orthonormalize(phi: np.ndarray, max_sweeps: int = 4,
         raise DegenerateEvolution("frame lost rank during evolution",
                                   condition=cond)
     log_mag = float(np.sum(np.log(rd)))
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(_MAX_SWEEPS + 1):
         s, defect = _isotropy(q, partner)
         if defect < _ISO_TOL:
             break
-        if sweep == max_sweeps:
+        if sweep == _MAX_SWEEPS:
             raise NumericalBreakdown(
-                f"isotropy defect {defect:.3g} left after {max_sweeps} sweeps",
+                f"isotropy defect {defect:.3g} left after {_MAX_SWEEPS} sweeps",
                 condition=defect)
         q = q - 0.5 * np.conj(_partners(q, partner)) @ s
         q, _ = np.linalg.qr(q)
@@ -170,10 +170,9 @@ def period_map(frame: GaussianFrame, kicks: KickForms) -> GaussianFrame:
 
     Annihilator frames transform with exp(-4W') exp(-4W''), the transpose of
     the operator conjugation exp(4W'') exp(4W'), applied bond by bond in
-    O(L^2) to the frame's one block.  Only ``coupling_form`` and
-    ``field_form`` of ``kicks`` are read.
+    O(L^2) to the frame's one block (``KickForms.step``).
     """
-    phi = kicks.coupling_form.kick(kicks.field_form.kick(frame.blocks[0], -1.0), -1.0)
+    phi = kicks.step(frame.blocks[0], -1.0)
     return _advance(frame, phi[None], "loop")
 
 
@@ -315,7 +314,7 @@ def _dominant_frame(kicks: KickForms, frame: GaussianFrame, n: int) -> GaussianF
     gives the unnormalized n-period frame and the log-magnitude it dropped;
     the frame's QR adds the rest, so ``norm_log`` is the loop's.
     """
-    f = kicks.coupling_form.kick(kick_exponential(kicks.field_form, -1.0), -1.0)
+    f = kicks.step(np.eye(kicks.coupling_form.n, dtype=complex), -1.0)
     try:
         t, q, _ = scipy.linalg.schur(f, output="complex", sort="ouc")
     except np.linalg.LinAlgError:  # eigenvalues too close to reorder

@@ -10,9 +10,12 @@ Conventions
   with identical spectrum.  M is complex orthogonal, so det M = 1 and the
   eigenvalues {mu} close under mu -> 1/mu.
 * Quasienergies are eps = i Log(mu) on the principal branch, real parts
-  folded to (-pi, pi].  For PBC-even the multiset equals the analytic
-  momentum pairs {+-eps_k} over antiperiodic momenta, a calibration the
-  test suite pins.
+  folded to (-pi, pi].  On periodic chains the multiset equals the
+  momentum pairs {+-eps_k} of ``_dispersion`` over ``allowed_momenta``, a
+  calibration the test suite pins.
+* One Bloch convention: k names the same block in ``allowed_momenta``
+  (odd multiples of pi/L on pbc-even, even ones on pbc-odd, any L),
+  ``_dispersion`` and ``momentum_kick_blocks`` (tr(e1 e2)/2 = x(k)/4).
 * Each kick is a direct sum of commuting two-Majorana rotations, so its
   exponential is assembled bond by bond in closed form (exact, O(L)).
 * Both kicks are odd under the chiral sign Gamma = diag((-1)^m) and the
@@ -110,6 +113,11 @@ class KickForms(NamedTuple):
     coupling_form: MajoranaQuadraticForm
     field_form: MajoranaQuadraticForm
 
+    def step(self, x: np.ndarray, sign: float = 1.0) -> np.ndarray:
+        """exp(sign 4W') exp(sign 4W'') @ x, bond by bond: the one place
+        where two kicks make a period (sign = -1 moves annihilator frames)."""
+        return self.coupling_form.kick(self.field_form.kick(x, sign), sign)
+
 
 def _form_from_bonds(n: int, p, q, s) -> MajoranaQuadraticForm:
     """Form with the bonds (p[i], q[i], s[i]) from index and value arrays."""
@@ -136,11 +144,6 @@ def build_kick_forms(params: ModelParams, lat: LatticeSpec) -> KickForms:
                      _form_from_bonds(n, site, site + 1, np.full(L, params.h / 2.0)))
 
 
-def kick_exponential(form: MajoranaQuadraticForm, sign: float = 1.0) -> np.ndarray:
-    """exp(sign * 4 W) as a dense matrix (exact for disjoint bonds)."""
-    return form.kick(np.eye(form.n, dtype=complex), sign)
-
-
 # --------------------------------------------------------------------------
 # transfer matrix
 # --------------------------------------------------------------------------
@@ -157,16 +160,15 @@ class TransferMatrix:
 
     eigenvalues: np.ndarray
     b_plus: np.ndarray
-    coupling_form: MajoranaQuadraticForm
-    field_form: MajoranaQuadraticForm
+    kicks: KickForms
 
     @property
     def n(self) -> int:
-        return self.coupling_form.n
+        return self.kicks.coupling_form.n
 
     @cached_property
     def m(self) -> np.ndarray:
-        return self.coupling_form.kick(kick_exponential(self.field_form))
+        return self.kicks.step(np.eye(self.n, dtype=complex))
 
 
 def _sector_vectors(field_form: MajoranaQuadraticForm, c: np.ndarray) -> np.ndarray:
@@ -223,14 +225,15 @@ def build_transfer_matrix(coupling_form: MajoranaQuadraticForm,
     basis = np.zeros((n, L), dtype=complex)
     basis[top, top] = 1.0
     basis[n - 1 - top, top] = 1j * (-1.0) ** top
-    b_plus = coupling_form.kick(field_form.kick(basis))[:L]
+    kicks = KickForms(coupling_form, field_form)
+    b_plus = kicks.step(basis)[:L]
     try:
         mu = np.linalg.eigvals(b_plus)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalBreakdown(f"eigenvalue solve failed: {exc}") from exc
     with np.errstate(divide="ignore", invalid="ignore"):  # mu underflowed to 0: no partner
         mu = np.concatenate([mu, 1.0 / mu])
-    return TransferMatrix(mu, b_plus, coupling_form, field_form)
+    return TransferMatrix(mu, b_plus, kicks)
 
 
 def fold_real_part(re: np.ndarray | float) -> np.ndarray | float:
@@ -331,10 +334,11 @@ def dispersion_continuous(J: complex, h: complex, k: float) -> DispersionPoint:
 
 
 def allowed_momenta(lat: LatticeSpec) -> np.ndarray:
-    """Momenta of the fermion sector in (-pi, pi]."""
+    """Momenta of the fermion sector in (-pi, pi]: odd multiples of pi/L on
+    pbc-even (antiperiodic), even ones on pbc-odd, for odd L too."""
     L, m = lat.L, np.arange(lat.L)
     if lat.bc is BoundaryCondition.PBC_EVEN:
-        return -np.pi + (2 * m + 1) * np.pi / L
+        return -np.pi + (2 * m + 1 + L % 2) * np.pi / L
     if lat.bc is BoundaryCondition.PBC_ODD:
         return fold_real_part(2 * np.pi * m / L)
     raise ValidationError("momenta are defined for periodic chains")
@@ -410,7 +414,7 @@ def _refine_pair(tm: TransferMatrix, mu, vr, vl) -> np.ndarray:
     det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
     if abs(det) < 1e-12:
         return mu
-    mvr = tm.coupling_form.kick(tm.field_form.kick(vr))
+    mvr = tm.kicks.step(vr)
     s_inv = np.array([[s[1, 1], -s[0, 1]], [-s[1, 0], s[0, 0]]], dtype=s.dtype) / det
     b = s_inv @ (vl.conj().T @ mvr)
     tr = b[0, 0] + b[1, 1]
@@ -475,7 +479,7 @@ def _candidate_vectors(tm: TransferMatrix, j: np.ndarray) -> tuple[np.ndarray, n
     if not np.all(residual <= 64 * tol):
         raise NumericalBreakdown(f"edge candidate residual {np.max(residual):.1e} "
                                  f"above its gate {64 * tol:.1e}")
-    v = _sector_vectors(tm.field_form, c)
+    v = _sector_vectors(tm.kicks.field_form, c)
     with np.errstate(divide="ignore"):
         kappa = 1.0 / np.abs(np.sum(v[:, :len(j)] * v[:, len(j):], axis=0))
     return v, kappa
@@ -559,11 +563,11 @@ _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def momentum_kick_blocks(J: complex, h: complex, k: float):
-    """2x2 momentum blocks of exp(4W') and exp(4W'') in the Majorana basis."""
+    """Majorana-basis 2x2 blocks of exp(4W'), exp(4W'') at the k of ``_dispersion``."""
     e2 = np.array([[np.cos(2 * h), np.sin(2 * h)],
                    [-np.sin(2 * h), np.cos(2 * h)]], dtype=complex)
-    e1 = np.array([[np.cos(2 * J), np.sin(2 * J) * np.exp(-1j * k)],
-                   [-np.sin(2 * J) * np.exp(1j * k), np.cos(2 * J)]], dtype=complex)
+    e1 = np.array([[np.cos(2 * J), -np.sin(2 * J) * np.exp(1j * k)],
+                   [np.sin(2 * J) * np.exp(-1j * k), np.cos(2 * J)]], dtype=complex)
     return e1, e2
 
 
@@ -588,35 +592,30 @@ def frame_map_blocks(params: ModelParams, q: np.ndarray) -> np.ndarray:
     carries e^{iq}.  The spectrum of F_q is that of the one-site blocks of
     ``momentum_kick_blocks`` at k = q/2 and k + pi.
     """
-    w1, w2 = build_kick_forms(params, LatticeSpec(2, BoundaryCondition.OBC))
-    f = np.repeat(w1.kick(kick_exponential(w2, -1.0), -1.0)[None], len(q), axis=0)
+    cell = build_kick_forms(params, LatticeSpec(2, BoundaryCondition.OBC))
+    f = np.repeat(cell.step(np.eye(4, dtype=complex), -1.0)[None], len(q), axis=0)
     c, s = np.cos(2 * params.J), np.sin(2 * params.J)
     phase = np.exp(1j * np.asarray(q, dtype=float))[:, None]
     f[:, 3], f[:, 0] = c * f[:, 3] - s * phase * f[:, 0], c * f[:, 0] + s / phase * f[:, 3]
     return f
 
 
-def _branch_log(mu: complex) -> complex:
-    """Principal log with Arg(-r) pinned to +pi regardless of signed zeros."""
-    ang = math.atan2(mu.imag, mu.real)
-    if abs(abs(ang) - math.pi) < 1e-12:
-        ang = math.pi
-    return math.log(abs(mu)) + 1j * ang
-
-
 def effective_hamiltonian_nambu(J: complex, h: complex, k: float) -> np.ndarray:
-    """i Log of the one-period momentum block, rotated to the complex-fermion
-    basis, with the branch chosen so conjugation-paired eigenvalues stay
-    paired (negative real propagator eigenvalues both take Arg = +pi)."""
+    """i Log of the one-period momentum block t in the complex-fermion basis,
+    in closed form: det t = 1 and c = tr t / 2 = x/4, so with r = sqrt(disc)
+    and eps of ``_dispersion``, i Log t = ((eps - s)/r)(t - c) - |s|.  s = 0
+    keeps the pair +-eps; a pair on the negative real axis (the conjugate-pair
+    rule at Re eps = +-pi) takes Arg = +pi in both logs: s = pi sign(Re eps).
+    At r = 0 the ratio is its limit i/c: t = +-1 gives 0 or -pi."""
     e1, e2 = momentum_kick_blocks(J, h, k)
     v = _NAMBU_FROM_MAJORANA
     t = np.linalg.solve(v, (e1 @ e2) @ v)
-    mu, vec = np.linalg.eig(t)
-    vinv = np.linalg.inv(vec)
-    hk = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        hk += (1j * _branch_log(complex(mu[i]))) * np.outer(vec[:, i], vinv[i, :])
-    return hk
+    c = np.trace(t) / 2
+    disc, eps = (complex(a[0]) for a in _dispersion(J, h, [k]))
+    r, on_axis = np.sqrt(disc), abs(abs(eps.real) - math.pi) < _MODE_CLASS_TOL
+    s = math.copysign(math.pi, eps.real) if on_axis else 0.0
+    ratio = (eps - s) / r if r else 1j / c
+    return ratio * (t - c * np.eye(2)) - abs(s) * np.eye(2)
 
 
 def _metric_residual(eta: np.ndarray, hk: np.ndarray) -> float:

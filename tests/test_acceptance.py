@@ -84,11 +84,11 @@ def test_criterion_2_oracle_equivalence():
                               rng.uniform(-1.5 * PI4, 1.5 * PI4),
                               rng.uniform(-np.pi / 2, np.pi / 2),
                               rng.uniform(-1.5 * PI4, 1.5 * PI4))
-            tm = S.build_transfer_matrix(*S.build_kick_forms(p, lat))
+            kicks = S.build_kick_forms(p, lat)
             frame = gaussian.initial_frame(state, lat)
             psi = ed.product_state(state)
             for _ in range(50):
-                frame = gaussian.period_map(frame, tm)
+                frame = gaussian.period_map(frame, kicks)
                 psi = ed.apply_floquet_period(psi, p, lat)
                 corr = gaussian.correlation_from_frame(frame)
                 worst_z = max(worst_z, float(np.max(np.abs(

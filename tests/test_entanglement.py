@@ -13,11 +13,11 @@ LN2 = np.log(2.0)
 def evolved_state(L, p, n_periods, bc=None):
     state = P.named_state("neel-fermion", L)
     lat = P.lattice(L, bc or str(P.preferred_sector(state)))
-    tm = spectral.build_transfer_matrix(*spectral.build_kick_forms(p, lat))
+    kicks = spectral.build_kick_forms(p, lat)
     frame = gaussian.initial_frame(state, lat)
     psi = ed.product_state(state)
     for _ in range(n_periods):
-        frame = gaussian.period_map(frame, tm)
+        frame = gaussian.period_map(frame, kicks)
         psi = ed.apply_floquet_period(psi, p, lat)
     return frame, psi, lat
 

@@ -9,10 +9,6 @@ from floquet_ising.errors import (DegenerateEvolution, NumericalBreakdown,
                                   UnsupportedStateError, ValidationError)
 
 
-def make_tm(p, lat):
-    return spectral.build_transfer_matrix(*spectral.build_kick_forms(p, lat))
-
-
 def dense_period(psi, p, lat):
     return ed.apply_floquet_period(psi, p, lat)
 
@@ -68,10 +64,10 @@ def test_frame_invariants_on_construction():
 def test_identity_map_preserves_correlations():
     p = P.ModelParams(0.0, 0.0, 0.0, 0.0)
     lat = P.lattice(5, "obc")
-    tm = make_tm(p, lat)
+    kicks = spectral.build_kick_forms(p, lat)
     frame = gaussian.initial_frame(P.named_state("neel-fermion", 5), lat)
     c0 = gaussian.correlation_from_frame(frame).c
-    frame = gaussian.period_map(frame, tm)
+    frame = gaussian.period_map(frame, kicks)
     assert np.allclose(gaussian.correlation_from_frame(frame).c, c0, atol=1e-12)
     assert frame.norm_log == pytest.approx(0.0, abs=1e-12)
 
@@ -79,10 +75,10 @@ def test_identity_map_preserves_correlations():
 def test_unitary_evolution_keeps_norm_log_zero():
     p = P.ModelParams(0.6, 0.0, 0.3, 0.0)
     lat = P.lattice(8, "pbc-even")
-    tm = make_tm(p, lat)
+    kicks = spectral.build_kick_forms(p, lat)
     frame = gaussian.initial_frame(P.named_state("neel-fermion", 8), lat)
     for _ in range(40):
-        frame = gaussian.period_map(frame, tm)
+        frame = gaussian.period_map(frame, kicks)
     assert abs(frame.norm_log) < 1e-10
 
 
@@ -90,10 +86,10 @@ def test_pure_field_kick_leaves_product_state():
     # J = 0: a z-product state is an exact eigenstate of the field kick
     p = P.ModelParams(0.0, 0.0, 0.0, 1.2)
     lat = P.lattice(4, "obc")
-    tm = make_tm(p, lat)
+    kicks = spectral.build_kick_forms(p, lat)
     frame = gaussian.initial_frame(P.named_state("neel-fermion", 4), lat)
     for _ in range(6):
-        frame = gaussian.period_map(frame, tm)
+        frame = gaussian.period_map(frame, kicks)
     z = gaussian.correlation_from_frame(frame).z_expectations()
     assert np.allclose(z, [-1, 1, -1, 1], atol=1e-10)
 
@@ -103,10 +99,10 @@ def test_strong_field_polarizes_down():
     # a weak real coupling supplies the mixing that lets it win
     p = P.ModelParams(0.3, 0.0, 0.2, 1.2)
     lat = P.lattice(4, "obc")
-    tm = make_tm(p, lat)
+    kicks = spectral.build_kick_forms(p, lat)
     frame = gaussian.initial_frame(P.named_state("neel-fermion", 4), lat)
     for _ in range(30):
-        frame = gaussian.period_map(frame, tm)
+        frame = gaussian.period_map(frame, kicks)
     z = gaussian.correlation_from_frame(frame).z_expectations()
     assert np.all(z < -0.5)  # a sign error here flips the phase diagram
 
@@ -114,10 +110,10 @@ def test_strong_field_polarizes_down():
 def test_purity_and_invariants_long_run():
     p = P.make_params(0.5, -0.7, 0.5, 0.4)
     lat = P.lattice(64, "pbc-even")
-    tm = make_tm(p, lat)
+    kicks = spectral.build_kick_forms(p, lat)
     frame = gaussian.initial_frame(P.named_state("neel-fermion", 64), lat)
     for _ in range(500):
-        frame = gaussian.period_map(frame, tm)
+        frame = gaussian.period_map(frame, kicks)
     assert frame.isotropy_defect() < 1e-10
     assert frame.orthonormality_defect() < 1e-10
     corr = gaussian.correlation_from_frame(frame)
@@ -129,24 +125,25 @@ def test_rank_collapse_raises():
     # overwhelming damping annihilates the Neel state's surviving amplitude
     p = P.ModelParams(0.0, 0.0, 0.0, 25.0)
     lat = P.lattice(4, "obc")
-    tm = make_tm(p, lat)
+    kicks = spectral.build_kick_forms(p, lat)
     frame = gaussian.initial_frame(P.named_state("neel-fermion", 4), lat)
     with pytest.raises(DegenerateEvolution):
         for _ in range(10):
-            frame = gaussian.period_map(frame, tm)
+            frame = gaussian.period_map(frame, kicks)
 
 
-def test_orthonormalize_raises_when_sweeps_run_out():
+def test_orthonormalize_raises_when_sweeps_run_out(monkeypatch):
     # an isotropic frame knocked off isotropy by random complex noise
     rng = np.random.default_rng(3)
     p = P.ModelParams(0.4, -0.2, 0.7, 0.3)
     lat = P.lattice(6, "pbc-even")
     frame = gaussian.initial_frame(P.named_state("neel-fermion", 6), lat)
     for _ in range(3):
-        frame = gaussian.period_map(frame, make_tm(p, lat))
+        frame = gaussian.period_map(frame, spectral.build_kick_forms(p, lat))
     phi = frame.phi + 1e-4 * (rng.normal(size=(12, 6)) + 1j * rng.normal(size=(12, 6)))
-    with pytest.raises(NumericalBreakdown) as err:
-        gaussian.orthonormalize(phi, max_sweeps=0)
+    with monkeypatch.context() as m, pytest.raises(NumericalBreakdown) as err:
+        m.setattr(gaussian, "_MAX_SWEEPS", 0)
+        gaussian.orthonormalize(phi)
     assert err.value.condition > 1e-6
     q, _, _ = gaussian.orthonormalize(phi)
     assert np.linalg.norm(q.T @ q) < 1e-13
@@ -167,11 +164,11 @@ def test_engine_matches_dense_oracle(bc_pair):
     for _ in range(6):
         p = P.ModelParams(rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(-1.2, 1.2),
                           rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(-1.2, 1.2))
-        tm = make_tm(p, lat_f)
+        kicks = spectral.build_kick_forms(p, lat_f)
         frame = gaussian.initial_frame(P.named_state("neel-fermion", L), lat_f)
         psi = ed.product_state(P.named_state("neel-fermion", L))
         for _ in range(50):
-            frame = gaussian.period_map(frame, tm)
+            frame = gaussian.period_map(frame, kicks)
             psi = dense_period(psi, p, lat_s)
             corr = gaussian.correlation_from_frame(frame)
             assert np.allclose(corr.z_expectations(),
@@ -188,11 +185,11 @@ def test_full_correlation_matrix_matches_dense():
     state = P.named_state("neel-fermion", L)
     lat = P.lattice(L, str(P.preferred_sector(state)))
     p = P.ModelParams(0.45, -0.3, 0.2, 0.5)
-    tm = make_tm(p, lat)
+    kicks = spectral.build_kick_forms(p, lat)
     frame = gaussian.initial_frame(state, lat)
     psi = ed.product_state(state)
     for _ in range(20):
-        frame = gaussian.period_map(frame, tm)
+        frame = gaussian.period_map(frame, kicks)
         psi = ed.apply_floquet_period(psi, p, lat)
     c_frame = gaussian.correlation_from_frame(frame).c
     c_dense = ed.majorana_correlation_dense(psi, L)
@@ -204,11 +201,11 @@ def test_xx_expectations_match_dense():
     state = P.named_state("neel-fermion", L)
     lat = P.lattice(L, "pbc-even")
     p = P.ModelParams(0.3, 0.2, 0.7, -0.4)
-    tm = make_tm(p, lat)
+    kicks = spectral.build_kick_forms(p, lat)
     frame = gaussian.initial_frame(state, lat)
     psi = ed.product_state(state)
     for _ in range(15):
-        frame = gaussian.period_map(frame, tm)
+        frame = gaussian.period_map(frame, kicks)
         psi = ed.apply_floquet_period(psi, p, lat)
     xx_frame = gaussian.correlation_from_frame(frame).xx_expectations(lat)
     xx_dense = [ed.xx_expectation(psi, L, j, j % L + 1) for j in range(1, L + 1)]
@@ -409,7 +406,7 @@ def _cut_split_hits(p, lat, n_periods):
     """Whether the L/L split (no middle block) certifies the n-period Neel
     frame."""
     kicks = spectral.build_kick_forms(p, lat)
-    f = kicks.coupling_form.kick(spectral.kick_exponential(kicks.field_form, -1.0), -1.0)
+    f = kicks.step(np.eye(2 * lat.L, dtype=complex), -1.0)
     t, q, _ = scipy.linalg.schur(f, output="complex", sort="ouc")
     phi0 = gaussian.initial_frame(P.named_state("neel-fermion", lat.L), lat).blocks[0]
     return gaussian._split(t, q, phi0, n_periods, 0) is not None
@@ -532,7 +529,7 @@ def test_momentum_route_raises_on_rank_loss():
         gaussian.run_to_steady_state(p, lat, quench, lambda frame: None)
 
 
-def test_orthonormalize_pairs_blocks_with_their_partners():
+def test_orthonormalize_pairs_blocks_with_their_partners(monkeypatch):
     # pbc-odd blocks at L = 8: q = 0 and q = pi pair with themselves,
     # q = pi/2 with q = 3pi/2
     rng = np.random.default_rng(5)
@@ -543,8 +540,9 @@ def test_orthonormalize_pairs_blocks_with_their_partners():
     fq = spectral.frame_map_blocks(P.ModelParams(0.4, -0.2, 0.7, 0.3), frame.momenta)
     blocks, _, _ = gaussian.orthonormalize(fq @ frame.blocks, partner=frame.partner)
     noisy = blocks + 1e-4 * (rng.normal(size=blocks.shape) + 1j * rng.normal(size=blocks.shape))
-    with pytest.raises(NumericalBreakdown) as err:
-        gaussian.orthonormalize(noisy, max_sweeps=0, partner=frame.partner)
+    with monkeypatch.context() as m, pytest.raises(NumericalBreakdown) as err:
+        m.setattr(gaussian, "_MAX_SWEEPS", 0)
+        gaussian.orthonormalize(noisy, partner=frame.partner)
     assert err.value.condition > 1e-6
     q, _, defect = gaussian.orthonormalize(noisy, partner=frame.partner)
     fixed = gaussian.GaussianFrame(q, frame.momenta, frame.partner)

@@ -44,12 +44,16 @@ def test_bond_counting_open_chain():
 
 
 def test_kick_exponential_matches_expm():
+    # each kick on the identity, and the period step on it for both signs
     p = random_params()
-    w1, w2 = S.build_kick_forms(p, P.lattice(5, "pbc-odd"))
-    for form in (w1, w2):
-        exact = S.kick_exponential(form)
-        dense = scipy.linalg.expm(4 * form.w)
-        assert np.allclose(exact, dense, atol=1e-12)
+    forms = S.build_kick_forms(p, P.lattice(5, "pbc-odd"))
+    eye = np.eye(10, dtype=complex)
+    for form in forms:
+        assert np.allclose(form.kick(eye), scipy.linalg.expm(4 * form.w), atol=1e-12)
+    for sign in (1.0, -1.0):
+        dense = (scipy.linalg.expm(sign * 4 * forms.coupling_form.w)
+                 @ scipy.linalg.expm(sign * 4 * forms.field_form.w))
+        assert np.allclose(forms.step(eye, sign), dense, atol=1e-12)
 
 
 @pytest.mark.parametrize("bc", ["pbc-even", "pbc-odd", "obc"])
@@ -61,7 +65,7 @@ def test_kick_matches_expm_every_boundary_and_sign(bc, sign):
     x = rng.normal(size=(10, 3)) + 1j * rng.normal(size=(10, 3))
     for form in S.build_kick_forms(p, P.lattice(5, bc)):
         dense = scipy.linalg.expm(sign * 4 * form.w)
-        assert np.allclose(S.kick_exponential(form, sign=sign), dense, atol=1e-12)
+        assert np.allclose(form.kick(np.eye(10, dtype=complex), sign), dense, atol=1e-12)
         assert np.allclose(form.kick(x, sign), dense @ x, atol=1e-12)
 
 
@@ -149,6 +153,29 @@ def test_transfer_spectrum_matches_momentum(bc):
 
 
 @pytest.mark.parametrize("bc", ["pbc-even", "pbc-odd"])
+@pytest.mark.parametrize("L", range(3, 12))
+def test_momentum_grid_matches_the_transfer_spectrum_at_every_length(bc, L):
+    # pbc-even momenta are the odd multiples of pi/L at odd L too
+    rng = np.random.default_rng(L)
+    lat = P.lattice(L, bc)
+    for _ in range(3):
+        p = random_params(rng)
+        tm = S.build_transfer_matrix(*S.build_kick_forms(p, lat))
+        eps = S._dispersion(p.J, p.h, S.allowed_momenta(lat))[1]
+        assert _match_multisets(S.quasienergies_from_transfer(tm).quasienergies,
+                                np.concatenate([eps, -eps]), 1e-10)
+
+
+def test_odd_length_census_reads_the_antiperiodic_grid():
+    # at L = 5 the real-space spectra hold two real modes, both pbc-odd
+    p = P.make_params(0.5, -1.0, 0.5, -1.0)
+    assert S.count_real_modes(p, 5, sectors="pbc-even").count == 0
+    assert S.count_real_modes(p, 5, sectors="pbc-odd").count == 2
+    assert np.allclose(S.allowed_momenta(P.lattice(5, "pbc-even")) * 5 / np.pi,
+                       [-3, -1, 1, 3, 5])
+
+
+@pytest.mark.parametrize("bc", ["pbc-even", "pbc-odd"])
 @pytest.mark.parametrize("L", [8, 10, 12, 14])
 def test_frame_map_blocks_are_the_dense_map_in_momentum(bc, L):
     # F U_q = U_q F_q with U_q[(x, a), b] = e^{iqx} delta_ab / sqrt(N), and
@@ -162,8 +189,7 @@ def test_frame_map_blocks_are_the_dense_map_in_momentum(bc, L):
     for _ in range(4):
         p = P.ModelParams(rng.uniform(-np.pi, np.pi), rng.uniform(-1.0, 1.0),
                           rng.uniform(-np.pi, np.pi), rng.uniform(-1.0, 1.0))
-        w1, w2 = S.build_kick_forms(p, lat)
-        f = w1.kick(S.kick_exponential(w2, -1.0), -1.0)
+        f = S.build_kick_forms(p, lat).step(np.eye(2 * L, dtype=complex), -1.0)
         fq = S.frame_map_blocks(p, q)
         for qi, fi in zip(q, fq):
             u = np.kron(np.exp(1j * qi * np.arange(n))[:, None], np.eye(4)) / np.sqrt(n)
@@ -458,6 +484,63 @@ def test_metric_verdict_matches_the_dispersion_class(alpha_j, beta_j, alpha_h, b
     assert cert.certified == (kind in (S.ModeClass.REAL, S.ModeClass.CONJUGATE_PAIR))
 
 
+# the dual-line point where the propagator pair is -183.2 and -0.00546: both
+# logs take Arg = +pi, though rounding puts the small one 2e-12 off the axis
+NEGATIVE_AXIS_PAIR = (P.make_params(1.0, -1.8293061544781803, 1.0, -1.8892049685668022),
+                      1.5003814002916)
+
+
+def test_dual_line_certified_with_the_pair_on_the_negative_axis():
+    p, k = NEGATIVE_AXIS_PAIR
+    cert = S.pseudo_hermiticity_certificate(p, k=k)
+    assert cert.family == "self-dual-line"
+    assert cert.residual < 1e-8 and cert.certified
+
+
+def test_bloch_block_eigenvalues_are_the_dispersion_pair():
+    # the block at k is the one the dispersion puts at k, not at pi - k
+    rng = np.random.default_rng(8)
+    points = [NEGATIVE_AXIS_PAIR] + [(random_params(rng), rng.uniform(-np.pi, np.pi))
+                                     for _ in range(40)]
+    for p, k in points:
+        hk = S.effective_hamiltonian_nambu(p.J, p.h, k)
+        pair = np.array(S.dispersion_points(p.J, p.h, [k])[0].epsilon)
+        assert _match_multisets(np.linalg.eigvals(hk), pair, 1e-9), (p, k)
+
+
+def _log_block_reference(J, h, k):
+    """i Log of the Bloch block from its eig, each Arg within 1e-10 of
+    +-pi pinned to +pi."""
+    e1, e2 = S.momentum_kick_blocks(J, h, k)
+    v = np.array([[1.0, 1.0], [1j, -1j]])
+    mu, r = np.linalg.eig(np.linalg.solve(v, e1 @ e2 @ v))
+    arg = np.angle(mu)
+    arg[np.abs(np.abs(arg) - np.pi) < 1e-10] = np.pi
+    return r @ np.diag(1j * np.log(np.abs(mu)) - arg) @ np.linalg.inv(r)
+
+
+@settings(max_examples=200)
+@given(st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0), st.floats(-np.pi, np.pi),
+       st.floats(-1.0, 1.0), st.floats(-np.pi, np.pi))
+@example(1.0 * P.PI4, -1.8293061544781803 * P.PI4, 1.0 * P.PI4, -1.8892049685668022 * P.PI4,
+         1.5003814002916)
+def test_closed_form_log_matches_the_eig_reference(aj, bj, ah, bh, k):
+    p = P.ModelParams(aj, bj, ah, bh)
+    disc = S._dispersion(p.J, p.h, [k])[0][0]
+    assume(abs(disc) > 1e-6)
+    ref = _log_block_reference(p.J, p.h, k)
+    hk = S.effective_hamiltonian_nambu(p.J, p.h, k)
+    assert np.linalg.norm(hk - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@settings(max_examples=200)
+@given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+       st.floats(0.05, np.pi - 0.05, exclude_min=True, exclude_max=True))
+def test_dual_line_certified_everywhere(beta_j, beta_h, k):
+    cert = S.pseudo_hermiticity_certificate(P.make_params(1.0, beta_j, 1.0, beta_h), k=k)
+    assert cert.certified, (cert.family, cert.residual)
+
+
 def test_metric_exceptional_block_not_certified(monkeypatch):
     # a Jordan block: eig returns a singular eigenvector matrix
     monkeypatch.setattr(S, "effective_hamiltonian_nambu",
@@ -531,7 +614,7 @@ def test_edge_scan_raises_at_an_exceptional_point(monkeypatch):
     window = (np.minimum(re, np.abs(re - np.pi)) < 1e-3) & (np.abs(eps.imag) <= 1e-2)
     mu, c = np.linalg.eig(tm.b_plus)
     c = c[:, linear_sum_assignment(np.abs(tm.eigenvalues[:lat.L, None] - mu))[1]]
-    v = S._sector_vectors(tm.field_form, c)
+    v = S._sector_vectors(tm.kicks.field_form, c)
     kappa = 1.0 / np.abs(np.sum(v[:, :lat.L] * v[:, lat.L:], axis=0))
     judged = kappa[np.unique(np.flatnonzero(window) % lat.L)]
     assert judged.size
