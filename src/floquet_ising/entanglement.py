@@ -228,26 +228,22 @@ def _collapse_costs(curves, beta0s: np.ndarray, nus: np.ndarray):
         return total / count, valid
 
 
-def tee_collapse(curves: dict[int, tuple[np.ndarray, np.ndarray]],
-                 beta0_grid=None, nu_grid=None,
-                 refinements: int = 2) -> CollapseResult:
+def tee_collapse(curves: dict[int, tuple[np.ndarray, np.ndarray]]) -> CollapseResult:
     """Grid search for (beta_J0, nu) collapsing S_top(beta_J; L) curves.
 
     ``curves`` maps L to (beta_J grid, S_top values), each beta_J grid
-    increasing.  Each refinement evaluates the whole grid at once; ties
-    break toward smaller nu, then smaller beta0.  Raises CollapseError if
-    no rescaled overlap exists.
+    increasing.  41 beta0 points over the data range by 35 nu points in
+    [0.3, 2.0], then twice 21 x 21 around the best; each pass evaluates
+    the whole grid at once, ties break toward smaller nu, then smaller
+    beta0.  Raises CollapseError if no rescaled overlap exists.
     """
     if len(curves) < 3:
         raise ValidationError("collapse needs at least 3 system sizes")
     all_betas = np.concatenate([np.asarray(b) for b, _ in curves.values()])
-    if beta0_grid is None:
-        beta0_grid = np.linspace(all_betas.min(), all_betas.max(), 41)
-    if nu_grid is None:
-        nu_grid = np.linspace(0.3, 2.0, 35)
-    beta0_grid, nu_grid = np.asarray(beta0_grid, dtype=float), np.asarray(nu_grid, dtype=float)
+    beta0_grid = np.linspace(all_betas.min(), all_betas.max(), 41)
+    nu_grid = np.linspace(0.3, 2.0, 35)
     best = None
-    for _ in range(refinements + 1):
+    for _ in range(3):
         cost, valid = _collapse_costs(curves, beta0_grid, nu_grid)
         ib, inu = np.nonzero(valid)  # beta0-major, as the grid is scanned
         if len(ib):
@@ -258,8 +254,7 @@ def tee_collapse(curves: dict[int, tuple[np.ndarray, np.ndarray]],
         if best is None:
             raise CollapseError("rescaled curves never overlap")
         b0c, nuc = best[1]
-        db = (beta0_grid[1] - beta0_grid[0]) if len(beta0_grid) > 1 else 0.01
-        dn = (nu_grid[1] - nu_grid[0]) if len(nu_grid) > 1 else 0.05
+        db, dn = beta0_grid[1] - beta0_grid[0], nu_grid[1] - nu_grid[0]
         beta0_grid = np.linspace(b0c - db, b0c + db, 21)
         nu_grid = np.linspace(max(0.05, nuc - dn), nuc + dn, 21)
     cost, (b0, nu) = best

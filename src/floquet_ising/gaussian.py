@@ -39,7 +39,7 @@ from .errors import (DegenerateEvolution, NumericalBreakdown,
 from .params import (BoundaryCondition, LatticeSpec, ModelParams,
                      ProductState, QuenchConfig, SubsystemSpec)
 from .spectral import (KickForms, build_kick_forms, cell_momenta,
-                       frame_map_blocks)
+                       frame_map_blocks, sector_basis)
 
 _ISO_TOL = 1e-13
 _RANK_TOL = 1e-13
@@ -304,21 +304,24 @@ def _scaled_power(t: np.ndarray, n: int) -> tuple[np.ndarray, float]:
 
 
 def _dominant_frame(kicks: KickForms, frame: GaussianFrame, n: int) -> GaussianFrame | None:
-    """The n-period frame from the one-cell ``frame`` Phi0, taken from the
+    """The n-period frame from the one-cell ``frame`` Phi0, taken from a
     Schur form F = Q T Q^dag of the frame map, or None unless it provably
-    equals the loop's frame.  T is ordered on |mu| > 1, so that where L
-    modes lie outside the unit circle the L/L split reorders nothing.
+    equals the loop's frame.  F keeps both reflection sectors, so T =
+    diag(T_+, T_-) and Q = [U Q_+, conj(U) Q_-] / sqrt(2), U the
+    ``sector_basis``, from one Schur form of each L x L sector block.
 
     ``_split`` is tried with an empty middle block (the L/L split) and,
     where that misses, with an edge pair straddling the L/L cut.  Either
     gives the unnormalized n-period frame and the log-magnitude it dropped;
     the frame's QR adds the rest, so ``norm_log`` is the loop's.
     """
-    f = kicks.step(np.eye(kicks.coupling_form.n, dtype=complex), -1.0)
+    u = sector_basis(kicks.coupling_form.n)
     try:
-        t, q, _ = scipy.linalg.schur(f, output="complex", sort="ouc")
-    except np.linalg.LinAlgError:  # eigenvalues too close to reorder
+        (t1, q1), (t2, q2) = (scipy.linalg.schur(kicks.step(x, -1.0)[:len(x) // 2],
+                                                 output="complex") for x in (u, u.conj()))
+    except np.linalg.LinAlgError:  # the Schur iteration did not converge
         return None
+    t, q = scipy.linalg.block_diag(t1, t2), np.hstack([u @ q1, u.conj() @ q2]) / np.sqrt(2.0)
     phi0 = frame.blocks[0]
     found = _split(t, q, phi0, n, 0) or _split(t, q, phi0, n, 2)
     if found is None:
@@ -425,12 +428,12 @@ def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchCon
 
     This is the one stroboscopic loop: ``observe(frame)``, when given, is
     called with the frame after every period.  Without an observer the
-    frame is first sought directly, from one ordered Schur factorization
-    of the frame map (``_dominant_frame``): the exact n-period frame from
-    the split of its spectrum at the L/L cut, else from the split that
-    carries one edge pair straddling that cut.  It is returned, with
-    ``route == "schur"``, only where it provably equals the loop's frame.
-    Otherwise the loop runs.  From a state invariant under two-site
+    frame is first sought directly, from the Schur forms of the frame
+    map's two sector blocks (``_dominant_frame``): the exact n-period
+    frame from the split of its spectrum at the L/L cut, else from the
+    split that carries one edge pair straddling that cut.  It is
+    returned, with ``route == "schur"``, only where it provably equals the
+    loop's frame.  Otherwise the loop runs.  From a state invariant under two-site
     translation (z-basis occupations of period 2) on a pbc-even chain with
     L divisible by 4 it steps one 4x2 block per momentum (``route ==
     "momentum"``); elsewhere it steps the one-cell frame with

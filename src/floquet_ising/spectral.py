@@ -20,12 +20,12 @@ Conventions
   exponential is assembled bond by bond in closed form (exact, O(L)).
 * Both kicks are odd under the chiral sign Gamma = diag((-1)^m) and the
   mirror P: m -> 2L-1-m, so M commutes with R = Gamma P and splits into
-  two L-dimensional reflection sectors.  Gamma swaps them and, in the
-  symmetric time frame, inverts the map (chiral pairing): the eigenvalues
-  of the L x L sector block B_+ (R = +i) give every mu and its inverse, and
-  an eigenvector of B_+ gives the right vectors of both.  Left eigenvectors
-  need no second solve: M^T M = 1 makes the left vector of mu the
-  conjugate of the right vector of 1/mu.
+  two L-dimensional reflection sectors (``sector_basis``).  Gamma swaps
+  them and, in the symmetric time frame, inverts the map (chiral
+  pairing): the eigenvalues of the L x L sector block B_+ (R = +i) give
+  every mu and its inverse, and an eigenvector of B_+ gives the right
+  vectors of both.  Left eigenvectors need no second solve: M^T M = 1
+  makes the left vector of mu the conjugate of the right vector of 1/mu.
 """
 
 from __future__ import annotations
@@ -171,16 +171,20 @@ class TransferMatrix:
         return self.kicks.step(np.eye(self.n, dtype=complex))
 
 
+def sector_basis(n: int) -> np.ndarray:
+    """sqrt(2) times an orthonormal basis of the reflection sector R = +i:
+    the n x n/2 columns e_m + i(-1)^m e_{n-1-m}, m < n/2, whose top n/2
+    rows are the identity.  Their conjugates span R = -i."""
+    sign = 1j * (-1.0) ** np.arange(n // 2)
+    return np.vstack([np.eye(n // 2, dtype=complex), np.diag(sign)[::-1]])
+
+
 def _sector_vectors(field_form: MajoranaQuadraticForm, c: np.ndarray) -> np.ndarray:
     """Unit right eigenvectors [v_+, v_-] of M for the unit eigenvectors c
-    (L x k) of B_+: v_+ is c in the sector basis and v_- = Gamma K2 v_+ is
-    the chiral partner with eigenvalue 1/mu."""
-    L = len(c)
-    sign = (-1.0) ** np.arange(2 * L)
-    v_plus = np.empty((2 * L, c.shape[1]), dtype=complex)
-    v_plus[:L] = c / math.sqrt(2.0)
-    v_plus[L:] = (1j * sign[:L, None] * v_plus[:L])[::-1]
-    v_minus = sign[:, None] * field_form.kick(v_plus)
+    (L x k) of B_+: v_+ = U c / sqrt(2) in the ``sector_basis`` U, and
+    v_- = Gamma K2 v_+ is the chiral partner with eigenvalue 1/mu."""
+    v_plus = sector_basis(2 * len(c)) @ (c / math.sqrt(2.0))
+    v_minus = (-1.0) ** np.arange(len(v_plus))[:, None] * field_form.kick(v_plus)
     v_minus /= np.linalg.norm(v_minus, axis=0)
     return np.hstack([v_plus, v_minus])
 
@@ -204,29 +208,21 @@ def build_transfer_matrix(coupling_form: MajoranaQuadraticForm,
     """Spectrum of M = K1 K2 (K1 = exp(4W'), K2 = exp(4W'')) from one L x L eigvals.
 
     Both kicks are odd under Gamma and P, so M commutes with R = Gamma P
-    (R^2 = -1) and leaves the sector R = +i, with basis
-    (e_m + i(-1)^m e_{n-1-m}) / sqrt(2), m < L, invariant.  Without the
-    1/sqrt(2) the basis is e_m on rows m < L, so the block B_+ of M is the
-    top L rows of the kicked basis; it is pentadiagonal, as each bond joins
-    neighbouring rows or (the periodic wrap) a row and its mirror.  Gamma
-    swaps the sectors and inverts the map in the symmetric frame
-    K2^{1/2} K1 K2^{1/2}, so for M v = mu v the vector
-    K2^{-1/2} Gamma K2^{1/2} v = Gamma K2 v has eigenvalue 1/mu.
-    No eigenvectors are computed here; the edge scan solves for the few it
-    reads (``_candidate_vectors``).
+    (R^2 = -1) and leaves the sector R = +i of ``sector_basis`` invariant;
+    the block B_+ of M is the top L rows of the kicked basis.  It is
+    pentadiagonal, as each bond joins neighbouring rows or (the periodic
+    wrap) a row and its mirror.  Gamma swaps the sectors and inverts the
+    map in the symmetric frame K2^{1/2} K1 K2^{1/2}, so for M v = mu v
+    the vector K2^{-1/2} Gamma K2^{1/2} v = Gamma K2 v has eigenvalue
+    1/mu.  No eigenvectors are computed here; the edge scan solves for
+    the few it reads (``_candidate_vectors``).
     """
     if coupling_form.n != field_form.n:
         raise ValidationError("kick forms must have matching dimension")
     _require_reflection_odd(coupling_form)
     _require_reflection_odd(field_form)
-    n = coupling_form.n
-    L = n // 2
-    top = np.arange(L)
-    basis = np.zeros((n, L), dtype=complex)
-    basis[top, top] = 1.0
-    basis[n - 1 - top, top] = 1j * (-1.0) ** top
     kicks = KickForms(coupling_form, field_form)
-    b_plus = kicks.step(basis)[:L]
+    b_plus = kicks.step(sector_basis(coupling_form.n))[:coupling_form.n // 2]
     try:
         mu = np.linalg.eigvals(b_plus)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare

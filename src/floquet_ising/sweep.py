@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import time
 import traceback
@@ -66,18 +67,11 @@ class SweepSpec:
 
     def grid(self):
         """Yield (index, config) over the grid in row-major order."""
-        axes_vals = [np.linspace(start, stop, count)
-                     for _, start, stop, count in self.axes]
         names = [a[0] for a in self.axes]
-        shape = [len(v) for v in axes_vals]
-        total = int(np.prod(shape)) if shape else 1
-        for flat in range(total):
-            cfg = dict(self.fixed)
-            rem = flat
-            for dim in reversed(range(len(shape))):
-                rem, pos = divmod(rem, shape[dim])
-                cfg[names[dim]] = swept_value(names[dim], float(axes_vals[dim][pos]))
-            yield flat, cfg
+        values = [np.linspace(start, stop, count) for _, start, stop, count in self.axes]
+        for flat, point in enumerate(itertools.product(*values)):
+            yield flat, {**self.fixed,
+                         **{k: swept_value(k, float(v)) for k, v in zip(names, point)}}
 
 
 # --------------------------------------------------------------------------

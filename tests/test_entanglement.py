@@ -361,8 +361,7 @@ def test_collapse_disjoint_windows_error():
         64: (np.linspace(0.3, 0.4, 5), np.zeros(5)),
     }
     with pytest.raises(CollapseError):
-        E.tee_collapse(curves, beta0_grid=np.array([5.0]),
-                       nu_grid=np.array([1.0]), refinements=0)
+        E.tee_collapse(curves)
 
 
 def _collapse_cost_loop(curves, beta0, nu):

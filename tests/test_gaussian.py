@@ -402,12 +402,33 @@ def test_direct_steady_state_taken_where_converged(couplings, L, bc, n_periods):
     _assert_same_steady_state(direct, loop)
 
 
+@pytest.mark.parametrize("couplings, L, bc, n_periods", [
+    ((0.8778688504940382, 0.7546823999937643, -2.5667088121861585, -0.5323836244853325),
+     22, "obc", 185),
+    ((3.0722272157111794, -0.20220143216495234, 0.707107188044112, -0.0917449075633142),
+     18, "pbc-odd", 161),
+])
+def test_direct_steady_state_with_unequal_sectors(couplings, L, bc, n_periods):
+    # sector + holds 10 of the L growing modes of the frame map, so the
+    # L/L cut runs across the two sector Schur forms, not between them
+    p, lat = P.ModelParams(*couplings), P.lattice(L, bc)
+    kicks = spectral.build_kick_forms(p, lat)
+    b_plus = kicks.step(spectral.sector_basis(2 * L), -1.0)[:L]
+    assert np.count_nonzero(np.abs(np.linalg.eigvals(b_plus)) > 1) == 10
+    direct, loop = _direct_and_loop(p, lat, n_periods)
+    assert direct.route == "schur"
+    _assert_same_steady_state(direct, loop)
+
+
 def _cut_split_hits(p, lat, n_periods):
     """Whether the L/L split (no middle block) certifies the n-period Neel
-    frame."""
+    frame, from the Schur forms of the two sector blocks as
+    ``_dominant_frame`` takes them."""
     kicks = spectral.build_kick_forms(p, lat)
-    f = kicks.step(np.eye(2 * lat.L, dtype=complex), -1.0)
-    t, q, _ = scipy.linalg.schur(f, output="complex", sort="ouc")
+    u = spectral.sector_basis(2 * lat.L)
+    (t1, q1), (t2, q2) = (scipy.linalg.schur(kicks.step(x, -1.0)[:lat.L], output="complex")
+                          for x in (u, u.conj()))
+    t, q = scipy.linalg.block_diag(t1, t2), np.hstack([u @ q1, u.conj() @ q2]) / np.sqrt(2.0)
     phi0 = gaussian.initial_frame(P.named_state("neel-fermion", lat.L), lat).blocks[0]
     return gaussian._split(t, q, phi0, n_periods, 0) is not None
 

@@ -695,6 +695,23 @@ def test_sector_spectrum_matches_the_dense_eig(L, bc, aj, bj, ah, bh):
         S.build_transfer_matrix(w1, S.MajoranaQuadraticForm(w2.n, tuple(bonds)))
 
 
+@settings(max_examples=60)
+@given(st.integers(2, 24), st.sampled_from(["pbc-even", "pbc-odd", "obc"]),
+       st.sampled_from([1.0, -1.0]), st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
+       st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0))
+def test_period_map_keeps_both_sectors(L, bc, sign, aj, bj, ah, bh):
+    # the invariant the sector blocks rest on: U and conj(U) span invariant
+    # subspaces of exp(s 4W') exp(s 4W''), for either kick sign, so their
+    # images are fixed by the top L rows; U^dag U = 2
+    kicks = S.build_kick_forms(P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc))
+    u = S.sector_basis(2 * L)
+    assert u.shape == (2 * L, L)
+    assert np.array_equal(u.conj().T @ u, 2 * np.eye(L))
+    for x in (u, u.conj()):
+        image = kicks.step(x, sign)
+        assert np.linalg.norm(image - x @ image[:L]) <= 1e-13 * np.linalg.norm(image)
+
+
 @settings(max_examples=40)
 @given(st.integers(8, 40), st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
        st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0))
