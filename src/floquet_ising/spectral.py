@@ -26,12 +26,18 @@ Conventions
   every mu and its inverse, and an eigenvector of B_+ gives the right
   vectors of both.  Left eigenvectors need no second solve: M^T M = 1
   makes the left vector of mu the conjugate of the right vector of 1/mu.
+* The edge window (eps near 0 and pi) lies in the discs |mu -+ 1| < 0.02,
+  so the phase label needs no dense spectrum (``scan_edge_window``): the
+  argument principle counts B_+'s eigenvalues in each disc from one
+  banded LU of B_+ - z per contour point, and Rayleigh-quotient iteration
+  on the band locates a disc's one eigenvalue.  Anything else falls back
+  to the dense eigenvalues, and the report records the route.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -48,6 +54,11 @@ _EDGE_RE_TOL = 1e-3      # edge candidates: |Re eps| or |Re eps - pi| below this
 _EDGE_IM_TOL = 1e-2      # ... and |Im eps| at most this
 _COND_CUTOFF = 1e10      # largest eigenvalue condition the edge scan accepts
 _EDGE_FRACTION = 0.1     # an edge mode holds half its weight on this end share
+_DISC_RADIUS = 0.02      # windowed edge scan: discs |z -+ 1| < this hold the edge window
+_DISC_POINTS = 32        # contour points to start each disc count with ...
+_DISC_POINTS_MAX = 256   # ... inserted where a phase step reaches _DISC_STEP, up to this
+_DISC_STEP = np.pi / 4
+_RQI_STEPS = 10          # Rayleigh-quotient steps that locate a disc's one eigenvalue
 _VOLUME_DENSITY = 0.1    # real-mode density at which the label is volume law
 _FEW_MODE_MAX = 4        # more isolated real modes than this are ambiguous
 
@@ -153,12 +164,11 @@ class TransferMatrix:
     """One-period Majorana map M = exp(4W') exp(4W'') with its spectrum.
 
     ``eigenvalues`` lists the L eigenvalues mu of the reflection-sector
-    block ``b_plus`` and then their inverses (see ``build_transfer_matrix``).
-    The dense ``m`` is built on first read.  Eigenvectors are computed only
-    for the edge scan's candidates (``_candidate_vectors``).
+    block ``b_plus`` and then their inverses (see ``build_transfer_matrix``);
+    like the dense ``m``, it is computed on first read.  Eigenvectors are
+    computed only for the edge scan's candidates (``_candidate_vectors``).
     """
 
-    eigenvalues: np.ndarray
     b_plus: np.ndarray
     kicks: KickForms
 
@@ -170,13 +180,23 @@ class TransferMatrix:
     def m(self) -> np.ndarray:
         return self.kicks.step(np.eye(self.n, dtype=complex))
 
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        try:
+            mu = np.linalg.eigvals(self.b_plus)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+            raise NumericalBreakdown(f"eigenvalue solve failed: {exc}") from exc
+        return _pairs(mu)
+
 
 def sector_basis(n: int) -> np.ndarray:
     """sqrt(2) times an orthonormal basis of the reflection sector R = +i:
     the n x n/2 columns e_m + i(-1)^m e_{n-1-m}, m < n/2, whose top n/2
     rows are the identity.  Their conjugates span R = -i."""
-    sign = 1j * (-1.0) ** np.arange(n // 2)
-    return np.vstack([np.eye(n // 2, dtype=complex), np.diag(sign)[::-1]])
+    m = np.arange(n // 2)
+    u = np.zeros((n, n // 2), dtype=complex)
+    u[m, m], u[n - 1 - m, m] = 1.0, 1j * (-1.0) ** m
+    return u
 
 
 def _sector_vectors(field_form: MajoranaQuadraticForm, c: np.ndarray) -> np.ndarray:
@@ -205,7 +225,7 @@ def _require_reflection_odd(form: MajoranaQuadraticForm) -> None:
 
 def build_transfer_matrix(coupling_form: MajoranaQuadraticForm,
                           field_form: MajoranaQuadraticForm) -> TransferMatrix:
-    """Spectrum of M = K1 K2 (K1 = exp(4W'), K2 = exp(4W'')) from one L x L eigvals.
+    """M = K1 K2 (K1 = exp(4W'), K2 = exp(4W'')) by its L x L sector block.
 
     Both kicks are odd under Gamma and P, so M commutes with R = Gamma P
     (R^2 = -1) and leaves the sector R = +i of ``sector_basis`` invariant;
@@ -214,8 +234,9 @@ def build_transfer_matrix(coupling_form: MajoranaQuadraticForm,
     wrap) a row and its mirror.  Gamma swaps the sectors and inverts the
     map in the symmetric frame K2^{1/2} K1 K2^{1/2}, so for M v = mu v
     the vector K2^{-1/2} Gamma K2^{1/2} v = Gamma K2 v has eigenvalue
-    1/mu.  No eigenvectors are computed here; the edge scan solves for
-    the few it reads (``_candidate_vectors``).
+    1/mu.  Nothing is diagonalized here: the spectrum is one L x L
+    eigvals on first read of ``eigenvalues``, and the edge scan solves
+    for the few eigenvectors it reads (``_candidate_vectors``).
     """
     if coupling_form.n != field_form.n:
         raise ValidationError("kick forms must have matching dimension")
@@ -223,13 +244,7 @@ def build_transfer_matrix(coupling_form: MajoranaQuadraticForm,
     _require_reflection_odd(field_form)
     kicks = KickForms(coupling_form, field_form)
     b_plus = kicks.step(sector_basis(coupling_form.n))[:coupling_form.n // 2]
-    try:
-        mu = np.linalg.eigvals(b_plus)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericalBreakdown(f"eigenvalue solve failed: {exc}") from exc
-    with np.errstate(divide="ignore", invalid="ignore"):  # mu underflowed to 0: no partner
-        mu = np.concatenate([mu, 1.0 / mu])
-    return TransferMatrix(mu, b_plus, kicks)
+    return TransferMatrix(b_plus, kicks)
 
 
 def fold_real_part(re: np.ndarray | float) -> np.ndarray | float:
@@ -384,13 +399,29 @@ class EdgeModeRecord:
 
 @dataclass
 class SpectrumReport:
-    quasienergies: np.ndarray
-    edge_modes: list[EdgeModeRecord]
+    """A transfer matrix's quasienergies and the edge modes found in them.
+
+    ``quasienergies`` (one eps per eigenvalue of ``transfer``) is computed
+    on first read.  ``route`` names where the edge scan took its
+    candidates: "dense" (the eigenvalues of B_+) or "window" (the disc
+    count of ``scan_edge_window``); ``fallback`` is the reason a windowed
+    scan went dense ("disc-count", "contour", "singular-lu" or
+    "iteration"), else None.
+    """
+
+    transfer: TransferMatrix
+    edge_modes: list[EdgeModeRecord] = field(default_factory=list)
     delocalization_warning: bool = False
+    route: str = "dense"
+    fallback: str | None = None
+
+    @cached_property
+    def quasienergies(self) -> np.ndarray:
+        return quasienergies_from_eigenvalues(self.transfer.eigenvalues)
 
 
 def quasienergies_from_transfer(tm: TransferMatrix) -> SpectrumReport:
-    return SpectrumReport(quasienergies_from_eigenvalues(tm.eigenvalues), [])
+    return SpectrumReport(tm)
 
 
 def _refine_pair(tm: TransferMatrix, mu, vr, vl) -> np.ndarray:
@@ -446,27 +477,56 @@ def _require_edge_lattice(lat: LatticeSpec) -> None:
         raise ValidationError("edge detection needs L >= 8")
 
 
-def _candidate_vectors(tm: TransferMatrix, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit right eigenvectors of mu_j, then of 1/mu_j (sector indices j),
+def _pairs(mu: np.ndarray) -> np.ndarray:
+    """The sector eigenvalues mu and then their chiral partners 1/mu."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # mu underflowed to 0: no partner
+        return np.concatenate([mu, 1.0 / mu])
+
+
+def _edge_kinds(eps: np.ndarray) -> np.ndarray:
+    """"zero" or "pi" for each quasienergy in the edge window (within
+    ``_EDGE_RE_TOL`` of 0 or pi and ``_EDGE_IM_TOL`` of the real axis), else ""."""
+    re = np.abs(eps.real)
+    kinds = np.where(re < _EDGE_RE_TOL, "zero",
+                     np.where(np.abs(re - np.pi) < _EDGE_RE_TOL, "pi", ""))
+    kinds[np.abs(eps.imag) > _EDGE_IM_TOL] = ""
+    return kinds
+
+
+def _band(b: np.ndarray) -> tuple[np.ndarray, float]:
+    """The five diagonals of the pentadiagonal B_+ in ``solve_banded``
+    layout, and the shift tol = L eps ||B_+||_1 of the scan's solves."""
+    L = len(b)
+    band = np.zeros((5, L), dtype=complex)
+    for k in (2, 1, 0, -1, -2):
+        band[2 - k, max(k, 0):L + min(k, 0)] = np.diagonal(b, k)
+    return band, L * np.finfo(float).eps * np.linalg.norm(b, 1)
+
+
+def _solve_shifted(band: np.ndarray, shift: complex, x: np.ndarray) -> np.ndarray:
+    """(B_+ - shift)^-1 x by one banded LU, O(L)."""
+    a = band.copy()
+    a[2] -= shift
+    return scipy.linalg.solve_banded((2, 2), a, x, check_finite=False)
+
+
+def _candidate_vectors(tm: TransferMatrix, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit right eigenvectors of the sector eigenvalues mu, then of 1/mu,
     and the eigenvalue condition kappa = 1/|l^H r| of each pair.
 
-    Two steps of inverse iteration on the pentadiagonal B_+ - mu_j (banded
-    LU, O(L)), shifted off mu_j by tol = L eps ||B_+||_1 so that no pivot
-    cancels to zero; a residual ||B_+ x - mu_j x|| above 64 tol raises
+    Two steps of inverse iteration on the pentadiagonal B_+ - mu
+    (``_solve_shifted``), shifted off mu by the tol of ``_band`` so that no
+    pivot cancels to zero; a residual ||B_+ x - mu x|| above 64 tol raises
     NumericalBreakdown.  l of mu is conj(r) of 1/mu, so kappa = 1/|v_-^T v_+|.
     """
-    b, mu = tm.b_plus, tm.eigenvalues[j]
-    L = len(b)
-    tol = L * np.finfo(float).eps * np.linalg.norm(b, 1)
-    band = np.array([np.pad(np.diagonal(b, k), (max(k, 0), max(-k, 0)))
-                     for k in (2, 1, 0, -1, -2)])
-    c = np.empty((L, len(j)), dtype=complex)
+    b = tm.b_plus
+    band, tol = _band(b)
+    c = np.empty((len(b), len(mu)), dtype=complex)
     try:
         for col, shift in enumerate(mu + tol):
-            a, x = band.copy(), np.exp(1j * np.arange(L))
-            a[2] -= shift
+            x = np.exp(1j * np.arange(len(b)))
             for _ in range(2):
-                x = scipy.linalg.solve_banded((2, 2), a, x, check_finite=False)
+                x = _solve_shifted(band, shift, x)
                 x /= np.linalg.norm(x)
             c[:, col] = x
     except np.linalg.LinAlgError as exc:
@@ -477,61 +537,190 @@ def _candidate_vectors(tm: TransferMatrix, j: np.ndarray) -> tuple[np.ndarray, n
                                  f"above its gate {64 * tol:.1e}")
     v = _sector_vectors(tm.kicks.field_form, c)
     with np.errstate(divide="ignore"):
-        kappa = 1.0 / np.abs(np.sum(v[:, :len(j)] * v[:, len(j):], axis=0))
+        kappa = 1.0 / np.abs(np.sum(v[:, :len(mu)] * v[:, len(mu):], axis=0))
     return v, kappa
 
 
-def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
-                      refine: bool = True) -> SpectrumReport:
-    """Scan the open-chain spectrum for localized zero and pi modes.
+class _DenseFallback(Exception):
+    """The disc count cannot vouch for its candidates; the message says why."""
 
-    Candidates are the quasienergies within ``_EDGE_RE_TOL`` of 0 or pi and
-    ``_EDGE_IM_TOL`` of the real axis, with their chiral partners; only they
-    get eigenvectors (``_candidate_vectors``).  One with more than half its
-    weight on the outer ``_EDGE_FRACTION`` of sites is an edge mode.  A
-    candidate with eigenvalue condition kappa >= ``_COND_CUTOFF`` (an
-    exceptional point in the edge window; the constant is read at call
-    time) or a failed residual gate raises NumericalBreakdown, with the
-    worst kappa as ``condition``; bulk eigenvalues are not judged.  Near
-    alpha = pi/4 the edge modes delocalize at finite size; an empty scan
-    there raises no error but sets ``delocalization_warning``.
-    """
-    _require_edge_lattice(lat)
-    tm = build_transfer_matrix(*build_kick_forms(params, lat))
-    report = quasienergies_from_transfer(tm)
-    eps = report.quasienergies
-    re = np.abs(eps.real)
-    kinds = np.where(re < _EDGE_RE_TOL, "zero",
-                     np.where(np.abs(re - np.pi) < _EDGE_RE_TOL, "pi", ""))
-    kinds[np.abs(eps.imag) > _EDGE_IM_TOL] = ""
-    j = np.unique(np.flatnonzero(kinds) % lat.L)
-    idx = np.concatenate([j, j + lat.L])
-    vecs, kappa = _candidate_vectors(tm, j)
+
+def _det_phases(ab: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """arg det(B_+ - z) mod 2 pi at each z, from one banded LU each
+    (``zgbtrf`` on the LAPACK band ``ab``, O(L)): the arguments of U's
+    diagonal plus pi per row swap (the wrapper's pivots are 0-based)."""
+    rows = np.arange(ab.shape[1])
+    diag, swaps = np.empty((len(z), len(rows)), dtype=complex), np.empty(len(z))
+    for i, zi in enumerate(z):
+        a = ab.copy(order="F")
+        a[4] -= zi
+        lu, piv, info = scipy.linalg.lapack.zgbtrf(a, 2, 2, overwrite_ab=1)
+        if info != 0:
+            raise _DenseFallback("singular-lu")
+        diag[i], swaps[i] = lu[4], np.count_nonzero(piv != rows)
+    return np.angle(diag).sum(axis=1) + np.pi * swaps
+
+
+def _disc_count(ab: np.ndarray, z0: float) -> int:
+    """Eigenvalues of B_+ in |z - z0| < ``_DISC_RADIUS`` by the argument
+    principle: the winding number of det(B_+ - z) on the circle, sampled
+    at ``_DISC_POINTS`` angles, with a midpoint inserted in every step
+    whose phase change reaches ``_DISC_STEP``, up to ``_DISC_POINTS_MAX``
+    points (beyond: the "contour" fallback)."""
+    def circle(t):
+        return z0 + _DISC_RADIUS * np.exp(1j * t)
+
+    theta = 2 * np.pi * np.arange(_DISC_POINTS) / _DISC_POINTS
+    phase = _det_phases(ab, circle(theta))
+    while True:
+        step = np.angle(np.exp(1j * (np.roll(phase, -1) - phase)))
+        coarse = np.abs(step) >= _DISC_STEP
+        if not coarse.any():
+            return round(step.sum() / (2 * np.pi))
+        if len(theta) + np.count_nonzero(coarse) > _DISC_POINTS_MAX:
+            raise _DenseFallback("contour")
+        mid = (theta + np.diff(theta, append=2 * np.pi) / 2)[coarse]
+        theta = np.concatenate([theta, mid])
+        phase = np.concatenate([phase, _det_phases(ab, circle(mid))])
+        order = np.argsort(theta)
+        theta, phase = theta[order], phase[order]
+
+
+def _disc_eigenvalue(b: np.ndarray, band: np.ndarray, tol: float, z0: float) -> complex:
+    """The one eigenvalue of B_+ in the disc around z0: Rayleigh-quotient
+    iteration from z0 on the band (``_solve_shifted``) until the residual
+    ||B_+ x - mu x|| is within tol.  A quotient outside the disc is not
+    kept (the shift stays, a step of inverse iteration); no converged mu
+    within ``_RQI_STEPS`` steps is the "iteration" fallback."""
+    mu, x = complex(z0), np.exp(1j * np.arange(len(b)))
+    for _ in range(_RQI_STEPS):
+        try:
+            x = _solve_shifted(band, mu, x)
+        except np.linalg.LinAlgError:
+            break
+        x /= np.linalg.norm(x)
+        bx = b @ x
+        quotient = np.vdot(x, bx)
+        if abs(quotient - z0) < _DISC_RADIUS:
+            mu = quotient
+            if np.linalg.norm(bx - mu * x) <= tol:
+                return mu
+    raise _DenseFallback("iteration")
+
+
+def _window_eigenvalues(tm: TransferMatrix) -> np.ndarray:
+    """The eigenvalues of B_+ in the discs around +1 and -1, which hold the
+    edge window, without a dense solve: a disc count (``_disc_count``) of
+    0 gives none, of 1 one (``_disc_eigenvalue``), of more the
+    "disc-count" fallback."""
+    band, tol = _band(tm.b_plus)
+    ab = np.asfortranarray(np.vstack([np.zeros((2, band.shape[1]), dtype=complex), band]))
+    found = []
+    for z0 in (1.0, -1.0):
+        count = _disc_count(ab, z0)
+        if count not in (0, 1):
+            raise _DenseFallback("disc-count")
+        if count:
+            found.append(_disc_eigenvalue(tm.b_plus, band, tol, z0))
+    return np.array(found, dtype=complex)
+
+
+def _edge_candidates(tm: TransferMatrix) -> tuple[np.ndarray, str, str | None]:
+    """The sector eigenvalues mu with mu or 1/mu in the edge window, the
+    route that found them and the reason for a fallback.  The dense
+    ``eigenvalues`` are read when already computed ("dense"), else the
+    discs (``_window_eigenvalues``, "window"), else, where those fall
+    back, the dense ones."""
+    route, fallback, L = "dense", None, len(tm.b_plus)
+    if "eigenvalues" in vars(tm):
+        mu = tm.eigenvalues[:L]
+    else:
+        try:
+            mu, route = _window_eigenvalues(tm), "window"
+        except _DenseFallback as exc:
+            mu, fallback = tm.eigenvalues[:L], str(exc)
+    kinds = _edge_kinds(quasienergies_from_eigenvalues(_pairs(mu)))
+    return mu[(kinds != "").reshape(2, -1).any(axis=0)], route, fallback
+
+
+def _edge_scan(tm: TransferMatrix, params: ModelParams, refine: bool) -> SpectrumReport:
+    """Edge modes among the candidates of ``_edge_candidates``; see
+    ``scan_edge_window``."""
+    mu, route, fallback = _edge_candidates(tm)
+    pairs = _pairs(mu)
+    eps = quasienergies_from_eigenvalues(pairs)
+    kinds = _edge_kinds(eps)
+    vecs, kappa = _candidate_vectors(tm, mu)
     if np.any(kappa >= _COND_CUTOFF):
         raise NumericalBreakdown("ill-conditioned edge candidate: exceptional point "
                                  "in the edge window", condition=float(kappa.max()))
     weights = _site_weights(vecs)
-    ne = max(1, int(_EDGE_FRACTION * lat.L))
+    ne = max(1, int(_EDGE_FRACTION * len(tm.b_plus)))
     lw, rw = weights[:ne].sum(axis=0), weights[-ne:].sum(axis=0)
 
     records = []
     for kind in ("zero", "pi"):
-        sel = np.flatnonzero((kinds[idx] == kind) & (lw + rw > 0.5))
-        energies = eps[idx[sel]]
+        sel = np.flatnonzero((kinds == kind) & (lw + rw > 0.5))
+        energies = eps[sel]
         if refine and len(sel) == 2:
-            left = np.roll(vecs, len(j), axis=1).conj()
+            left = np.roll(vecs, len(mu), axis=1).conj()
             eref = quasienergies_from_eigenvalues(_refine_pair(
-                tm, tm.eigenvalues[idx[sel]], vecs[:, sel], left[:, sel]))
+                tm, pairs[sel], vecs[:, sel], left[:, sel]))
             # keep the refined value closest to each raw one
             energies = eref[np.abs(eref[:, None] - energies[None, :]).argmin(axis=0)]
         records += [EdgeModeRecord(kind, complex(e), _localization_length(weights[:, k]),
                                    float(lw[k]), float(rw[k]))
                     for e, k in zip(energies, sel)]
 
-    report.edge_modes = records
     a = (params.alpha_J % (np.pi / 2.0))
-    report.delocalization_warning = (not records) and abs(a - PI4) < 0.1 * PI4
-    return report
+    return SpectrumReport(tm, records, (not records) and abs(a - PI4) < 0.1 * PI4,
+                          route, fallback)
+
+
+def scan_edge_window(params: ModelParams, lat: LatticeSpec) -> SpectrumReport:
+    """Localized zero and pi modes of the open chain, without its spectrum.
+
+    Candidates are the sector eigenvalues mu whose quasienergy, or that of
+    the chiral partner 1/mu, is within ``_EDGE_RE_TOL`` of 0 or pi and
+    ``_EDGE_IM_TOL`` of the real axis; every such mu lies within 0.0101 of
+    +1 or -1.  They are found without a dense solve (``route ==
+    "window"``): around each of z0 = +1 and -1 the eigenvalues of B_+ in
+    the disc |z - z0| < ``_DISC_RADIUS`` are counted by the argument
+    principle, the phase of det(B_+ - z) coming from one banded LU per
+    contour point; a count of 1 is located by Rayleigh-quotient iteration
+    from z0 on the band.  A disc count of 2 or more, a contour unresolved
+    at the point cap, a singular LU, or an iteration that does not
+    converge inside its disc fall back to the dense eigenvalues of B_+
+    (``route == "dense"``, the reason in ``fallback``); so does every scan
+    of ``detect_edge_modes``, whose eigenvalues are already computed.
+
+    Only candidates get eigenvectors (``_candidate_vectors``).  One with
+    more than half its weight on the outer ``_EDGE_FRACTION`` of sites is
+    an edge mode.  A candidate with eigenvalue condition kappa >=
+    ``_COND_CUTOFF`` (an exceptional point in the edge window; the
+    constant, like those of the discs, is read at call time) or a failed
+    residual gate raises NumericalBreakdown, with the worst kappa as
+    ``condition``; bulk eigenvalues are not judged.  Near alpha = pi/4 the
+    edge modes delocalize at finite size; an empty scan there raises no
+    error but sets ``delocalization_warning``.  The report's
+    ``quasienergies`` are computed densely if read.
+    """
+    _require_edge_lattice(lat)
+    return _edge_scan(build_transfer_matrix(*build_kick_forms(params, lat)), params,
+                      refine=False)
+
+
+def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
+                      refine: bool = True) -> SpectrumReport:
+    """Every open-chain quasienergy, from one dense eigvals of B_+, and the
+    edge modes among them: the scan of ``scan_edge_window`` on those
+    eigenvalues (``route == "dense"``).  With ``refine``, an edge pair's
+    energies are split in extended precision (``_refine_pair``).
+    """
+    _require_edge_lattice(lat)
+    tm = build_transfer_matrix(*build_kick_forms(params, lat))
+    tm.eigenvalues  # every quasienergy is reported, so the scan reads them too
+    return _edge_scan(tm, params, refine)
 
 
 # --------------------------------------------------------------------------
@@ -736,11 +925,13 @@ def classify_phase(params: ModelParams, L: int = 40,
     lengths of a phase boundary are invisible at small L, so the edge scan
     runs once, at ``confirm_L`` when that is larger than ``L`` (the bulk
     census is size-insensitive).  It is skipped when the census finds real
-    modes, which decide the label on their own.
+    modes, which decide the label on their own.  The scan is the windowed
+    one (``scan_edge_window``): disc counts by banded LU, no dense solve
+    unless they fall back, and the dense scan's labels.
     """
     census = count_real_modes(params, L)
     scan_L = confirm_L if confirm_L and confirm_L > L else L
     lat = LatticeSpec(scan_L, BoundaryCondition.OBC)
     _require_edge_lattice(lat)
-    obc = None if census.count else detect_edge_modes(params, lat, refine=False)
+    obc = None if census.count else scan_edge_window(params, lat)
     return classify_phase_from_spectrum(obc, census)

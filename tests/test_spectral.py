@@ -646,6 +646,7 @@ def test_classify_phase_skips_the_edge_scan_the_census_decides(monkeypatch):
         raise AssertionError("edge scan ran")
 
     monkeypatch.setattr(S, "detect_edge_modes", no_scan)
+    monkeypatch.setattr(S, "scan_edge_window", no_scan)
     assert S.classify_phase(p, L=40) is scanned is P.PhaseLabel.CRITICAL_VOLUME
     with pytest.raises(ValidationError):
         S.classify_phase(p, L=4, confirm_L=None)
@@ -720,7 +721,7 @@ def test_candidate_vectors_match_the_dense_eig(L, aj, bj, ah, bh):
     # against the dense 2L x 2L eig wherever that eig determines them
     tm = S.build_transfer_matrix(*S.build_kick_forms(P.ModelParams(aj, bj, ah, bh),
                                                      P.lattice(L, "obc")))
-    v, kappa = S._candidate_vectors(tm, np.arange(L))
+    v, kappa = S._candidate_vectors(tm, tm.eigenvalues[:L])
     m = tm.m
     scale = np.linalg.norm(m, 2)
     assert np.allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-12)
@@ -758,3 +759,86 @@ def test_forms_without_chiral_or_mirror_symmetry_rejected():
                   ((0, 2, 0.3), (5, 7, -0.3))):              # equal-parity bond
         with pytest.raises(ValidationError):
             S.build_transfer_matrix(S.MajoranaQuadraticForm(n, bonds), field)
+
+
+# --------------------------------------------------------------------------
+# windowed edge scan against the dense one
+# --------------------------------------------------------------------------
+
+def _scan_outcome(scan, p, lat, **kw):
+    """Edge kinds of one scan, or NumericalBreakdown where it raises."""
+    try:
+        return {m.kind for m in scan(p, lat, **kw).edge_modes}
+    except NumericalBreakdown:
+        return NumericalBreakdown
+
+
+@settings(max_examples=100)
+@given(st.integers(8, 160), st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
+       st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0), st.booleans())
+def test_windowed_scan_matches_the_dense_scan(L, aj, bj, ah, bh, same_alpha):
+    p = P.ModelParams(aj, bj, aj if same_alpha else ah, bh)
+    lat = P.lattice(L, "obc")
+    assert (_scan_outcome(S.scan_edge_window, p, lat)
+            == _scan_outcome(S.detect_edge_modes, p, lat, refine=False))
+
+
+# the phase-diagram benchmark's grid: alpha_J = alpha_h, beta_h = 0.5 (pi/4 units)
+_GRID_ALPHAS, _GRID_BETAS = np.linspace(0.0, 2.0, 11), np.linspace(-2.0, 2.0, 11)
+
+
+def test_windowed_scan_labels_every_cell_of_the_phase_grid():
+    # every cell at confirm_L = 144, those next to the boundary lines
+    # alpha = 1 and |beta_J| = beta_h included: the same edge kinds and
+    # labels as the dense scan, and the discs decide nearly every cell
+    lat = P.lattice(144, "obc")
+    no_real_modes = S.RealModeCensus(0, 80)
+    routes = []
+    for a in _GRID_ALPHAS:
+        for bj in _GRID_BETAS:
+            p = P.make_params(a, bj, a, 0.5)
+            rep = S.scan_edge_window(p, lat)
+            dense = S.detect_edge_modes(p, lat, refine=False)
+            assert {m.kind for m in rep.edge_modes} == {m.kind for m in dense.edge_modes}, (a, bj)
+            assert (S.classify_phase_from_spectrum(rep, no_real_modes)
+                    is S.classify_phase_from_spectrum(dense, no_real_modes))
+            assert dense.route == "dense" and dense.fallback is None
+            routes.append(rep.route)
+    assert routes.count("dense") <= 2
+
+
+@pytest.mark.parametrize("bj", [_GRID_BETAS[4], _GRID_BETAS[6]])
+def test_windowed_scan_misses_the_slow_decay_zero_mode_like_the_dense_one(bj):
+    # alpha = 1.2, beta_J = +-0.4: the zero mode decays by only 0.975 per
+    # site, so the L = 144 dense scan misses it and labels the cell pi;
+    # the windowed scan must miss it too
+    p = P.make_params(_GRID_ALPHAS[6], bj, _GRID_ALPHAS[6], 0.5)
+    lat = P.lattice(144, "obc")
+    assert _scan_outcome(S.detect_edge_modes, p, lat, refine=False) == {"pi"}
+    rep = S.scan_edge_window(p, lat)
+    assert {m.kind for m in rep.edge_modes} == {"pi"} and rep.route == "window"
+    assert S.classify_phase(p) is P.PhaseLabel.PI_MODE
+
+
+@pytest.mark.parametrize("reason, patch, point", [
+    ("disc-count", {}, (0.05, 0.0, 0.05, 0.0)),      # weak unitary kicks: 3 eigenvalues
+    ("singular-lu", {"_DISC_RADIUS": 0.0}, (0.0, 0.0, 0.0, 0.0)),  # B_+ - 1 = 0
+    ("contour", {"_DISC_STEP": 0.0}, (1.5, -0.1, 1.5, 0.5)),        # never resolved
+    ("iteration", {"_RQI_STEPS": 0}, (1.5, -0.1, 1.5, 0.5)),        # never converged
+])
+def test_windowed_scan_falls_back_to_the_dense_labels(monkeypatch, reason, patch, point):
+    # each fallback, forced through the disc constants (read at call
+    # time), gives the dense scan's edge modes and labels, route "dense"
+    p = P.make_params(*point)
+    lat = P.lattice(40, "obc")
+    no_real_modes = S.RealModeCensus(0, 80)
+    dense = S.detect_edge_modes(p, lat, refine=False)
+    for name, value in patch.items():
+        monkeypatch.setattr(S, name, value)
+    rep = S.scan_edge_window(p, lat)
+    assert (rep.route, rep.fallback) == ("dense", reason)
+    assert rep.edge_modes == dense.edge_modes
+    assert (S.classify_phase_from_spectrum(rep, no_real_modes)
+            is S.classify_phase_from_spectrum(dense, no_real_modes))
+    if point[3]:  # the 0pi point: classify_phase itself takes the dense labels
+        assert S.classify_phase(p, L=40, confirm_L=None) is P.PhaseLabel.ZERO_PI
