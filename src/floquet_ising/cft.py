@@ -146,7 +146,10 @@ class ComparisonReport:
 
 def compare_to_numerics(curve: CftCurve, t_numeric, s_numeric) -> ComparisonReport:
     """Peak and trend comparison between the analytic curve and a numeric
-    entropy trace on its own time grid (normalized the same way)."""
+    entropy trace on its own time grid (normalized the same way).  Raises
+    ValidationError unless the grids overlap and each holds at least two
+    samples in the last ``_LATE_WINDOW`` of the common grid, where the late
+    trend is fitted."""
     t_numeric = np.asarray(t_numeric, dtype=float)
     s_numeric = np.asarray(s_numeric, dtype=float)
     lo = max(curve.t.min(), t_numeric.min())
@@ -161,6 +164,9 @@ def compare_to_numerics(curve: CftCurve, t_numeric, s_numeric) -> ComparisonRepo
 
     def late_slope(ts, ss):
         sel = ts >= hi - _LATE_WINDOW * (hi - lo)
+        if (count := np.count_nonzero(sel)) < 2:
+            raise ValidationError(f"{count} sample(s) in the last {_LATE_WINDOW:g} of the "
+                                  "common grid; the late trend needs 2")
         return np.polyfit(ts[sel], ss[sel], 1)[0]
 
     trend = bool(np.sign(late_slope(curve.t, curve.entropy))

@@ -172,19 +172,17 @@ def cmd_cft_compare(args):
     params = make_params(args.amplitude, -args.amplitude * args.eta,
                          args.amplitude, -args.amplitude * args.eta,
                          units="rad")
-    hmat = gaussian.continuous_hamiltonian(params, lat)
-    frame = gaussian.initial_frame(named_state("neel-fermion", L), lat)
+    frames = gaussian.evolve_continuous(params, lat, named_state("neel-fermion", L), t_grid)
     sub = SubsystemSpec(1, la)
-    s_num = np.array([entanglement.subsystem_entropy(f, sub, lat).entropy
-                      for f in gaussian.evolve_continuous(frame, hmat, t_grid)])
+    s_num = np.array([entanglement.subsystem_entropy(f, sub, lat).entropy for f in frames])
     s_num -= s_num[0]
+    report = cft.compare_to_numerics(curve, t_grid, s_num)
 
     rows = [{"t": float(t), "S_cft": float(sc), "S_numeric": float(sn),
              "valid": int(v)}
             for t, sc, sn, v in zip(t_grid, curve.entropy, s_num, curve.validity)]
     csv_path = _out_dir(args) / (args.out or "cft_compare.csv")
     sweep.write_csv(csv_path, rows, ["t", "S_cft", "S_numeric", "valid"])
-    report = cft.compare_to_numerics(curve, t_grid, s_num)
     print(f"wrote {csv_path}; peak-time ratio "
           f"{report.peak_time_ratio:.3f}, rms {report.rms_deviation:.4f}")
     return 0

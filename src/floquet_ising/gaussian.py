@@ -22,6 +22,9 @@ two sites, so a state with that symmetry keeps it: the frame splits into
 one 4x2 block per two-site Bloch momentum q, each moved by its own 4x4
 block F_q, and isotropy pairs q with -q.  Every frame is such a stack of
 Bloch blocks (``GaussianFrame``); the dense frame is the one-cell stack.
+Both the stroboscopic loop and the continuous-time flow run on the
+momentum stack where ``_momentum_route`` allows it (pbc-even, L divisible
+by 4, a state of period 2), and on the one-cell stack everywhere else.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .errors import (DegenerateEvolution, NumericalBreakdown,
 from .params import (BoundaryCondition, LatticeSpec, ModelParams,
                      ProductState, QuenchConfig, SubsystemSpec)
 from .spectral import (KickForms, build_kick_forms, cell_momenta,
-                       frame_map_blocks, sector_basis)
+                       frame_map_blocks, hamiltonian_blocks, sector_basis)
 
 _ISO_TOL = 1e-13
 _RANK_TOL = 1e-13
@@ -422,6 +425,21 @@ def _split(t: np.ndarray, q: np.ndarray, phi0: np.ndarray, n: int, m: int):
     return q @ _flush(coords), log_scale
 
 
+def _momentum_route(lat: LatticeSpec, state: ProductState) -> bool:
+    """Whether a z-basis ``state`` on ``lat`` evolves on the momentum stack
+    (``GaussianFrame.from_dense``): occupations of period 2 on a pbc-even
+    chain with L divisible by 4.  Those are the chains where no two-site
+    momentum is its own partner (q = -q: q = 0 on pbc-odd, q = pi on
+    pbc-odd with L = 0 mod 4 and on pbc-even with L = 2 mod 4).  Where one
+    is, the two engines part by O(1) within tens of periods at random
+    couplings: the exact trajectory is unstable to rounding that breaks
+    the translation symmetry or a conserved mode occupation, so the dense
+    one-cell stack is kept there.
+    """
+    occ = state.occupations()
+    return lat.bc is BoundaryCondition.PBC_EVEN and lat.L % 4 == 0 and occ[2:] == occ[:-2]
+
+
 def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig,
                         observe: Observer | None = None) -> GaussianFrame:
     """Evolve for the configured number of periods and return the frame.
@@ -433,17 +451,10 @@ def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchCon
     frame from the split of its spectrum at the L/L cut, else from the
     split that carries one edge pair straddling that cut.  It is
     returned, with ``route == "schur"``, only where it provably equals the
-    loop's frame.  Otherwise the loop runs.  From a state invariant under two-site
-    translation (z-basis occupations of period 2) on a pbc-even chain with
-    L divisible by 4 it steps one 4x2 block per momentum (``route ==
+    loop's frame.  Otherwise the loop runs: where ``_momentum_route``
+    allows it, it steps one 4x2 block per momentum (``route ==
     "momentum"``); elsewhere it steps the one-cell frame with
-    ``period_map`` (``route == "loop"``).  Those are the chains where
-    no two-site momentum is its own partner (q = -q: q = 0 on pbc-odd,
-    q = pi on pbc-odd with L = 0 mod 4 and on pbc-even with L = 2 mod 4).
-    Where one is, the two engines part by O(1) within tens of periods at
-    random couplings: the exact trajectory is unstable to rounding that
-    breaks the translation symmetry or a conserved mode occupation, so
-    the dense loop is kept there.
+    ``period_map`` (``route == "loop"``).
     """
     quench.require_free_fermion()
     kicks = build_kick_forms(params, lat)
@@ -452,8 +463,7 @@ def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchCon
         direct = _dominant_frame(kicks, frame, quench.n_periods)
         if direct is not None:
             return direct
-    occ = quench.initial_state.occupations()
-    if lat.bc is BoundaryCondition.PBC_EVEN and lat.L % 4 == 0 and occ[2:] == occ[:-2]:
+    if _momentum_route(lat, quench.initial_state):
         frame = GaussianFrame.from_dense(frame, lat)
         fq = frame_map_blocks(params, frame.momenta)
         step = lambda f: _advance(f, fq @ f.blocks, "momentum")
@@ -498,29 +508,43 @@ def stroboscopic_run(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig
 # --------------------------------------------------------------------------
 
 def continuous_hamiltonian(params: ModelParams, lat: LatticeSpec) -> np.ndarray:
-    """Coefficient matrix H of H_op = sum_ij H_ij a_i a_j for the continuous
-    limit H_op = J sum XX + h sum Z (equal to i (W' + W''))."""
+    """Dense coefficient matrix H of H_op = sum_ij H_ij a_i a_j for the
+    continuous limit H_op = J sum XX + h sum Z (equal to i (W' + W'')).
+    ``evolve_continuous`` takes it only off the momentum route; on it, it
+    takes the 4x4 Bloch blocks of ``spectral.hamiltonian_blocks``."""
     w1, w2 = build_kick_forms(params, lat)
     return 1j * (w1.w + w2.w)
 
 
-def evolve_continuous(frame: GaussianFrame, hmat: np.ndarray,
+def evolve_continuous(params: ModelParams, lat: LatticeSpec, state: ProductState,
                       t_grid) -> list[GaussianFrame]:
     """Frames of exp(-i H_op t)|psi_0>, normalized, at each time of the
-    non-decreasing, non-negative ``t_grid``, from the frame of psi_0.
+    non-decreasing, non-negative ``t_grid``, for the z-basis product state
+    psi_0 on ``lat`` and the continuous-limit H_op of ``params``.
 
     Exact: the frame moves as exp(-4i t H) Phi; one matrix exponential per
     distinct step, each taken like a period (``route == "continuous"``):
-    ``norm_log`` accumulates the log-norm of exp(-4i t H) Phi0.
+    ``norm_log`` accumulates the log-norm of exp(-4i t H) Phi0.  Where
+    ``_momentum_route`` allows it (pbc-even, L divisible by 4, occupations
+    of period 2) the frame is the momentum stack and each step takes the
+    exponentials of the L/2 4x4 blocks H_q (``spectral.hamiltonian_blocks``);
+    elsewhere it is the one-cell stack, moved by the exponential of the
+    dense 2L x 2L H (``continuous_hamiltonian``).
     """
     steps = np.diff(np.atleast_1d(np.asarray(t_grid, dtype=float)), prepend=0.0)
     if steps.ndim != 1 or steps.size == 0 or not np.all(steps >= 0):
         raise ValidationError("t_grid must be a non-empty, non-decreasing "
                               "grid of non-negative times")
-    frame, out, dt_u, u = GaussianFrame(frame.phi[None]), [], None, None
+    frame = initial_frame(state, lat)
+    if _momentum_route(lat, state):
+        frame = GaussianFrame.from_dense(frame, lat)
+        hmat = hamiltonian_blocks(params, frame.momenta)
+    else:
+        hmat = continuous_hamiltonian(params, lat)[None]
+    out, dt_u, u = [], None, None
     for dt in steps:
         if u is None or abs(dt - dt_u) > 1e-12 * dt:
             dt_u, u = dt, scipy.linalg.expm(-4j * dt * hmat)
-        frame = _advance(frame, (u @ frame.blocks[0])[None], "continuous")
+        frame = _advance(frame, u @ frame.blocks, "continuous")
         out.append(frame)
     return out

@@ -785,6 +785,21 @@ def frame_map_blocks(params: ModelParams, q: np.ndarray) -> np.ndarray:
     return f
 
 
+def hamiltonian_blocks(params: ModelParams, q: np.ndarray) -> np.ndarray:
+    """4x4 Bloch blocks H_q of the continuous-limit coefficient matrix
+    H = i (W' + W'') of ``gaussian.continuous_hamiltonian``, in the cells of
+    ``frame_map_blocks``: the two-site open-chain forms inside a cell, and
+    the coupling bond from row 3 to row 0 of the next cell with e^{iq}, so
+    H U_q = U_q H_q.  O(L) for the L/2 momenta; the dense H is never formed.
+    """
+    w1, w2 = build_kick_forms(params, LatticeSpec(2, BoundaryCondition.OBC))
+    h = np.repeat(1j * (w1.w + w2.w)[None], len(q), axis=0)
+    phase = np.exp(1j * np.asarray(q, dtype=float))
+    h[:, 3, 0] += 0.5j * params.J * phase
+    h[:, 0, 3] -= 0.5j * params.J / phase
+    return h
+
+
 def effective_hamiltonian_nambu(J: complex, h: complex, k: float) -> np.ndarray:
     """i Log of the one-period momentum block t in the complex-fermion basis,
     in closed form: det t = 1 and c = tr t / 2 = x/4, so with r = sqrt(disc)

@@ -344,10 +344,8 @@ def test_criterion_9_cft_comparison():
     L, la = 100, 10
     lat = P.lattice(L, "pbc-even")
     p = P.make_params(0.5, -0.5 * eta, 0.5, -0.5 * eta, units="rad")
-    hmat = gaussian.continuous_hamiltonian(p, lat)
-    frame = gaussian.initial_frame(P.named_state("neel-fermion", L), lat)
     states = map(gaussian.correlation_from_frame,
-                 gaussian.evolve_continuous(frame, hmat, t_grid))
+                 gaussian.evolve_continuous(p, lat, P.named_state("neel-fermion", L), t_grid))
     idx = P.SubsystemSpec(1, la).majorana_indices(lat)
     s_num = np.array([E.entropy_from_majorana_block(
         cm.c[np.ix_(idx, idx)]).entropy for cm in states])

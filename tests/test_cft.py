@@ -148,6 +148,15 @@ def test_compare_requires_overlap():
         cft.compare_to_numerics(curve, np.linspace(6.0, 9.0, 10), np.zeros(10))
 
 
+def test_compare_requires_two_late_samples():
+    # four samples on [0.05, 15] leave one in the last quarter: no late trend
+    pars = cft.CftParams(c=0.5, epsilon=0.185, eta_rot=0.2, l=10.0)
+    t = np.linspace(0.05, 15.0, 4)
+    curve = cft.entropy_curve(pars, t)
+    with pytest.raises(ValidationError, match="late trend"):
+        cft.compare_to_numerics(curve, t, curve.entropy)
+
+
 def test_params_validation():
     with pytest.raises(ValidationError):
         cft.CftParams(epsilon=-0.1)

@@ -624,24 +624,24 @@ def test_bulk_subsystem_obc_approaches_pbc():
 # --------------------------------------------------------------------------
 
 def test_continuous_zero_hamiltonian_is_static():
-    lat = P.lattice(4, "obc")
-    frame = gaussian.initial_frame(P.named_state("neel-fermion", 4), lat)
-    c0 = gaussian.correlation_from_frame(frame)
-    hmat = np.zeros((8, 8), dtype=complex)
-    states = map(gaussian.correlation_from_frame,
-                 gaussian.evolve_continuous(frame, hmat, [0.0, 0.5, 1.0]))
-    for cm in states:
-        assert np.allclose(cm.c, c0.c, atol=1e-12)
+    # one-cell and momentum stacks alike
+    for lat in (P.lattice(4, "obc"), P.lattice(8, "pbc-even")):
+        state = P.named_state("neel-fermion", lat.L)
+        c0 = gaussian.correlation_from_frame(gaussian.initial_frame(state, lat))
+        states = map(gaussian.correlation_from_frame,
+                     gaussian.evolve_continuous(P.ModelParams(0.0, 0.0, 0.0, 0.0), lat, state,
+                                                [0.0, 0.5, 1.0]))
+        for cm in states:
+            assert np.allclose(cm.c, c0.c, atol=1e-12)
 
 
 def test_continuous_hermitian_preserves_purity():
     p = P.ModelParams(0.4, 0.0, 0.7, 0.0)
     lat = P.lattice(6, "pbc-even")
-    hmat = gaussian.continuous_hamiltonian(p, lat)
-    frame = gaussian.initial_frame(P.named_state("neel-fermion", 6), lat)
-    c0 = gaussian.correlation_from_frame(frame)
+    state = P.named_state("neel-fermion", 6)
+    c0 = gaussian.correlation_from_frame(gaussian.initial_frame(state, lat))
     states = map(gaussian.correlation_from_frame,
-                 gaussian.evolve_continuous(frame, hmat, np.linspace(0, 2, 5)))
+                 gaussian.evolve_continuous(p, lat, state, np.linspace(0, 2, 5)))
     for cm in states:
         assert cm.purity_defect() < 1e-7
         assert abs(np.trace(cm.c) - np.trace(c0.c)) < 1e-8
@@ -655,11 +655,9 @@ def test_continuous_flow_matches_dense_propagator():
     p = P.ModelParams(0.3, -0.2, 0.5, 0.1)
     state = P.named_state("neel-fermion", L)
     lat = P.lattice(L, "pbc-even")
-    hmat = gaussian.continuous_hamiltonian(p, lat)
-    frame = gaussian.initial_frame(state, lat)
     t_end = 0.8
     states = [gaussian.correlation_from_frame(f)
-              for f in gaussian.evolve_continuous(frame, hmat, [0.0, t_end])]
+              for f in gaussian.evolve_continuous(p, lat, state, [0.0, t_end])]
 
     dim = 2 ** L
     idx = np.arange(dim)
@@ -690,11 +688,12 @@ def _direct_flow(frame, hmat, t):
 def test_continuous_steps_match_direct_exponential():
     L = 6
     lat = P.lattice(L, "pbc-even")
-    hmat = gaussian.continuous_hamiltonian(P.ModelParams(0.4, -0.15, 0.6, 0.2), lat)
-    frame = gaussian.initial_frame(P.named_state("neel-fermion", L), lat)
+    p, state = P.ModelParams(0.4, -0.15, 0.6, 0.2), P.named_state("neel-fermion", L)
+    hmat = gaussian.continuous_hamiltonian(p, lat)
+    frame = gaussian.initial_frame(state, lat)
     t_grid = [0.0, 0.1, 0.35, 0.35, 0.6, 1.4, 1.45, 3.0]
     states = [gaussian.correlation_from_frame(f)
-              for f in gaussian.evolve_continuous(frame, hmat, t_grid)]
+              for f in gaussian.evolve_continuous(p, lat, state, t_grid)]
     assert len(states) == len(t_grid)
     for t, cm in zip(t_grid, states):
         assert np.linalg.norm(cm.c - _direct_flow(frame, hmat, t)) < 1e-12
@@ -705,10 +704,11 @@ def test_continuous_frames_carry_the_frame_counters():
     # adds up to the log-norm of one exponential of the initial frame
     L = 6
     lat = P.lattice(L, "pbc-even")
-    hmat = gaussian.continuous_hamiltonian(P.ModelParams(0.4, -0.15, 0.6, 0.2), lat)
-    frame = gaussian.initial_frame(P.named_state("neel-fermion", L), lat)
+    p, state = P.ModelParams(0.4, -0.15, 0.6, 0.2), P.named_state("neel-fermion", L)
+    hmat = gaussian.continuous_hamiltonian(p, lat)
+    frame = gaussian.initial_frame(state, lat)
     t_grid = [0.0, 0.1, 0.35, 0.35, 0.6, 1.4, 1.45, 3.0]
-    frames = gaussian.evolve_continuous(frame, hmat, t_grid)
+    frames = gaussian.evolve_continuous(p, lat, state, t_grid)
     _, log_mag, _ = gaussian.orthonormalize(expm(-4j * t_grid[-1] * hmat) @ frame.phi)
     assert abs(log_mag) > 0.1
     assert frames[-1].norm_log == pytest.approx(log_mag, rel=1e-10)
@@ -720,10 +720,9 @@ def test_continuous_frames_carry_the_frame_counters():
 @pytest.mark.parametrize("t_grid", [[0.0, 0.5, 0.4], [-0.1, 0.2], [], [0.1, np.nan]])
 def test_continuous_rejects_bad_time_grid(t_grid):
     lat = P.lattice(4, "obc")
-    hmat = gaussian.continuous_hamiltonian(P.ModelParams(0.3, 0.0, 0.5, 0.0), lat)
-    frame = gaussian.initial_frame(P.named_state("neel-fermion", 4), lat)
     with pytest.raises(ValidationError):
-        gaussian.evolve_continuous(frame, hmat, t_grid)
+        gaussian.evolve_continuous(P.ModelParams(0.3, 0.0, 0.5, 0.0), lat,
+                                   P.named_state("neel-fermion", 4), t_grid)
 
 
 @settings(max_examples=25)
@@ -731,16 +730,49 @@ def test_continuous_rejects_bad_time_grid(t_grid):
        st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
 def test_continuous_flow_invariants_random_couplings(L, bc, couplings):
     lat = P.lattice(L, bc)
-    hmat = gaussian.continuous_hamiltonian(P.ModelParams(*couplings), lat)
-    frame = gaussian.initial_frame(P.named_state("neel-fermion", L), lat)
     la = L // 2
     idx = P.SubsystemSpec(1, la).majorana_indices(lat)
     for cm in map(gaussian.correlation_from_frame,
-                  gaussian.evolve_continuous(frame, hmat, np.linspace(0.0, 2.0, 5))):
+                  gaussian.evolve_continuous(P.ModelParams(*couplings), lat,
+                                             P.named_state("neel-fermion", L),
+                                             np.linspace(0.0, 2.0, 5))):
         assert cm.anticommutation_defect() <= 1e-10
         assert cm.purity_defect() <= 1e-10
         s_a = entanglement.entropy_from_majorana_block(cm.c[np.ix_(idx, idx)]).entropy
         assert -1e-10 <= s_a <= la * np.log(2) + 1e-10
+
+
+@settings(max_examples=25)
+@given(st.sampled_from(range(4, 41, 4)), st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       st.sampled_from(["neel-fermion", "all-up", "all-down"]))
+def test_continuous_momentum_route_matches_dense_route(L, couplings, name):
+    # a period-2 state on pbc-even with 4 | L flows on L/2 Bloch blocks; the
+    # same flow on the one-cell stack and one exponential from t = 0 agree
+    from unittest import mock
+
+    p, state = P.ModelParams(*couplings), P.named_state(name, L)
+    lat = P.lattice(L, "pbc-even")
+    t_grid = [0.0, 0.3, 0.6, 1.1, 2.0]
+    frames = gaussian.evolve_continuous(p, lat, state, t_grid)
+    with mock.patch.object(gaussian, "_momentum_route", return_value=False):
+        dense = gaussian.evolve_continuous(p, lat, state, t_grid)
+    hmat = gaussian.continuous_hamiltonian(p, lat)
+    frame0 = gaussian.initial_frame(state, lat)
+    for t, f, g in zip(t_grid, frames, dense):
+        assert (f.route, len(f.blocks), len(g.blocks)) == ("continuous", L // 2, 1)
+        c = gaussian.correlation_from_frame(f).c
+        assert np.linalg.norm(c - gaussian.correlation_from_frame(g).c) <= 1e-10
+        assert np.linalg.norm(c - _direct_flow(frame0, hmat, t)) <= 1e-10
+        _, log_mag, _ = gaussian.orthonormalize(expm(-4j * t * hmat) @ frame0.phi)
+        for ref in (g.norm_log, log_mag):
+            assert abs(f.norm_log - ref) <= 1e-10 * max(abs(ref), 1.0)
+    # open chains, pbc-odd, L = 2 mod 4 and states of longer period stay dense
+    others = [(P.lattice(L, "obc"), state), (P.lattice(L, "pbc-odd"), state),
+              (P.lattice(L + 2, "pbc-even"), P.named_state(name, L + 2)),
+              (lat, P.ProductState("z", (1, 1, -1) + (1,) * (L - 3)))]
+    for other, psi in others:
+        f = gaussian.evolve_continuous(p, other, psi, [0.0, 0.5])[-1]
+        assert (f.route, len(f.blocks)) == ("continuous", 1)
 
 
 def test_area_phase_trace_rises_then_saturates():

@@ -201,6 +201,24 @@ def test_frame_map_blocks_are_the_dense_map_in_momentum(bc, L):
             assert cost[r, c].max() <= 1e-12
 
 
+@pytest.mark.parametrize("bc", ["pbc-even", "pbc-odd"])
+@pytest.mark.parametrize("L", [8, 10, 12, 14])
+def test_hamiltonian_blocks_are_the_dense_hamiltonian_in_momentum(bc, L):
+    # H U_q = U_q H_q for the continuous-limit H = i (W' + W'')
+    from floquet_ising import gaussian
+
+    rng = np.random.default_rng(L)
+    lat = P.lattice(L, bc)
+    q = S.cell_momenta(lat)
+    n = L // 2
+    for _ in range(4):
+        p = P.ModelParams(*rng.uniform(-1.0, 1.0, 4))
+        h = gaussian.continuous_hamiltonian(p, lat)
+        for qi, hi in zip(q, S.hamiltonian_blocks(p, q)):
+            u = np.kron(np.exp(1j * qi * np.arange(n))[:, None], np.eye(4)) / np.sqrt(n)
+            assert np.linalg.norm(h @ u - u @ hi) <= 1e-13
+
+
 def test_cell_momenta_cover_the_allowed_momenta():
     for L, bc in ((8, "pbc-even"), (10, "pbc-even"), (8, "pbc-odd"), (10, "pbc-odd")):
         lat = P.lattice(L, bc)

@@ -544,6 +544,14 @@ def test_cli_cft_compare(tmp_path):
     assert list(rows[0].keys()) == ["t", "S_cft", "S_numeric", "valid"]
 
 
+def test_cli_cft_compare_too_few_times_exits_2(tmp_path, capsys):
+    rc = cli.main(["--out-dir", str(tmp_path), "cft-compare", "--l", "4",
+                   "--t-max", "8", "--n-times", "4"])
+    assert rc == 2
+    assert "late trend" in capsys.readouterr().err
+    assert not (tmp_path / "cft_compare.csv").exists()
+
+
 def test_cli_sweep_and_emit(tmp_path):
     rc = cli.main(["--out-dir", str(tmp_path), "sweep", "--task", "spectrum",
                    "--axis", "alpha:0.4:1.6:2",
