@@ -25,6 +25,10 @@ Bloch blocks (``GaussianFrame``); the dense frame is the one-cell stack.
 Both the stroboscopic loop and the continuous-time flow run on the
 momentum stack where ``_momentum_route`` allows it (pbc-even, L divisible
 by 4, a state of period 2), and on the one-cell stack everywhere else.
+So does the direct steady state, which forms the n-period frame from
+Schur forms of the frame map's blocks (``_split``): L/2 blocks of 4x4 on
+the momentum stack, where the dense 2L x 2L frame map is not tried, and
+the two L x L reflection-sector blocks on the one-cell stack.
 """
 
 from __future__ import annotations
@@ -65,9 +69,9 @@ class GaussianFrame:
     ``isotropy`` is ||Phi^T Phi|| as ``orthonormalize`` measured it on this
     frame (``isotropy_defect()`` bit for bit); ``route`` is how the frame was
     made: ``"loop"`` by ``period_map``, ``"schur"`` by the direct steady
-    state of ``run_to_steady_state``, ``"momentum"`` by its momentum-block
-    step, ``"continuous"`` by a step of ``evolve_continuous``.  Both are
-    None for initial frames."""
+    state of ``run_to_steady_state`` (on either stack), ``"momentum"`` by
+    its momentum-block step, ``"continuous"`` by a step of
+    ``evolve_continuous``.  Both are None for initial frames."""
 
     blocks: np.ndarray
     momenta: np.ndarray = field(default_factory=lambda: np.zeros(1))
@@ -288,16 +292,19 @@ def _flush(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _scaled_power(t: np.ndarray, n: int) -> tuple[np.ndarray, float]:
-    """t**n = exp(log_s) m as (m, log_s), by repeated squaring with every
-    product rescaled to unit largest entry, so nothing overflows."""
+def _scaled_power(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """t_i**n = exp(log_s[i]) m_i as (m, log_s) for each matrix of the stack
+    t (N x s x s), by repeated squaring with every product rescaled to unit
+    largest entry, so nothing overflows."""
     def rescale(m, log_s):
-        s = np.abs(m).max(initial=0.0)
-        return (m / s, log_s + np.log(s)) if s > 0 else (m, log_s)
+        s = np.abs(m).max(axis=(-2, -1), initial=0.0)
+        s = np.where(s > 0, s, 1.0)
+        return m * (1.0 / s)[:, None, None], log_s + np.log(s)
 
-    out, log_out = np.eye(len(t), dtype=complex), 0.0
-    base, log_base = t, 0.0
-    while n:
+    out = np.repeat(np.eye(t.shape[-1], dtype=complex)[None], len(t), axis=0)
+    log_out = np.zeros(len(t))
+    base, log_base = t, np.zeros(len(t))
+    while n and t.size:  # an empty block's power is itself
         if n & 1:
             out, log_out = rescale(out @ base, log_out + log_base)
         n >>= 1
@@ -314,9 +321,7 @@ def _dominant_frame(kicks: KickForms, frame: GaussianFrame, n: int) -> GaussianF
     ``sector_basis``, from one Schur form of each L x L sector block.
 
     ``_split`` is tried with an empty middle block (the L/L split) and,
-    where that misses, with an edge pair straddling the L/L cut.  Either
-    gives the unnormalized n-period frame and the log-magnitude it dropped;
-    the frame's QR adds the rest, so ``norm_log`` is the loop's.
+    where that misses, with an edge pair straddling the L/L cut.
     """
     u = sector_basis(kicks.coupling_form.n)
     try:
@@ -325,12 +330,35 @@ def _dominant_frame(kicks: KickForms, frame: GaussianFrame, n: int) -> GaussianF
     except np.linalg.LinAlgError:  # the Schur iteration did not converge
         return None
     t, q = scipy.linalg.block_diag(t1, t2), np.hstack([u @ q1, u.conj() @ q2]) / np.sqrt(2.0)
-    phi0 = frame.blocks[0]
-    found = _split(t, q, phi0, n, 0) or _split(t, q, phi0, n, 2)
-    if found is None:
+    return _direct_frame(t[None], q[None], frame, n, (0, 2))
+
+
+def _block_frame(fq: np.ndarray, frame: GaussianFrame, n: int) -> GaussianFrame | None:
+    """The n-period momentum stack from ``frame``, taken from a Schur form
+    F_q = Q_q T_q Q_q^dag of each 4x4 block of the frame map, or None unless
+    every block's L/L split (2 + 2 on |mu|) provably equals the loop's."""
+    # zgees directly: ``scipy.linalg.schur`` spends 5x the 4x4 solve on checks
+    forms = [scipy.linalg.lapack.zgees(lambda _: None, f) for f in fq]
+    if any(form[-1] != 0 for form in forms):  # the Schur iteration did not converge
+        return None
+    t, q = np.stack([form[0] for form in forms]), np.stack([form[3] for form in forms])
+    return _direct_frame(t, q, frame, n, (0,))
+
+
+def _direct_frame(t: np.ndarray, q: np.ndarray, frame: GaussianFrame, n: int,
+                  middles: tuple[int, ...]) -> GaussianFrame | None:
+    """The n-period frame from the Schur forms (t, q) of the frame map's
+    blocks, by the first ``_split`` of ``middles`` that certifies it.  The
+    split gives the unnormalized frame and the log-magnitude it dropped;
+    the frame's QR adds the rest, so ``norm_log`` is the loop's."""
+    for m in middles:
+        found = _split(t, q, frame.blocks, n, m)
+        if found is not None:
+            break
+    else:
         return None
     phi, log_scale = found
-    blocks, log_mag, defect = orthonormalize(phi[None], partner=frame.partner)
+    blocks, log_mag, defect = orthonormalize(phi, partner=frame.partner)
     return GaussianFrame(blocks, frame.momenta, frame.partner, n, float(log_scale + log_mag),
                          defect, "schur")
 
@@ -344,10 +372,53 @@ def _sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray | None
     return x / scale if info == 0 else None
 
 
+def _hc(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return np.swapaxes(a.conj(), -1, -2)
+
+
+def _stack(mats) -> np.ndarray:
+    """The stack of a sequence of matrices; a single one as a view, since
+    copying the one-cell stack's 2L x 2L blocks costs more than its BLAS
+    calls at L = 64 (page faults on the fresh memory)."""
+    return mats[0][None] if len(mats) == 1 else np.stack(mats)
+
+
+def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """r_i^-1 b_i for each upper-triangular r_i of a stack, one LAPACK
+    triangular solve per block: an LU solve would cost 3x at L = 64."""
+    return _stack([scipy.linalg.lapack.ztrtrs(ri, bi)[0] for ri, bi in zip(r, b)])
+
+
+def _decouple(t: np.ndarray, q: np.ndarray, k: int, b: int):
+    """One Schur form T, Q reordered on |mu| into its top k modes, a middle
+    block of b - k modes and the rest, with the Sylvester solutions x1, x2
+    that decouple the three blocks (``_split``), or None where a middle
+    block is not isolated or a reorder or solve fails."""
+    log_mu = np.sort(np.log(np.abs(np.diag(t))))[::-1]
+    if b > k and not min(log_mu[k - 1] - log_mu[k], log_mu[b - 1] - log_mu[b]) > _ISOLATION_TOL:
+        return None
+    for count in sorted({b, k}, reverse=True):
+        select = np.log(np.abs(np.diag(t))) > (log_mu[count - 1] + log_mu[count]) / 2
+        if np.count_nonzero(select) != count:
+            return None
+        t, q, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select, t, q, job="N")
+        if info != 0:
+            return None
+    x1 = _sylvester(t[:k, :k], t[k:, k:], t[:k, k:])
+    x2 = _sylvester(t[k:b, k:b], t[b:, b:], t[k:b, b:])
+    if x1 is None or x2 is None:
+        return None
+    return t, q, x1, x2
+
+
 def _split(t: np.ndarray, q: np.ndarray, phi0: np.ndarray, n: int, m: int):
-    """F^n Phi0 exactly, with T split on |mu| into the top k = L - m/2
-    modes, a middle block of m modes straddling the L/L cut and the bottom
-    k modes.
+    """F^n Phi0 exactly, block by block over a stack of Schur forms F_i =
+    Q_i T_i Q_i^dag (t, q: N x s x s) and frames Phi0_i (N x s x c), with
+    each T split on |mu| into the top k = c - m/2 modes, a middle block of
+    m modes straddling the c/c cut and the bottom k modes.  The dense frame
+    is the one-cell stack (s = 2L, c = L); the momentum stack has s = 4,
+    c = 2 and m = 0.
 
     T is reordered into blocks T1, T2, T3 and decoupled, T = S diag(T1, T2,
     T3) S^-1, by two Sylvester solves.  With z = S^-1 Q^dag Phi0, G1 a
@@ -357,9 +428,10 @@ def _split(t: np.ndarray, q: np.ndarray, phi0: np.ndarray, n: int, m: int):
         F^n Phi0 ~ Q S [[1, 0], [E_mid, P], [E_bot, T3^n z3 W R^-1]]
         E_mid = T2^n z2 G1 T1^-n,  E_bot = T3^n z3 G1 T1^-n,
 
-    every term kept (no convergence assumed).  m = 0 is the L/L split,
+    every term kept (no convergence assumed).  m = 0 is the c/c split,
     F^n Phi0 ~ Q S [1; E_bot]; m = 2 carries an edge pair at |mu| ~ 1.
-    Returns the frame and the log-magnitude dropped from it, or None unless
+    Returns the frame stack and the log-magnitude dropped from it, summed
+    over the blocks, or None unless on every block
 
     - a middle block (m > 0) is isolated by _ISOLATION_TOL in log|mu|
       from its neighbours, and the reorders and Sylvester solves succeed;
@@ -373,56 +445,54 @@ def _split(t: np.ndarray, q: np.ndarray, phi0: np.ndarray, n: int, m: int):
     - every term is finite and |E_mid|, |E_bot| <= 1.  Far above that
       bound the exact frame leaves the loop (by 1e-9 at |E| ~ 1e8), and a
       60-digit evolution sides with the loop.
+
+    The reorders and Sylvester solves run per block (``_decouple``); the
+    rest runs on the whole stack.
     """
-    L = phi0.shape[1]
-    k, b = L - m // 2, L + m // 2
-    log_mu = np.sort(np.log(np.abs(np.diag(t))))[::-1]
-    if m and not min(log_mu[k - 1] - log_mu[k], log_mu[b - 1] - log_mu[b]) > _ISOLATION_TOL:
+    c = phi0.shape[-1]
+    k, b = c - m // 2, c + m // 2
+    parts = [_decouple(ti, qi, k, b) for ti, qi in zip(t, q)]
+    if any(part is None for part in parts):
         return None
-    for count in sorted({b, k}, reverse=True):
-        select = np.log(np.abs(np.diag(t))) > (log_mu[count - 1] + log_mu[count]) / 2
-        if np.count_nonzero(select) != count:
-            return None
-        t, q, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select, t, q, job="N")
-        if info != 0:
-            return None
-    t1, t2, t3 = t[:k, :k], t[k:b, k:b], t[b:, b:]
-    x1, x2 = _sylvester(t1, t[k:, k:], t[:k, k:]), _sylvester(t2, t3, t[k:b, b:])
-    if x1 is None or x2 is None:
-        return None
-    y = q.conj().T @ phi0
-    z = np.vstack([y[:k] - x1 @ y[k:], y[k:b] - x2 @ y[b:], y[b:]])
-    qz, rz = np.linalg.qr(z[:k].conj().T, mode="complete")  # z1 = rz^dag qz[:, :k]^dag
-    rz = rz[:k]
+    t, q, x1, x2 = map(_stack, zip(*parts))
+    t1, t2, t3 = t[:, :k, :k], t[:, k:b, k:b], t[:, b:, b:]
+    y = _hc(q) @ phi0
+    z = np.concatenate([y[:, :k] - x1 @ y[:, k:], y[:, k:b] - x2 @ y[:, b:], y[:, b:]], axis=1)
+    qz, rz = np.linalg.qr(_hc(z[:, :k]), mode="complete")  # z1 = rz^dag qz[:, :k]^dag
+    rz = rz[:, :k]
     sv = np.linalg.svd(rz, compute_uv=False)
-    if not sv[-1] > _OVERLAP_TOL * max(sv[0], 1.0):
+    if not np.all(sv[:, -1] > _OVERLAP_TOL * np.maximum(sv[:, 0], 1.0)):
         return None
-    w = qz[:, k:]
-    p1, log1 = _scaled_power(scipy.linalg.solve_triangular(t1, np.eye(k)), n)
+    w = qz[:, :, k:]
+    p1, log1 = _scaled_power(_solve_upper(t1, np.broadcast_to(np.eye(k), t1.shape)), n)
     p2, log2 = _scaled_power(t2, n)
     p3, log3 = _scaled_power(t3, n)
-    v = z[k:b] @ w
+    v = z[:, k:b] @ w
     pair, r = np.linalg.qr(p2 @ v)
     sv_pair = np.linalg.svd(r, compute_uv=False)
-    if not (np.finfo(float).eps * np.linalg.norm(p2, 2) * np.linalg.norm(v, 2)
-            < _ROUNDING_TOL * sv_pair.min(initial=np.inf)):
+    if not np.all(np.finfo(float).eps * np.linalg.norm(p2, 2, axis=(-2, -1))
+                  * np.linalg.norm(v, 2, axis=(-2, -1))
+                  < _ROUNDING_TOL * sv_pair.min(axis=-1, initial=np.inf)):
         return None
     # z[k:] G1 with G1 = qz[:, :k] rz^-dag
-    zg = scipy.linalg.solve_triangular(rz, (z[k:] @ qz[:, :k]).conj().T).conj().T
+    zg = _hc(_solve_upper(rz, _hc(z[:, k:] @ qz[:, :, :k])))
+    scale = lambda log_s: np.exp(log_s)[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        coords = np.block([
-            [np.eye(k), np.zeros((k, m // 2))],
-            [np.exp(log2 + log1) * (p2 @ zg[:m] @ p1), pair],
-            [np.exp(log3 + log1) * (p3 @ zg[m:] @ p1),
-             np.exp(log3 - log2) * (p3 @ np.linalg.solve(r.T, (z[b:] @ w).T).T)]])
-    if not (np.all(np.isfinite(coords)) and np.abs(coords[k:, :k]).max() <= 1.0):
+        coords = np.concatenate([
+            np.concatenate([np.broadcast_to(np.eye(k), (len(t), k, k)),
+                            np.zeros((len(t), k, m // 2))], axis=2),
+            np.concatenate([scale(log2 + log1) * (p2 @ zg[:, :m] @ p1), pair], axis=2),
+            np.concatenate([scale(log3 + log1) * (p3 @ zg[:, m:] @ p1),
+                            scale(log3 - log2) * (p3 @ z[:, b:] @ w @ np.linalg.inv(r))],
+                           axis=2)], axis=1)
+    if not (np.all(np.isfinite(coords)) and np.abs(coords[:, k:, :k]).max() <= 1.0):
         return None
     _flush(coords)
-    coords[k:b] += x2 @ coords[b:]
-    coords[:k] += x1 @ coords[k:]
-    log_scale = (n * float(np.sum(np.log(np.abs(np.diag(t1))))) + np.sum(np.log(sv))
-                 + m // 2 * log2 + np.sum(np.log(sv_pair)))
-    return q @ _flush(coords), log_scale
+    coords[:, k:b] += x2 @ coords[:, b:]
+    coords[:, :k] += x1 @ coords[:, k:]
+    log_scale = (n * np.sum(np.log(np.abs(np.diagonal(t1, axis1=-2, axis2=-1))))
+                 + np.sum(np.log(sv)) + m // 2 * np.sum(log2) + np.sum(np.log(sv_pair)))
+    return q @ _flush(coords), float(log_scale)
 
 
 def _momentum_route(lat: LatticeSpec, state: ProductState) -> bool:
@@ -445,30 +515,35 @@ def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchCon
     """Evolve for the configured number of periods and return the frame.
 
     This is the one stroboscopic loop: ``observe(frame)``, when given, is
-    called with the frame after every period.  Without an observer the
-    frame is first sought directly, from the Schur forms of the frame
-    map's two sector blocks (``_dominant_frame``): the exact n-period
-    frame from the split of its spectrum at the L/L cut, else from the
-    split that carries one edge pair straddling that cut.  It is
-    returned, with ``route == "schur"``, only where it provably equals the
-    loop's frame.  Otherwise the loop runs: where ``_momentum_route``
-    allows it, it steps one 4x2 block per momentum (``route ==
-    "momentum"``); elsewhere it steps the one-cell frame with
-    ``period_map`` (``route == "loop"``).
+    called with the frame after every period.  The frame is the momentum
+    stack where ``_momentum_route`` allows it, else the one-cell stack.
+    Without an observer it is first sought directly, on that stack, from
+    Schur forms of the frame map's blocks: of each 4x4 momentum block F_q
+    (``_block_frame``; the dense frame map is not tried), or of the one-cell
+    map's two L x L sector blocks (``_dominant_frame``).  Each gives the
+    exact n-period frame from the split of its spectrum at the cut, and
+    the one-cell map also from the split that carries one edge pair
+    straddling that cut.  It is returned, with ``route == "schur"``, only
+    where it provably equals the loop's frame on every block.  Otherwise
+    the loop runs: on the momentum stack it steps one 4x2 block per
+    momentum (``route == "momentum"``); on the one-cell stack it steps the
+    frame with ``period_map`` (``route == "loop"``).
     """
     quench.require_free_fermion()
-    kicks = build_kick_forms(params, lat)
     frame = initial_frame(quench, lat)
-    if observe is None:
-        direct = _dominant_frame(kicks, frame, quench.n_periods)
-        if direct is not None:
-            return direct
     if _momentum_route(lat, quench.initial_state):
         frame = GaussianFrame.from_dense(frame, lat)
         fq = frame_map_blocks(params, frame.momenta)
+        direct = partial(_block_frame, fq)
         step = lambda f: _advance(f, fq @ f.blocks, "momentum")
     else:
+        kicks = build_kick_forms(params, lat)
+        direct = partial(_dominant_frame, kicks)
         step = partial(period_map, kicks=kicks)
+    if observe is None:
+        found = direct(frame, quench.n_periods)
+        if found is not None:
+            return found
     for _ in range(quench.n_periods):
         frame = step(frame)
         if observe is not None:

@@ -430,7 +430,7 @@ def _cut_split_hits(p, lat, n_periods):
                           for x in (u, u.conj()))
     t, q = scipy.linalg.block_diag(t1, t2), np.hstack([u @ q1, u.conj() @ q2]) / np.sqrt(2.0)
     phi0 = gaussian.initial_frame(P.named_state("neel-fermion", lat.L), lat).blocks[0]
-    return gaussian._split(t, q, phi0, n_periods, 0) is not None
+    return gaussian._split(t[None], q[None], phi0[None], n_periods, 0) is not None
 
 
 def test_tee_row_steady_states_all_direct():
@@ -548,6 +548,111 @@ def test_momentum_route_raises_on_rank_loss():
     quench = P.QuenchConfig(P.named_state("neel-fermion", 8), n_periods=10)
     with pytest.raises(DegenerateEvolution):
         gaussian.run_to_steady_state(p, lat, quench, lambda frame: None)
+
+
+# --------------------------------------------------------------------------
+# direct momentum frames
+# --------------------------------------------------------------------------
+
+def _mp_block_frame(f, phi, n, dps=50, budget=30):
+    """F^n phi for one 4x4 block F and 4x2 block phi at ``dps`` digits,
+    orthonormalized by Gram-Schmidt: the block rounded to double and the
+    log-magnitude it dropped, log |det R|.  The frame is stepped by G = F^k,
+    k as large as keeps |mu_max / mu_min|^k within 10^budget, so that every
+    mode survives each step with dps - budget digits; no spectral split."""
+    mpmath = pytest.importorskip("mpmath")
+    log_mu = np.log(np.abs(np.linalg.eigvals(f)))
+    k = min(n, max(1, int(budget * np.log(10) / max(np.ptp(log_mu), 1e-300))))
+    with mpmath.workdps(dps):
+        fm, q, log_r = mpmath.matrix(f.tolist()), mpmath.matrix(phi.tolist()), mpmath.mpf(0)
+        g = fm ** k
+        steps, rest = divmod(n, k)
+        for m in [g] * steps + ([fm ** rest] if rest else []):
+            m = m * q
+            cols = []
+            for j in range(m.cols):
+                v = m.column(j)
+                for e in cols:
+                    v -= e * (e.H * v)[0]
+                r = mpmath.norm(v)
+                log_r += mpmath.log(r)
+                cols.append(v / r)
+            q = mpmath.matrix([[e[i] for e in cols] for i in range(m.rows)])
+        return np.array(q.tolist(), dtype=complex), float(log_r)
+
+
+def _block_oracle(p, lat, quench):
+    """The n-period momentum stack of ``quench`` at 50 digits, block by block."""
+    frame = gaussian.GaussianFrame.from_dense(gaussian.initial_frame(quench, lat), lat)
+    fq = spectral.frame_map_blocks(p, frame.momenta)
+    blocks, logs = zip(*(_mp_block_frame(f, phi, quench.n_periods)
+                         for f, phi in zip(fq, frame.blocks)))
+    return gaussian.GaussianFrame(np.stack(blocks), frame.momenta, frame.partner,
+                                  quench.n_periods, float(sum(logs)))
+
+
+def _assert_direct_matches_oracle(p, lat, quench):
+    direct, oracle = gaussian.run_to_steady_state(p, lat, quench), _block_oracle(p, lat, quench)
+    assert (direct.route, len(direct.blocks)) == ("schur", lat.L // 2)
+    c_direct, c_oracle = (gaussian.correlation_from_frame(f).c for f in (direct, oracle))
+    assert np.max(np.abs(c_direct - c_oracle)) <= 1e-10
+    assert abs(direct.norm_log - oracle.norm_log) <= 1e-10 * abs(oracle.norm_log)
+    assert direct.isotropy == direct.isotropy_defect() < 1e-13
+    assert direct.period_count == quench.n_periods
+
+
+@settings(max_examples=12)
+@given(st.integers(1, 12), st.sampled_from(["neel-fermion", "all-up", "all-down"]),
+       st.tuples(st.floats(-np.pi, np.pi), _NONUNITARY_BETA,
+                 st.floats(-np.pi, np.pi), _NONUNITARY_BETA),
+       st.integers(1, 3000))
+def test_direct_momentum_frame_matches_block_oracle(cells, state, couplings, n_periods):
+    # where a block's split misses a gate the momentum loop runs instead
+    L = 4 * cells
+    p, lat = P.ModelParams(*couplings), P.lattice(L, "pbc-even")
+    quench = P.QuenchConfig(P.named_state(state, L), n_periods=n_periods)
+    if gaussian.run_to_steady_state(p, lat, quench).route == "schur":
+        _assert_direct_matches_oracle(p, lat, quench)
+
+
+@pytest.mark.parametrize("eta, n_periods", [
+    (0.2, 1400), (0.4, 900),   # the seed-0 chord fits of the benchmark
+    (0.05, 4500),              # criterion 8's longest run
+])
+def test_direct_momentum_frame_matches_block_oracle_on_chord_fits(eta, n_periods):
+    L = 100
+    quench = P.QuenchConfig(P.named_state("neel-fermion", L), n_periods=n_periods)
+    _assert_direct_matches_oracle(P.make_params(0.0, eta, 0.0, eta),
+                                  P.lattice(L, "pbc-even"), quench)
+
+
+def _no_dense_schur(*args):
+    raise AssertionError("the dense Schur form was tried on a momentum-route chain")
+
+
+def test_momentum_chain_takes_no_dense_schur(monkeypatch):
+    monkeypatch.setattr(gaussian, "_dominant_frame", _no_dense_schur)
+    L = 40
+    quench = P.QuenchConfig(P.named_state("neel-fermion", L), n_periods=300)
+    frame = gaussian.run_to_steady_state(P.make_params(0.0, 0.4, 0.0, 0.4),
+                                         P.lattice(L, "pbc-even"), quench)
+    assert (frame.route, frame.blocks.shape) == ("schur", (L // 2, 4, 2))
+
+
+def test_volume_law_momentum_chain_falls_back_to_the_momentum_loop(monkeypatch):
+    # every block's 2 + 2 cut falls between two modes at |mu| = 1: no split
+    # is certified, and the fallback is the momentum loop itself, bit for bit
+    monkeypatch.setattr(gaussian, "_dominant_frame", _no_dense_schur)
+    p, lat = P.make_params(0.2, -0.1, 0.2, 0.1), P.lattice(24, "pbc-even")
+    quench = P.QuenchConfig(P.named_state("neel-fermion", 24), n_periods=300)
+    direct = gaussian.run_to_steady_state(p, lat, quench)
+    frames = []
+    gaussian.run_to_steady_state(p, lat, quench, frames.append)
+    loop = frames[-1]
+    assert direct.route == loop.route == "momentum"
+    assert np.array_equal(direct.blocks, loop.blocks)
+    assert (direct.norm_log, direct.isotropy, direct.period_count) == \
+        (loop.norm_log, loop.isotropy, loop.period_count)
 
 
 def test_orthonormalize_pairs_blocks_with_their_partners(monkeypatch):
