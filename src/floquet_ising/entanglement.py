@@ -122,11 +122,13 @@ def tee(frame: gaussian.GaussianFrame, partition: TeePartition,
 
     Equal to the conditional mutual information I(A : C | B); quantized at
     ln 2 when the end segments A and C share the nonlocal Majorana pair.
+    The state is pure, so S_ABC is taken as S_D of the one segment outside
+    A, B and C, the smallest block instead of the largest.
     """
     segs = partition.segments(lat)
     s = lambda sites: _entropy(frame, majorana_indices(sorted(sites))).entropy
     a, b, cseg = segs["A"], segs["B"], segs["C"]
-    s_top = s(a + b) + s(b + cseg) - s(b) - s(a + b + cseg)
+    s_top = s(a + b) + s(b + cseg) - s(b) - s(segs["D"])
     return TeeResult(float(s_top), partition.lengths, lat.L)
 
 

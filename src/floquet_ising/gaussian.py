@@ -28,7 +28,8 @@ by 4, a state of period 2), and on the one-cell stack everywhere else.
 So does the direct steady state, which forms the n-period frame from
 Schur forms of the frame map's blocks (``_split``): L/2 blocks of 4x4 on
 the momentum stack, where the dense 2L x 2L frame map is not tried, and
-the two L x L reflection-sector blocks on the one-cell stack.
+the two L x L reflection-sector blocks on the one-cell stack, whose forms
+come from one ``schur``: the - block is the inverse transpose of the +.
 """
 
 from __future__ import annotations
@@ -318,16 +319,27 @@ def _dominant_frame(kicks: KickForms, frame: GaussianFrame, n: int) -> GaussianF
     Schur form F = Q T Q^dag of the frame map, or None unless it provably
     equals the loop's frame.  F keeps both reflection sectors, so T =
     diag(T_+, T_-) and Q = [U Q_+, conj(U) Q_-] / sqrt(2), U the
-    ``sector_basis``, from one Schur form of each L x L sector block.
+    ``sector_basis``, with F U = U B_+ and F conj(U) = conj(U) B_-.
+
+    One Schur form B_+ = Q_+ T_+ Q_+^dag gives both: F is complex
+    orthogonal (F^T F = 1) and U^T U = 0, U^dag U = 2, so B_-^T B_+ = 1
+    and B_- = B_+^-T = (conj(Q_+) J)(J T_+^-T J)(conj(Q_+) J)^dag, J the
+    exchange matrix: T_- = J T_+^-T J is upper triangular.  The derived
+    form must pass ||B_- Q_- - Q_- T_-|| <= _OVERLAP_TOL ||B_-||.
 
     ``_split`` is tried with an empty middle block (the L/L split) and,
     where that misses, with an edge pair straddling the L/L cut.
     """
     u = sector_basis(kicks.coupling_form.n)
+    b_plus, b_minus = (kicks.step(x, -1.0)[:len(x) // 2] for x in (u, u.conj()))
     try:
-        (t1, q1), (t2, q2) = (scipy.linalg.schur(kicks.step(x, -1.0)[:len(x) // 2],
-                                                 output="complex") for x in (u, u.conj()))
+        t1, q1 = scipy.linalg.schur(b_plus, output="complex")
     except np.linalg.LinAlgError:  # the Schur iteration did not converge
+        return None
+    t1_inv, info = scipy.linalg.lapack.ztrtri(t1)
+    t2, q2 = t1_inv[::-1, ::-1].T, q1[:, ::-1].conj()
+    if info != 0 or not (np.linalg.norm(b_minus @ q2 - q2 @ t2)
+                         <= _OVERLAP_TOL * np.linalg.norm(b_minus)):
         return None
     t, q = scipy.linalg.block_diag(t1, t2), np.hstack([u @ q1, u.conj() @ q2]) / np.sqrt(2.0)
     return _direct_frame(t[None], q[None], frame, n, (0, 2))
@@ -520,7 +532,8 @@ def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchCon
     Without an observer it is first sought directly, on that stack, from
     Schur forms of the frame map's blocks: of each 4x4 momentum block F_q
     (``_block_frame``; the dense frame map is not tried), or of the one-cell
-    map's two L x L sector blocks (``_dominant_frame``).  Each gives the
+    map's two L x L sector blocks, both from one ``schur``
+    (``_dominant_frame``).  Each gives the
     exact n-period frame from the split of its spectrum at the cut, and
     the one-cell map also from the split that carries one edge pair
     straddling that cut.  It is returned, with ``route == "schur"``, only

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 import scipy.linalg
 import scipy.special
 
@@ -145,6 +145,31 @@ def test_pure_state_complementarity():
     s_a = E.subsystem_entropy(frame, P.SubsystemSpec(1, 3), lat).entropy
     s_b = E.subsystem_entropy(frame, P.SubsystemSpec(4, 5), lat).entropy
     assert s_a == pytest.approx(s_b, abs=1e-8)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(["one-cell", "momentum"]), st.integers(1, 6),
+       st.sampled_from(["pbc-even", "pbc-odd", "obc"]),
+       st.tuples(st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
+                 st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0)),
+       st.integers(1, 60), st.data())
+def test_complement_has_the_same_entropy(stack, cells, bc, couplings, n_periods, data):
+    # S(X) = S(complement of X) in a pure state, which tee uses for S_ABC;
+    # the momentum stack is a Neel state on a pbc-even chain of 4 | L
+    if stack == "momentum":
+        L, bc, state = 4 * cells, "pbc-even", "neel-fermion"
+    else:
+        L = data.draw(st.integers(2, 24))
+        state = data.draw(st.sampled_from(["neel-fermion", "all-up", "all-down"]))
+    lat = P.lattice(L, bc)
+    assume(gaussian._momentum_route(lat, P.named_state(state, L)) == (stack == "momentum"))
+    quench = P.QuenchConfig(P.named_state(state, L), n_periods=n_periods)
+    frame = gaussian.run_to_steady_state(P.ModelParams(*couplings), lat, quench)
+    inside = data.draw(st.sets(st.integers(1, L), min_size=1, max_size=L - 1))
+    outside = set(range(1, L + 1)) - inside
+    s_in, s_out = (E._entropy(frame, P.majorana_indices(sorted(x))).entropy
+                   for x in (inside, outside))
+    assert s_in == pytest.approx(s_out, abs=1e-10)
 
 
 def test_subadditivity():

@@ -420,15 +420,33 @@ def test_direct_steady_state_with_unequal_sectors(couplings, L, bc, n_periods):
     _assert_same_steady_state(direct, loop)
 
 
+def _sector_blocks(kicks):
+    """The frame map's two L x L reflection-sector blocks B_+ and B_-:
+    F U = U B_+ and F conj(U) = conj(U) B_-, U the ``sector_basis``."""
+    u = spectral.sector_basis(kicks.coupling_form.n)
+    return [kicks.step(x, -1.0)[:kicks.coupling_form.n // 2] for x in (u, u.conj())]
+
+
+def _two_schur_form(kicks):
+    """The frame map's Schur form T = diag(T_+, T_-), Q = [U Q_+, conj(U)
+    Q_-] / sqrt(2) from a Schur form of each sector block on its own: the
+    reference for the one-``schur`` form of ``_dominant_frame``."""
+    u = spectral.sector_basis(kicks.coupling_form.n)
+    (t1, q1), (t2, q2) = (scipy.linalg.schur(b, output="complex") for b in _sector_blocks(kicks))
+    return (scipy.linalg.block_diag(t1, t2),
+            np.hstack([u @ q1, u.conj() @ q2]) / np.sqrt(2.0))
+
+
+def _two_schur_frame(kicks, frame, n):
+    """``_dominant_frame`` as it would be with a second ``schur`` for B_-."""
+    t, q = _two_schur_form(kicks)
+    return gaussian._direct_frame(t[None], q[None], frame, n, (0, 2))
+
+
 def _cut_split_hits(p, lat, n_periods):
     """Whether the L/L split (no middle block) certifies the n-period Neel
-    frame, from the Schur forms of the two sector blocks as
-    ``_dominant_frame`` takes them."""
-    kicks = spectral.build_kick_forms(p, lat)
-    u = spectral.sector_basis(2 * lat.L)
-    (t1, q1), (t2, q2) = (scipy.linalg.schur(kicks.step(x, -1.0)[:lat.L], output="complex")
-                          for x in (u, u.conj()))
-    t, q = scipy.linalg.block_diag(t1, t2), np.hstack([u @ q1, u.conj() @ q2]) / np.sqrt(2.0)
+    frame, from the two-``schur`` reference form."""
+    t, q = _two_schur_form(spectral.build_kick_forms(p, lat))
     phi0 = gaussian.initial_frame(P.named_state("neel-fermion", lat.L), lat).blocks[0]
     return gaussian._split(t[None], q[None], phi0[None], n_periods, 0) is not None
 
@@ -451,6 +469,68 @@ def test_tee_row_steady_states_all_direct():
             if not _cut_split_hits(p, lat, 300):
                 misses.append("run length" if _cut_split_hits(p, lat, 3000) else "overlap")
     assert misses == ["overlap"] * 7
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 70), st.sampled_from(["pbc-even", "pbc-odd", "obc"]),
+       st.tuples(st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
+                 st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0)))
+def test_sector_blocks_are_inverse_transposes(L, bc, couplings):
+    # F^T F = 1, U^T U = 0 and U^dag U = 2 give B_-^T B_+ = 1, from which
+    # _dominant_frame writes the - sector's Schur form
+    b_plus, b_minus = _sector_blocks(spectral.build_kick_forms(P.ModelParams(*couplings),
+                                                               P.lattice(L, bc)))
+    assert (np.linalg.norm(b_minus.T @ b_plus - np.eye(L))
+            <= 1e-12 * np.linalg.norm(b_plus) * np.linalg.norm(b_minus))
+
+
+def _assert_same_as_two_schur(p, lat, n_periods, state="neel-fermion"):
+    """The direct frame has the two-``schur`` reference's route and, where
+    both go direct, its C and norm_log to 1e-10."""
+    kicks = spectral.build_kick_forms(p, lat)
+    frame = gaussian.initial_frame(P.named_state(state, lat.L), lat)
+    found, ref = (fn(kicks, frame, n_periods)
+                  for fn in (gaussian._dominant_frame, _two_schur_frame))
+    assert (found is None) == (ref is None)
+    if found is not None:
+        c_found, c_ref = (gaussian.correlation_from_frame(f).c for f in (found, ref))
+        assert np.max(np.abs(c_found - c_ref)) <= 1e-10
+        assert abs(found.norm_log - ref.norm_log) <= 1e-10 * abs(ref.norm_log)
+    return found
+
+
+def test_one_schur_frames_equal_two_schur_frames_on_the_tee_grid():
+    # the 44 points of the seed-0 steady-final TEE grid: all direct
+    for L in (24, 32, 48, 64):
+        for bj in np.linspace(-0.40, -0.20, 11):
+            found = _assert_same_as_two_schur(P.make_params(0.2, bj, 0.2, -0.3),
+                                              P.lattice(L, "obc"), 300)
+            assert found is not None
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 40), st.sampled_from(["pbc-even", "pbc-odd", "obc"]),
+       st.tuples(st.floats(-np.pi, np.pi), _NONUNITARY_BETA,
+                 st.floats(-np.pi, np.pi), _NONUNITARY_BETA),
+       st.integers(1, 400), st.sampled_from(["neel-fermion", "all-up", "all-down"]))
+def test_one_schur_frames_equal_two_schur_frames_random_couplings(L, bc, couplings,
+                                                                  n_periods, state):
+    _assert_same_as_two_schur(P.ModelParams(*couplings), P.lattice(L, bc), n_periods, state)
+
+
+@pytest.mark.parametrize("couplings, L, bc, route", [
+    ((0.2, -0.3, 0.2, -0.3), 24, "obc", "schur"),
+    ((0.2, -0.05, 0.2, -0.3), 48, "obc", "schur"),
+    ((0.45, -0.35, 0.3, 0.25), 10, "pbc-odd", "schur"),
+    ((0.2, -0.1, 0.2, 0.1), 24, "obc", "loop"),     # volume law: no L/L split
+])
+def test_one_cell_direct_frame_takes_one_schur(monkeypatch, couplings, L, bc, route):
+    calls = []
+    schur = scipy.linalg.schur
+    monkeypatch.setattr(scipy.linalg, "schur", lambda *a, **k: calls.append(1) or schur(*a, **k))
+    quench = P.QuenchConfig(P.named_state("neel-fermion", L), n_periods=300)
+    frame = gaussian.run_to_steady_state(P.make_params(*couplings), P.lattice(L, bc), quench)
+    assert (frame.route, len(calls)) == (route, 1)
 
 
 # --------------------------------------------------------------------------
