@@ -59,6 +59,7 @@ _DISC_POINTS = 32        # contour points to start each disc count with ...
 _DISC_POINTS_MAX = 256   # ... inserted where a phase step reaches _DISC_STEP, up to this
 _DISC_STEP = np.pi / 4
 _RQI_STEPS = 10          # Rayleigh-quotient steps that locate a disc's one eigenvalue
+_SOLVE_MAX = 1e150       # a banded solve with a part this large is singular
 _VOLUME_DENSITY = 0.1    # real-mode density at which the label is volume law
 _FEW_MODE_MAX = 4        # more isolated real modes than this are ambiguous
 
@@ -82,10 +83,12 @@ class MajoranaQuadraticForm:
     bonds: tuple[tuple[int, int, complex], ...] = ()
 
     def __post_init__(self):
-        p, q = np.array([b[:2] for b in self.bonds], dtype=int).reshape(-1, 2).T
-        s = np.array([b[2] for b in self.bonds], dtype=complex)
+        p, q, s = zip(*self.bonds) if self.bonds else ((), (), ())
+        p, q, s = np.asarray(p, dtype=int), np.asarray(q, dtype=int), np.asarray(s, dtype=complex)
         touched = np.concatenate([p, q])
-        if np.unique(touched).size != touched.size:
+        if touched.size and not (0 <= touched.min() and touched.max() < self.n):
+            raise ValidationError(f"kick bond indices must lie in [0, {self.n})")
+        if np.any(np.bincount(touched) > 1):
             raise ValidationError("kick bonds must be disjoint")
         partner = np.arange(self.n)
         partner[p], partner[q] = q, p
@@ -163,18 +166,33 @@ def build_kick_forms(params: ModelParams, lat: LatticeSpec) -> KickForms:
 class TransferMatrix:
     """One-period Majorana map M = exp(4W') exp(4W'') with its spectrum.
 
-    ``eigenvalues`` lists the L eigenvalues mu of the reflection-sector
-    block ``b_plus`` and then their inverses (see ``build_transfer_matrix``);
-    like the dense ``m``, it is computed on first read.  Eigenvectors are
-    computed only for the edge scan's candidates (``_candidate_vectors``).
+    ``band`` holds the five diagonals of the pentadiagonal L x L
+    reflection-sector block B_+ in LAPACK band layout (7 x L, Fortran
+    order, B_+[i, j] at row 4 + i - j, rows 0 and 1 free for ``zgbtrf``'s
+    fill-in), and ``tol`` = L eps ||B_+||_1, the shift of the edge scan's
+    banded solves; the scan reads nothing else.  The dense ``b_plus`` is
+    formed from the band on first read; ``eigenvalues`` (the L eigenvalues
+    mu of ``b_plus`` and then their inverses, see ``build_transfer_matrix``)
+    and the dense 2L x 2L ``m`` are computed on first read too.
+    Eigenvectors are computed only for the edge scan's candidates
+    (``_candidate_vectors``).
     """
 
-    b_plus: np.ndarray
+    band: np.ndarray
+    tol: float
     kicks: KickForms
 
     @property
     def n(self) -> int:
         return self.kicks.coupling_form.n
+
+    @cached_property
+    def b_plus(self) -> np.ndarray:
+        L = self.band.shape[1]
+        row, i, j = _band_index(L)
+        b = np.zeros((L, L), dtype=complex)
+        b[i, j] = self.band[row, j]
+        return b
 
     @cached_property
     def m(self) -> np.ndarray:
@@ -189,21 +207,44 @@ class TransferMatrix:
         return _pairs(mu)
 
 
+def _sector_phase(L: int) -> np.ndarray:
+    """i(-1)^m, m < L: the mirror-row entries of the ``sector_basis`` columns."""
+    return 1j * (-1.0) ** np.arange(L)
+
+
+def _sector_columns(n: int, colour: np.ndarray, k: int) -> np.ndarray:
+    """n x k sums of ``sector_basis`` columns, u_m added to column colour[m]
+    (the columns of one colour must not share a row)."""
+    m = np.arange(n // 2)
+    u = np.zeros((n, k), dtype=complex)
+    u[m, colour], u[n - 1 - m, colour] = 1.0, _sector_phase(n // 2)
+    return u
+
+
 def sector_basis(n: int) -> np.ndarray:
     """sqrt(2) times an orthonormal basis of the reflection sector R = +i:
     the n x n/2 columns e_m + i(-1)^m e_{n-1-m}, m < n/2, whose top n/2
     rows are the identity.  Their conjugates span R = -i."""
-    m = np.arange(n // 2)
-    u = np.zeros((n, n // 2), dtype=complex)
-    u[m, m], u[n - 1 - m, m] = 1.0, 1j * (-1.0) ** m
-    return u
+    return _sector_columns(n, np.arange(n // 2), n // 2)
+
+
+def _band_index(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, i, j) of every entry B_+[i, j], |i - j| <= 2, of an L x L
+    pentadiagonal block, row = 4 + i - j in LAPACK band layout."""
+    i = np.arange(L) + np.arange(-2, 3)[:, None]
+    j = np.broadcast_to(np.arange(L), i.shape)
+    inside = (i >= 0) & (i < L)
+    i, j = i[inside], j[inside]
+    return 4 + i - j, i, j
 
 
 def _sector_vectors(field_form: MajoranaQuadraticForm, c: np.ndarray) -> np.ndarray:
     """Unit right eigenvectors [v_+, v_-] of M for the unit eigenvectors c
-    (L x k) of B_+: v_+ = U c / sqrt(2) in the ``sector_basis`` U, and
+    (L x k) of B_+: v_+ = U c / sqrt(2) in the ``sector_basis`` U, written
+    by index (top L rows c / sqrt(2), row 2L-1-m that times i(-1)^m), and
     v_- = Gamma K2 v_+ is the chiral partner with eigenvalue 1/mu."""
-    v_plus = sector_basis(2 * len(c)) @ (c / math.sqrt(2.0))
+    c = c / math.sqrt(2.0)
+    v_plus = np.concatenate([c, (_sector_phase(len(c))[:, None] * c)[::-1]])
     v_minus = (-1.0) ** np.arange(len(v_plus))[:, None] * field_form.kick(v_plus)
     v_minus /= np.linalg.norm(v_minus, axis=0)
     return np.hstack([v_plus, v_minus])
@@ -225,26 +266,37 @@ def _require_reflection_odd(form: MajoranaQuadraticForm) -> None:
 
 def build_transfer_matrix(coupling_form: MajoranaQuadraticForm,
                           field_form: MajoranaQuadraticForm) -> TransferMatrix:
-    """M = K1 K2 (K1 = exp(4W'), K2 = exp(4W'')) by its L x L sector block.
+    """M = K1 K2 (K1 = exp(4W'), K2 = exp(4W'')) by the band of its L x L
+    sector block.
 
     Both kicks are odd under Gamma and P, so M commutes with R = Gamma P
     (R^2 = -1) and leaves the sector R = +i of ``sector_basis`` invariant;
     the block B_+ of M is the top L rows of the kicked basis.  It is
     pentadiagonal, as each bond joins neighbouring rows or (the periodic
-    wrap) a row and its mirror.  Gamma swaps the sectors and inverts the
-    map in the symmetric frame K2^{1/2} K1 K2^{1/2}, so for M v = mu v
-    the vector K2^{-1/2} Gamma K2^{1/2} v = Gamma K2 v has eigenvalue
-    1/mu.  Nothing is diagonalized here: the spectrum is one L x L
-    eigvals on first read of ``eigenvalues``, and the edge scan solves
-    for the few eigenvectors it reads (``_candidate_vectors``).
+    wrap) a row and its mirror, so its band comes from five kicked probe
+    columns in O(L), not from the L basis columns: probe r is the sum of
+    the basis columns u_m with m = r (mod 5), and B_+[i, j] is row i of
+    probe j mod 5.  Columns of one colour are five apart, so no row ever
+    mixes two of them, and the band is the dense kick's bit for bit.
+    Gamma swaps the sectors and inverts the map in the symmetric frame
+    K2^{1/2} K1 K2^{1/2}, so for M v = mu v the vector
+    K2^{-1/2} Gamma K2^{1/2} v = Gamma K2 v has eigenvalue 1/mu.  Nothing
+    is diagonalized here: the spectrum is one L x L eigvals of the dense
+    ``b_plus`` on first read of ``eigenvalues``, and the edge scan solves
+    on the band for the few eigenvectors it reads (``_candidate_vectors``).
     """
     if coupling_form.n != field_form.n:
         raise ValidationError("kick forms must have matching dimension")
     _require_reflection_odd(coupling_form)
     _require_reflection_odd(field_form)
     kicks = KickForms(coupling_form, field_form)
-    b_plus = kicks.step(sector_basis(coupling_form.n))[:coupling_form.n // 2]
-    return TransferMatrix(b_plus, kicks)
+    L = coupling_form.n // 2
+    colour = np.arange(L) % 5
+    kicked = kicks.step(_sector_columns(coupling_form.n, colour, 5))
+    row, i, j = _band_index(L)
+    band = np.zeros((7, L), dtype=complex, order="F")
+    band[row, j] = kicked[i, colour[j]]
+    return TransferMatrix(band, L * np.finfo(float).eps * np.abs(band).sum(axis=0).max(), kicks)
 
 
 def fold_real_part(re: np.ndarray | float) -> np.ndarray | float:
@@ -493,21 +545,27 @@ def _edge_kinds(eps: np.ndarray) -> np.ndarray:
     return kinds
 
 
-def _band(b: np.ndarray) -> tuple[np.ndarray, float]:
-    """The five diagonals of the pentadiagonal B_+ in ``solve_banded``
-    layout, and the shift tol = L eps ||B_+||_1 of the scan's solves."""
-    L = len(b)
-    band = np.zeros((5, L), dtype=complex)
-    for k in (2, 1, 0, -1, -2):
-        band[2 - k, max(k, 0):L + min(k, 0)] = np.diagonal(b, k)
-    return band, L * np.finfo(float).eps * np.linalg.norm(b, 1)
+def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """B_+ x from the LAPACK ``band`` of ``TransferMatrix``, O(L) per column."""
+    a = band.reshape(band.shape + (1,) * (x.ndim - 1))
+    y = a[4] * x
+    for k in (1, 2):
+        y[:-k] += a[4 - k, k:] * x[k:]
+        y[k:] += a[4 + k, :-k] * x[:-k]
+    return y
 
 
 def _solve_shifted(band: np.ndarray, shift: complex, x: np.ndarray) -> np.ndarray:
-    """(B_+ - shift)^-1 x by one banded LU, O(L)."""
-    a = band.copy()
-    a[2] -= shift
-    return scipy.linalg.solve_banded((2, 2), a, x, check_finite=False)
+    """(B_+ - shift)^-1 x by one banded LU (LAPACK ``zgbsv``), O(L).  A zero
+    pivot is singular, and so is a solution with a part of ``_SOLVE_MAX`` or
+    more, inf or nan: B_+ - shift is then singular far below rounding, and
+    the callers' norm of the solution would overflow."""
+    a = band.copy(order="F")
+    a[4] -= shift
+    _, _, y, info = scipy.linalg.lapack.zgbsv(2, 2, a, x, overwrite_ab=1)
+    if info > 0 or not np.all(np.abs(y.view(float)) < _SOLVE_MAX):
+        raise np.linalg.LinAlgError("singular matrix")
+    return y
 
 
 def _candidate_vectors(tm: TransferMatrix, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -515,23 +573,23 @@ def _candidate_vectors(tm: TransferMatrix, mu: np.ndarray) -> tuple[np.ndarray, 
     and the eigenvalue condition kappa = 1/|l^H r| of each pair.
 
     Two steps of inverse iteration on the pentadiagonal B_+ - mu
-    (``_solve_shifted``), shifted off mu by the tol of ``_band`` so that no
-    pivot cancels to zero; a residual ||B_+ x - mu x|| above 64 tol raises
+    (``_solve_shifted``), shifted off mu by ``tm.tol`` so that no pivot
+    cancels to zero; a residual ||B_+ x - mu x|| above 64 tol raises
     NumericalBreakdown.  l of mu is conj(r) of 1/mu, so kappa = 1/|v_-^T v_+|.
     """
-    b = tm.b_plus
-    band, tol = _band(b)
-    c = np.empty((len(b), len(mu)), dtype=complex)
+    band, tol = tm.band, tm.tol
+    L = band.shape[1]
+    c = np.empty((L, len(mu)), dtype=complex)
     try:
         for col, shift in enumerate(mu + tol):
-            x = np.exp(1j * np.arange(len(b)))
+            x = np.exp(1j * np.arange(L))
             for _ in range(2):
                 x = _solve_shifted(band, shift, x)
                 x /= np.linalg.norm(x)
             c[:, col] = x
     except np.linalg.LinAlgError as exc:
         raise NumericalBreakdown(f"inverse iteration failed: {exc}") from exc
-    residual = np.linalg.norm(b @ c - c * mu, axis=0)
+    residual = np.linalg.norm(_band_matvec(band, c) - c * mu, axis=0)
     if not np.all(residual <= 64 * tol):
         raise NumericalBreakdown(f"edge candidate residual {np.max(residual):.1e} "
                                  f"above its gate {64 * tol:.1e}")
@@ -586,20 +644,20 @@ def _disc_count(ab: np.ndarray, z0: float) -> int:
         theta, phase = theta[order], phase[order]
 
 
-def _disc_eigenvalue(b: np.ndarray, band: np.ndarray, tol: float, z0: float) -> complex:
+def _disc_eigenvalue(band: np.ndarray, tol: float, z0: float) -> complex:
     """The one eigenvalue of B_+ in the disc around z0: Rayleigh-quotient
     iteration from z0 on the band (``_solve_shifted``) until the residual
     ||B_+ x - mu x|| is within tol.  A quotient outside the disc is not
     kept (the shift stays, a step of inverse iteration); no converged mu
     within ``_RQI_STEPS`` steps is the "iteration" fallback."""
-    mu, x = complex(z0), np.exp(1j * np.arange(len(b)))
+    mu, x = complex(z0), np.exp(1j * np.arange(band.shape[1]))
     for _ in range(_RQI_STEPS):
         try:
             x = _solve_shifted(band, mu, x)
         except np.linalg.LinAlgError:
             break
         x /= np.linalg.norm(x)
-        bx = b @ x
+        bx = _band_matvec(band, x)
         quotient = np.vdot(x, bx)
         if abs(quotient - z0) < _DISC_RADIUS:
             mu = quotient
@@ -613,15 +671,13 @@ def _window_eigenvalues(tm: TransferMatrix) -> np.ndarray:
     edge window, without a dense solve: a disc count (``_disc_count``) of
     0 gives none, of 1 one (``_disc_eigenvalue``), of more the
     "disc-count" fallback."""
-    band, tol = _band(tm.b_plus)
-    ab = np.asfortranarray(np.vstack([np.zeros((2, band.shape[1]), dtype=complex), band]))
     found = []
     for z0 in (1.0, -1.0):
-        count = _disc_count(ab, z0)
+        count = _disc_count(tm.band, z0)
         if count not in (0, 1):
             raise _DenseFallback("disc-count")
         if count:
-            found.append(_disc_eigenvalue(tm.b_plus, band, tol, z0))
+            found.append(_disc_eigenvalue(tm.band, tm.tol, z0))
     return np.array(found, dtype=complex)
 
 
@@ -631,7 +687,7 @@ def _edge_candidates(tm: TransferMatrix) -> tuple[np.ndarray, str, str | None]:
     ``eigenvalues`` are read when already computed ("dense"), else the
     discs (``_window_eigenvalues``, "window"), else, where those fall
     back, the dense ones."""
-    route, fallback, L = "dense", None, len(tm.b_plus)
+    route, fallback, L = "dense", None, tm.n // 2
     if "eigenvalues" in vars(tm):
         mu = tm.eigenvalues[:L]
     else:
@@ -655,7 +711,7 @@ def _edge_scan(tm: TransferMatrix, params: ModelParams, refine: bool) -> Spectru
         raise NumericalBreakdown("ill-conditioned edge candidate: exceptional point "
                                  "in the edge window", condition=float(kappa.max()))
     weights = _site_weights(vecs)
-    ne = max(1, int(_EDGE_FRACTION * len(tm.b_plus)))
+    ne = max(1, int(_EDGE_FRACTION * (tm.n // 2)))
     lw, rw = weights[:ne].sum(axis=0), weights[-ne:].sum(axis=0)
 
     records = []

@@ -99,6 +99,13 @@ def test_overlapping_kick_bonds_rejected():
         S.MajoranaQuadraticForm(4, bonds)
 
 
+@pytest.mark.parametrize("bond", [(-1, 0, 0.1), (3, 4, 0.1)])
+def test_kick_bond_index_outside_the_form_rejected(bond):
+    # a negative index would alias the last Majorana, one >= n would not fit
+    with pytest.raises(ValidationError):
+        S.MajoranaQuadraticForm(4, (bond,))
+
+
 def test_transfer_matrix_invariants():
     p = random_params()
     lat = P.lattice(6, "pbc-even")
@@ -731,6 +738,30 @@ def test_period_map_keeps_both_sectors(L, bc, sign, aj, bj, ah, bh):
         assert np.linalg.norm(image - x @ image[:L]) <= 1e-13 * np.linalg.norm(image)
 
 
+@settings(max_examples=60)
+@given(st.integers(4, 60), st.sampled_from(["pbc-even", "pbc-odd", "obc"]),
+       st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
+       st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0), st.integers(0, 2**32 - 1))
+def test_banded_transfer_block_is_the_dense_kick_bit_for_bit(L, bc, aj, bj, ah, bh, seed):
+    # the band from five probe columns, the dense block formed from it, the
+    # scan's shift and the index-written sector vectors equal the dense
+    # kick of the whole sector basis and its products exactly
+    kicks = S.build_kick_forms(P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc))
+    tm = S.build_transfer_matrix(*kicks)
+    dense = kicks.step(S.sector_basis(2 * L))[:L]
+    assert tm.band.shape == (7, L) and tm.band.flags.f_contiguous
+    assert not tm.band[:2].any()
+    assert np.array_equal(tm.b_plus.view(np.uint64), dense.view(np.uint64))  # signed zeros too
+    assert tm.tol == L * np.finfo(float).eps * np.linalg.norm(dense, 1)
+    x = np.random.default_rng(seed).standard_normal((L, 3, 2)) @ [1, 1j]
+    v_plus = S._sector_vectors(kicks.field_form, x)[:, :3]
+    assert np.array_equal(v_plus.view(np.uint64),
+                          (S.sector_basis(2 * L) @ x / np.sqrt(2.0)).view(np.uint64))
+    # the banded product within the rounding bound of a five-term sum
+    bound = 12 * np.finfo(float).eps * (np.abs(dense) @ np.abs(x))
+    assert np.all(np.abs(S._band_matvec(tm.band, x) - dense @ x) <= bound)
+
+
 @settings(max_examples=40)
 @given(st.integers(8, 40), st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
        st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0))
@@ -794,6 +825,7 @@ def _scan_outcome(scan, p, lat, **kw):
 @settings(max_examples=100)
 @given(st.integers(8, 160), st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
        st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0), st.booleans())
+@example(8, 0.0, 1.0, 0.0, 2.6882178748695584e-261, False)  # B_+ - 1 all but singular
 def test_windowed_scan_matches_the_dense_scan(L, aj, bj, ah, bh, same_alpha):
     p = P.ModelParams(aj, bj, aj if same_alpha else ah, bh)
     lat = P.lattice(L, "obc")
@@ -823,6 +855,22 @@ def test_windowed_scan_labels_every_cell_of_the_phase_grid():
             assert dense.route == "dense" and dense.fallback is None
             routes.append(rep.route)
     assert routes.count("dense") <= 2
+
+
+def test_windowed_scan_forms_no_dense_block(monkeypatch):
+    # the 0pi point of the grid at L = 144: the discs decide it from the
+    # band alone, so neither the dense B_+ nor the sector basis is formed;
+    # the dense scan forms B_+ for its eigenvalues
+    p, lat = P.make_params(1.5, -0.1, 1.5, 0.5), P.lattice(144, "obc")
+    calls, basis = [], S.sector_basis
+    monkeypatch.setattr(S, "sector_basis", lambda n: calls.append(n) or basis(n))
+    rep = S.scan_edge_window(p, lat)
+    assert rep.route == "window" and {m.kind for m in rep.edge_modes} == {"zero", "pi"}
+    assert "b_plus" not in vars(rep.transfer) and "eigenvalues" not in vars(rep.transfer)
+    assert calls == []
+    dense = S.detect_edge_modes(p, lat, refine=False)
+    assert "b_plus" in vars(dense.transfer)
+    assert {m.kind for m in dense.edge_modes} == {m.kind for m in rep.edge_modes}
 
 
 @pytest.mark.parametrize("bj", [_GRID_BETAS[4], _GRID_BETAS[6]])
@@ -855,6 +903,7 @@ def test_windowed_scan_falls_back_to_the_dense_labels(monkeypatch, reason, patch
         monkeypatch.setattr(S, name, value)
     rep = S.scan_edge_window(p, lat)
     assert (rep.route, rep.fallback) == ("dense", reason)
+    assert "b_plus" in vars(rep.transfer) and "b_plus" in vars(dense.transfer)
     assert rep.edge_modes == dense.edge_modes
     assert (S.classify_phase_from_spectrum(rep, no_real_modes)
             is S.classify_phase_from_spectrum(dense, no_real_modes))
