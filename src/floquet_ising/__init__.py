@@ -14,7 +14,7 @@ from .spectral import (DispersionPoint, EdgeModeRecord, MetricOperator,
                        classify_phase_from_spectrum, count_real_modes,
                        detect_edge_modes, dispersion_continuous,
                        floquet_dispersion, pseudo_hermiticity_certificate,
-                       quasienergies_from_transfer, scan_edge_window,
+                       quasienergies_from_transfer,
                        spectrum_conjugation_defect)
 from .gaussian import (CorrelationMatrix, EntropyTrace, GaussianFrame,
                        correlation_from_frame, evolve_continuous,

@@ -27,11 +27,11 @@ Conventions
   vectors of both.  Left eigenvectors need no second solve: M^T M = 1
   makes the left vector of mu the conjugate of the right vector of 1/mu.
 * The edge window (eps near 0 and pi) lies in the discs |mu -+ 1| < 0.02,
-  so the phase label needs no dense spectrum (``scan_edge_window``): the
+  so the edge scan needs no dense spectrum (``detect_edge_modes``): the
   argument principle counts B_+'s eigenvalues in each disc from one
   banded LU of B_+ - z per contour point, and Rayleigh-quotient iteration
   on the band locates a disc's one eigenvalue.  Anything else falls back
-  to the dense eigenvalues, and the report records the route.
+  to the dense eigenvalues, and the report records why.
 """
 
 from __future__ import annotations
@@ -454,17 +454,15 @@ class SpectrumReport:
     """A transfer matrix's quasienergies and the edge modes found in them.
 
     ``quasienergies`` (one eps per eigenvalue of ``transfer``) is computed
-    on first read.  ``route`` names where the edge scan took its
-    candidates: "dense" (the eigenvalues of B_+) or "window" (the disc
-    count of ``scan_edge_window``); ``fallback`` is the reason a windowed
-    scan went dense ("disc-count", "contour", "singular-lu" or
-    "iteration"), else None.
+    densely on first read.  ``fallback`` is None where the discs of
+    ``detect_edge_modes`` found the edge scan's candidates, else the reason
+    it took them from the dense eigenvalues of B_+ ("disc-count",
+    "contour", "singular-lu" or "iteration").
     """
 
     transfer: TransferMatrix
     edge_modes: list[EdgeModeRecord] = field(default_factory=list)
     delocalization_warning: bool = False
-    route: str = "dense"
     fallback: str | None = None
 
     @cached_property
@@ -508,7 +506,8 @@ def _site_weights(vec: np.ndarray) -> np.ndarray:
 
 
 def _localization_length(weights: np.ndarray) -> float:
-    """Decay length (sites) from a log-linear fit over the outer quarter."""
+    """Decay length (sites) from the least-squares slope of log weight
+    over the outer quarter, sum (x - xbar) y / sum (x - xbar)^2."""
     L = len(weights)
     n = max(3, L // 4)
     if weights[:n].sum() >= weights[-n:].sum():
@@ -516,7 +515,8 @@ def _localization_length(weights: np.ndarray) -> float:
     else:
         tail = weights[-n:][::-1]
     y = np.log(np.maximum(tail, 1e-300))
-    slope = np.polyfit(np.arange(n), y, 1)[0]
+    x = np.arange(n) - (n - 1) / 2.0
+    slope = x @ y / (x @ x)
     if slope >= 0:
         return float("inf")
     return float(-2.0 / slope)  # weights are |psi|^2
@@ -681,28 +681,50 @@ def _window_eigenvalues(tm: TransferMatrix) -> np.ndarray:
     return np.array(found, dtype=complex)
 
 
-def _edge_candidates(tm: TransferMatrix) -> tuple[np.ndarray, str, str | None]:
-    """The sector eigenvalues mu with mu or 1/mu in the edge window, the
-    route that found them and the reason for a fallback.  The dense
-    ``eigenvalues`` are read when already computed ("dense"), else the
-    discs (``_window_eigenvalues``, "window"), else, where those fall
-    back, the dense ones."""
-    route, fallback, L = "dense", None, tm.n // 2
-    if "eigenvalues" in vars(tm):
-        mu = tm.eigenvalues[:L]
-    else:
-        try:
-            mu, route = _window_eigenvalues(tm), "window"
-        except _DenseFallback as exc:
-            mu, fallback = tm.eigenvalues[:L], str(exc)
+def _edge_candidates(tm: TransferMatrix) -> tuple[np.ndarray, str | None]:
+    """The sector eigenvalues mu with mu or 1/mu in the edge window and the
+    reason for a fallback: from the discs (``_window_eigenvalues``) and
+    None, else, where those fall back, from the dense ``eigenvalues``."""
+    try:
+        mu, fallback = _window_eigenvalues(tm), None
+    except _DenseFallback as exc:
+        mu, fallback = tm.eigenvalues[:tm.n // 2], str(exc)
     kinds = _edge_kinds(quasienergies_from_eigenvalues(_pairs(mu)))
-    return mu[(kinds != "").reshape(2, -1).any(axis=0)], route, fallback
+    return mu[(kinds != "").reshape(2, -1).any(axis=0)], fallback
 
 
-def _edge_scan(tm: TransferMatrix, params: ModelParams, refine: bool) -> SpectrumReport:
-    """Edge modes among the candidates of ``_edge_candidates``; see
-    ``scan_edge_window``."""
-    mu, route, fallback = _edge_candidates(tm)
+def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
+                      refine: bool = True) -> SpectrumReport:
+    """Localized zero and pi modes of the open chain, without its spectrum.
+
+    Candidates are the sector eigenvalues mu whose quasienergy, or that of
+    the chiral partner 1/mu, is within ``_EDGE_RE_TOL`` of 0 or pi and
+    ``_EDGE_IM_TOL`` of the real axis; every such mu lies within 0.0101 of
+    +1 or -1.  They are found without a dense solve (``fallback`` None):
+    around each of z0 = +1 and -1 the eigenvalues of B_+ in the disc
+    |z - z0| < ``_DISC_RADIUS`` are counted by the argument principle, the
+    phase of det(B_+ - z) coming from one banded LU per contour point; a
+    count of 1 is located by Rayleigh-quotient iteration from z0 on the
+    band.  A disc count of 2 or more, a contour unresolved at the point
+    cap, a singular LU, or an iteration that does not converge inside its
+    disc fall back to the dense eigenvalues of B_+, the reason in
+    ``fallback``.
+
+    Only candidates get eigenvectors (``_candidate_vectors``).  One with
+    more than half its weight on the outer ``_EDGE_FRACTION`` of sites is
+    an edge mode.  With ``refine``, an edge pair's energies are split in
+    extended precision (``_refine_pair``).  A candidate with eigenvalue
+    condition kappa >= ``_COND_CUTOFF`` (an exceptional point in the edge
+    window; the constant, like those of the discs, is read at call time)
+    or a failed residual gate raises NumericalBreakdown, with the worst
+    kappa as ``condition``; bulk eigenvalues are not judged.  Near alpha =
+    pi/4 the edge modes delocalize at finite size; an empty scan there
+    raises no error but sets ``delocalization_warning``.  The report's
+    ``quasienergies`` are computed densely if read.
+    """
+    _require_edge_lattice(lat)
+    tm = build_transfer_matrix(*build_kick_forms(params, lat))
+    mu, fallback = _edge_candidates(tm)
     pairs = _pairs(mu)
     eps = quasienergies_from_eigenvalues(pairs)
     kinds = _edge_kinds(eps)
@@ -729,54 +751,7 @@ def _edge_scan(tm: TransferMatrix, params: ModelParams, refine: bool) -> Spectru
                     for e, k in zip(energies, sel)]
 
     a = (params.alpha_J % (np.pi / 2.0))
-    return SpectrumReport(tm, records, (not records) and abs(a - PI4) < 0.1 * PI4,
-                          route, fallback)
-
-
-def scan_edge_window(params: ModelParams, lat: LatticeSpec) -> SpectrumReport:
-    """Localized zero and pi modes of the open chain, without its spectrum.
-
-    Candidates are the sector eigenvalues mu whose quasienergy, or that of
-    the chiral partner 1/mu, is within ``_EDGE_RE_TOL`` of 0 or pi and
-    ``_EDGE_IM_TOL`` of the real axis; every such mu lies within 0.0101 of
-    +1 or -1.  They are found without a dense solve (``route ==
-    "window"``): around each of z0 = +1 and -1 the eigenvalues of B_+ in
-    the disc |z - z0| < ``_DISC_RADIUS`` are counted by the argument
-    principle, the phase of det(B_+ - z) coming from one banded LU per
-    contour point; a count of 1 is located by Rayleigh-quotient iteration
-    from z0 on the band.  A disc count of 2 or more, a contour unresolved
-    at the point cap, a singular LU, or an iteration that does not
-    converge inside its disc fall back to the dense eigenvalues of B_+
-    (``route == "dense"``, the reason in ``fallback``); so does every scan
-    of ``detect_edge_modes``, whose eigenvalues are already computed.
-
-    Only candidates get eigenvectors (``_candidate_vectors``).  One with
-    more than half its weight on the outer ``_EDGE_FRACTION`` of sites is
-    an edge mode.  A candidate with eigenvalue condition kappa >=
-    ``_COND_CUTOFF`` (an exceptional point in the edge window; the
-    constant, like those of the discs, is read at call time) or a failed
-    residual gate raises NumericalBreakdown, with the worst kappa as
-    ``condition``; bulk eigenvalues are not judged.  Near alpha = pi/4 the
-    edge modes delocalize at finite size; an empty scan there raises no
-    error but sets ``delocalization_warning``.  The report's
-    ``quasienergies`` are computed densely if read.
-    """
-    _require_edge_lattice(lat)
-    return _edge_scan(build_transfer_matrix(*build_kick_forms(params, lat)), params,
-                      refine=False)
-
-
-def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
-                      refine: bool = True) -> SpectrumReport:
-    """Every open-chain quasienergy, from one dense eigvals of B_+, and the
-    edge modes among them: the scan of ``scan_edge_window`` on those
-    eigenvalues (``route == "dense"``).  With ``refine``, an edge pair's
-    energies are split in extended precision (``_refine_pair``).
-    """
-    _require_edge_lattice(lat)
-    tm = build_transfer_matrix(*build_kick_forms(params, lat))
-    tm.eigenvalues  # every quasienergy is reported, so the scan reads them too
-    return _edge_scan(tm, params, refine)
+    return SpectrumReport(tm, records, (not records) and abs(a - PI4) < 0.1 * PI4, fallback)
 
 
 # --------------------------------------------------------------------------
@@ -996,13 +971,13 @@ def classify_phase(params: ModelParams, L: int = 40,
     lengths of a phase boundary are invisible at small L, so the edge scan
     runs once, at ``confirm_L`` when that is larger than ``L`` (the bulk
     census is size-insensitive).  It is skipped when the census finds real
-    modes, which decide the label on their own.  The scan is the windowed
-    one (``scan_edge_window``): disc counts by banded LU, no dense solve
-    unless they fall back, and the dense scan's labels.
+    modes, which decide the label on their own.  The scan is
+    ``detect_edge_modes`` without the refine, which moves no label: disc
+    counts by banded LU, no dense solve unless they fall back.
     """
     census = count_real_modes(params, L)
     scan_L = confirm_L if confirm_L and confirm_L > L else L
     lat = LatticeSpec(scan_L, BoundaryCondition.OBC)
     _require_edge_lattice(lat)
-    obc = None if census.count else scan_edge_window(params, lat)
+    obc = None if census.count else detect_edge_modes(params, lat, refine=False)
     return classify_phase_from_spectrum(obc, census)

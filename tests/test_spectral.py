@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,6 +8,7 @@ from scipy.optimize import linear_sum_assignment
 
 from floquet_ising import params as P
 from floquet_ising import spectral as S
+from floquet_ising import sweep
 from floquet_ising.errors import MetricPoleError, NumericalBreakdown, ValidationError
 
 RNG = np.random.default_rng(42)
@@ -432,6 +435,19 @@ def test_refined_edge_pair_has_no_cancellation_floor():
     assert max(abs(m.energy) for m in rep.edge_modes) <= 1e-12
 
 
+@given(st.integers(8, 400), st.floats(0.01, 5.0), st.integers(0, 2**32 - 1), st.booleans())
+def test_localization_length_is_the_polyfit_slope(L, decay, seed, mirrored):
+    # a noisy exponential tail, heavier on the left (or, mirrored, on the
+    # right): the closed-form slope over the outer quarter is polyfit's
+    noise = 0.4 * decay * np.random.default_rng(seed).uniform(-1.0, 1.0, L)
+    weights = np.exp(-decay * np.arange(L) + noise)
+    weights /= weights.sum()
+    n = max(3, L // 4)
+    slope = np.polyfit(np.arange(n), np.log(np.maximum(weights[:n], 1e-300)), 1)[0]
+    length = S._localization_length(weights[::-1] if mirrored else weights)
+    assert length == pytest.approx(-2.0 / slope, rel=1e-12)
+
+
 def test_edge_detection_requires_open_chain():
     with pytest.raises(ValidationError):
         S.detect_edge_modes(P.make_params(0.5, -1.0, 0.5, 0.5),
@@ -671,7 +687,6 @@ def test_classify_phase_skips_the_edge_scan_the_census_decides(monkeypatch):
         raise AssertionError("edge scan ran")
 
     monkeypatch.setattr(S, "detect_edge_modes", no_scan)
-    monkeypatch.setattr(S, "scan_edge_window", no_scan)
     assert S.classify_phase(p, L=40) is scanned is P.PhaseLabel.CRITICAL_VOLUME
     with pytest.raises(ValidationError):
         S.classify_phase(p, L=4, confirm_L=None)
@@ -814,6 +829,15 @@ def test_forms_without_chiral_or_mirror_symmetry_rejected():
 # windowed edge scan against the dense one
 # --------------------------------------------------------------------------
 
+def _dense_scan(p, lat, refine=False):
+    """``detect_edge_modes`` on the dense eigenvalues of B_+: the discs
+    fall back (reason "reference") before they count.  ``mock.patch`` and
+    not the ``monkeypatch`` fixture, which hypothesis rejects under ``given``."""
+    with mock.patch.object(S, "_window_eigenvalues",
+                           side_effect=S._DenseFallback("reference")):
+        return S.detect_edge_modes(p, lat, refine=refine)
+
+
 def _scan_outcome(scan, p, lat, **kw):
     """Edge kinds of one scan, or NumericalBreakdown where it raises."""
     try:
@@ -829,8 +853,8 @@ def _scan_outcome(scan, p, lat, **kw):
 def test_windowed_scan_matches_the_dense_scan(L, aj, bj, ah, bh, same_alpha):
     p = P.ModelParams(aj, bj, aj if same_alpha else ah, bh)
     lat = P.lattice(L, "obc")
-    assert (_scan_outcome(S.scan_edge_window, p, lat)
-            == _scan_outcome(S.detect_edge_modes, p, lat, refine=False))
+    assert (_scan_outcome(S.detect_edge_modes, p, lat, refine=False)
+            == _scan_outcome(_dense_scan, p, lat))
 
 
 # the phase-diagram benchmark's grid: alpha_J = alpha_h, beta_h = 0.5 (pi/4 units)
@@ -843,18 +867,18 @@ def test_windowed_scan_labels_every_cell_of_the_phase_grid():
     # labels as the dense scan, and the discs decide nearly every cell
     lat = P.lattice(144, "obc")
     no_real_modes = S.RealModeCensus(0, 80)
-    routes = []
+    fallbacks = []
     for a in _GRID_ALPHAS:
         for bj in _GRID_BETAS:
             p = P.make_params(a, bj, a, 0.5)
-            rep = S.scan_edge_window(p, lat)
-            dense = S.detect_edge_modes(p, lat, refine=False)
+            rep = S.detect_edge_modes(p, lat, refine=False)
+            dense = _dense_scan(p, lat)
             assert {m.kind for m in rep.edge_modes} == {m.kind for m in dense.edge_modes}, (a, bj)
             assert (S.classify_phase_from_spectrum(rep, no_real_modes)
                     is S.classify_phase_from_spectrum(dense, no_real_modes))
-            assert dense.route == "dense" and dense.fallback is None
-            routes.append(rep.route)
-    assert routes.count("dense") <= 2
+            assert dense.fallback == "reference"
+            fallbacks.append(rep.fallback)
+    assert sum(f is not None for f in fallbacks) <= 2
 
 
 def test_windowed_scan_forms_no_dense_block(monkeypatch):
@@ -864,11 +888,11 @@ def test_windowed_scan_forms_no_dense_block(monkeypatch):
     p, lat = P.make_params(1.5, -0.1, 1.5, 0.5), P.lattice(144, "obc")
     calls, basis = [], S.sector_basis
     monkeypatch.setattr(S, "sector_basis", lambda n: calls.append(n) or basis(n))
-    rep = S.scan_edge_window(p, lat)
-    assert rep.route == "window" and {m.kind for m in rep.edge_modes} == {"zero", "pi"}
+    rep = S.detect_edge_modes(p, lat, refine=False)
+    assert rep.fallback is None and {m.kind for m in rep.edge_modes} == {"zero", "pi"}
     assert "b_plus" not in vars(rep.transfer) and "eigenvalues" not in vars(rep.transfer)
     assert calls == []
-    dense = S.detect_edge_modes(p, lat, refine=False)
+    dense = _dense_scan(p, lat)
     assert "b_plus" in vars(dense.transfer)
     assert {m.kind for m in dense.edge_modes} == {m.kind for m in rep.edge_modes}
 
@@ -880,9 +904,9 @@ def test_windowed_scan_misses_the_slow_decay_zero_mode_like_the_dense_one(bj):
     # the windowed scan must miss it too
     p = P.make_params(_GRID_ALPHAS[6], bj, _GRID_ALPHAS[6], 0.5)
     lat = P.lattice(144, "obc")
-    assert _scan_outcome(S.detect_edge_modes, p, lat, refine=False) == {"pi"}
-    rep = S.scan_edge_window(p, lat)
-    assert {m.kind for m in rep.edge_modes} == {"pi"} and rep.route == "window"
+    assert _scan_outcome(_dense_scan, p, lat) == {"pi"}
+    rep = S.detect_edge_modes(p, lat, refine=False)
+    assert {m.kind for m in rep.edge_modes} == {"pi"} and rep.fallback is None
     assert S.classify_phase(p) is P.PhaseLabel.PI_MODE
 
 
@@ -894,18 +918,40 @@ def test_windowed_scan_misses_the_slow_decay_zero_mode_like_the_dense_one(bj):
 ])
 def test_windowed_scan_falls_back_to_the_dense_labels(monkeypatch, reason, patch, point):
     # each fallback, forced through the disc constants (read at call
-    # time), gives the dense scan's edge modes and labels, route "dense"
+    # time), gives the dense scan's edge modes and labels, the reason in
+    # ``fallback``
     p = P.make_params(*point)
     lat = P.lattice(40, "obc")
     no_real_modes = S.RealModeCensus(0, 80)
-    dense = S.detect_edge_modes(p, lat, refine=False)
+    dense = _dense_scan(p, lat)
     for name, value in patch.items():
         monkeypatch.setattr(S, name, value)
-    rep = S.scan_edge_window(p, lat)
-    assert (rep.route, rep.fallback) == ("dense", reason)
+    rep = S.detect_edge_modes(p, lat, refine=False)
+    assert (rep.fallback, dense.fallback) == (reason, "reference")
     assert "b_plus" in vars(rep.transfer) and "b_plus" in vars(dense.transfer)
     assert rep.edge_modes == dense.edge_modes
     assert (S.classify_phase_from_spectrum(rep, no_real_modes)
             is S.classify_phase_from_spectrum(dense, no_real_modes))
     if point[3]:  # the 0pi point: classify_phase itself takes the dense labels
         assert S.classify_phase(p, L=40, confirm_L=None) is P.PhaseLabel.ZERO_PI
+
+
+def test_spectrum_sweep_task_solves_no_dense_spectrum(monkeypatch):
+    # the seven spectrum points of the phase-diagram benchmark: the task
+    # writes only edge records, so the discs decide every point and
+    # np.linalg.eigvals never runs; the records are the refined dense scan's
+    calls, eigvals = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(1) or eigvals(a))
+    cfgs = [{"alpha": float(a), "beta_J": -1.0, "beta_h": 0.5, "L": 96, "bc": "obc"}
+            for a in np.linspace(0.1, 1.9, 7)]
+    rows = [sweep.task_spectrum(cfg) for cfg in cfgs]
+    assert calls == []
+    for cfg, point_rows in zip(cfgs, rows):
+        p, lat, _ = P.model_from_config(cfg)
+        dense = _dense_scan(p, lat, refine=True)
+        phase = S.classify_phase_from_spectrum(dense, S.count_real_modes(p, lat.L))
+        expected = sorted((m.kind, abs(m.energy)) for m in dense.edge_modes)
+        got = sorted((r["kind"], r["abs_eps"]) for r in point_rows if r["mode_index"] >= 0)
+        assert {r["phase"] for r in point_rows} == {str(phase)}, cfg
+        assert [k for k, _ in got] == [k for k, _ in expected], cfg
+        assert np.allclose([e for _, e in got], [e for _, e in expected], rtol=0, atol=1e-14)
