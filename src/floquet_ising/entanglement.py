@@ -152,7 +152,7 @@ def chord_abscissa(L, L_A) -> np.ndarray:
 
 
 def fit_scaling(points) -> ScalingFit:
-    """Classify entropy scaling from (L, L_A, S_A) samples.
+    """Classify entropy scaling from (L, L_A, S_A) samples, 0 < L_A < L.
 
     Fits S = a ln((L/pi) sin(pi L_A / L)) + b and a straight line in L_A;
     volume wins if the linear slope exceeds ``_VOLUME_SLOPE`` and its
@@ -165,6 +165,8 @@ def fit_scaling(points) -> ScalingFit:
     L = np.array([p[0] for p in pts])
     la = np.array([p[1] for p in pts])
     s = np.array([p[2] for p in pts])
+    if not np.all((la > 0) & (la < L)):
+        raise ValidationError("every scaling point needs 0 < L_A < L")
     x = chord_abscissa(L, la)
     if np.ptp(x) < 1e-12 or np.ptp(la) < 1e-12:
         raise ValidationError("degenerate design: abscissa does not vary")

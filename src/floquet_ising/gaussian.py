@@ -26,10 +26,11 @@ Both the stroboscopic loop and the continuous-time flow run on the
 momentum stack where ``_momentum_route`` allows it (pbc-even, L divisible
 by 4, a state of period 2), and on the one-cell stack everywhere else.
 So does the direct steady state, which forms the n-period frame from
-Schur forms of the frame map's blocks (``_split``): L/2 blocks of 4x4 on
-the momentum stack, where the dense 2L x 2L frame map is not tried, and
-the two L x L reflection-sector blocks on the one-cell stack, whose forms
-come from one ``schur``: the - block is the inverse transpose of the +.
+Schur forms of the frame map's blocks: L/2 blocks of 4x4 on the momentum
+stack (``_split``), where the dense 2L x 2L frame map is not tried, and on
+the one-cell stack the L x L + reflection-sector block alone
+(``_sector_split``): the - block is the inverse transpose of the +, so its
+modes and its split follow from the + sector's.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .errors import (DegenerateEvolution, NumericalBreakdown,
                      UnsupportedStateError, ValidationError)
 from .params import (BoundaryCondition, LatticeSpec, ModelParams,
                      ProductState, QuenchConfig, SubsystemSpec)
-from .spectral import (KickForms, build_kick_forms, cell_momenta,
+from .spectral import (KickForms, _sector_phase, build_kick_forms, cell_momenta,
                        frame_map_blocks, hamiltonian_blocks, sector_basis)
 
 _ISO_TOL = 1e-13
@@ -316,33 +317,179 @@ def _scaled_power(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _dominant_frame(kicks: KickForms, frame: GaussianFrame, n: int) -> GaussianFrame | None:
     """The n-period frame from the one-cell ``frame`` Phi0, taken from a
-    Schur form F = Q T Q^dag of the frame map, or None unless it provably
-    equals the loop's frame.  F keeps both reflection sectors, so T =
-    diag(T_+, T_-) and Q = [U Q_+, conj(U) Q_-] / sqrt(2), U the
-    ``sector_basis``, with F U = U B_+ and F conj(U) = conj(U) B_-.
+    Schur form of the frame map F, or None unless it provably equals the
+    loop's frame.  F keeps both reflection sectors: F U = U B_+ and
+    F conj(U) = conj(U) B_-, U the ``sector_basis``, so T = diag(T_+, T_-)
+    and Q = [U Q_+, conj(U) Q_-] / sqrt(2) are a Schur form of F.
 
     One Schur form B_+ = Q_+ T_+ Q_+^dag gives both: F is complex
     orthogonal (F^T F = 1) and U^T U = 0, U^dag U = 2, so B_-^T B_+ = 1
     and B_- = B_+^-T = (conj(Q_+) J)(J T_+^-T J)(conj(Q_+) J)^dag, J the
-    exchange matrix: T_- = J T_+^-T J is upper triangular.  The derived
-    form must pass ||B_- Q_- - Q_- T_-|| <= _OVERLAP_TOL ||B_-||.
-
-    ``_split`` is tried with an empty middle block (the L/L split) and,
-    where that misses, with an edge pair straddling the L/L cut.
+    exchange matrix: T_- = J T_+^-T J is upper triangular, and the - modes
+    are the reciprocals of the + modes in reverse order.  Neither T nor Q
+    is formed: ``_sector_form`` reorders T_+ once, ``_sector_split`` works
+    on T_+ and T_+^-1, and y = Q^dag Phi0 and the frame Q (S coords) go
+    through U (two entries per column), Q_+ and Q_- = conj(Q_+) J.  The
+    L/L split (no middle block) is tried first and, where it misses, the
+    split that carries the edge pair straddling the L/L cut.
     """
     u = sector_basis(kicks.coupling_form.n)
     b_plus, b_minus = (kicks.step(x, -1.0)[:len(x) // 2] for x in (u, u.conj()))
     try:
-        t1, q1 = scipy.linalg.schur(b_plus, output="complex")
+        t, q = scipy.linalg.schur(b_plus, output="complex")
     except np.linalg.LinAlgError:  # the Schur iteration did not converge
         return None
-    t1_inv, info = scipy.linalg.lapack.ztrtri(t1)
-    t2, q2 = t1_inv[::-1, ::-1].T, q1[:, ::-1].conj()
-    if info != 0 or not (np.linalg.norm(b_minus @ q2 - q2 @ t2)
+    form = _sector_form(t, q, b_minus)
+    if form is None:
+        return None
+    t, q, t_inv, cuts = form
+    phase = _sector_phase(len(t))[:, None]
+    top, mirror = frame.blocks[0, :len(t)], frame.blocks[0, len(t):][::-1]
+    y = (_hc(q) @ (top - phase * mirror) / np.sqrt(2.0),
+         (q.T @ (top + phase * mirror))[::-1] / np.sqrt(2.0))
+    for k1, k2 in cuts:
+        found = _sector_split(t, t_inv, y, n, k1, k2)
+        if found is not None:
+            c_plus, c_minus, log_scale = found
+            a, b = q @ c_plus, q.conj() @ c_minus[::-1]
+            phi = np.concatenate([a + b, (phase * (a - b))[::-1]]) / np.sqrt(2.0)
+            return _direct_frame((phi[None], log_scale), frame, n)
+    return None
+
+
+def _sector_form(t: np.ndarray, q: np.ndarray, b_minus: np.ndarray):
+    """The + sector's Schur form (t, q) reordered on |mu| for
+    ``_sector_split``, with t^-1 and the splits (k1, k2) to try, of its
+    modes into a top [:k1], a middle [k1:k2] and a bottom [k2:]; or None
+    where no split is possible or the reorder or the - form fails.
+
+    The 2L modes of F are those of t and their reciprocals.  Sorted by
+    log|mu|, the L/L split cuts between the L-th and (L+1)-th and needs
+    exactly one member of each (mu, 1/mu) pair above the cut; its top is
+    the + modes above it, (k, k).  The pair split puts the L-th and
+    (L+1)-th in a middle block, isolated by _ISOLATION_TOL in log|mu| from
+    its neighbours, which must be one pair mu_0, 1/mu_0, every other pair
+    keeping one member above it; its top is the + modes above the middle
+    block.  One ``ztrsen`` puts the top first and, for the pair split, one
+    ``ztrexc`` moves mu_0 right after it: the L/L split's top is then the
+    first k or k + 1 modes, as mu_0 lies below or above the L/L cut, so
+    both splits read one order.  The - form read from t^-1 must pass
+    ||B_- Q_- - Q_- T_-|| <= _OVERLAP_TOL ||B_-||.
+    """
+    L = len(t)
+    pairs = np.log(np.abs(np.stack([np.diag(t), 1.0 / np.diag(t)])))
+    log_mu = np.sort(pairs.ravel())[::-1]
+    cut = (log_mu[:-1] + log_mu[1:]) / 2
+    above = lambda i: np.count_nonzero(pairs > cut[i], axis=0)  # members of each pair
+    cuts, select = [], None
+    if np.all(above(L - 1) == 1):
+        select = pairs[0] > cut[L - 1]
+        k = np.count_nonzero(select)
+        cuts.append((k, k))
+    if (min(log_mu[L - 2] - log_mu[L - 1], log_mu[L] - log_mu[L + 1]) > _ISOLATION_TOL
+            and np.all(above(L - 2) + above(L) == 2) and np.count_nonzero(above(L) == 2) == 1):
+        select = pairs[0] > cut[L - 2]
+        k = np.count_nonzero(select)
+        cuts.append((k, k + 1))
+    if select is None:
+        return None
+    t, q, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select, t, q, job="N")
+    if info == 0 and cuts[-1][1] > cuts[-1][0]:
+        # mu_0: the + mode below the top with the largest |mu|
+        first = k + int(np.argmax(np.abs(np.diag(t)[k:])))
+        if first > k:
+            t, q, info = scipy.linalg.lapack.ztrexc(t, q, first + 1, k + 1)
+    if info != 0:
+        return None
+    t_inv, info = scipy.linalg.lapack.ztrtri(t)
+    q_minus = q[:, ::-1].conj()
+    if info != 0 or not (np.linalg.norm(b_minus @ q_minus - q_minus @ t_inv[::-1, ::-1].T)
                          <= _OVERLAP_TOL * np.linalg.norm(b_minus)):
         return None
-    t, q = scipy.linalg.block_diag(t1, t2), np.hstack([u @ q1, u.conj() @ q2]) / np.sqrt(2.0)
-    return _direct_frame(t[None], q[None], frame, n, (0, 2))
+    return t, q, t_inv, cuts
+
+
+def _sector_split(t: np.ndarray, t_inv: np.ndarray, y: tuple[np.ndarray, np.ndarray],
+                  n: int, k1: int, k2: int):
+    """The Schur coordinates of F^n Phi0 from the reordered + sector form t
+    and t^-1 (``_sector_form``), with the + modes split into a top [:k1], a
+    middle block of h = k2 - k1 (0 or 1) modes and a bottom [k2:], and
+    y = Q^dag Phi0 as its + and - rows.  F's top T1 = diag(T_tt, J T_bb^-T
+    J), middle T2 = diag(mu_0, 1/mu_0) and bottom T3 = diag(T_bb, J T_tt^-T
+    J) hold one block of each sector (T_tt = t[:k1, :k1], T_bb = t[k2:,
+    k2:]), 2h middle modes straddling the L/L cut and L - h in each of the
+    others.  The blocks are decoupled as in ``_split``, T = S diag(T1, T2,
+    T3) S^-1 with S = [[1, x1], [0, [[1, x2], [0, 1]]]]: two Sylvester
+    solves in the + sector, and in the - sector S_- = J S_+^-T J gives
+    x1_- = -J [x1b + x1a x2; x2]^T J and x2_- = -J x1a^T J, where x1 =
+    [x1a, x1b] is split at k2.  With z = S^-1 y, G1 a right inverse of z1
+    and W an orthonormal basis of its null space, and T2^n z2 W = P R (QR),
+
+        F^n Phi0 ~ Q S [[1, 0], [E_mid, P], [E_bot, T3^n z3 W R^-1]]
+        E_mid = T2^n z2 G1 T1^-n,  E_bot = T3^n z3 G1 T1^-n,
+
+    where T1^-n and T3^n are made of the two powers T_tt^-n and T_bb^n,
+    each with its own log-scale, and so is each block of E.  Returns S
+    coords as its + and - rows (L x L each) and the log-magnitude dropped
+    from them, or None unless ``_split``'s gates pass, and with a middle
+    block, the loop's rounding on it, amplified like T2^n, stays below
+    _ROUNDING_TOL of the smallest middle column:
+    eps ||T2^n|| ||z2 W|| < _ROUNDING_TOL sigma_min(T2^n z2 W).
+    """
+    L, h = len(t), k2 - k1
+    r = L - k2  # the bottom of the + sector, the top of the -
+    x1 = _sylvester(t[:k1, :k1], t[k1:, k1:], t[:k1, k1:])
+    x2 = _sylvester(t[k1:k2, k1:k2], t[k2:, k2:], t[k1:k2, k2:])
+    if x1 is None or x2 is None:
+        return None
+    sectors = ((k1, x1, x2),  # (top size, x1, x2) of the + and the - sector
+               (r, -np.concatenate([x1[:, h:] + x1[:, :h] @ x2, x2]).T[::-1, ::-1],
+                -x1[:, :h].T[::-1, ::-1]))
+    z_p, z_m = (np.concatenate([yi[:top] - x_top @ yi[top:],
+                                yi[top:top + h] - x_mid @ yi[top + h:], yi[top + h:]])
+                for yi, (top, x_top, x_mid) in zip(y, sectors))
+    k = k1 + r
+    qz, rz = np.linalg.qr(_hc(np.concatenate([z_p[:k1], z_m[:r]])), mode="complete")
+    rz = rz[:k]
+    sv = np.linalg.svd(rz, compute_uv=False)
+    if not sv[-1] > _OVERLAP_TOL * max(sv[0], 1.0):
+        return None
+    w = qz[:, k:]
+    (p_t,), (log_t,) = _scaled_power(t_inv[None, :k1, :k1], n)  # T_tt^-n
+    (p_b,), (log_b,) = _scaled_power(t[None, k2:, k2:], n)      # T_bb^n
+    mid = np.concatenate([np.diag(t)[k1:k2], np.diag(t_inv)[k1:k2]])
+    (p2,), (log2,) = _scaled_power(np.diag(mid)[None], n)
+    v = np.concatenate([z_p[k1:k2], z_m[r:r + h]]) @ w
+    pair, r_pair = np.linalg.qr(p2 @ v)
+    sv_pair = np.linalg.svd(r_pair, compute_uv=False)
+    if not (np.finfo(float).eps * np.linalg.norm(p2, 2) * np.linalg.norm(v, 2)
+            < _ROUNDING_TOL * sv_pair.min(initial=np.inf)):
+        return None
+    # the rows below the top, in the order middle +, middle -, bottom +, bottom -
+    rest = np.concatenate([z_p[k1:k2], z_m[r:r + h], z_p[k2:], z_m[r + h:]])
+    zg = scipy.linalg.lapack.ztrtrs(rz, _hc(rest @ qz[:, :k]))[0].conj().T  # rest G1
+    zg_t, zg_b = zg[:, :k1] @ p_t, zg[:, k1:] @ p_b.T[::-1, ::-1]       # times T1^-n
+    w_r = w @ np.linalg.inv(r_pair)
+    rows = [(p2, log2, slice(0, 2 * h), None),
+            (p_b, log_b, slice(2 * h, 2 * h + r), z_p[k2:]),
+            (p_t.T[::-1, ::-1], log_t, slice(2 * h + r, None), z_m[r + h:])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        coords = np.concatenate([np.concatenate([
+            np.exp(log_p + log_t) * (p @ zg_t[i]), np.exp(log_p + log_b) * (p @ zg_b[i]),
+            pair if z_bot is None else np.exp(log_p - log2) * (p @ z_bot @ w_r)], axis=1)
+            for p, log_p, i, z_bot in rows])
+    if not (np.all(np.isfinite(coords)) and np.abs(coords[:, :k]).max() <= 1.0):
+        return None
+    _flush(coords)
+    c_plus = np.concatenate([np.eye(k1, L), coords[:h], coords[2 * h:2 * h + r]])
+    c_minus = np.concatenate([np.eye(r, L, k1), coords[h:2 * h], coords[2 * h + r:]])
+    for c, (top, x_top, x_mid) in zip((c_plus, c_minus), sectors):
+        c[top:top + h] += x_mid @ c[top + h:]
+        c[:top] += x_top @ c[top:]
+    log_scale = (n * (np.sum(np.log(np.abs(np.diag(t)[:k1])))
+                      - np.sum(np.log(np.abs(np.diag(t)[k2:]))))
+                 + np.sum(np.log(sv)) + h * log2 + np.sum(np.log(sv_pair)))
+    return _flush(c_plus), _flush(c_minus), float(log_scale)
 
 
 def _block_frame(fq: np.ndarray, frame: GaussianFrame, n: int) -> GaussianFrame | None:
@@ -354,20 +501,15 @@ def _block_frame(fq: np.ndarray, frame: GaussianFrame, n: int) -> GaussianFrame 
     if any(form[-1] != 0 for form in forms):  # the Schur iteration did not converge
         return None
     t, q = np.stack([form[0] for form in forms]), np.stack([form[3] for form in forms])
-    return _direct_frame(t, q, frame, n, (0,))
+    return _direct_frame(_split(t, q, frame.blocks, n), frame, n)
 
 
-def _direct_frame(t: np.ndarray, q: np.ndarray, frame: GaussianFrame, n: int,
-                  middles: tuple[int, ...]) -> GaussianFrame | None:
-    """The n-period frame from the Schur forms (t, q) of the frame map's
-    blocks, by the first ``_split`` of ``middles`` that certifies it.  The
-    split gives the unnormalized frame and the log-magnitude it dropped;
-    the frame's QR adds the rest, so ``norm_log`` is the loop's."""
-    for m in middles:
-        found = _split(t, q, frame.blocks, n, m)
-        if found is not None:
-            break
-    else:
+def _direct_frame(found, frame: GaussianFrame, n: int) -> GaussianFrame | None:
+    """The n-period frame from a split's result (``_split`` or
+    ``_sector_split``): the unnormalized frame stack and the log-magnitude
+    it dropped, or None.  The frame's QR adds the rest, so ``norm_log`` is
+    the loop's."""
+    if found is None:
         return None
     phi, log_scale = found
     blocks, log_mag, defect = orthonormalize(phi, partner=frame.partner)
@@ -378,7 +520,7 @@ def _direct_frame(t: np.ndarray, q: np.ndarray, frame: GaussianFrame, n: int,
 def _sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray | None:
     """X with a X - X b = -c for upper-triangular a and b, or None where they
     (nearly) share an eigenvalue.  ``ztrsyl`` rejects empty blocks."""
-    if not a.size:
+    if not (a.size and b.size):
         return np.zeros(c.shape, dtype=complex)
     x, scale, info = scipy.linalg.lapack.ztrsyl(a, b, -c, isgn=-1)
     return x / scale if info == 0 else None
@@ -389,121 +531,80 @@ def _hc(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a.conj(), -1, -2)
 
 
-def _stack(mats) -> np.ndarray:
-    """The stack of a sequence of matrices; a single one as a view, since
-    copying the one-cell stack's 2L x 2L blocks costs more than its BLAS
-    calls at L = 64 (page faults on the fresh memory)."""
-    return mats[0][None] if len(mats) == 1 else np.stack(mats)
-
-
 def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     """r_i^-1 b_i for each upper-triangular r_i of a stack, one LAPACK
     triangular solve per block: an LU solve would cost 3x at L = 64."""
-    return _stack([scipy.linalg.lapack.ztrtrs(ri, bi)[0] for ri, bi in zip(r, b)])
+    return np.stack([scipy.linalg.lapack.ztrtrs(ri, bi)[0] for ri, bi in zip(r, b)])
 
 
-def _decouple(t: np.ndarray, q: np.ndarray, k: int, b: int):
-    """One Schur form T, Q reordered on |mu| into its top k modes, a middle
-    block of b - k modes and the rest, with the Sylvester solutions x1, x2
-    that decouple the three blocks (``_split``), or None where a middle
-    block is not isolated or a reorder or solve fails."""
+def _decouple(t: np.ndarray, q: np.ndarray, k: int):
+    """One Schur form T, Q reordered on |mu| into its top k modes and the
+    rest, with the Sylvester solution x that decouples the two (``_split``),
+    or None where the cut is not sharp or the reorder or solve fails."""
     log_mu = np.sort(np.log(np.abs(np.diag(t))))[::-1]
-    if b > k and not min(log_mu[k - 1] - log_mu[k], log_mu[b - 1] - log_mu[b]) > _ISOLATION_TOL:
+    select = np.log(np.abs(np.diag(t))) > (log_mu[k - 1] + log_mu[k]) / 2
+    if np.count_nonzero(select) != k:
         return None
-    for count in sorted({b, k}, reverse=True):
-        select = np.log(np.abs(np.diag(t))) > (log_mu[count - 1] + log_mu[count]) / 2
-        if np.count_nonzero(select) != count:
-            return None
-        t, q, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select, t, q, job="N")
-        if info != 0:
-            return None
-    x1 = _sylvester(t[:k, :k], t[k:, k:], t[:k, k:])
-    x2 = _sylvester(t[k:b, k:b], t[b:, b:], t[k:b, b:])
-    if x1 is None or x2 is None:
+    t, q, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select, t, q, job="N")
+    if info != 0:
         return None
-    return t, q, x1, x2
+    x = _sylvester(t[:k, :k], t[k:, k:], t[:k, k:])
+    return None if x is None else (t, q, x)
 
 
-def _split(t: np.ndarray, q: np.ndarray, phi0: np.ndarray, n: int, m: int):
+def _split(t: np.ndarray, q: np.ndarray, phi0: np.ndarray, n: int):
     """F^n Phi0 exactly, block by block over a stack of Schur forms F_i =
     Q_i T_i Q_i^dag (t, q: N x s x s) and frames Phi0_i (N x s x c), with
-    each T split on |mu| into the top k = c - m/2 modes, a middle block of
-    m modes straddling the c/c cut and the bottom k modes.  The dense frame
-    is the one-cell stack (s = 2L, c = L); the momentum stack has s = 4,
-    c = 2 and m = 0.
+    each T split on |mu| into its top c modes T1 and the other s - c, T3:
+    the L/L split of the momentum stack (s = 4, c = 2).  The one-cell stack
+    takes ``_sector_split`` instead.
 
-    T is reordered into blocks T1, T2, T3 and decoupled, T = S diag(T1, T2,
-    T3) S^-1, by two Sylvester solves.  With z = S^-1 Q^dag Phi0, G1 a
-    right inverse of z1 and W an orthonormal basis of its null space, and
-    T2^n z2 W = P R (QR),
+    T is reordered and decoupled, T = S diag(T1, T3) S^-1, S = [[1, x],
+    [0, 1]], by a Sylvester solve.  With z = S^-1 Q^dag Phi0,
 
-        F^n Phi0 ~ Q S [[1, 0], [E_mid, P], [E_bot, T3^n z3 W R^-1]]
-        E_mid = T2^n z2 G1 T1^-n,  E_bot = T3^n z3 G1 T1^-n,
+        F^n Phi0 ~ Q S [1; E_bot],    E_bot = T3^n z3 z1^-1 T1^-n,
 
-    every term kept (no convergence assumed).  m = 0 is the c/c split,
-    F^n Phi0 ~ Q S [1; E_bot]; m = 2 carries an edge pair at |mu| ~ 1.
-    Returns the frame stack and the log-magnitude dropped from it, summed
-    over the blocks, or None unless on every block
+    every term kept (no convergence assumed).  Returns the frame stack and
+    the log-magnitude dropped from it, summed over the blocks, or None
+    unless on every block
 
-    - a middle block (m > 0) is isolated by _ISOLATION_TOL in log|mu|
-      from its neighbours, and the reorders and Sylvester solves succeed;
+    - the reorder and the Sylvester solve succeed;
     - sigma_min(z1) > _OVERLAP_TOL max(sigma_max(z1), 1).  The unit floor
       matters: y = Q^dag Phi0 has orthonormal columns, and a Phi0 inside
       the decaying subspace leaves a z1 of rounding size whose singular
       value ratio may still be O(1);
-    - the loop's rounding on the middle block, amplified like T2^n, stays
-      below _ROUNDING_TOL of the smallest middle column:
-      eps ||T2^n|| ||z2 W|| < _ROUNDING_TOL sigma_min(T2^n z2 W);
-    - every term is finite and |E_mid|, |E_bot| <= 1.  Far above that
-      bound the exact frame leaves the loop (by 1e-9 at |E| ~ 1e8), and a
-      60-digit evolution sides with the loop.
+    - every term is finite and |E_bot| <= 1.  Far above that bound the
+      exact frame leaves the loop (by 1e-9 at |E| ~ 1e8), and a 60-digit
+      evolution sides with the loop.
 
     The reorders and Sylvester solves run per block (``_decouple``); the
     rest runs on the whole stack.
     """
-    c = phi0.shape[-1]
-    k, b = c - m // 2, c + m // 2
-    parts = [_decouple(ti, qi, k, b) for ti, qi in zip(t, q)]
+    k = phi0.shape[-1]
+    parts = [_decouple(ti, qi, k) for ti, qi in zip(t, q)]
     if any(part is None for part in parts):
         return None
-    t, q, x1, x2 = map(_stack, zip(*parts))
-    t1, t2, t3 = t[:, :k, :k], t[:, k:b, k:b], t[:, b:, b:]
+    t, q, x = map(np.stack, zip(*parts))
+    t1, t3 = t[:, :k, :k], t[:, k:, k:]
     y = _hc(q) @ phi0
-    z = np.concatenate([y[:, :k] - x1 @ y[:, k:], y[:, k:b] - x2 @ y[:, b:], y[:, b:]], axis=1)
-    qz, rz = np.linalg.qr(_hc(z[:, :k]), mode="complete")  # z1 = rz^dag qz[:, :k]^dag
-    rz = rz[:, :k]
+    z1, z3 = y[:, :k] - x @ y[:, k:], y[:, k:]
+    qz, rz = np.linalg.qr(_hc(z1))  # z1 = rz^dag qz^dag
     sv = np.linalg.svd(rz, compute_uv=False)
     if not np.all(sv[:, -1] > _OVERLAP_TOL * np.maximum(sv[:, 0], 1.0)):
         return None
-    w = qz[:, :, k:]
     p1, log1 = _scaled_power(_solve_upper(t1, np.broadcast_to(np.eye(k), t1.shape)), n)
-    p2, log2 = _scaled_power(t2, n)
     p3, log3 = _scaled_power(t3, n)
-    v = z[:, k:b] @ w
-    pair, r = np.linalg.qr(p2 @ v)
-    sv_pair = np.linalg.svd(r, compute_uv=False)
-    if not np.all(np.finfo(float).eps * np.linalg.norm(p2, 2, axis=(-2, -1))
-                  * np.linalg.norm(v, 2, axis=(-2, -1))
-                  < _ROUNDING_TOL * sv_pair.min(axis=-1, initial=np.inf)):
-        return None
-    # z[k:] G1 with G1 = qz[:, :k] rz^-dag
-    zg = _hc(_solve_upper(rz, _hc(z[:, k:] @ qz[:, :, :k])))
-    scale = lambda log_s: np.exp(log_s)[:, None, None]
+    # z3 z1^-1 with z1^-1 = qz rz^-dag
+    zg = _hc(_solve_upper(rz, _hc(z3 @ qz)))
     with np.errstate(over="ignore", invalid="ignore"):
-        coords = np.concatenate([
-            np.concatenate([np.broadcast_to(np.eye(k), (len(t), k, k)),
-                            np.zeros((len(t), k, m // 2))], axis=2),
-            np.concatenate([scale(log2 + log1) * (p2 @ zg[:, :m] @ p1), pair], axis=2),
-            np.concatenate([scale(log3 + log1) * (p3 @ zg[:, m:] @ p1),
-                            scale(log3 - log2) * (p3 @ z[:, b:] @ w @ np.linalg.inv(r))],
-                           axis=2)], axis=1)
-    if not (np.all(np.isfinite(coords)) and np.abs(coords[:, k:, :k]).max() <= 1.0):
+        coords = np.concatenate([np.broadcast_to(np.eye(k), (len(t), k, k)),
+                                 np.exp(log3 + log1)[:, None, None] * (p3 @ zg @ p1)], axis=1)
+    if not (np.all(np.isfinite(coords)) and np.abs(coords[:, k:]).max() <= 1.0):
         return None
     _flush(coords)
-    coords[:, k:b] += x2 @ coords[:, b:]
-    coords[:, :k] += x1 @ coords[:, k:]
+    coords[:, :k] += x @ coords[:, k:]
     log_scale = (n * np.sum(np.log(np.abs(np.diagonal(t1, axis1=-2, axis2=-1))))
-                 + np.sum(np.log(sv)) + m // 2 * np.sum(log2) + np.sum(np.log(sv_pair)))
+                 + np.sum(np.log(sv)))
     return q @ _flush(coords), float(log_scale)
 
 
@@ -532,7 +633,7 @@ def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchCon
     Without an observer it is first sought directly, on that stack, from
     Schur forms of the frame map's blocks: of each 4x4 momentum block F_q
     (``_block_frame``; the dense frame map is not tried), or of the one-cell
-    map's two L x L sector blocks, both from one ``schur``
+    map's L x L + sector block, which gives the - sector's too
     (``_dominant_frame``).  Each gives the
     exact n-period frame from the split of its spectrum at the cut, and
     the one-cell map also from the split that carries one edge pair

@@ -344,6 +344,16 @@ def test_fit_scaling_validation():
         E.fit_scaling([(100, 10, 1.0)] * 7)  # degenerate abscissa
 
 
+@pytest.mark.parametrize("bad", [(100, 0, 1.0), (100, 120, 1.0), (100, 100, 1.0)],
+                         ids=["empty", "longer-than-chain", "whole-chain"])
+def test_fit_scaling_rejects_subsystems_outside_the_chain(bad):
+    # L_A = 0 and L_A > L reached np.log in chord_abscissa (a RuntimeWarning,
+    # then an SVD that did not converge); L_A = L fitted log(L/pi sin pi)
+    pts = synth_points(lambda L, la: 0.73)
+    with pytest.raises(ValidationError):
+        E.fit_scaling(pts[:-1] + [bad])
+
+
 # --------------------------------------------------------------------------
 # collapse
 # --------------------------------------------------------------------------

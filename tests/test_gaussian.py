@@ -402,6 +402,17 @@ def test_direct_steady_state_taken_where_converged(couplings, L, bc, n_periods):
     _assert_same_steady_state(direct, loop)
 
 
+def _assert_direct_with_growing(couplings, L, bc, n_periods, growing):
+    """The + sector block holds `growing` of the L growing modes of the
+    frame map, and the Neel frame goes direct and equals the loop's."""
+    p, lat = P.ModelParams(*couplings), P.lattice(L, bc)
+    b_plus = spectral.build_kick_forms(p, lat).step(spectral.sector_basis(2 * L), -1.0)[:L]
+    assert np.count_nonzero(np.abs(np.linalg.eigvals(b_plus)) > 1) == growing
+    direct, loop = _direct_and_loop(p, lat, n_periods)
+    assert direct.route == "schur"
+    _assert_same_steady_state(direct, loop)
+
+
 @pytest.mark.parametrize("couplings, L, bc, n_periods", [
     ((0.8778688504940382, 0.7546823999937643, -2.5667088121861585, -0.5323836244853325),
      22, "obc", 185),
@@ -411,13 +422,19 @@ def test_direct_steady_state_taken_where_converged(couplings, L, bc, n_periods):
 def test_direct_steady_state_with_unequal_sectors(couplings, L, bc, n_periods):
     # sector + holds 10 of the L growing modes of the frame map, so the
     # L/L cut runs across the two sector Schur forms, not between them
-    p, lat = P.ModelParams(*couplings), P.lattice(L, bc)
-    kicks = spectral.build_kick_forms(p, lat)
-    b_plus = kicks.step(spectral.sector_basis(2 * L), -1.0)[:L]
-    assert np.count_nonzero(np.abs(np.linalg.eigvals(b_plus)) > 1) == 10
-    direct, loop = _direct_and_loop(p, lat, n_periods)
-    assert direct.route == "schur"
-    _assert_same_steady_state(direct, loop)
+    _assert_direct_with_growing(couplings, L, bc, n_periods, 10)
+
+
+@pytest.mark.parametrize("couplings, bc, growing", [
+    ((2.453440666761767, 0.28014137795361466, 0.7008593962001455, 0.14652223051808128),
+     "obc", 0),
+    ((-0.36316109977612543, -0.1981231517666367, 2.6308161415258295, -0.1769248176267006),
+     "pbc-odd", 2),
+])
+def test_direct_steady_state_with_an_empty_sector_block(couplings, bc, growing):
+    # every growing mode in one sector: the + sector's top block (none
+    # growing) or its bottom block (all growing) is empty
+    _assert_direct_with_growing(couplings, 2, bc, 200, growing)
 
 
 def _sector_blocks(kicks):
@@ -437,10 +454,91 @@ def _two_schur_form(kicks):
             np.hstack([u @ q1, u.conj() @ q2]) / np.sqrt(2.0))
 
 
+def _reference_decouple(t, q, k, b):
+    """One Schur form T, Q reordered on |mu| into its top k modes, a middle
+    block of b - k modes and the rest, with the Sylvester solutions x1, x2
+    that decouple the three blocks, or None where a middle block is not
+    isolated or a reorder or solve fails."""
+    log_mu = np.sort(np.log(np.abs(np.diag(t))))[::-1]
+    if b > k and not (min(log_mu[k - 1] - log_mu[k], log_mu[b - 1] - log_mu[b])
+                      > gaussian._ISOLATION_TOL):
+        return None
+    for count in sorted({b, k}, reverse=True):
+        select = np.log(np.abs(np.diag(t))) > (log_mu[count - 1] + log_mu[count]) / 2
+        if np.count_nonzero(select) != count:
+            return None
+        t, q, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select, t, q, job="N")
+        if info != 0:
+            return None
+    x1 = gaussian._sylvester(t[:k, :k], t[k:, k:], t[:k, k:])
+    x2 = gaussian._sylvester(t[k:b, k:b], t[b:, b:], t[k:b, b:])
+    if x1 is None or x2 is None:
+        return None
+    return t, q, x1, x2
+
+
+def _reference_split(t, q, phi0, n, m):
+    """The generic split of gaussian._split on a stack of full Schur forms
+    (here the one-cell frame map's 2L x 2L T = diag(T_+, T_-)), with a
+    middle block of m modes straddling the c/c cut (m = 0 or 2), under the
+    same gates: the reference for ``gaussian._sector_split``."""
+    c = phi0.shape[-1]
+    k, b = c - m // 2, c + m // 2
+    parts = [_reference_decouple(ti, qi, k, b) for ti, qi in zip(t, q)]
+    if any(part is None for part in parts):
+        return None
+    t, q, x1, x2 = map(np.stack, zip(*parts))
+    t1, t2, t3 = t[:, :k, :k], t[:, k:b, k:b], t[:, b:, b:]
+    hc = gaussian._hc
+    y = hc(q) @ phi0
+    z = np.concatenate([y[:, :k] - x1 @ y[:, k:], y[:, k:b] - x2 @ y[:, b:], y[:, b:]], axis=1)
+    qz, rz = np.linalg.qr(hc(z[:, :k]), mode="complete")  # z1 = rz^dag qz[:, :k]^dag
+    rz = rz[:, :k]
+    sv = np.linalg.svd(rz, compute_uv=False)
+    if not np.all(sv[:, -1] > gaussian._OVERLAP_TOL * np.maximum(sv[:, 0], 1.0)):
+        return None
+    w = qz[:, :, k:]
+    p1, log1 = gaussian._scaled_power(
+        gaussian._solve_upper(t1, np.broadcast_to(np.eye(k), t1.shape)), n)
+    p2, log2 = gaussian._scaled_power(t2, n)
+    p3, log3 = gaussian._scaled_power(t3, n)
+    v = z[:, k:b] @ w
+    pair, r = np.linalg.qr(p2 @ v)
+    sv_pair = np.linalg.svd(r, compute_uv=False)
+    if not np.all(np.finfo(float).eps * np.linalg.norm(p2, 2, axis=(-2, -1))
+                  * np.linalg.norm(v, 2, axis=(-2, -1))
+                  < gaussian._ROUNDING_TOL * sv_pair.min(axis=-1, initial=np.inf)):
+        return None
+    # z[k:] G1 with G1 = qz[:, :k] rz^-dag
+    zg = hc(gaussian._solve_upper(rz, hc(z[:, k:] @ qz[:, :, :k])))
+    scale = lambda log_s: np.exp(log_s)[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        coords = np.concatenate([
+            np.concatenate([np.broadcast_to(np.eye(k), (len(t), k, k)),
+                            np.zeros((len(t), k, m // 2))], axis=2),
+            np.concatenate([scale(log2 + log1) * (p2 @ zg[:, :m] @ p1), pair], axis=2),
+            np.concatenate([scale(log3 + log1) * (p3 @ zg[:, m:] @ p1),
+                            scale(log3 - log2) * (p3 @ z[:, b:] @ w @ np.linalg.inv(r))],
+                           axis=2)], axis=1)
+    if not (np.all(np.isfinite(coords)) and np.abs(coords[:, k:, :k]).max() <= 1.0):
+        return None
+    gaussian._flush(coords)
+    coords[:, k:b] += x2 @ coords[:, b:]
+    coords[:, :k] += x1 @ coords[:, k:]
+    log_scale = (n * np.sum(np.log(np.abs(np.diagonal(t1, axis1=-2, axis2=-1))))
+                 + np.sum(np.log(sv)) + m // 2 * np.sum(log2) + np.sum(np.log(sv_pair)))
+    return q @ gaussian._flush(coords), float(log_scale)
+
+
 def _two_schur_frame(kicks, frame, n):
-    """``_dominant_frame`` as it would be with a second ``schur`` for B_-."""
+    """``_dominant_frame`` as it was with a second ``schur`` for B_- and the
+    generic split of the 2L x 2L form: the L/L split, then the pair split."""
     t, q = _two_schur_form(kicks)
-    return gaussian._direct_frame(t[None], q[None], frame, n, (0, 2))
+    for m in (0, 2):
+        found = _reference_split(t[None], q[None], frame.blocks, n, m)
+        if found is not None:
+            return gaussian._direct_frame(found, frame, n)
+    return None
 
 
 def _cut_split_hits(p, lat, n_periods):
@@ -448,7 +546,7 @@ def _cut_split_hits(p, lat, n_periods):
     frame, from the two-``schur`` reference form."""
     t, q = _two_schur_form(spectral.build_kick_forms(p, lat))
     phi0 = gaussian.initial_frame(P.named_state("neel-fermion", lat.L), lat).blocks[0]
-    return gaussian._split(t[None], q[None], phi0[None], n_periods, 0) is not None
+    return _reference_split(t[None], q[None], phi0[None], n_periods, 0) is not None
 
 
 def test_tee_row_steady_states_all_direct():
@@ -525,12 +623,27 @@ def test_one_schur_frames_equal_two_schur_frames_random_couplings(L, bc, couplin
     ((0.2, -0.1, 0.2, 0.1), 24, "obc", "loop"),     # volume law: no L/L split
 ])
 def test_one_cell_direct_frame_takes_one_schur(monkeypatch, couplings, L, bc, route):
-    calls = []
-    schur = scipy.linalg.schur
-    monkeypatch.setattr(scipy.linalg, "schur", lambda *a, **k: calls.append(1) or schur(*a, **k))
+    # one L x L Schur form and one reorder of it, hit or miss: the - sector
+    # is derived from the + sector, and the pair split reuses the L/L
+    # split's order; nothing larger than L x L reaches LAPACK
+    calls, sizes = [], []
+
+    def spy(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            sizes.extend(a.shape for a in args if np.ndim(a) == 2)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(scipy.linalg, "schur", spy("schur", scipy.linalg.schur))
+    for name in ("ztrsen", "ztrsyl", "ztrtri"):
+        monkeypatch.setattr(scipy.linalg.lapack, name, spy(name, getattr(scipy.linalg.lapack, name)))
+    monkeypatch.setattr(scipy.linalg, "block_diag", spy("block_diag", scipy.linalg.block_diag))
     quench = P.QuenchConfig(P.named_state("neel-fermion", L), n_periods=300)
     frame = gaussian.run_to_steady_state(P.make_params(*couplings), P.lattice(L, bc), quench)
-    assert (frame.route, len(calls)) == (route, 1)
+    assert (frame.route, calls.count("schur"), calls.count("ztrsen")) == (route, 1, 1)
+    assert "block_diag" not in calls
+    assert max(max(shape) for shape in sizes) <= L
 
 
 # --------------------------------------------------------------------------
