@@ -376,8 +376,10 @@ def _sector_form(t: np.ndarray, q: np.ndarray, b_minus: np.ndarray):
     both splits read one order.  The - form read from t^-1 must pass
     ||B_- Q_- - Q_- T_-|| <= _OVERLAP_TOL ||B_-||.
     """
-    L = len(t)
-    pairs = np.log(np.abs(np.stack([np.diag(t), 1.0 / np.diag(t)])))
+    L, mu = len(t), np.diag(t)
+    if not np.all(mu):  # singular: the - form does not exist
+        return None
+    pairs = np.log(np.abs(np.stack([mu, 1.0 / mu])))
     log_mu = np.sort(pairs.ravel())[::-1]
     cut = (log_mu[:-1] + log_mu[1:]) / 2
     above = lambda i: np.count_nonzero(pairs > cut[i], axis=0)  # members of each pair

@@ -130,6 +130,11 @@ def test_rank_collapse_raises():
     with pytest.raises(DegenerateEvolution):
         for _ in range(10):
             frame = gaussian.period_map(frame, kicks)
+    # the direct steady state finds the + sector's Schur form singular and
+    # leaves the frame to the loop, which raises the same
+    quench = P.QuenchConfig(P.named_state("neel-fermion", 4), n_periods=10)
+    with pytest.raises(DegenerateEvolution):
+        gaussian.run_to_steady_state(p, lat, quench)
 
 
 def test_orthonormalize_raises_when_sweeps_run_out(monkeypatch):
