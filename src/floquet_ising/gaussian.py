@@ -25,10 +25,11 @@ Bloch blocks (``GaussianFrame``); the dense frame is the one-cell stack.
 Both the stroboscopic loop and the continuous-time flow run on the
 momentum stack where ``_momentum_route`` allows it (pbc-even, L divisible
 by 4, a state of period 2), and on the one-cell stack everywhere else.
-So does the direct steady state, which forms the n-period frame from
-Schur forms of the frame map's blocks: L/2 blocks of 4x4 on the momentum
-stack (``_split``), where the dense 2L x 2L frame map is not tried, and on
-the one-cell stack the L x L + reflection-sector block alone
+So does the direct steady state, which forms the n-period frame from the
+frame map's blocks: on the momentum stack from the eigenpairs of the 2x2
+one-site Bloch blocks t_k, t_{k+pi} of each 4x4 block (``_bloch_frame``),
+where the dense 2L x 2L frame map is not tried, and on the one-cell stack
+from a Schur form of the L x L + reflection-sector block alone
 (``_sector_split``): the - block is the inverse transpose of the +, so its
 modes and its split follow from the + sector's.
 """
@@ -353,7 +354,7 @@ def _dominant_frame(kicks: KickForms, frame: GaussianFrame, n: int) -> GaussianF
             c_plus, c_minus, log_scale = found
             a, b = q @ c_plus, q.conj() @ c_minus[::-1]
             phi = np.concatenate([a + b, (phase * (a - b))[::-1]]) / np.sqrt(2.0)
-            return _direct_frame((phi[None], log_scale), frame, n)
+            return _direct_frame(phi[None], log_scale, frame, n)
     return None
 
 
@@ -420,9 +421,9 @@ def _sector_split(t: np.ndarray, t_inv: np.ndarray, y: tuple[np.ndarray, np.ndar
     J), middle T2 = diag(mu_0, 1/mu_0) and bottom T3 = diag(T_bb, J T_tt^-T
     J) hold one block of each sector (T_tt = t[:k1, :k1], T_bb = t[k2:,
     k2:]), 2h middle modes straddling the L/L cut and L - h in each of the
-    others.  The blocks are decoupled as in ``_split``, T = S diag(T1, T2,
-    T3) S^-1 with S = [[1, x1], [0, [[1, x2], [0, 1]]]]: two Sylvester
-    solves in the + sector, and in the - sector S_- = J S_+^-T J gives
+    others.  The blocks are decoupled, T = S diag(T1, T2, T3) S^-1 with
+    S = [[1, x1], [0, [[1, x2], [0, 1]]]]: two Sylvester solves in the
+    + sector, and in the - sector S_- = J S_+^-T J gives
     x1_- = -J [x1b + x1a x2; x2]^T J and x2_- = -J x1a^T J, where x1 =
     [x1a, x1b] is split at k2.  With z = S^-1 y, G1 a right inverse of z1
     and W an orthonormal basis of its null space, and T2^n z2 W = P R (QR),
@@ -431,12 +432,21 @@ def _sector_split(t: np.ndarray, t_inv: np.ndarray, y: tuple[np.ndarray, np.ndar
         E_mid = T2^n z2 G1 T1^-n,  E_bot = T3^n z3 G1 T1^-n,
 
     where T1^-n and T3^n are made of the two powers T_tt^-n and T_bb^n,
-    each with its own log-scale, and so is each block of E.  Returns S
-    coords as its + and - rows (L x L each) and the log-magnitude dropped
-    from them, or None unless ``_split``'s gates pass, and with a middle
-    block, the loop's rounding on it, amplified like T2^n, stays below
-    _ROUNDING_TOL of the smallest middle column:
-    eps ||T2^n|| ||z2 W|| < _ROUNDING_TOL sigma_min(T2^n z2 W).
+    each with its own log-scale, and so is each block of E.  Every term is
+    kept (no convergence assumed).  Returns S coords as its + and - rows
+    (L x L each) and the log-magnitude dropped from them, or None unless
+
+    - both Sylvester solves succeed;
+    - sigma_min(z1) > _OVERLAP_TOL max(sigma_max(z1), 1).  The unit floor
+      matters: y has orthonormal columns, and a Phi0 inside the decaying
+      subspace leaves a z1 of rounding size whose singular value ratio may
+      still be O(1);
+    - with a middle block, the loop's rounding on it, amplified like T2^n,
+      stays below _ROUNDING_TOL of the smallest middle column:
+      eps ||T2^n|| ||z2 W|| < _ROUNDING_TOL sigma_min(T2^n z2 W);
+    - every term is finite and |E_mid|, |E_bot| <= 1.  Far above that
+      bound the exact frame leaves the loop (by 1e-9 at |E| ~ 1e8), and a
+      60-digit evolution sides with the loop.
     """
     L, h = len(t), k2 - k1
     r = L - k2  # the bottom of the + sector, the top of the -
@@ -494,26 +504,77 @@ def _sector_split(t: np.ndarray, t_inv: np.ndarray, y: tuple[np.ndarray, np.ndar
     return _flush(c_plus), _flush(c_minus), float(log_scale)
 
 
-def _block_frame(fq: np.ndarray, frame: GaussianFrame, n: int) -> GaussianFrame | None:
-    """The n-period momentum stack from ``frame``, taken from a Schur form
-    F_q = Q_q T_q Q_q^dag of each 4x4 block of the frame map, or None unless
-    every block's L/L split (2 + 2 on |mu|) provably equals the loop's."""
-    # zgees directly: ``scipy.linalg.schur`` spends 5x the 4x4 solve on checks
-    forms = [scipy.linalg.lapack.zgees(lambda _: None, f) for f in fq]
-    if any(form[-1] != 0 for form in forms):  # the Schur iteration did not converge
+def _bloch_frame(fq: np.ndarray, frame: GaussianFrame, n: int) -> GaussianFrame | None:
+    """The n-period momentum stack from ``frame``, from the one-site Bloch
+    blocks of the frame map, or None unless it provably equals the loop's.
+    With k = q/2 and V_q = [[1, 1], [e^{ik}, -e^{ik}]] (x) 1 / sqrt(2),
+    V_q^dag F_q V_q = diag(t_k, t_{k+pi}), each t of determinant 1
+    (``frame_map_blocks``): its modes are a pair, the top mode mu_1 with
+    the larger |mu| and the bottom mode mu_3 = 1/mu_1.
+
+    With u the unit eigenvector of mu_1 and u' its orthogonal complement,
+    t = [u, u'] [[mu_1, b], [0, mu_3]] [u, u']^dag, and w = u' + x u,
+    x = b / (mu_3 - mu_1), is the eigenvector of mu_3.  So V_q [u_k,
+    u_{k+pi}, w_k, w_{k+pi}] = Q S, a Schur basis of F_q times the
+    decoupling S = [[1, x], [0, 1]], with T1 = diag(mu_1) and T3 =
+    diag(mu_3).  With z = (Q S)^-1 Phi0 split into its top rows z1 and
+    bottom rows z3,
+
+        F^n Phi0 ~ Q S [1; E],    E_ij = (mu_3i / mu_1j)^n (z3 z1^-1)_ij,
+
+    every term kept, the powers taken in log space; ``norm_log`` adds
+    n sum log|mu_1| + sum log sigma(z1) to the QR's term.  Returns None
+    unless on every block
+
+    - |mu_1 - mu_3| > eps |mu_1|: a double mode (J = h = 0, or a
+      defective t) has no w;
+    - sigma_min(z1) > _OVERLAP_TOL max(sigma_max(z1), 1): Phi0 overlaps
+      the top modes, and the unit floor rejects a z1 of rounding size
+      (y = Q^dag Phi0 has orthonormal columns);
+    - every term is finite and |E| <= 1.  Far above that bound the exact
+      frame leaves the loop, and a 60-digit evolution sides with the
+      loop.  A unit-circle pair (the volume law) keeps its entries of E
+      at those of z3 z1^-1, which do not decay with n, and mostly misses
+      here.
+    """
+    if not np.all(np.isfinite(fq)):  # an overflowing map: eig would raise
         return None
-    t, q = np.stack([form[0] for form in forms]), np.stack([form[3] for form in forms])
-    return _direct_frame(_split(t, q, frame.blocks, n), frame, n)
+    v = (np.kron([[1.0, 1.0], [1.0, -1.0]], np.eye(2)) / np.sqrt(2.0)
+         * np.exp(0.5j * np.outer(frame.momenta, [0, 0, 1, 1]))[:, :, None])
+    g = _hc(v) @ fq @ v
+    t = np.stack([g[:, :2, :2], g[:, 2:, 2:]], axis=1)  # N x 2 x 2 x 2: t_k, t_{k+pi}
+    mu, vec = np.linalg.eig(t)
+    top = np.argmax(np.abs(mu), axis=-1)[..., None]  # the member with the larger |mu|
+    mu1, mu3 = (np.take_along_axis(mu, i, -1)[..., 0] for i in (top, 1 - top))
+    if not np.all(np.abs(mu1 - mu3) > np.finfo(float).eps * np.abs(mu1)):
+        return None
+    u = np.take_along_axis(vec, top[..., None], -1)[..., 0]
+    u_perp = np.stack([-u[..., 1].conj(), u[..., 0].conj()], axis=-1)
+    basis = np.stack([u, u_perp], axis=-1)  # t = basis [[mu_1, b], [0, mu_3]] basis^dag
+    x = (_hc(basis) @ t @ basis)[..., 0, 1] / (mu3 - mu1)
+    y = _hc(basis) @ (_hc(v) @ frame.blocks).reshape(len(v), 2, 2, -1)
+    z1, z3 = y[..., 0, :] - x[..., None] * y[..., 1, :], y[..., 1, :]
+    sv = np.linalg.svd(z1, compute_uv=False)
+    if not np.all(sv[:, -1] > _OVERLAP_TOL * np.maximum(sv[:, 0], 1.0)):
+        return None
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        e = (np.exp(n * (np.log(mu3)[:, :, None] - np.log(mu1)[:, None, :]))
+             * (z3 @ np.linalg.inv(z1)))
+    if not (np.all(np.isfinite(e)) and np.abs(e).max() <= 1.0):
+        return None
+    w = u_perp + x[..., None] * u
+    # each sub-block's rows of S [1; E]: u e_s^T + w E_s
+    coords = np.eye(2)[None, :, None, :] * u[..., None] + w[..., None] * e[:, :, None, :]
+    log_scale = n * np.sum(np.log(np.abs(mu1))) + np.sum(np.log(sv))
+    return _direct_frame(v @ coords.reshape(len(v), 4, -1), log_scale, frame, n)
 
 
-def _direct_frame(found, frame: GaussianFrame, n: int) -> GaussianFrame | None:
-    """The n-period frame from a split's result (``_split`` or
-    ``_sector_split``): the unnormalized frame stack and the log-magnitude
-    it dropped, or None.  The frame's QR adds the rest, so ``norm_log`` is
-    the loop's."""
-    if found is None:
-        return None
-    phi, log_scale = found
+def _direct_frame(phi: np.ndarray, log_scale: float, frame: GaussianFrame,
+                  n: int) -> GaussianFrame:
+    """The n-period frame of a direct route (``_bloch_frame``,
+    ``_dominant_frame``) from its unnormalized frame stack ``phi`` and the
+    log-magnitude it dropped.  The frame's QR adds the rest, so
+    ``norm_log`` is the loop's."""
     blocks, log_mag, defect = orthonormalize(phi, partner=frame.partner)
     return GaussianFrame(blocks, frame.momenta, frame.partner, n, float(log_scale + log_mag),
                          defect, "schur")
@@ -531,83 +592,6 @@ def _sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray | None
 def _hc(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix of a stack."""
     return np.swapaxes(a.conj(), -1, -2)
-
-
-def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """r_i^-1 b_i for each upper-triangular r_i of a stack, one LAPACK
-    triangular solve per block: an LU solve would cost 3x at L = 64."""
-    return np.stack([scipy.linalg.lapack.ztrtrs(ri, bi)[0] for ri, bi in zip(r, b)])
-
-
-def _decouple(t: np.ndarray, q: np.ndarray, k: int):
-    """One Schur form T, Q reordered on |mu| into its top k modes and the
-    rest, with the Sylvester solution x that decouples the two (``_split``),
-    or None where the cut is not sharp or the reorder or solve fails."""
-    log_mu = np.sort(np.log(np.abs(np.diag(t))))[::-1]
-    select = np.log(np.abs(np.diag(t))) > (log_mu[k - 1] + log_mu[k]) / 2
-    if np.count_nonzero(select) != k:
-        return None
-    t, q, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select, t, q, job="N")
-    if info != 0:
-        return None
-    x = _sylvester(t[:k, :k], t[k:, k:], t[:k, k:])
-    return None if x is None else (t, q, x)
-
-
-def _split(t: np.ndarray, q: np.ndarray, phi0: np.ndarray, n: int):
-    """F^n Phi0 exactly, block by block over a stack of Schur forms F_i =
-    Q_i T_i Q_i^dag (t, q: N x s x s) and frames Phi0_i (N x s x c), with
-    each T split on |mu| into its top c modes T1 and the other s - c, T3:
-    the L/L split of the momentum stack (s = 4, c = 2).  The one-cell stack
-    takes ``_sector_split`` instead.
-
-    T is reordered and decoupled, T = S diag(T1, T3) S^-1, S = [[1, x],
-    [0, 1]], by a Sylvester solve.  With z = S^-1 Q^dag Phi0,
-
-        F^n Phi0 ~ Q S [1; E_bot],    E_bot = T3^n z3 z1^-1 T1^-n,
-
-    every term kept (no convergence assumed).  Returns the frame stack and
-    the log-magnitude dropped from it, summed over the blocks, or None
-    unless on every block
-
-    - the reorder and the Sylvester solve succeed;
-    - sigma_min(z1) > _OVERLAP_TOL max(sigma_max(z1), 1).  The unit floor
-      matters: y = Q^dag Phi0 has orthonormal columns, and a Phi0 inside
-      the decaying subspace leaves a z1 of rounding size whose singular
-      value ratio may still be O(1);
-    - every term is finite and |E_bot| <= 1.  Far above that bound the
-      exact frame leaves the loop (by 1e-9 at |E| ~ 1e8), and a 60-digit
-      evolution sides with the loop.
-
-    The reorders and Sylvester solves run per block (``_decouple``); the
-    rest runs on the whole stack.
-    """
-    k = phi0.shape[-1]
-    parts = [_decouple(ti, qi, k) for ti, qi in zip(t, q)]
-    if any(part is None for part in parts):
-        return None
-    t, q, x = map(np.stack, zip(*parts))
-    t1, t3 = t[:, :k, :k], t[:, k:, k:]
-    y = _hc(q) @ phi0
-    z1, z3 = y[:, :k] - x @ y[:, k:], y[:, k:]
-    qz, rz = np.linalg.qr(_hc(z1))  # z1 = rz^dag qz^dag
-    sv = np.linalg.svd(rz, compute_uv=False)
-    if not np.all(sv[:, -1] > _OVERLAP_TOL * np.maximum(sv[:, 0], 1.0)):
-        return None
-    p1, log1 = _scaled_power(_solve_upper(t1, np.broadcast_to(np.eye(k), t1.shape)), n)
-    p3, log3 = _scaled_power(t3, n)
-    # z3 z1^-1 with z1^-1 = qz rz^-dag
-    zg = _hc(_solve_upper(rz, _hc(z3 @ qz)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        coords = np.concatenate([np.broadcast_to(np.eye(k), (len(t), k, k)),
-                                 np.exp(log3 + log1)[:, None, None] * (p3 @ zg @ p1)], axis=1)
-    if not (np.all(np.isfinite(coords)) and np.abs(coords[:, k:]).max() <= 1.0):
-        return None
-    _flush(coords)
-    coords[:, :k] += x @ coords[:, k:]
-    log_scale = (n * np.sum(np.log(np.abs(np.diagonal(t1, axis1=-2, axis2=-1))))
-                 + np.sum(np.log(sv)))
-    return q @ _flush(coords), float(log_scale)
 
 
 def _momentum_route(lat: LatticeSpec, state: ProductState) -> bool:
@@ -632,13 +616,14 @@ def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchCon
     This is the one stroboscopic loop: ``observe(frame)``, when given, is
     called with the frame after every period.  The frame is the momentum
     stack where ``_momentum_route`` allows it, else the one-cell stack.
-    Without an observer it is first sought directly, on that stack, from
-    Schur forms of the frame map's blocks: of each 4x4 momentum block F_q
-    (``_block_frame``; the dense frame map is not tried), or of the one-cell
-    map's L x L + sector block, which gives the - sector's too
-    (``_dominant_frame``).  Each gives the
-    exact n-period frame from the split of its spectrum at the cut, and
-    the one-cell map also from the split that carries one edge pair
+    Without an observer it is first sought directly, on that stack: from
+    the eigenpairs (mu, 1/mu) of the two 2x2 one-site Bloch blocks of each
+    4x4 momentum block F_q (``_bloch_frame``; the dense frame map is not
+    tried), or from a Schur form of the one-cell map's L x L + sector
+    block, which gives the - sector's too (``_dominant_frame``).  Each
+    gives the exact n-period frame from the split of its spectrum at the
+    cut (one member of each pair on top, on the momentum stack), and the
+    one-cell map also from the split that carries one edge pair
     straddling that cut.  It is returned, with ``route == "schur"``, only
     where it provably equals the loop's frame on every block.  Otherwise
     the loop runs: on the momentum stack it steps one 4x2 block per
@@ -650,7 +635,7 @@ def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchCon
     if _momentum_route(lat, quench.initial_state):
         frame = GaussianFrame.from_dense(frame, lat)
         fq = frame_map_blocks(params, frame.momenta)
-        direct = partial(_block_frame, fq)
+        direct = partial(_bloch_frame, fq)
         step = lambda f: _advance(f, fq @ f.blocks, "momentum")
     else:
         kicks = build_kick_forms(params, lat)

@@ -805,8 +805,11 @@ def frame_map_blocks(params: ModelParams, q: np.ndarray) -> np.ndarray:
     Majorana rows 4x..4x+3).  The kicks act bond by bond, as in
     ``period_map``: the bonds inside a cell are those of a two-site open
     chain, and the coupling bond from row 3 to row 0 of the next cell
-    carries e^{iq}.  The spectrum of F_q is that of the one-site blocks of
-    ``momentum_kick_blocks`` at k = q/2 and k + pi.
+    carries e^{iq}.  In the one-site Bloch waves of momenta k = q/2 and
+    k + pi, V_q = [[1, 1], [e^{ik}, -e^{ik}]] (x) 1 / sqrt(2) (unitary),
+    F_q is block diagonal: V_q^dag F_q V_q = diag(t_k, t_{k+pi}), each t_k
+    a 2x2 block of determinant 1 with the spectrum of the one-site block of
+    ``momentum_kick_blocks`` at k.
     """
     cell = build_kick_forms(params, LatticeSpec(2, BoundaryCondition.OBC))
     f = np.repeat(cell.step(np.eye(4, dtype=complex), -1.0)[None], len(q), axis=0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -504,7 +506,7 @@ def _reference_split(t, q, phi0, n, m):
         return None
     w = qz[:, :, k:]
     p1, log1 = gaussian._scaled_power(
-        gaussian._solve_upper(t1, np.broadcast_to(np.eye(k), t1.shape)), n)
+        scipy.linalg.solve_triangular(t1, np.broadcast_to(np.eye(k), t1.shape)), n)
     p2, log2 = gaussian._scaled_power(t2, n)
     p3, log3 = gaussian._scaled_power(t3, n)
     v = z[:, k:b] @ w
@@ -515,7 +517,7 @@ def _reference_split(t, q, phi0, n, m):
                   < gaussian._ROUNDING_TOL * sv_pair.min(axis=-1, initial=np.inf)):
         return None
     # z[k:] G1 with G1 = qz[:, :k] rz^-dag
-    zg = hc(gaussian._solve_upper(rz, hc(z[:, k:] @ qz[:, :, :k])))
+    zg = hc(scipy.linalg.solve_triangular(rz, hc(z[:, k:] @ qz[:, :, :k])))
     scale = lambda log_s: np.exp(log_s)[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
         coords = np.concatenate([
@@ -542,7 +544,7 @@ def _two_schur_frame(kicks, frame, n):
     for m in (0, 2):
         found = _reference_split(t[None], q[None], frame.blocks, n, m)
         if found is not None:
-            return gaussian._direct_frame(found, frame, n)
+            return gaussian._direct_frame(*found, frame, n)
     return None
 
 
@@ -824,25 +826,96 @@ def test_direct_momentum_frame_matches_block_oracle_on_chord_fits(eta, n_periods
                                   P.lattice(L, "pbc-even"), quench)
 
 
+def _schur_reference_frame(fq, frame, n):
+    """The momentum stack's direct frame from the generic L/L split
+    (``_reference_split``, no middle block) of a ``scipy.linalg.schur``
+    form of each 4x4 block: the reference for ``gaussian._bloch_frame``."""
+    t, q = map(np.stack, zip(*(scipy.linalg.schur(f, output="complex") for f in fq)))
+    found = _reference_split(t, q, frame.blocks, n, 0)
+    return None if found is None else gaussian._direct_frame(*found, frame, n)
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 25), st.sampled_from(["neel-fermion", "all-up", "all-down"]),
+       st.tuples(st.floats(-np.pi, np.pi), _NONUNITARY_BETA,
+                 st.floats(-np.pi, np.pi), _NONUNITARY_BETA),
+       st.integers(1, 3000))
+def test_bloch_frames_equal_the_schur_split_random_couplings(cells, state, couplings,
+                                                             n_periods):
+    L = 4 * cells
+    lat = P.lattice(L, "pbc-even")
+    frame = gaussian.GaussianFrame.from_dense(
+        gaussian.initial_frame(P.named_state(state, L), lat), lat)
+    fq = spectral.frame_map_blocks(P.ModelParams(*couplings), frame.momenta)
+    found, ref = (fn(fq, frame, n_periods)
+                  for fn in (gaussian._bloch_frame, _schur_reference_frame))
+    assert (found is None) == (ref is None)
+    if found is not None:
+        c_found, c_ref = (gaussian.correlation_from_frame(f).c for f in (found, ref))
+        assert np.max(np.abs(c_found - c_ref)) <= 1e-12
+        assert abs(found.norm_log - ref.norm_log) <= 1e-12 * abs(ref.norm_log)
+
+
+def test_direct_momentum_frame_matches_block_oracle_at_a_tie_across_sub_blocks():
+    # alpha = pi/4: one 4x4 block has all four modes on the unit circle,
+    # and its second and third |mu| tie exactly across the two sub-blocks.
+    # The generic split of the 4x4 Schur form cannot cut between them and
+    # misses; the Bloch frame takes one member of each sub-block's pair
+    p, lat = P.make_params(1.0, -0.3, 1.0, 0.5), P.lattice(24, "pbc-even")
+    quench = P.QuenchConfig(P.named_state("all-up", 24), n_periods=300)
+    _assert_direct_matches_oracle(p, lat, quench)
+    frame = gaussian.GaussianFrame.from_dense(gaussian.initial_frame(quench, lat), lat)
+    assert _schur_reference_frame(spectral.frame_map_blocks(p, frame.momenta), frame,
+                                  300) is None
+
+
+@pytest.mark.parametrize("overflow", [False, True])
+def test_bloch_frame_misses_quietly(overflow):
+    lat = P.lattice(8, "pbc-even")
+    frame = gaussian.GaussianFrame.from_dense(
+        gaussian.initial_frame(P.named_state("neel-fermion", 8), lat), lat)
+    # V_q diag(t, t) V_q^dag, t = [[1, 1], [0, 1]]: one eigenvector, no
+    # decoupling w (V_q = [[1, 1], [e^{ik}, -e^{ik}]] (x) 1 / sqrt(2), k = q/2)
+    v = np.stack([np.kron([[1, 1], [np.exp(0.5j * q), -np.exp(0.5j * q)]], np.eye(2))
+                  for q in frame.momenta]) / np.sqrt(2.0)
+    fq = v @ np.kron(np.eye(2), [[1.0, 1.0], [0.0, 1.0]]) @ gaussian._hc(v)
+    if overflow:  # frame_map_blocks of a kick that overflowed
+        fq[0, 0, 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gaussian._bloch_frame(fq, frame, 300) is None
+
+
 def _no_dense_schur(*args):
     raise AssertionError("the dense Schur form was tried on a momentum-route chain")
 
 
 def test_momentum_chain_takes_no_dense_schur(monkeypatch):
+    # the direct frame comes from the 2x2 Bloch blocks: no Schur form,
+    # reorder or Sylvester solve of any size
+    calls = []
+
+    def spy(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for module, name in ((scipy.linalg, "schur"), (scipy.linalg.lapack, "zgees"),
+                         (scipy.linalg.lapack, "ztrsen"), (scipy.linalg.lapack, "ztrsyl")):
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     monkeypatch.setattr(gaussian, "_dominant_frame", _no_dense_schur)
     L = 40
     quench = P.QuenchConfig(P.named_state("neel-fermion", L), n_periods=300)
     frame = gaussian.run_to_steady_state(P.make_params(0.0, 0.4, 0.0, 0.4),
                                          P.lattice(L, "pbc-even"), quench)
     assert (frame.route, frame.blocks.shape) == ("schur", (L // 2, 4, 2))
+    assert calls == []
 
 
-def test_volume_law_momentum_chain_falls_back_to_the_momentum_loop(monkeypatch):
-    # every block's 2 + 2 cut falls between two modes at |mu| = 1: no split
-    # is certified, and the fallback is the momentum loop itself, bit for bit
-    monkeypatch.setattr(gaussian, "_dominant_frame", _no_dense_schur)
-    p, lat = P.make_params(0.2, -0.1, 0.2, 0.1), P.lattice(24, "pbc-even")
-    quench = P.QuenchConfig(P.named_state("neel-fermion", 24), n_periods=300)
+def _assert_momentum_fallback(p, lat, quench):
+    """No direct frame: the fallback is the momentum loop itself, bit for
+    bit the observed run's."""
     direct = gaussian.run_to_steady_state(p, lat, quench)
     frames = []
     gaussian.run_to_steady_state(p, lat, quench, frames.append)
@@ -851,6 +924,27 @@ def test_volume_law_momentum_chain_falls_back_to_the_momentum_loop(monkeypatch):
     assert np.array_equal(direct.blocks, loop.blocks)
     assert (direct.norm_log, direct.isotropy, direct.period_count) == \
         (loop.norm_log, loop.isotropy, loop.period_count)
+
+
+def test_volume_law_momentum_chain_falls_back_to_the_momentum_loop(monkeypatch):
+    # some blocks hold pairs (mu, 1/mu) on the unit circle, whose E does
+    # not decay: |E| reaches 14 against the bound |E| <= 1, so no frame is
+    # certified
+    monkeypatch.setattr(gaussian, "_dominant_frame", _no_dense_schur)
+    quench = P.QuenchConfig(P.named_state("neel-fermion", 24), n_periods=300)
+    _assert_momentum_fallback(P.make_params(0.2, -0.1, 0.2, 0.1), P.lattice(24, "pbc-even"),
+                              quench)
+
+
+@pytest.mark.parametrize("couplings", [
+    (0.0, 0.0, 0.0, 0.0),  # F = 1: each t has the double mode 1, and no w
+    (0.3, 0.0, 0.7, 0.0),  # unitary: unit-circle pairs, |E| up to 49
+])
+def test_momentum_chain_without_a_certified_frame_falls_back_to_the_loop(monkeypatch,
+                                                                        couplings):
+    monkeypatch.setattr(gaussian, "_dominant_frame", _no_dense_schur)
+    quench = P.QuenchConfig(P.named_state("neel-fermion", 24), n_periods=300)
+    _assert_momentum_fallback(P.make_params(*couplings), P.lattice(24, "pbc-even"), quench)
 
 
 def test_orthonormalize_pairs_blocks_with_their_partners(monkeypatch):

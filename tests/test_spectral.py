@@ -211,6 +211,23 @@ def test_frame_map_blocks_are_the_dense_map_in_momentum(bc, L):
             assert cost[r, c].max() <= 1e-12
 
 
+@settings(max_examples=40)
+@given(st.integers(1, 40), st.sampled_from(["pbc-even", "pbc-odd"]),
+       st.tuples(st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
+                 st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0)))
+def test_frame_map_blocks_are_one_site_blocks_in_the_bloch_basis(cells, bc, couplings):
+    # with k = q/2 and V_q = [[1, 1], [e^{ik}, -e^{ik}]] (x) 1 / sqrt(2),
+    # V_q^dag F_q V_q = diag(t_k, t_{k+pi}) with det t = 1: the identity
+    # the direct momentum frame (gaussian._bloch_frame) is built on
+    q = S.cell_momenta(P.lattice(2 * cells, bc))
+    for qi, f in zip(q, S.frame_map_blocks(P.ModelParams(*couplings), q)):
+        v = np.kron([[1, 1], [np.exp(0.5j * qi), -np.exp(0.5j * qi)]], np.eye(2)) / np.sqrt(2)
+        g = v.conj().T @ f @ v
+        assert max(np.linalg.norm(g[:2, 2:]), np.linalg.norm(g[2:, :2])) \
+            <= 1e-13 * np.linalg.norm(f)
+        assert max(abs(np.linalg.det(g[:2, :2]) - 1), abs(np.linalg.det(g[2:, 2:]) - 1)) <= 1e-12
+
+
 @pytest.mark.parametrize("bc", ["pbc-even", "pbc-odd"])
 @pytest.mark.parametrize("L", [8, 10, 12, 14])
 def test_hamiltonian_blocks_are_the_dense_hamiltonian_in_momentum(bc, L):
