@@ -28,10 +28,11 @@ Conventions
   makes the left vector of mu the conjugate of the right vector of 1/mu.
 * The edge window (eps near 0 and pi) lies in the discs |mu -+ 1| < 0.02,
   so the edge scan needs no dense spectrum (``detect_edge_modes``): the
-  argument principle counts B_+'s eigenvalues in each disc from one
-  banded LU of B_+ - z per contour point, and Rayleigh-quotient iteration
-  on the band locates a disc's one eigenvalue.  Anything else falls back
-  to the dense eigenvalues, and the report records why.
+  argument principle counts B_+'s eigenvalues in each disc from the
+  tridiagonal pencil K2_+ - z K1_+^-1, all of a batch of contour points in
+  one stacked LU, and Rayleigh-quotient iteration on the band of B_+
+  locates a disc's one eigenvalue.  Anything else falls back to the dense
+  eigenvalues, and the report records why.
 """
 
 from __future__ import annotations
@@ -76,7 +77,10 @@ class MajoranaQuadraticForm:
     their exponentials exact closed forms.  Derived once here:
     ``partner``, each Majorana's bond partner (itself if unbonded);
     ``angle``, its rotation angle (+4w at p, -4w at q, 0 if unbonded);
-    ``cos`` and ``sin`` of the angles as complex128 columns.
+    ``cos`` and ``sin`` of the angles as complex128 columns.  An angle whose
+    cosine or sine overflows (|Im angle| beyond ~710) raises
+    NumericalBreakdown with the largest |Im angle| as ``condition``: the
+    kick exp(4W) has no double-precision form.
     """
 
     n: int
@@ -94,8 +98,14 @@ class MajoranaQuadraticForm:
         partner[p], partner[q] = q, p
         angle = np.zeros(self.n, dtype=complex)
         angle[p], angle[q] = 4 * s, -4 * s
+        with np.errstate(over="ignore", invalid="ignore"):
+            cos, sin = np.cos(angle)[:, None], np.sin(angle)[:, None]
+        if not (np.all(np.isfinite(cos)) and np.all(np.isfinite(sin))):
+            grow = float(np.abs(angle.imag).max())
+            raise NumericalBreakdown(f"kick exp(4W) overflows: cos and sin of a bond angle "
+                                     f"with |Im| = {grow:.4g} are not finite", condition=grow)
         for name, value in (("partner", partner), ("angle", angle),
-                            ("cos", np.cos(angle)[:, None]), ("sin", np.sin(angle)[:, None])):
+                            ("cos", cos), ("sin", sin)):
             object.__setattr__(self, name, value)
 
     @property
@@ -167,18 +177,22 @@ class TransferMatrix:
     """One-period Majorana map M = exp(4W') exp(4W'') with its spectrum.
 
     ``band`` holds the five diagonals of the pentadiagonal L x L
-    reflection-sector block B_+ in LAPACK band layout (7 x L, Fortran
-    order, B_+[i, j] at row 4 + i - j, rows 0 and 1 free for ``zgbtrf``'s
-    fill-in), and ``tol`` = L eps ||B_+||_1, the shift of the edge scan's
-    banded solves; the scan reads nothing else.  The dense ``b_plus`` is
-    formed from the band on first read; ``eigenvalues`` (the L eigenvalues
-    mu of ``b_plus`` and then their inverses, see ``build_transfer_matrix``)
-    and the dense 2L x 2L ``m`` are computed on first read too.
-    Eigenvectors are computed only for the edge scan's candidates
-    (``_candidate_vectors``).
+    reflection-sector block B_+ = K1_+ K2_+ in LAPACK band layout (7 x L,
+    Fortran order, B_+[i, j] at row 4 + i - j, rows 0 and 1 free for
+    ``zgbsv``'s fill-in), and ``tol`` = L eps ||B_+||_1, the shift of the
+    edge scan's banded solves.  ``pencil`` (2 x 3 x L) holds the three
+    diagonals of the tridiagonal sector kicks K2_+ and K1_+^-1, entry
+    [i, j] at row 1 + i - j, whose pencil K2_+ - z K1_+^-1 gives the disc
+    counts their determinant phases (``_det_phases``); the scan reads
+    nothing else.  The dense ``b_plus`` is formed from the band on first
+    read; ``eigenvalues`` (the L eigenvalues mu of ``b_plus`` and then
+    their inverses, see ``build_transfer_matrix``) and the dense 2L x 2L
+    ``m`` are computed on first read too.  Eigenvectors are computed only
+    for the edge scan's candidates (``_candidate_vectors``).
     """
 
     band: np.ndarray
+    pencil: np.ndarray
     tol: float
     kicks: KickForms
 
@@ -189,9 +203,9 @@ class TransferMatrix:
     @cached_property
     def b_plus(self) -> np.ndarray:
         L = self.band.shape[1]
-        row, i, j = _band_index(L)
+        i, j = _band_index(L, 2)
         b = np.zeros((L, L), dtype=complex)
-        b[i, j] = self.band[row, j]
+        b[i, j] = self.band[4 + i - j, j]
         return b
 
     @cached_property
@@ -228,14 +242,36 @@ def sector_basis(n: int) -> np.ndarray:
     return _sector_columns(n, np.arange(n // 2), n // 2)
 
 
-def _band_index(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row, i, j) of every entry B_+[i, j], |i - j| <= 2, of an L x L
-    pentadiagonal block, row = 4 + i - j in LAPACK band layout."""
-    i = np.arange(L) + np.arange(-2, 3)[:, None]
+def _band_index(L: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of every entry [i, j], |i - j| <= w, of an L x L band."""
+    i = np.arange(L) + np.arange(-w, w + 1)[:, None]
     j = np.broadcast_to(np.arange(L), i.shape)
     inside = (i >= 0) & (i < L)
-    i, j = i[inside], j[inside]
-    return 4 + i - j, i, j
+    return i[inside], j[inside]
+
+
+def _sector_bands(n: int, w: int, top: int, *steps) -> np.ndarray:
+    """The band |i - j| <= w of the L x L sector block of each kick in
+    ``steps`` (the top L rows of the kick applied to ``sector_basis(n)``),
+    entry [i, j] at row top + i - j of a zeroed (top + w + 1) x L array,
+    one such array per kick.
+
+    Each bond joins neighbouring rows or (the periodic wrap) a row and its
+    mirror, so one kick's block is tridiagonal (w = 1) and a period's
+    pentadiagonal (w = 2).  The band comes from 2w + 1 kicked
+    probe columns in O(L), not from the L basis columns: probe r is the sum
+    of the basis columns u_m with m = r (mod 2w + 1), and [i, j] is row i
+    of probe j mod 2w + 1.  Columns of one colour are 2w + 1 apart, so no
+    row ever mixes two of them, and the band is the dense kick's bit for bit.
+    """
+    L = n // 2
+    colour = np.arange(L) % (2 * w + 1)
+    probes = _sector_columns(n, colour, 2 * w + 1)
+    i, j = _band_index(L, w)
+    bands = np.zeros((len(steps), top + w + 1, L), dtype=complex)
+    for band, step in zip(bands, steps):
+        band[top + i - j, j] = step(probes)[i, colour[j]]
+    return bands
 
 
 def _sector_vectors(field_form: MajoranaQuadraticForm, c: np.ndarray) -> np.ndarray:
@@ -266,37 +302,34 @@ def _require_reflection_odd(form: MajoranaQuadraticForm) -> None:
 
 def build_transfer_matrix(coupling_form: MajoranaQuadraticForm,
                           field_form: MajoranaQuadraticForm) -> TransferMatrix:
-    """M = K1 K2 (K1 = exp(4W'), K2 = exp(4W'')) by the band of its L x L
-    sector block.
+    """M = K1 K2 (K1 = exp(4W'), K2 = exp(4W'')) by the bands of its L x L
+    sector blocks.
 
-    Both kicks are odd under Gamma and P, so M commutes with R = Gamma P
+    Both kicks are odd under Gamma and P, so each commutes with R = Gamma P
     (R^2 = -1) and leaves the sector R = +i of ``sector_basis`` invariant;
-    the block B_+ of M is the top L rows of the kicked basis.  It is
-    pentadiagonal, as each bond joins neighbouring rows or (the periodic
-    wrap) a row and its mirror, so its band comes from five kicked probe
-    columns in O(L), not from the L basis columns: probe r is the sum of
-    the basis columns u_m with m = r (mod 5), and B_+[i, j] is row i of
-    probe j mod 5.  Columns of one colour are five apart, so no row ever
-    mixes two of them, and the band is the dense kick's bit for bit.
-    Gamma swaps the sectors and inverts the map in the symmetric frame
-    K2^{1/2} K1 K2^{1/2}, so for M v = mu v the vector
-    K2^{-1/2} Gamma K2^{1/2} v = Gamma K2 v has eigenvalue 1/mu.  Nothing
-    is diagonalized here: the spectrum is one L x L eigvals of the dense
-    ``b_plus`` on first read of ``eigenvalues``, and the edge scan solves
-    on the band for the few eigenvectors it reads (``_candidate_vectors``).
+    a kick's sector block is the top L rows of the kicked basis, and
+    B_+ = K1_+ K2_+.  Each kick's block is tridiagonal and B_+
+    pentadiagonal; their bands come from probe columns (``_sector_bands``),
+    bit for bit the dense kicks': five for B_+, three each for K2_+ (the
+    field kick) and K1_+^-1 (the coupling kick with sign -1), the
+    ``pencil`` of the disc counts.  Gamma swaps the sectors and inverts the
+    map in the symmetric frame K2^{1/2} K1 K2^{1/2}, so for M v = mu v the
+    vector K2^{-1/2} Gamma K2^{1/2} v = Gamma K2 v has eigenvalue 1/mu.
+    Nothing is diagonalized here: the spectrum is one L x L eigvals of the
+    dense ``b_plus`` on first read of ``eigenvalues``, and the edge scan
+    solves on the band for the few eigenvectors it reads
+    (``_candidate_vectors``).
     """
     if coupling_form.n != field_form.n:
         raise ValidationError("kick forms must have matching dimension")
     _require_reflection_odd(coupling_form)
     _require_reflection_odd(field_form)
     kicks = KickForms(coupling_form, field_form)
-    L = coupling_form.n // 2
-    colour = np.arange(L) % 5
-    kicked = kicks.step(_sector_columns(coupling_form.n, colour, 5))
-    row, i, j = _band_index(L)
-    band = np.zeros((7, L), dtype=complex, order="F")
-    band[row, j] = kicked[i, colour[j]]
-    return TransferMatrix(band, L * np.finfo(float).eps * np.abs(band).sum(axis=0).max(), kicks)
+    n, L = coupling_form.n, coupling_form.n // 2
+    band = np.asfortranarray(_sector_bands(n, 2, 4, kicks.step)[0])
+    pencil = _sector_bands(n, 1, 1, field_form.kick, lambda x: coupling_form.kick(x, -1.0))
+    return TransferMatrix(band, pencil, L * np.finfo(float).eps * np.abs(band).sum(axis=0).max(),
+                          kicks)
 
 
 def fold_real_part(re: np.ndarray | float) -> np.ndarray | float:
@@ -603,33 +636,36 @@ class _DenseFallback(Exception):
     """The disc count cannot vouch for its candidates; the message says why."""
 
 
-def _det_phases(ab: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """arg det(B_+ - z) mod 2 pi at each z, from one banded LU each
-    (``zgbtrf`` on the LAPACK band ``ab``, O(L)): the arguments of U's
-    diagonal plus pi per row swap (the wrapper's pivots are 0-based)."""
-    rows = np.arange(ab.shape[1])
-    diag, swaps = np.empty((len(z), len(rows)), dtype=complex), np.empty(len(z))
-    for i, zi in enumerate(z):
-        a = ab.copy(order="F")
-        a[4] -= zi
-        lu, piv, info = scipy.linalg.lapack.zgbtrf(a, 2, 2, overwrite_ab=1)
-        if info != 0:
-            raise _DenseFallback("singular-lu")
-        diag[i], swaps[i] = lu[4], np.count_nonzero(piv != rows)
-    return np.angle(diag).sum(axis=1) + np.pi * swaps
+def _det_phases(tm: TransferMatrix, z: np.ndarray) -> np.ndarray:
+    """arg det(K2_+ - z K1_+^-1) mod 2 pi at each z, which is
+    arg det(B_+ - z) less the constant arg det K1_+, from one tridiagonal
+    LU (``zgttrf``) of all the shifts at once, O(L) each.  The shifts are
+    the blocks of one block-diagonal tridiagonal matrix; the couplings
+    between blocks are zero, so no row interchange crosses a block.  A
+    shift's phase is the sum of the arguments of its block of U's diagonal
+    plus pi per interchange (the pivots are 1-based and index the stack);
+    a zero pivot anywhere is the "singular-lu" fallback."""
+    k2, k1_inv = tm.pencil
+    a = (k2[:, None] - z[:, None] * k1_inv[:, None]).reshape(3, -1)
+    _, d, _, _, ipiv, info = scipy.linalg.lapack.zgttrf(a[2, :-1], a[1], a[0, 1:], 1, 1, 1)
+    if info != 0:
+        raise _DenseFallback("singular-lu")
+    swaps = ipiv != np.arange(1, len(d) + 1)
+    return (np.angle(d) + np.pi * swaps).reshape(len(z), -1).sum(axis=1)
 
 
-def _disc_count(ab: np.ndarray, z0: float) -> int:
+def _disc_count(tm: TransferMatrix, z0: float) -> int:
     """Eigenvalues of B_+ in |z - z0| < ``_DISC_RADIUS`` by the argument
-    principle: the winding number of det(B_+ - z) on the circle, sampled
-    at ``_DISC_POINTS`` angles, with a midpoint inserted in every step
-    whose phase change reaches ``_DISC_STEP``, up to ``_DISC_POINTS_MAX``
-    points (beyond: the "contour" fallback)."""
+    principle: the winding number of det(K2_+ - z K1_+^-1) on the circle,
+    which is that of det(B_+ - z) (``_det_phases``), sampled at
+    ``_DISC_POINTS`` angles, with a midpoint inserted in every step whose
+    phase change reaches ``_DISC_STEP``, up to ``_DISC_POINTS_MAX`` points
+    (beyond: the "contour" fallback)."""
     def circle(t):
         return z0 + _DISC_RADIUS * np.exp(1j * t)
 
     theta = 2 * np.pi * np.arange(_DISC_POINTS) / _DISC_POINTS
-    phase = _det_phases(ab, circle(theta))
+    phase = _det_phases(tm, circle(theta))
     while True:
         step = np.angle(np.exp(1j * (np.roll(phase, -1) - phase)))
         coarse = np.abs(step) >= _DISC_STEP
@@ -639,7 +675,7 @@ def _disc_count(ab: np.ndarray, z0: float) -> int:
             raise _DenseFallback("contour")
         mid = (theta + np.diff(theta, append=2 * np.pi) / 2)[coarse]
         theta = np.concatenate([theta, mid])
-        phase = np.concatenate([phase, _det_phases(ab, circle(mid))])
+        phase = np.concatenate([phase, _det_phases(tm, circle(mid))])
         order = np.argsort(theta)
         theta, phase = theta[order], phase[order]
 
@@ -673,7 +709,7 @@ def _window_eigenvalues(tm: TransferMatrix) -> np.ndarray:
     "disc-count" fallback."""
     found = []
     for z0 in (1.0, -1.0):
-        count = _disc_count(tm.band, z0)
+        count = _disc_count(tm, z0)
         if count not in (0, 1):
             raise _DenseFallback("disc-count")
         if count:
@@ -702,13 +738,17 @@ def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
     ``_EDGE_IM_TOL`` of the real axis; every such mu lies within 0.0101 of
     +1 or -1.  They are found without a dense solve (``fallback`` None):
     around each of z0 = +1 and -1 the eigenvalues of B_+ in the disc
-    |z - z0| < ``_DISC_RADIUS`` are counted by the argument principle, the
-    phase of det(B_+ - z) coming from one banded LU per contour point; a
-    count of 1 is located by Rayleigh-quotient iteration from z0 on the
-    band.  A disc count of 2 or more, a contour unresolved at the point
-    cap, a singular LU, or an iteration that does not converge inside its
-    disc fall back to the dense eigenvalues of B_+, the reason in
-    ``fallback``.
+    |z - z0| < ``_DISC_RADIUS`` are counted by the argument principle.
+    B_+ = K1_+ K2_+ with both sector kicks tridiagonal, so det(B_+ - z) is
+    det K1_+ det(K2_+ - z K1_+^-1), and the constant first factor drops
+    out of every phase step: the phases come from one tridiagonal LU of
+    the pencil at all of a batch of contour points at once.  A count of 1
+    is located by Rayleigh-quotient iteration from z0 on the band of B_+.
+    A disc count of 2 or more, a contour unresolved at the point cap, a
+    singular LU, or an iteration that does not converge inside its disc
+    fall back to the dense eigenvalues of B_+, the reason in ``fallback``.
+    An overflowing kick raises NumericalBreakdown before any of this
+    (``MajoranaQuadraticForm``).
 
     Only candidates get eigenvectors (``_candidate_vectors``).  One with
     more than half its weight on the outer ``_EDGE_FRACTION`` of sites is
@@ -825,6 +865,8 @@ def hamiltonian_blocks(params: ModelParams, q: np.ndarray) -> np.ndarray:
     ``frame_map_blocks``: the two-site open-chain forms inside a cell, and
     the coupling bond from row 3 to row 0 of the next cell with e^{iq}, so
     H U_q = U_q H_q.  O(L) for the L/2 momenta; the dense H is never formed.
+    In the one-site Bloch basis V_q of ``frame_map_blocks``, H_q is block
+    diagonal with two traceless 2x2 blocks, at k = q/2 and k + pi.
     """
     w1, w2 = build_kick_forms(params, LatticeSpec(2, BoundaryCondition.OBC))
     h = np.repeat(1j * (w1.w + w2.w)[None], len(q), axis=0)
@@ -976,7 +1018,7 @@ def classify_phase(params: ModelParams, L: int = 40,
     census is size-insensitive).  It is skipped when the census finds real
     modes, which decide the label on their own.  The scan is
     ``detect_edge_modes`` without the refine, which moves no label: disc
-    counts by banded LU, no dense solve unless they fall back.
+    counts by stacked tridiagonal LU, no dense solve unless they fall back.
     """
     census = count_real_modes(params, L)
     scan_L = confirm_L if confirm_L and confirm_L > L else L

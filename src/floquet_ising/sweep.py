@@ -94,8 +94,9 @@ def spin_rows(trace: ed.ObservableTrace) -> list[dict]:
 def task_spectrum(cfg):
     params, lat, quench = model_from_config(cfg)
     quench.require_free_fermion()
-    census = spectral.count_real_modes(params, lat.L)
+    # the scan first: where a kick overflows it raises, and the census only warns
     obc = spectral.detect_edge_modes(params, lat)
+    census = spectral.count_real_modes(params, lat.L)
     label = spectral.classify_phase_from_spectrum(obc, census)
     point = {"phase": str(label), "n_real_modes": census.count}
     rows = [{"mode_index": i, "kind": rec.kind, "re_eps": rec.energy.real,

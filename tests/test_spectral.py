@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -226,6 +227,22 @@ def test_frame_map_blocks_are_one_site_blocks_in_the_bloch_basis(cells, bc, coup
         assert max(np.linalg.norm(g[:2, 2:]), np.linalg.norm(g[2:, :2])) \
             <= 1e-13 * np.linalg.norm(f)
         assert max(abs(np.linalg.det(g[:2, :2]) - 1), abs(np.linalg.det(g[2:, 2:]) - 1)) <= 1e-12
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 40), st.sampled_from(["pbc-even", "pbc-odd"]),
+       st.tuples(st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
+                 st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0)))
+def test_hamiltonian_blocks_are_one_site_blocks_in_the_bloch_basis(cells, bc, couplings):
+    # the same V_q takes H_q to diag(h_k, h_{k+pi}), each h a traceless
+    # 2x2 one-site Hamiltonian block
+    q = S.cell_momenta(P.lattice(2 * cells, bc))
+    for qi, h in zip(q, S.hamiltonian_blocks(P.ModelParams(*couplings), q)):
+        v = np.kron([[1, 1], [np.exp(0.5j * qi), -np.exp(0.5j * qi)]], np.eye(2)) / np.sqrt(2)
+        g = v.conj().T @ h @ v
+        bound = 1e-13 * np.linalg.norm(h)
+        assert max(np.linalg.norm(g[:2, 2:]), np.linalg.norm(g[2:, :2])) <= bound
+        assert max(abs(np.trace(g[:2, :2])), abs(np.trace(g[2:, 2:]))) <= bound
 
 
 @pytest.mark.parametrize("bc", ["pbc-even", "pbc-odd"])
@@ -685,6 +702,31 @@ def test_edge_scan_raises_at_an_exceptional_point(monkeypatch):
         S.classify_phase(p, L=40, confirm_L=None)
 
 
+def test_overflowing_kick_raises_a_typed_error(tmp_path):
+    # beta_J = 400 rad: cos and sin of the coupling bond angle 2J overflow,
+    # so every route stops at the kick with NumericalBreakdown (condition
+    # = |Im angle|) and without a RuntimeWarning, and a spectrum sweep point
+    # there is an expected error, not a crash
+    from floquet_ising import gaussian
+
+    p = P.ModelParams(0.3, 400.0, 0.2, 0.1)
+    quench = P.QuenchConfig(P.named_state("neel-fermion", 8), n_periods=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for bc in ("pbc-even", "obc"):
+            with pytest.raises(NumericalBreakdown, match="kick") as info:
+                gaussian.run_to_steady_state(p, P.lattice(8, bc), quench)
+            assert info.value.condition == 800.0
+        with pytest.raises(NumericalBreakdown, match="kick"):
+            S.detect_edge_modes(p, P.lattice(40, "obc"))
+        spec = sweep.SweepSpec((("beta_J", 400.0, 400.0, 1),),
+                               {"alpha_J": 0.3, "alpha_h": 0.2, "beta_h": 0.1, "L": 40,
+                                "bc": "obc", "units": "rad"}, "spectrum")
+        manifest = sweep.run_sweep(spec, tmp_path)
+    assert [pt["status"] for pt in manifest.points] == ["error"]
+    assert manifest.points[0]["error"].startswith("NumericalBreakdown: kick")
+
+
 def test_dispersion_pair_sums_to_zero():
     for k in (0.3, 2.0, np.pi):
         pt = S.floquet_dispersion(0.6 - 0.4j, 0.2 + 0.9j, k)
@@ -794,6 +836,28 @@ def test_banded_transfer_block_is_the_dense_kick_bit_for_bit(L, bc, aj, bj, ah, 
     assert np.all(np.abs(S._band_matvec(tm.band, x) - dense @ x) <= bound)
 
 
+@settings(max_examples=60)
+@given(st.integers(2, 60), st.sampled_from(["pbc-even", "pbc-odd", "obc"]),
+       st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
+       st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0))
+def test_pencil_diagonals_are_the_dense_sector_kicks_bit_for_bit(L, bc, aj, bj, ah, bh):
+    # the three diagonals of K2_+ (field kick) and K1_+^-1 (coupling kick,
+    # sign -1) from three probe columns each equal the dense kicks of the
+    # whole sector basis exactly; both blocks are tridiagonal, and the two
+    # corners outside the matrix are zero (the stacked LU's block edges)
+    kicks = S.build_kick_forms(P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc))
+    pencil = S.build_transfer_matrix(*kicks).pencil
+    assert pencil.shape == (2, 3, L)
+    i, j = np.indices((L, L))
+    inside = np.abs(i - j) <= 1
+    for band, (form, sign) in zip(pencil, ((kicks.field_form, 1.0), (kicks.coupling_form, -1.0))):
+        dense = form.kick(S.sector_basis(2 * L), sign)[:L]
+        assert not dense[~inside].any()
+        got = band[1 + i[inside] - j[inside], j[inside]]
+        assert np.array_equal(got.view(np.uint64), dense[inside].view(np.uint64))
+        assert band[0, 0] == 0 and band[2, -1] == 0
+
+
 @settings(max_examples=40)
 @given(st.integers(8, 40), st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
        st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0))
@@ -878,6 +942,62 @@ def test_windowed_scan_matches_the_dense_scan(L, aj, bj, ah, bh, same_alpha):
 _GRID_ALPHAS, _GRID_BETAS = np.linspace(0.0, 2.0, 11), np.linspace(-2.0, 2.0, 11)
 
 
+def _reference_det_phases(tm, z):
+    """arg det(B_+ - z) mod 2 pi at each z from one banded LU of B_+ - z
+    each (``zgbtrf`` on the LAPACK band, the scan's phases before the
+    tridiagonal pencil): the arguments of U's diagonal plus pi per row
+    swap (the wrapper's pivots are 0-based)."""
+    ab = tm.band
+    rows = np.arange(ab.shape[1])
+    diag, swaps = np.empty((len(z), len(rows)), dtype=complex), np.empty(len(z))
+    for i, zi in enumerate(z):
+        a = ab.copy(order="F")
+        a[4] -= zi
+        lu, piv, info = scipy.linalg.lapack.zgbtrf(a, 2, 2, overwrite_ab=1)
+        if info != 0:
+            raise S._DenseFallback("singular-lu")
+        diag[i], swaps[i] = lu[4], np.count_nonzero(piv != rows)
+    return np.angle(diag).sum(axis=1) + np.pi * swaps
+
+
+def _disc_outcomes(tm, det_phases=S._det_phases):
+    """The disc counts around +1 and -1 with the given phases, each the
+    fallback reason where its count falls back."""
+    out = []
+    with mock.patch.object(S, "_det_phases", det_phases):
+        for z0 in (1.0, -1.0):
+            try:
+                out.append(S._disc_count(tm, z0))
+            except S._DenseFallback as exc:
+                out.append(str(exc))
+    return out
+
+
+def _phase_steps(tm, det_phases, z0):
+    """Wrapped phase steps between the starting contour points of a disc."""
+    z = z0 + S._DISC_RADIUS * np.exp(2j * np.pi * np.arange(S._DISC_POINTS) / S._DISC_POINTS)
+    phase = det_phases(tm, z)
+    return np.angle(np.exp(1j * (np.roll(phase, -1) - phase)))
+
+
+@settings(max_examples=100)
+@given(st.integers(8, 160), st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
+       st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0))
+@example(8, 0.0, 1.0, 0.0, 2.6882178748695584e-261)  # B_+ - 1 all but singular
+def test_pencil_phase_steps_equal_the_band_lu(L, aj, bj, ah, bh):
+    # det(B_+ - z) = det K1_+ det(K2_+ - z K1_+^-1): the stacked pencil LU
+    # steps the phase as the banded LU of B_+ - z does, and counts alike
+    tm = S.build_transfer_matrix(*S.build_kick_forms(P.ModelParams(aj, bj, ah, bh),
+                                                     P.lattice(L, "obc")))
+    outcomes = _disc_outcomes(tm)
+    assert outcomes == _disc_outcomes(tm, _reference_det_phases)
+    for z0, outcome in zip((1.0, -1.0), outcomes):
+        if outcome == "singular-lu":
+            continue
+        step = _phase_steps(tm, S._det_phases, z0) - _phase_steps(tm, _reference_det_phases, z0)
+        assert np.abs(np.angle(np.exp(1j * step))).max() <= 1e-10
+
+
 def test_windowed_scan_labels_every_cell_of_the_phase_grid():
     # every cell at confirm_L = 144, those next to the boundary lines
     # alpha = 1 and |beta_J| = beta_h included: the same edge kinds and
@@ -896,6 +1016,16 @@ def test_windowed_scan_labels_every_cell_of_the_phase_grid():
             assert dense.fallback == "reference"
             fallbacks.append(rep.fallback)
     assert sum(f is not None for f in fallbacks) <= 2
+
+
+def test_pencil_disc_counts_equal_the_band_lu_on_the_phase_grid():
+    # every cell at L = 144: the same counts and fallback reasons as the
+    # banded LU of B_+ - z, in both discs
+    lat = P.lattice(144, "obc")
+    for a in _GRID_ALPHAS:
+        for bj in _GRID_BETAS:
+            tm = S.build_transfer_matrix(*S.build_kick_forms(P.make_params(a, bj, a, 0.5), lat))
+            assert _disc_outcomes(tm) == _disc_outcomes(tm, _reference_det_phases), (a, bj)
 
 
 def test_windowed_scan_forms_no_dense_block(monkeypatch):
