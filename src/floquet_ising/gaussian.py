@@ -48,7 +48,7 @@ from .errors import (DegenerateEvolution, NumericalBreakdown,
                      UnsupportedStateError, ValidationError)
 from .params import (BoundaryCondition, LatticeSpec, ModelParams,
                      ProductState, QuenchConfig, SubsystemSpec)
-from .spectral import (KickForms, _sector_phase, build_kick_forms, cell_momenta,
+from .spectral import (KickForms, _chain_plan, build_kick_forms, cell_momenta,
                        frame_map_blocks, hamiltonian_blocks, sector_basis)
 
 _ISO_TOL = 1e-13
@@ -344,7 +344,7 @@ def _dominant_frame(kicks: KickForms, frame: GaussianFrame, n: int) -> GaussianF
     if form is None:
         return None
     t, q, t_inv, cuts = form
-    phase = _sector_phase(len(t))[:, None]
+    phase = _chain_plan(len(t)).phase[:, None]
     top, mirror = frame.blocks[0, :len(t)], frame.blocks[0, len(t):][::-1]
     y = (_hc(q) @ (top - phase * mirror) / np.sqrt(2.0),
          (q.T @ (top + phase * mirror))[::-1] / np.sqrt(2.0))

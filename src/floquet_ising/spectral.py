@@ -33,13 +33,20 @@ Conventions
   one stacked LU, and Rayleigh-quotient iteration on the band of B_+
   locates a disc's one eigenvalue.  Anything else falls back to the dense
   eigenvalues, and the report records why.
+* What the scan and the census need of the chain length alone is built
+  once per length and shared read-only (``_band_plan``, ``_chain_plan``,
+  ``_census_momenta``): the probe columns and scatter indices of the
+  sector bands, the sector phases, the chiral signs, the start vector of
+  inverse iteration and the census momenta.  No disc constant is kept
+  there; each is read at call time.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -68,14 +75,16 @@ _FEW_MODE_MAX = 4        # more isolated real modes than this are ambiguous
 # quadratic forms and kick exponentials
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class MajoranaQuadraticForm:
     """Antisymmetric W of H = i sum_jk a_j W_jk a_k on ``n`` Majoranas.
 
-    ``bonds`` lists the entries W_pq = w = -W_qp as (p, q, w) in 0-based
-    Majorana indices; kicks touch each Majorana at most once, which makes
-    their exponentials exact closed forms.  Derived once here:
-    ``partner``, each Majorana's bond partner (itself if unbonded);
+    ``MajoranaQuadraticForm(n, bonds)`` lists the entries W_pq = w = -W_qp
+    as (p, q, w) in 0-based Majorana indices; ``from_arrays(n, p, q, s)``
+    takes the same bonds as index and value arrays, and ``bonds`` reads
+    them back as tuples in either case.  Kicks touch each Majorana at most
+    once, which makes their exponentials exact closed forms.  Derived once
+    here: ``partner``, each Majorana's bond partner (itself if unbonded);
     ``angle``, its rotation angle (+4w at p, -4w at q, 0 if unbonded);
     ``cos`` and ``sin`` of the angles as complex128 columns.  An angle whose
     cosine or sine overflows (|Im angle| beyond ~710) raises
@@ -84,19 +93,33 @@ class MajoranaQuadraticForm:
     """
 
     n: int
-    bonds: tuple[tuple[int, int, complex], ...] = ()
+    partner: np.ndarray = field(repr=False)
+    angle: np.ndarray = field(repr=False)
+    cos: np.ndarray = field(repr=False)
+    sin: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        p, q, s = zip(*self.bonds) if self.bonds else ((), (), ())
+    def __init__(self, n: int, bonds: tuple[tuple[int, int, complex], ...] = ()):
+        p, q, s = zip(*bonds) if bonds else ((), (), ())
+        self._derive(n, p, q, s)
+        self.__dict__["bonds"] = tuple(bonds)
+
+    @classmethod
+    def from_arrays(cls, n: int, p, q, s) -> MajoranaQuadraticForm:
+        """The form with the bonds (p[i], q[i], s[i]), without bond tuples."""
+        form = cls.__new__(cls)
+        form._derive(n, p, q, s)
+        return form
+
+    def _derive(self, n, p, q, s) -> None:
         p, q, s = np.asarray(p, dtype=int), np.asarray(q, dtype=int), np.asarray(s, dtype=complex)
         touched = np.concatenate([p, q])
-        if touched.size and not (0 <= touched.min() and touched.max() < self.n):
-            raise ValidationError(f"kick bond indices must lie in [0, {self.n})")
+        if touched.size and not (0 <= touched.min() and touched.max() < n):
+            raise ValidationError(f"kick bond indices must lie in [0, {n})")
         if np.any(np.bincount(touched) > 1):
             raise ValidationError("kick bonds must be disjoint")
-        partner = np.arange(self.n)
+        partner = np.arange(n)
         partner[p], partner[q] = q, p
-        angle = np.zeros(self.n, dtype=complex)
+        angle = np.zeros(n, dtype=complex)
         angle[p], angle[q] = 4 * s, -4 * s
         with np.errstate(over="ignore", invalid="ignore"):
             cos, sin = np.cos(angle)[:, None], np.sin(angle)[:, None]
@@ -104,9 +127,14 @@ class MajoranaQuadraticForm:
             grow = float(np.abs(angle.imag).max())
             raise NumericalBreakdown(f"kick exp(4W) overflows: cos and sin of a bond angle "
                                      f"with |Im| = {grow:.4g} are not finite", condition=grow)
-        for name, value in (("partner", partner), ("angle", angle),
-                            ("cos", cos), ("sin", sin)):
+        for name, value in (("n", n), ("partner", partner), ("angle", angle),
+                            ("cos", cos), ("sin", sin), ("_bond_arrays", (p, q, s))):
             object.__setattr__(self, name, value)
+
+    @cached_property
+    def bonds(self) -> tuple[tuple[int, int, complex], ...]:
+        """The bonds (p, q, w) in the order given."""
+        return tuple(zip(*(a.tolist() for a in self._bond_arrays)))
 
     @property
     def w(self) -> np.ndarray:
@@ -143,11 +171,6 @@ class KickForms(NamedTuple):
         return self.coupling_form.kick(self.field_form.kick(x, sign), sign)
 
 
-def _form_from_bonds(n: int, p, q, s) -> MajoranaQuadraticForm:
-    """Form with the bonds (p[i], q[i], s[i]) from index and value arrays."""
-    return MajoranaQuadraticForm(n, tuple(zip(p.tolist(), q.tolist(), s.tolist())))
-
-
 def build_kick_forms(params: ModelParams, lat: LatticeSpec) -> KickForms:
     """The two kick generators (W', W'') for the given chain.
 
@@ -164,8 +187,9 @@ def build_kick_forms(params: ModelParams, lat: LatticeSpec) -> KickForms:
         # hence the extra minus sign on top of the sector sign.
         p, q, s = (np.append(p, 0), np.append(q, n - 1),
                    np.append(s, -lat.bc.wrap_sign * params.J / 2.0))
-    return KickForms(_form_from_bonds(n, p, q, s),
-                     _form_from_bonds(n, site, site + 1, np.full(L, params.h / 2.0)))
+    return KickForms(MajoranaQuadraticForm.from_arrays(n, p, q, s),
+                     MajoranaQuadraticForm.from_arrays(n, site, site + 1,
+                                                       np.full(L, params.h / 2.0)))
 
 
 # --------------------------------------------------------------------------
@@ -221,9 +245,25 @@ class TransferMatrix:
         return _pairs(mu)
 
 
-def _sector_phase(L: int) -> np.ndarray:
-    """i(-1)^m, m < L: the mirror-row entries of the ``sector_basis`` columns."""
-    return 1j * (-1.0) ** np.arange(L)
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.setflags(write=False)
+
+
+class _ChainPlan(NamedTuple):
+    """Vectors of an L-site chain that depend on L alone, read-only."""
+
+    phase: np.ndarray   # i(-1)^m, m < L: the mirror-row entries of the sector basis
+    chiral: np.ndarray  # (-1)^m, m < 2L, a column: the chiral sign Gamma
+    start: np.ndarray   # e^{im}, m < L: the start vector of inverse iteration
+
+
+@lru_cache(maxsize=64)
+def _chain_plan(L: int) -> _ChainPlan:
+    m = np.arange(2 * L)
+    plan = _ChainPlan(1j * (-1.0) ** m[:L], ((-1.0) ** m)[:, None], np.exp(1j * m[:L]))
+    _read_only(*plan)
+    return plan
 
 
 def _sector_columns(n: int, colour: np.ndarray, k: int) -> np.ndarray:
@@ -231,7 +271,7 @@ def _sector_columns(n: int, colour: np.ndarray, k: int) -> np.ndarray:
     (the columns of one colour must not share a row)."""
     m = np.arange(n // 2)
     u = np.zeros((n, k), dtype=complex)
-    u[m, colour], u[n - 1 - m, colour] = 1.0, _sector_phase(n // 2)
+    u[m, colour], u[n - 1 - m, colour] = 1.0, _chain_plan(n // 2).phase
     return u
 
 
@@ -250,6 +290,27 @@ def _band_index(L: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     return i[inside], j[inside]
 
 
+class _BandPlan(NamedTuple):
+    """What ``_sector_bands`` needs of n and w alone, read-only: the 2w + 1
+    probe columns and, for every band entry [i, j], its row i, its offset
+    i - j, its column j and the probe colour[j] that holds it."""
+
+    probes: np.ndarray
+    rows: np.ndarray
+    offsets: np.ndarray
+    cols: np.ndarray
+    colours: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _band_plan(n: int, w: int) -> _BandPlan:
+    colour = np.arange(n // 2) % (2 * w + 1)
+    i, j = _band_index(n // 2, w)
+    plan = _BandPlan(_sector_columns(n, colour, 2 * w + 1), i, i - j, j, colour[j])
+    _read_only(*plan)
+    return plan
+
+
 def _sector_bands(n: int, w: int, top: int, *steps) -> np.ndarray:
     """The band |i - j| <= w of the L x L sector block of each kick in
     ``steps`` (the top L rows of the kick applied to ``sector_basis(n)``),
@@ -263,14 +324,14 @@ def _sector_bands(n: int, w: int, top: int, *steps) -> np.ndarray:
     of the basis columns u_m with m = r (mod 2w + 1), and [i, j] is row i
     of probe j mod 2w + 1.  Columns of one colour are 2w + 1 apart, so no
     row ever mixes two of them, and the band is the dense kick's bit for bit.
+    The probes and the scatter indices are built once per (n, w)
+    (``_band_plan``).
     """
-    L = n // 2
-    colour = np.arange(L) % (2 * w + 1)
-    probes = _sector_columns(n, colour, 2 * w + 1)
-    i, j = _band_index(L, w)
-    bands = np.zeros((len(steps), top + w + 1, L), dtype=complex)
+    plan = _band_plan(n, w)
+    bands = np.zeros((len(steps), top + w + 1, n // 2), dtype=complex)
+    rows = top + plan.offsets
     for band, step in zip(bands, steps):
-        band[top + i - j, j] = step(probes)[i, colour[j]]
+        band[rows, plan.cols] = step(plan.probes)[plan.rows, plan.colours]
     return bands
 
 
@@ -279,9 +340,10 @@ def _sector_vectors(field_form: MajoranaQuadraticForm, c: np.ndarray) -> np.ndar
     (L x k) of B_+: v_+ = U c / sqrt(2) in the ``sector_basis`` U, written
     by index (top L rows c / sqrt(2), row 2L-1-m that times i(-1)^m), and
     v_- = Gamma K2 v_+ is the chiral partner with eigenvalue 1/mu."""
+    plan = _chain_plan(len(c))
     c = c / math.sqrt(2.0)
-    v_plus = np.concatenate([c, (_sector_phase(len(c))[:, None] * c)[::-1]])
-    v_minus = (-1.0) ** np.arange(len(v_plus))[:, None] * field_form.kick(v_plus)
+    v_plus = np.concatenate([c, (plan.phase[:, None] * c)[::-1]])
+    v_minus = plan.chiral * field_form.kick(v_plus)
     v_minus /= np.linalg.norm(v_minus, axis=0)
     return np.hstack([v_plus, v_minus])
 
@@ -393,11 +455,18 @@ def _dispersion(J: complex, h: complex, k) -> tuple[np.ndarray, np.ndarray]:
 
     x = 2(1+cos k) cos(2h-2J) + 2(1-cos k) cos(2h+2J) and exp(w_k) are the
     two reciprocal roots of a quadratic with cosh(w_k) = x/4; the pair is
-    eps = +-i w_k folded to the principal zone.
+    eps = +-i w_k folded to the principal zone.  A cosine that overflows
+    (|Im(2h +- 2J)| beyond ~710) raises NumericalBreakdown with the larger
+    |Im(2h +- 2J)| as ``condition``, as an overflowing kick does.
     """
     k = np.asarray(k, dtype=float)
-    x = (2 * (1 + np.cos(k)) * np.cos(2 * h - 2 * J)
-         + 2 * (1 - np.cos(k)) * np.cos(2 * h + 2 * J))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_minus, c_plus = np.cos(2 * h - 2 * J), np.cos(2 * h + 2 * J)
+    if not (cmath.isfinite(c_minus) and cmath.isfinite(c_plus)):
+        grow = float(max(abs((2 * h - 2 * J).imag), abs((2 * h + 2 * J).imag)))
+        raise NumericalBreakdown(f"dispersion overflows: cos(2h +- 2J) with |Im| = "
+                                 f"{grow:.4g} is not finite", condition=grow)
+    x = 2 * (1 + np.cos(k)) * c_minus + 2 * (1 - np.cos(k)) * c_plus
     disc = (x / 4.0) ** 2 - 1.0
     root = np.sqrt(np.asarray(disc, dtype=complex))
     ew = x / 4.0 + root
@@ -440,6 +509,15 @@ def allowed_momenta(lat: LatticeSpec) -> np.ndarray:
     raise ValidationError("momenta are defined for periodic chains")
 
 
+@lru_cache(maxsize=64)
+def _census_momenta(L: int, bc: BoundaryCondition) -> np.ndarray:
+    """``allowed_momenta`` of the L-site chain in sector ``bc``, read-only,
+    built once per (L, bc)."""
+    k = allowed_momenta(LatticeSpec(L, bc))
+    _read_only(k)
+    return k
+
+
 @dataclass(frozen=True)
 class RealModeCensus:
     count: int
@@ -463,7 +541,7 @@ def count_real_modes(params: ModelParams, L: int, sectors: str = "both") -> Real
     count = total = 0
     for bc in bcs:
         # one eps of each +-eps pair per momentum; both have the same |eps|
-        eps = _dispersion(params.J, params.h, allowed_momenta(LatticeSpec(L, bc)))[1]
+        eps = _dispersion(params.J, params.h, _census_momenta(L, bc))[1]
         count += 2 * int(np.sum(_real(eps)))
         total += 2 * len(eps)
     return RealModeCensus(count, total)
@@ -615,7 +693,7 @@ def _candidate_vectors(tm: TransferMatrix, mu: np.ndarray) -> tuple[np.ndarray, 
     c = np.empty((L, len(mu)), dtype=complex)
     try:
         for col, shift in enumerate(mu + tol):
-            x = np.exp(1j * np.arange(L))
+            x = _chain_plan(L).start  # read-only: zgbsv solves into a copy
             for _ in range(2):
                 x = _solve_shifted(band, shift, x)
                 x /= np.linalg.norm(x)
@@ -686,7 +764,7 @@ def _disc_eigenvalue(band: np.ndarray, tol: float, z0: float) -> complex:
     ||B_+ x - mu x|| is within tol.  A quotient outside the disc is not
     kept (the shift stays, a step of inverse iteration); no converged mu
     within ``_RQI_STEPS`` steps is the "iteration" fallback."""
-    mu, x = complex(z0), np.exp(1j * np.arange(band.shape[1]))
+    mu, x = complex(z0), _chain_plan(band.shape[1]).start
     for _ in range(_RQI_STEPS):
         try:
             x = _solve_shifted(band, mu, x)

@@ -110,6 +110,55 @@ def test_kick_bond_index_outside_the_form_rejected(bond):
         S.MajoranaQuadraticForm(4, (bond,))
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+def _form_outcome(make):
+    """The form ``make()`` builds, or the type and condition it raises."""
+    try:
+        return make()
+    except (ValidationError, NumericalBreakdown) as exc:
+        return type(exc), getattr(exc, "condition", None)
+
+
+@settings(max_examples=80)
+@given(st.integers(2, 40), st.sampled_from(["pbc-even", "pbc-odd", "obc"]),
+       st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
+       st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
+       st.sampled_from(["none", "negative", "too-large", "overlap", "overflow"]))
+def test_kick_forms_from_arrays_equal_forms_from_bond_tuples(L, bc, aj, bj, ah, bh, bad):
+    # build_kick_forms takes the array path; the same bonds as tuples give
+    # the same partner, angle, cos, sin and bonds bit for bit, and a bad
+    # bond (index outside the form, two bonds on one Majorana, an angle
+    # whose cos and sin overflow) the same error on both paths
+    for form in S.build_kick_forms(P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc)):
+        p, q, s = (np.array(a) for a in zip(*form.bonds))
+        n = form.n
+        if bad == "negative":
+            p[0] = -1
+        elif bad == "too-large":
+            q[-1] = n
+        elif bad == "overlap":
+            q[-1] = p[0]
+        elif bad == "overflow":
+            s[-1] += 400j
+        from_arrays = _form_outcome(lambda: S.MajoranaQuadraticForm.from_arrays(n, p, q, s))
+        bonds = tuple(zip(p.tolist(), q.tolist(), s.tolist()))
+        from_tuples = _form_outcome(lambda: S.MajoranaQuadraticForm(n, bonds))
+        if bad == "none":
+            assert from_arrays.bonds == from_tuples.bonds == form.bonds == bonds
+            for name in ("partner", "angle", "cos", "sin"):
+                a, b = getattr(from_arrays, name), getattr(from_tuples, name)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(_bits(a), _bits(b)), name
+                assert np.array_equal(_bits(a), _bits(getattr(form, name))), name
+        elif bad == "overflow":
+            assert from_arrays == from_tuples == (NumericalBreakdown, 4 * abs(s[-1].imag))
+        else:
+            assert from_arrays == from_tuples == (ValidationError, None)
+
+
 def test_transfer_matrix_invariants():
     p = random_params()
     lat = P.lattice(6, "pbc-even")
@@ -727,6 +776,24 @@ def test_overflowing_kick_raises_a_typed_error(tmp_path):
     assert manifest.points[0]["error"].startswith("NumericalBreakdown: kick")
 
 
+def test_overflowing_dispersion_raises_a_typed_error():
+    # the same point in the momentum census: cos(2h +- 2J) overflows, so
+    # the census and the dispersion raise NumericalBreakdown (condition =
+    # the larger |Im(2h +- 2J)|) without a RuntimeWarning, not a census of
+    # NaN quasienergies
+    p = P.ModelParams(0.3, 400.0, 0.2, 0.1)
+    grow = max(abs((2 * p.h - 2 * p.J).imag), abs((2 * p.h + 2 * p.J).imag))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in (lambda: S.count_real_modes(p, 40),
+                     lambda: S.count_real_modes(p, 8, sectors="pbc-even"),
+                     lambda: S.dispersion_points(p.J, p.h, [0.0, 1.0]),
+                     lambda: S.classify_phase(p)):
+            with pytest.raises(NumericalBreakdown, match="dispersion") as info:
+                call()
+            assert info.value.condition == grow
+
+
 def test_dispersion_pair_sums_to_zero():
     for k in (0.3, 2.0, np.pi):
         pt = S.floquet_dispersion(0.6 - 0.4j, 0.2 + 0.9j, k)
@@ -1081,6 +1148,42 @@ def test_windowed_scan_falls_back_to_the_dense_labels(monkeypatch, reason, patch
             is S.classify_phase_from_spectrum(dense, no_real_modes))
     if point[3]:  # the 0pi point: classify_phase itself takes the dense labels
         assert S.classify_phase(p, L=40, confirm_L=None) is P.PhaseLabel.ZERO_PI
+
+
+def test_length_plans_are_read_only():
+    # the per-length plans are shared by every scan of that length: an
+    # in-place write to any of their arrays raises
+    L = 40
+    S.count_real_modes(P.make_params(1.5, -0.1, 1.5, 0.5), L)
+    S.detect_edge_modes(P.make_params(1.5, -0.1, 1.5, 0.5), P.lattice(L, "obc"))
+    arrays = [*S._band_plan(2 * L, 1), *S._band_plan(2 * L, 2), *S._chain_plan(L),
+              S._census_momenta(L, P.BoundaryCondition.PBC_EVEN),
+              S._census_momenta(L, P.BoundaryCondition.PBC_ODD)]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = a[(0,) * a.ndim]
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 1
+    # what callers receive to write in is their own
+    assert S.sector_basis(2 * L).flags.writeable
+    assert S.allowed_momenta(P.lattice(L, "pbc-even")).flags.writeable
+
+
+@pytest.mark.parametrize("reason, name, value", [("contour", "_DISC_STEP", 0.0),
+                                                 ("iteration", "_RQI_STEPS", 0)])
+def test_forced_fallback_reads_the_disc_constants_after_the_plan_is_warm(
+        monkeypatch, reason, name, value):
+    # the plans hold no disc constant: with the plans of this length warm,
+    # a constant patched afterwards still forces its fallback, and the
+    # patched scan builds no plan of its own
+    p, lat = P.make_params(1.5, -0.1, 1.5, 0.5), P.lattice(40, "obc")
+    warm = S.detect_edge_modes(p, lat, refine=False)
+    assert warm.fallback is None
+    misses = S._band_plan.cache_info().misses, S._chain_plan.cache_info().misses
+    monkeypatch.setattr(S, name, value)
+    rep = S.detect_edge_modes(p, lat, refine=False)
+    assert rep.fallback == reason and rep.edge_modes == _dense_scan(p, lat).edge_modes
+    assert (S._band_plan.cache_info().misses, S._chain_plan.cache_info().misses) == misses
 
 
 def test_spectrum_sweep_task_solves_no_dense_spectrum(monkeypatch):

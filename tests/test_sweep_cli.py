@@ -220,6 +220,16 @@ def test_cli_spectrum_reads_both_alphas_from_config(tmp_path):
     assert summary["phase"] == str(spectral.classify_phase(p)) == "critical-log"
 
 
+def test_cli_spectrum_exits_3_where_the_dispersion_overflows(tmp_path, capsys):
+    # beta_J = 500 pi/4: cos(2h +- 2J) overflows in the census, which is a
+    # numerical breakdown (exit 3) and writes no NaN rows
+    rc = cli.main(["--out-dir", str(tmp_path), "spectrum", "--alpha", "0.3",
+                   "--beta-j", "500", "--beta-h", "0.1", "--L", "8", "--bc", "pbc-even"])
+    assert rc == 3
+    assert "dispersion overflows" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
 @pytest.mark.parametrize("task, csv_name, column, n_rows", [
     ("evolve", "evolve.csv", "S_A", 3), ("spin-quench", "spin_quench.csv", "Sx", 3 * 12)])
 def test_cli_and_sweep_share_task_defaults(tmp_path, task, csv_name, column, n_rows):
