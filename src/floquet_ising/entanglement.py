@@ -33,13 +33,16 @@ class EntropyReport:
     nu: np.ndarray
 
 
-def _nu_spectrum(block_cprime: np.ndarray) -> np.ndarray:
-    """The 2 L_A values +-nu of C'_A = i A, ascending, from the real
-    symmetric A^T A.  Raises PurityViolation unless C'_A is i times a real
-    antisymmetric matrix and every |nu| <= 1 (up to ``_PURITY_SLACK``)."""
-    a = np.ascontiguousarray(block_cprime.imag)
-    defect = max(np.linalg.norm(block_cprime.real), np.linalg.norm(a + a.T))
-    if defect > 1e-8 * max(1.0, np.linalg.norm(block_cprime)):
+def _nu_spectrum(block_c: np.ndarray) -> np.ndarray:
+    """The 2 L_A values +-nu of C'_A = C_A - 1 = i A, ascending, from the
+    real symmetric A^T A.  Raises PurityViolation unless C'_A is i times a
+    real antisymmetric matrix and every |nu| <= 1 (up to ``_PURITY_SLACK``).
+    Re C'_A and A are read from C_A; C'_A itself is never formed."""
+    real, a = np.array(block_c.real, dtype=float), np.ascontiguousarray(block_c.imag)
+    real.reshape(-1)[::len(real) + 1] -= 1.0
+    real_norm = np.linalg.norm(real)
+    defect = max(real_norm, np.linalg.norm(a + a.T))
+    if defect > 1e-8 * max(1.0, np.hypot(real_norm, np.linalg.norm(a))):
         raise PurityViolation("restricted C' is not i*(real antisymmetric): "
                               f"defect {defect:.2e}")
     nu2 = np.linalg.eigvalsh(a.T @ a).reshape(-1, 2).mean(axis=1)
@@ -62,8 +65,7 @@ def entropy_from_majorana_block(block_c: np.ndarray) -> EntropyReport:
     two Majorana rows per site."""
     if block_c.shape[0] % 2:
         raise ValidationError("Majorana block of odd size: a site has two rows")
-    cp = block_c - np.eye(block_c.shape[0])
-    nu = _nu_spectrum(cp)
+    nu = _nu_spectrum(block_c)
     return EntropyReport(_binary_entropy_sum(nu), nu)
 
 
@@ -90,9 +92,7 @@ def renyi_entropy(frame: gaussian.GaussianFrame, subsystem: SubsystemSpec,
     if n < 1 or int(n) != n:
         raise ValidationError("Renyi order must be a positive integer")
     report = subsystem_entropy(frame, subsystem, lat)
-    if n == 1:
-        return report.entropy
-    return _renyi_from_nu(report.nu, int(n))
+    return report.entropy if n == 1 else _renyi_from_nu(report.nu, int(n))
 
 
 def mutual_information(frame: gaussian.GaussianFrame, sub_a: SubsystemSpec,
@@ -159,12 +159,10 @@ def fit_scaling(points) -> ScalingFit:
     residual beats the log fit, log wins if a exceeds ``_LOG_COEFFICIENT``
     and the log fit is tighter, otherwise area.
     """
-    pts = [(float(L), float(la), float(s)) for L, la, s in points]
+    pts = np.array([(float(L), float(la), float(s)) for L, la, s in points])
     if len(pts) < 6:
         raise ValidationError("need at least 6 scaling points")
-    L = np.array([p[0] for p in pts])
-    la = np.array([p[1] for p in pts])
-    s = np.array([p[2] for p in pts])
+    L, la, s = pts.T
     if not np.all((la > 0) & (la < L)):
         raise ValidationError("every scaling point needs 0 < L_A < L")
     x = chord_abscissa(L, la)
@@ -199,34 +197,24 @@ class CollapseResult:
     collapse_residual: float
 
 
-def _interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """np.interp(x, xp, fp) over each row of the leading axes of x and xp,
-    with np.interp's arithmetic, for xp increasing along its last axis."""
-    j = np.clip(np.count_nonzero(xp[..., None, :] <= x[..., None], axis=-1) - 1,
-                0, xp.shape[-1] - 2)
-    x0 = np.take_along_axis(xp, j, -1)
-    slope = (fp[j + 1] - fp[j]) / (np.take_along_axis(xp, j + 1, -1) - x0)
-    out = slope * (x - x0) + fp[j]
-    return np.where(x < xp[..., :1], fp[0], np.where(x >= xp[..., -1:], fp[-1], out))
-
-
 def _collapse_costs(curves, beta0s: np.ndarray, nus: np.ndarray):
     """Mean squared deviation of every sample from the other curves'
     piecewise-linear interpolants over the common rescaled window, for
-    each (beta0, nu) of the grid beta0s x nus at once.  Returns the cost
+    each (beta0, nu) of the grid beta0s x nus at once; curve j is read at
+    x_i on its own beta grid, at beta0 + x_i / L_j^nu.  Returns the cost
     array and the mask of grid points where that window holds samples."""
     b0, nu = beta0s[:, None, None], nus[None, :, None]
     xs = [(np.asarray(betas) - b0) * L ** nu for L, (betas, _) in curves.items()]
-    vs = [np.asarray(values) for _, values in curves.values()]
     lo = np.max([x.min(axis=-1) for x in xs], axis=0)[..., None]
     hi = np.min([x.max(axis=-1) for x in xs], axis=0)[..., None]
     total, count = np.zeros(lo.shape[:2]), np.zeros(lo.shape[:2], dtype=int)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i, (xi, vi) in enumerate(zip(xs, vs)):
+        for i, (xi, (_, vi)) in enumerate(zip(xs, curves.values())):
             sel = (xi >= lo) & (xi <= hi)
-            for j, (xj, vj) in enumerate(zip(xs, vs)):
+            for j, (Lj, (bj, vj)) in enumerate(curves.items()):
                 if i != j:
-                    total += np.sum(np.where(sel, (vi - _interp(xi, xj, vj)) ** 2, 0.0), axis=-1)
+                    dev = np.asarray(vi) - np.interp(b0 + xi / Lj ** nu, bj, vj)
+                    total += np.sum(np.where(sel, dev ** 2, 0.0), axis=-1)
                     count += np.count_nonzero(sel, axis=-1)
         valid = (hi[..., 0] > lo[..., 0]) & (count > 0)
         return total / count, valid

@@ -247,8 +247,10 @@ def correlation_block(frame: GaussianFrame, majorana_idx: np.ndarray) -> np.ndar
     over the within-cell rows a that the block uses.  The momenta are the
     grid q = 2 pi (m + theta) / N of ``cell_momenta``, so
     T(d) = 2 e^{i q_0 d} ifft_m(conj(Phi_q) Phi_q^T)[d mod N]
-    (q_0 = 2 pi theta / N): one FFT over the stack.  One cell gives
-    2 conj(Phi) Phi^T restricted to those rows, taken directly.
+    (q_0 = 2 pi theta / N): one FFT over the stack.  The block over the
+    indices' m-cell span is a strided view of T(1 - m..m - 1): a contiguous
+    run of indices slices its one copy, others gather from the view.  One
+    cell gives 2 conj(Phi) Phi^T restricted to those rows, taken directly.
     """
     n, r = frame.blocks.shape[:2]
     if n == 1:
@@ -256,13 +258,21 @@ def correlation_block(frame: GaussianFrame, majorana_idx: np.ndarray) -> np.ndar
         return 2.0 * (np.conj(sub) @ sub.T)
     x, a = np.divmod(np.asarray(majorana_idx), r)
     rows, a = np.unique(a, return_inverse=True)
-    k = len(rows)
+    k, x = len(rows), x - x.min()
     sub = frame.blocks[:, rows]
-    g = np.fft.ifft(np.conj(sub) @ np.swapaxes(sub, -1, -2), axis=0).reshape(n, k * k)
-    lo = x.min() - x.max()
-    d = np.arange(lo, 1 - lo)
-    t = g[d % n] * (2.0 * np.exp(1j * frame.momenta[0] * d))[:, None]
-    return t.reshape(-1)[(x[None, :] - x[:, None] - lo) * k * k + k * a[:, None] + a[None, :]]
+    g = np.fft.ifft(np.conj(sub) @ np.swapaxes(sub, -1, -2), axis=0)
+    m = x.max() + 1
+    d = np.arange(1 - m, m)
+    phase = 2.0 * np.exp(1j * frame.momenta[0] * d)
+    # t[a, m - 1 + d, b] = T(d)[a, b] in C order, so block row (i, a) of the
+    # span is the run of t[a] from d = -i: w[a, i, k j + b] = T(j - i)[a, b]
+    t = np.take(g.transpose(1, 0, 2), d % n, axis=1) * phase[:, None]
+    s0, s1, s2 = t.strides
+    w = np.ndarray((k, m, m * k), t.dtype, t, (m - 1) * s1, (s0, -s1, s2))
+    pos = k * x + a
+    if (np.diff(pos) == 1).all():
+        return w.transpose(1, 0, 2).reshape(m * k, m * k)[pos[0]:pos[-1] + 1, pos[0]:pos[-1] + 1]
+    return w[a[:, None], x[:, None], pos]
 
 
 Observer = Callable[[GaussianFrame], None]

@@ -455,23 +455,25 @@ def _dispersion(J: complex, h: complex, k) -> tuple[np.ndarray, np.ndarray]:
 
     x = 2(1+cos k) cos(2h-2J) + 2(1-cos k) cos(2h+2J) and exp(w_k) are the
     two reciprocal roots of a quadratic with cosh(w_k) = x/4; the pair is
-    eps = +-i w_k folded to the principal zone.  A cosine that overflows
-    (|Im(2h +- 2J)| beyond ~710) raises NumericalBreakdown with the larger
-    |Im(2h +- 2J)| as ``condition``, as an overflowing kick does.
+    eps = +-i w_k folded to the principal zone; where (x/4)^2 overflows
+    (|Im(2h +- 2J)| beyond ~355) exp(w_k) is x/2 to rounding.  A cosine or
+    an x that overflows (|Im(2h +- 2J)| beyond ~709) raises NumericalBreakdown
+    with the larger |Im(2h +- 2J)| as ``condition``, as an overflowing kick does.
     """
     k = np.asarray(k, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         c_minus, c_plus = np.cos(2 * h - 2 * J), np.cos(2 * h + 2 * J)
-    if not (cmath.isfinite(c_minus) and cmath.isfinite(c_plus)):
+        x = 2 * (1 + np.cos(k)) * c_minus + 2 * (1 - np.cos(k)) * c_plus
+        disc = (x / 4.0) ** 2 - 1.0
+    if not (cmath.isfinite(c_minus) and cmath.isfinite(c_plus) and np.isfinite(x).all()):
         grow = float(max(abs((2 * h - 2 * J).imag), abs((2 * h + 2 * J).imag)))
-        raise NumericalBreakdown(f"dispersion overflows: cos(2h +- 2J) with |Im| = "
-                                 f"{grow:.4g} is not finite", condition=grow)
-    x = 2 * (1 + np.cos(k)) * c_minus + 2 * (1 - np.cos(k)) * c_plus
-    disc = (x / 4.0) ** 2 - 1.0
-    root = np.sqrt(np.asarray(disc, dtype=complex))
+        raise NumericalBreakdown(f"dispersion overflows at |Im(2h +- 2J)| = {grow:.4g}",
+                                 condition=grow)
+    big = ~np.isfinite(disc)  # (x/4)^2 overflows: arccosh(x/4) = log(x/2) to rounding
+    root = np.sqrt(np.asarray(np.where(big, 0.0, disc), dtype=complex))
     ew = x / 4.0 + root
     ew = np.where(np.abs(ew) < 1e-300, x / 4.0 - root, ew)  # degenerate root at x = -4
-    eps = 1j * np.log(ew)
+    eps = 1j * np.log(np.where(big, x / 2.0, ew))
     eps.real = fold_real_part(eps.real)
     return disc, eps
 

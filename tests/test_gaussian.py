@@ -7,7 +7,7 @@ import scipy.linalg
 from scipy.linalg import expm
 
 from floquet_ising import ed, entanglement, gaussian, params as P, spectral
-from floquet_ising.errors import (DegenerateEvolution, NumericalBreakdown,
+from floquet_ising.errors import (DegenerateEvolution, NumericalBreakdown, PurityViolation,
                                   UnsupportedStateError, ValidationError)
 
 
@@ -1000,6 +1000,79 @@ def test_correlation_block_is_the_restricted_dense_formula(idx, route):
     sub = frame.phi[idx]
     block = gaussian.correlation_block(frame, np.array(idx))
     assert np.max(np.abs(block - 2.0 * np.conj(sub) @ sub.T)) < 1e-14
+
+
+def _gather_block(frame, majorana_idx):
+    """Momentum-stack C block read entry by entry: T(d) for every y - x of
+    the indices, then one gather through a flat index into all of them."""
+    n, r = frame.blocks.shape[:2]
+    x, a = np.divmod(np.asarray(majorana_idx), r)
+    rows, a = np.unique(a, return_inverse=True)
+    k = len(rows)
+    sub = frame.blocks[:, rows]
+    g = np.fft.ifft(np.conj(sub) @ np.swapaxes(sub, -1, -2), axis=0).reshape(n, k * k)
+    lo = x.min() - x.max()
+    d = np.arange(lo, 1 - lo)
+    t = g[d % n] * (2.0 * np.exp(1j * frame.momenta[0] * d))[:, None]
+    return t.reshape(-1)[(x[None, :] - x[:, None] - lo) * k * k + k * a[:, None] + a[None, :]]
+
+
+def _nu_through_cprime(block_c):
+    """+-nu through the complex C'_A = C_A - 1, with the same two gates."""
+    cp = block_c - np.eye(len(block_c))
+    a = np.ascontiguousarray(cp.imag)
+    defect = max(np.linalg.norm(cp.real), np.linalg.norm(a + a.T))
+    if defect > 1e-8 * max(1.0, np.linalg.norm(cp)):
+        raise PurityViolation(f"defect {defect:.2e}")
+    nu = np.sqrt(np.clip(np.linalg.eigvalsh(a.T @ a).reshape(-1, 2).mean(axis=1), 0.0, None))
+    if nu[-1] - 1.0 > 1e-6:
+        raise PurityViolation(f"outside by {nu[-1] - 1.0:.2e}")
+    return np.concatenate([-nu[::-1], nu])
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 16), st.tuples(st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
+                                     st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0)),
+       st.integers(1, 5),
+       st.sampled_from(["odd-length", "even-start", "wrapped", "unsorted", "repeated"]),
+       st.data())
+def test_strided_block_and_real_gates_equal_the_gather_and_cprime_path(cells, couplings,
+                                                                       n_periods, kind, data):
+    # a momentum frame (4 | L <= 64) after 1-5 periods; the block is the
+    # index gather's bit for bit, and so is nu (or both paths raise)
+    L = 4 * cells
+    lat = P.lattice(L, "pbc-even")
+    quench = P.QuenchConfig(P.named_state("neel-fermion", L), n_periods=n_periods)
+    frame = gaussian.run_to_steady_state(P.ModelParams(*couplings), lat, quench, lambda f: None)
+    assert frame.route == "momentum"
+    if kind == "odd-length":
+        start = data.draw(st.integers(1, L - 1))
+        sub = P.SubsystemSpec(start, data.draw(st.integers(0, (L - start - 1) // 2)) * 2 + 1)
+    elif kind == "even-start":
+        start = data.draw(st.integers(1, L // 2)) * 2
+        sub = P.SubsystemSpec(start, data.draw(st.integers(1, max(1, L - start))))
+    elif kind == "wrapped":
+        start = data.draw(st.integers(3, L))
+        sub = P.SubsystemSpec(start, data.draw(st.integers(L - start + 2, L - 1)))
+    if kind in ("unsorted", "repeated"):
+        idx = data.draw(st.lists(st.integers(0, 2 * L - 1), min_size=1, max_size=2 * L,
+                                 unique=kind == "unsorted"))
+        idx = np.array(idx + idx[:2 - len(idx) % 2] if kind == "repeated" else idx)
+    else:
+        idx = sub.majorana_indices(lat)
+        assert kind != "wrapped" or np.any(np.diff(idx) < 0)
+    block, ref = gaussian.correlation_block(frame, idx), _gather_block(frame, idx)
+    assert block.shape == ref.shape and np.array_equal(block, ref)
+    if len(idx) % 2:
+        return
+    try:
+        nu = _nu_through_cprime(ref)
+    except PurityViolation:
+        with pytest.raises(PurityViolation):
+            entanglement._nu_spectrum(block)
+    else:
+        assert np.array_equal(entanglement._nu_spectrum(block), nu)
+        assert np.array_equal(entanglement.entropy_from_majorana_block(block).nu, nu)
 
 
 def test_bulk_subsystem_obc_approaches_pbc():

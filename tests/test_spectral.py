@@ -1,3 +1,4 @@
+import cmath
 import warnings
 from unittest import mock
 
@@ -792,6 +793,82 @@ def test_overflowing_dispersion_raises_a_typed_error():
             with pytest.raises(NumericalBreakdown, match="dispersion") as info:
                 call()
             assert info.value.condition == grow
+
+
+def _plain_dispersion(J, h, k):
+    """disc and eps from exp(w) = x/4 + sqrt((x/4)^2 - 1), as written."""
+    k = np.asarray(k, dtype=float)
+    with np.errstate(all="ignore"):
+        x = 2 * (1 + np.cos(k)) * np.cos(2 * h - 2 * J) + 2 * (1 - np.cos(k)) * np.cos(2 * h + 2 * J)
+        disc = (x / 4.0) ** 2 - 1.0
+        root = np.sqrt(np.asarray(disc, dtype=complex))
+        ew = x / 4.0 + root
+        eps = 1j * np.log(np.where(np.abs(ew) < 1e-300, x / 4.0 - root, ew))
+    eps.real = S.fold_real_part(eps.real)
+    return disc, eps
+
+
+@settings(max_examples=60)
+@given(st.floats(-np.pi, np.pi), st.floats(-180.0, 180.0), st.floats(-np.pi, np.pi),
+       st.floats(-1.2, 1.2), st.integers(2, 40), st.sampled_from(["pbc-even", "pbc-odd"]))
+def test_dispersion_is_the_plain_form_wherever_its_square_is_finite(a_j, b_j, a_h, b_h, L, bc):
+    p = P.ModelParams(a_j, b_j, a_h, b_h)
+    k = S.allowed_momenta(P.lattice(L, bc))
+    ref_disc, ref_eps = _plain_dispersion(p.J, p.h, k)
+    assume(np.all(np.isfinite(ref_disc)))
+    disc, eps = S._dispersion(p.J, p.h, k)
+    np.testing.assert_array_equal(disc, ref_disc)
+    np.testing.assert_array_equal(eps, ref_eps)
+
+
+@pytest.mark.parametrize("beta_j", [180.0, 200.0, 250.0, -300.0, 350.0])
+def test_dispersion_where_its_square_overflows_is_the_arccosh(beta_j):
+    # cos(2h +- 2J) is finite but (x/4)^2 is not: eps = +-i arccosh(x/4),
+    # checked at 50 digits, finite and without a RuntimeWarning
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    p = P.ModelParams(0.3, beta_j, 0.2, 0.1)
+    k = S.allowed_momenta(P.lattice(16, "pbc-even"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        disc, eps = S._dispersion(p.J, p.h, k)
+    assert not np.any(np.isfinite(disc)) and np.all(np.isfinite(eps))
+    J, h = mpmath.mpc(p.J), mpmath.mpc(p.h)
+    for q, e in zip(k, eps):
+        x = 2 * (1 + mpmath.cos(q)) * mpmath.cos(2 * h - 2 * J) \
+            + 2 * (1 - mpmath.cos(q)) * mpmath.cos(2 * h + 2 * J)
+        ref = complex(1j * mpmath.acosh(x / 4))
+        err = min(abs(sign * e - ref - 2 * np.pi * n) for sign in (1, -1) for n in (-1, 0, 1))
+        assert err < 1e-14 * abs(ref)
+
+
+def test_census_is_finite_where_the_squared_dispersion_overflows():
+    # beta_J = 200: |Im(2h +- 2J)| ~ 400, past where (x/4)^2 overflows; every
+    # mode grows or decays, so the census holds no real mode
+    p = P.ModelParams(0.3, 200.0, 0.2, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        census = S.count_real_modes(p, 40)
+        pts = S.dispersion_points(p.J, p.h, S.allowed_momenta(P.lattice(40, "pbc-even")))
+    assert (census.count, census.total) == (0, 160)
+    eps = np.array([pt.epsilon[0] for pt in pts])
+    assert np.all(np.isfinite(eps)) and np.all(np.abs(eps.imag) > 390)
+    assert {pt.classification for pt in pts} == {"grow-decay"}
+
+
+def test_dispersion_raises_where_x_overflows_with_finite_cosines():
+    # |Im(2h + 2J)| = 710.47: both cosines are finite, but x = 2(1 + cos k)
+    # cos(2h - 2J) + 2(1 - cos k) cos(2h + 2J) is not, so the census and the
+    # dispersion raise the dispersion's NumericalBreakdown, not NaN eps
+    p = P.ModelParams(-0.3052789553627213, -355.0812829961607,
+                      -0.7892514452888029, -0.1549948369818952)
+    assert all(cmath.isfinite(cmath.cos(2 * p.h + s * 2 * p.J)) for s in (1, -1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in (lambda: S.count_real_modes(p, 8),
+                     lambda: S.dispersion_points(p.J, p.h, [0.0, 1.0])):
+            with pytest.raises(NumericalBreakdown, match="dispersion overflows"):
+                call()
 
 
 def test_dispersion_pair_sums_to_zero():

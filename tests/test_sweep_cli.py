@@ -3,6 +3,7 @@ import csv
 import inspect
 import json
 import shlex
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -228,6 +229,21 @@ def test_cli_spectrum_exits_3_where_the_dispersion_overflows(tmp_path, capsys):
     assert rc == 3
     assert "dispersion overflows" in capsys.readouterr().err
     assert not (tmp_path / "spectrum.csv").exists()
+
+
+def test_cli_spectrum_is_finite_where_the_squared_dispersion_overflows(tmp_path):
+    # beta_J = 250 pi/4: cos(2h +- 2J) is finite but (x/4)^2 is not; the
+    # rows hold finite +-eps pairs and exit 0, with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["--out-dir", str(tmp_path), "spectrum", "--alpha", "0.3",
+                       "--beta-j", "250", "--beta-h", "0.1", "--L", "8", "--bc", "pbc-even"])
+    assert rc == 0
+    rows = read_rows(tmp_path / "spectrum.csv")
+    eps = np.array([complex(float(r["re_eps"]), float(r["im_eps"])) for r in rows])
+    assert len(eps) == 16 and np.all(np.isfinite(eps))
+    assert np.array_equal(eps[1::2], -eps[::2]) and np.all(np.abs(eps.imag) > 390)
+    assert {r["classification"] for r in rows} == {"grow-decay"}
 
 
 @pytest.mark.parametrize("task, csv_name, column, n_rows", [
