@@ -109,7 +109,8 @@ def cmd_evolve(args):
 
 def cmd_scaling(args):
     cfg = _load_config(args)
-    ratio = cfg.get("scaling_ratio", 10)
+    if (ratio := cfg.get("scaling_ratio", 10)) < 1:
+        raise ValidationError(f"scaling_ratio must be >= 1, got {ratio}")
     points = []
     for L in cfg.get("scaling_sizes", [60, 80, 100, 140, 180, 200]):
         la = max(2, L // ratio)

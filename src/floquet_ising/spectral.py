@@ -18,14 +18,16 @@ Conventions
   ``_dispersion`` and ``momentum_kick_blocks`` (tr(e1 e2)/2 = x(k)/4).
 * Each kick is a direct sum of commuting two-Majorana rotations, so its
   exponential is assembled bond by bond in closed form (exact, O(L)).
-* Both kicks are odd under the chiral sign Gamma = diag((-1)^m) and the
-  mirror P: m -> 2L-1-m, so M commutes with R = Gamma P and splits into
-  two L-dimensional reflection sectors (``sector_basis``).  Gamma swaps
-  them and, in the symmetric time frame, inverts the map (chiral
-  pairing): the eigenvalues of the L x L sector block B_+ (R = +i) give
-  every mu and its inverse, and an eigenvector of B_+ gives the right
-  vectors of both.  Left eigenvectors need no second solve: M^T M = 1
-  makes the left vector of mu the conjugate of the right vector of 1/mu.
+* Both kicks (``build_kick_forms``, which ``build_transfer_matrix`` calls)
+  are odd under the chiral sign Gamma = diag((-1)^m) and the mirror
+  P: m -> 2L-1-m on every boundary condition, so M commutes with
+  R = Gamma P and splits into two L-dimensional reflection sectors
+  (``sector_basis``).  Gamma swaps them and, in the symmetric time frame,
+  inverts the map (chiral pairing): the eigenvalues of the L x L sector
+  block B_+ (R = +i) give every mu and its inverse, and an eigenvector of
+  B_+ gives the right vectors of both.  Left eigenvectors need no second
+  solve: M^T M = 1 makes the left vector of mu the conjugate of the right
+  vector of 1/mu.
 * The edge window (eps near 0 and pi) lies in the discs |mu -+ 1| < 0.02,
   so the edge scan needs no dense spectrum (``detect_edge_modes``): the
   argument principle counts B_+'s eigenvalues in each disc from the
@@ -79,15 +81,15 @@ _FEW_MODE_MAX = 4        # more isolated real modes than this are ambiguous
 class MajoranaQuadraticForm:
     """Antisymmetric W of H = i sum_jk a_j W_jk a_k on ``n`` Majoranas.
 
-    ``MajoranaQuadraticForm(n, bonds)`` lists the entries W_pq = w = -W_qp
-    as (p, q, w) in 0-based Majorana indices; ``from_arrays(n, p, q, s)``
-    takes the same bonds as index and value arrays, and ``bonds`` reads
-    them back as tuples in either case.  Kicks touch each Majorana at most
-    once, which makes their exponentials exact closed forms.  Derived once
-    here: ``partner``, each Majorana's bond partner (itself if unbonded);
-    ``angle``, its rotation angle (+4w at p, -4w at q, 0 if unbonded);
-    ``cos`` and ``sin`` of the angles as complex128 columns.  An angle whose
-    cosine or sine overflows (|Im angle| beyond ~710) raises
+    ``MajoranaQuadraticForm(n, p, q, s)`` takes the entries
+    W_{p[i] q[i]} = s[i] = -W_{q[i] p[i]} as index and value arrays, in
+    0-based Majorana indices.  Kicks touch each Majorana at most once,
+    which makes their exponentials exact closed forms.  Derived once here:
+    ``partner``, each Majorana's bond partner (itself if unbonded);
+    ``angle``, its rotation angle (+4s at p, -4s at q, 0 if unbonded);
+    ``cos`` and ``sin`` of the angles as complex128 columns.  An index
+    outside [0, n) or two bonds on one Majorana raise ValidationError.  An
+    angle whose cosine or sine overflows (|Im angle| beyond ~710) raises
     NumericalBreakdown with the largest |Im angle| as ``condition``: the
     kick exp(4W) has no double-precision form.
     """
@@ -98,19 +100,7 @@ class MajoranaQuadraticForm:
     cos: np.ndarray = field(repr=False)
     sin: np.ndarray = field(repr=False)
 
-    def __init__(self, n: int, bonds: tuple[tuple[int, int, complex], ...] = ()):
-        p, q, s = zip(*bonds) if bonds else ((), (), ())
-        self._derive(n, p, q, s)
-        self.__dict__["bonds"] = tuple(bonds)
-
-    @classmethod
-    def from_arrays(cls, n: int, p, q, s) -> MajoranaQuadraticForm:
-        """The form with the bonds (p[i], q[i], s[i]), without bond tuples."""
-        form = cls.__new__(cls)
-        form._derive(n, p, q, s)
-        return form
-
-    def _derive(self, n, p, q, s) -> None:
+    def __init__(self, n: int, p, q, s):
         p, q, s = np.asarray(p, dtype=int), np.asarray(q, dtype=int), np.asarray(s, dtype=complex)
         touched = np.concatenate([p, q])
         if touched.size and not (0 <= touched.min() and touched.max() < n):
@@ -127,14 +117,8 @@ class MajoranaQuadraticForm:
             grow = float(np.abs(angle.imag).max())
             raise NumericalBreakdown(f"kick exp(4W) overflows: cos and sin of a bond angle "
                                      f"with |Im| = {grow:.4g} are not finite", condition=grow)
-        for name, value in (("n", n), ("partner", partner), ("angle", angle),
-                            ("cos", cos), ("sin", sin), ("_bond_arrays", (p, q, s))):
-            object.__setattr__(self, name, value)
-
-    @cached_property
-    def bonds(self) -> tuple[tuple[int, int, complex], ...]:
-        """The bonds (p, q, w) in the order given."""
-        return tuple(zip(*(a.tolist() for a in self._bond_arrays)))
+        # the dataclass is frozen: set the fields past its __setattr__
+        self.__dict__.update(n=n, partner=partner, angle=angle, cos=cos, sin=sin)
 
     @property
     def w(self) -> np.ndarray:
@@ -187,9 +171,8 @@ def build_kick_forms(params: ModelParams, lat: LatticeSpec) -> KickForms:
         # hence the extra minus sign on top of the sector sign.
         p, q, s = (np.append(p, 0), np.append(q, n - 1),
                    np.append(s, -lat.bc.wrap_sign * params.J / 2.0))
-    return KickForms(MajoranaQuadraticForm.from_arrays(n, p, q, s),
-                     MajoranaQuadraticForm.from_arrays(n, site, site + 1,
-                                                       np.full(L, params.h / 2.0)))
+    return KickForms(MajoranaQuadraticForm(n, p, q, s),
+                     MajoranaQuadraticForm(n, site, site + 1, np.full(L, params.h / 2.0)))
 
 
 # --------------------------------------------------------------------------
@@ -348,50 +331,33 @@ def _sector_vectors(field_form: MajoranaQuadraticForm, c: np.ndarray) -> np.ndar
     return np.hstack([v_plus, v_minus])
 
 
-def _require_reflection_odd(form: MajoranaQuadraticForm) -> None:
-    """W must be odd under Gamma = diag((-1)^m) and under the mirror
-    P: m -> n-1-m, i.e. bonds join Majoranas of opposite parity and the
-    mirror image of each bond is a bond with the opposite angle."""
-    j = np.arange(form.n)
-    mirror = form.n - 1 - j
-    bonded = form.partner != j
-    if not (np.all((j[bonded] + form.partner[bonded]) % 2 == 1)
-            and np.array_equal(form.partner[mirror], mirror[form.partner])
-            and np.array_equal(form.angle[mirror], -form.angle)):
-        raise ValidationError("kick forms must be odd under the chiral sign "
-                              "(-1)^m and the chain mirror")
+def build_transfer_matrix(params: ModelParams, lat: LatticeSpec) -> TransferMatrix:
+    """M = K1 K2 (K1 = exp(4W'), K2 = exp(4W'')) of the chain by the bands of
+    its L x L sector blocks, the kicks from ``build_kick_forms``.
 
-
-def build_transfer_matrix(coupling_form: MajoranaQuadraticForm,
-                          field_form: MajoranaQuadraticForm) -> TransferMatrix:
-    """M = K1 K2 (K1 = exp(4W'), K2 = exp(4W'')) by the bands of its L x L
-    sector blocks.
-
-    Both kicks are odd under Gamma and P, so each commutes with R = Gamma P
-    (R^2 = -1) and leaves the sector R = +i of ``sector_basis`` invariant;
-    a kick's sector block is the top L rows of the kicked basis, and
-    B_+ = K1_+ K2_+.  Each kick's block is tridiagonal and B_+
-    pentadiagonal; their bands come from probe columns (``_sector_bands``),
-    bit for bit the dense kicks': five for B_+, three each for K2_+ (the
-    field kick) and K1_+^-1 (the coupling kick with sign -1), the
-    ``pencil`` of the disc counts.  Gamma swaps the sectors and inverts the
-    map in the symmetric frame K2^{1/2} K1 K2^{1/2}, so for M v = mu v the
-    vector K2^{-1/2} Gamma K2^{1/2} v = Gamma K2 v has eigenvalue 1/mu.
-    Nothing is diagonalized here: the spectrum is one L x L eigvals of the
-    dense ``b_plus`` on first read of ``eigenvalues``, and the edge scan
-    solves on the band for the few eigenvectors it reads
-    (``_candidate_vectors``).
+    Both kicks are odd under Gamma and P on every boundary condition, so
+    each commutes with R = Gamma P (R^2 = -1) and leaves the sector R = +i
+    of ``sector_basis`` invariant; a kick's sector block is the top L rows
+    of the kicked basis, and B_+ = K1_+ K2_+.  Each kick's block is
+    tridiagonal and B_+ pentadiagonal; their bands come from probe columns
+    (``_sector_bands``), bit for bit the dense kicks': five for B_+, three
+    each for K2_+ (the field kick) and K1_+^-1 (the coupling kick with sign
+    -1), the ``pencil`` of the disc counts.  Gamma swaps the sectors and
+    inverts the map in the symmetric frame K2^{1/2} K1 K2^{1/2}, so for
+    M v = mu v the vector K2^{-1/2} Gamma K2^{1/2} v = Gamma K2 v has
+    eigenvalue 1/mu.  Nothing is diagonalized here: the spectrum is one
+    L x L eigvals of the dense ``b_plus`` on first read of ``eigenvalues``,
+    and the edge scan solves on the band for the few eigenvectors it reads
+    (``_candidate_vectors``).  An overflowing kick raises
+    NumericalBreakdown (``MajoranaQuadraticForm``).
     """
-    if coupling_form.n != field_form.n:
-        raise ValidationError("kick forms must have matching dimension")
-    _require_reflection_odd(coupling_form)
-    _require_reflection_odd(field_form)
-    kicks = KickForms(coupling_form, field_form)
-    n, L = coupling_form.n, coupling_form.n // 2
+    kicks = build_kick_forms(params, lat)
+    n = lat.n_majorana
     band = np.asfortranarray(_sector_bands(n, 2, 4, kicks.step)[0])
-    pencil = _sector_bands(n, 1, 1, field_form.kick, lambda x: coupling_form.kick(x, -1.0))
-    return TransferMatrix(band, pencil, L * np.finfo(float).eps * np.abs(band).sum(axis=0).max(),
-                          kicks)
+    pencil = _sector_bands(n, 1, 1, kicks.field_form.kick,
+                           lambda x: kicks.coupling_form.kick(x, -1.0))
+    tol = lat.L * np.finfo(float).eps * np.abs(band).sum(axis=0).max()
+    return TransferMatrix(band, pencil, tol, kicks)
 
 
 def fold_real_part(re: np.ndarray | float) -> np.ndarray | float:
@@ -455,7 +421,8 @@ def _dispersion(J: complex, h: complex, k) -> tuple[np.ndarray, np.ndarray]:
 
     x = 2(1+cos k) cos(2h-2J) + 2(1-cos k) cos(2h+2J) and exp(w_k) are the
     two reciprocal roots of a quadratic with cosh(w_k) = x/4; the pair is
-    eps = +-i w_k folded to the principal zone; where (x/4)^2 overflows
+    eps = +-i w_k folded to the principal zone, exp(w_k) = x/4 + sqrt(disc)
+    (1/(x/4 - sqrt(disc)) where the sum cancels); where (x/4)^2 overflows
     (|Im(2h +- 2J)| beyond ~355) exp(w_k) is x/2 to rounding.  A cosine or
     an x that overflows (|Im(2h +- 2J)| beyond ~709) raises NumericalBreakdown
     with the larger |Im(2h +- 2J)| as ``condition``, as an overflowing kick does.
@@ -471,8 +438,8 @@ def _dispersion(J: complex, h: complex, k) -> tuple[np.ndarray, np.ndarray]:
                                  condition=grow)
     big = ~np.isfinite(disc)  # (x/4)^2 overflows: arccosh(x/4) = log(x/2) to rounding
     root = np.sqrt(np.asarray(np.where(big, 0.0, disc), dtype=complex))
-    ew = x / 4.0 + root
-    ew = np.where(np.abs(ew) < 1e-300, x / 4.0 - root, ew)  # degenerate root at x = -4
+    ew, rest = x / 4.0 + root, x / 4.0 - root  # ew rest = 1, the sum cancels if smaller
+    ew = np.divide(1.0, rest, out=ew, where=np.abs(ew) < np.abs(rest))
     eps = 1j * np.log(np.where(big, x / 2.0, ew))
     eps.real = fold_real_part(eps.real)
     return disc, eps
@@ -843,7 +810,7 @@ def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
     ``quasienergies`` are computed densely if read.
     """
     _require_edge_lattice(lat)
-    tm = build_transfer_matrix(*build_kick_forms(params, lat))
+    tm = build_transfer_matrix(params, lat)
     mu, fallback = _edge_candidates(tm)
     pairs = _pairs(mu)
     eps = quasienergies_from_eigenvalues(pairs)

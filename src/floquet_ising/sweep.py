@@ -94,7 +94,7 @@ def spin_rows(trace: ed.ObservableTrace) -> list[dict]:
 def task_spectrum(cfg):
     params, lat, quench = model_from_config(cfg)
     quench.require_free_fermion()
-    # the scan first: where a kick overflows it raises, and the census only warns
+    # both raise NumericalBreakdown on overflow; the scan runs first, so a kick's is reported
     obc = spectral.detect_edge_modes(params, lat)
     census = spectral.count_real_modes(params, lat.L)
     label = spectral.classify_phase_from_spectrum(obc, census)

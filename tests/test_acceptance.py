@@ -47,7 +47,7 @@ def test_criterion_1_spectrum_calibration():
                           rng.uniform(-1.5 * PI4, 1.5 * PI4))
         for L in (8, 12, 16):
             lat = P.lattice(L, "pbc-even")
-            tm = S.build_transfer_matrix(*S.build_kick_forms(p, lat))
+            tm = S.build_transfer_matrix(p, lat)
             rep = S.quasienergies_from_transfer(tm)
             ana = []
             for k in S.allowed_momenta(lat):

@@ -43,8 +43,8 @@ def test_zero_coupling_gives_zero_form():
 def test_bond_counting_open_chain():
     p = P.ModelParams(0.3, 0.0, 0.5, 0.0)
     w1, w2 = S.build_kick_forms(p, P.lattice(2, "obc"))
-    assert len(w1.bonds) == 1  # single (a_2, a_3) pair
-    assert len(w2.bonds) == 2
+    assert np.count_nonzero(w1.partner != np.arange(4)) == 2  # single (a_2, a_3) pair
+    assert np.count_nonzero(w2.partner != np.arange(4)) == 4
     assert np.count_nonzero(w1.w) == 2  # antisymmetric pair
 
 
@@ -74,14 +74,27 @@ def test_kick_matches_expm_every_boundary_and_sign(bc, sign):
         assert np.allclose(form.kick(x, sign), dense @ x, atol=1e-12)
 
 
+def _chain_bonds(p, lat):
+    """The (p, q, w) bonds of W' and W'' from the chain's definition, one
+    at a time, in 0-based indices: coupling bonds (a_{2j}, a_{2j+1}) with
+    J/2 and field bonds (a_{2j-1}, a_{2j}) with h/2, a_1 the first
+    Majorana; a periodic chain's wraparound bond (a_{2L}, a_1) is stored as
+    (0, n-1) with the sector sign reversed."""
+    n = lat.n_majorana
+    coupling = [(2 * j - 1, 2 * j, p.J / 2.0) for j in range(1, lat.L)]
+    if lat.bc.periodic:
+        coupling.append((0, n - 1, -lat.bc.wrap_sign * p.J / 2.0))
+    return coupling, [(2 * j, 2 * j + 1, p.h / 2.0) for j in range(lat.L)]
+
+
 @pytest.mark.parametrize("bc", ["pbc-even", "pbc-odd", "obc"])
 def test_kick_forms_match_bond_loop(bc):
     # reference: the forms filled one bond at a time
-    p = random_params(np.random.default_rng(11))
-    for form in S.build_kick_forms(p, P.lattice(7, bc)):
+    p, lat = random_params(np.random.default_rng(11)), P.lattice(7, bc)
+    for form, bonds in zip(S.build_kick_forms(p, lat), _chain_bonds(p, lat)):
         w = np.zeros((14, 14), dtype=complex)
         partner, angle = np.arange(14), np.zeros(14, dtype=complex)
-        for a, b, s in form.bonds:
+        for a, b, s in bonds:
             w[a, b], w[b, a] = w[a, b] + s, w[b, a] - s
             partner[a], partner[b] = b, a
             angle[a], angle[b] = 4 * s, -4 * s
@@ -99,16 +112,17 @@ def test_kick_forms_hold_no_dense_matrix():
 
 
 def test_overlapping_kick_bonds_rejected():
-    bonds = ((0, 1, 0.3), (1, 2, 0.2))
+    # bonds (0, 1) and (1, 2) share Majorana 1
     with pytest.raises(ValidationError):
-        S.MajoranaQuadraticForm(4, bonds)
+        S.MajoranaQuadraticForm(4, [0, 1], [1, 2], [0.3, 0.2])
 
 
 @pytest.mark.parametrize("bond", [(-1, 0, 0.1), (3, 4, 0.1)])
 def test_kick_bond_index_outside_the_form_rejected(bond):
     # a negative index would alias the last Majorana, one >= n would not fit
+    p, q, s = bond
     with pytest.raises(ValidationError):
-        S.MajoranaQuadraticForm(4, (bond,))
+        S.MajoranaQuadraticForm(4, [p], [q], [s])
 
 
 def _bits(a):
@@ -128,13 +142,14 @@ def _form_outcome(make):
        st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
        st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
        st.sampled_from(["none", "negative", "too-large", "overlap", "overflow"]))
-def test_kick_forms_from_arrays_equal_forms_from_bond_tuples(L, bc, aj, bj, ah, bh, bad):
-    # build_kick_forms takes the array path; the same bonds as tuples give
-    # the same partner, angle, cos, sin and bonds bit for bit, and a bad
+def test_kick_form_from_its_bonds_is_the_built_form_bit_for_bit(L, bc, aj, bj, ah, bh, bad):
+    # the chain's bonds (``_chain_bonds``) as index and value arrays give
+    # build_kick_forms's partner, angle, cos and sin bit for bit, and a bad
     # bond (index outside the form, two bonds on one Majorana, an angle
-    # whose cos and sin overflow) the same error on both paths
-    for form in S.build_kick_forms(P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc)):
-        p, q, s = (np.array(a) for a in zip(*form.bonds))
+    # whose cos and sin overflow) its typed error
+    params, lat = P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc)
+    for form, bonds in zip(S.build_kick_forms(params, lat), _chain_bonds(params, lat)):
+        p, q, s = (np.array(a) for a in zip(*bonds))
         n = form.n
         if bad == "negative":
             p[0] = -1
@@ -144,26 +159,22 @@ def test_kick_forms_from_arrays_equal_forms_from_bond_tuples(L, bc, aj, bj, ah, 
             q[-1] = p[0]
         elif bad == "overflow":
             s[-1] += 400j
-        from_arrays = _form_outcome(lambda: S.MajoranaQuadraticForm.from_arrays(n, p, q, s))
-        bonds = tuple(zip(p.tolist(), q.tolist(), s.tolist()))
-        from_tuples = _form_outcome(lambda: S.MajoranaQuadraticForm(n, bonds))
+        rebuilt = _form_outcome(lambda: S.MajoranaQuadraticForm(n, p, q, s))
         if bad == "none":
-            assert from_arrays.bonds == from_tuples.bonds == form.bonds == bonds
             for name in ("partner", "angle", "cos", "sin"):
-                a, b = getattr(from_arrays, name), getattr(from_tuples, name)
+                a, b = getattr(rebuilt, name), getattr(form, name)
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert np.array_equal(_bits(a), _bits(b)), name
-                assert np.array_equal(_bits(a), _bits(getattr(form, name))), name
         elif bad == "overflow":
-            assert from_arrays == from_tuples == (NumericalBreakdown, 4 * abs(s[-1].imag))
+            assert rebuilt == (NumericalBreakdown, 4 * abs(s[-1].imag))
         else:
-            assert from_arrays == from_tuples == (ValidationError, None)
+            assert rebuilt == (ValidationError, None)
 
 
 def test_transfer_matrix_invariants():
     p = random_params()
     lat = P.lattice(6, "pbc-even")
-    tm = S.build_transfer_matrix(*S.build_kick_forms(p, lat))
+    tm = S.build_transfer_matrix(p, lat)
     assert abs(np.linalg.det(tm.m) - 1) < 1e-8
     # complex orthogonality and reciprocal eigenvalue pairing
     assert np.allclose(tm.m.T @ tm.m, np.eye(tm.n), atol=1e-10)
@@ -174,7 +185,7 @@ def test_transfer_matrix_invariants():
 
 def test_unitary_case_orthogonal_unit_modulus():
     p = P.ModelParams(0.4, 0.0, 0.9, 0.0)
-    tm = S.build_transfer_matrix(*S.build_kick_forms(p, P.lattice(6, "pbc-even")))
+    tm = S.build_transfer_matrix(p, P.lattice(6, "pbc-even"))
     assert np.allclose(np.abs(tm.eigenvalues), 1.0, atol=1e-10)
     rep = S.quasienergies_from_transfer(tm)
     assert np.max(np.abs(rep.quasienergies.imag)) < 1e-10
@@ -182,7 +193,7 @@ def test_unitary_case_orthogonal_unit_modulus():
 
 def test_identity_when_couplings_vanish():
     p = P.ModelParams(0.0, 0.0, 0.0, 0.0)
-    tm = S.build_transfer_matrix(*S.build_kick_forms(p, P.lattice(4, "obc")))
+    tm = S.build_transfer_matrix(p, P.lattice(4, "obc"))
     assert np.allclose(tm.m, np.eye(8))
 
 
@@ -204,7 +215,7 @@ def test_transfer_spectrum_matches_momentum(bc):
     lat = P.lattice(4 if bc == "pbc-even" else 6, bc)
     for _ in range(4):
         p = random_params()
-        tm = S.build_transfer_matrix(*S.build_kick_forms(p, lat))
+        tm = S.build_transfer_matrix(p, lat)
         rep = S.quasienergies_from_transfer(tm)
         ana = []
         for k in S.allowed_momenta(lat):
@@ -221,7 +232,7 @@ def test_momentum_grid_matches_the_transfer_spectrum_at_every_length(bc, L):
     lat = P.lattice(L, bc)
     for _ in range(3):
         p = random_params(rng)
-        tm = S.build_transfer_matrix(*S.build_kick_forms(p, lat))
+        tm = S.build_transfer_matrix(p, lat)
         eps = S._dispersion(p.J, p.h, S.allowed_momenta(lat))[1]
         assert _match_multisets(S.quasienergies_from_transfer(tm).quasienergies,
                                 np.concatenate([eps, -eps]), 1e-10)
@@ -687,7 +698,7 @@ def test_conjugation_closure_on_protected_families():
 
 def test_hermitian_limit_spectrum_real():
     p = P.ModelParams(0.5, 0.0, 0.8, 0.0)
-    tm = S.build_transfer_matrix(*S.build_kick_forms(p, P.lattice(8, "pbc-even")))
+    tm = S.build_transfer_matrix(p, P.lattice(8, "pbc-even"))
     rep = S.quasienergies_from_transfer(tm)
     assert np.max(np.abs(rep.quasienergies.imag)) < 1e-10
 
@@ -719,7 +730,7 @@ def test_classifier_agrees_with_parameter_labels():
 
 def test_imaginary_couplings_eigenvalues_off_unit_circle():
     p = P.ModelParams(0.0, 0.1, 0.0, 0.1)  # J = h = 0.1i
-    tm = S.build_transfer_matrix(*S.build_kick_forms(p, P.lattice(8, "pbc-even")))
+    tm = S.build_transfer_matrix(p, P.lattice(8, "pbc-even"))
     moduli = np.abs(tm.eigenvalues)
     assert np.all(np.abs(moduli - 1.0) > 1e-6)
     mu = np.sort_complex(tm.eigenvalues)
@@ -733,7 +744,7 @@ def test_edge_scan_raises_at_an_exceptional_point(monkeypatch):
     p = P.make_params(0.4, -1.0, 0.4, 0.5)
     lat = P.lattice(40, "obc")
     # kappa of every candidate from the full eig of the sector block
-    tm = S.build_transfer_matrix(*S.build_kick_forms(p, lat))
+    tm = S.build_transfer_matrix(p, lat)
     eps = S.quasienergies_from_eigenvalues(tm.eigenvalues)
     re = np.abs(eps.real)
     window = (np.minimum(re, np.abs(re - np.pi)) < 1e-3) & (np.abs(eps.imag) <= 1e-2)
@@ -795,30 +806,85 @@ def test_overflowing_dispersion_raises_a_typed_error():
             assert info.value.condition == grow
 
 
-def _plain_dispersion(J, h, k):
-    """disc and eps from exp(w) = x/4 + sqrt((x/4)^2 - 1), as written."""
+def _plain_x(J, h, k):
+    """x = 4 cosh(w_k) at each momentum, as ``_dispersion`` writes it."""
     k = np.asarray(k, dtype=float)
     with np.errstate(all="ignore"):
-        x = 2 * (1 + np.cos(k)) * np.cos(2 * h - 2 * J) + 2 * (1 - np.cos(k)) * np.cos(2 * h + 2 * J)
+        return (2 * (1 + np.cos(k)) * np.cos(2 * h - 2 * J)
+                + 2 * (1 - np.cos(k)) * np.cos(2 * h + 2 * J))
+
+
+def _plain_dispersion(J, h, k):
+    """disc and eps from exp(w) = x/4 + sqrt((x/4)^2 - 1), as written, and
+    the momenta where that sum does not cancel: |x/4 + root| >= |x/4 - root|."""
+    x = _plain_x(J, h, k)
+    with np.errstate(all="ignore"):
         disc = (x / 4.0) ** 2 - 1.0
         root = np.sqrt(np.asarray(disc, dtype=complex))
         ew = x / 4.0 + root
-        eps = 1j * np.log(np.where(np.abs(ew) < 1e-300, x / 4.0 - root, ew))
+        eps = 1j * np.log(ew)
     eps.real = S.fold_real_part(eps.real)
-    return disc, eps
+    return disc, eps, np.abs(ew) >= np.abs(x / 4.0 - root)
+
+
+# the couplings (radians) of a chain whose x/4 + sqrt((x/4)^2 - 1) cancels
+# at three of its eight pbc-even momenta: every mode grows or decays
+_CANCELLING = (-1.4109692722406648, -17.349799876587074, 0.7238668295285406, 1.6959445579560963)
 
 
 @settings(max_examples=60)
 @given(st.floats(-np.pi, np.pi), st.floats(-180.0, 180.0), st.floats(-np.pi, np.pi),
        st.floats(-1.2, 1.2), st.integers(2, 40), st.sampled_from(["pbc-even", "pbc-odd"]))
 def test_dispersion_is_the_plain_form_wherever_its_square_is_finite(a_j, b_j, a_h, b_h, L, bc):
+    # bit for bit where the sum does not cancel; where it does, _dispersion
+    # takes the reciprocal of the other root (the 400-digit test below)
     p = P.ModelParams(a_j, b_j, a_h, b_h)
     k = S.allowed_momenta(P.lattice(L, bc))
-    ref_disc, ref_eps = _plain_dispersion(p.J, p.h, k)
+    ref_disc, ref_eps, kept = _plain_dispersion(p.J, p.h, k)
     assume(np.all(np.isfinite(ref_disc)))
     disc, eps = S._dispersion(p.J, p.h, k)
     np.testing.assert_array_equal(disc, ref_disc)
-    np.testing.assert_array_equal(eps, ref_eps)
+    np.testing.assert_array_equal(eps[kept], ref_eps[kept])
+
+
+@settings(max_examples=60)
+@given(st.floats(-np.pi, np.pi), st.floats(-180.0, 180.0), st.floats(-np.pi, np.pi),
+       st.floats(-1.2, 1.2), st.integers(2, 40), st.sampled_from(["pbc-even", "pbc-odd"]))
+@example(*_CANCELLING, 8, "pbc-even")
+@example(*_CANCELLING, 8, "pbc-odd")
+def test_dispersion_is_the_principal_branch_at_400_digits(a_j, b_j, a_h, b_h, L, bc):
+    # every momentum of the draws above, cancelling sums included: eps =
+    # i Log(q + sqrt(q^2 - 1)), q = x/4, on the principal branches, from the
+    # same double x at 400 digits (enough to resolve the -1 beside q^2 for
+    # |q| up to ~1e154).  The rounding of q^2 - 1 moves the root by
+    # ~eps |q|^2 / |root|, and eps by that over the larger of |q +- root|:
+    # a slack that matters only near a degenerate root (q^2 = 1).  On the
+    # root's branch cut (disc real and negative) the signed zero of Im disc
+    # picks the root, so there either member of the pair +-eps is taken.
+    mpmath = pytest.importorskip("mpmath")
+    p = P.ModelParams(a_j, b_j, a_h, b_h)
+    k = S.allowed_momenta(P.lattice(L, bc))
+    disc, eps = S._dispersion(p.J, p.h, k)
+    assume(np.all(np.isfinite(disc)))
+    with mpmath.workdps(400):
+        for x, d, e in zip(_plain_x(p.J, p.h, k), disc, eps):
+            q = mpmath.mpc(x) / 4
+            r = mpmath.sqrt(q * q - 1)
+            ref = complex(1j * mpmath.log(q + r))
+            slack = float(abs(q) ** 2 / (abs(r) * max(abs(q + r), abs(q - r)))) if r else 0.0
+            signs = (1, -1) if d.imag == 0 and d.real < 0 else (1,)
+            err = min(abs(sign * e - ref - 2 * np.pi * n) for sign in signs for n in (-1, 0, 1))
+            assert err <= 1e-14 * (max(abs(ref), 1.0) + slack), (x, e, ref)
+
+
+def test_census_where_the_dispersion_sum_cancels_holds_no_real_mode():
+    # the plain sum gave eps = 0 at k = +-pi/8 and pi - 3.47i at k = 7pi/8,
+    # four spurious real modes; every mode has |Im eps| above 30
+    p = P.ModelParams(*_CANCELLING)
+    assert S.count_real_modes(p, 8) == S.RealModeCensus(0, 32)
+    for bc in ("pbc-even", "pbc-odd"):
+        eps = S._dispersion(p.J, p.h, S.allowed_momenta(P.lattice(8, bc)))[1]
+        assert np.abs(eps.imag).min() > 30
 
 
 @pytest.mark.parametrize("beta_j", [180.0, 200.0, 250.0, -300.0, 350.0])
@@ -901,7 +967,7 @@ def test_classify_phase_skips_the_edge_scan_the_census_decides(monkeypatch):
 
 def _dense_edge_kinds(p, L, tol_edge=1e-3, im_tol=1e-2, edge_fraction=0.1):
     """Kinds of localized zero and pi modes from one eig of the dense map."""
-    tm = S.build_transfer_matrix(*S.build_kick_forms(p, P.lattice(L, "obc")))
+    tm = S.build_transfer_matrix(p, P.lattice(L, "obc"))
     mu, vr = np.linalg.eig(tm.m)
     ne = max(1, int(edge_fraction * L))
     kinds = set()
@@ -922,21 +988,28 @@ def _dense_edge_kinds(p, L, tol_edge=1e-3, im_tol=1e-2, edge_fraction=0.1):
        st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
        st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0))
 def test_sector_spectrum_matches_the_dense_eig(L, bc, aj, bj, ah, bh):
-    lat = P.lattice(L, bc)
-    w1, w2 = S.build_kick_forms(P.ModelParams(aj, bj, ah, bh), lat)
-    tm = S.build_transfer_matrix(w1, w2)
+    tm = S.build_transfer_matrix(P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc))
     m = tm.m
     scale = np.linalg.norm(m, 2)
     mu = np.linalg.eigvals(m)
     cost = np.abs(tm.eigenvalues[:, None] - mu[None, :])
     r, c = linear_sum_assignment(cost)
     assert cost[r, c].max() <= 1e-9 * scale
-    # a form whose mirror image is not its negative has no sectors: the
-    # first field bond (0, 1) is mirrored on the last one (n-2, n-1)
-    bonds = list(w2.bonds)
-    bonds[0] = (*bonds[0][:2], bonds[0][2] + 0.1)
-    with pytest.raises(ValidationError):
-        S.build_transfer_matrix(w1, S.MajoranaQuadraticForm(w2.n, tuple(bonds)))
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 40), st.sampled_from(["pbc-even", "pbc-odd", "obc"]),
+       st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
+       st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0))
+def test_kick_forms_are_odd_under_the_chiral_sign_and_the_mirror(L, bc, aj, bj, ah, bh):
+    # the invariant the sector split rests on, for odd and even L: with
+    # Gamma = diag((-1)^m) and the mirror P: m -> 2L-1-m, both kicks have
+    # Gamma W Gamma = -W (bonds join Majoranas of opposite parity) and
+    # P W P = -W (the mirror image of each bond is a bond of opposite angle)
+    for form in S.build_kick_forms(P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc)):
+        w, gamma = form.w, (-1.0) ** np.arange(2 * L)
+        assert np.array_equal(gamma[:, None] * w * gamma, -w)
+        assert np.array_equal(w[::-1, ::-1], -w)
 
 
 @settings(max_examples=60)
@@ -964,8 +1037,8 @@ def test_banded_transfer_block_is_the_dense_kick_bit_for_bit(L, bc, aj, bj, ah, 
     # the band from five probe columns, the dense block formed from it, the
     # scan's shift and the index-written sector vectors equal the dense
     # kick of the whole sector basis and its products exactly
-    kicks = S.build_kick_forms(P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc))
-    tm = S.build_transfer_matrix(*kicks)
+    tm = S.build_transfer_matrix(P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc))
+    kicks = tm.kicks
     dense = kicks.step(S.sector_basis(2 * L))[:L]
     assert tm.band.shape == (7, L) and tm.band.flags.f_contiguous
     assert not tm.band[:2].any()
@@ -989,8 +1062,8 @@ def test_pencil_diagonals_are_the_dense_sector_kicks_bit_for_bit(L, bc, aj, bj, 
     # sign -1) from three probe columns each equal the dense kicks of the
     # whole sector basis exactly; both blocks are tridiagonal, and the two
     # corners outside the matrix are zero (the stacked LU's block edges)
-    kicks = S.build_kick_forms(P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc))
-    pencil = S.build_transfer_matrix(*kicks).pencil
+    tm = S.build_transfer_matrix(P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc))
+    kicks, pencil = tm.kicks, tm.pencil
     assert pencil.shape == (2, 3, L)
     i, j = np.indices((L, L))
     inside = np.abs(i - j) <= 1
@@ -1008,8 +1081,7 @@ def test_pencil_diagonals_are_the_dense_sector_kicks_bit_for_bit(L, bc, aj, bj, 
 def test_candidate_vectors_match_the_dense_eig(L, aj, bj, ah, bh):
     # inverse-iteration vectors of every sector eigenvalue, and their kappa,
     # against the dense 2L x 2L eig wherever that eig determines them
-    tm = S.build_transfer_matrix(*S.build_kick_forms(P.ModelParams(aj, bj, ah, bh),
-                                                     P.lattice(L, "obc")))
+    tm = S.build_transfer_matrix(P.ModelParams(aj, bj, ah, bh), P.lattice(L, "obc"))
     v, kappa = S._candidate_vectors(tm, tm.eigenvalues[:L])
     m = tm.m
     scale = np.linalg.norm(m, 2)
@@ -1036,18 +1108,6 @@ def test_edge_kinds_match_the_dense_eig_on_the_edge_grid(L):
             for refine in (True, False):
                 rep = S.detect_edge_modes(p, P.lattice(L, "obc"), refine=refine)
                 assert {m.kind for m in rep.edge_modes} == expected, (alpha, bj, refine)
-
-
-def test_forms_without_chiral_or_mirror_symmetry_rejected():
-    n = 8
-    ok = S.MajoranaQuadraticForm(n, ((1, 2, 0.3), (3, 4, 0.3), (5, 6, 0.3)))
-    field = S.MajoranaQuadraticForm(n, tuple((j, j + 1, 0.2) for j in range(0, n, 2)))
-    S.build_transfer_matrix(ok, field)
-    for bonds in (((1, 2, 0.3), (3, 4, 0.3)),                # mirror image missing
-                  ((1, 2, 0.3), (3, 4, 0.3), (6, 5, 0.3)),   # mirror image same sign
-                  ((0, 2, 0.3), (5, 7, -0.3))):              # equal-parity bond
-        with pytest.raises(ValidationError):
-            S.build_transfer_matrix(S.MajoranaQuadraticForm(n, bonds), field)
 
 
 # --------------------------------------------------------------------------
@@ -1131,8 +1191,7 @@ def _phase_steps(tm, det_phases, z0):
 def test_pencil_phase_steps_equal_the_band_lu(L, aj, bj, ah, bh):
     # det(B_+ - z) = det K1_+ det(K2_+ - z K1_+^-1): the stacked pencil LU
     # steps the phase as the banded LU of B_+ - z does, and counts alike
-    tm = S.build_transfer_matrix(*S.build_kick_forms(P.ModelParams(aj, bj, ah, bh),
-                                                     P.lattice(L, "obc")))
+    tm = S.build_transfer_matrix(P.ModelParams(aj, bj, ah, bh), P.lattice(L, "obc"))
     outcomes = _disc_outcomes(tm)
     assert outcomes == _disc_outcomes(tm, _reference_det_phases)
     for z0, outcome in zip((1.0, -1.0), outcomes):
@@ -1168,7 +1227,7 @@ def test_pencil_disc_counts_equal_the_band_lu_on_the_phase_grid():
     lat = P.lattice(144, "obc")
     for a in _GRID_ALPHAS:
         for bj in _GRID_BETAS:
-            tm = S.build_transfer_matrix(*S.build_kick_forms(P.make_params(a, bj, a, 0.5), lat))
+            tm = S.build_transfer_matrix(P.make_params(a, bj, a, 0.5), lat)
             assert _disc_outcomes(tm) == _disc_outcomes(tm, _reference_det_phases), (a, bj)
 
 

@@ -116,6 +116,27 @@ def test_single_point_sweep_matches_direct(tmp_path):
     assert np.allclose(got, trace.entropy, atol=1e-12)
 
 
+def test_steady_entropy_sweep_matches_the_run(tmp_path):
+    # two points: each row holds the run's steady S_A, its density S_A / L_A
+    # and the growth rate S(2) / 4 at horizon L_A / 2 = 2, as the CSV prints them
+    fixed = {"alpha_J": 0.2, "alpha_h": 0.2, "beta_h": 0.1, "L": 16, "n_periods": 40,
+             "subsystem_length": 4}
+    spec = sweep.SweepSpec((("beta_J", -0.3, -0.1, 2),), fixed, "steady-entropy")
+    manifest = sweep.run_sweep(spec, tmp_path)
+    assert [p["status"] for p in manifest.points] == ["ok", "ok"]
+    rows = read_rows(tmp_path / "steady-entropy_sweep.csv")
+    quench = P.QuenchConfig(P.named_state("neel-fermion", 16), n_periods=40)
+    for row, bj in zip(rows, (-0.3, -0.1)):
+        trace = gaussian.stroboscopic_run(P.make_params(0.2, bj, 0.2, 0.1), P.lattice(16),
+                                          quench, P.SubsystemSpec(1, 4))
+        s_a = trace.steady_state()
+        assert (row["L"], row["L_A"]) == ("16", "4")
+        assert row["S_A"] == sweep._fmt(s_a)
+        assert row["density"] == sweep._fmt(s_a / 4)
+        assert row["growth_rate"] == sweep._fmt(trace.entropy[1] / 4)
+    assert len(rows) == 2
+
+
 @pytest.mark.parametrize("task", ["evolve", "steady-entropy", "tee", "spectrum"])
 def test_sweep_tasks_reject_k_field(tmp_path, task):
     fixed = {"alpha_J": 0.2, "alpha_h": 0.2, "beta_h": 0.1, "L": 16,
@@ -523,6 +544,20 @@ def test_cli_scaling_ratio_from_config(tmp_path):
     rows = read_rows(tmp_path / "scaling.csv")
     assert [int(r["L_A"]) for r in rows] == [int(r["L"]) // 5 for r in rows]
     assert len(rows) == 6
+
+
+@pytest.mark.parametrize("ratio", [0, -3])
+def test_cli_scaling_ratio_below_one_rejected(tmp_path, monkeypatch, ratio):
+    # bad input (exit 2), caught before any evolution runs
+    def no_run(*args, **kwargs):
+        raise AssertionError("evolution ran")
+
+    monkeypatch.setattr(gaussian, "stroboscopic_run", no_run)
+    cfgfile = tmp_path / "sc.cfg"
+    cfgfile.write_text(SCALING_CFG + f"scaling_ratio = {ratio}\n")
+    rc = cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path), "scaling"])
+    assert rc == 2
+    assert not (tmp_path / "scaling.csv").exists()
 
 
 def test_cli_scaling_needs_no_L(tmp_path):
