@@ -29,6 +29,14 @@ def _load_config(args, task=None) -> dict:
     return cfg
 
 
+def _workers(args) -> int:
+    """``--workers``, or the BLAS thread budget where it is not given."""
+    workers = sweep.default_workers() if args.workers is None else args.workers
+    if workers < 1:
+        raise ValidationError("workers must be >= 1")
+    return workers
+
+
 def _out_dir(args) -> Path:
     d = Path(getattr(args, "out_dir", None) or ".")
     d.mkdir(parents=True, exist_ok=True)
@@ -107,16 +115,22 @@ def cmd_evolve(args):
     return 0
 
 
+def _steady_entropy(cfg) -> float:
+    """The steady S_A of one chain length of the scaling fit."""
+    sub = subsystem_from_config(cfg, cfg["L"])
+    return gaussian.stroboscopic_run(*model_from_config(cfg), sub).steady_state()
+
+
 def cmd_scaling(args):
     cfg = _load_config(args)
     if (ratio := cfg.get("scaling_ratio", 10)) < 1:
         raise ValidationError(f"scaling_ratio must be >= 1, got {ratio}")
-    points = []
-    for L in cfg.get("scaling_sizes", [60, 80, 100, 140, 180, 200]):
-        la = max(2, L // ratio)
-        trace = gaussian.stroboscopic_run(*model_from_config({**cfg, "L": L}),
-                                          SubsystemSpec(1, la))
-        points.append((L, la, trace.steady_state()))
+    sizes = cfg.get("scaling_sizes", [60, 80, 100, 140, 180, 200])
+    blocks = [max(2, L // ratio) for L in sizes]
+    s_a = sweep.map_points(_steady_entropy, [
+        {**cfg, "L": L, "subsystem_start": 1, "subsystem_length": la}
+        for L, la in zip(sizes, blocks)], _workers(args))
+    points = list(zip(sizes, blocks, s_a))
     fit = entanglement.fit_scaling(points)
     out = _out_dir(args)
     csv_path = out / (args.out or "scaling.csv")
@@ -132,11 +146,11 @@ def cmd_scaling(args):
 def cmd_tee(args):
     cfg = _load_config(args, "tee")
     betas = np.linspace(*cfg.get("tee_beta_j", (-0.55, -0.05, 11)))
-    rows, curves = [], {}
-    for L in cfg.get("tee_sizes", [32, 48, 64]):
-        rows += [sweep.task_tee(dict(cfg, L=L, beta_J=float(bj)))[0] for bj in betas]
-        curves[L] = (betas.copy(), np.array([r["S_top"] for r in rows[-len(betas):]]))
-    fit = entanglement.tee_collapse(curves)
+    sizes = cfg.get("tee_sizes", [32, 48, 64])
+    rows = [point[0] for point in sweep.map_points(sweep.task_tee, [
+        dict(cfg, L=L, beta_J=float(bj)) for L in sizes for bj in betas], _workers(args))]
+    s_top = np.array([r["S_top"] for r in rows]).reshape(len(sizes), len(betas))
+    fit = entanglement.tee_collapse({L: (betas, s) for L, s in zip(sizes, s_top)})
     routes = {route: sum(r["route"] == route for r in rows) for route in ("schur", "loop")}
     out = _out_dir(args)
     csv_path = out / (args.out or "tee.csv")
@@ -203,7 +217,7 @@ def cmd_sweep(args):
     axes = [_axis(spec) for spec in args.axis or []]
     if not axes:
         raise ValidationError("sweep needs at least one --axis name:start:stop:count")
-    spec = sweep.SweepSpec(tuple(axes), cfg, args.task, workers=args.workers)
+    spec = sweep.SweepSpec(tuple(axes), cfg, args.task, workers=_workers(args))
     manifest = sweep.run_sweep(spec, _out_dir(args), seed=args.seed)
     n_err = sum(1 for p in manifest.points if p["status"] != "ok")
     print(f"sweep complete: {len(manifest.points)} points, {n_err} failures")
@@ -225,7 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--out-dir", help="output directory (default: cwd)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=None,
+                   help="processes for the points of tee, scaling and sweep "
+                        "(default: usable CPUs over the BLAS thread count, "
+                        "1 where no BLAS thread variable is set)")
     p.add_argument("--seed", type=int, default=None)
     sub = p.add_subparsers(dest="command", required=True)
 

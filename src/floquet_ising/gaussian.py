@@ -676,9 +676,11 @@ def stroboscopic_run(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig
     comparing against the spin-language oracle.
     """
     ents, norms, purs = [], [], []
+    idx = subsystem.majorana_indices(lat)
 
     def record(frame: GaussianFrame):
-        ents.append(entanglement.subsystem_entropy(frame, subsystem, lat).entropy)
+        ents.append(entanglement.entropy_from_majorana_block(
+            correlation_block(frame, idx)).entropy)
         norms.append(frame.norm_log)
         purs.append(frame.isotropy)
         if observe is not None:

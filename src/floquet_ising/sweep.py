@@ -1,11 +1,13 @@
 """Parameter sweeps, result persistence and plot-data emission.
 
-A sweep evaluates one task over the Cartesian grid of its axes with a
-process pool.  Grid points are independent; results are gathered and
-written in grid order regardless of completion order, so reruns and
-different worker counts produce byte-identical CSVs.  Failures of single
-points are recorded in the manifest and do not abort the sweep; the
-manifest tells expected failures (``error``) apart from crashes.
+A sweep evaluates one task over the Cartesian grid of its axes.  Grid
+points are independent: ``map_points`` fans them out over forked worker
+processes and gathers the results in grid order regardless of completion
+order, so reruns and different worker counts produce byte-identical
+CSVs; the ``tee`` and ``scaling`` commands map their grids the same way.
+Failures of single points are recorded in the manifest and do not abort
+the sweep; the manifest tells expected failures (``error``) apart from
+crashes.
 """
 
 from __future__ import annotations
@@ -14,10 +16,13 @@ import csv
 import hashlib
 import itertools
 import json
+import multiprocessing
+import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +35,8 @@ from . import ed, entanglement, gaussian, spectral
 
 TASKS = {}
 DEFAULTS = {}
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def _task(name, **defaults):
@@ -146,16 +153,90 @@ def run_point(task_name: str, cfg: dict):
     return TASKS[task_name]({**DEFAULTS[task_name], **cfg})
 
 
-def _pool_entry(args):
-    """Run one point.  Bad input and numerical breakdowns are an ``error``;
-    any other exception is a ``crash``, recorded with its traceback."""
-    index, task_name, cfg = args
+def _fail_soft(task_name: str, cfg: dict):
+    """Run one sweep point.  Bad input and numerical breakdowns are an
+    ``error``; any other exception is a ``crash``, recorded with its
+    traceback."""
     try:
-        return index, "ok", run_point(task_name, cfg), None
+        return "ok", run_point(task_name, cfg), None
     except (ValidationError, NumericalBreakdown) as exc:
-        return index, "error", [], f"{type(exc).__name__}: {exc}"
+        return "error", [], f"{type(exc).__name__}: {exc}"
     except Exception:
-        return index, "crash", [], traceback.format_exc()
+        return "crash", [], traceback.format_exc()
+
+
+# --------------------------------------------------------------------------
+# the worker pool
+# --------------------------------------------------------------------------
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def default_workers() -> int:
+    """Worker processes that fit the BLAS thread budget: the CPUs this
+    process may use over the BLAS thread count, read from the first of
+    ``BLAS_THREAD_ENV`` that is set.  1 where none is set (BLAS then takes
+    every core), where that value is not a positive integer, or where
+    processes cannot be forked."""
+    threads = next((os.environ[k] for k in BLAS_THREAD_ENV if k in os.environ), "")
+    if not (_CAN_FORK and threads.isdigit() and int(threads) > 0):
+        return 1
+    return max(1, _cpus() // int(threads))
+
+
+def pool_size(workers: int, n_points: int) -> int:
+    """Processes, this one included, that ``map_points`` runs ``n_points``
+    points on."""
+    return max(1, min(workers, n_points)) if _CAN_FORK else 1
+
+
+_WORK = None  # (fn, points) in a forked worker, set by its initializer
+
+
+def _adopt(fn, points):
+    global _WORK
+    _WORK = fn, points
+
+
+def _run_adopted(i: int):
+    fn, points = _WORK
+    return fn(points[i])
+
+
+def _outcome(fn, point):
+    try:
+        return fn(point), None
+    except Exception as exc:
+        return None, exc
+
+
+def map_points(fn, points: list, workers: int = 1) -> list:
+    """``[fn(p) for p in points]``, in order, on ``pool_size(workers,
+    len(points))`` processes: this one takes every n-th point, forked
+    workers share the rest.  They inherit the imported modules, warm caches
+    and ``fn`` (which need not pickle); only indices and results cross the
+    pipe.  The first failing point's exception is raised, as in the serial
+    loop, after the pool is joined.  This process works rather than waits
+    because each page it first writes after a fork takes a copy-on-write
+    fault: its own points take those faults here, not the next call."""
+    n = pool_size(workers, len(points))
+    if n == 1:
+        return [fn(p) for p in points]
+    with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt, initargs=(fn, points)) as pool:
+        theirs = {i: pool.submit(_run_adopted, i) for i in range(len(points)) if i % n}
+        mine = {i: _outcome(fn, points[i]) for i in range(0, len(points), n)}
+        results = []
+        for i in range(len(points)):
+            value, exc = mine[i] if i % n == 0 else (theirs[i].result(), None)
+            if exc is not None:
+                raise exc
+            results.append(value)
+        return results
 
 
 # --------------------------------------------------------------------------
@@ -167,6 +248,7 @@ class RunManifest:
     version: str
     spec: dict
     seed: int | None
+    parallel: dict
     wallclock_s: float
     points: list
     outputs: dict
@@ -199,21 +281,12 @@ def run_sweep(spec: SweepSpec, out_dir, seed=None) -> RunManifest:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    jobs = [(idx, spec.task, dict(cfg, seed=seed) if seed is not None else cfg)
-            for idx, cfg in spec.grid()]
-    results = {}
-    if spec.workers == 1:
-        for job in jobs:
-            results[job[0]] = _pool_entry(job)
-    else:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            for res in pool.map(_pool_entry, jobs):
-                results[res[0]] = res
+    cfgs = [dict(cfg, seed=seed) if seed is not None else cfg for _, cfg in spec.grid()]
+    results = map_points(partial(_fail_soft, spec.task), cfgs, spec.workers)
 
     axis_names = [a[0] for a in spec.axes]
     rows, points = [], []
-    for idx, cfg in spec.grid():
-        _, status, point_rows, err = results[idx]
+    for (idx, cfg), (status, point_rows, err) in zip(spec.grid(), results):
         points.append({"index": idx, "status": status,
                        **({"error": err} if err else {})})
         for row in point_rows:
@@ -229,6 +302,9 @@ def run_sweep(spec: SweepSpec, out_dir, seed=None) -> RunManifest:
         spec={"axes": [list(a) for a in spec.axes], "fixed": spec.fixed,
               "task": spec.task, "workers": spec.workers},
         seed=seed,
+        # what the default --workers is worked out from, and the pool it gave
+        parallel={"pool_workers": pool_size(spec.workers, len(cfgs)), "cpus": _cpus(),
+                  "blas_thread_env": {k: os.environ.get(k) for k in BLAS_THREAD_ENV}},
         wallclock_s=time.time() - t0,
         points=points,
         outputs=outputs,

@@ -2,6 +2,7 @@ import ast
 import csv
 import inspect
 import json
+import multiprocessing
 import shlex
 import warnings
 from collections import Counter
@@ -71,6 +72,23 @@ def test_sweep_worker_count_independent(tmp_path):
         sweep.run_sweep(spec, out)
         blobs.append((out / "spectrum_sweep.csv").read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_manifest_records_the_pool_and_what_its_default_is_worked_out_from(tmp_path,
+                                                                           monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "x")
+    code = cli.main(["--out-dir", str(tmp_path), "sweep", "--task", "spectrum",
+                     "--axis", "alpha:0.4:1.6:2", "--axis", "beta_J:-1.0:-0.2:2"])
+    assert code == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["spec"]["workers"] == sweep.default_workers()
+    assert manifest["parallel"] == {
+        "pool_workers": min(sweep.default_workers(), 4), "cpus": sweep._cpus(),
+        "blas_thread_env": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                            "MKL_NUM_THREADS": "x"}}
+    assert not multiprocessing.active_children()
 
 
 def test_sweep_fail_soft(tmp_path):
@@ -285,12 +303,76 @@ def test_cli_and_sweep_share_task_defaults(tmp_path, task, csv_name, column, n_r
     assert got == [r[column] for r in read_rows(tmp_path / "cli" / csv_name)]
 
 
-@pytest.mark.parametrize("K, rc", [(0.0, 0), (0.1, 2)])
-def test_cli_tee_rejects_k_field(tmp_path, K, rc):
+@pytest.mark.parametrize("K, rc, workers", [(0.0, 0, "1"), (0.1, 2, "1"), (0.0, 0, "2"),
+                                           (0.1, 2, "2")],
+                         ids=["0.0-0", "0.1-2", "0.0-0-workers2", "0.1-2-workers2"])
+def test_cli_tee_rejects_k_field(tmp_path, K, rc, workers):
+    # under --workers 2 the points raise here and in a forked worker alike
     cfgfile = tmp_path / "tee.cfg"
     cfgfile.write_text("alpha_J = 0.2\nalpha_h = 0.2\nbeta_h = -0.3\nn_periods = 40\n"
                        f"tee_sizes = 8,12,16\ntee_beta_j = -0.4,-0.2,5\nK = {K}\n")
-    assert cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path), "tee"]) == rc
+    assert cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path),
+                     "--workers", workers, "tee"]) == rc
+
+
+@pytest.mark.parametrize("grid, rc, message", [
+    ("tee_sizes = 8,12\ntee_beta_j = -0.4,500,2\n", 3, "|Im| = 785.4 "),
+    ("tee_sizes = 8,12\ntee_beta_j = -0.4,1000,3\n", 3, "|Im| = 785.1 "),
+    ("tee_sizes = 8,12\ntee_beta_j = 500,1000,2\n", 3, "|Im| = 785.4 "),
+    ("tee_sizes = 8,3,12\ntee_beta_j = -0.4,-0.2,1\n", 2, "3 sites cannot be quartered"),
+], ids=["breakdown-in-worker", "breakdown-in-worker-first", "breakdown-here",
+        "validation-in-worker"])
+def test_cli_tee_point_error_keeps_its_exit_code_and_message_in_the_pool(tmp_path, capsys,
+                                                                         grid, rc, message):
+    # beta_J >= ~460 (pi/4 units) overflows the kicks, each beta_J with its own
+    # message; a 3-site chain cannot be quartered.  Under --workers 2 the even
+    # points run here and the odd ones in a forked worker; either way the first
+    # failing point's error gives the serial loop's exit code and message
+    cfgfile = tmp_path / "tee.cfg"
+    cfgfile.write_text("alpha_J = 0.2\nalpha_h = 0.2\nbeta_h = -0.3\nn_periods = 40\n" + grid)
+    errs = []
+    for workers in ("1", "2"):
+        assert cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path / workers),
+                         "--workers", workers, "tee"]) == rc
+        errs.append(capsys.readouterr().err)
+        assert not (tmp_path / workers / "tee.csv").exists()
+    assert errs[0] == errs[1] and message in errs[0]
+    assert not multiprocessing.active_children()
+
+
+def test_cli_tee_and_scaling_outputs_do_not_depend_on_workers(tmp_path):
+    # byte-identical outputs in and out of the pool, and no worker outlives the call
+    tee_cfg = tmp_path / "tee.cfg"
+    tee_cfg.write_text("alpha_J = 0.2\nalpha_h = 0.2\nbeta_h = -0.3\nn_periods = 40\n"
+                       "tee_sizes = 8,12,16\ntee_beta_j = -0.4,-0.2,5\n")
+    sc_cfg = tmp_path / "sc.cfg"
+    sc_cfg.write_text(SCALING_CFG + "scaling_sizes = 16,20,24,28,32,40\nscaling_ratio = 4\n")
+    for workers in ("1", "2"):
+        for cfg, cmd in ((tee_cfg, "tee"), (sc_cfg, "scaling")):
+            assert cli.main(["--config", str(cfg), "--out-dir", str(tmp_path / workers),
+                             "--workers", workers, cmd]) == 0
+            assert not multiprocessing.active_children()
+    for name in ("tee.csv", "tee_collapse.json", "scaling.csv", "scaling_fit.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+@pytest.mark.parametrize("env, cpus, workers", [
+    ({}, 2, 1), ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2), ({"OPENBLAS_NUM_THREADS": "2"}, 4, 2),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 2, 1), ({"OPENBLAS_NUM_THREADS": "abc"}, 2, 1),
+    ({"OMP_NUM_THREADS": "1"}, 3, 3), ({"MKL_NUM_THREADS": "4"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 2, 1),
+], ids=["unset", "1-on-2", "2-on-4", "zero", "not-a-number", "omp", "more-threads-than-cpus",
+        "openblas-read-first"])
+def test_default_workers_is_the_blas_thread_budget(monkeypatch, env, cpus, workers):
+    for name in sweep.BLAS_THREAD_ENV:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(sweep.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    assert sweep.default_workers() == workers
+    monkeypatch.setattr(sweep, "_CAN_FORK", False)
+    assert sweep.default_workers() == 1
 
 
 def test_cli_tee_reports_the_route_of_every_point(tmp_path):
