@@ -20,14 +20,15 @@ rounding level.
 On periodic chains of even length the map commutes with translation by
 two sites, so a state with that symmetry keeps it: the frame splits into
 one 4x2 block per two-site Bloch momentum q, each moved by its own 4x4
-block F_q, and isotropy pairs q with -q.  Every frame is such a stack of
-Bloch blocks (``GaussianFrame``); the dense frame is the one-cell stack.
+block F_q = V_q diag(t_k, t_{k+pi}) V_q^dag (``_bloch_stack``), and
+isotropy pairs q with -q.  Every frame is such a stack of Bloch blocks
+(``GaussianFrame``); the dense frame is the one-cell stack.
 Both the stroboscopic loop and the continuous-time flow run on the
 momentum stack where ``_momentum_route`` allows it (pbc-even, L divisible
 by 4, a state of period 2), and on the one-cell stack everywhere else.
 So does the direct steady state, which forms the n-period frame from the
 frame map's blocks: on the momentum stack from the eigenpairs of the 2x2
-one-site Bloch blocks t_k, t_{k+pi} of each 4x4 block (``_bloch_frame``),
+one-site Bloch blocks t_k, t_{k+pi} themselves (``_bloch_frame``),
 where the dense 2L x 2L frame map is not tried, and on the one-cell stack
 from a Schur form of the L x L + reflection-sector block alone
 (``_sector_split``): the - block is the inverse transpose of the +, so its
@@ -48,8 +49,8 @@ from .errors import (DegenerateEvolution, NumericalBreakdown,
                      UnsupportedStateError, ValidationError)
 from .params import (BoundaryCondition, LatticeSpec, ModelParams,
                      ProductState, QuenchConfig, SubsystemSpec)
-from .spectral import (KickForms, _chain_plan, build_kick_forms, cell_momenta,
-                       frame_map_blocks, hamiltonian_blocks, sector_basis)
+from .spectral import (KickForms, _chain_plan, bloch_blocks, build_kick_forms,
+                       cell_momenta, sector_basis)
 
 _ISO_TOL = 1e-13
 _RANK_TOL = 1e-13
@@ -514,13 +515,13 @@ def _sector_split(t: np.ndarray, t_inv: np.ndarray, y: tuple[np.ndarray, np.ndar
     return _flush(c_plus), _flush(c_minus), float(log_scale)
 
 
-def _bloch_frame(fq: np.ndarray, frame: GaussianFrame, n: int) -> GaussianFrame | None:
-    """The n-period momentum stack from ``frame``, from the one-site Bloch
-    blocks of the frame map, or None unless it provably equals the loop's.
-    With k = q/2 and V_q = [[1, 1], [e^{ik}, -e^{ik}]] (x) 1 / sqrt(2),
-    V_q^dag F_q V_q = diag(t_k, t_{k+pi}), each t of determinant 1
-    (``frame_map_blocks``): its modes are a pair, the top mode mu_1 with
-    the larger |mu| and the bottom mode mu_3 = 1/mu_1.
+def _bloch_frame(t: np.ndarray, v: np.ndarray, frame: GaussianFrame,
+                 n: int) -> GaussianFrame | None:
+    """The n-period momentum stack from ``frame``, from the one-site blocks
+    t of the frame map F_q = V_q diag(t_k, t_{k+pi}) V_q^dag
+    (``_bloch_stack``), or None unless it provably equals the loop's.  Each
+    t has determinant 1: its modes are a pair, the top mode mu_1 with the
+    larger |mu| and the bottom mode mu_3 = 1/mu_1.
 
     With u the unit eigenvector of mu_1 and u' its orthogonal complement,
     t = [u, u'] [[mu_1, b], [0, mu_3]] [u, u']^dag, and w = u' + x u,
@@ -547,12 +548,8 @@ def _bloch_frame(fq: np.ndarray, frame: GaussianFrame, n: int) -> GaussianFrame 
       at those of z3 z1^-1, which do not decay with n, and mostly misses
       here.
     """
-    if not np.all(np.isfinite(fq)):  # an overflowing map: eig would raise
+    if not np.all(np.isfinite(t)):  # an overflowing map: eig would raise
         return None
-    v = (np.kron([[1.0, 1.0], [1.0, -1.0]], np.eye(2)) / np.sqrt(2.0)
-         * np.exp(0.5j * np.outer(frame.momenta, [0, 0, 1, 1]))[:, :, None])
-    g = _hc(v) @ fq @ v
-    t = np.stack([g[:, :2, :2], g[:, 2:, 2:]], axis=1)  # N x 2 x 2 x 2: t_k, t_{k+pi}
     mu, vec = np.linalg.eig(t)
     top = np.argmax(np.abs(mu), axis=-1)[..., None]  # the member with the larger |mu|
     mu1, mu3 = (np.take_along_axis(mu, i, -1)[..., 0] for i in (top, 1 - top))
@@ -577,6 +574,24 @@ def _bloch_frame(fq: np.ndarray, frame: GaussianFrame, n: int) -> GaussianFrame 
     coords = np.eye(2)[None, :, None, :] * u[..., None] + w[..., None] * e[:, :, None, :]
     log_scale = n * np.sum(np.log(np.abs(mu1))) + np.sum(np.log(sv))
     return _direct_frame(v @ coords.reshape(len(v), 4, -1), log_scale, frame, n)
+
+
+def _bloch_stack(params: ModelParams, q: np.ndarray):
+    """t and h (N x 2 x 2 x 2), the one-site blocks t_k, t_{k+pi} of the
+    frame map and h_k, h_{k+pi} of the continuous limit at k = q/2
+    (``spectral.bloch_blocks``), and V_q = [[1, 1], [e^{ik}, -e^{ik}]] (x)
+    1 / sqrt(2), which takes each pair to its 4x4 cell block."""
+    blocks = bloch_blocks(params.J, params.h, -(q[:, None] / 2 + np.array([0.0, np.pi])))
+    v = (np.kron([[1.0, 1.0], [1.0, -1.0]], np.eye(2)) / np.sqrt(2.0)
+         * np.exp(0.5j * np.outer(q, [0, 0, 1, 1]))[:, :, None])
+    return blocks.period(-1.0), blocks.hamiltonian(), v
+
+
+def _cell_blocks(v: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """V_q diag(b_k, b_{k+pi}) V_q^dag (F_q from t, H_q from h), so that
+    F U_q = U_q F_q on the dense frame (``GaussianFrame``)."""
+    v1, v2 = v[..., :2], v[..., 2:]
+    return v1 @ b[:, 0] @ _hc(v1) + v2 @ b[:, 1] @ _hc(v2)
 
 
 def _direct_frame(phi: np.ndarray, log_scale: float, frame: GaussianFrame,
@@ -627,9 +642,9 @@ def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchCon
     called with the frame after every period.  The frame is the momentum
     stack where ``_momentum_route`` allows it, else the one-cell stack.
     Without an observer it is first sought directly, on that stack: from
-    the eigenpairs (mu, 1/mu) of the two 2x2 one-site Bloch blocks of each
-    4x4 momentum block F_q (``_bloch_frame``; the dense frame map is not
-    tried), or from a Schur form of the one-cell map's L x L + sector
+    the eigenpairs (mu, 1/mu) of the two 2x2 one-site Bloch blocks t_k,
+    t_{k+pi} of each momentum q (``_bloch_frame``; the dense frame map is
+    not tried), or from a Schur form of the one-cell map's L x L + sector
     block, which gives the - sector's too (``_dominant_frame``).  Each
     gives the exact n-period frame from the split of its spectrum at the
     cut (one member of each pair on top, on the momentum stack), and the
@@ -644,8 +659,9 @@ def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchCon
     frame = initial_frame(quench, lat)
     if _momentum_route(lat, quench.initial_state):
         frame = GaussianFrame.from_dense(frame, lat)
-        fq = frame_map_blocks(params, frame.momenta)
-        direct = partial(_bloch_frame, fq)
+        t, _, v = _bloch_stack(params, frame.momenta)
+        fq = _cell_blocks(v, t)
+        direct = partial(_bloch_frame, t, v)
         step = lambda f: _advance(f, fq @ f.blocks, "momentum")
     else:
         kicks = build_kick_forms(params, lat)
@@ -699,7 +715,7 @@ def continuous_hamiltonian(params: ModelParams, lat: LatticeSpec) -> np.ndarray:
     """Dense coefficient matrix H of H_op = sum_ij H_ij a_i a_j for the
     continuous limit H_op = J sum XX + h sum Z (equal to i (W' + W'')).
     ``evolve_continuous`` takes it only off the momentum route; on it, it
-    takes the 4x4 Bloch blocks of ``spectral.hamiltonian_blocks``."""
+    takes the cell blocks H_q of the one-site blocks (``_bloch_stack``)."""
     w1, w2 = build_kick_forms(params, lat)
     return 1j * (w1.w + w2.w)
 
@@ -715,7 +731,8 @@ def evolve_continuous(params: ModelParams, lat: LatticeSpec, state: ProductState
     ``norm_log`` accumulates the log-norm of exp(-4i t H) Phi0.  Where
     ``_momentum_route`` allows it (pbc-even, L divisible by 4, occupations
     of period 2) the frame is the momentum stack and each step takes the
-    exponentials of the L/2 4x4 blocks H_q (``spectral.hamiltonian_blocks``);
+    exponentials of the L/2 4x4 blocks H_q = V_q diag(h_k, h_{k+pi}) V_q^dag,
+    formed once per run from the one-site blocks (``_bloch_stack``);
     elsewhere it is the one-cell stack, moved by the exponential of the
     dense 2L x 2L H (``continuous_hamiltonian``).
     """
@@ -726,7 +743,8 @@ def evolve_continuous(params: ModelParams, lat: LatticeSpec, state: ProductState
     frame = initial_frame(state, lat)
     if _momentum_route(lat, state):
         frame = GaussianFrame.from_dense(frame, lat)
-        hmat = hamiltonian_blocks(params, frame.momenta)
+        _, h, v = _bloch_stack(params, frame.momenta)
+        hmat = _cell_blocks(v, h)
     else:
         hmat = continuous_hamiltonian(params, lat)[None]
     out, dt_u, u = [], None, None

@@ -15,7 +15,11 @@ Conventions
   calibration the test suite pins.
 * One Bloch convention: k names the same block in ``allowed_momenta``
   (odd multiples of pi/L on pbc-even, even ones on pbc-odd, any L),
-  ``_dispersion`` and ``momentum_kick_blocks`` (tr(e1 e2)/2 = x(k)/4).
+  ``_dispersion`` and ``bloch_blocks`` (tr/2 of exp(4W'_k) exp(4W''_k) is
+  x(k)/4), which builds every one-site block.  The annihilator-frame map
+  and the continuous limit at k read it at -k: t_k = exp(-4W'_{-k})
+  exp(-4W''_{-k}), h_k = i(W'_{-k} + W''_{-k}), and so does the
+  continuous certificate, 4 N^-1 h_k N (N = ``_NAMBU_FROM_MAJORANA``).
 * Each kick is a direct sum of commuting two-Majorana rotations, so its
   exponential is assembled bond by bond in closed form (exact, O(L)).
 * Both kicks (``build_kick_forms``, which ``build_transfer_matrix`` calls)
@@ -77,6 +81,20 @@ _FEW_MODE_MAX = 4        # more isolated real modes than this are ambiguous
 # quadratic forms and kick exponentials
 # --------------------------------------------------------------------------
 
+def _kick_cos_sin(angle) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of kick angles, the one finiteness test of a kick: where
+    either overflows (|Im angle| beyond ~710) exp(4W) has no double-precision
+    form, and NumericalBreakdown is raised with the largest |Im angle| as
+    ``condition``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cos, sin = np.cos(angle), np.sin(angle)
+    if not (np.all(np.isfinite(cos)) and np.all(np.isfinite(sin))):
+        grow = float(np.abs(np.imag(angle)).max())
+        raise NumericalBreakdown(f"kick exp(4W) overflows: cos and sin of a bond angle "
+                                 f"with |Im| = {grow:.4g} are not finite", condition=grow)
+    return cos, sin
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class MajoranaQuadraticForm:
     """Antisymmetric W of H = i sum_jk a_j W_jk a_k on ``n`` Majoranas.
@@ -88,10 +106,8 @@ class MajoranaQuadraticForm:
     ``partner``, each Majorana's bond partner (itself if unbonded);
     ``angle``, its rotation angle (+4s at p, -4s at q, 0 if unbonded);
     ``cos`` and ``sin`` of the angles as complex128 columns.  An index
-    outside [0, n) or two bonds on one Majorana raise ValidationError.  An
-    angle whose cosine or sine overflows (|Im angle| beyond ~710) raises
-    NumericalBreakdown with the largest |Im angle| as ``condition``: the
-    kick exp(4W) has no double-precision form.
+    outside [0, n) or two bonds on one Majorana raise ValidationError; an
+    overflowing angle raises NumericalBreakdown (``_kick_cos_sin``).
     """
 
     n: int
@@ -111,12 +127,7 @@ class MajoranaQuadraticForm:
         partner[p], partner[q] = q, p
         angle = np.zeros(n, dtype=complex)
         angle[p], angle[q] = 4 * s, -4 * s
-        with np.errstate(over="ignore", invalid="ignore"):
-            cos, sin = np.cos(angle)[:, None], np.sin(angle)[:, None]
-        if not (np.all(np.isfinite(cos)) and np.all(np.isfinite(sin))):
-            grow = float(np.abs(angle.imag).max())
-            raise NumericalBreakdown(f"kick exp(4W) overflows: cos and sin of a bond angle "
-                                     f"with |Im| = {grow:.4g} are not finite", condition=grow)
+        cos, sin = (a[:, None] for a in _kick_cos_sin(angle))
         # the dataclass is frozen: set the fields past its __setattr__
         self.__dict__.update(n=n, partner=partner, angle=angle, cos=cos, sin=sin)
 
@@ -173,6 +184,38 @@ def build_kick_forms(params: ModelParams, lat: LatticeSpec) -> KickForms:
                    np.append(s, -lat.bc.wrap_sign * params.J / 2.0))
     return KickForms(MajoranaQuadraticForm(n, p, q, s),
                      MajoranaQuadraticForm(n, site, site + 1, np.full(L, params.h / 2.0)))
+
+
+_G_FIELD = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)  # g''
+
+
+@dataclass(frozen=True)
+class BlochBlocks:
+    """The one-site Majorana blocks of ``bloch_blocks``: 4W'_k = 2J g'_k and
+    4W'' = 2h g'', ``coupling`` the stack of g'_k = [[0, -e^{ik}],
+    [e^{-ik}, 0]] (k.shape x 2 x 2) and g'' = [[0, 1], [-1, 0]], g^2 = -1."""
+
+    J: complex
+    h: complex
+    coupling: np.ndarray
+
+    def period(self, sign: float = 1.0) -> np.ndarray:
+        """exp(sign 4W'_k) exp(sign 4W''_k), each kick cos 2x + sign sin 2x g;
+        an overflowing kick raises NumericalBreakdown (``_kick_cos_sin``)."""
+        (c1, c2), (s1, s2) = _kick_cos_sin(np.array([2 * self.J, 2 * self.h]))
+        return ((c1 * np.eye(2) + sign * s1 * self.coupling)
+                @ (c2 * np.eye(2) + sign * s2 * _G_FIELD))
+
+    def hamiltonian(self) -> np.ndarray:
+        """The continuous limit i(W'_k + W''_k) = (i/2)(J g'_k + h g'')."""
+        return 0.5j * (self.J * self.coupling + self.h * _G_FIELD)
+
+
+def bloch_blocks(J: complex, h: complex, k) -> BlochBlocks:
+    """The one builder of the one-site Bloch blocks, at momenta ``k`` of any
+    shape (the module's Bloch convention says which k each reader takes)."""
+    e = np.exp(1j * np.asarray(k, dtype=float))[..., None, None]
+    return BlochBlocks(J, h, np.array([[0, -1], [0, 0]]) * e + np.array([[0, 0], [1, 0]]) / e)
 
 
 # --------------------------------------------------------------------------
@@ -485,6 +528,17 @@ def _census_momenta(L: int, bc: BoundaryCondition) -> np.ndarray:
     k = allowed_momenta(LatticeSpec(L, bc))
     _read_only(k)
     return k
+
+
+def cell_momenta(lat: LatticeSpec) -> np.ndarray:
+    """Two-site Bloch momenta q = 2 pi (m + theta) / N, m = 0..N-1, of a
+    periodic chain of even length L = 2N: theta = 1/2 (antiperiodic) for
+    pbc-even, 0 for pbc-odd.  q/2 and q/2 + pi run over ``allowed_momenta``."""
+    if not lat.bc.periodic or lat.L % 2:
+        raise ValidationError("two-site cells need a periodic chain of even length")
+    n = lat.L // 2
+    theta = 0.5 if lat.bc is BoundaryCondition.PBC_EVEN else 0.0
+    return 2 * np.pi * (np.arange(n) + theta) / n
 
 
 @dataclass(frozen=True)
@@ -853,74 +907,8 @@ class MetricOperator:
     certified: bool
 
 
-def bdg_block(J: complex, h: complex, k: float) -> np.ndarray:
-    """Single-particle Hamiltonian block in the (c_k, c^dag_{-k}) basis for
-    H = J sum X X + h sum Z."""
-    a = 2 * (J * np.cos(k) - h)
-    b = 2j * J * np.sin(k)
-    return np.array([[a, b], [-b, -a]], dtype=complex)
-
-
 _NAMBU_FROM_MAJORANA = np.array([[1.0, 1.0], [1j, -1j]], dtype=complex)
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
-def momentum_kick_blocks(J: complex, h: complex, k: float):
-    """Majorana-basis 2x2 blocks of exp(4W'), exp(4W'') at the k of ``_dispersion``."""
-    e2 = np.array([[np.cos(2 * h), np.sin(2 * h)],
-                   [-np.sin(2 * h), np.cos(2 * h)]], dtype=complex)
-    e1 = np.array([[np.cos(2 * J), -np.sin(2 * J) * np.exp(1j * k)],
-                   [np.sin(2 * J) * np.exp(-1j * k), np.cos(2 * J)]], dtype=complex)
-    return e1, e2
-
-
-def cell_momenta(lat: LatticeSpec) -> np.ndarray:
-    """Two-site Bloch momenta q = 2 pi (m + theta) / N, m = 0..N-1, of a
-    periodic chain of even length L = 2N: theta = 1/2 (antiperiodic) for
-    pbc-even, 0 for pbc-odd.  q/2 and q/2 + pi run over ``allowed_momenta``."""
-    if not lat.bc.periodic or lat.L % 2:
-        raise ValidationError("two-site cells need a periodic chain of even length")
-    n = lat.L // 2
-    theta = 0.5 if lat.bc is BoundaryCondition.PBC_EVEN else 0.0
-    return 2 * np.pi * (np.arange(n) + theta) / n
-
-
-def frame_map_blocks(params: ModelParams, q: np.ndarray) -> np.ndarray:
-    """4x4 blocks F_q of the annihilator-frame map exp(-4W') exp(-4W'').
-
-    A two-site Bloch vector carries e^{iqx} u on cell x (sites 2x+1, 2x+2,
-    Majorana rows 4x..4x+3).  The kicks act bond by bond, as in
-    ``period_map``: the bonds inside a cell are those of a two-site open
-    chain, and the coupling bond from row 3 to row 0 of the next cell
-    carries e^{iq}.  In the one-site Bloch waves of momenta k = q/2 and
-    k + pi, V_q = [[1, 1], [e^{ik}, -e^{ik}]] (x) 1 / sqrt(2) (unitary),
-    F_q is block diagonal: V_q^dag F_q V_q = diag(t_k, t_{k+pi}), each t_k
-    a 2x2 block of determinant 1 with the spectrum of the one-site block of
-    ``momentum_kick_blocks`` at k.
-    """
-    cell = build_kick_forms(params, LatticeSpec(2, BoundaryCondition.OBC))
-    f = np.repeat(cell.step(np.eye(4, dtype=complex), -1.0)[None], len(q), axis=0)
-    c, s = np.cos(2 * params.J), np.sin(2 * params.J)
-    phase = np.exp(1j * np.asarray(q, dtype=float))[:, None]
-    f[:, 3], f[:, 0] = c * f[:, 3] - s * phase * f[:, 0], c * f[:, 0] + s / phase * f[:, 3]
-    return f
-
-
-def hamiltonian_blocks(params: ModelParams, q: np.ndarray) -> np.ndarray:
-    """4x4 Bloch blocks H_q of the continuous-limit coefficient matrix
-    H = i (W' + W'') of ``gaussian.continuous_hamiltonian``, in the cells of
-    ``frame_map_blocks``: the two-site open-chain forms inside a cell, and
-    the coupling bond from row 3 to row 0 of the next cell with e^{iq}, so
-    H U_q = U_q H_q.  O(L) for the L/2 momenta; the dense H is never formed.
-    In the one-site Bloch basis V_q of ``frame_map_blocks``, H_q is block
-    diagonal with two traceless 2x2 blocks, at k = q/2 and k + pi.
-    """
-    w1, w2 = build_kick_forms(params, LatticeSpec(2, BoundaryCondition.OBC))
-    h = np.repeat(1j * (w1.w + w2.w)[None], len(q), axis=0)
-    phase = np.exp(1j * np.asarray(q, dtype=float))
-    h[:, 3, 0] += 0.5j * params.J * phase
-    h[:, 0, 3] -= 0.5j * params.J / phase
-    return h
 
 
 def effective_hamiltonian_nambu(J: complex, h: complex, k: float) -> np.ndarray:
@@ -929,10 +917,10 @@ def effective_hamiltonian_nambu(J: complex, h: complex, k: float) -> np.ndarray:
     and eps of ``_dispersion``, i Log t = ((eps - s)/r)(t - c) - |s|.  s = 0
     keeps the pair +-eps; a pair on the negative real axis (the conjugate-pair
     rule at Re eps = +-pi) takes Arg = +pi in both logs: s = pi sign(Re eps).
-    At r = 0 the ratio is its limit i/c: t = +-1 gives 0 or -pi."""
-    e1, e2 = momentum_kick_blocks(J, h, k)
+    At r = 0 the ratio is its limit i/c: t = +-1 gives 0 or -pi.  t is the
+    period block of ``bloch_blocks`` at +k, taken to the Nambu basis."""
     v = _NAMBU_FROM_MAJORANA
-    t = np.linalg.solve(v, (e1 @ e2) @ v)
+    t = np.linalg.solve(v, bloch_blocks(J, h, k).period() @ v)
     c = np.trace(t) / 2
     disc, eps = (complex(a[0]) for a in _dispersion(J, h, [k]))
     r, on_axis = np.sqrt(disc), abs(abs(eps.real) - math.pi) < _MODE_CLASS_TOL
@@ -955,11 +943,12 @@ def _metric_residual(eta: np.ndarray, hk: np.ndarray) -> float:
 def pseudo_hermiticity_certificate(params: ModelParams, k: float,
                                    continuous: bool | None = None) -> MetricOperator:
     """Closed-form similarity metric where one is known, else the exact
-    eigenbasis verdict.
+    eigenbasis verdict, on the continuous block where ``continuous`` (by
+    default on J = conj(h)), else on ``effective_hamiltonian_nambu``.
 
-    Families: (i) continuous limit with J = conj(h) uses the cot(k/2)
-    metric; (ii) the alpha = pi/4 line uses the first Pauli matrix on the
-    effective Floquet Hamiltonian; Hermitian couplings use the identity.
+    Families: Hermitian couplings use the identity; (i) the continuous
+    limit with J = conj(h), alpha_J != 0, uses the cot(k/2) metric; (ii) the
+    alpha = pi/4 line uses the first Pauli matrix on the Floquet block.
     Elsewhere ("numerical") a diagonalizable 2 x 2 block H = R D R^-1 is
     pseudo-Hermitian iff its eigenvalues are real or a complex-conjugate
     pair, with metric l1 l1^dag + l2 l2^dag or l1 l2^dag + l2 l1^dag over
@@ -976,39 +965,31 @@ def pseudo_hermiticity_certificate(params: ModelParams, k: float,
                  and not hermitian)
     if continuous is None:
         continuous = conj_pair
+    v = _NAMBU_FROM_MAJORANA
+    hk = (4 * np.linalg.solve(v, bloch_blocks(J, h, -k).hamiltonian() @ v) if continuous
+          else effective_hamiltonian_nambu(J, h, k))
 
     if hermitian:
-        hk = bdg_block(J, h, k) if continuous else effective_hamiltonian_nambu(J, h, k)
-        eta = np.eye(2, dtype=complex)
-        res = _metric_residual(eta, hk)
-        return MetricOperator(eta, res, "hermitian", res < 1e-8)
-
-    if conj_pair and continuous:
+        eta, family = np.eye(2, dtype=complex), "hermitian"
+    elif conj_pair and continuous and params.alpha_J != 0:
         if abs(math.sin(k / 2.0)) < 1e-12:
             raise MetricPoleError("cot(k/2) metric is singular at k = 0")
         g = (params.beta_J / params.alpha_J) / math.tan(k / 2.0)
-        eta = np.array([[1.0, g], [g, 1.0]], dtype=complex)
-        hk = bdg_block(J, h, k)
-        res = _metric_residual(eta, hk)
-        return MetricOperator(eta, res, "conjugate-couplings", res < 1e-8)
-
-    if dual_line:
-        hk = effective_hamiltonian_nambu(J, h, k)
-        res = _metric_residual(_SIGMA_X, hk)
-        return MetricOperator(_SIGMA_X.copy(), res, "self-dual-line", res < 1e-8)
-
-    hk = effective_hamiltonian_nambu(J, h, k)
-    with np.errstate(all="ignore"):
-        try:
-            l1, l2 = np.linalg.inv(np.linalg.eig(hk)[1]).conj()
-        except np.linalg.LinAlgError:
-            l1 = l2 = np.zeros(2)
-        metrics = (np.outer(l1, l1.conj()) + np.outer(l2, l2.conj()),
-                   np.outer(l1, l2.conj()) + np.outer(l2, l1.conj()))
-    residuals = [_metric_residual(eta, hk) for eta in metrics]
-    best = int(np.argmin(residuals))
-    res = residuals[best]
-    return MetricOperator(metrics[best], res, "numerical", res < 1e-8)
+        eta, family = np.array([[1.0, g], [g, 1.0]], dtype=complex), "conjugate-couplings"
+    elif dual_line and not continuous:
+        eta, family = _SIGMA_X.copy(), "self-dual-line"
+    else:
+        with np.errstate(all="ignore"):
+            try:
+                l1, l2 = np.linalg.inv(np.linalg.eig(hk)[1]).conj()
+            except np.linalg.LinAlgError:
+                l1 = l2 = np.zeros(2)
+            metrics = (np.outer(l1, l1.conj()) + np.outer(l2, l2.conj()),
+                       np.outer(l1, l2.conj()) + np.outer(l2, l1.conj()))
+        eta = min(metrics, key=lambda m: _metric_residual(m, hk))
+        family = "numerical"
+    res = _metric_residual(eta, hk)
+    return MetricOperator(eta, res, family, res < 1e-8)
 
 
 def spectrum_conjugation_defect(eps: np.ndarray) -> float:

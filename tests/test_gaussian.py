@@ -742,7 +742,7 @@ def test_momentum_route_raises_on_rank_loss():
     lat = P.lattice(8, "pbc-even")
     frame = gaussian.GaussianFrame.from_dense(
         gaussian.initial_frame(P.named_state("neel-fermion", 8), lat), lat)
-    fq = spectral.frame_map_blocks(p, frame.momenta)
+    fq = _engine_frame_map(p, frame)
     with pytest.raises(DegenerateEvolution):
         gaussian.orthonormalize(fq @ frame.blocks, partner=frame.partner)
     quench = P.QuenchConfig(P.named_state("neel-fermion", 8), n_periods=10)
@@ -781,10 +781,28 @@ def _mp_block_frame(f, phi, n, dps=50, budget=30):
         return np.array(q.tolist(), dtype=complex), float(log_r)
 
 
+def _engine_frame_map(p, frame):
+    """The 4x4 blocks F_q = V_q diag(t_k, t_{k+pi}) V_q^dag that the
+    momentum loop steps ``frame`` with."""
+    t, _, v = gaussian._bloch_stack(p, frame.momenta)
+    return gaussian._cell_blocks(v, t)
+
+
+def _dense_frame_map_blocks(p, lat, q):
+    """U_q^dag F U_q of the dense annihilator-frame map F, the bond-by-bond
+    kicks of the whole chain applied to the identity, at every momentum q:
+    the momentum blocks without the one-site builder."""
+    f = spectral.build_kick_forms(p, lat).step(np.eye(lat.n_majorana, dtype=complex), -1.0)
+    n = lat.L // 2
+    u = np.stack([np.kron(np.exp(1j * qi * np.arange(n))[:, None], np.eye(4))
+                  for qi in q]) / np.sqrt(n)
+    return gaussian._hc(u) @ f @ u
+
+
 def _block_oracle(p, lat, quench):
     """The n-period momentum stack of ``quench`` at 50 digits, block by block."""
     frame = gaussian.GaussianFrame.from_dense(gaussian.initial_frame(quench, lat), lat)
-    fq = spectral.frame_map_blocks(p, frame.momenta)
+    fq = _dense_frame_map_blocks(p, lat, frame.momenta)
     blocks, logs = zip(*(_mp_block_frame(f, phi, quench.n_periods)
                          for f, phi in zip(fq, frame.blocks)))
     return gaussian.GaussianFrame(np.stack(blocks), frame.momenta, frame.partner,
@@ -846,9 +864,9 @@ def test_bloch_frames_equal_the_schur_split_random_couplings(cells, state, coupl
     lat = P.lattice(L, "pbc-even")
     frame = gaussian.GaussianFrame.from_dense(
         gaussian.initial_frame(P.named_state(state, L), lat), lat)
-    fq = spectral.frame_map_blocks(P.ModelParams(*couplings), frame.momenta)
-    found, ref = (fn(fq, frame, n_periods)
-                  for fn in (gaussian._bloch_frame, _schur_reference_frame))
+    t, _, v = gaussian._bloch_stack(P.ModelParams(*couplings), frame.momenta)
+    found = gaussian._bloch_frame(t, v, frame, n_periods)
+    ref = _schur_reference_frame(gaussian._cell_blocks(v, t), frame, n_periods)
     assert (found is None) == (ref is None)
     if found is not None:
         c_found, c_ref = (gaussian.correlation_from_frame(f).c for f in (found, ref))
@@ -860,12 +878,14 @@ def test_direct_momentum_frame_matches_block_oracle_at_a_tie_across_sub_blocks()
     # alpha = pi/4: one 4x4 block has all four modes on the unit circle,
     # and its second and third |mu| tie exactly across the two sub-blocks.
     # The generic split of the 4x4 Schur form cannot cut between them and
-    # misses; the Bloch frame takes one member of each sub-block's pair
+    # misses; the Bloch frame takes one member of each sub-block's pair.
+    # The tie is exact in the blocks of the dense map (the engine's
+    # V_q diag(t_k, t_{k+pi}) V_q^dag breaks it by one rounding)
     p, lat = P.make_params(1.0, -0.3, 1.0, 0.5), P.lattice(24, "pbc-even")
     quench = P.QuenchConfig(P.named_state("all-up", 24), n_periods=300)
     _assert_direct_matches_oracle(p, lat, quench)
     frame = gaussian.GaussianFrame.from_dense(gaussian.initial_frame(quench, lat), lat)
-    assert _schur_reference_frame(spectral.frame_map_blocks(p, frame.momenta), frame,
+    assert _schur_reference_frame(_dense_frame_map_blocks(p, lat, frame.momenta), frame,
                                   300) is None
 
 
@@ -874,16 +894,16 @@ def test_bloch_frame_misses_quietly(overflow):
     lat = P.lattice(8, "pbc-even")
     frame = gaussian.GaussianFrame.from_dense(
         gaussian.initial_frame(P.named_state("neel-fermion", 8), lat), lat)
-    # V_q diag(t, t) V_q^dag, t = [[1, 1], [0, 1]]: one eigenvector, no
+    # t_k = t_{k+pi} = [[1, 1], [0, 1]] on every block: one eigenvector, no
     # decoupling w (V_q = [[1, 1], [e^{ik}, -e^{ik}]] (x) 1 / sqrt(2), k = q/2)
     v = np.stack([np.kron([[1, 1], [np.exp(0.5j * q), -np.exp(0.5j * q)]], np.eye(2))
                   for q in frame.momenta]) / np.sqrt(2.0)
-    fq = v @ np.kron(np.eye(2), [[1.0, 1.0], [0.0, 1.0]]) @ gaussian._hc(v)
-    if overflow:  # frame_map_blocks of a kick that overflowed
-        fq[0, 0, 0] = np.nan
+    t = np.tile([[1.0, 1.0], [0.0, 1.0]], (len(v), 2, 1, 1)).astype(complex)
+    if overflow:  # the one-site blocks of a period that overflowed
+        t[0, 0, 0, 0] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert gaussian._bloch_frame(fq, frame, 300) is None
+        assert gaussian._bloch_frame(t, v, frame, 300) is None
 
 
 def _no_dense_schur(*args):
@@ -955,7 +975,7 @@ def test_orthonormalize_pairs_blocks_with_their_partners(monkeypatch):
     frame = gaussian.GaussianFrame.from_dense(
         gaussian.initial_frame(P.named_state("neel-fermion", 8), lat), lat)
     assert frame.partner.tolist() == [0, 3, 2, 1]
-    fq = spectral.frame_map_blocks(P.ModelParams(0.4, -0.2, 0.7, 0.3), frame.momenta)
+    fq = _engine_frame_map(P.ModelParams(0.4, -0.2, 0.7, 0.3), frame)
     blocks, _, _ = gaussian.orthonormalize(fq @ frame.blocks, partner=frame.partner)
     noisy = blocks + 1e-4 * (rng.normal(size=blocks.shape) + 1j * rng.normal(size=blocks.shape))
     with monkeypatch.context() as m, pytest.raises(NumericalBreakdown) as err:
@@ -988,7 +1008,7 @@ def test_correlation_block_is_the_restricted_dense_formula(idx, route):
         frame = _dense_frames(p, lat, quench)[-1]
     elif route == "pbc-odd":
         frame = gaussian.GaussianFrame.from_dense(gaussian.initial_frame(quench, lat), lat)
-        fq = spectral.frame_map_blocks(p, frame.momenta)
+        fq = _engine_frame_map(p, frame)
         blocks, _, _ = gaussian.orthonormalize(fq @ fq @ fq @ frame.blocks,
                                                partner=frame.partner)
         frame = gaussian.GaussianFrame(blocks, frame.momenta, frame.partner)

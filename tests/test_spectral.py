@@ -30,6 +30,20 @@ def bdg_oracle(J, h, k):
     return np.array([[a, b], [-b, -a]])
 
 
+def kick_oracle(J, h, k):
+    """Independent Majorana-basis 2x2 blocks of exp(4W'), exp(4W'') at
+    momentum k, the operator convention of the dispersion."""
+    e1 = np.array([[np.cos(2 * J), -np.sin(2 * J) * np.exp(1j * k)],
+                   [np.sin(2 * J) * np.exp(-1j * k), np.cos(2 * J)]])
+    e2 = np.array([[np.cos(2 * h), np.sin(2 * h)], [-np.sin(2 * h), np.cos(2 * h)]])
+    return e1, e2
+
+
+def metric_residual(eta, hk):
+    """||eta H eta^-1 - H^dag|| / ||H||, written out here."""
+    return np.linalg.norm(eta @ hk @ np.linalg.inv(eta) - hk.conj().T) / np.linalg.norm(hk)
+
+
 # --------------------------------------------------------------------------
 # kick forms
 # --------------------------------------------------------------------------
@@ -247,27 +261,50 @@ def test_odd_length_census_reads_the_antiperiodic_grid():
                        [-3, -1, 1, 3, 5])
 
 
+def _cell_stack(lat):
+    """U_q (N x 2L x 4), U_q[(x, a), b] = e^{iqx} delta_ab / sqrt(N), and
+    V_q (N x 4 x 4) = [[1, 1], [e^{ik}, -e^{ik}]] (x) 1 / sqrt(2), k = q/2,
+    at every two-site momentum q of ``lat``, built here from their formulas."""
+    q, n = S.cell_momenta(lat), lat.L // 2
+    u = np.stack([np.kron(np.exp(1j * qi * np.arange(n))[:, None], np.eye(4)) for qi in q])
+    v = np.stack([np.kron([[1, 1], [np.exp(0.5j * qi), -np.exp(0.5j * qi)]], np.eye(2))
+                  for qi in q])
+    return q, u / np.sqrt(n), v / np.sqrt(2)
+
+
+def _engine_cell_blocks(p, q):
+    """The momentum stack's 4x4 blocks F_q and H_q as the engine forms them."""
+    from floquet_ising import gaussian
+
+    t, h, v = gaussian._bloch_stack(p, q)
+    return gaussian._cell_blocks(v, t), gaussian._cell_blocks(v, h)
+
+
+def _one_site_pairs(m, u, v):
+    """V_q^dag U_q^dag M U_q V_q of a dense M at every q, and its diagonal
+    2x2 blocks, the one-site pair at k = q/2 and k + pi."""
+    g = np.swapaxes((u @ v).conj(), -1, -2) @ m @ (u @ v)
+    return g, np.stack([g[:, :2, :2], g[:, 2:, 2:]], axis=1)
+
+
 @pytest.mark.parametrize("bc", ["pbc-even", "pbc-odd"])
 @pytest.mark.parametrize("L", [8, 10, 12, 14])
 def test_frame_map_blocks_are_the_dense_map_in_momentum(bc, L):
-    # F U_q = U_q F_q with U_q[(x, a), b] = e^{iqx} delta_ab / sqrt(N), and
-    # the spectrum of F_q is that of the one-site blocks at q/2, q/2 + pi
-    from scipy.optimize import linear_sum_assignment
-
+    # F U_q = U_q F_q for the engine's F_q = V_q diag(t_k, t_{k+pi}) V_q^dag,
+    # and the spectrum of F_q is that of the builder's period blocks at
+    # q/2, q/2 + pi (the +k operator blocks: the spectrum is even in k)
     rng = np.random.default_rng(L)
     lat = P.lattice(L, bc)
-    q = S.cell_momenta(lat)
-    n = L // 2
+    q, u, _ = _cell_stack(lat)
     for _ in range(4):
         p = P.ModelParams(rng.uniform(-np.pi, np.pi), rng.uniform(-1.0, 1.0),
                           rng.uniform(-np.pi, np.pi), rng.uniform(-1.0, 1.0))
         f = S.build_kick_forms(p, lat).step(np.eye(2 * L, dtype=complex), -1.0)
-        fq = S.frame_map_blocks(p, q)
-        for qi, fi in zip(q, fq):
-            u = np.kron(np.exp(1j * qi * np.arange(n))[:, None], np.eye(4)) / np.sqrt(n)
-            assert np.linalg.norm(f @ u - u @ fi) <= 1e-13
-            mu = np.concatenate([np.linalg.eigvals(np.matmul(*S.momentum_kick_blocks(p.J, p.h, k)))
-                                 for k in (qi / 2, qi / 2 + np.pi)])
+        fq = _engine_cell_blocks(p, q)[0]
+        t = S.bloch_blocks(p.J, p.h, q[:, None] / 2 + [0, np.pi]).period()
+        for ui, fi, ti in zip(u, fq, t):
+            assert np.linalg.norm(f @ ui - ui @ fi) <= 1e-13
+            mu = np.linalg.eigvals(ti).ravel()
             cost = np.abs(np.linalg.eigvals(fi)[:, None] - mu[None, :])
             r, c = linear_sum_assignment(cost)
             assert cost[r, c].max() <= 1e-12
@@ -278,16 +315,20 @@ def test_frame_map_blocks_are_the_dense_map_in_momentum(bc, L):
        st.tuples(st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
                  st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0)))
 def test_frame_map_blocks_are_one_site_blocks_in_the_bloch_basis(cells, bc, couplings):
-    # with k = q/2 and V_q = [[1, 1], [e^{ik}, -e^{ik}]] (x) 1 / sqrt(2),
-    # V_q^dag F_q V_q = diag(t_k, t_{k+pi}) with det t = 1: the identity
-    # the direct momentum frame (gaussian._bloch_frame) is built on
-    q = S.cell_momenta(P.lattice(2 * cells, bc))
-    for qi, f in zip(q, S.frame_map_blocks(P.ModelParams(*couplings), q)):
-        v = np.kron([[1, 1], [np.exp(0.5j * qi), -np.exp(0.5j * qi)]], np.eye(2)) / np.sqrt(2)
-        g = v.conj().T @ f @ v
-        assert max(np.linalg.norm(g[:2, 2:]), np.linalg.norm(g[2:, :2])) \
-            <= 1e-13 * np.linalg.norm(f)
-        assert max(abs(np.linalg.det(g[:2, :2]) - 1), abs(np.linalg.det(g[2:, 2:]) - 1)) <= 1e-12
+    # the dense frame map in the one-site Bloch basis U_q V_q is
+    # diag(t_k, t_{k+pi}), each t the builder's period block
+    # exp(-4W'_{-k}) exp(-4W''_{-k}) of determinant 1: the identity the
+    # direct momentum frame (gaussian._bloch_frame) is built on
+    p, lat = P.ModelParams(*couplings), P.lattice(2 * cells, bc)
+    q, u, v = _cell_stack(lat)
+    f = S.build_kick_forms(p, lat).step(np.eye(4 * cells, dtype=complex), -1.0)
+    g, t = _one_site_pairs(f, u, v)
+    bound = 1e-13 * np.linalg.norm(g, axis=(1, 2))
+    assert np.all(np.linalg.norm(g[:, :2, 2:], axis=(1, 2)) <= bound)
+    assert np.all(np.linalg.norm(g[:, 2:, :2], axis=(1, 2)) <= bound)
+    built = S.bloch_blocks(p.J, p.h, -(q[:, None] / 2 + [0, np.pi])).period(-1.0)
+    assert np.all(np.linalg.norm(t - built, axis=(2, 3)) <= bound[:, None])
+    assert np.max(np.abs(np.linalg.det(t) - 1)) <= 1e-12
 
 
 @settings(max_examples=40)
@@ -295,33 +336,53 @@ def test_frame_map_blocks_are_one_site_blocks_in_the_bloch_basis(cells, bc, coup
        st.tuples(st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
                  st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0)))
 def test_hamiltonian_blocks_are_one_site_blocks_in_the_bloch_basis(cells, bc, couplings):
-    # the same V_q takes H_q to diag(h_k, h_{k+pi}), each h a traceless
-    # 2x2 one-site Hamiltonian block
-    q = S.cell_momenta(P.lattice(2 * cells, bc))
-    for qi, h in zip(q, S.hamiltonian_blocks(P.ModelParams(*couplings), q)):
-        v = np.kron([[1, 1], [np.exp(0.5j * qi), -np.exp(0.5j * qi)]], np.eye(2)) / np.sqrt(2)
-        g = v.conj().T @ h @ v
-        bound = 1e-13 * np.linalg.norm(h)
-        assert max(np.linalg.norm(g[:2, 2:]), np.linalg.norm(g[2:, :2])) <= bound
-        assert max(abs(np.trace(g[:2, :2])), abs(np.trace(g[2:, 2:]))) <= bound
+    # the same basis takes the dense continuous-limit H = i (W' + W'') to
+    # diag(h_k, h_{k+pi}), each h the builder's traceless i(W'_{-k} + W''_{-k})
+    from floquet_ising import gaussian
+
+    p, lat = P.ModelParams(*couplings), P.lattice(2 * cells, bc)
+    q, u, v = _cell_stack(lat)
+    g, h = _one_site_pairs(gaussian.continuous_hamiltonian(p, lat), u, v)
+    bound = 1e-13 * np.linalg.norm(g, axis=(1, 2))
+    assert np.all(np.linalg.norm(g[:, :2, 2:], axis=(1, 2)) <= bound)
+    assert np.all(np.linalg.norm(g[:, 2:, :2], axis=(1, 2)) <= bound)
+    built = S.bloch_blocks(p.J, p.h, -(q[:, None] / 2 + [0, np.pi])).hamiltonian()
+    assert np.all(np.linalg.norm(h - built, axis=(2, 3)) <= bound[:, None])
+    assert np.all(np.trace(built, axis1=-2, axis2=-1) == 0)
 
 
 @pytest.mark.parametrize("bc", ["pbc-even", "pbc-odd"])
 @pytest.mark.parametrize("L", [8, 10, 12, 14])
 def test_hamiltonian_blocks_are_the_dense_hamiltonian_in_momentum(bc, L):
-    # H U_q = U_q H_q for the continuous-limit H = i (W' + W'')
+    # H U_q = U_q H_q for the continuous-limit H = i (W' + W'') and the
+    # engine's H_q = V_q diag(h_k, h_{k+pi}) V_q^dag
     from floquet_ising import gaussian
 
     rng = np.random.default_rng(L)
     lat = P.lattice(L, bc)
-    q = S.cell_momenta(lat)
-    n = L // 2
+    q, u, _ = _cell_stack(lat)
     for _ in range(4):
         p = P.ModelParams(*rng.uniform(-1.0, 1.0, 4))
         h = gaussian.continuous_hamiltonian(p, lat)
-        for qi, hi in zip(q, S.hamiltonian_blocks(p, q)):
-            u = np.kron(np.exp(1j * qi * np.arange(n))[:, None], np.eye(4)) / np.sqrt(n)
-            assert np.linalg.norm(h @ u - u @ hi) <= 1e-13
+        for ui, hi in zip(u, _engine_cell_blocks(p, q)[1]):
+            assert np.linalg.norm(h @ ui - ui @ hi) <= 1e-13
+
+
+@settings(max_examples=100)
+@given(st.floats(-np.pi, np.pi), st.floats(-1.5, 1.5), st.floats(-np.pi, np.pi),
+       st.floats(-1.5, 1.5), st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=8))
+def test_bloch_blocks_period_trace_is_the_dispersion(aj, bj, ah, bh, k):
+    # tr/2 of the period block exp(4W'_k) exp(4W''_k) is x/4 = cosh(w_k) =
+    # cos(eps_k) of _dispersion, its determinant is 1, and the
+    # continuous-limit blocks are traceless, at every momentum of the array
+    p = P.ModelParams(aj, bj, ah, bh)
+    blocks = S.bloch_blocks(p.J, p.h, k)
+    t = blocks.period()
+    x4 = np.cos(S._dispersion(p.J, p.h, k)[1])
+    scale = np.maximum(np.linalg.norm(t, axis=(1, 2)) ** 2, 1.0)
+    assert np.all(np.abs(np.trace(t, axis1=1, axis2=2) / 2 - x4) <= 1e-12 * scale)
+    assert np.all(np.abs(np.linalg.det(t) - 1) <= 1e-12 * scale)
+    assert np.all(np.trace(blocks.hamiltonian(), axis1=1, axis2=2) == 0)
 
 
 def test_cell_momenta_cover_the_allowed_momenta():
@@ -620,6 +681,58 @@ def test_metric_verdict_matches_the_dispersion_class(alpha_j, beta_j, alpha_h, b
     assert cert.certified == (kind in (S.ModeClass.REAL, S.ModeClass.CONJUGATE_PAIR))
 
 
+def test_continuous_certificate_judges_the_continuous_block():
+    # off the Hermitian and conjugate families continuous=True judges the
+    # continuous block, whose pair +-(1.349 - 1.073i) is not the Floquet
+    # pair +-(1.165 - 1.272i): its metric is that block's, not the Floquet one's
+    p, k = P.ModelParams(0.4, 0.3, 0.9, -0.5), 1.1
+    cont, floq = (S.pseudo_hermiticity_certificate(p, k=k, continuous=c) for c in (True, False))
+    assert cont.family == floq.family == "numerical"
+    assert np.linalg.norm(cont.eta - floq.eta) > 0.1
+    assert cont.residual == pytest.approx(metric_residual(cont.eta, bdg_oracle(p.J, p.h, k)),
+                                          rel=1e-9)
+    # on the dual line the sigma_x family is the Floquet block's: the
+    # continuous block there is not pseudo-Hermitian
+    p = P.make_params(1.0, 0.4, 1.0, -0.7)
+    assert S.pseudo_hermiticity_certificate(p, k=1.0).family == "self-dual-line"
+    cont = S.pseudo_hermiticity_certificate(p, k=1.0, continuous=True)
+    assert cont.family == "numerical" and not cont.certified
+    assert S.dispersion_continuous(p.J, p.h, 1.0).classification == S.ModeClass.GROW_DECAY
+
+
+@settings(max_examples=100)
+@given(st.floats(0.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.0, 2.0), st.floats(-2.0, 2.0),
+       st.floats(0.05, np.pi - 0.05))
+@example(0.0, 0.5, 0.3, 0.0, np.pi / 2)
+def test_continuous_metric_verdict_matches_the_continuous_class(alpha_j, beta_j, alpha_h,
+                                                               beta_h, k):
+    # the eigenbasis verdict on the continuous block certifies exactly the
+    # blocks whose continuous pair is real or complex-conjugate (at
+    # (0, 0.5, 0.3, 0), k = pi/2 the pair is +-0.8i); the same exclusions
+    # as for the Floquet verdict
+    p = P.make_params(alpha_j, beta_j, alpha_h, beta_h)
+    cert = S.pseudo_hermiticity_certificate(p, k=k, continuous=True)
+    point = S.dispersion_continuous(p.J, p.h, k)
+    eps, kind = point.epsilon[0], point.classification
+    gap = min(abs(eps.imag), abs(eps.real))
+    assume(cert.family == "numerical" and kind != S.ModeClass.EXCEPTIONAL
+           and not 1e-13 < gap < 1e-6)
+    assert cert.certified == (kind in (S.ModeClass.REAL, S.ModeClass.CONJUGATE_PAIR))
+
+
+@pytest.mark.parametrize("k", [0.4, 1.1, 2.9])
+@pytest.mark.parametrize("beta", [0.3, -0.7])
+def test_conjugate_couplings_at_zero_alpha_take_the_eigenbasis_verdict(beta, k):
+    # J = conj(h) = i beta: the cot(k/2) metric (beta_J / alpha_J) does not
+    # exist, and the continuous pair +-i lambda is a conjugate pair
+    p = P.ModelParams(0.0, beta, 0.0, -beta)
+    cert = S.pseudo_hermiticity_certificate(p, k=k)
+    assert cert.family == "numerical" and cert.certified and cert.residual <= 1e-12
+    lam = np.linalg.eigvals(bdg_oracle(p.J, p.h, k))
+    assert np.max(np.abs(lam.real)) <= 1e-12
+    assert metric_residual(cert.eta, bdg_oracle(p.J, p.h, k)) <= 1e-12
+
+
 # the dual-line point where the propagator pair is -183.2 and -0.00546: both
 # logs take Arg = +pi, though rounding puts the small one 2e-12 off the axis
 NEGATIVE_AXIS_PAIR = (P.make_params(1.0, -1.8293061544781803, 1.0, -1.8892049685668022),
@@ -647,7 +760,7 @@ def test_bloch_block_eigenvalues_are_the_dispersion_pair():
 def _log_block_reference(J, h, k):
     """i Log of the Bloch block from its eig, each Arg within 1e-10 of
     +-pi pinned to +pi."""
-    e1, e2 = S.momentum_kick_blocks(J, h, k)
+    e1, e2 = kick_oracle(J, h, k)
     v = np.array([[1.0, 1.0], [1j, -1j]])
     mu, r = np.linalg.eig(np.linalg.solve(v, e1 @ e2 @ v))
     arg = np.angle(mu)
