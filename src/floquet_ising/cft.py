@@ -15,8 +15,7 @@ exact -d/dn derivative at n = 1, which collapses to
 
     S_A(t) = -(c/6) * [ 2 ln(pi / 2 tau0) + ln R(t) ]
 
-since d_1 = 0; the piecewise growth/decay asymptote is exposed separately
-as a diagnostic.
+since d_1 = 0.
 """
 
 from __future__ import annotations
@@ -96,16 +95,6 @@ def entropy_exact(params: CftParams, t):
     """S_A(t) = -d/dn tr rho_A^n at n = 1, evaluated analytically."""
     return -(params.c / 6.0) * (2.0 * np.log(np.pi / (2.0 * params.tau0(t)))
                                 + _log_ratio(params, t))
-
-
-def entropy_asymptote(params: CftParams, t):
-    """Piecewise growth/plateau asymptote (diagnostic only)."""
-    t = np.asarray(t, dtype=float)
-    tau = params.tau0(t)
-    log_term = (params.c / 3.0) * np.log(tau / params.epsilon)
-    grow = np.pi * params.c * t / (6.0 * tau)
-    plateau = np.pi * params.c * params.l / (12.0 * tau)
-    return log_term + np.where(t < params.l / 2.0, grow, plateau)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Dense state-vector simulator in the spin language (L <= 14).
 
-Serves two roles: brute-force oracle for the Gaussian engine (entropies,
-correlations) and direct access to the quench phenomenology that needs
-X-basis product states or the integrability-breaking longitudinal field.
+Gives direct access to the quench phenomenology that needs X-basis
+product states or the integrability-breaking longitudinal field.  Its
+state vectors, ``z_expectations`` and ``reduced_entropy_oracle`` are also
+the brute-force oracle that the Gaussian engine is checked against.
 
 Basis conventions: site j (1-based) owns bit j-1 of the computational
 index; a cleared bit is spin up (Z = +1), a set bit is spin down, i.e. an
@@ -119,13 +120,6 @@ def ghz_overlap(psi: np.ndarray) -> float:
     return max(float(abs(np.vdot(c, psi)) ** 2) for c in cats)
 
 
-def global_spin_flip(psi: np.ndarray, L: int) -> np.ndarray:
-    """Apply prod_j Z_j (flips the X polarization of every site)."""
-    idx = np.arange(2 ** L)
-    parity = (-1.0) ** np.array([bin(int(i)).count("1") for i in idx])
-    return psi * parity
-
-
 def reduced_entropy_oracle(psi: np.ndarray, sites, L: int) -> float:
     """von Neumann entropy of the reduced state on ``sites`` (1-based) by
     dense partial trace."""
@@ -138,35 +132,6 @@ def reduced_entropy_oracle(psi: np.ndarray, sites, L: int) -> float:
     p = sv ** 2
     p = p[p > 1e-14]
     return float(-np.sum(p * np.log(p)))
-
-
-def _apply_majorana(psi: np.ndarray, m: int, L: int) -> np.ndarray:
-    """Act with Majorana a_m (0-based index) on a dense state.
-
-    a_{2j-1} = (prod_{l<j} Z_l) X_j and a_{2j} = -(prod_{l<j} Z_l) Y_j in
-    the convention c_j = (prod_{l<j} Z_l)(X_j + i Y_j)/2.
-    """
-    j = m // 2 + 1
-    idx = np.arange(2 ** L)
-    string = np.ones(2 ** L)
-    for l in range(1, j):
-        string = string * _z_site(L, l)
-    flipped = psi[idx ^ (1 << (j - 1))]
-    if m % 2 == 0:  # a_{2j-1}: string * X_j
-        return string * flipped
-    # a_{2j} = -string * Y_j;  (Y psi)[n] = -i z_j(n) psi[n ^ bit]
-    return string * (1j * _z_site(L, j)) * flipped
-
-
-def majorana_correlation_dense(psi: np.ndarray, L: int) -> np.ndarray:
-    """Majorana correlation matrix <a_m a_n> of a normalized dense state."""
-    _check_size(L)
-    acted = [_apply_majorana(psi, m, L) for m in range(2 * L)]
-    c = np.empty((2 * L, 2 * L), dtype=complex)
-    for m in range(2 * L):
-        for n in range(2 * L):
-            c[m, n] = np.vdot(acted[m], acted[n])  # a_m self-adjoint
-    return c
 
 
 # --------------------------------------------------------------------------

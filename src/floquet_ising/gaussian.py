@@ -49,8 +49,8 @@ from .errors import (DegenerateEvolution, NumericalBreakdown,
                      UnsupportedStateError, ValidationError)
 from .params import (BoundaryCondition, LatticeSpec, ModelParams,
                      ProductState, QuenchConfig, SubsystemSpec)
-from .spectral import (KickForms, _chain_plan, bloch_blocks, build_kick_forms,
-                       cell_momenta, sector_basis)
+from .spectral import (KickForms, _chain_plan, _kick_bonds, bloch_blocks,
+                       build_kick_forms, cell_momenta, sector_basis)
 
 _ISO_TOL = 1e-13
 _RANK_TOL = 1e-13
@@ -205,35 +205,13 @@ class CorrelationMatrix:
     c: np.ndarray
 
     @property
-    def cprime(self) -> np.ndarray:
-        return self.c - np.eye(self.c.shape[0])
-
-    @property
     def n_sites(self) -> int:
         return self.c.shape[0] // 2
-
-    def anticommutation_defect(self) -> float:
-        return float(np.linalg.norm(self.c + self.c.T - 2 * np.eye(self.c.shape[0])))
-
-    def purity_defect(self) -> float:
-        """Distance of C'^2 from the identity; equivalently the defect of
-        (iC')^2 = -1.  Zero for globally pure Gaussian states."""
-        cp = self.cprime
-        return float(np.linalg.norm(cp @ cp - np.eye(cp.shape[0])))
 
     def z_expectations(self) -> np.ndarray:
         """<Z_j> = <i a_{2j-1} a_{2j}>."""
         L = self.n_sites
         return np.array([(1j * self.c[2 * j, 2 * j + 1]).real for j in range(L)])
-
-    def xx_expectations(self, lat: LatticeSpec) -> np.ndarray:
-        """<X_j X_{j+1}> = <i a_{2j} a_{2j+1}>; the wraparound bond carries
-        the parity-sector sign."""
-        L = self.n_sites
-        vals = [(1j * self.c[2 * j + 1, 2 * j + 2]).real for j in range(L - 1)]
-        if lat.bc.periodic:
-            vals.append((lat.bc.wrap_sign * 1j * self.c[2 * L - 1, 0]).real)
-        return np.array(vals)
 
 
 def correlation_from_frame(frame: GaussianFrame) -> CorrelationMatrix:
@@ -577,14 +555,16 @@ def _bloch_frame(t: np.ndarray, v: np.ndarray, frame: GaussianFrame,
 
 
 def _bloch_stack(params: ModelParams, q: np.ndarray):
-    """t and h (N x 2 x 2 x 2), the one-site blocks t_k, t_{k+pi} of the
-    frame map and h_k, h_{k+pi} of the continuous limit at k = q/2
-    (``spectral.bloch_blocks``), and V_q = [[1, 1], [e^{ik}, -e^{ik}]] (x)
-    1 / sqrt(2), which takes each pair to its 4x4 cell block."""
+    """The one-site blocks at k = q/2 and k + pi (``spectral.bloch_blocks``,
+    N x 2 stacks), whose ``period(-1.0)`` gives t_k, t_{k+pi} of the frame
+    map and ``hamiltonian()`` h_k, h_{k+pi} of the continuous limit, and
+    V_q = [[1, 1], [e^{ik}, -e^{ik}]] (x) 1 / sqrt(2), which takes each
+    pair to its 4x4 cell block.  Only ``period`` forms the kicks, so only
+    it raises where they overflow."""
     blocks = bloch_blocks(params.J, params.h, -(q[:, None] / 2 + np.array([0.0, np.pi])))
     v = (np.kron([[1.0, 1.0], [1.0, -1.0]], np.eye(2)) / np.sqrt(2.0)
          * np.exp(0.5j * np.outer(q, [0, 0, 1, 1]))[:, :, None])
-    return blocks.period(-1.0), blocks.hamiltonian(), v
+    return blocks, v
 
 
 def _cell_blocks(v: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -659,7 +639,8 @@ def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchCon
     frame = initial_frame(quench, lat)
     if _momentum_route(lat, quench.initial_state):
         frame = GaussianFrame.from_dense(frame, lat)
-        t, _, v = _bloch_stack(params, frame.momenta)
+        blocks, v = _bloch_stack(params, frame.momenta)
+        t = blocks.period(-1.0)
         fq = _cell_blocks(v, t)
         direct = partial(_bloch_frame, t, v)
         step = lambda f: _advance(f, fq @ f.blocks, "momentum")
@@ -713,11 +694,16 @@ def stroboscopic_run(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig
 
 def continuous_hamiltonian(params: ModelParams, lat: LatticeSpec) -> np.ndarray:
     """Dense coefficient matrix H of H_op = sum_ij H_ij a_i a_j for the
-    continuous limit H_op = J sum XX + h sum Z (equal to i (W' + W'')).
+    continuous limit H_op = J sum XX + h sum Z (equal to i (W' + W'')),
+    scattered from the chain's bonds (``spectral._kick_bonds``) without
+    forming the kicks, which may overflow where H does not.
     ``evolve_continuous`` takes it only off the momentum route; on it, it
     takes the cell blocks H_q of the one-site blocks (``_bloch_stack``)."""
-    w1, w2 = build_kick_forms(params, lat)
-    return 1j * (w1.w + w2.w)
+    w = np.zeros((lat.n_majorana, lat.n_majorana), dtype=complex)
+    for p, q, s in _kick_bonds(params, lat):
+        w[p, q] += s
+        w[q, p] -= s
+    return 1j * w
 
 
 def evolve_continuous(params: ModelParams, lat: LatticeSpec, state: ProductState,
@@ -743,8 +729,8 @@ def evolve_continuous(params: ModelParams, lat: LatticeSpec, state: ProductState
     frame = initial_frame(state, lat)
     if _momentum_route(lat, state):
         frame = GaussianFrame.from_dense(frame, lat)
-        _, h, v = _bloch_stack(params, frame.momenta)
-        hmat = _cell_blocks(v, h)
+        blocks, v = _bloch_stack(params, frame.momenta)
+        hmat = _cell_blocks(v, blocks.hamiltonian())
     else:
         hmat = continuous_hamiltonian(params, lat)[None]
     out, dt_u, u = [], None, None

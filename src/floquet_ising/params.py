@@ -65,15 +65,6 @@ class ModelParams:
     def equal_alpha(self) -> bool:
         return abs(self.alpha_J - self.alpha_h) < _CRIT_TOL
 
-    @property
-    def is_self_dual(self) -> bool:
-        """On the self-dual family |J| = |h| = pi/4."""
-        return abs(abs(self.J) - PI4) < _CRIT_TOL and abs(abs(self.h) - PI4) < _CRIT_TOL
-
-    @property
-    def is_identity(self) -> bool:
-        return self.J == 0 and self.h == 0
-
     def in_pi4_units(self) -> tuple[float, float, float, float]:
         return (self.alpha_J / PI4, self.beta_J / PI4,
                 self.alpha_h / PI4, self.beta_h / PI4)
@@ -255,7 +246,6 @@ class QuenchConfig:
     initial_state: ProductState
     n_periods: int = 200
     K: float = 0.0  # longitudinal X field, spin simulator only (radians)
-    seed: int | None = None
 
     def __post_init__(self):
         if self.n_periods < 1:
@@ -382,12 +372,11 @@ def params_from_config(cfg: dict) -> ModelParams:
 def quench_from_config(cfg: dict, L: int) -> QuenchConfig:
     """The configured quench of an ``L``-site chain (``L`` need not be a
     config key, so size scans build one quench per size)."""
-    seed = cfg.get("seed")
     K = cfg.get("K", 0.0)
-    return QuenchConfig(named_state(cfg.get("initial_state", "neel-fermion"), L, seed=seed),
+    return QuenchConfig(named_state(cfg.get("initial_state", "neel-fermion"), L,
+                                    seed=cfg.get("seed")),
                         n_periods=cfg.get("n_periods", 200),
-                        K=K * PI4 if cfg.get("units", "pi4") == "pi4" else K,
-                        seed=seed)
+                        K=K * PI4 if cfg.get("units", "pi4") == "pi4" else K)
 
 
 def subsystem_from_config(cfg: dict, L: int) -> SubsystemSpec:

@@ -131,13 +131,6 @@ class MajoranaQuadraticForm:
         # the dataclass is frozen: set the fields past its __setattr__
         self.__dict__.update(n=n, partner=partner, angle=angle, cos=cos, sin=sin)
 
-    @property
-    def w(self) -> np.ndarray:
-        """The dense n x n matrix W, built on demand: W[j, partner[j]] = angle[j]/4."""
-        w = np.zeros((self.n, self.n), dtype=complex)
-        w[np.arange(self.n), self.partner] = self.angle / 4
-        return w
-
     def kick(self, x: np.ndarray, sign: float = 1.0) -> np.ndarray:
         """exp(sign * 4 W) @ x as one rotation per bond, O(n) per column.
 
@@ -166,8 +159,9 @@ class KickForms(NamedTuple):
         return self.coupling_form.kick(self.field_form.kick(x, sign), sign)
 
 
-def build_kick_forms(params: ModelParams, lat: LatticeSpec) -> KickForms:
-    """The two kick generators (W', W'') for the given chain.
+def _kick_bonds(params: ModelParams, lat: LatticeSpec):
+    """The bonds (p, q, s) of W' and of W'', W_pq = s = -W_qp, as index and
+    value arrays in 0-based Majorana indices.
 
     W' couples Majoranas (2j, 2j+1) with strength J/2; W'' couples
     (2j-1, 2j) with h/2.  On periodic chains the wraparound bond of W'
@@ -182,8 +176,14 @@ def build_kick_forms(params: ModelParams, lat: LatticeSpec) -> KickForms:
         # hence the extra minus sign on top of the sector sign.
         p, q, s = (np.append(p, 0), np.append(q, n - 1),
                    np.append(s, -lat.bc.wrap_sign * params.J / 2.0))
-    return KickForms(MajoranaQuadraticForm(n, p, q, s),
-                     MajoranaQuadraticForm(n, site, site + 1, np.full(L, params.h / 2.0)))
+    return (p, q, s), (site, site + 1, np.full(L, params.h / 2.0))
+
+
+def build_kick_forms(params: ModelParams, lat: LatticeSpec) -> KickForms:
+    """The two kick generators (W', W'') for the given chain, from its
+    bonds (``_kick_bonds``)."""
+    return KickForms(*(MajoranaQuadraticForm(lat.n_majorana, *bonds)
+                       for bonds in _kick_bonds(params, lat)))
 
 
 _G_FIELD = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)  # g''
@@ -236,9 +236,9 @@ class TransferMatrix:
     counts their determinant phases (``_det_phases``); the scan reads
     nothing else.  The dense ``b_plus`` is formed from the band on first
     read; ``eigenvalues`` (the L eigenvalues mu of ``b_plus`` and then
-    their inverses, see ``build_transfer_matrix``) and the dense 2L x 2L
-    ``m`` are computed on first read too.  Eigenvectors are computed only
-    for the edge scan's candidates (``_candidate_vectors``).
+    their inverses, see ``build_transfer_matrix``) are computed on first
+    read too.  Eigenvectors are computed only for the edge scan's
+    candidates (``_candidate_vectors``).
     """
 
     band: np.ndarray
@@ -257,10 +257,6 @@ class TransferMatrix:
         b = np.zeros((L, L), dtype=complex)
         b[i, j] = self.band[4 + i - j, j]
         return b
-
-    @cached_property
-    def m(self) -> np.ndarray:
-        return self.kicks.step(np.eye(self.n, dtype=complex))
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:

@@ -92,8 +92,6 @@ def test_plateau_matches_asymptote():
     curve = cft.entropy_curve(pars, np.linspace(0.05, 60.0, 600))
     plateau = np.pi * 0.5 * 10.0 / (12 * 0.185)
     assert curve.entropy[-1] == pytest.approx(plateau, rel=0.15)
-    asym = cft.entropy_asymptote(pars, 40.0)
-    assert asym == pytest.approx(plateau, rel=1e-12)
 
 
 def test_monotone_before_peak():

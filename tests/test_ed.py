@@ -3,8 +3,16 @@ import pytest
 
 from floquet_ising import ed, params as P
 from floquet_ising.errors import CapacityError
+from oracles import majorana_correlation_dense
 
 LN2 = np.log(2.0)
+
+
+def global_spin_flip(psi: np.ndarray, L: int) -> np.ndarray:
+    """Apply prod_j Z_j (flips the X polarization of every site)."""
+    idx = np.arange(2 ** L)
+    parity = (-1.0) ** np.array([bin(int(i)).count("1") for i in idx])
+    return psi * parity
 
 
 def test_identity_period():
@@ -86,14 +94,14 @@ def test_majorana_correlation_anticommutation():
     rng = np.random.default_rng(7)
     psi = rng.normal(size=16) + 1j * rng.normal(size=16)
     psi /= np.linalg.norm(psi)
-    c = ed.majorana_correlation_dense(psi, 4)
+    c = majorana_correlation_dense(psi, 4)
     assert np.linalg.norm(c + c.T - 2 * np.eye(8)) < 1e-10
     assert np.linalg.norm(c - c.conj().T) < 1e-10
 
 
 def test_majorana_correlation_vacuum():
     psi = ed.product_state(P.named_state("all-up", 3))
-    c = ed.majorana_correlation_dense(psi, 3)
+    c = majorana_correlation_dense(psi, 3)
     z = [(1j * c[2 * j, 2 * j + 1]).real for j in range(3)]
     assert np.allclose(z, 1.0)
 
@@ -106,11 +114,11 @@ def test_z2_spin_flip_symmetry():
     pattern = tuple(int(s) for s in rng.choice([-1, 1], 8))
     psi = ed.product_state(P.ProductState("x", pattern))
     a = psi.copy()
-    b = ed.global_spin_flip(psi.copy(), 8)
+    b = global_spin_flip(psi.copy(), 8)
     for _ in range(7):
         a = ed.apply_floquet_period(a, p, lat)
         b = ed.apply_floquet_period(b, p, lat)
-    flipped = ed.global_spin_flip(a, 8)
+    flipped = global_spin_flip(a, 8)
     phase = flipped[np.argmax(np.abs(flipped))] / b[np.argmax(np.abs(flipped))]
     assert np.allclose(flipped, phase * b, atol=1e-10)
 
@@ -120,8 +128,8 @@ def test_k_field_breaks_z2():
     lat = P.lattice(6, "obc")
     psi = ed.product_state(P.named_state("x-down", 6))
     a = ed.apply_floquet_period(psi.copy(), p, lat, K=0.15)
-    b = ed.global_spin_flip(
-        ed.apply_floquet_period(ed.global_spin_flip(psi.copy(), 6), p, lat, K=0.15), 6)
+    b = global_spin_flip(
+        ed.apply_floquet_period(global_spin_flip(psi.copy(), 6), p, lat, K=0.15), 6)
     assert not np.allclose(np.abs(a), np.abs(b), atol=1e-6)
 
 

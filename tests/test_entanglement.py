@@ -6,6 +6,7 @@ import scipy.special
 
 from floquet_ising import ed, entanglement as E, gaussian, params as P, spectral
 from floquet_ising.errors import CollapseError, PurityViolation, ValidationError
+from oracles import cprime
 
 LN2 = np.log(2.0)
 
@@ -54,7 +55,7 @@ def test_trace_form_equals_eigenvalue_form():
     corr = gaussian.correlation_from_frame(frame)
     sub = P.SubsystemSpec(1, 3)
     idx = sub.majorana_indices(lat)
-    cp = corr.cprime[np.ix_(idx, idx)]
+    cp = cprime(corr.c)[np.ix_(idx, idx)]
     one = np.eye(cp.shape[0])
     m_plus = (one + cp) / 2
     m_minus = (one - cp) / 2

@@ -9,6 +9,8 @@ from scipy.linalg import expm
 from floquet_ising import ed, entanglement, gaussian, params as P, spectral
 from floquet_ising.errors import (DegenerateEvolution, NumericalBreakdown, PurityViolation,
                                   UnsupportedStateError, ValidationError)
+from oracles import (anticommutation_defect, cprime, majorana_correlation_dense,
+                     purity_defect, xx_expectations)
 
 
 def dense_period(psi, p, lat):
@@ -24,11 +26,11 @@ def test_vacuum_frame_correlations():
     frame = gaussian.initial_frame(P.named_state("all-up", 4), lat)
     corr = gaussian.correlation_from_frame(frame)
     assert np.allclose(corr.z_expectations(), 1.0)
-    assert corr.anticommutation_defect() < 1e-12
-    assert corr.purity_defect() < 1e-12
+    assert anticommutation_defect(corr.c) < 1e-12
+    assert purity_defect(corr.c) < 1e-12
     # 2x2 on-site antisymmetric blocks +-i
-    assert corr.cprime[0, 1] == pytest.approx(-1j)
-    assert corr.cprime[1, 0] == pytest.approx(1j)
+    assert cprime(corr.c)[0, 1] == pytest.approx(-1j)
+    assert cprime(corr.c)[1, 0] == pytest.approx(1j)
 
 
 def test_neel_frame_alternating_z():
@@ -40,10 +42,10 @@ def test_neel_frame_alternating_z():
 
 def test_all_down_is_sitewise_flip_of_all_up():
     lat = P.lattice(3, "obc")
-    up = gaussian.correlation_from_frame(
-        gaussian.initial_frame(P.named_state("all-up", 3), lat)).cprime
-    down = gaussian.correlation_from_frame(
-        gaussian.initial_frame(P.named_state("all-down", 3), lat)).cprime
+    up = cprime(gaussian.correlation_from_frame(
+        gaussian.initial_frame(P.named_state("all-up", 3), lat)).c)
+    down = cprime(gaussian.correlation_from_frame(
+        gaussian.initial_frame(P.named_state("all-down", 3), lat)).c)
     assert np.allclose(down, -up)
 
 
@@ -119,8 +121,8 @@ def test_purity_and_invariants_long_run():
     assert frame.isotropy_defect() < 1e-10
     assert frame.orthonormality_defect() < 1e-10
     corr = gaussian.correlation_from_frame(frame)
-    assert corr.purity_defect() < 1e-8
-    assert corr.anticommutation_defect() < 1e-10
+    assert purity_defect(corr.c) < 1e-8
+    assert anticommutation_defect(corr.c) < 1e-10
 
 
 def test_rank_collapse_raises():
@@ -199,7 +201,7 @@ def test_full_correlation_matrix_matches_dense():
         frame = gaussian.period_map(frame, kicks)
         psi = ed.apply_floquet_period(psi, p, lat)
     c_frame = gaussian.correlation_from_frame(frame).c
-    c_dense = ed.majorana_correlation_dense(psi, L)
+    c_dense = majorana_correlation_dense(psi, L)
     assert np.max(np.abs(c_frame - c_dense)) < 1e-8
 
 
@@ -214,7 +216,7 @@ def test_xx_expectations_match_dense():
     for _ in range(15):
         frame = gaussian.period_map(frame, kicks)
         psi = ed.apply_floquet_period(psi, p, lat)
-    xx_frame = gaussian.correlation_from_frame(frame).xx_expectations(lat)
+    xx_frame = xx_expectations(gaussian.correlation_from_frame(frame).c, lat)
     xx_dense = [ed.xx_expectation(psi, L, j, j % L + 1) for j in range(1, L + 1)]
     assert np.allclose(xx_frame, xx_dense, atol=1e-8)
 
@@ -628,6 +630,7 @@ def test_one_schur_frames_equal_two_schur_frames_random_couplings(L, bc, couplin
     ((0.2, -0.05, 0.2, -0.3), 48, "obc", "schur"),
     ((0.45, -0.35, 0.3, 0.25), 10, "pbc-odd", "schur"),
     ((0.2, -0.1, 0.2, 0.1), 24, "obc", "loop"),     # volume law: no L/L split
+    ((0.2, -0.3, 0.2, -0.3), 64, "obc", "schur"),   # the largest L of the TEE grid
 ])
 def test_one_cell_direct_frame_takes_one_schur(monkeypatch, couplings, L, bc, route):
     # one L x L Schur form and one reorder of it, hit or miss: the - sector
@@ -638,7 +641,7 @@ def test_one_cell_direct_frame_takes_one_schur(monkeypatch, couplings, L, bc, ro
     def spy(name, fn):
         def call(*args, **kwargs):
             calls.append(name)
-            sizes.extend(a.shape for a in args if np.ndim(a) == 2)
+            sizes.extend((name, a.shape) for a in args if np.ndim(a) == 2)
             return fn(*args, **kwargs)
         return call
 
@@ -650,7 +653,8 @@ def test_one_cell_direct_frame_takes_one_schur(monkeypatch, couplings, L, bc, ro
     frame = gaussian.run_to_steady_state(P.make_params(*couplings), P.lattice(L, bc), quench)
     assert (frame.route, calls.count("schur"), calls.count("ztrsen")) == (route, 1, 1)
     assert "block_diag" not in calls
-    assert max(max(shape) for shape in sizes) <= L
+    assert max(max(shape) for _, shape in sizes) <= L
+    assert ("ztrsen", (L, L)) in sizes  # the reorder of the whole + sector form
 
 
 # --------------------------------------------------------------------------
@@ -784,8 +788,8 @@ def _mp_block_frame(f, phi, n, dps=50, budget=30):
 def _engine_frame_map(p, frame):
     """The 4x4 blocks F_q = V_q diag(t_k, t_{k+pi}) V_q^dag that the
     momentum loop steps ``frame`` with."""
-    t, _, v = gaussian._bloch_stack(p, frame.momenta)
-    return gaussian._cell_blocks(v, t)
+    blocks, v = gaussian._bloch_stack(p, frame.momenta)
+    return gaussian._cell_blocks(v, blocks.period(-1.0))
 
 
 def _dense_frame_map_blocks(p, lat, q):
@@ -864,7 +868,8 @@ def test_bloch_frames_equal_the_schur_split_random_couplings(cells, state, coupl
     lat = P.lattice(L, "pbc-even")
     frame = gaussian.GaussianFrame.from_dense(
         gaussian.initial_frame(P.named_state(state, L), lat), lat)
-    t, _, v = gaussian._bloch_stack(P.ModelParams(*couplings), frame.momenta)
+    blocks, v = gaussian._bloch_stack(P.ModelParams(*couplings), frame.momenta)
+    t = blocks.period(-1.0)
     found = gaussian._bloch_frame(t, v, frame, n_periods)
     ref = _schur_reference_frame(gaussian._cell_blocks(v, t), frame, n_periods)
     assert (found is None) == (ref is None)
@@ -925,11 +930,13 @@ def test_momentum_chain_takes_no_dense_schur(monkeypatch):
                          (scipy.linalg.lapack, "ztrsen"), (scipy.linalg.lapack, "ztrsyl")):
         monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     monkeypatch.setattr(gaussian, "_dominant_frame", _no_dense_schur)
-    L = 40
-    quench = P.QuenchConfig(P.named_state("neel-fermion", L), n_periods=300)
-    frame = gaussian.run_to_steady_state(P.make_params(0.0, 0.4, 0.0, 0.4),
-                                         P.lattice(L, "pbc-even"), quench)
-    assert (frame.route, frame.blocks.shape) == ("schur", (L // 2, 4, 2))
+    # the second chain has 100 momentum blocks and is read only at the end
+    for L, couplings, n_periods in ((40, (0.0, 0.4, 0.0, 0.4), 300),
+                                    (200, (0.0, 0.2, 0.0, 0.2), 3000)):
+        quench = P.QuenchConfig(P.named_state("neel-fermion", L), n_periods=n_periods)
+        frame = gaussian.run_to_steady_state(P.make_params(*couplings),
+                                             P.lattice(L, "pbc-even"), quench)
+        assert (frame.route, frame.blocks.shape) == ("schur", (L // 2, 4, 2))
     assert calls == []
 
 
@@ -1133,7 +1140,7 @@ def test_continuous_hermitian_preserves_purity():
     states = map(gaussian.correlation_from_frame,
                  gaussian.evolve_continuous(p, lat, state, np.linspace(0, 2, 5)))
     for cm in states:
-        assert cm.purity_defect() < 1e-7
+        assert purity_defect(cm.c) < 1e-7
         assert abs(np.trace(cm.c) - np.trace(c0.c)) < 1e-8
 
 
@@ -1226,8 +1233,8 @@ def test_continuous_flow_invariants_random_couplings(L, bc, couplings):
                   gaussian.evolve_continuous(P.ModelParams(*couplings), lat,
                                              P.named_state("neel-fermion", L),
                                              np.linspace(0.0, 2.0, 5))):
-        assert cm.anticommutation_defect() <= 1e-10
-        assert cm.purity_defect() <= 1e-10
+        assert anticommutation_defect(cm.c) <= 1e-10
+        assert purity_defect(cm.c) <= 1e-10
         s_a = entanglement.entropy_from_majorana_block(cm.c[np.ix_(idx, idx)]).entropy
         assert -1e-10 <= s_a <= la * np.log(2) + 1e-10
 
@@ -1263,6 +1270,37 @@ def test_continuous_momentum_route_matches_dense_route(L, couplings, name):
     for other, psi in others:
         f = gaussian.evolve_continuous(p, other, psi, [0.0, 0.5])[-1]
         assert (f.route, len(f.blocks)) == ("continuous", 1)
+
+
+@pytest.mark.parametrize("bc, n_blocks", [("pbc-even", 4), ("obc", 1)])
+def test_continuous_flow_runs_where_the_kicks_overflow(bc, n_blocks):
+    # beta_J = 400 rad: exp(4W') overflows (the loop raises, see
+    # test_overflowing_kick_raises_a_typed_error), but the flow applies no
+    # kick: it reads H alone, on the momentum blocks and on the dense chain
+    p, lat = P.ModelParams(0.3, 400.0, 0.2, 0.1), P.lattice(8, bc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        frames = gaussian.evolve_continuous(p, lat, P.named_state("neel-fermion", 8),
+                                            [0.001, 0.002])
+    for f in frames:
+        c = gaussian.correlation_from_frame(f).c
+        assert (f.route, len(f.blocks)) == ("continuous", n_blocks)
+        assert np.all(np.isfinite(c)) and np.isfinite(f.norm_log)
+        assert anticommutation_defect(c) <= 1e-10 and purity_defect(c) <= 1e-10
+
+
+def test_momentum_chain_builds_no_chain_kicks(monkeypatch):
+    # the L = 40 pbc-even Neel loop and continuous flow read the one-site
+    # Bloch blocks alone: no build_kick_forms call
+    calls, build = [], spectral.build_kick_forms
+    spy = lambda *a, **k: calls.append(1) or build(*a, **k)
+    monkeypatch.setattr(spectral, "build_kick_forms", spy)
+    monkeypatch.setattr(gaussian, "build_kick_forms", spy)
+    p, lat = P.make_params(0.2, -0.1, 0.2, 0.1), P.lattice(40, "pbc-even")
+    neel = P.named_state("neel-fermion", 40)
+    f = gaussian.run_to_steady_state(p, lat, P.QuenchConfig(neel, n_periods=50))
+    c = gaussian.evolve_continuous(p, lat, neel, [0.5, 1.0])
+    assert (f.route, len(f.blocks), len(c[-1].blocks), len(calls)) == ("momentum", 20, 20, 0)
 
 
 def test_area_phase_trace_rises_then_saturates():

@@ -15,16 +15,10 @@ def test_pi4_units_conversion():
     assert p.h == pytest.approx(complex(0.05 * math.pi, 0.025 * math.pi))
 
 
-def test_self_dual_flag():
+def test_self_dual_point_in_pi4_units():
     p = P.make_params(1, 0, 1, 0, units="pi4")
     assert p.J == pytest.approx(PI4)
     assert p.h == pytest.approx(PI4)
-    assert p.is_self_dual
-    assert not P.make_params(0.7, 0, 0.7, 0).is_self_dual
-
-
-def test_identity_flag():
-    assert P.make_params(0, 0, 0, 0, units="rad").is_identity
 
 
 def test_unit_roundtrip_machine_precision():

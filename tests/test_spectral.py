@@ -48,10 +48,22 @@ def metric_residual(eta, hk):
 # kick forms
 # --------------------------------------------------------------------------
 
+def _dense_w(form):
+    """The dense n x n matrix W of a kick form: W[j, partner[j]] = angle[j]/4."""
+    w = np.zeros((form.n, form.n), dtype=complex)
+    w[np.arange(form.n), form.partner] = form.angle / 4
+    return w
+
+
+def _dense_m(tm):
+    """The dense 2L x 2L one-period map M of a transfer matrix."""
+    return tm.kicks.step(np.eye(tm.n, dtype=complex))
+
+
 def test_zero_coupling_gives_zero_form():
     p = P.ModelParams(0.0, 0.0, 0.3, 0.1)
     w1, _ = S.build_kick_forms(p, P.lattice(6, "obc"))
-    assert np.all(w1.w == 0)
+    assert np.all(_dense_w(w1) == 0)
 
 
 def test_bond_counting_open_chain():
@@ -59,7 +71,7 @@ def test_bond_counting_open_chain():
     w1, w2 = S.build_kick_forms(p, P.lattice(2, "obc"))
     assert np.count_nonzero(w1.partner != np.arange(4)) == 2  # single (a_2, a_3) pair
     assert np.count_nonzero(w2.partner != np.arange(4)) == 4
-    assert np.count_nonzero(w1.w) == 2  # antisymmetric pair
+    assert np.count_nonzero(_dense_w(w1)) == 2  # antisymmetric pair
 
 
 def test_kick_exponential_matches_expm():
@@ -68,10 +80,10 @@ def test_kick_exponential_matches_expm():
     forms = S.build_kick_forms(p, P.lattice(5, "pbc-odd"))
     eye = np.eye(10, dtype=complex)
     for form in forms:
-        assert np.allclose(form.kick(eye), scipy.linalg.expm(4 * form.w), atol=1e-12)
+        assert np.allclose(form.kick(eye), scipy.linalg.expm(4 * _dense_w(form)), atol=1e-12)
     for sign in (1.0, -1.0):
-        dense = (scipy.linalg.expm(sign * 4 * forms.coupling_form.w)
-                 @ scipy.linalg.expm(sign * 4 * forms.field_form.w))
+        dense = (scipy.linalg.expm(sign * 4 * _dense_w(forms.coupling_form))
+                 @ scipy.linalg.expm(sign * 4 * _dense_w(forms.field_form)))
         assert np.allclose(forms.step(eye, sign), dense, atol=1e-12)
 
 
@@ -83,7 +95,7 @@ def test_kick_matches_expm_every_boundary_and_sign(bc, sign):
     p = random_params(rng)
     x = rng.normal(size=(10, 3)) + 1j * rng.normal(size=(10, 3))
     for form in S.build_kick_forms(p, P.lattice(5, bc)):
-        dense = scipy.linalg.expm(sign * 4 * form.w)
+        dense = scipy.linalg.expm(sign * 4 * _dense_w(form))
         assert np.allclose(form.kick(np.eye(10, dtype=complex), sign), dense, atol=1e-12)
         assert np.allclose(form.kick(x, sign), dense @ x, atol=1e-12)
 
@@ -112,17 +124,16 @@ def test_kick_forms_match_bond_loop(bc):
             w[a, b], w[b, a] = w[a, b] + s, w[b, a] - s
             partner[a], partner[b] = b, a
             angle[a], angle[b] = 4 * s, -4 * s
-        assert np.array_equal(form.w, w)
+        assert np.array_equal(_dense_w(form), w)
         assert np.array_equal(form.partner, partner)
         assert np.array_equal(form.angle, angle)
 
 
 def test_kick_forms_hold_no_dense_matrix():
-    # only per-Majorana columns are stored; the dense W is built on demand
+    # only per-Majorana columns are stored
     for form in S.build_kick_forms(random_params(), P.lattice(40, "obc")):
         arrays = [v for v in vars(form).values() if isinstance(v, np.ndarray)]
         assert arrays and all(a.size == form.n for a in arrays)
-        assert form.w.shape == (form.n, form.n)
 
 
 def test_overlapping_kick_bonds_rejected():
@@ -189,9 +200,10 @@ def test_transfer_matrix_invariants():
     p = random_params()
     lat = P.lattice(6, "pbc-even")
     tm = S.build_transfer_matrix(p, lat)
-    assert abs(np.linalg.det(tm.m) - 1) < 1e-8
+    m = _dense_m(tm)
+    assert abs(np.linalg.det(m) - 1) < 1e-8
     # complex orthogonality and reciprocal eigenvalue pairing
-    assert np.allclose(tm.m.T @ tm.m, np.eye(tm.n), atol=1e-10)
+    assert np.allclose(m.T @ m, np.eye(tm.n), atol=1e-10)
     mu = np.sort_complex(tm.eigenvalues)
     inv = np.sort_complex(1.0 / tm.eigenvalues)
     assert np.allclose(mu, inv, atol=1e-8)
@@ -208,7 +220,7 @@ def test_unitary_case_orthogonal_unit_modulus():
 def test_identity_when_couplings_vanish():
     p = P.ModelParams(0.0, 0.0, 0.0, 0.0)
     tm = S.build_transfer_matrix(p, P.lattice(4, "obc"))
-    assert np.allclose(tm.m, np.eye(8))
+    assert np.allclose(_dense_m(tm), np.eye(8))
 
 
 # --------------------------------------------------------------------------
@@ -276,8 +288,9 @@ def _engine_cell_blocks(p, q):
     """The momentum stack's 4x4 blocks F_q and H_q as the engine forms them."""
     from floquet_ising import gaussian
 
-    t, h, v = gaussian._bloch_stack(p, q)
-    return gaussian._cell_blocks(v, t), gaussian._cell_blocks(v, h)
+    blocks, v = gaussian._bloch_stack(p, q)
+    return (gaussian._cell_blocks(v, blocks.period(-1.0)),
+            gaussian._cell_blocks(v, blocks.hamiltonian()))
 
 
 def _one_site_pairs(m, u, v):
@@ -1081,7 +1094,7 @@ def test_classify_phase_skips_the_edge_scan_the_census_decides(monkeypatch):
 def _dense_edge_kinds(p, L, tol_edge=1e-3, im_tol=1e-2, edge_fraction=0.1):
     """Kinds of localized zero and pi modes from one eig of the dense map."""
     tm = S.build_transfer_matrix(p, P.lattice(L, "obc"))
-    mu, vr = np.linalg.eig(tm.m)
+    mu, vr = np.linalg.eig(_dense_m(tm))
     ne = max(1, int(edge_fraction * L))
     kinds = set()
     for eps, vec in zip(S.quasienergies_from_eigenvalues(mu), vr.T):
@@ -1102,7 +1115,7 @@ def _dense_edge_kinds(p, L, tol_edge=1e-3, im_tol=1e-2, edge_fraction=0.1):
        st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0))
 def test_sector_spectrum_matches_the_dense_eig(L, bc, aj, bj, ah, bh):
     tm = S.build_transfer_matrix(P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc))
-    m = tm.m
+    m = _dense_m(tm)
     scale = np.linalg.norm(m, 2)
     mu = np.linalg.eigvals(m)
     cost = np.abs(tm.eigenvalues[:, None] - mu[None, :])
@@ -1120,7 +1133,7 @@ def test_kick_forms_are_odd_under_the_chiral_sign_and_the_mirror(L, bc, aj, bj, 
     # Gamma W Gamma = -W (bonds join Majoranas of opposite parity) and
     # P W P = -W (the mirror image of each bond is a bond of opposite angle)
     for form in S.build_kick_forms(P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc)):
-        w, gamma = form.w, (-1.0) ** np.arange(2 * L)
+        w, gamma = _dense_w(form), (-1.0) ** np.arange(2 * L)
         assert np.array_equal(gamma[:, None] * w * gamma, -w)
         assert np.array_equal(w[::-1, ::-1], -w)
 
@@ -1196,7 +1209,7 @@ def test_candidate_vectors_match_the_dense_eig(L, aj, bj, ah, bh):
     # against the dense 2L x 2L eig wherever that eig determines them
     tm = S.build_transfer_matrix(P.ModelParams(aj, bj, ah, bh), P.lattice(L, "obc"))
     v, kappa = S._candidate_vectors(tm, tm.eigenvalues[:L])
-    m = tm.m
+    m = _dense_m(tm)
     scale = np.linalg.norm(m, 2)
     assert np.allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-12)
     assert np.linalg.norm(m @ v - v * tm.eigenvalues, axis=0).max() <= 1e-10 * scale
@@ -1346,15 +1359,25 @@ def test_pencil_disc_counts_equal_the_band_lu_on_the_phase_grid():
 
 def test_windowed_scan_forms_no_dense_block(monkeypatch):
     # the 0pi point of the grid at L = 144: the discs decide it from the
-    # band alone, so neither the dense B_+ nor the sector basis is formed;
-    # the dense scan forms B_+ for its eigenvalues
+    # band alone, so neither the dense B_+ nor the sector basis is formed,
+    # their phases from stacked tridiagonal LUs of the sector pencil (at
+    # least one zgttrf) and none from a banded LU (no zgbtrf), in the scan
+    # and in classify_phase; the dense scan forms B_+ for its eigenvalues
     p, lat = P.make_params(1.5, -0.1, 1.5, 0.5), P.lattice(144, "obc")
+    tm = S.build_transfer_matrix(p, lat)
+    assert tm.band.shape == (7, 144) and "b_plus" not in vars(tm)
     calls, basis = [], S.sector_basis
     monkeypatch.setattr(S, "sector_basis", lambda n: calls.append(n) or basis(n))
+    lu = {"zgbtrf": [], "zgttrf": []}
+    for name, seen in lu.items():
+        fn = getattr(scipy.linalg.lapack, name)
+        monkeypatch.setattr(scipy.linalg.lapack, name,
+                            lambda *a, seen=seen, fn=fn, **k: seen.append(1) or fn(*a, **k))
     rep = S.detect_edge_modes(p, lat, refine=False)
     assert rep.fallback is None and {m.kind for m in rep.edge_modes} == {"zero", "pi"}
     assert "b_plus" not in vars(rep.transfer) and "eigenvalues" not in vars(rep.transfer)
-    assert calls == []
+    assert S.classify_phase(p) is P.PhaseLabel.ZERO_PI
+    assert calls == [] and lu["zgbtrf"] == [] and lu["zgttrf"]
     dense = _dense_scan(p, lat)
     assert "b_plus" in vars(dense.transfer)
     assert {m.kind for m in dense.edge_modes} == {m.kind for m in rep.edge_modes}
@@ -1433,6 +1456,20 @@ def test_forced_fallback_reads_the_disc_constants_after_the_plan_is_warm(
     rep = S.detect_edge_modes(p, lat, refine=False)
     assert rep.fallback == reason and rep.edge_modes == _dense_scan(p, lat).edge_modes
     assert (S._band_plan.cache_info().misses, S._chain_plan.cache_info().misses) == misses
+
+
+def test_second_classify_phase_of_a_length_builds_no_plan(monkeypatch):
+    # two classify_phase calls that both run the L = 144 edge scan: the
+    # second finds its probe columns and band indices in the per-length
+    # plan (no new _band_plan cache miss)
+    scans, detect = [], S.detect_edge_modes
+    monkeypatch.setattr(S, "detect_edge_modes",
+                        lambda *a, **k: scans.append(1) or detect(*a, **k))
+    S.classify_phase(P.make_params(1.5, -0.1, 1.5, 0.5))
+    misses = S._band_plan.cache_info().misses
+    label = S.classify_phase(P.make_params(1.4, -0.1, 1.4, 0.5))
+    assert (len(scans), S._band_plan.cache_info().misses, label) == \
+        (2, misses, P.PhaseLabel.ZERO_PI)
 
 
 def test_spectrum_sweep_task_solves_no_dense_spectrum(monkeypatch):

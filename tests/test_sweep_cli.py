@@ -4,6 +4,7 @@ import inspect
 import json
 import multiprocessing
 import shlex
+import tempfile
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from floquet_ising import cli, gaussian, params as P, spectral, sweep
+from floquet_ising import cli, entanglement as E, gaussian, params as P, spectral, sweep
 from floquet_ising.errors import ValidationError
 
 
@@ -72,6 +73,27 @@ def test_sweep_worker_count_independent(tmp_path):
         sweep.run_sweep(spec, out)
         blobs.append((out / "spectrum_sweep.csv").read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+@settings(max_examples=8)
+@given(st.sampled_from(["alpha", "beta_J", "beta_h"]),
+       st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+       st.integers(1, 4), st.integers(4, 12))
+def test_sweep_bytes_do_not_depend_on_workers(axis, values, count, L):
+    # a spectrum sweep of at most four points, in-process and on a pool of
+    # two forked workers: the same CSV bytes and the same per-point record
+    fixed = dict(zip(("alpha", "beta_J", "beta_h"), values), L=L)
+    start, stop = fixed.pop(axis), values[3]
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for workers in (1, 2):
+            spec = sweep.SweepSpec(((axis, start, stop, count),), fixed, "spectrum", workers)
+            out = Path(tmp) / f"w{workers}"
+            manifest = sweep.run_sweep(spec, out)
+            csv_path = out / "spectrum_sweep.csv"
+            runs.append((csv_path.read_bytes() if csv_path.exists() else None,
+                         manifest.points))
+    assert runs[0] == runs[1]
 
 
 def test_manifest_records_the_pool_and_what_its_default_is_worked_out_from(tmp_path,
@@ -152,6 +174,8 @@ def test_steady_entropy_sweep_matches_the_run(tmp_path):
         assert row["S_A"] == sweep._fmt(s_a)
         assert row["density"] == sweep._fmt(s_a / 4)
         assert row["growth_rate"] == sweep._fmt(trace.entropy[1] / 4)
+        density = float(row["density"])
+        assert abs(density - float(row["S_A"]) / float(row["L_A"])) <= 1e-11 * density
     assert len(rows) == 2
 
 
@@ -605,6 +629,29 @@ def test_cli_evolve_dump_on_the_momentum_route_matches_the_dense_loop(tmp_path):
         frame = gaussian.period_map(frame, kicks)
         c = np.fromfile(dump / name, dtype="<c16").reshape(32, 32)
         assert np.max(np.abs(c - gaussian.correlation_from_frame(frame).c)) <= 1e-10
+
+
+def test_cli_evolve_at_the_strobe_benchmark_size(tmp_path):
+    # the evolve command of the strobe-trace benchmark: an L = 200 pbc-even
+    # Neel run on the momentum frame, whose S_A is finite and within
+    # [0, 100 ln 2], and whose last S_A, read from the strided Toeplitz
+    # block, is the entropy of the same rows and columns of the dense C
+    text = ("alpha_J = 0.2\nbeta_J = -0.1\nalpha_h = 0.2\nbeta_h = 0.1\nL = 200\n"
+            "bc = pbc-even\nn_periods = 5\ninitial_state = neel-fermion\n"
+            "subsystem_length = 100\n")
+    cfgfile = tmp_path / "strobe.cfg"
+    cfgfile.write_text(text)
+    assert cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path), "evolve"]) == 0
+    rows = read_rows(tmp_path / "evolve.csv")
+    s, pur = (np.array([float(r[c]) for r in rows]) for c in ("S_A", "purity_residual"))
+    assert len(s) == 5 and np.all(np.isfinite(s))
+    assert s.min() >= 0 and s.max() <= 100 * np.log(2) and pur.max() < 1e-8
+    params, lat, quench = P.model_from_config(P.parse_config(text))
+    frame = gaussian.run_to_steady_state(params, lat, quench, lambda f: None)
+    idx = P.SubsystemSpec(1, 100).majorana_indices(lat)
+    ref = E.entropy_from_majorana_block(
+        gaussian.correlation_from_frame(frame).c[np.ix_(idx, idx)]).entropy
+    assert frame.route == "momentum" and abs(s[-1] - ref) < 1e-10
 
 
 def test_cli_scaling_default_sizes_fit(tmp_path):
