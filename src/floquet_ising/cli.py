@@ -218,7 +218,7 @@ def cmd_sweep(args):
     if not axes:
         raise ValidationError("sweep needs at least one --axis name:start:stop:count")
     spec = sweep.SweepSpec(tuple(axes), cfg, args.task, workers=_workers(args))
-    manifest = sweep.run_sweep(spec, _out_dir(args), seed=args.seed)
+    manifest = sweep.run_sweep(spec, _out_dir(args))
     n_err = sum(1 for p in manifest.points if p["status"] != "ok")
     print(f"sweep complete: {len(manifest.points)} points, {n_err} failures")
     return 1 if any(p["status"] == "crash" for p in manifest.points) else 0

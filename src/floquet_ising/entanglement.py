@@ -223,15 +223,18 @@ def _collapse_costs(curves, beta0s: np.ndarray, nus: np.ndarray):
 def tee_collapse(curves: dict[int, tuple[np.ndarray, np.ndarray]]) -> CollapseResult:
     """Grid search for (beta_J0, nu) collapsing S_top(beta_J; L) curves.
 
-    ``curves`` maps L to (beta_J grid, S_top values), each beta_J grid
-    increasing.  41 beta0 points over the data range by 35 nu points in
-    [0.3, 2.0], then twice 21 x 21 around the best; each pass evaluates
-    the whole grid at once, ties break toward smaller nu, then smaller
-    beta0.  Raises CollapseError if no rescaled overlap exists.
+    ``curves`` maps L to (beta_J grid, S_top values), each grid in any
+    order: each curve is read sorted by beta_J (a stable sort).  41 beta0
+    points over the data range by 35 nu points in [0.3, 2.0], then twice
+    21 x 21 around the best; each pass evaluates the whole grid at once,
+    ties break toward smaller nu, then smaller beta0.  Raises
+    CollapseError if no rescaled overlap exists.
     """
     if len(curves) < 3:
         raise ValidationError("collapse needs at least 3 system sizes")
-    all_betas = np.concatenate([np.asarray(b) for b, _ in curves.values()])
+    curves = {L: tuple(np.asarray(c)[:, np.argsort(c[0], kind="stable")])
+              for L, c in curves.items()}
+    all_betas = np.concatenate([b for b, _ in curves.values()])
     beta0_grid = np.linspace(all_betas.min(), all_betas.max(), 41)
     nu_grid = np.linspace(0.3, 2.0, 35)
     best = None

@@ -187,11 +187,15 @@ def period_map(frame: GaussianFrame, kicks: KickForms) -> GaussianFrame:
     return _advance(frame, phi[None], "loop")
 
 
-def _advance(frame: GaussianFrame, blocks: np.ndarray, route: str) -> GaussianFrame:
-    """The frame one period on, from its blocks moved by the frame map."""
+def _advance(frame: GaussianFrame, blocks: np.ndarray, route: str, periods: int = 1,
+             log_scale: float = 0.0) -> GaussianFrame:
+    """The frame ``periods`` periods on, from its blocks moved by the frame
+    map and the log-magnitude ``log_scale`` they dropped (a direct route's,
+    ``_bloch_frame`` and ``_dominant_frame``).  The QR adds the rest, so
+    ``norm_log`` is the loop's."""
     blocks, log_mag, defect = orthonormalize(blocks, partner=frame.partner)
-    return GaussianFrame(blocks, frame.momenta, frame.partner, frame.period_count + 1,
-                         frame.norm_log + log_mag, defect, route)
+    return GaussianFrame(blocks, frame.momenta, frame.partner, frame.period_count + periods,
+                         frame.norm_log + (log_scale + log_mag), defect, route)
 
 
 @dataclass(frozen=True)
@@ -343,7 +347,7 @@ def _dominant_frame(kicks: KickForms, frame: GaussianFrame, n: int) -> GaussianF
             c_plus, c_minus, log_scale = found
             a, b = q @ c_plus, q.conj() @ c_minus[::-1]
             phi = np.concatenate([a + b, (phase * (a - b))[::-1]]) / np.sqrt(2.0)
-            return _direct_frame(phi[None], log_scale, frame, n)
+            return _advance(frame, phi[None], "schur", n, log_scale)
     return None
 
 
@@ -550,8 +554,8 @@ def _bloch_frame(t: np.ndarray, v: np.ndarray, frame: GaussianFrame,
     w = u_perp + x[..., None] * u
     # each sub-block's rows of S [1; E]: u e_s^T + w E_s
     coords = np.eye(2)[None, :, None, :] * u[..., None] + w[..., None] * e[:, :, None, :]
-    log_scale = n * np.sum(np.log(np.abs(mu1))) + np.sum(np.log(sv))
-    return _direct_frame(v @ coords.reshape(len(v), 4, -1), log_scale, frame, n)
+    log_scale = float(n * np.sum(np.log(np.abs(mu1))) + np.sum(np.log(sv)))
+    return _advance(frame, v @ coords.reshape(len(v), 4, -1), "schur", n, log_scale)
 
 
 def _bloch_stack(params: ModelParams, q: np.ndarray):
@@ -572,17 +576,6 @@ def _cell_blocks(v: np.ndarray, b: np.ndarray) -> np.ndarray:
     F U_q = U_q F_q on the dense frame (``GaussianFrame``)."""
     v1, v2 = v[..., :2], v[..., 2:]
     return v1 @ b[:, 0] @ _hc(v1) + v2 @ b[:, 1] @ _hc(v2)
-
-
-def _direct_frame(phi: np.ndarray, log_scale: float, frame: GaussianFrame,
-                  n: int) -> GaussianFrame:
-    """The n-period frame of a direct route (``_bloch_frame``,
-    ``_dominant_frame``) from its unnormalized frame stack ``phi`` and the
-    log-magnitude it dropped.  The frame's QR adds the rest, so
-    ``norm_log`` is the loop's."""
-    blocks, log_mag, defect = orthonormalize(phi, partner=frame.partner)
-    return GaussianFrame(blocks, frame.momenta, frame.partner, n, float(log_scale + log_mag),
-                         defect, "schur")
 
 
 def _sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray | None:

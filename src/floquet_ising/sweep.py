@@ -276,12 +276,13 @@ def _fmt(v):
     return v
 
 
-def run_sweep(spec: SweepSpec, out_dir, seed=None) -> RunManifest:
-    """Execute the sweep, writing <task>_sweep.csv and manifest.json."""
+def run_sweep(spec: SweepSpec, out_dir) -> RunManifest:
+    """Execute the sweep, writing <task>_sweep.csv and manifest.json.  The
+    points take their seed from ``spec.fixed``, as the manifest records it."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    cfgs = [dict(cfg, seed=seed) if seed is not None else cfg for _, cfg in spec.grid()]
+    cfgs = [cfg for _, cfg in spec.grid()]
     results = map_points(partial(_fail_soft, spec.task), cfgs, spec.workers)
 
     axis_names = [a[0] for a in spec.axes]
@@ -301,7 +302,7 @@ def run_sweep(spec: SweepSpec, out_dir, seed=None) -> RunManifest:
         version=__version__,
         spec={"axes": [list(a) for a in spec.axes], "fixed": spec.fixed,
               "task": spec.task, "workers": spec.workers},
-        seed=seed,
+        seed=spec.fixed.get("seed"),
         # what the default --workers is worked out from, and the pool it gave
         parallel={"pool_workers": pool_size(spec.workers, len(cfgs)), "cpus": _cpus(),
                   "blas_thread_env": {k: os.environ.get(k) for k in BLAS_THREAD_ENV}},
@@ -317,15 +318,28 @@ def run_sweep(spec: SweepSpec, out_dir, seed=None) -> RunManifest:
 # figure bundles
 # --------------------------------------------------------------------------
 
-def _read_csv(path: Path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+def _collapsed_rows(rows: list[dict]) -> list[dict]:
+    """fig6: each row with its beta_J rescaled by the fitted collapse."""
+    pts = [(int(float(r["L"])), float(r["beta_J"]), r["S_top"]) for r in rows]
+    curves = {}
+    for L, bj, s in pts:
+        curves.setdefault(L, []).append((bj, float(s)))
+    fit = entanglement.tee_collapse({L: np.array(c).T for L, c in curves.items()})
+    return [{"beta_J": bj, "S_top": s, "L": L, "x_collapsed": (bj - fit.beta_J0) * L ** fit.nu}
+            for L, bj, s in pts]
 
 
-def _require_columns(rows, cols, path):
-    missing = [c for c in cols if rows and c not in rows[0]]
-    if missing:
-        raise ValidationError(f"{path}: missing column(s) {', '.join(missing)}")
+# figure -> (bundle file, columns each input holds, columns written, row rule)
+_FIGURES = {
+    "fig2": ("fig2_edge_spectrum.csv", ["alpha", "mode_index", "abs_eps"],
+             ["alpha", "mode_index", "abs_eps"],
+             lambda rows: [r for r in rows if int(r["mode_index"]) >= 0]),
+    "fig3": ("fig3_entropy_evolution.csv", ["period", "S_A", "beta_J"],
+             ["period", "S_A", "series"],
+             lambda rows: [{**r, "series": r["beta_J"]} for r in rows]),
+    "fig6": ("fig6_tee_collapse.csv", ["L", "beta_J", "S_top"],
+             ["beta_J", "S_top", "L", "x_collapsed"], _collapsed_rows),
+}
 
 
 def emit_plot_data(figure: str, inputs: list, out_dir) -> Path:
@@ -336,57 +350,17 @@ def emit_plot_data(figure: str, inputs: list, out_dir) -> Path:
     for p in paths:
         if not p.exists():
             raise ValidationError(f"input file not found: {p}")
-
-    if figure == "fig2":
-        rows = []
-        for p in paths:
-            data = _read_csv(p)
-            _require_columns(data, ["alpha", "mode_index", "abs_eps"], p)
-            for r in data:
-                if int(r["mode_index"]) >= 0:
-                    rows.append({"alpha": r["alpha"], "mode_index": r["mode_index"],
-                                 "abs_eps": r["abs_eps"]})
-        out = out_dir / "fig2_edge_spectrum.csv"
-        write_csv(out, rows, ["alpha", "mode_index", "abs_eps"])
-        return out
-
-    if figure == "fig3":
-        rows = []
-        for p in paths:
-            data = _read_csv(p)
-            _require_columns(data, ["period", "S_A", "beta_J"], p)
-            for r in data:
-                rows.append({"period": r["period"], "S_A": r["S_A"],
-                             "series": r["beta_J"]})
-        out = out_dir / "fig3_entropy_evolution.csv"
-        write_csv(out, rows, ["period", "S_A", "series"])
-        return out
-
-    if figure == "fig6":
-        data = []
-        for p in paths:
-            part = _read_csv(p)
-            _require_columns(part, ["L", "beta_J", "S_top"], p)
-            data.extend(part)
-        curves = {}
-        for r in data:
-            curves.setdefault(int(float(r["L"])), []).append(
-                (float(r["beta_J"]), float(r["S_top"])))
-        curve_map = {}
-        for L, pts in curves.items():
-            pts.sort()
-            curve_map[L] = (np.array([x for x, _ in pts]),
-                            np.array([y for _, y in pts]))
-        fit = entanglement.tee_collapse(curve_map)
-        rows = []
-        for r in data:
-            L = int(float(r["L"]))
-            bj = float(r["beta_J"])
-            rows.append({"beta_J": bj, "S_top": r["S_top"], "L": L,
-                         "x_collapsed": (bj - fit.beta_J0) * L ** fit.nu})
-        out = out_dir / "fig6_tee_collapse.csv"
-        write_csv(out, rows, ["beta_J", "S_top", "L", "x_collapsed"])
-        return out
-
-    raise ValidationError(f"unknown figure id {figure!r}; "
-                          "supported: fig2, fig3, fig6")
+    if figure not in _FIGURES:
+        raise ValidationError(f"unknown figure id {figure!r}; "
+                              f"supported: {', '.join(_FIGURES)}")
+    name, required, written, rule = _FIGURES[figure]
+    rows = []
+    for p in paths:
+        with open(p, newline="") as fh:
+            part = list(csv.DictReader(fh))
+        if missing := [c for c in required if part and c not in part[0]]:
+            raise ValidationError(f"{p}: missing column(s) {', '.join(missing)}")
+        rows.extend(part)
+    out = out_dir / name
+    write_csv(out, rule(rows), written)
+    return out

@@ -546,7 +546,7 @@ def _two_schur_frame(kicks, frame, n):
     for m in (0, 2):
         found = _reference_split(t[None], q[None], frame.blocks, n, m)
         if found is not None:
-            return gaussian._direct_frame(*found, frame, n)
+            return gaussian._advance(frame, found[0], "schur", n, found[1])
     return None
 
 
@@ -854,7 +854,7 @@ def _schur_reference_frame(fq, frame, n):
     form of each 4x4 block: the reference for ``gaussian._bloch_frame``."""
     t, q = map(np.stack, zip(*(scipy.linalg.schur(f, output="complex") for f in fq)))
     found = _reference_split(t, q, frame.blocks, n, 0)
-    return None if found is None else gaussian._direct_frame(*found, frame, n)
+    return None if found is None else gaussian._advance(frame, found[0], "schur", n, found[1])
 
 
 @settings(max_examples=40)

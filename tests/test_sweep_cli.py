@@ -212,14 +212,27 @@ def test_sweep_axis_of_an_int_key_takes_whole_numbers(tmp_path):
 
 def test_manifest_contents(tmp_path):
     spec = sweep.SweepSpec((("alpha", 0.5, 0.5, 1),),
-                           {"beta_J": -1.0, "beta_h": 0.5, "L": 16},
+                           {"beta_J": -1.0, "beta_h": 0.5, "L": 16, "seed": 7},
                            "spectrum")
-    manifest = sweep.run_sweep(spec, tmp_path, seed=7)
+    manifest = sweep.run_sweep(spec, tmp_path)
     data = json.loads((tmp_path / "manifest.json").read_text())
     assert data["seed"] == 7
     assert data["version"]
     assert "spectrum_sweep.csv" in data["outputs"]
     assert manifest.points[0]["status"] == "ok"
+
+
+@pytest.mark.parametrize("flags, seed", [([], 5), (["--seed", "7"], 7)])
+def test_sweep_manifest_records_the_seed_its_points_used(tmp_path, flags, seed):
+    # a seed set only in the config file reaches the points and the manifest;
+    # --seed overrides it in both
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text("alpha = 0.5\nbeta_h = 0.5\nL = 16\nseed = 5\n")
+    assert cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path), *flags,
+                     "sweep", "--task", "spectrum", "--axis", "beta_J:-1.0:-1.0:1"]) == 0
+    data = json.loads((tmp_path / "manifest.json").read_text())
+    assert data["seed"] == data["spec"]["fixed"]["seed"] == seed
+    assert [p["status"] for p in data["points"]] == ["ok"]
 
 
 # --------------------------------------------------------------------------
@@ -268,6 +281,53 @@ def test_emit_fig6_and_missing_column(tmp_path):
         sweep.emit_plot_data("fig6", [bad], tmp_path / "plots")
     with pytest.raises(ValidationError):
         sweep.emit_plot_data("fig99", [src], tmp_path / "plots")
+
+
+# Small fixed inputs and the bundles that emit_plot_data wrote from them
+# before its reader was shared by the three figures.  fig2 drops the
+# no-mode row, fig3 renames beta_J to series, and fig6 rewrites beta_J
+# at 12 digits and reads the L = 12 curve, given in falling beta_J, sorted.
+_BUNDLE_CASES = {
+    "fig2": ("grid_index,alpha,beta_J,mode_index,kind,re_eps,im_eps,abs_eps,loc_len,"
+             "phase,n_real_modes\n"
+             "0,0.4,-1,-1,none,0,0,0,0,trivial,0\n"
+             "1,1.0,-1,0,0,1.5e-09,-2.25e-10,1.51677e-09,3.42,0,2\n"
+             "1,1.0,-1,1,0,-1.5e-09,2.25e-10,1.51677e-09,3.42,0,2\n"
+             "2,1.6,-1,0,pi,3.14159265359,0.0012,3.14159288278,5.5,pi,0\n",
+             "alpha,mode_index,abs_eps\n1.0,0,1.51677e-09\n1.0,1,1.51677e-09\n"
+             "1.6,0,3.14159288278\n"),
+    "fig3": ("grid_index,beta_J,period,S_A,norm_log,purity_residual\n"
+             "0,-0.2,1,0.125,-0.5,1e-16\n0,-0.2,2,0.25,-1.0,2e-16\n"
+             "1,0.1,1,0.0625,0.25,0\n1,0.1,2,0.03125,0.5,3e-17\n",
+             "period,S_A,series\n1,0.125,-0.2\n2,0.25,-0.2\n1,0.0625,0.1\n"
+             "2,0.03125,0.1\n"),
+    "fig6": ("L,beta_J,S_top\n"
+             "8,-0.5,0.680784\n8,-0.4,0.600437\n8,-0.3,0.345\n8,-0.2,0.0895633\n"
+             "8,-0.1,0.00921559\n"
+             "12,-0.1,0.00170945\n12,-0.2,0.0325286\n12,-0.3,0.345\n"
+             "12,-0.4,0.657497\n12,-0.5,0.688291\n"
+             "16,-0.5,0.689874\n16,-0.4,0.677338\n16,-0.30000000000000004,0.345\n"
+             "16,-0.2,0.0126622\n16,-0.1,0.000232\n",
+             "beta_J,S_top,L,x_collapsed\n"
+             "-0.5,0.680784,8,-0.558090852577\n-0.4,0.600437,8,-0.279045426289\n"
+             "-0.3,0.345,8,0\n-0.2,0.0895633,8,0.279045426289\n"
+             "-0.1,0.00921559,8,0.558090852577\n"
+             "-0.1,0.00170945,12,0.681719851291\n-0.2,0.0325286,12,0.340859925645\n"
+             "-0.3,0.345,12,0\n-0.4,0.657497,12,-0.340859925645\n"
+             "-0.5,0.688291,12,-0.681719851291\n"
+             "-0.5,0.689874,16,-0.785711676211\n-0.4,0.677338,16,-0.392855838105\n"
+             "-0.3,0.345,16,-2.18078798411e-16\n-0.2,0.0126622,16,0.392855838105\n"
+             "-0.1,0.000232,16,0.785711676211\n"),
+}
+
+
+@pytest.mark.parametrize("figure", sorted(_BUNDLE_CASES))
+def test_emit_bundle_bytes(tmp_path, figure):
+    raw, bundle = _BUNDLE_CASES[figure]
+    src = tmp_path / "raw.csv"
+    src.write_text(raw)
+    out = sweep.emit_plot_data(figure, [src], tmp_path / "plots")
+    assert out.read_text() == bundle
 
 
 # --------------------------------------------------------------------------
@@ -325,6 +385,23 @@ def test_cli_and_sweep_share_task_defaults(tmp_path, task, csv_name, column, n_r
     got = [r[column] for r in read_rows(sweep_csv)]
     assert len(got) == n_rows
     assert got == [r[column] for r in read_rows(tmp_path / "cli" / csv_name)]
+
+
+def test_cli_tee_collapse_does_not_depend_on_the_grid_order(tmp_path):
+    # the same beta_J grid given falling and rising: the collapse reads each
+    # curve sorted, so the fit agrees to within the rounding of the two
+    # linspace grids
+    fits = []
+    for grid in ("-0.20,-0.40,5", "-0.40,-0.20,5"):
+        cfgfile = tmp_path / "tee.cfg"
+        cfgfile.write_text("alpha = 0.2\nbeta_h = -0.3\nn_periods = 300\n"
+                           f"tee_sizes = 16,24,32\ntee_beta_j = {grid}\n")
+        out = tmp_path / grid
+        assert cli.main(["--config", str(cfgfile), "--out-dir", str(out), "tee"]) == 0
+        fits.append(json.loads((out / "tee_collapse.json").read_text()))
+    for key in ("beta_J0", "nu", "residual"):
+        assert fits[0][key] == pytest.approx(fits[1][key], rel=0, abs=1e-12)
+    assert fits[1]["residual"] < 1e-3
 
 
 @pytest.mark.parametrize("K, rc, workers", [(0.0, 0, "1"), (0.1, 2, "1"), (0.0, 0, "2"),
