@@ -102,7 +102,7 @@ def cmd_evolve(args):
     if dump_dir:
         dump_dir.mkdir(parents=True, exist_ok=True)
     trace = gaussian.stroboscopic_run(params, lat, quench, subsystem_from_config(cfg, lat.L),
-                                      dump if dump_dir else None)
+                                      dump if dump_dir else None, _workers(args))
     if dump_dir:
         sidecar = {"dtype": "complex128", "byte_order": "little-endian",
                    "layout": "row-major", "shape": [2 * lat.L, 2 * lat.L],
@@ -240,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--out-dir", help="output directory (default: cwd)")
     p.add_argument("--workers", type=int, default=None,
-                   help="processes for the points of tee, scaling and sweep "
+                   help="processes for the points of tee, scaling and sweep and "
+                        "the per-period entropies of evolve "
                         "(default: usable CPUs over the BLAS thread count, "
                         "1 where no BLAS thread variable is set)")
     p.add_argument("--seed", type=int, default=None)

@@ -33,6 +33,16 @@ class PurityViolation(NumericalBreakdown):
     """Correlation eigenvalue left [-1, 1]: upstream evolution is broken."""
 
 
+class WorkerError(RuntimeError):
+    """A forked pool worker died (``exitcode`` is its exit code), or the
+    exception of one of its points could not be sent back (``exitcode`` is
+    None; the message keeps the original's)."""
+
+    def __init__(self, msg, exitcode=None):
+        super().__init__(msg)
+        self.exitcode = exitcode
+
+
 class MetricPoleError(ValidationError):
     """The closed-form similarity metric is singular at this momentum."""
 

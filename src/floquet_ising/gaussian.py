@@ -44,7 +44,7 @@ from functools import cached_property, partial
 import numpy as np
 import scipy.linalg
 
-from . import entanglement
+from . import entanglement, sweep
 from .errors import (DegenerateEvolution, NumericalBreakdown,
                      UnsupportedStateError, ValidationError)
 from .params import (BoundaryCondition, LatticeSpec, ModelParams,
@@ -58,6 +58,7 @@ _OVERLAP_TOL = 1e-10
 _ISOLATION_TOL = 1e-6
 _ROUNDING_TOL = 1e-12
 _MAX_SWEEPS = 4  # isotropy corrections before orthonormalize gives up (read at call time)
+_RECORD_BYTES = 8 << 20  # frame rows stroboscopic_run holds before taking their entropies
 
 
 @dataclass
@@ -222,14 +223,16 @@ def correlation_from_frame(frame: GaussianFrame) -> CorrelationMatrix:
     return CorrelationMatrix(2.0 * np.conj(frame.phi) @ frame.phi.T)
 
 
-def correlation_block(frame: GaussianFrame, majorana_idx: np.ndarray) -> np.ndarray:
-    """Restricted C block without forming the full matrix, in block-Toeplitz
-    form: with Majorana row r x + a on cell x,
+def _block_plan(frame: GaussianFrame, idx: np.ndarray):
+    """What the block C_A of the Majorana indices ``idx`` needs of a stack
+    shaped like ``frame``, worked out once: the within-cell rows it reads
+    and the function that takes a stack's ``blocks[:, rows]`` to C_A.
+
+    In block-Toeplitz form, with Majorana row r x + a on cell x,
     C[(x, a), (y, b)] = T(y - x)[a, b],
-    T(d) = (2/N) sum_q e^{iqd} (conj(Phi_q) Phi_q^T)[a, b],
-    over the within-cell rows a that the block uses.  The momenta are the
-    grid q = 2 pi (m + theta) / N of ``cell_momenta``, so
-    T(d) = 2 e^{i q_0 d} ifft_m(conj(Phi_q) Phi_q^T)[d mod N]
+    T(d) = (2/N) sum_q e^{iqd} (conj(Phi_q) Phi_q^T)[a, b].
+    The momenta are the grid q = 2 pi (m + theta) / N of ``cell_momenta``,
+    so T(d) = 2 e^{i q_0 d} ifft_m(conj(Phi_q) Phi_q^T)[d mod N]
     (q_0 = 2 pi theta / N): one FFT over the stack.  The block over the
     indices' m-cell span is a strided view of T(1 - m..m - 1): a contiguous
     run of indices slices its one copy, others gather from the view.  One
@@ -237,25 +240,34 @@ def correlation_block(frame: GaussianFrame, majorana_idx: np.ndarray) -> np.ndar
     """
     n, r = frame.blocks.shape[:2]
     if n == 1:
-        sub = frame.blocks[0, majorana_idx]
-        return 2.0 * (np.conj(sub) @ sub.T)
-    x, a = np.divmod(np.asarray(majorana_idx), r)
+        return idx, lambda sub: 2.0 * (np.conj(sub[0]) @ sub[0].T)
+    x, a = np.divmod(np.asarray(idx), r)
     rows, a = np.unique(a, return_inverse=True)
     k, x = len(rows), x - x.min()
-    sub = frame.blocks[:, rows]
-    g = np.fft.ifft(np.conj(sub) @ np.swapaxes(sub, -1, -2), axis=0)
     m = x.max() + 1
     d = np.arange(1 - m, m)
     phase = 2.0 * np.exp(1j * frame.momenta[0] * d)
-    # t[a, m - 1 + d, b] = T(d)[a, b] in C order, so block row (i, a) of the
-    # span is the run of t[a] from d = -i: w[a, i, k j + b] = T(j - i)[a, b]
-    t = np.take(g.transpose(1, 0, 2), d % n, axis=1) * phase[:, None]
-    s0, s1, s2 = t.strides
-    w = np.ndarray((k, m, m * k), t.dtype, t, (m - 1) * s1, (s0, -s1, s2))
     pos = k * x + a
-    if (np.diff(pos) == 1).all():
-        return w.transpose(1, 0, 2).reshape(m * k, m * k)[pos[0]:pos[-1] + 1, pos[0]:pos[-1] + 1]
-    return w[a[:, None], x[:, None], pos]
+    run = slice(pos[0], pos[-1] + 1) if (np.diff(pos) == 1).all() else None
+
+    def block(sub: np.ndarray) -> np.ndarray:
+        g = np.fft.ifft(np.conj(sub) @ np.swapaxes(sub, -1, -2), axis=0)
+        # t[a, m - 1 + d, b] = T(d)[a, b] in C order, so block row (i, a) of the
+        # span is the run of t[a] from d = -i: w[a, i, k j + b] = T(j - i)[a, b]
+        t = np.take(g.transpose(1, 0, 2), d % n, axis=1) * phase[:, None]
+        s0, s1, s2 = t.strides
+        w = np.ndarray((k, m, m * k), t.dtype, t, (m - 1) * s1, (s0, -s1, s2))
+        if run is not None:
+            return w.transpose(1, 0, 2).reshape(m * k, m * k)[run, run]
+        return w[a[:, None], x[:, None], pos]
+
+    return rows, block
+
+
+def correlation_block(frame: GaussianFrame, majorana_idx: np.ndarray) -> np.ndarray:
+    """Restricted C block without forming the full matrix (``_block_plan``)."""
+    rows, block = _block_plan(frame, majorana_idx)
+    return block(frame.blocks[:, rows])
 
 
 Observer = Callable[[GaussianFrame], None]
@@ -653,30 +665,52 @@ def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchCon
 
 
 def stroboscopic_run(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig,
-                     subsystem: SubsystemSpec, observe: Observer | None = None) -> EntropyTrace:
+                     subsystem: SubsystemSpec, observe: Observer | None = None,
+                     workers: int = 1) -> EntropyTrace:
     """Per-period subsystem entropy for the configured quench.
 
-    Records after every period the entropy, the norm bookkeeping and the
-    frame's isotropy defect ||Phi^T Phi|| as ``orthonormalize`` measured it
-    (``purity_residual``; orthonormality holds by QR), then calls
-    ``observe(frame)`` when given.
+    The loop of ``run_to_steady_state`` records after every period the rows
+    of the frame that the subsystem's block reads (``_block_plan``, made
+    once per run), the norm bookkeeping and the frame's isotropy defect
+    ||Phi^T Phi|| as ``orthonormalize`` measured it (``purity_residual``;
+    orthonormality holds by QR), then calls ``observe(frame)`` when given.
+    The entropies are taken from those rows after the loop, or whenever
+    they fill ``_RECORD_BYTES``, mapped over ``workers`` processes
+    (``sweep.map_points``): each period's is independent of the others, and
+    the trace is the same for any worker count.  Where the loop raises,
+    the recorded periods are evaluated first, so an entropy that failed
+    before it is raised in its place, as in a serial run.
 
     On periodic chains the parity sector is taken from the lattice spec; use
     ``preferred_sector`` to match the initial state's fermion parity when
     comparing against the spin-language oracle.
     """
-    ents, norms, purs = [], [], []
     idx = subsystem.majorana_indices(lat)
+    plan, held, ents, norms, purs = None, [], [], [], []
+
+    def flush():
+        ents.extend(sweep.map_points(
+            lambda sub: entanglement.entropy_from_majorana_block(plan[1](sub)).entropy,
+            held, workers))
+        held.clear()
 
     def record(frame: GaussianFrame):
-        ents.append(entanglement.entropy_from_majorana_block(
-            correlation_block(frame, idx)).entropy)
+        nonlocal plan
+        plan = plan or _block_plan(frame, idx)
+        held.append(frame.blocks[:, plan[0]])
         norms.append(frame.norm_log)
         purs.append(frame.isotropy)
+        if len(held) * held[0].nbytes >= _RECORD_BYTES:
+            flush()
         if observe is not None:
             observe(frame)
 
-    run_to_steady_state(params, lat, quench, record)
+    try:
+        run_to_steady_state(params, lat, quench, record)
+    except Exception:
+        flush()  # raises instead where an earlier period's entropy fails
+        raise
+    flush()
     return EntropyTrace(np.arange(1, len(ents) + 1), np.asarray(ents),
                         np.asarray(norms), np.asarray(purs))
 

@@ -1,13 +1,14 @@
 """Parameter sweeps, result persistence and plot-data emission.
 
 A sweep evaluates one task over the Cartesian grid of its axes.  Grid
-points are independent: ``map_points`` fans them out over forked worker
-processes and gathers the results in grid order regardless of completion
+points are independent: ``map_points`` deals them out to this process and
+forked worker processes, one share each, and gathers the results in grid
 order, so reruns and different worker counts produce byte-identical
-CSVs; the ``tee`` and ``scaling`` commands map their grids the same way.
-Failures of single points are recorded in the manifest and do not abort
-the sweep; the manifest tells expected failures (``error``) apart from
-crashes.
+CSVs.  The ``tee`` and ``scaling`` commands map their grids the same way,
+and ``gaussian.stroboscopic_run`` (the ``evolve`` command) its per-period
+entropies.  Failures of single points are recorded in the manifest and
+do not abort the sweep; the manifest tells expected failures (``error``)
+apart from crashes.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import itertools
 import json
 import multiprocessing
 import os
+import pickle
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import NumericalBreakdown, ValidationError
+from .errors import NumericalBreakdown, ValidationError, WorkerError
 from .params import (_CONFIG_KEYS, TeePartition, model_from_config,
                      subsystem_from_config, swept_value)
 from . import ed, entanglement, gaussian, spectral
@@ -194,49 +195,79 @@ def pool_size(workers: int, n_points: int) -> int:
     return max(1, min(workers, n_points)) if _CAN_FORK else 1
 
 
-_WORK = None  # (fn, points) in a forked worker, set by its initializer
+def _share(fn, points: list):
+    """``fn`` over ``points`` up to the first failure: (results, the
+    failing point's exception or None)."""
+    results = []
+    for p in points:
+        try:
+            results.append(fn(p))
+        except Exception as exc:
+            return results, exc
+    return results, None
 
 
-def _adopt(fn, points):
-    global _WORK
-    _WORK = fn, points
-
-
-def _run_adopted(i: int):
-    fn, points = _WORK
-    return fn(points[i])
-
-
-def _outcome(fn, point):
-    try:
-        return fn(point), None
-    except Exception as exc:
-        return None, exc
+def _send_share(fn, points: list, conn):
+    """A forked worker's ``_share``, sent through ``conn``.  An exception
+    that does not survive the pipe is sent as a ``WorkerError`` with its
+    message."""
+    results, exc = _share(fn, points)
+    if exc is not None:
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = WorkerError(f"{type(exc).__name__}: {exc}")
+    conn.send((results, exc))
+    conn.close()
 
 
 def map_points(fn, points: list, workers: int = 1) -> list:
-    """``[fn(p) for p in points]``, in order, on ``pool_size(workers,
-    len(points))`` processes: this one takes every n-th point, forked
-    workers share the rest.  They inherit the imported modules, warm caches
-    and ``fn`` (which need not pickle); only indices and results cross the
+    """``[fn(p) for p in points]``, in order, on n = ``pool_size(workers,
+    len(points))`` processes: forked worker r takes points r, r + n, ...,
+    this one takes 0, n, 2n, ...; each stops at its first failure and
+    the workers send their results back through a pipe and are joined.
+    They inherit the imported modules, warm caches, ``fn`` and the points
+    (none of which need pickle); only results and exceptions cross the
     pipe.  The first failing point's exception is raised, as in the serial
-    loop, after the pool is joined.  This process works rather than waits
-    because each page it first writes after a fork takes a copy-on-write
-    fault: its own points take those faults here, not the next call."""
+    loop, after every worker is joined; a worker that dies raises a
+    ``WorkerError`` naming its exit code.  This process works rather than
+    waits because each page it first writes after a fork takes a
+    copy-on-write fault: its own points take those faults here, not the
+    next call."""
     n = pool_size(workers, len(points))
     if n == 1:
         return [fn(p) for p in points]
-    with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_adopt, initargs=(fn, points)) as pool:
-        theirs = {i: pool.submit(_run_adopted, i) for i in range(len(points)) if i % n}
-        mine = {i: _outcome(fn, points[i]) for i in range(0, len(points), n)}
-        results = []
-        for i in range(len(points)):
-            value, exc = mine[i] if i % n == 0 else (theirs[i].result(), None)
-            if exc is not None:
-                raise exc
-            results.append(value)
-        return results
+    ctx = multiprocessing.get_context("fork")
+    pool, complete = [], False
+    try:
+        for r in range(1, n):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_send_share, args=(fn, points[r::n], send))
+            proc.start()
+            send.close()
+            pool.append((proc, recv))
+        shares = [_share(fn, points[::n])]
+        for proc, recv in pool:
+            try:
+                shares.append(recv.recv())
+            except EOFError:
+                proc.join()
+                raise WorkerError(f"pool worker exited with code {proc.exitcode} "
+                                  "before sending its results", proc.exitcode) from None
+        complete = True
+    finally:
+        for proc, recv in pool:
+            if not complete:  # interrupted: their results are not wanted
+                proc.terminate()
+            proc.join()
+            recv.close()
+    results = []
+    for i in range(len(points)):
+        done, exc = shares[i % n]
+        if i // n == len(done):
+            raise exc
+        results.append(done[i // n])
+    return results
 
 
 # --------------------------------------------------------------------------
@@ -329,15 +360,17 @@ def _collapsed_rows(rows: list[dict]) -> list[dict]:
             for L, bj, s in pts]
 
 
-# figure -> (bundle file, columns each input holds, columns written, row rule)
+# figure -> (bundle file, columns each input holds, the parse of each column
+# the row rule reads as a number, columns written, row rule)
 _FIGURES = {
     "fig2": ("fig2_edge_spectrum.csv", ["alpha", "mode_index", "abs_eps"],
-             ["alpha", "mode_index", "abs_eps"],
+             {"mode_index": int}, ["alpha", "mode_index", "abs_eps"],
              lambda rows: [r for r in rows if int(r["mode_index"]) >= 0]),
-    "fig3": ("fig3_entropy_evolution.csv", ["period", "S_A", "beta_J"],
+    "fig3": ("fig3_entropy_evolution.csv", ["period", "S_A", "beta_J"], {},
              ["period", "S_A", "series"],
              lambda rows: [{**r, "series": r["beta_J"]} for r in rows]),
     "fig6": ("fig6_tee_collapse.csv", ["L", "beta_J", "S_top"],
+             {"L": lambda v: int(float(v)), "beta_J": float, "S_top": float},
              ["beta_J", "S_top", "L", "x_collapsed"], _collapsed_rows),
 }
 
@@ -353,13 +386,19 @@ def emit_plot_data(figure: str, inputs: list, out_dir) -> Path:
     if figure not in _FIGURES:
         raise ValidationError(f"unknown figure id {figure!r}; "
                               f"supported: {', '.join(_FIGURES)}")
-    name, required, written, rule = _FIGURES[figure]
+    name, required, numeric, written, rule = _FIGURES[figure]
     rows = []
     for p in paths:
         with open(p, newline="") as fh:
             part = list(csv.DictReader(fh))
         if missing := [c for c in required if part and c not in part[0]]:
             raise ValidationError(f"{p}: missing column(s) {', '.join(missing)}")
+        for (column, parse), r in itertools.product(numeric.items(), part):
+            try:
+                parse(r[column])
+            except (TypeError, ValueError, OverflowError):
+                raise ValidationError(f"{p}: column {column}: {r[column]!r} is not "
+                                      "a number") from None
         rows.extend(part)
     out = out_dir / name
     write_csv(out, rule(rows), written)

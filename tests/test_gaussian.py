@@ -1,3 +1,4 @@
+import unittest.mock
 import warnings
 
 import numpy as np
@@ -307,6 +308,76 @@ def test_run_to_steady_state_observes_every_period():
     assert np.array_equal(trace.periods, np.arange(1, 8))
     assert np.array_equal(trace.norm_log, norms)
     assert norms[-1] == frame.norm_log
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 24), st.sampled_from(["pbc-even", "pbc-odd", "obc"]),
+       st.sampled_from(["neel-fermion", "all-up", "all-down"]),
+       st.tuples(st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
+                 st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0)),
+       st.integers(1, 30), st.integers(1, 20000), st.data())
+def test_trace_is_the_serial_trace_for_any_worker_count_and_chunk(L, bc, state, couplings,
+                                                                  n_periods, budget, data):
+    # the entropies, taken after the loop from the recorded rows, chunk by
+    # chunk (a budget of 1 byte flushes every period) on one or two
+    # processes, equal bit for bit the entropy of each observed frame's
+    # block, as a serial run takes them; so do the norm and purity columns
+    lat = P.lattice(L, bc)
+    start = data.draw(st.integers(1, L))
+    sub = P.SubsystemSpec(start, data.draw(st.integers(
+        1, max(1, min(L - 1, L if lat.bc.periodic else L - start + 1)))))
+    quench = P.QuenchConfig(P.named_state(state, L), n_periods=n_periods)
+    p, idx = P.ModelParams(*couplings), sub.majorana_indices(lat)
+    frames, traces = [], []
+    with unittest.mock.patch.object(gaussian, "_RECORD_BYTES", budget):
+        for workers in (1, 2):
+            frames.clear()
+            try:
+                traces.append(gaussian.stroboscopic_run(p, lat, quench, sub, frames.append,
+                                                        workers))
+            except NumericalBreakdown as exc:
+                traces.append(exc)
+    if isinstance(traces[0], Exception):  # the same breakdown on either pool
+        assert [(type(t), str(t)) for t in traces] == [(type(traces[0]), str(traces[0]))] * 2
+        return
+    serial = [entanglement.entropy_from_majorana_block(
+        gaussian.correlation_block(f, idx)).entropy for f in frames]
+    for trace in traces:
+        assert trace.entropy.tolist() == serial
+        assert trace.norm_log.tolist() == [f.norm_log for f in frames]
+        assert trace.purity_residual.tolist() == [f.isotropy for f in frames]
+        assert trace.periods.tolist() == list(range(1, n_periods + 1))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("bad, stop, raised", [(3, 5, PurityViolation), (5, 5, PurityViolation),
+                                               (6, 5, RuntimeError), (3, None, PurityViolation)])
+def test_trace_raises_what_a_serial_run_raises_first(monkeypatch, workers, bad, stop, raised):
+    # period `bad`'s entropy fails and the observer raises after period
+    # `stop`: a serial run meets whichever comes first, and the entropy of
+    # a period before its observer.  Two-period chunks on the one-cell stack.
+    p = P.make_params(0.2, -0.1, 0.2, 0.1)
+    lat = P.lattice(12, "obc")
+    quench = P.QuenchConfig(P.named_state("neel-fermion", 12), n_periods=8)
+    sub = P.SubsystemSpec(1, 4)
+    clean = gaussian.stroboscopic_run(p, lat, quench, sub).entropy
+    entropy = entanglement.entropy_from_majorana_block
+
+    def failing(block):
+        report = entropy(block)
+        if report.entropy == clean[bad - 1]:
+            raise PurityViolation(f"period {bad}")
+        return report
+
+    def observe(frame):
+        if frame.period_count == stop:
+            raise RuntimeError(f"observer at {stop}")
+
+    monkeypatch.setattr(entanglement, "entropy_from_majorana_block", failing)
+    monkeypatch.setattr(gaussian, "_RECORD_BYTES", 2 * 8 * 12 * 16)
+    with pytest.raises(raised, match=f"period {bad}" if raised is PurityViolation
+                       else f"observer at {stop}"):
+        gaussian.stroboscopic_run(p, lat, quench, sub, observe, workers)
 
 
 def _dense_frames(p, lat, quench):

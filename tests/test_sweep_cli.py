@@ -3,6 +3,7 @@ import csv
 import inspect
 import json
 import multiprocessing
+import os
 import shlex
 import tempfile
 import warnings
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from floquet_ising import cli, entanglement as E, gaussian, params as P, spectral, sweep
-from floquet_ising.errors import ValidationError
+from floquet_ising.errors import ValidationError, WorkerError
 
 
 def read_rows(path):
@@ -283,6 +284,21 @@ def test_emit_fig6_and_missing_column(tmp_path):
         sweep.emit_plot_data("fig99", [src], tmp_path / "plots")
 
 
+@pytest.mark.parametrize("figure, header, row, column", [
+    ("fig2", "alpha,mode_index,abs_eps", "0.4,x,1.5", "mode_index"),
+    ("fig6", "L,beta_J,S_top", "8,x,0.3", "beta_J"),
+])
+def test_emit_non_numeric_cell_is_a_validation_error(tmp_path, capsys, figure, header,
+                                                     row, column):
+    src = tmp_path / "raw.csv"
+    src.write_text(f"{header}\n{row}\n")
+    with pytest.raises(ValidationError, match=f"raw.csv: column {column}: 'x'"):
+        sweep.emit_plot_data(figure, [src], tmp_path / "plots")
+    assert cli.main(["--out-dir", str(tmp_path / "cli"), "emit-plots", "--figure", figure,
+                     "--inputs", str(src)]) == 2
+    assert f"column {column}" in capsys.readouterr().err
+
+
 # Small fixed inputs and the bundles that emit_plot_data wrote from them
 # before its reader was shared by the three figures.  fig2 drops the
 # no-mode row, fig3 renames beta_J to series, and fig6 rewrites beta_J
@@ -474,6 +490,56 @@ def test_default_workers_is_the_blas_thread_budget(monkeypatch, env, cpus, worke
     assert sweep.default_workers() == workers
     monkeypatch.setattr(sweep, "_CAN_FORK", False)
     assert sweep.default_workers() == 1
+
+
+def _dies_at_three(x):
+    if x == 3:
+        os._exit(7)
+    return x
+
+
+class _UnpicklableError(Exception):
+    def __init__(self, a, b):  # pickled as (message,), which does not rebuild it
+        super().__init__(f"point {a} failed with {b}")
+
+
+def _unpicklable_at_three(x):
+    if x == 3:
+        raise _UnpicklableError(3, "no pickle")
+    return x
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_map_points_names_the_exit_code_of_a_worker_that_dies(workers):
+    # point 3 belongs to a forked worker's share for either pool size
+    with pytest.raises(WorkerError, match="code 7") as info:
+        sweep.map_points(_dies_at_three, list(range(8)), workers)
+    assert info.value.exitcode == 7
+    assert not multiprocessing.active_children()
+
+
+def test_map_points_raises_an_unpicklable_point_error_with_its_message():
+    with pytest.raises(WorkerError, match="_UnpicklableError: point 3 failed with no pickle"):
+        sweep.map_points(_unpicklable_at_three, list(range(8)), 2)
+    assert not multiprocessing.active_children()
+    # this process's own points raise it as it is
+    with pytest.raises(_UnpicklableError):
+        sweep.map_points(_unpicklable_at_three, list(range(8)), 3)
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_points_raises_the_first_failure_in_point_order(workers):
+    def fn(x):
+        if x in (4, 5, 7):
+            raise ValueError(f"point {x}")
+        return x * x
+
+    assert sweep.map_points(lambda x: x * x, list(range(10)), workers) == [
+        x * x for x in range(10)]
+    with pytest.raises(ValueError, match="point 4"):
+        sweep.map_points(fn, list(range(10)), workers)
+    assert not multiprocessing.active_children()
 
 
 def test_cli_tee_reports_the_route_of_every_point(tmp_path):
