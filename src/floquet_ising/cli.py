@@ -188,8 +188,7 @@ def cmd_cft_compare(args):
                          args.amplitude, -args.amplitude * args.eta,
                          units="rad")
     frames = gaussian.evolve_continuous(params, lat, named_state("neel-fermion", L), t_grid)
-    sub = SubsystemSpec(1, la)
-    s_num = np.array([entanglement.subsystem_entropy(f, sub, lat).entropy for f in frames])
+    s_num = entanglement.subsystem_entropies(frames, SubsystemSpec(1, la), lat)
     s_num -= s_num[0]
     report = cft.compare_to_numerics(curve, t_grid, s_num)
 

@@ -7,8 +7,10 @@ symmetric with eigenvalues nu_i^2, each twice, so one real ``eigvalsh``
 of a 2 L_A x 2 L_A matrix gives the spectrum.  The von Neumann entropy
 sums the binary entropy of (1 + nu)/2 over one member of each pair;
 summing the full 2 L_A spectrum and halving avoids any pairing
-bookkeeping.  The functionals take a frame and read each block C_A
-through ``gaussian.correlation_block``; the dense C is never formed.
+bookkeeping.  The kernel takes a stack of blocks in one call, with one
+stacked ``eigvalsh``; a lone block is the stack with no leading axis.
+The functionals take a frame and read each block C_A through
+``gaussian.correlation_block``; the dense C is never formed.
 """
 
 from __future__ import annotations
@@ -35,38 +37,49 @@ class EntropyReport:
 
 def _nu_spectrum(block_c: np.ndarray) -> np.ndarray:
     """The 2 L_A values +-nu of C'_A = C_A - 1 = i A, ascending, from the
-    real symmetric A^T A.  Raises PurityViolation unless C'_A is i times a
-    real antisymmetric matrix and every |nu| <= 1 (up to ``_PURITY_SLACK``).
-    Re C'_A and A are read from C_A; C'_A itself is never formed."""
-    real, a = np.array(block_c.real, dtype=float), np.ascontiguousarray(block_c.imag)
-    real.reshape(-1)[::len(real) + 1] -= 1.0
-    real_norm = np.linalg.norm(real)
-    defect = max(real_norm, np.linalg.norm(a + a.T))
-    if defect > 1e-8 * max(1.0, np.hypot(real_norm, np.linalg.norm(a))):
+    real symmetric A^T A, of a block or of each of a stack.  Raises
+    PurityViolation unless C'_A is i times a real antisymmetric matrix and
+    every |nu| <= 1 (up to ``_PURITY_SLACK``), at the block where a loop
+    would: one ``eigvalsh`` takes the blocks before the first that fails
+    the first gate.  Re C'_A and A are read from C_A; C'_A is never formed."""
+    n = block_c.shape[-1]
+    stack = block_c.reshape(-1, n, n)
+    k = len(stack)
+    real, a = np.array(stack.real, dtype=float), np.ascontiguousarray(stack.imag)
+    real.reshape(k, n * n)[:, ::n + 1] -= 1.0
+    # each block's norm by the ddot of np.linalg.norm, so a lone block's gates are unchanged
+    norm = lambda x: np.sqrt(x.reshape(k, 1, n * n) @ x.reshape(k, n * n, 1))[:, 0, 0]
+    real_norm = norm(real)
+    defect = np.maximum(real_norm, norm(a + np.swapaxes(a, 1, 2)))
+    failed = defect > 1e-8 * np.maximum(1.0, np.hypot(real_norm, norm(a)))
+    cut = int(np.argmax(failed)) if failed.any() else k
+    try:
+        nu2 = np.linalg.eigvalsh(np.swapaxes(a[:cut], 1, 2) @ a[:cut])
+    except np.linalg.LinAlgError:  # the stacked driver does not say which block failed
+        for block in stack[:cut] if k > 1 else ():
+            _nu_spectrum(block)
+        raise
+    nu = np.sqrt(np.clip(nu2.reshape(cut, n // 2, 2).mean(axis=-1), 0.0, None))
+    worst = nu[:, -1] - 1.0
+    if (over := np.flatnonzero(worst > _PURITY_SLACK)).size:
+        raise PurityViolation(f"correlation eigenvalue outside [-1, 1] by {worst[over[0]]:.2e}")
+    if cut < k:
         raise PurityViolation("restricted C' is not i*(real antisymmetric): "
-                              f"defect {defect:.2e}")
-    nu2 = np.linalg.eigvalsh(a.T @ a).reshape(-1, 2).mean(axis=1)
-    nu = np.sqrt(np.clip(nu2, 0.0, None))
-    worst = float(nu[-1] - 1.0)
-    if worst > _PURITY_SLACK:
-        raise PurityViolation(f"correlation eigenvalue outside [-1, 1] by {worst:.2e}")
-    return np.concatenate([-nu[::-1], nu])
-
-
-def _binary_entropy_sum(nu: np.ndarray) -> float:
-    nu = np.clip(nu, -1.0 + _CLAMP, 1.0 - _CLAMP)
-    p = (1.0 + nu) / 2.0
-    q = (1.0 - nu) / 2.0
-    return float(-0.5 * np.sum(p * np.log(p) + q * np.log(q)))
+                              f"defect {defect[cut]:.2e}")
+    return np.concatenate([-nu[:, ::-1], nu], axis=-1).reshape(block_c.shape[:-1])
 
 
 def entropy_from_majorana_block(block_c: np.ndarray) -> EntropyReport:
     """Entropy of a subsystem given its restricted correlation block C_A,
-    two Majorana rows per site."""
-    if block_c.shape[0] % 2:
+    two Majorana rows per site; of each block of a stack (..., 2 L_A,
+    2 L_A) in one call, where ``entropy`` and ``nu`` are stacked alike."""
+    if block_c.shape[-1] % 2:
         raise ValidationError("Majorana block of odd size: a site has two rows")
     nu = _nu_spectrum(block_c)
-    return EntropyReport(_binary_entropy_sum(nu), nu)
+    clipped = np.clip(nu, -1.0 + _CLAMP, 1.0 - _CLAMP)
+    p, q = (1.0 + clipped) / 2.0, (1.0 - clipped) / 2.0
+    entropy = -0.5 * np.sum(p * np.log(p) + q * np.log(q), axis=-1)
+    return EntropyReport(entropy if entropy.ndim else float(entropy), nu)
 
 
 def _entropy(frame: gaussian.GaussianFrame, idx: np.ndarray) -> EntropyReport:
@@ -77,6 +90,14 @@ def subsystem_entropy(frame: gaussian.GaussianFrame, subsystem: SubsystemSpec,
                       lat: LatticeSpec) -> EntropyReport:
     """Entropy of the subsystem in the frame's state, from its block of C."""
     return _entropy(frame, subsystem.majorana_indices(lat))
+
+
+def subsystem_entropies(frames: list[gaussian.GaussianFrame], subsystem: SubsystemSpec,
+                        lat: LatticeSpec) -> np.ndarray:
+    """Each ``subsystem_entropy`` of the frames of one run, in stacked calls."""
+    idx = subsystem.majorana_indices(lat)
+    rows, block = gaussian._block_plan(frames[0], idx)
+    return np.array(gaussian.stacked_entropies([f.blocks[:, rows] for f in frames], block, len(idx)))
 
 
 def _renyi_from_nu(nu: np.ndarray, n: int) -> float:

@@ -59,6 +59,7 @@ _ISOLATION_TOL = 1e-6
 _ROUNDING_TOL = 1e-12
 _MAX_SWEEPS = 4  # isotropy corrections before orthonormalize gives up (read at call time)
 _RECORD_BYTES = 8 << 20  # frame rows stroboscopic_run holds before taking their entropies
+_STACK_BYTES = 1 << 20  # frame rows and C_A blocks stacked into one entropy call
 
 
 @dataclass
@@ -226,7 +227,8 @@ def correlation_from_frame(frame: GaussianFrame) -> CorrelationMatrix:
 def _block_plan(frame: GaussianFrame, idx: np.ndarray):
     """What the block C_A of the Majorana indices ``idx`` needs of a stack
     shaped like ``frame``, worked out once: the within-cell rows it reads
-    and the function that takes a stack's ``blocks[:, rows]`` to C_A.
+    and the function that takes a stack's ``blocks[:, rows]`` to C_A, and
+    a stack of them (..., N, k, c) to C_A of each, bit for bit.
 
     In block-Toeplitz form, with Majorana row r x + a on cell x,
     C[(x, a), (y, b)] = T(y - x)[a, b],
@@ -240,7 +242,7 @@ def _block_plan(frame: GaussianFrame, idx: np.ndarray):
     """
     n, r = frame.blocks.shape[:2]
     if n == 1:
-        return idx, lambda sub: 2.0 * (np.conj(sub[0]) @ sub[0].T)
+        return idx, lambda sub: 2.0 * (np.conj(sub) @ np.swapaxes(sub, -1, -2))[..., 0, :, :]
     x, a = np.divmod(np.asarray(idx), r)
     rows, a = np.unique(a, return_inverse=True)
     k, x = len(rows), x - x.min()
@@ -251,15 +253,16 @@ def _block_plan(frame: GaussianFrame, idx: np.ndarray):
     run = slice(pos[0], pos[-1] + 1) if (np.diff(pos) == 1).all() else None
 
     def block(sub: np.ndarray) -> np.ndarray:
-        g = np.fft.ifft(np.conj(sub) @ np.swapaxes(sub, -1, -2), axis=0)
-        # t[a, m - 1 + d, b] = T(d)[a, b] in C order, so block row (i, a) of the
-        # span is the run of t[a] from d = -i: w[a, i, k j + b] = T(j - i)[a, b]
-        t = np.take(g.transpose(1, 0, 2), d % n, axis=1) * phase[:, None]
-        s0, s1, s2 = t.strides
-        w = np.ndarray((k, m, m * k), t.dtype, t, (m - 1) * s1, (s0, -s1, s2))
+        g = np.fft.ifft(np.conj(sub) @ np.swapaxes(sub, -1, -2), axis=-3)
+        # t[..., a, m - 1 + d, b] = T(d)[a, b] in C order, so block row (i, a) of
+        # the span is the run of t[..., a] from d = -i: w[..., a, i, k j + b] = T(j - i)[a, b]
+        t = np.take(np.moveaxis(g, -3, -2), d % n, axis=-2) * phase[:, None]
+        *lead, s0, s1, s2 = t.strides
+        w = np.ndarray((*t.shape[:-3], k, m, m * k), t.dtype, t, (m - 1) * s1,
+                       (*lead, s0, -s1, s2))
         if run is not None:
-            return w.transpose(1, 0, 2).reshape(m * k, m * k)[run, run]
-        return w[a[:, None], x[:, None], pos]
+            return np.swapaxes(w, -3, -2).reshape(*w.shape[:-3], m * k, m * k)[..., run, run]
+        return w[..., a[:, None], x[:, None], pos]
 
     return rows, block
 
@@ -268,6 +271,18 @@ def correlation_block(frame: GaussianFrame, majorana_idx: np.ndarray) -> np.ndar
     """Restricted C block without forming the full matrix (``_block_plan``)."""
     rows, block = _block_plan(frame, majorana_idx)
     return block(frame.blocks[:, rows])
+
+
+def stacked_entropies(rows: list[np.ndarray], block, size: int, workers: int = 1) -> list:
+    """The entropies of the size x size blocks ``block`` makes of the
+    entries of ``rows`` (``_block_plan``): one stacked call per chunk of
+    entries whose rows and blocks fill up to ``_STACK_BYTES`` (at least
+    one), the chunks mapped over ``workers`` processes (``sweep.map_points``)."""
+    per_chunk = max(1, _STACK_BYTES // (rows[0].nbytes + 16 * size * size))
+    return [s for part in sweep.map_points(
+        lambda i: entanglement.entropy_from_majorana_block(
+            block(np.stack(rows[i:i + per_chunk]))).entropy,
+        range(0, len(rows), per_chunk), workers) for s in part]
 
 
 Observer = Callable[[GaussianFrame], None]
@@ -675,11 +690,11 @@ def stroboscopic_run(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig
     ||Phi^T Phi|| as ``orthonormalize`` measured it (``purity_residual``;
     orthonormality holds by QR), then calls ``observe(frame)`` when given.
     The entropies are taken from those rows after the loop, or whenever
-    they fill ``_RECORD_BYTES``, mapped over ``workers`` processes
-    (``sweep.map_points``): each period's is independent of the others, and
-    the trace is the same for any worker count.  Where the loop raises,
-    the recorded periods are evaluated first, so an entropy that failed
-    before it is raised in its place, as in a serial run.
+    they fill ``_RECORD_BYTES``, in stacked chunks over ``workers``
+    processes (``stacked_entropies``): each period's is independent of the
+    others, and the trace is the same for any worker count.  Where the loop
+    raises, the recorded periods are evaluated first, so an entropy that
+    failed before it is raised in its place, as in a serial run.
 
     On periodic chains the parity sector is taken from the lattice spec; use
     ``preferred_sector`` to match the initial state's fermion parity when
@@ -689,10 +704,9 @@ def stroboscopic_run(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig
     plan, held, ents, norms, purs = None, [], [], [], []
 
     def flush():
-        ents.extend(sweep.map_points(
-            lambda sub: entanglement.entropy_from_majorana_block(plan[1](sub)).entropy,
-            held, workers))
-        held.clear()
+        if held:
+            ents.extend(stacked_entropies(held, plan[1], len(idx), workers))
+            held.clear()
 
     def record(frame: GaussianFrame):
         nonlocal plan

@@ -1,3 +1,5 @@
+import unittest.mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -171,6 +173,98 @@ def test_complement_has_the_same_entropy(stack, cells, bc, couplings, n_periods,
     s_in, s_out = (E._entropy(frame, P.majorana_indices(sorted(x))).entropy
                    for x in (inside, outside))
     assert s_in == pytest.approx(s_out, abs=1e-10)
+
+
+def _outcome(call):
+    """call(), or the (type, message) of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(["pbc-even", "obc"]), st.sampled_from(["run", "gathered"]),
+       st.integers(1, 40),
+       st.tuples(st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
+                 st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0)), st.data())
+def test_stacked_entropies_are_the_block_by_block_ones(bc, shape, size, couplings, data):
+    # one stacked call of the block builder and of the kernel gives each
+    # frame's block, nu and entropy bit for bit as the lone call does, on
+    # the momentum stack (pbc-even Neel, 4 | L) and the one-cell stack, for
+    # a contiguous run of indices and a non-cell-aligned one (an odd site
+    # count from an even start, wrapped on the periodic chain, where the
+    # block gathers from the Toeplitz view); and a stack with bad blocks
+    # raises what a block-by-block loop raises first
+    L = 16
+    lat = P.lattice(L, bc)
+    frames = []
+    gaussian.run_to_steady_state(P.ModelParams(*couplings), lat, P.QuenchConfig(
+        P.named_state("neel-fermion", L), n_periods=size), frames.append)
+    assert frames[0].route == ("momentum" if bc == "pbc-even" else "loop")
+    if shape == "run":
+        start = data.draw(st.integers(1, L - 1))
+        sub = P.SubsystemSpec(start, data.draw(st.integers(1, L - start)))
+    else:
+        start = 2 * data.draw(st.integers(L // 4, L // 2 - 1))
+        lo, hi = (L - start + 2, L - 1) if bc == "pbc-even" else (1, L - start + 1)
+        sub = P.SubsystemSpec(start, 2 * data.draw(st.integers(lo // 2, (hi - 1) // 2)) + 1)
+    idx = sub.majorana_indices(lat)
+    assert shape == "run" or bc == "obc" or np.any(np.diff(idx) < 0)  # wrapped: gathered
+    rows, block = gaussian._block_plan(frames[0], idx)
+    blocks = block(np.stack([f.blocks[:, rows] for f in frames]))
+    lone = [gaussian.correlation_block(f, idx) for f in frames]
+    assert np.array_equal(blocks, lone)
+    stacked, loop = E.entropy_from_majorana_block(blocks), [
+        E.entropy_from_majorana_block(b) for b in lone]
+    assert stacked.entropy.tolist() == [r.entropy for r in loop]
+    assert np.array_equal(stacked.nu, [r.nu for r in loop])
+    assert E.subsystem_entropies(frames, sub, lat).tolist() == stacked.entropy.tolist()
+    with unittest.mock.patch.object(gaussian, "_STACK_BYTES", 1):  # one frame a call
+        assert E.subsystem_entropies(frames, sub, lat).tolist() == stacked.entropy.tolist()
+    for _ in range(data.draw(st.integers(1, 2))):
+        _spoil(blocks[data.draw(st.integers(0, size - 1))],
+               data.draw(st.sampled_from(["real", "nu", "eig"])))
+    _assert_stack_fails_like_a_loop(blocks)
+
+
+def _spoil(block, kind):
+    """Make ``block`` fail the first gate (a real symmetric part), the
+    second (|nu| > 1) or the eigensolver (a non-finite entry)."""
+    if kind == "real":
+        block[0, 1] += 1e-3
+        block[1, 0] += 1e-3
+    elif kind == "nu":  # |A_01| >= 2, so the largest |nu| is too
+        block[0, 1] += 3j
+        block[1, 0] -= 3j
+    else:
+        block[0, 1] = complex(0.0, np.nan)
+
+
+def _assert_stack_fails_like_a_loop(blocks):
+    eigvalsh = np.linalg.eigvalsh
+
+    def strict_eigvalsh(a):  # the LAPACK driver returns NaN here instead of failing
+        if not np.all(np.isfinite(a)):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(a)
+
+    with unittest.mock.patch.object(np.linalg, "eigvalsh", strict_eigvalsh):
+        expected = _outcome(lambda: [E.entropy_from_majorana_block(b) for b in blocks])
+        assert isinstance(expected, tuple)  # the loop fails
+        assert _outcome(lambda: E.entropy_from_majorana_block(blocks)) == expected
+
+
+@pytest.mark.parametrize("first", ["real", "nu", "eig"])
+@pytest.mark.parametrize("second", ["real", "nu", "eig"])
+def test_a_stack_raises_the_first_failure_of_a_loop(first, second):
+    # every order of two bad blocks in a stack of five blocks 1 + i A, A
+    # real antisymmetric with |nu| < 1, each its own
+    r = np.random.default_rng(7).uniform(-0.05, 0.05, (5, 4, 4))
+    blocks = np.eye(4) + 1j * (r - np.swapaxes(r, -1, -2))
+    _spoil(blocks[1], first)
+    _spoil(blocks[3], second)
+    _assert_stack_fails_like_a_loop(blocks)
 
 
 def test_subadditivity():

@@ -349,13 +349,13 @@ def test_trace_is_the_serial_trace_for_any_worker_count_and_chunk(L, bc, state, 
         assert trace.periods.tolist() == list(range(1, n_periods + 1))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("bad, stop, raised", [(3, 5, PurityViolation), (5, 5, PurityViolation),
-                                               (6, 5, RuntimeError), (3, None, PurityViolation)])
-def test_trace_raises_what_a_serial_run_raises_first(monkeypatch, workers, bad, stop, raised):
+def _raise_from_a_failing_entropy(monkeypatch, workers, bad, stop, raised, held, stacked):
     # period `bad`'s entropy fails and the observer raises after period
     # `stop`: a serial run meets whichever comes first, and the entropy of
-    # a period before its observer.  Two-period chunks on the one-cell stack.
+    # a period before its observer.  The failure is injected where the
+    # stacked path takes its entropies, one call per chunk of periods, on
+    # the one-cell stack; the run holds the rows of `held` periods and
+    # stacks `stacked` of them into one call.
     p = P.make_params(0.2, -0.1, 0.2, 0.1)
     lat = P.lattice(12, "obc")
     quench = P.QuenchConfig(P.named_state("neel-fermion", 12), n_periods=8)
@@ -363,9 +363,9 @@ def test_trace_raises_what_a_serial_run_raises_first(monkeypatch, workers, bad, 
     clean = gaussian.stroboscopic_run(p, lat, quench, sub).entropy
     entropy = entanglement.entropy_from_majorana_block
 
-    def failing(block):
-        report = entropy(block)
-        if report.entropy == clean[bad - 1]:
+    def failing(blocks):
+        report = entropy(blocks)
+        if clean[bad - 1] in np.atleast_1d(report.entropy):
             raise PurityViolation(f"period {bad}")
         return report
 
@@ -373,11 +373,31 @@ def test_trace_raises_what_a_serial_run_raises_first(monkeypatch, workers, bad, 
         if frame.period_count == stop:
             raise RuntimeError(f"observer at {stop}")
 
+    rows, block = 8 * 12 * 16, 8 * 8 * 16  # bytes a period holds and stacks
     monkeypatch.setattr(entanglement, "entropy_from_majorana_block", failing)
-    monkeypatch.setattr(gaussian, "_RECORD_BYTES", 2 * 8 * 12 * 16)
+    monkeypatch.setattr(gaussian, "_RECORD_BYTES", held * rows)
+    monkeypatch.setattr(gaussian, "_STACK_BYTES", stacked * (rows + block))
     with pytest.raises(raised, match=f"period {bad}" if raised is PurityViolation
                        else f"observer at {stop}"):
         gaussian.stroboscopic_run(p, lat, quench, sub, observe, workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("bad, stop, raised", [(3, 5, PurityViolation), (5, 5, PurityViolation),
+                                               (6, 5, RuntimeError), (3, None, PurityViolation)])
+def test_trace_raises_what_a_serial_run_raises_first(monkeypatch, workers, bad, stop, raised):
+    # two-period chunks, one per hold of the rows
+    _raise_from_a_failing_entropy(monkeypatch, workers, bad, stop, raised, 2, 2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("bad, stop, raised", [(5, None, PurityViolation), (2, 6, PurityViolation),
+                                               (5, 6, PurityViolation), (5, 4, RuntimeError)])
+def test_trace_raises_a_failing_entropy_from_mid_chunk(monkeypatch, workers, bad, stop, raised):
+    # every period held, then stacked three at a time: chunks 1-3, 4-6 and
+    # 7-8, the second of them on the forked worker of a two-process pool;
+    # periods 2 and 5 sit mid-chunk
+    _raise_from_a_failing_entropy(monkeypatch, workers, bad, stop, raised, 8, 3)
 
 
 def _dense_frames(p, lat, quench):

@@ -327,11 +327,14 @@ def test_frame_map_blocks_are_the_dense_map_in_momentum(bc, L):
 @given(st.integers(1, 40), st.sampled_from(["pbc-even", "pbc-odd"]),
        st.tuples(st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
                  st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0)))
+@example(cells=13, bc="pbc-odd", couplings=(0.0, 1.0, 0.0, 1.0))
 def test_frame_map_blocks_are_one_site_blocks_in_the_bloch_basis(cells, bc, couplings):
     # the dense frame map in the one-site Bloch basis U_q V_q is
     # diag(t_k, t_{k+pi}), each t the builder's period block
     # exp(-4W'_{-k}) exp(-4W''_{-k}) of determinant 1: the identity the
-    # direct momentum frame (gaussian._bloch_frame) is built on
+    # direct momentum frame (gaussian._bloch_frame) is built on.  The
+    # determinant is the builder's: t read off the dense map carries
+    # rounding of order eps ||t||^2, ~1e-12 where ||t|| nears 27
     p, lat = P.ModelParams(*couplings), P.lattice(2 * cells, bc)
     q, u, v = _cell_stack(lat)
     f = S.build_kick_forms(p, lat).step(np.eye(4 * cells, dtype=complex), -1.0)
@@ -341,7 +344,7 @@ def test_frame_map_blocks_are_one_site_blocks_in_the_bloch_basis(cells, bc, coup
     assert np.all(np.linalg.norm(g[:, 2:, :2], axis=(1, 2)) <= bound)
     built = S.bloch_blocks(p.J, p.h, -(q[:, None] / 2 + [0, np.pi])).period(-1.0)
     assert np.all(np.linalg.norm(t - built, axis=(2, 3)) <= bound[:, None])
-    assert np.max(np.abs(np.linalg.det(t) - 1)) <= 1e-12
+    assert np.max(np.abs(np.linalg.det(built) - 1)) <= 1e-12
 
 
 @settings(max_examples=40)
