@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,7 @@ def cmd_emit_plots(args):
 
 # --------------------------------------------------------------------------
 
+@cache  # once per process: each parse_args fills a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="floquet-ising",

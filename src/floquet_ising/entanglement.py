@@ -51,7 +51,7 @@ def _nu_spectrum(block_c: np.ndarray) -> np.ndarray:
     norm = lambda x: np.sqrt(x.reshape(k, 1, n * n) @ x.reshape(k, n * n, 1))[:, 0, 0]
     real_norm = norm(real)
     defect = np.maximum(real_norm, norm(a + np.swapaxes(a, 1, 2)))
-    failed = defect > 1e-8 * np.maximum(1.0, np.hypot(real_norm, norm(a)))
+    failed = ~(defect <= 1e-8 * np.maximum(1.0, np.hypot(real_norm, norm(a))))  # NaN fails
     cut = int(np.argmax(failed)) if failed.any() else k
     try:
         nu2 = np.linalg.eigvalsh(np.swapaxes(a[:cut], 1, 2) @ a[:cut])
@@ -59,6 +59,8 @@ def _nu_spectrum(block_c: np.ndarray) -> np.ndarray:
         for block in stack[:cut] if k > 1 else ():
             _nu_spectrum(block)
         raise
+    if not np.isfinite(nu2).all():  # a block with a non-finite nu^2 is outside by inf
+        nu2 = np.where(np.isfinite(nu2).all(-1, keepdims=True), nu2, np.inf)
     nu = np.sqrt(np.clip(nu2.reshape(cut, n // 2, 2).mean(axis=-1), 0.0, None))
     worst = nu[:, -1] - 1.0
     if (over := np.flatnonzero(worst > _PURITY_SLACK)).size:

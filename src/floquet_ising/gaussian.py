@@ -32,7 +32,9 @@ one-site Bloch blocks t_k, t_{k+pi} themselves (``_bloch_frame``),
 where the dense 2L x 2L frame map is not tried, and on the one-cell stack
 from a Schur form of the L x L + reflection-sector block alone
 (``_sector_split``): the - block is the inverse transpose of the +, so its
-modes and its split follow from the + sector's.
+modes and its split follow from the + sector's.  Each step on the
+momentum stack is closed-form (``_qr``, ``BlochBlocks.flow``), where the
+one-cell stack takes LAPACK's QR and ``expm``.
 """
 
 from __future__ import annotations
@@ -127,17 +129,15 @@ def initial_frame(state: QuenchConfig | ProductState, lat: LatticeSpec) -> Gauss
     return GaussianFrame(phi[None])
 
 
-def _partners(q: np.ndarray, partner: np.ndarray | None) -> np.ndarray:
-    """Block partner[i] for each block i of the stack q.  A dense frame or
-    a one-cell stack pairs with itself in place, so that S = q^T q is one
-    symmetric product and comes out exactly symmetric."""
-    return q if partner is None or len(partner) == 1 else q[partner]
-
-
 def _isotropy(q: np.ndarray, partner: np.ndarray | None = None):
-    """S = q_{-}^T q and ||S|| over one dense frame or a stack of blocks."""
-    s = np.swapaxes(_partners(q, partner), -1, -2) @ q
-    return s, float(np.linalg.norm(s))
+    """S = q_{-}^T q, ||S|| and q_- (block partner[i] of block i), one broadcast
+    on a momentum stack; a dense frame or one-cell stack pairs with itself in
+    place, so that S = q^T q is one symmetric product, exactly symmetric."""
+    if partner is None or len(partner) == 1:
+        return (s := np.swapaxes(q, -1, -2) @ q), float(np.linalg.norm(s)), q
+    p = q.T[..., partner]  # columns x rows x N, the layout ``_qr`` leaves
+    s = (p[:, None] * q.T[None]).sum(2)
+    return s.transpose(2, 0, 1), float(np.linalg.norm(s)), p.T
 
 
 def _orthonormality(q: np.ndarray) -> float:
@@ -157,8 +157,7 @@ def orthonormalize(phi: np.ndarray, partner: np.ndarray | None = None):
     and NumericalBreakdown (``condition`` = the defect) if the isotropy
     defect is still above tolerance after ``_MAX_SWEEPS`` corrections.
     """
-    q, r = np.linalg.qr(phi)
-    rd = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    q, rd = _qr(phi, partner)
     if rd.min() < _RANK_TOL * max(rd.max(), 1.0):
         tiny = rd.max() * 1e-290
         cond = float(rd.max() / rd.min()) if rd.min() > tiny else float("inf")
@@ -166,16 +165,33 @@ def orthonormalize(phi: np.ndarray, partner: np.ndarray | None = None):
                                   condition=cond)
     log_mag = float(np.sum(np.log(rd)))
     for sweep in range(_MAX_SWEEPS + 1):
-        s, defect = _isotropy(q, partner)
+        s, defect, p = _isotropy(q, partner)
         if defect < _ISO_TOL:
             break
         if sweep == _MAX_SWEEPS:
             raise NumericalBreakdown(
                 f"isotropy defect {defect:.3g} left after {_MAX_SWEEPS} sweeps",
                 condition=defect)
-        q = q - 0.5 * np.conj(_partners(q, partner)) @ s
-        q, _ = np.linalg.qr(q)
+        q, _ = _qr(q - 0.5 * np.conj(p) @ s, partner)
     return q, log_mag, defect
+
+
+def _qr(phi: np.ndarray, partner: np.ndarray | None):
+    """Q and |diag R| of the QR of a frame or of each block: LAPACK's, but on
+    a momentum stack (N > 1 two-column blocks) Gram-Schmidt with one
+    re-orthogonalization ("twice is enough": Giraud, Langou & Rozloznik,
+    Comput. Math. Appl. 50, 2005), norms by hypot (no square overflows); a
+    zero column gives R_jj = 0."""
+    if partner is None or len(partner) == 1:
+        q, r = np.linalg.qr(phi)
+        return q, np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    a, b = np.ascontiguousarray(phi.T)  # the two columns, rows x N
+    r1 = np.hypot.reduce(np.abs(a), axis=0)
+    a = a * (1.0 / np.maximum(r1, 1e-300))
+    for _ in range(2):
+        b = b - np.add.reduce(a.conj() * b, 0) * a
+    r2 = np.hypot.reduce(np.abs(b), axis=0)
+    return np.array([a, b * (1.0 / np.maximum(r2, 1e-300))]).T, np.concatenate([r1, r2])
 
 
 def period_map(frame: GaussianFrame, kicks: KickForms) -> GaussianFrame:
@@ -588,7 +604,7 @@ def _bloch_frame(t: np.ndarray, v: np.ndarray, frame: GaussianFrame,
 def _bloch_stack(params: ModelParams, q: np.ndarray):
     """The one-site blocks at k = q/2 and k + pi (``spectral.bloch_blocks``,
     N x 2 stacks), whose ``period(-1.0)`` gives t_k, t_{k+pi} of the frame
-    map and ``hamiltonian()`` h_k, h_{k+pi} of the continuous limit, and
+    map and ``flow(t)`` exp(-4i t h_k) of the continuous limit, and
     V_q = [[1, 1], [e^{ik}, -e^{ik}]] (x) 1 / sqrt(2), which takes each
     pair to its 4x4 cell block.  Only ``period`` forms the kicks, so only
     it raises where they overflow."""
@@ -737,9 +753,8 @@ def continuous_hamiltonian(params: ModelParams, lat: LatticeSpec) -> np.ndarray:
     """Dense coefficient matrix H of H_op = sum_ij H_ij a_i a_j for the
     continuous limit H_op = J sum XX + h sum Z (equal to i (W' + W'')),
     scattered from the chain's bonds (``spectral._kick_bonds``) without
-    forming the kicks, which may overflow where H does not.
-    ``evolve_continuous`` takes it only off the momentum route; on it, it
-    takes the cell blocks H_q of the one-site blocks (``_bloch_stack``)."""
+    forming the kicks, which may overflow where H does not; read by
+    ``evolve_continuous`` off the momentum route only."""
     w = np.zeros((lat.n_majorana, lat.n_majorana), dtype=complex)
     for p, q, s in _kick_bonds(params, lat):
         w[p, q] += s
@@ -753,15 +768,14 @@ def evolve_continuous(params: ModelParams, lat: LatticeSpec, state: ProductState
     non-decreasing, non-negative ``t_grid``, for the z-basis product state
     psi_0 on ``lat`` and the continuous-limit H_op of ``params``.
 
-    Exact: the frame moves as exp(-4i t H) Phi; one matrix exponential per
+    Exact: the frame moves as exp(-4i t H) Phi; one exponential per
     distinct step, each taken like a period (``route == "continuous"``):
     ``norm_log`` accumulates the log-norm of exp(-4i t H) Phi0.  Where
-    ``_momentum_route`` allows it (pbc-even, L divisible by 4, occupations
-    of period 2) the frame is the momentum stack and each step takes the
-    exponentials of the L/2 4x4 blocks H_q = V_q diag(h_k, h_{k+pi}) V_q^dag,
-    formed once per run from the one-site blocks (``_bloch_stack``);
-    elsewhere it is the one-cell stack, moved by the exponential of the
-    dense 2L x 2L H (``continuous_hamiltonian``).
+    ``_momentum_route`` allows it the frame is the momentum stack, moved by
+    the cell blocks V_q diag(u_k, u_{k+pi}) V_q^dag of the closed forms
+    u_k = exp(-4i t h_k) of the one-site blocks (``BlochBlocks.flow``);
+    elsewhere it is the one-cell stack, moved by ``expm`` of the dense
+    2L x 2L H (``continuous_hamiltonian``).
     """
     steps = np.diff(np.atleast_1d(np.asarray(t_grid, dtype=float)), prepend=0.0)
     if steps.ndim != 1 or steps.size == 0 or not np.all(steps >= 0):
@@ -771,13 +785,14 @@ def evolve_continuous(params: ModelParams, lat: LatticeSpec, state: ProductState
     if _momentum_route(lat, state):
         frame = GaussianFrame.from_dense(frame, lat)
         blocks, v = _bloch_stack(params, frame.momenta)
-        hmat = _cell_blocks(v, blocks.hamiltonian())
+        flow = lambda dt: _cell_blocks(v, blocks.flow(dt))
     else:
         hmat = continuous_hamiltonian(params, lat)[None]
+        flow = lambda dt: scipy.linalg.expm(-4j * dt * hmat)
     out, dt_u, u = [], None, None
     for dt in steps:
         if u is None or abs(dt - dt_u) > 1e-12 * dt:
-            dt_u, u = dt, scipy.linalg.expm(-4j * dt * hmat)
+            dt_u, u = dt, flow(dt)
         frame = _advance(frame, u @ frame.blocks, "continuous")
         out.append(frame)
     return out

@@ -267,6 +267,46 @@ def test_a_stack_raises_the_first_failure_of_a_loop(first, second):
     _assert_stack_fails_like_a_loop(blocks)
 
 
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_a_nan_entry_fails_the_purity_gate(part):
+    # NaN compares false, so a gate written "defect > bound" let a NaN block
+    # through to a NaN (or, from Re, a finite) entropy; it raises now, on a
+    # lone block and in a stack at the NaN block, in the loop's order
+    r = np.random.default_rng(7).uniform(-0.05, 0.05, (5, 4, 4))
+    blocks = np.eye(4) + 1j * (r - np.swapaxes(r, -1, -2))
+    nan = complex(np.nan, 0.0) if part == "real" else complex(0.0, np.nan)
+    bad = blocks[2].copy()
+    bad[0, 1] += nan
+    with pytest.raises(PurityViolation, match=r"not i\*\(real antisymmetric\): defect nan"):
+        E.entropy_from_majorana_block(bad)
+    for other in (4, 0):  # a |nu| > 1 block after, then before it
+        stack = blocks.copy()
+        stack[2] = bad
+        _spoil(stack[other], "nu")
+        expected = _outcome(lambda: [E.entropy_from_majorana_block(b) for b in stack])
+        assert ("defect nan" in expected[1]) == (other > 2)
+        assert _outcome(lambda: E.entropy_from_majorana_block(stack)) == expected
+
+
+def test_a_non_finite_spectrum_is_outside_the_unit_interval(monkeypatch):
+    # a block that passes the gates but whose A^T A has no finite spectrum
+    # (the LAPACK driver returns NaN rather than failing) raises instead of
+    # giving a NaN entropy; in a stack, at that block
+    r = np.random.default_rng(7).uniform(-0.05, 0.05, (3, 4, 4))
+    blocks = np.eye(4) + 1j * (r - np.swapaxes(r, -1, -2))
+    eigvalsh = np.linalg.eigvalsh
+
+    def nan_eigvalsh(a):
+        w = eigvalsh(a)
+        w[-1, 0] = np.nan  # the last block of the stack
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", nan_eigvalsh)
+    for block in (blocks[0], blocks):
+        with pytest.raises(PurityViolation, match="outside \\[-1, 1\\] by inf"):
+            E.entropy_from_majorana_block(block)
+
+
 def test_subadditivity():
     p = P.ModelParams(0.45, -0.35, 0.3, 0.25)
     frame, _, lat = evolved_state(8, p, 20)

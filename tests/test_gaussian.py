@@ -1090,6 +1090,83 @@ def test_orthonormalize_pairs_blocks_with_their_partners(monkeypatch):
     assert np.linalg.norm(fixed.phi.conj().T @ fixed.phi - np.eye(8)) < 1e-12
 
 
+@settings(max_examples=60)
+@given(st.integers(2, 24), st.sampled_from(["pbc-even", "pbc-odd"]),
+       st.floats(-20.0, 30.0), st.integers(0, 2**32 - 1))
+def test_closed_form_qr_matches_lapack_on_random_stacks(cells, bc, log_scale, seed):
+    # Gram-Schmidt twice on each 4x2 block of a momentum stack spans what
+    # LAPACK's QR spans and drops the same log|det R|, at any scale, with
+    # the pbc-odd stacks' self-paired blocks (q = 0, and q = pi at even N)
+    lat = P.lattice(2 * cells, bc)
+    frame = gaussian.GaussianFrame.from_dense(
+        gaussian.initial_frame(P.named_state("neel-fermion", 2 * cells), lat), lat)
+    rng = np.random.default_rng(seed)
+    phi = np.exp(log_scale) * (rng.normal(size=(cells, 4, 2)) + 1j * rng.normal(size=(cells, 4, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        q, rd = gaussian._qr(phi, frame.partner)
+    ref_q, ref_r = np.linalg.qr(phi)
+    proj = lambda x: np.conj(x) @ np.swapaxes(x, -1, -2)
+    assert np.max(np.abs(proj(q) - proj(ref_q))) <= 1e-14
+    ref_log = np.sum(np.log(np.abs(np.diagonal(ref_r, axis1=-2, axis2=-1))))
+    assert abs(np.sum(np.log(rd)) - ref_log) <= 1e-13 * abs(ref_log)
+    assert gaussian._orthonormality(q) <= 1e-14 * np.sqrt(cells)
+    # S of each pair by the broadcast is the matmul's
+    s, defect, _ = gaussian._isotropy(q, frame.partner)
+    assert np.max(np.abs(s - np.swapaxes(q[frame.partner], -1, -2) @ q)) <= 1e-15
+    # random blocks are far from isotropic: no correction allowed raises
+    with unittest.mock.patch.object(gaussian, "_MAX_SWEEPS", 0), \
+            pytest.raises(NumericalBreakdown) as err:
+        gaussian.orthonormalize(phi, frame.partner)
+    assert err.value.condition == defect > 1e-3
+    # a block whose columns are parallel to 1e-15 has lost rank
+    bad, j = phi.copy(), rng.integers(cells)
+    bad[j, :, 1] = (2 - 1j) * bad[j, :, 0] + 1e-15 * np.abs(bad[j]).max() * rng.normal(size=4)
+    with pytest.raises(DegenerateEvolution):
+        gaussian.orthonormalize(bad, frame.partner)
+
+
+def test_closed_form_qr_of_a_zero_column_raises_on_rank_loss():
+    # R_11 = 0: the rank check fires with an infinite condition, no NaN
+    lat = P.lattice(8, "pbc-even")
+    frame = gaussian.GaussianFrame.from_dense(
+        gaussian.initial_frame(P.named_state("neel-fermion", 8), lat), lat)
+    phi = frame.blocks.copy()
+    phi[2, :, 0] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, rd = gaussian._qr(phi, frame.partner)
+        assert rd.min() == 0.0 and np.all(np.isfinite(rd))
+        with pytest.raises(DegenerateEvolution) as err:
+            gaussian.orthonormalize(phi, frame.partner)
+    assert err.value.condition == np.inf
+
+
+def test_momentum_stacks_call_neither_lapack_qr_nor_expm(monkeypatch):
+    # at an area-law point the L = 40 pbc-even Neel loop (observed), its
+    # direct frame, the per-period trace and the continuous flow step on
+    # closed forms alone; the one-cell stack (obc) keeps LAPACK's QR and expm
+    calls = []
+    for mod, name in ((np.linalg, "qr"), (scipy.linalg, "expm")):
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, _f=real, _n=name, **k:
+                            calls.append(_n) or _f(*a, **k))
+    p, neel = P.make_params(0.2, -0.2, 0.2, 0.1), P.named_state("neel-fermion", 40)
+    for bc in ("pbc-even", "obc"):
+        lat = P.lattice(40, bc)
+        quench = P.QuenchConfig(neel, n_periods=30)
+        frames = [gaussian.run_to_steady_state(p, lat, quench, lambda f: None),
+                  gaussian.run_to_steady_state(p, lat, quench)]
+        gaussian.stroboscopic_run(p, lat, quench, P.SubsystemSpec(1, 10))
+        frames += gaussian.evolve_continuous(p, lat, neel, [0.5, 1.0])
+        if bc == "pbc-even":
+            assert [(f.route, len(f.blocks)) for f in frames] == [
+                ("momentum", 20), ("schur", 20), ("continuous", 20), ("continuous", 20)]
+            assert calls == []
+        else:
+            assert {"qr", "expm"} <= set(calls)
+
+
 @pytest.mark.parametrize("idx", [[5, 0, 3, 1], [14, 15, 0, 1, 2], [2, 7, 2, 7, 4]],
                          ids=["unsorted", "wrapping", "repeated"])
 @pytest.mark.parametrize("route", ["loop", "momentum", "pbc-odd", "momentum-40"])
@@ -1361,6 +1438,38 @@ def test_continuous_momentum_route_matches_dense_route(L, couplings, name):
     for other, psi in others:
         f = gaussian.evolve_continuous(p, other, psi, [0.0, 0.5])[-1]
         assert (f.route, len(f.blocks)) == ("continuous", 1)
+
+
+@settings(max_examples=100)
+@given(st.complex_numbers(max_magnitude=2.0), st.complex_numbers(max_magnitude=2.0),
+       st.floats(-np.pi, np.pi), st.floats(0.0, 2.0), st.booleans())
+def test_closed_form_flow_matches_expm(J, h, k, dt, nilpotent):
+    # exp(-4i dt H_k) = cos(4 dt lam) - i (sin(4 dt lam)/lam) H_k, H_k^2 =
+    # lam^2, against scipy's expm; a nilpotent H_k (lam = 0: one column of
+    # the coupling block kept, no field) takes the limit 4 dt of the ratio
+    blocks = spectral.bloch_blocks(J, h, k)
+    if nilpotent:
+        blocks = spectral.BlochBlocks(J, 0.0, blocks.coupling * [[0, 0], [1, 0]])
+    hk = blocks.hamiltonian()
+    ref = expm(-4j * dt * hk)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        u = blocks.flow(dt)
+    bound = 1e-13 * (1.0 + np.linalg.norm(4 * dt * hk)) * max(1.0, np.linalg.norm(ref))
+    assert np.linalg.norm(u - ref) <= bound
+
+
+@pytest.mark.parametrize("t", [1.0, 30.0])
+def test_overflowing_closed_form_flow_raises_a_typed_error(t):
+    # beta_J = 400 rad: |Im 4 t lam| passes ~710 by t = 1, where cos and sin
+    # of the flow angle overflow; the momentum flow stops with
+    # NumericalBreakdown (condition = |Im angle|), without a RuntimeWarning
+    p, lat = P.ModelParams(0.3, 400.0, 0.2, 0.1), P.lattice(8, "pbc-even")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalBreakdown, match="flow") as err:
+            gaussian.evolve_continuous(p, lat, P.named_state("neel-fermion", 8), [0.001, t])
+    assert err.value.condition > 710
 
 
 @pytest.mark.parametrize("bc, n_blocks", [("pbc-even", 4), ("obc", 1)])

@@ -646,10 +646,12 @@ def test_metric_hermitian_identity():
 
 
 def test_metric_conjugate_couplings_closed_form():
-    # alpha = 1, beta = 0.5 at k = pi/2: off-diagonal 0.5 cot(pi/4) = 0.5
+    # alpha = 1, beta = 0.5 at k = pi/2: off-diagonal -0.5 cot(pi/4) = -0.5,
+    # the metric of the continuous block at +k, the Floquet block's momentum
     p = P.ModelParams(1.0, 0.5, 1.0, -0.5)
     cert = S.pseudo_hermiticity_certificate(p, k=np.pi / 2)
-    assert cert.eta[0, 1] == pytest.approx(0.5)
+    assert cert.eta[0, 1] == pytest.approx(-0.5)
+    assert metric_residual(cert.eta, bdg_oracle(p.J, p.h, -np.pi / 2)) < 1e-10
     assert cert.residual < 1e-10
     assert cert.certified
 
@@ -705,7 +707,8 @@ def test_continuous_certificate_judges_the_continuous_block():
     cont, floq = (S.pseudo_hermiticity_certificate(p, k=k, continuous=c) for c in (True, False))
     assert cont.family == floq.family == "numerical"
     assert np.linalg.norm(cont.eta - floq.eta) > 0.1
-    assert cont.residual == pytest.approx(metric_residual(cont.eta, bdg_oracle(p.J, p.h, k)),
+    # the oracle's block at -k is the continuous block at +k
+    assert cont.residual == pytest.approx(metric_residual(cont.eta, bdg_oracle(p.J, p.h, -k)),
                                           rel=1e-9)
     # on the dual line the sigma_x family is the Floquet block's: the
     # continuous block there is not pseudo-Hermitian
@@ -714,6 +717,23 @@ def test_continuous_certificate_judges_the_continuous_block():
     cont = S.pseudo_hermiticity_certificate(p, k=1.0, continuous=True)
     assert cont.family == "numerical" and not cont.certified
     assert S.dispersion_continuous(p.J, p.h, 1.0).classification == S.ModeClass.GROW_DECAY
+
+
+@pytest.mark.parametrize("k", [0.4, 1.1, -2.3])
+def test_certificate_reads_both_blocks_at_one_momentum(k):
+    # the Floquet block at small couplings is the continuous block at the
+    # same k (eps H_k + O(eps^2)): the continuous certificate's metric,
+    # cot(k/2) or eigenbasis, leaves the residual it reports on that limit
+    # too, not only on the block's mirror at -k
+    eps = 1e-6
+    for p, family in ((P.ModelParams(0.7, 0.2, 0.7, -0.2), "conjugate-couplings"),
+                      (P.ModelParams(0.7, 0.2, 0.4, -0.3), "numerical")):
+        limit = S.effective_hamiltonian_nambu(eps * p.J, eps * p.h, k) / eps
+        cert = S.pseudo_hermiticity_certificate(p, k=k, continuous=True)
+        assert cert.family == family
+        assert abs(metric_residual(cert.eta, limit) - cert.residual) <= 1e-5
+        assert metric_residual(cert.eta, bdg_oracle(p.J, p.h, -k)) == pytest.approx(
+            cert.residual, rel=1e-6, abs=1e-14)
 
 
 @settings(max_examples=100)
@@ -744,9 +764,9 @@ def test_conjugate_couplings_at_zero_alpha_take_the_eigenbasis_verdict(beta, k):
     p = P.ModelParams(0.0, beta, 0.0, -beta)
     cert = S.pseudo_hermiticity_certificate(p, k=k)
     assert cert.family == "numerical" and cert.certified and cert.residual <= 1e-12
-    lam = np.linalg.eigvals(bdg_oracle(p.J, p.h, k))
+    lam = np.linalg.eigvals(bdg_oracle(p.J, p.h, -k))
     assert np.max(np.abs(lam.real)) <= 1e-12
-    assert metric_residual(cert.eta, bdg_oracle(p.J, p.h, k)) <= 1e-12
+    assert metric_residual(cert.eta, bdg_oracle(p.J, p.h, -k)) <= 1e-12
 
 
 # the dual-line point where the propagator pair is -183.2 and -0.00546: both

@@ -695,6 +695,36 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: floquet-ising {shlex.join(argv)}")
 
 
+def test_cached_parser_leaks_no_state_between_main_calls(tmp_path):
+    # the parser is built once per process; each main() call parses into a
+    # fresh namespace, so flags and subcommand options of one call (global
+    # --seed, --workers, --config; cft-compare's --eta and --out) do not
+    # reach the next, whose outputs equal those of the same call made first
+    assert cli.build_parser() is cli.build_parser()
+    cft = ["cft-compare", "--l", "4", "--t-max", "8", "--n-times", "24"]
+    spectrum = ["spectrum", "--alpha", "0.5", "--beta-j", "-1.0", "--beta-h", "0.5",
+                "--L", "8", "--bc", "obc"]
+    cfg = tmp_path / "odd.cfg"
+    cfg.write_text("alpha = 0.3\nL = 6\n")
+    argvs = [["--out-dir", str(tmp_path / "a"), *cft],
+             ["--out-dir", str(tmp_path / "a"), *spectrum],
+             ["--seed", "7", "--workers", "1", "--config", str(cfg), "--out-dir",
+              str(tmp_path / "b"), *cft, "--eta", "0.3", "--out", "other.csv"],
+             ["--seed", "3", "--out-dir", str(tmp_path / "b"), *spectrum, "--units", "rad"],
+             ["--out-dir", str(tmp_path / "c"), *cft],
+             ["--out-dir", str(tmp_path / "c"), *spectrum]]
+    for argv in argvs:
+        assert vars(cli.build_parser().parse_args(argv)) == \
+            vars(cli.build_parser.__wrapped__().parse_args(argv))
+        assert cli.main(argv) == 0
+    assert sorted(p.name for p in (tmp_path / "c").iterdir()) == [
+        "cft_compare.csv", "spectrum.csv", "spectrum_summary.json"]
+    for name in ("cft_compare.csv", "spectrum.csv", "spectrum_summary.json"):
+        assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+    assert (tmp_path / "b" / "other.csv").read_bytes() != (
+        tmp_path / "a" / "cft_compare.csv").read_bytes()
+
+
 @pytest.mark.parametrize("bc, n_real", [("pbc-even", 0), ("pbc-odd", 2)])
 def test_cli_spectrum_counts_the_listed_sector(tmp_path, bc, n_real):
     # the J = h line: the k = 0 zero mode lives in the periodic sector only
