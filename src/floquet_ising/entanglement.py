@@ -49,18 +49,23 @@ def _nu_spectrum(block_c: np.ndarray) -> np.ndarray:
     real.reshape(k, n * n)[:, ::n + 1] -= 1.0
     # each block's norm by the ddot of np.linalg.norm, so a lone block's gates are unchanged
     norm = lambda x: np.sqrt(x.reshape(k, 1, n * n) @ x.reshape(k, n * n, 1))[:, 0, 0]
-    real_norm = norm(real)
-    defect = np.maximum(real_norm, norm(a + np.swapaxes(a, 1, 2)))
-    failed = ~(defect <= 1e-8 * np.maximum(1.0, np.hypot(real_norm, norm(a))))  # NaN fails
-    cut = int(np.argmax(failed)) if failed.any() else k
+    with np.errstate(over="ignore", invalid="ignore"):  # entries beyond ~1e154 overflow
+        real_norm, a_norm = norm(real), norm(a)
+        defect = np.maximum(real_norm, norm(a + np.swapaxes(a, 1, 2)))
+        bound = 1e-8 * np.maximum(1.0, np.hypot(real_norm, a_norm))
+        failed = ~((defect <= bound) & (defect < np.inf))  # NaN and an overflowed defect fail
+        cut = int(np.argmax(failed)) if failed.any() else k
+        ata = np.swapaxes(a[:cut], 1, 2) @ a[:cut]
+    # |A^T A| <= ||A||^2 entrywise and nu_max^2 >= ||A||^2 / n: an overflowed ||A|| is outside
+    finite = np.isfinite(a_norm[:cut])
+    ata[~finite] = 0.0
     try:
-        nu2 = np.linalg.eigvalsh(np.swapaxes(a[:cut], 1, 2) @ a[:cut])
+        nu2 = np.linalg.eigvalsh(ata)
     except np.linalg.LinAlgError:  # the stacked driver does not say which block failed
         for block in stack[:cut] if k > 1 else ():
             _nu_spectrum(block)
         raise
-    if not np.isfinite(nu2).all():  # a block with a non-finite nu^2 is outside by inf
-        nu2 = np.where(np.isfinite(nu2).all(-1, keepdims=True), nu2, np.inf)
+    nu2 = np.where(finite[:, None] & np.isfinite(nu2).all(-1, keepdims=True), nu2, np.inf)
     nu = np.sqrt(np.clip(nu2.reshape(cut, n // 2, 2).mean(axis=-1), 0.0, None))
     worst = nu[:, -1] - 1.0
     if (over := np.flatnonzero(worst > _PURITY_SLACK)).size:

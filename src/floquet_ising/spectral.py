@@ -34,10 +34,10 @@ Conventions
   vector of 1/mu.
 * The edge window (eps near 0 and pi) lies in the discs |mu -+ 1| < 0.02,
   so the edge scan needs no dense spectrum (``detect_edge_modes``): the
-  argument principle counts B_+'s eigenvalues in each disc from the
-  tridiagonal pencil K2_+ - z K1_+^-1, all of a batch of contour points in
-  one stacked LU, and Rayleigh-quotient iteration on the band of B_+
-  locates a disc's one eigenvalue.  Anything else falls back to the dense
+  argument principle counts B_+'s eigenvalues in each disc from det of the
+  tridiagonal pencil K2_+ - z K1_+^-1, a closed-form 2 x 2 transfer-matrix
+  power per contour point, and Rayleigh-quotient iteration on the band of
+  B_+ locates a disc's one eigenvalue.  Anything else falls back to the dense
   eigenvalues, and the report records why.
 * What the scan and the census need of the chain length alone is built
   once per length and shared read-only (``_band_plan``, ``_chain_plan``,
@@ -243,11 +243,11 @@ class TransferMatrix:
     edge scan's banded solves.  ``pencil`` (2 x 3 x L) holds the three
     diagonals of the tridiagonal sector kicks K2_+ and K1_+^-1, entry
     [i, j] at row 1 + i - j, whose pencil K2_+ - z K1_+^-1 gives the disc
-    counts their determinant phases (``_det_phases``); the scan reads
-    nothing else.  The dense ``b_plus`` is formed from the band on first
-    read; ``eigenvalues`` (the L eigenvalues mu of ``b_plus`` and then
-    their inverses, see ``build_transfer_matrix``) are computed on first
-    read too.  Eigenvectors are computed only for the edge scan's
+    counts their determinant phases in closed form (``_det_phases``); the
+    scan reads nothing else.  The dense ``b_plus`` is formed from the band
+    on first read; ``eigenvalues`` (the L eigenvalues mu of ``b_plus`` and
+    then their inverses, see ``build_transfer_matrix``) are computed on
+    first read too.  Eigenvectors are computed only for the edge scan's
     candidates (``_candidate_vectors``).
     """
 
@@ -561,19 +561,15 @@ def count_real_modes(params: ModelParams, L: int, sectors: str = "both") -> Real
     """Census of real quasienergies over the allowed momenta.
 
     By default both parity sectors are scanned so that the isolated k = 0
-    zero mode of the J = h line (periodic sector only) is visible.
+    zero mode of the J = h line (periodic sector only) is visible.  One
+    ``_dispersion`` call; ``_real`` reads each sector's own max |eps|.
     """
-    if sectors == "both":
-        bcs = [BoundaryCondition.PBC_EVEN, BoundaryCondition.PBC_ODD]
-    else:
-        bcs = [BoundaryCondition(sectors)]
-    count = total = 0
-    for bc in bcs:
-        # one eps of each +-eps pair per momentum; both have the same |eps|
-        eps = _dispersion(params.J, params.h, _census_momenta(L, bc))[1]
-        count += 2 * int(np.sum(_real(eps)))
-        total += 2 * len(eps)
-    return RealModeCensus(count, total)
+    bcs = ([BoundaryCondition.PBC_EVEN, BoundaryCondition.PBC_ODD] if sectors == "both"
+           else [BoundaryCondition(sectors)])
+    k = np.concatenate([_census_momenta(L, bc) for bc in bcs])
+    # one eps of each +-eps pair per momentum; both have the same |eps|
+    eps = _dispersion(params.J, params.h, k)[1].reshape(len(bcs), L)
+    return RealModeCensus(sum(2 * int(np.sum(_real(e))) for e in eps), 2 * eps.size)
 
 
 # --------------------------------------------------------------------------
@@ -596,8 +592,8 @@ class SpectrumReport:
     ``quasienergies`` (one eps per eigenvalue of ``transfer``) is computed
     densely on first read.  ``fallback`` is None where the discs of
     ``detect_edge_modes`` found the edge scan's candidates, else the reason
-    it took them from the dense eigenvalues of B_+ ("disc-count",
-    "contour", "singular-lu" or "iteration").
+    it took them from the dense eigenvalues of B_+ ("disc-count", "contour",
+    "singular-lu": a zero or non-finite pencil determinant, or "iteration").
     """
 
     transfer: TransferMatrix
@@ -744,27 +740,46 @@ class _DenseFallback(Exception):
 
 
 def _det_phases(tm: TransferMatrix, z: np.ndarray) -> np.ndarray:
-    """arg det(K2_+ - z K1_+^-1) mod 2 pi at each z, which is
-    arg det(B_+ - z) less the constant arg det K1_+, from one tridiagonal
-    LU (``zgttrf``) of all the shifts at once, O(L) each.  The shifts are
-    the blocks of one block-diagonal tridiagonal matrix; the couplings
-    between blocks are zero, so no row interchange crosses a block.  A
-    shift's phase is the sum of the arguments of its block of U's diagonal
-    plus pi per interchange (the pivots are 1-based and index the stack);
-    a zero pivot anywhere is the "singular-lu" fallback."""
-    k2, k1_inv = tm.pencil
-    a = (k2[:, None] - z[:, None] * k1_inv[:, None]).reshape(3, -1)
-    _, d, _, _, ipiv, info = scipy.linalg.lapack.zgttrf(a[2, :-1], a[1], a[0, 1:], 1, 1, 1)
-    if info != 0:
+    """arg det T mod 2 pi, T = K2_+ - z K1_+^-1, at each z (L >= 8): arg
+    det(B_+ - z) less the constant arg det K1_+, in closed form, O(1) per z.
+    The minors D_k of the tridiagonal T step by A_k = [[d_k, -p_k], [1, 0]]
+    (d_k = T[k, k], p_k = T[k-1, k] T[k, k-1]).  T is exactly 2-periodic
+    in columns 1 .. L-2: past the first steps (one more on even L), M^m,
+    m = (L-3) // 2, M = one period's two steps, reaches column L-2, and
+    M^m = r+^(m-1) (S_{m-1} M - r- S_{m-2}) (Cayley-Hamilton; |r-| <= |r+|
+    the eigenvalues of M, rho = r-/r+, S_k = (1 - rho^(k+1)) / (1 - rho),
+    k + 1 where tr^2 = 4 det).  Each z's entries are scaled to at most 1 and
+    r+^(m-1) adds only its phase, so nothing overflows.  A zero or non-finite
+    det T is the "singular-lu" fallback (a name kept: no LU is formed)."""
+    L = tm.pencil.shape[2]
+    c = tm.pencil[:, :, [0, 1, 2, 3, L - 2, L - 1], None]
+    t = c[0] - c[1] * z
+    with np.errstate(divide="ignore", invalid="ignore"):  # T = 0, r+ = 0 or s = 0
+        t /= np.abs(t).max(axis=(0, 1))
+        d0, d1, d2, d3, _, d_last = t[1]
+        p1, p2, p3, p_last = t[0, [1, 2, 3, 5]] * t[2, [0, 1, 2, 4]]
+        (da, pa), (db, pb) = ((d2, p2), (d3, p3)) if L % 2 else ((d3, p3), (d2, p2))
+        v0, v1 = d1 * d0 - p1, d0  # (D_2, D_1), on even L stepped to (D_3, D_2)
+        v0, v1 = (v0, v1) if L % 2 else (db * v0 - pb * v1, v0)
+        m, m00, m01 = (L - 3) // 2, db * da - pb, -db * pa  # M = A_b A_a
+        tr, det = m00 - pa, pa * pb
+        s = np.sqrt(tr * tr - 4 * det)  # r+ - r-, signed so that |r+| >= |r-|
+        s[(tr.conj() * s).real < 0] *= -1
+        r_plus, r_minus = (tr + s) / 2, 2 * det / (tr + s)
+        kp1 = np.array([[m], [m - 1]])  # k + 1 of S_{m-1} and S_{m-2}; 1 - rho = s / r+
+        s1, s2 = np.where(s == 0, kp1, (1 - (r_minus / r_plus) ** kp1) * r_plus / s)
+        x0 = s1 * (m00 * v0 + m01 * v1) - r_minus * s2 * v0
+        x1 = s1 * (da * v0 - pa * v1) - r_minus * s2 * v1
+        det_t = d_last * x0 - p_last * x1
+    if not np.all(np.isfinite(det_t) & (det_t != 0)):
         raise _DenseFallback("singular-lu")
-    swaps = ipiv != np.arange(1, len(d) + 1)
-    return (np.angle(d) + np.pi * swaps).reshape(len(z), -1).sum(axis=1)
+    return np.angle(det_t) + (m - 1) * np.angle(r_plus)
 
 
 def _disc_count(tm: TransferMatrix, z0: float) -> int:
     """Eigenvalues of B_+ in |z - z0| < ``_DISC_RADIUS`` by the argument
     principle: the winding number of det(K2_+ - z K1_+^-1) on the circle,
-    which is that of det(B_+ - z) (``_det_phases``), sampled at
+    which is that of det(B_+ - z) (``_det_phases``, closed form), sampled at
     ``_DISC_POINTS`` angles, with a midpoint inserted in every step whose
     phase change reaches ``_DISC_STEP``, up to ``_DISC_POINTS_MAX`` points
     (beyond: the "contour" fallback)."""
@@ -848,12 +863,12 @@ def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
     |z - z0| < ``_DISC_RADIUS`` are counted by the argument principle.
     B_+ = K1_+ K2_+ with both sector kicks tridiagonal, so det(B_+ - z) is
     det K1_+ det(K2_+ - z K1_+^-1), and the constant first factor drops
-    out of every phase step: the phases come from one tridiagonal LU of
-    the pencil at all of a batch of contour points at once.  A count of 1
-    is located by Rayleigh-quotient iteration from z0 on the band of B_+.
-    A disc count of 2 or more, a contour unresolved at the point cap, a
-    singular LU, or an iteration that does not converge inside its disc
-    fall back to the dense eigenvalues of B_+, the reason in ``fallback``.
+    out of every phase step: the pencil's determinant is a closed form,
+    O(1) per contour point.  A count of 1 is located by Rayleigh-quotient
+    iteration from z0 on the band of B_+.  A disc count of 2 or more, a
+    contour unresolved at the point cap, a zero or non-finite determinant
+    or an iteration that does not converge inside its disc fall back to
+    the dense eigenvalues of B_+, the reason in ``fallback``.
     An overflowing kick raises NumericalBreakdown before any of this
     (``MajoranaQuadraticForm``).
 
@@ -1052,7 +1067,7 @@ def classify_phase(params: ModelParams, L: int = 40,
     census is size-insensitive).  It is skipped when the census finds real
     modes, which decide the label on their own.  The scan is
     ``detect_edge_modes`` without the refine, which moves no label: disc
-    counts by stacked tridiagonal LU, no dense solve unless they fall back.
+    counts in closed form, no dense solve unless they fall back.
     """
     census = count_real_modes(params, L)
     scan_L = confirm_L if confirm_L and confirm_L > L else L

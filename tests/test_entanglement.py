@@ -1,4 +1,5 @@
 import unittest.mock
+import warnings
 
 import numpy as np
 import pytest
@@ -305,6 +306,25 @@ def test_a_non_finite_spectrum_is_outside_the_unit_interval(monkeypatch):
     for block in (blocks[0], blocks):
         with pytest.raises(PurityViolation, match="outside \\[-1, 1\\] by inf"):
             E.entropy_from_majorana_block(block)
+
+
+@pytest.mark.parametrize("part", ["imag", "real"])
+def test_an_overflowing_block_raises_only_the_purity_violation(part):
+    # entries beyond ~1e154 overflow the gates' norms and A^T A: the typed
+    # PurityViolation is the only signal (no RuntimeWarning, no LinAlgError
+    # from LAPACK), on a lone block and in a stack at that block.  A huge
+    # antisymmetric A is |nu| > 1; a huge real part fails the first gate
+    r = np.random.default_rng(0).standard_normal((4, 4))
+    if part == "imag":
+        bad, match = np.eye(4) + 1j * 1e160 * (r - r.T), "outside \\[-1, 1\\] by inf"
+    else:
+        bad, match = np.eye(4) + 1e160 * (r + r.T) + 0j, "not i\\*\\(real antisymmetric\\): defect inf"
+    stack = np.stack([np.eye(4) + 0j, bad, np.eye(4) + 0j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for block in (bad, stack):
+            with pytest.raises(PurityViolation, match=match):
+                E.entropy_from_majorana_block(block)
 
 
 def test_subadditivity():

@@ -500,10 +500,16 @@ def _census_per_momentum(p, L, bcs):
     return count, total
 
 
+# alpha_J = pi/4 - 0.35 / cosh(18), beta_h = 9: the pbc-even modes' x/4 is
+# ~0.7 with a small imaginary part, the pbc-odd sector's |x| ~ 4 sinh(18)
+_SPLIT_THRESHOLDS = (0.7853981527364624, 0.0, 5e-8, 9.0)
+
+
 @settings(max_examples=150)
 @given(st.integers(2, 64), st.sampled_from(["free", "J=h", "unitary", "x=-4"]),
        st.floats(-np.pi, np.pi), st.floats(-1.5, 1.5),
        st.floats(-np.pi, np.pi), st.floats(-1.5, 1.5))
+@example(2, "free", *_SPLIT_THRESHOLDS)  # sectors whose max |eps| differ 20-fold
 def test_census_equals_the_per_momentum_loop(L, line, aj, bj, ah, bh):
     # J = h puts the zero mode at k = 0 (pbc-odd); h - J = pi/2 puts the
     # double root x = -4 there; zero imaginary parts make every mode real
@@ -521,6 +527,21 @@ def test_census_equals_the_per_momentum_loop(L, line, aj, bj, ah, bh):
         assert (one.count, one.total) == _census_per_momentum(p, L, [bc])
     if line == "unitary":
         assert both.count == both.total
+
+
+def test_a_shared_real_mode_threshold_would_change_the_census():
+    # the census takes both sectors' momenta in one _dispersion call but
+    # judges each sector by its own max |eps|, as a loop over sectors does.
+    # The example above: at L = 2 the pbc-odd max |eps| (18.1) is over 20
+    # times the pbc-even one (0.80), whose two modes have |Im eps| 9.7e-8,
+    # not real by their own sector's threshold (1e-8) but real by one
+    # shared with pbc-odd (1.8e-7)
+    p = P.ModelParams(*_SPLIT_THRESHOLDS)
+    eps = [S._dispersion(p.J, p.h, S.allowed_momenta(P.lattice(2, bc)))[1]
+           for bc in ("pbc-even", "pbc-odd")]
+    assert np.abs(eps[1]).max() > 20 * np.abs(eps[0]).max()
+    assert S.count_real_modes(p, 2) == S.RealModeCensus(0, 8)
+    assert int(np.sum(S._real(np.concatenate(eps)))) == 2
 
 
 # --------------------------------------------------------------------------
@@ -1210,7 +1231,7 @@ def test_pencil_diagonals_are_the_dense_sector_kicks_bit_for_bit(L, bc, aj, bj, 
     # the three diagonals of K2_+ (field kick) and K1_+^-1 (coupling kick,
     # sign -1) from three probe columns each equal the dense kicks of the
     # whole sector basis exactly; both blocks are tridiagonal, and the two
-    # corners outside the matrix are zero (the stacked LU's block edges)
+    # corners outside the matrix are zero
     tm = S.build_transfer_matrix(P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc))
     kicks, pencil = tm.kicks, tm.pencil
     assert pencil.shape == (2, 3, L)
@@ -1222,6 +1243,29 @@ def test_pencil_diagonals_are_the_dense_sector_kicks_bit_for_bit(L, bc, aj, bj, 
         got = band[1 + i[inside] - j[inside], j[inside]]
         assert np.array_equal(got.view(np.uint64), dense[inside].view(np.uint64))
         assert band[0, 0] == 0 and band[2, -1] == 0
+
+
+@settings(max_examples=60)
+@given(st.integers(8, 160), st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
+       st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0))
+@example(8, 0.3, -0.2, 1.1, 0.4)
+@example(9, 0.3, -0.2, 1.1, 0.4)
+@example(144, 1.2, 0.1, 1.2, 0.4)
+@example(145, 1.2, 0.1, 1.2, 0.4)
+@example(8, -1.0, 0.0, 0.0, 0.0)  # a signed zero differs between columns 1 and 3
+def test_pencil_repeats_with_period_two_between_its_end_columns(L, aj, bj, ah, bh):
+    # the closed-form determinant reads the pencil's columns 0 .. 3, L-2
+    # and L-1 only: every column 1 .. L-2 of both diagonals equals the one
+    # two before it (from column 3 on) exactly, on odd and even L; the
+    # bits agree too but for the sign of a zero entry (at alpha_J = -1 a
+    # zero of K1_+^-1 is -0 in column 3 and +0 in column 1), which no
+    # product's value sees
+    pencil = S.build_transfer_matrix(P.ModelParams(aj, bj, ah, bh), P.lattice(L, "obc")).pencil
+    middle = pencil[:, :, 1:L - 1]
+    later, earlier = middle[:, :, 2:], middle[:, :, :-2]
+    assert np.array_equal(later, earlier)
+    nonzero = later != 0
+    assert np.array_equal(later[nonzero].view(np.uint64), earlier[nonzero].view(np.uint64))
 
 
 @settings(max_examples=40)
@@ -1337,9 +1381,16 @@ def _phase_steps(tm, det_phases, z0):
 @given(st.integers(8, 160), st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
        st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0))
 @example(8, 0.0, 1.0, 0.0, 2.6882178748695584e-261)  # B_+ - 1 all but singular
+@example(8, 0.3, -0.2, 1.1, 0.4)   # the shortest chains, even and odd: m = 2 and 3
+@example(9, 0.3, -0.2, 1.1, 0.4)
+@example(145, 1.2, 0.1, 1.2, 0.4)  # the phase-diagram length, odd
+@example(21, 0.0, 0.2, 0.0, -0.1900986863519098)  # z = 1.02 on the rho = 1 branch
 def test_pencil_phase_steps_equal_the_band_lu(L, aj, bj, ah, bh):
-    # det(B_+ - z) = det K1_+ det(K2_+ - z K1_+^-1): the stacked pencil LU
-    # steps the phase as the banded LU of B_+ - z does, and counts alike
+    # det(B_+ - z) = det K1_+ det(K2_+ - z K1_+^-1): the pencil's closed-form
+    # determinant steps the phase as the banded LU of B_+ - z does, and
+    # counts alike.  In the last example J and h are imaginary, so at the
+    # real contour point z = 1.02 the period map M of the closed form is
+    # real with tr^2 = 4 det exactly (a bulk band edge: r+ = r-)
     tm = S.build_transfer_matrix(P.ModelParams(aj, bj, ah, bh), P.lattice(L, "obc"))
     outcomes = _disc_outcomes(tm)
     assert outcomes == _disc_outcomes(tm, _reference_det_phases)
@@ -1383,9 +1434,9 @@ def test_pencil_disc_counts_equal_the_band_lu_on_the_phase_grid():
 def test_windowed_scan_forms_no_dense_block(monkeypatch):
     # the 0pi point of the grid at L = 144: the discs decide it from the
     # band alone, so neither the dense B_+ nor the sector basis is formed,
-    # their phases from stacked tridiagonal LUs of the sector pencil (at
-    # least one zgttrf) and none from a banded LU (no zgbtrf), in the scan
-    # and in classify_phase; the dense scan forms B_+ for its eigenvalues
+    # and their phases come from the pencil's closed form, with no LAPACK
+    # LU at all (no zgttrf, no zgbtrf), in the scan and in classify_phase;
+    # the dense scan forms B_+ for its eigenvalues
     p, lat = P.make_params(1.5, -0.1, 1.5, 0.5), P.lattice(144, "obc")
     tm = S.build_transfer_matrix(p, lat)
     assert tm.band.shape == (7, 144) and "b_plus" not in vars(tm)
@@ -1400,7 +1451,7 @@ def test_windowed_scan_forms_no_dense_block(monkeypatch):
     assert rep.fallback is None and {m.kind for m in rep.edge_modes} == {"zero", "pi"}
     assert "b_plus" not in vars(rep.transfer) and "eigenvalues" not in vars(rep.transfer)
     assert S.classify_phase(p) is P.PhaseLabel.ZERO_PI
-    assert calls == [] and lu["zgbtrf"] == [] and lu["zgttrf"]
+    assert calls == [] and lu == {"zgbtrf": [], "zgttrf": []}
     dense = _dense_scan(p, lat)
     assert "b_plus" in vars(dense.transfer)
     assert {m.kind for m in dense.edge_modes} == {m.kind for m in rep.edge_modes}
