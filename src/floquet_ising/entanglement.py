@@ -56,16 +56,16 @@ def _nu_spectrum(block_c: np.ndarray) -> np.ndarray:
         failed = ~((defect <= bound) & (defect < np.inf))  # NaN and an overflowed defect fail
         cut = int(np.argmax(failed)) if failed.any() else k
         ata = np.swapaxes(a[:cut], 1, 2) @ a[:cut]
-    # |A^T A| <= ||A||^2 entrywise and nu_max^2 >= ||A||^2 / n: an overflowed ||A|| is outside
-    finite = np.isfinite(a_norm[:cut])
-    ata[~finite] = 0.0
+    if not (finite := np.isfinite(a_norm[:cut])).all():  # |A^T A| <= ||A||^2 <= n nu_max^2
+        ata[~finite] = 0.0
     try:
         nu2 = np.linalg.eigvalsh(ata)
     except np.linalg.LinAlgError:  # the stacked driver does not say which block failed
         for block in stack[:cut] if k > 1 else ():
             _nu_spectrum(block)
         raise
-    nu2 = np.where(finite[:, None] & np.isfinite(nu2).all(-1, keepdims=True), nu2, np.inf)
+    if not finite.all() or not np.isfinite(nu2).all():  # outside by inf
+        nu2 = np.where(finite[:, None] & np.isfinite(nu2).all(-1, keepdims=True), nu2, np.inf)
     nu = np.sqrt(np.clip(nu2.reshape(cut, n // 2, 2).mean(axis=-1), 0.0, None))
     worst = nu[:, -1] - 1.0
     if (over := np.flatnonzero(worst > _PURITY_SLACK)).size:

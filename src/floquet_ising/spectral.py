@@ -71,7 +71,7 @@ _EDGE_FRACTION = 0.1     # an edge mode holds half its weight on this end share
 _DISC_RADIUS = 0.02      # windowed edge scan: discs |z -+ 1| < this hold the edge window
 _DISC_POINTS = 32        # contour points to start each disc count with ...
 _DISC_POINTS_MAX = 256   # ... inserted where a phase step reaches _DISC_STEP, up to this
-_DISC_STEP = np.pi / 4
+_DISC_STEP = np.pi / 4 - 1e-9  # less rounding: a step of exactly pi/4 is refined
 _RQI_STEPS = 10          # Rayleigh-quotient steps that locate a disc's one eigenvalue
 _SOLVE_MAX = 1e150       # a banded solve with a part this large is singular
 _VOLUME_DENSITY = 0.1    # real-mode density at which the label is volume law
