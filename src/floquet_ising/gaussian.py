@@ -27,12 +27,12 @@ Both the stroboscopic loop and the continuous-time flow run on the
 momentum stack where ``_momentum_route`` allows it (pbc-even, L divisible
 by 4, a state of period 2), and on the one-cell stack everywhere else.
 So does the direct steady state, which forms the n-period frame from the
-frame map's blocks: on the momentum stack from the eigenpairs of the 2x2
-one-site Bloch blocks t_k, t_{k+pi} themselves (``_bloch_frame``),
-where the dense 2L x 2L frame map is not tried, and on the one-cell stack
-from a Schur form of the L x L + reflection-sector block alone
-(``_sector_split``): the - block is the inverse transpose of the +, so its
-modes and its split follow from the + sector's.  Each step on the
+frame map's blocks: on the momentum stack from the closed-form eigenpairs
+of the 2x2 one-site Bloch blocks t_k, t_{k+pi}, pivoted on the rows of
+maximal volume (``_bloch_frame``), and on the one-cell stack from a Schur
+form of the L x L + reflection-sector block alone (``_sector_split``): the
+- block is the inverse transpose of the +, so its modes and its split
+follow from the + sector's.  Each step on the
 momentum stack is closed-form (``_qr``, ``BlochBlocks.flow``), where the
 one-cell stack takes LAPACK's QR and ``expm``.
 """
@@ -59,6 +59,7 @@ _RANK_TOL = 1e-13
 _OVERLAP_TOL = 1e-10
 _ISOLATION_TOL = 1e-6
 _ROUNDING_TOL = 1e-12
+_PAIRS = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])  # _PAIRS[5 - i]: the rest
 _MAX_SWEEPS = 4  # isotropy corrections before orthonormalize gives up (read at call time)
 _RECORD_BYTES = 8 << 20  # frame rows stroboscopic_run holds before taking their entropies
 _STACK_BYTES = 1 << 20  # frame rows and C_A blocks stacked into one entropy call
@@ -544,61 +545,60 @@ def _bloch_frame(t: np.ndarray, v: np.ndarray, frame: GaussianFrame,
                  n: int) -> GaussianFrame | None:
     """The n-period momentum stack from ``frame``, from the one-site blocks
     t of the frame map F_q = V_q diag(t_k, t_{k+pi}) V_q^dag
-    (``_bloch_stack``), or None unless it provably equals the loop's.  Each
-    t has determinant 1: its modes are a pair, the top mode mu_1 with the
-    larger |mu| and the bottom mode mu_3 = 1/mu_1.
+    (``_bloch_stack``), or None unless it provably equals the loop's.
 
-    With u the unit eigenvector of mu_1 and u' its orthogonal complement,
-    t = [u, u'] [[mu_1, b], [0, mu_3]] [u, u']^dag, and w = u' + x u,
-    x = b / (mu_3 - mu_1), is the eigenvector of mu_3.  So V_q [u_k,
-    u_{k+pi}, w_k, w_{k+pi}] = Q S, a Schur basis of F_q times the
-    decoupling S = [[1, x], [0, 1]], with T1 = diag(mu_1) and T3 =
-    diag(mu_3).  With z = (Q S)^-1 Phi0 split into its top rows z1 and
-    bottom rows z3,
+    F_q W = W D with W = V_q diag(X_k, X_{k+pi}), X the unit eigenvectors
+    of each t (``_eig2``), so F^n Phi0 = W D^n y, y = W^-1 Phi0.  The pivot
+    P is the pair of rows of D^n y of largest log-volume
+    n (log|mu_i| + log|mu_j|) + log|det y_ij|, and the other two rows R give
 
-        F^n Phi0 ~ Q S [1; E],    E_ij = (mu_3i / mu_1j)^n (z3 z1^-1)_ij,
+        F^n Phi0 ~ W_P + W_R E,    E_rc = exp(n (log mu_r - log mu_c)) (y_R y_P^-1)_rc,
 
-    every term kept, the powers taken in log space; ``norm_log`` adds
-    n sum log|mu_1| + sum log sigma(z1) to the QR's term.  Returns None
-    unless on every block
-
-    - |mu_1 - mu_3| > eps |mu_1|: a double mode (J = h = 0, or a
-      defective t) has no w;
-    - sigma_min(z1) > _OVERLAP_TOL max(sigma_max(z1), 1): Phi0 overlaps
-      the top modes, and the unit floor rejects a z1 of rounding size
-      (y = Q^dag Phi0 has orthonormal columns);
-    - every term is finite and |E| <= 1.  Far above that bound the exact
-      frame leaves the loop, and a 60-digit evolution sides with the
-      loop.  A unit-circle pair (the volume law) keeps its entries of E
-      at those of z3 z1^-1, which do not decay with n, and mostly misses
-      here.
+    each |E_rc| <= 1 by maximal volume (Goreinov & Tyrtyshnikov, Contemp.
+    Math. 280, 2001), taken in log space as its first factor alone may
+    overflow; ``norm_log`` adds the pivot's log-volume to the QR's term.
+    None unless t is finite, kappa(X) <= 1 / _OVERLAP_TOL (a double mode,
+    t = 1 at J = h = 0, or a defective t has no eigenbasis) and
+    sigma_min(y_P) > _OVERLAP_TOL max(sigma_max(y_P), 1) (the unit floor
+    rejects a pivot minor of rounding size) on every block.
     """
-    if not np.all(np.isfinite(t)):  # an overflowing map: eig would raise
+    if not np.all(np.isfinite(t)):  # an overflowing map
         return None
-    mu, vec = np.linalg.eig(t)
-    top = np.argmax(np.abs(mu), axis=-1)[..., None]  # the member with the larger |mu|
-    mu1, mu3 = (np.take_along_axis(mu, i, -1)[..., 0] for i in (top, 1 - top))
-    if not np.all(np.abs(mu1 - mu3) > np.finfo(float).eps * np.abs(mu1)):
-        return None
-    u = np.take_along_axis(vec, top[..., None], -1)[..., 0]
-    u_perp = np.stack([-u[..., 1].conj(), u[..., 0].conj()], axis=-1)
-    basis = np.stack([u, u_perp], axis=-1)  # t = basis [[mu_1, b], [0, mu_3]] basis^dag
-    x = (_hc(basis) @ t @ basis)[..., 0, 1] / (mu3 - mu1)
-    y = _hc(basis) @ (_hc(v) @ frame.blocks).reshape(len(v), 2, 2, -1)
-    z1, z3 = y[..., 0, :] - x[..., None] * y[..., 1, :], y[..., 1, :]
-    sv = np.linalg.svd(z1, compute_uv=False)
+    mu, x = _eig2(t)
+    with np.errstate(invalid="ignore"):  # kappa + 1/kappa = 2 / |det X| on unit columns
+        if not np.all(np.abs(np.linalg.det(x)) > 2.0 * _OVERLAP_TOL):
+            return None
+    N, rows = len(v), np.arange(len(v))[:, None]
+    w = np.einsum("nasi,nsij->nasj", v.reshape(N, 4, 2, 2), x).reshape(N, 4, 4)
+    y = np.linalg.solve(x, (_hc(v) @ frame.blocks).reshape(N, 2, 2, -1)).reshape(N, 4, -1)
+    with np.errstate(divide="ignore"):  # a mode or a minor that rounds to 0
+        log_mu = np.log(mu.reshape(N, 4))
+        volume = n * log_mu.real[:, _PAIRS].sum(-1) + np.log(np.abs(np.linalg.det(y[:, _PAIRS])))
+    pivot = np.argmax(volume, axis=1)
+    top, rest = _PAIRS[pivot], _PAIRS[len(_PAIRS) - 1 - pivot]
+    sv = np.linalg.svd(y[rows, top], compute_uv=False)
     if not np.all(sv[:, -1] > _OVERLAP_TOL * np.maximum(sv[:, 0], 1.0)):
         return None
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        e = (np.exp(n * (np.log(mu3)[:, :, None] - np.log(mu1)[:, None, :]))
-             * (z3 @ np.linalg.inv(z1)))
-    if not (np.all(np.isfinite(e)) and np.abs(e).max() <= 1.0):
-        return None
-    w = u_perp + x[..., None] * u
-    # each sub-block's rows of S [1; E]: u e_s^T + w E_s
-    coords = np.eye(2)[None, :, None, :] * u[..., None] + w[..., None] * e[:, :, None, :]
-    log_scale = float(n * np.sum(np.log(np.abs(mu1))) + np.sum(np.log(sv)))
-    return _advance(frame, v @ coords.reshape(len(v), 4, -1), "schur", n, log_scale)
+    with np.errstate(divide="ignore"):  # a zero entry of y_R y_P^-1
+        e = np.exp(n * (log_mu[rows, rest][:, :, None] - log_mu[rows, top][:, None, :])
+                   + np.log(y[rows, rest] @ np.linalg.inv(y[rows, top])))
+    w_top, w_rest = (np.take_along_axis(w, i[:, None], 2) for i in (top, rest))
+    return _advance(frame, w_top + w_rest @ e, "schur", n, float(volume.max(axis=1).sum()))
+
+
+def _eig2(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Modes and unit eigenvectors (columns) of each 2x2 t of a stack, in
+    closed form: t = m + [[d, b], [c, -d]] has modes m +- s, s^2 = d^2 + bc,
+    and eigenvectors [d + s, c] and [b, -d - s], the sign of s taken so that
+    d + s does not cancel; a zero column (t = m, or defective) or an
+    overflowing square gives NaN."""
+    m, d = (t[..., 0, 0] + t[..., 1, 1]) / 2, (t[..., 0, 0] - t[..., 1, 1]) / 2
+    b, c = t[..., 0, 1], t[..., 1, 0]
+    with np.errstate(all="ignore"):  # an overflowing square or a zero column
+        s = np.sqrt(d * d + b * c)
+        s = np.where((d.conj() * s).real < 0, -s, s)
+        x = np.stack([np.stack([d + s, c], -1), np.stack([b, -d - s], -1)], -1)
+        return np.stack([m + s, m - s], -1), x / np.linalg.norm(x, axis=-2, keepdims=True)
 
 
 def _bloch_stack(params: ModelParams, q: np.ndarray):
@@ -657,19 +657,18 @@ def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchCon
     This is the one stroboscopic loop: ``observe(frame)``, when given, is
     called with the frame after every period.  The frame is the momentum
     stack where ``_momentum_route`` allows it, else the one-cell stack.
-    Without an observer it is first sought directly, on that stack: from
-    the eigenpairs (mu, 1/mu) of the two 2x2 one-site Bloch blocks t_k,
-    t_{k+pi} of each momentum q (``_bloch_frame``; the dense frame map is
-    not tried), or from a Schur form of the one-cell map's L x L + sector
-    block, which gives the - sector's too (``_dominant_frame``).  Each
-    gives the exact n-period frame from the split of its spectrum at the
-    cut (one member of each pair on top, on the momentum stack), and the
-    one-cell map also from the split that carries one edge pair
-    straddling that cut.  It is returned, with ``route == "schur"``, only
-    where it provably equals the loop's frame on every block.  Otherwise
-    the loop runs: on the momentum stack it steps one 4x2 block per
-    momentum (``route == "momentum"``); on the one-cell stack it steps the
-    frame with ``period_map`` (``route == "loop"``).
+    Without an observer it is first sought directly, on that stack: on
+    the momentum stack from the eigenpairs of the two 2x2 one-site Bloch
+    blocks t_k, t_{k+pi} of each momentum q, pivoted on the two modes of
+    maximal volume (``_bloch_frame``), which misses only where a t has no
+    eigenbasis (J = h = 0) or the frame has no weight on a growing mode;
+    on the one-cell stack from a Schur form of the L x L + sector block,
+    which gives the - sector's too (``_dominant_frame``), split at the L/L
+    cut or with one edge pair straddling it.  It is returned, with
+    ``route == "schur"``, only where it provably equals the loop's frame on
+    every block.  Otherwise the loop runs: on the momentum stack it steps
+    one 4x2 block per momentum (``route == "momentum"``); on the one-cell
+    stack it steps the frame with ``period_map`` (``route == "loop"``).
     """
     quench.require_free_fermion()
     frame = initial_frame(quench, lat)

@@ -136,8 +136,9 @@ class SubsystemSpec:
             raise ValidationError("subsystem start and length must be >= 1")
 
     def sites(self, lat: LatticeSpec) -> list[int]:
-        if self.length > lat.L:
-            raise ValidationError("subsystem larger than the chain")
+        if self.length > lat.L or self.start > lat.L:
+            raise ValidationError(f"subsystem of {self.length} sites from site {self.start} "
+                                  f"does not fit the chain of {lat.L} sites")
         if not lat.bc.periodic and self.start + self.length - 1 > lat.L:
             raise ValidationError("open chain: subsystem may not wrap")
         return [(self.start - 1 + i) % lat.L + 1 for i in range(self.length)]

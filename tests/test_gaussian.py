@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import scipy.linalg
 from scipy.linalg import expm
 
@@ -474,17 +474,17 @@ def test_direct_steady_state_edge_cases_equal_loop_or_fall_back(couplings, L, bc
 
 
 @pytest.mark.parametrize("couplings, L, bc, n_periods", [
-    # volume-law point: the |mu| spectrum has no L/L split (gap ~ 2e-16)
-    ((0.2, -0.1, 0.2, 0.1), 24, "pbc-even", 300),
+    # F = 1: every one-site block has the double mode 1 and no eigenbasis
+    ((0.0, 0.0, 0.0, 0.0), 24, "pbc-even", 300),
 ])
 def test_direct_steady_state_falls_back_to_loop(couplings, L, bc, n_periods):
     direct, loop = _direct_and_loop(P.make_params(*couplings), P.lattice(L, bc), n_periods)
-    assert loop.route == "loop"
-    if direct.route == "momentum":
-        _assert_same_steady_state(direct, loop)
-    else:
-        assert direct.route == "loop"
-        assert np.array_equal(direct.phi, loop.phi)
+    assert (direct.route, loop.route) == ("momentum", "loop")
+    c_direct, c_loop = (gaussian.correlation_from_frame(f).c for f in (direct, loop))
+    assert np.max(np.abs(c_direct - c_loop)) <= 1e-10
+    # F = 1 keeps the norm: both norm_logs are 0 up to rounding
+    assert abs(direct.norm_log) <= 1e-10 and abs(loop.norm_log) <= 1e-10
+    assert direct.isotropy == direct.isotropy_defect() < 1e-13
 
 
 @pytest.mark.parametrize("couplings, L, bc, n_periods", [
@@ -963,8 +963,9 @@ def test_bloch_frames_equal_the_schur_split_random_couplings(cells, state, coupl
     t = blocks.period(-1.0)
     found = gaussian._bloch_frame(t, v, frame, n_periods)
     ref = _schur_reference_frame(gaussian._cell_blocks(v, t), frame, n_periods)
-    assert (found is None) == (ref is None)
-    if found is not None:
+    # the pivot finds a frame wherever the 4x4 Schur split does, and more
+    if ref is not None:
+        assert found is not None
         c_found, c_ref = (gaussian.correlation_from_frame(f).c for f in (found, ref))
         assert np.max(np.abs(c_found - c_ref)) <= 1e-12
         assert abs(found.norm_log - ref.norm_log) <= 1e-12 * abs(ref.norm_log)
@@ -974,7 +975,7 @@ def test_direct_momentum_frame_matches_block_oracle_at_a_tie_across_sub_blocks()
     # alpha = pi/4: one 4x4 block has all four modes on the unit circle,
     # and its second and third |mu| tie exactly across the two sub-blocks.
     # The generic split of the 4x4 Schur form cannot cut between them and
-    # misses; the Bloch frame takes one member of each sub-block's pair.
+    # misses; the pivot frame works in the eigenbasis and needs no cut.
     # The tie is exact in the blocks of the dense map (the engine's
     # V_q diag(t_k, t_{k+pi}) V_q^dag breaks it by one rounding)
     p, lat = P.make_params(1.0, -0.3, 1.0, 0.5), P.lattice(24, "pbc-even")
@@ -990,8 +991,8 @@ def test_bloch_frame_misses_quietly(overflow):
     lat = P.lattice(8, "pbc-even")
     frame = gaussian.GaussianFrame.from_dense(
         gaussian.initial_frame(P.named_state("neel-fermion", 8), lat), lat)
-    # t_k = t_{k+pi} = [[1, 1], [0, 1]] on every block: one eigenvector, no
-    # decoupling w (V_q = [[1, 1], [e^{ik}, -e^{ik}]] (x) 1 / sqrt(2), k = q/2)
+    # t_k = t_{k+pi} = [[1, 1], [0, 1]] on every block: defective, no
+    # eigenbasis (V_q = [[1, 1], [e^{ik}, -e^{ik}]] (x) 1 / sqrt(2), k = q/2)
     v = np.stack([np.kron([[1, 1], [np.exp(0.5j * q), -np.exp(0.5j * q)]], np.eye(2))
                   for q in frame.momenta]) / np.sqrt(2.0)
     t = np.tile([[1.0, 1.0], [0.0, 1.0]], (len(v), 2, 1, 1)).astype(complex)
@@ -1044,25 +1045,82 @@ def _assert_momentum_fallback(p, lat, quench):
         (loop.norm_log, loop.isotropy, loop.period_count)
 
 
-def test_volume_law_momentum_chain_falls_back_to_the_momentum_loop(monkeypatch):
-    # some blocks hold pairs (mu, 1/mu) on the unit circle, whose E does
-    # not decay: |E| reaches 14 against the bound |E| <= 1, so no frame is
-    # certified
+@pytest.mark.parametrize("couplings, L, n_periods", [
+    # most blocks hold unit-circle pairs (mu, 1/mu): |mu_r| = |mu_c|, so the
+    # entries of E do not decay with n, and the pivot keeps them at most 1
+    pytest.param((0.2, -0.1, 0.2, 0.1), 24, 300, id="volume-law"),
+    pytest.param((0.3, 0.0, 0.7, 0.0), 24, 300, id="unitary"),
+    pytest.param((0.2, -0.1, 0.2, 0.1), 200, 60, id="strobe-trace"),
+    # criterion 5's volume-law points
+    pytest.param((0.2, -0.1, 0.2, 0.1), 200, 260, id="criterion-5-weak"),
+    pytest.param((1.0, -0.3, 1.0, 0.5), 200, 260, id="criterion-5-strong"),
+])
+def test_momentum_chains_take_the_pivot_frame(monkeypatch, couplings, L, n_periods):
     monkeypatch.setattr(gaussian, "_dominant_frame", _no_dense_schur)
-    quench = P.QuenchConfig(P.named_state("neel-fermion", 24), n_periods=300)
-    _assert_momentum_fallback(P.make_params(0.2, -0.1, 0.2, 0.1), P.lattice(24, "pbc-even"),
-                              quench)
+    p, lat = P.make_params(*couplings), P.lattice(L, "pbc-even")
+    quench = P.QuenchConfig(P.named_state("neel-fermion", L), n_periods=n_periods)
+    direct, frames = gaussian.run_to_steady_state(p, lat, quench), []
+    gaussian.run_to_steady_state(p, lat, quench, frames.append)
+    loop = frames[-1]
+    assert (direct.route, loop.route) == ("schur", "momentum")
+    c_direct, c_loop = (gaussian.correlation_from_frame(f).c for f in (direct, loop))
+    assert np.max(np.abs(c_direct - c_loop)) <= 1e-12
+    # the loop's norm_log sums one QR term per period: a floor of one per
+    # period keeps the unitary chain's (0 up to rounding) from setting the scale
+    assert abs(direct.norm_log - loop.norm_log) <= 1e-12 * max(abs(loop.norm_log), n_periods)
+    assert direct.isotropy == direct.isotropy_defect() < 1e-13
+    assert direct.period_count == n_periods
 
 
 @pytest.mark.parametrize("couplings", [
-    (0.0, 0.0, 0.0, 0.0),  # F = 1: each t has the double mode 1, and no w
-    (0.3, 0.0, 0.7, 0.0),  # unitary: unit-circle pairs, |E| up to 49
+    (0.0, 0.0, 0.0, 0.0),  # F = 1: each t has the double mode 1 and no eigenbasis
+    # no coupling: the Neel frame has no component on the growing modes,
+    # so the largest volume lies on a pivot minor of rounding size
+    (0.0, 0.0, 0.0, 0.5),
 ])
 def test_momentum_chain_without_a_certified_frame_falls_back_to_the_loop(monkeypatch,
                                                                         couplings):
     monkeypatch.setattr(gaussian, "_dominant_frame", _no_dense_schur)
     quench = P.QuenchConfig(P.named_state("neel-fermion", 24), n_periods=300)
     _assert_momentum_fallback(P.make_params(*couplings), P.lattice(24, "pbc-even"), quench)
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 12), st.sampled_from(["neel-fermion", "all-up", "all-down"]),
+       st.tuples(st.floats(-np.pi, np.pi), _NONUNITARY_BETA,
+                 st.floats(-np.pi, np.pi), _NONUNITARY_BETA),
+       st.integers(1, 400), st.sampled_from(["free", "beta_J = -beta_h", "alpha = pi/4"]))
+# the volume-law point at L = 24: most blocks hold unit-circle pairs
+@example(6, "neel-fermion", (0.2 * P.PI4, -0.1 * P.PI4, 0.2 * P.PI4, 0.1 * P.PI4), 300, "free")
+# alpha = pi/4: a block whose second and third |mu| tie across its two sub-blocks
+@example(6, "all-up", (P.PI4, -0.3 * P.PI4, P.PI4, 0.5 * P.PI4), 300, "free")
+# n (log|mu_max| - log|mu_min|) ~ 3170: D^n taken factor by factor would overflow
+@example(2, "neel-fermion", (0.3, 1.0, 0.5, 1.0), 400, "free")
+def test_pivot_frame_equals_the_momentum_loop(cells, state, couplings, n_periods, line):
+    alpha_j, beta_j, alpha_h, beta_h = couplings
+    if line == "beta_J = -beta_h":  # the pseudo-Hermitian volume-law line
+        beta_j = -beta_h
+    elif line == "alpha = pi/4":
+        alpha_j = alpha_h = P.PI4
+    L = 4 * cells
+    p, lat = P.ModelParams(alpha_j, beta_j, alpha_h, beta_h), P.lattice(L, "pbc-even")
+    quench = P.QuenchConfig(P.named_state(state, L), n_periods=n_periods)
+    direct, frames = gaussian.run_to_steady_state(p, lat, quench), []
+    gaussian.run_to_steady_state(p, lat, quench, frames.append)
+    loop = frames[-1]
+    # no misses: a finite t whose (LAPACK) eigenvectors pass the kappa gate
+    # goes direct
+    t = gaussian._bloch_stack(p, direct.momenta)[0].period(-1.0)
+    if np.isfinite(t).all() and (np.linalg.cond(np.linalg.eig(t)[1]).max()
+                                 <= 1.0 / gaussian._OVERLAP_TOL):
+        assert direct.route == "schur"
+    if direct.route == "schur":
+        c_direct, c_loop = (gaussian.correlation_from_frame(f).c for f in (direct, loop))
+        assert np.max(np.abs(c_direct - c_loop)) <= 1e-10
+        assert abs(direct.norm_log - loop.norm_log) <= 1e-10 * abs(loop.norm_log)
+        assert direct.period_count == loop.period_count
+    else:
+        assert np.array_equal(direct.blocks, loop.blocks)
 
 
 def test_orthonormalize_pairs_blocks_with_their_partners(monkeypatch):
@@ -1490,17 +1548,20 @@ def test_continuous_flow_runs_where_the_kicks_overflow(bc, n_blocks):
 
 
 def test_momentum_chain_builds_no_chain_kicks(monkeypatch):
-    # the L = 40 pbc-even Neel loop and continuous flow read the one-site
-    # Bloch blocks alone: no build_kick_forms call
+    # the L = 40 pbc-even Neel direct frame, loop and continuous flow read
+    # the one-site Bloch blocks alone: no build_kick_forms call
     calls, build = [], spectral.build_kick_forms
     spy = lambda *a, **k: calls.append(1) or build(*a, **k)
     monkeypatch.setattr(spectral, "build_kick_forms", spy)
     monkeypatch.setattr(gaussian, "build_kick_forms", spy)
     p, lat = P.make_params(0.2, -0.1, 0.2, 0.1), P.lattice(40, "pbc-even")
     neel = P.named_state("neel-fermion", 40)
-    f = gaussian.run_to_steady_state(p, lat, P.QuenchConfig(neel, n_periods=50))
+    quench, frames = P.QuenchConfig(neel, n_periods=50), []
+    f = gaussian.run_to_steady_state(p, lat, quench)
+    gaussian.run_to_steady_state(p, lat, quench, frames.append)
     c = gaussian.evolve_continuous(p, lat, neel, [0.5, 1.0])
-    assert (f.route, len(f.blocks), len(c[-1].blocks), len(calls)) == ("momentum", 20, 20, 0)
+    assert (f.route, frames[-1].route, len(f.blocks), len(c[-1].blocks), len(calls)) == \
+        ("schur", "momentum", 20, 20, 0)
 
 
 def test_area_phase_trace_rises_then_saturates():

@@ -87,6 +87,15 @@ def test_subsystem_sites_and_wraparound():
         P.SubsystemSpec(start=7, length=4).sites(P.lattice(8, "obc"))
 
 
+@pytest.mark.parametrize("bc", ["pbc-even", "pbc-odd", "obc"])
+def test_subsystem_starting_beyond_the_chain_is_rejected(bc):
+    # a start past site L is bad input on every chain: a periodic chain does
+    # not wrap it, and an open one names the start, not the wrap
+    with pytest.raises(ValidationError, match="from site 11 does not fit the chain of 8 sites"):
+        P.SubsystemSpec(11, 3).sites(P.lattice(8, bc))
+    assert P.SubsystemSpec(8, 1).sites(P.lattice(8, bc)) == [8]
+
+
 def test_majorana_indices_of_sites():
     assert P.majorana_indices([3, 1]).tolist() == [4, 5, 0, 1]
     spec = P.SubsystemSpec(5, 4)  # wraps: sites 5, 6, 1, 2
