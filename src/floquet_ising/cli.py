@@ -44,6 +44,17 @@ def _out_dir(args) -> Path:
     return d
 
 
+def _write(args, command, rows, columns, summary_name, summary) -> list[Path]:
+    """``rows``' ``columns`` to ``--out`` (default <command>.csv) and
+    ``summary`` to ``summary_name`` in the output directory."""
+    out = _out_dir(args)
+    paths = [sweep.write_csv(out / (args.out or f"{command}.csv"), rows, columns),
+             out / summary_name]
+    paths[1].write_text(json.dumps(summary, indent=2))
+    print(f"wrote {paths[0]} and {summary_name}")
+    return paths
+
+
 # --------------------------------------------------------------------------
 
 def cmd_spectrum(args):
@@ -73,19 +84,13 @@ def cmd_spectrum(args):
     rows = [{"k_or_index": k, "re_eps": eps.real, "im_eps": eps.imag, "classification": cls}
             for k, eps, cls in modes]
 
-    out = _out_dir(args)
-    csv_path = out / (args.out or "spectrum.csv")
-    sweep.write_csv(csv_path, rows, ["k_or_index", "re_eps", "im_eps",
-                                     "classification"])
-    summary = {
-        "n_real_modes": census.count,
-        "edge_modes": [{"kind": m.kind, "re": m.energy.real,
-                        "im": m.energy.imag, "loc_len": m.localization_length}
-                       for m in edge_modes],
-        "phase": str(label) if label is not None else None,
-    }
-    (out / "spectrum_summary.json").write_text(json.dumps(summary, indent=2))
-    print(f"wrote {csv_path} and spectrum_summary.json")
+    _write(args, "spectrum", rows, ["k_or_index", "re_eps", "im_eps", "classification"],
+           "spectrum_summary.json", {
+               "n_real_modes": census.count,
+               "edge_modes": [{"kind": m.kind, "re": m.energy.real,
+                               "im": m.energy.imag, "loc_len": m.localization_length}
+                              for m in edge_modes],
+               "phase": str(label) if label is not None else None})
     return 0
 
 
@@ -116,51 +121,35 @@ def cmd_evolve(args):
     return 0
 
 
-def _steady_entropy(cfg) -> float:
-    """The steady S_A of one chain length of the scaling fit."""
-    sub = subsystem_from_config(cfg, cfg["L"])
-    return gaussian.stroboscopic_run(*model_from_config(cfg), sub).steady_state()
+def _grid_command(args, task, grid, columns, summary_name, summary):
+    """``task`` at the points ``grid`` builds from the config (``sweep.run_sweep``): ``_write``
+    the rows and ``summary(rows)`` where every point ran, else raise the first failure."""
+    cfg = _load_config(args, task)
+    spec = sweep.SweepSpec(grid(cfg), cfg, task, _workers(args))
+
+    def write(results):
+        rows = sweep.ok_rows(results)
+        return _write(args, task, rows, columns, summary_name, summary(rows))
+
+    sweep.run_sweep(spec, _out_dir(args), write)
+    return 0
 
 
 def cmd_scaling(args):
-    cfg = _load_config(args)
-    if (ratio := cfg.get("scaling_ratio", 10)) < 1:
-        raise ValidationError(f"scaling_ratio must be >= 1, got {ratio}")
-    sizes = cfg.get("scaling_sizes", [60, 80, 100, 140, 180, 200])
-    blocks = [max(2, L // ratio) for L in sizes]
-    s_a = sweep.map_points(_steady_entropy, [
-        {**cfg, "L": L, "subsystem_start": 1, "subsystem_length": la}
-        for L, la in zip(sizes, blocks)], _workers(args))
-    points = list(zip(sizes, blocks, s_a))
-    fit = entanglement.fit_scaling(points)
-    out = _out_dir(args)
-    csv_path = out / (args.out or "scaling.csv")
-    sweep.write_csv(csv_path, [{"L": L, "L_A": la, "S_A": s}
-                               for L, la, s in points], ["L", "L_A", "S_A"])
-    (out / "scaling_fit.json").write_text(json.dumps(
-        {"a": fit.a, "b": fit.b, "residual": fit.residual, "law": fit.law},
-        indent=2))
-    print(f"wrote {csv_path} and scaling_fit.json (law={fit.law})")
-    return 0
+    def summary(rows):
+        fit = entanglement.fit_scaling([(r["L"], r["L_A"], r["S_A"]) for r in rows])
+        return {"a": fit.a, "b": fit.b, "residual": fit.residual, "law": fit.law}
+    return _grid_command(args, "scaling", sweep.scaling_grid, ["L", "L_A", "S_A"],
+                         "scaling_fit.json", summary)
 
 
 def cmd_tee(args):
-    cfg = _load_config(args, "tee")
-    betas = np.linspace(*cfg.get("tee_beta_j", (-0.55, -0.05, 11)))
-    sizes = cfg.get("tee_sizes", [32, 48, 64])
-    rows = [point[0] for point in sweep.map_points(sweep.task_tee, [
-        dict(cfg, L=L, beta_J=float(bj)) for L in sizes for bj in betas], _workers(args))]
-    s_top = np.array([r["S_top"] for r in rows]).reshape(len(sizes), len(betas))
-    fit = entanglement.tee_collapse({L: (betas, s) for L, s in zip(sizes, s_top)})
-    routes = {route: sum(r["route"] == route for r in rows) for route in ("schur", "loop")}
-    out = _out_dir(args)
-    csv_path = out / (args.out or "tee.csv")
-    sweep.write_csv(csv_path, rows, ["L", "beta_J", "S_top"])
-    (out / "tee_collapse.json").write_text(json.dumps(
-        {"beta_J0": fit.beta_J0, "nu": fit.nu, "residual": fit.collapse_residual,
-         "routes": routes}, indent=2))
-    print(f"wrote {csv_path} and tee_collapse.json")
-    return 0
+    def summary(rows):
+        fit = sweep.tee_fit(rows)
+        return {"beta_J0": fit.beta_J0, "nu": fit.nu, "residual": fit.collapse_residual,
+                "routes": {r: sum(row["route"] == r for row in rows) for r in ("schur", "loop")}}
+    return _grid_command(args, "tee", sweep.tee_grid, ["L", "beta_J", "S_top"],
+                         "tee_collapse.json", summary)
 
 
 def cmd_spin_quench(args):
@@ -177,8 +166,7 @@ def cmd_spin_quench(args):
 
 
 def cmd_cft_compare(args):
-    pars = cft.CftParams(c=args.c, epsilon=args.epsilon, eta_rot=args.eta,
-                         l=args.l)
+    pars = cft.CftParams(c=args.c, epsilon=args.epsilon, eta_rot=args.eta, l=args.l)
     t_grid = np.linspace(0.05, args.t_max, args.n_times)
     curve = cft.entropy_curve(pars, t_grid)
 
@@ -186,15 +174,13 @@ def cmd_cft_compare(args):
     L = 10 * la
     lat = lattice(L, "pbc-even")
     params = make_params(args.amplitude, -args.amplitude * args.eta,
-                         args.amplitude, -args.amplitude * args.eta,
-                         units="rad")
+                         args.amplitude, -args.amplitude * args.eta, units="rad")
     frames = gaussian.evolve_continuous(params, lat, named_state("neel-fermion", L), t_grid)
     s_num = entanglement.subsystem_entropies(frames, SubsystemSpec(1, la), lat)
     s_num -= s_num[0]
     report = cft.compare_to_numerics(curve, t_grid, s_num)
 
-    rows = [{"t": float(t), "S_cft": float(sc), "S_numeric": float(sn),
-             "valid": int(v)}
+    rows = [{"t": float(t), "S_cft": float(sc), "S_numeric": float(sn), "valid": int(v)}
             for t, sc, sn, v in zip(t_grid, curve.entropy, s_num, curve.validity)]
     csv_path = _out_dir(args) / (args.out or "cft_compare.csv")
     sweep.write_csv(csv_path, rows, ["t", "S_cft", "S_numeric", "valid"])
@@ -203,21 +189,9 @@ def cmd_cft_compare(args):
     return 0
 
 
-def _axis(spec: str) -> tuple[str, float, float, int]:
-    """One sweep axis from ``name:start:stop:count``."""
-    try:
-        name, start, stop, count = spec.split(":")
-        return name, float(start), float(stop), int(count)
-    except ValueError as exc:
-        raise ValidationError(f"--axis {spec!r}: expected name:start:stop:count") from exc
-
-
 def cmd_sweep(args):
     cfg = _load_config(args)
-    axes = [_axis(spec) for spec in args.axis or []]
-    if not axes:
-        raise ValidationError("sweep needs at least one --axis name:start:stop:count")
-    spec = sweep.SweepSpec(tuple(axes), cfg, args.task, workers=_workers(args))
+    spec = sweep.SweepSpec(sweep.axis_grid(args.axis or [], cfg), cfg, args.task, _workers(args))
     manifest = sweep.run_sweep(spec, _out_dir(args))
     n_err = sum(1 for p in manifest.points if p["status"] != "ok")
     print(f"sweep complete: {len(manifest.points)} points, {n_err} failures")
@@ -247,59 +221,42 @@ def build_parser() -> argparse.ArgumentParser:
                         "1 where no BLAS thread variable is set)")
     p.add_argument("--seed", type=int, default=None)
     sub = p.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output CSV file name in --out-dir")
 
-    sp = sub.add_parser("spectrum", help="quasienergy spectrum and phase label")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--beta-j", type=float)
-    sp.add_argument("--beta-h", type=float)
-    sp.add_argument("--L", type=int)
+    def command(name, func, help_text, *parents):
+        cmd = sub.add_parser(name, help=help_text, parents=list(parents))
+        cmd.set_defaults(func=func)
+        return cmd
+
+    sp = command("spectrum", cmd_spectrum, "quasienergy spectrum and phase label", out)
+    for flag, kind in (("--alpha", float), ("--beta-j", float), ("--beta-h", float),
+                       ("--L", int)):
+        sp.add_argument(flag, type=kind)
     sp.add_argument("--bc", choices=["pbc-even", "pbc-odd", "obc"])
     sp.add_argument("--units", choices=["pi4", "rad"])
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_spectrum)
-
-    ev = sub.add_parser("evolve", help="stroboscopic Gaussian evolution")
-    ev.add_argument("--out")
+    ev = command("evolve", cmd_evolve, "stroboscopic Gaussian evolution", out)
     ev.add_argument("--dump-correlations", metavar="DIR")
-    ev.set_defaults(func=cmd_evolve)
+    command("scaling", cmd_scaling, "steady-state entropy scaling fit", out)
+    command("tee", cmd_tee, "topological entanglement entropy sweep", out)
+    command("spin-quench", cmd_spin_quench, "dense spin-language quench", out)
 
-    sc = sub.add_parser("scaling", help="steady-state entropy scaling fit")
-    sc.add_argument("--out")
-    sc.set_defaults(func=cmd_scaling)
-
-    te = sub.add_parser("tee", help="topological entanglement entropy sweep")
-    te.add_argument("--out")
-    te.set_defaults(func=cmd_tee)
-
-    sq = sub.add_parser("spin-quench", help="dense spin-language quench")
-    sq.add_argument("--out")
-    sq.set_defaults(func=cmd_spin_quench)
-
-    cc = sub.add_parser("cft-compare", help="complex-time CFT vs numerics")
-    cc.add_argument("--c", type=float, default=0.5)
-    cc.add_argument("--epsilon", type=float, default=0.185)
-    cc.add_argument("--eta", type=float, default=0.1)
-    cc.add_argument("--l", type=float, default=10.0)
-    cc.add_argument("--t-max", type=float, default=15.0)
-    cc.add_argument("--n-times", type=int, default=60)
+    cc = command("cft-compare", cmd_cft_compare, "complex-time CFT vs numerics", out)
+    for flag, kind, default in (("--c", float, 0.5), ("--epsilon", float, 0.185),
+                                ("--eta", float, 0.1), ("--l", float, 10.0),
+                                ("--t-max", float, 15.0), ("--n-times", int, 60)):
+        cc.add_argument(flag, type=kind, default=default)
     cc.add_argument("--amplitude", type=float, default=0.5,
                     help="coupling scale; 0.5 gives unit front velocity")
     cc.add_argument("--rtol", type=float, default=1e-9,
                     help="ignored: the continuous flow is exact")
-    cc.add_argument("--out")
-    cc.set_defaults(func=cmd_cft_compare)
 
-    sw = sub.add_parser("sweep", help="parameter sweep of any task")
+    sw = command("sweep", cmd_sweep, "parameter sweep of any task")
     sw.add_argument("--task", required=True, choices=sorted(sweep.TASKS))
-    sw.add_argument("--axis", action="append",
-                    metavar="name:start:stop:count")
-    sw.set_defaults(func=cmd_sweep)
-
-    ep = sub.add_parser("emit-plots", help="tidy per-figure CSV bundles")
+    sw.add_argument("--axis", action="append", metavar="name:start:stop:count")
+    ep = command("emit-plots", cmd_emit_plots, "tidy per-figure CSV bundles")
     ep.add_argument("--figure", required=True)
     ep.add_argument("--inputs", nargs="+", required=True)
-    ep.set_defaults(func=cmd_emit_plots)
-
     return p
 
 

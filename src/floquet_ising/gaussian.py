@@ -20,7 +20,7 @@ rounding level.
 On periodic chains of even length the map commutes with translation by
 two sites, so a state with that symmetry keeps it: the frame splits into
 one 4x2 block per two-site Bloch momentum q, each moved by its own 4x4
-block F_q = V_q diag(t_k, t_{k+pi}) V_q^dag (``_bloch_stack``), and
+block F_q = V_q diag(t_k, t_{k+pi}) V_q^dag (``_cell_blocks``), and
 isotropy pairs q with -q.  Every frame is such a stack of Bloch blocks
 (``GaussianFrame``); the dense frame is the one-cell stack.
 Both the stroboscopic loop and the continuous-time flow run on the
@@ -614,11 +614,13 @@ def _bloch_stack(params: ModelParams, q: np.ndarray):
     return blocks, v
 
 
-def _cell_blocks(v: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """V_q diag(b_k, b_{k+pi}) V_q^dag (F_q from t, H_q from h), so that
-    F U_q = U_q F_q on the dense frame (``GaussianFrame``)."""
-    v1, v2 = v[..., :2], v[..., 2:]
-    return v1 @ b[:, 0] @ _hc(v1) + v2 @ b[:, 1] @ _hc(v2)
+def _cell_blocks(q: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """V_q diag(b_k, b_{k+pi}) V_q^dag (F_q from t, U_q from exp(-4i t h)), so
+    that F U_q = U_q F_q on the dense frame (``GaussianFrame``), as (1/2)[[S, e* D],
+    [e D, S]]: S, D = b_k +- b_{k+pi}, e = e^{iq/2}, so exactly 0 off the diagonal at J = 0."""
+    s, d = b[:, 0] + b[:, 1], b[:, 0] - b[:, 1]
+    e = np.exp(0.5j * q)[:, None, None]
+    return 0.5 * np.block([[s, e.conj() * d], [e * d, s]])
 
 
 def _sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray | None:
@@ -676,7 +678,7 @@ def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchCon
         frame = GaussianFrame.from_dense(frame, lat)
         blocks, v = _bloch_stack(params, frame.momenta)
         t = blocks.period(-1.0)
-        fq = _cell_blocks(v, t)
+        fq = _cell_blocks(frame.momenta, t)
         direct = partial(_bloch_frame, t, v)
         step = lambda f: _advance(f, fq @ f.blocks, "momentum")
     else:
@@ -783,8 +785,8 @@ def evolve_continuous(params: ModelParams, lat: LatticeSpec, state: ProductState
     frame = initial_frame(state, lat)
     if _momentum_route(lat, state):
         frame = GaussianFrame.from_dense(frame, lat)
-        blocks, v = _bloch_stack(params, frame.momenta)
-        flow = lambda dt: _cell_blocks(v, blocks.flow(dt))
+        q, (blocks, _) = frame.momenta, _bloch_stack(params, frame.momenta)
+        flow = lambda dt: _cell_blocks(q, blocks.flow(dt))
     else:
         hmat = continuous_hamiltonian(params, lat)[None]
         flow = lambda dt: scipy.linalg.expm(-4j * dt * hmat)

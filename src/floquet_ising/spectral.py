@@ -447,13 +447,13 @@ def _real(eps: np.ndarray) -> np.ndarray:
     return np.abs(eps.imag) < _REAL_MODE_RTOL * max(np.max(np.abs(eps)), 1.0)
 
 
-def _classify_pair(eps: complex, defect: float, real: bool) -> str:
+def _classify_pair(eps: complex, defect: float, real: bool, folded: bool = True) -> str:
     if defect < _MODE_CLASS_TOL:
         return ModeClass.EXCEPTIONAL
     if real:
         return ModeClass.REAL
-    re = abs(fold_real_part(eps.real))
-    if re < _MODE_CLASS_TOL or abs(re - np.pi) < _MODE_CLASS_TOL:
+    re = abs(fold_real_part(eps.real) if folded else eps.real)
+    if re < _MODE_CLASS_TOL or (folded and abs(re - np.pi) < _MODE_CLASS_TOL):
         return ModeClass.CONJUGATE_PAIR
     return ModeClass.GROW_DECAY
 
@@ -510,10 +510,11 @@ def floquet_dispersion(J: complex, h: complex, k: float) -> DispersionPoint:
 
 
 def dispersion_continuous(J: complex, h: complex, k: float) -> DispersionPoint:
-    """Continuous-time limit spectrum +-2 sqrt(h^2 - 2hJ cos k + J^2)."""
+    """Continuous-limit pair +-2 sqrt(h^2 - 2hJ cos k + J^2), classed without the Floquet fold."""
     rad = h * h - 2 * h * J * np.cos(k) + J * J
     lam = 2 * np.sqrt(complex(rad))
-    return DispersionPoint(float(k), (lam, -lam), classify_modes(np.array([lam]), [rad])[0])
+    kind = _classify_pair(lam, abs(rad), bool(_real(np.array([lam]))[0]), folded=False)
+    return DispersionPoint(float(k), (lam, -lam), kind)
 
 
 def allowed_momenta(lat: LatticeSpec) -> np.ndarray:

@@ -1,14 +1,16 @@
 """Parameter sweeps, result persistence and plot-data emission.
 
-A sweep evaluates one task over the Cartesian grid of its axes.  Grid
-points are independent: ``map_points`` deals them out to this process and
-forked worker processes, one share each, and gathers the results in grid
-order, so reruns and different worker counts produce byte-identical
-CSVs.  The ``tee`` and ``scaling`` commands map their grids the same way,
-and ``gaussian.stroboscopic_run`` (the ``evolve`` command) its per-period
-entropies.  Failures of single points are recorded in the manifest and
-do not abort the sweep; the manifest tells expected failures (``error``)
-apart from crashes.
+Every command that runs a grid of points is a sweep: ``run_sweep`` runs
+one task at each point config of a ``SweepSpec`` (built by ``axis_grid``
+for ``sweep --axis``, ``tee_grid`` or ``scaling_grid``), each over the
+fixed config.  Points are independent: ``map_points`` deals them out to
+this process and forked worker processes, one share each, and gathers the
+results in grid order, so reruns and different worker counts produce
+byte-identical outputs; it maps ``gaussian.stroboscopic_run``'s per-period
+entropies too.  A failing point does not abort the sweep: manifest.json
+records every point's status, telling expected failures (``error``) from
+crashes, with the seed, the pool, the BLAS thread variables and the
+digest of every output.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import os
 import pickle
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
@@ -41,8 +43,7 @@ _CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def _task(name, **defaults):
-    """Register a sweep task with the config defaults that its CLI command
-    of the same name shares."""
+    """Register a sweep task with the config defaults its CLI command shares."""
     def deco(fn):
         TASKS[name], DEFAULTS[name] = fn, defaults
         return fn
@@ -51,35 +52,41 @@ def _task(name, **defaults):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    axes: tuple          # ((name, start, stop, count), ...)
+    points: tuple        # (point config, ...), each over fixed: its keys take precedence
     fixed: dict
     task: str
     workers: int = 1
 
     def __post_init__(self):
         if self.task not in TASKS:
-            raise ValidationError(f"unknown task {self.task!r}; "
-                                  f"available: {sorted(TASKS)}")
-        names = [a[0] for a in self.axes]
-        if len(set(names)) != len(names):
-            raise ValidationError("sweep axes must be distinct")
-        if set(names) & set(self.fixed):
-            raise ValidationError("axis parameters may not also be fixed")
-        for name, start, stop, count in self.axes:
-            if _CONFIG_KEYS.get(name) not in (float, int):
-                raise ValidationError(f"axis {name}: not a numeric config key")
-            if count < 1:
-                raise ValidationError(f"axis {name}: count must be >= 1")
+            raise ValidationError(f"unknown task {self.task!r}; available: {sorted(TASKS)}")
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
 
-    def grid(self):
-        """Yield (index, config) over the grid in row-major order."""
-        names = [a[0] for a in self.axes]
-        values = [np.linspace(start, stop, count) for _, start, stop, count in self.axes]
-        for flat, point in enumerate(itertools.product(*values)):
-            yield flat, {**self.fixed,
-                         **{k: swept_value(k, float(v)) for k, v in zip(names, point)}}
+
+def axis_grid(axes: list[str], fixed: dict) -> tuple:
+    """The points of ``sweep --axis name:start:stop:count ...``: the
+    Cartesian grid of the axes, row-major (the last axis fastest)."""
+    if not axes:
+        raise ValidationError("sweep needs at least one --axis name:start:stop:count")
+    values = {}
+    for spec in axes:
+        try:
+            name, start, stop, count = spec.split(":")
+            start, stop, count = float(start), float(stop), int(count)
+        except ValueError as exc:
+            raise ValidationError(f"--axis {spec!r}: expected name:start:stop:count") from exc
+        if name in values:
+            raise ValidationError("sweep axes must be distinct")
+        if name in fixed:
+            raise ValidationError("axis parameters may not also be fixed")
+        if _CONFIG_KEYS.get(name) not in (float, int):
+            raise ValidationError(f"axis {name}: not a numeric config key")
+        if count < 1:
+            raise ValidationError(f"axis {name}: count must be >= 1")
+        values[name] = np.linspace(start, stop, count)
+    return tuple({k: swept_value(k, float(v)) for k, v in zip(values, point)}
+                 for point in itertools.product(*values.values()))
 
 
 # --------------------------------------------------------------------------
@@ -145,6 +152,32 @@ def task_tee(cfg):
              "route": frame.route}]
 
 
+def tee_grid(cfg: dict) -> tuple:
+    """The ``tee`` command's points: the ``tee_beta_j`` grid at each ``tee_sizes`` L."""
+    betas = np.linspace(*cfg.get("tee_beta_j", (-0.55, -0.05, 11)))
+    if len(set(sizes := cfg.get("tee_sizes", [32, 48, 64]))) != len(sizes):
+        raise ValidationError(f"tee_sizes repeats a size: {sizes}")  # one curve per L
+    return tuple({"L": L, "beta_J": float(bj)} for L in sizes for bj in betas)
+
+
+@_task("scaling")
+def task_scaling(cfg):
+    """The steady S_A of one chain length of the scaling fit."""
+    params, lat, quench = model_from_config(cfg)
+    sub = subsystem_from_config(cfg, lat.L)
+    return [{"L": lat.L, "L_A": sub.length,
+             "S_A": gaussian.stroboscopic_run(params, lat, quench, sub).steady_state()}]
+
+
+def scaling_grid(cfg: dict) -> tuple:
+    """The ``scaling`` command's points: each of the ``scaling_sizes`` with
+    the block of its first max(2, L // ``scaling_ratio``) sites."""
+    if (ratio := cfg.get("scaling_ratio", 10)) < 1:
+        raise ValidationError(f"scaling_ratio must be >= 1, got {ratio}")
+    return tuple({"L": L, "subsystem_start": 1, "subsystem_length": max(2, L // ratio)}
+                 for L in cfg.get("scaling_sizes", [60, 80, 100, 140, 180, 200]))
+
+
 @_task("spin-quench", L=12, bc="obc", initial_state="x-down", n_periods=100)
 def task_spin_quench(cfg):
     return spin_rows(ed.quench_experiment(*model_from_config(cfg)))
@@ -155,15 +188,23 @@ def run_point(task_name: str, cfg: dict):
 
 
 def _fail_soft(task_name: str, cfg: dict):
-    """Run one sweep point.  Bad input and numerical breakdowns are an
-    ``error``; any other exception is a ``crash``, recorded with its
-    traceback."""
+    """Run one sweep point: (status, rows, error text, ``_portable``
+    exception).  Bad input and numerical breakdowns are an ``error``; any
+    other exception is a ``crash``, recorded with its traceback."""
     try:
-        return "ok", run_point(task_name, cfg), None
+        return "ok", run_point(task_name, cfg), None, None
     except (ValidationError, NumericalBreakdown) as exc:
-        return "error", [], f"{type(exc).__name__}: {exc}"
-    except Exception:
-        return "crash", [], traceback.format_exc()
+        return "error", [], f"{type(exc).__name__}: {exc}", _portable(exc)
+    except Exception as exc:
+        return "crash", [], traceback.format_exc(), _portable(exc)
+
+
+def ok_rows(results: list) -> list[dict]:
+    """The rows of ``_fail_soft`` results in grid order, or the first
+    failing point's exception raised."""
+    if failed := [exc for *_, exc in results if exc is not None]:
+        raise failed[0]
+    return [row for _, rows, _, _ in results for row in rows]
 
 
 # --------------------------------------------------------------------------
@@ -207,33 +248,32 @@ def _share(fn, points: list):
     return results, None
 
 
+def _portable(exc: Exception | None) -> Exception | None:
+    """``exc``, or a ``WorkerError`` with its message if it does not survive pickling."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return WorkerError(f"{type(exc).__name__}: {exc}")
+
+
 def _send_share(fn, points: list, conn):
-    """A forked worker's ``_share``, sent through ``conn``.  An exception
-    that does not survive the pipe is sent as a ``WorkerError`` with its
-    message."""
+    """A forked worker's ``_share``, sent through ``conn``, its exception ``_portable``."""
     results, exc = _share(fn, points)
-    if exc is not None:
-        try:
-            pickle.loads(pickle.dumps(exc))
-        except Exception:
-            exc = WorkerError(f"{type(exc).__name__}: {exc}")
-    conn.send((results, exc))
+    conn.send((results, _portable(exc)))
     conn.close()
 
 
 def map_points(fn, points: list, workers: int = 1) -> list:
     """``[fn(p) for p in points]``, in order, on n = ``pool_size(workers,
-    len(points))`` processes: forked worker r takes points r, r + n, ...,
-    this one takes 0, n, 2n, ...; each stops at its first failure and
-    the workers send their results back through a pipe and are joined.
-    They inherit the imported modules, warm caches, ``fn`` and the points
-    (none of which need pickle); only results and exceptions cross the
-    pipe.  The first failing point's exception is raised, as in the serial
-    loop, after every worker is joined; a worker that dies raises a
-    ``WorkerError`` naming its exit code.  This process works rather than
-    waits because each page it first writes after a fork takes a
-    copy-on-write fault: its own points take those faults here, not the
-    next call."""
+    len(points))`` processes: forked worker r takes points r, r + n, ...
+    and this one 0, n, 2n, ..., each up to its first failure.  The workers
+    inherit the modules, warm caches, ``fn`` and the points; only results
+    and exceptions cross their pipes.  The first failing point's exception
+    is raised, as in the serial loop, once every worker is joined; a worker
+    that dies raises a ``WorkerError`` naming its exit code.  This process
+    works rather than waits, so the copy-on-write faults of the pages it
+    first writes after a fork fall here, not on the next call."""
     n = pool_size(workers, len(points))
     if n == 1:
         return [fn(p) for p in points]
@@ -288,7 +328,7 @@ class RunManifest:
         return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
 
-def write_csv(path: Path, rows: list[dict], fieldnames=None):
+def write_csv(path: Path, rows: list[dict], fieldnames=None) -> Path:
     if not rows:
         raise ValidationError("no rows to write")
     fieldnames = fieldnames or list(rows[0].keys())
@@ -297,51 +337,47 @@ def write_csv(path: Path, rows: list[dict], fieldnames=None):
         writer.writeheader()
         for row in rows:
             writer.writerow({k: _fmt(row.get(k)) for k in fieldnames})
+    return path
 
 
 def _fmt(v):
     if isinstance(v, (float, np.floating)):
         return format(float(v), ".12g")
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    return v
+    return int(v) if isinstance(v, np.integer) else v
 
 
-def run_sweep(spec: SweepSpec, out_dir) -> RunManifest:
-    """Execute the sweep, writing <task>_sweep.csv and manifest.json.  The
-    points take their seed from ``spec.fixed``, as the manifest records it."""
+def _sweep_csv(spec: SweepSpec, out_dir: Path, results: list) -> list[Path]:
+    """<task>_sweep.csv: the rows of every point that ran, each after its
+    grid index and its point's keys; no file where none ran."""
+    rows = [{"grid_index": i, **point, **row}
+            for i, (point, (_, point_rows, _, _)) in enumerate(zip(spec.points, results))
+            for row in point_rows]
+    return [write_csv(out_dir / f"{spec.task}_sweep.csv", rows)] if rows else []
+
+
+def run_sweep(spec: SweepSpec, out_dir, write=None) -> RunManifest:
+    """Run every point of ``spec`` fail-soft, ``write`` the outputs from their
+    ``_fail_soft`` results in grid order (``_sweep_csv`` by default) and
+    manifest.json, with the digest of each path ``write`` returns (none where
+    it raises).  The points take their seed from ``spec.fixed``, as recorded."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.time()
-    cfgs = [cfg for _, cfg in spec.grid()]
-    results = map_points(partial(_fail_soft, spec.task), cfgs, spec.workers)
-
-    axis_names = [a[0] for a in spec.axes]
-    rows, points = [], []
-    for (idx, cfg), (status, point_rows, err) in zip(spec.grid(), results):
-        points.append({"index": idx, "status": status,
-                       **({"error": err} if err else {})})
-        for row in point_rows:
-            rows.append({"grid_index": idx,
-                         **{n: cfg[n] for n in axis_names}, **row})
-
-    csv_path = out_dir / f"{spec.task}_sweep.csv"
-    if rows:
-        write_csv(csv_path, rows)
-    outputs = {csv_path.name: hashlib.sha256(csv_path.read_bytes()).hexdigest()} if rows else {}
-    manifest = RunManifest(
-        version=__version__,
-        spec={"axes": [list(a) for a in spec.axes], "fixed": spec.fixed,
-              "task": spec.task, "workers": spec.workers},
-        seed=spec.fixed.get("seed"),
-        # what the default --workers is worked out from, and the pool it gave
-        parallel={"pool_workers": pool_size(spec.workers, len(cfgs)), "cpus": _cpus(),
-                  "blas_thread_env": {k: os.environ.get(k) for k in BLAS_THREAD_ENV}},
-        wallclock_s=time.time() - t0,
-        points=points,
-        outputs=outputs,
-    )
-    (out_dir / "manifest.json").write_text(manifest.to_json())
+    t0, written = time.time(), []
+    results = map_points(partial(_fail_soft, spec.task),
+                         [{**spec.fixed, **point} for point in spec.points], spec.workers)
+    try:
+        written = (write or partial(_sweep_csv, spec, out_dir))(results)
+    finally:
+        manifest = RunManifest(
+            version=__version__, spec=asdict(spec), seed=spec.fixed.get("seed"),
+            # what the default --workers is worked out from, and the pool it gave
+            parallel={"pool_workers": pool_size(spec.workers, len(spec.points)), "cpus": _cpus(),
+                      "blas_thread_env": {k: os.environ.get(k) for k in BLAS_THREAD_ENV}},
+            wallclock_s=time.time() - t0,
+            points=[{"index": i, "status": status, **({"error": err} if err else {})}
+                    for i, (status, _, err, _) in enumerate(results)],
+            outputs={p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written})
+        (out_dir / "manifest.json").write_text(manifest.to_json())
     return manifest
 
 
@@ -349,13 +385,19 @@ def run_sweep(spec: SweepSpec, out_dir) -> RunManifest:
 # figure bundles
 # --------------------------------------------------------------------------
 
+def tee_fit(rows: list[dict]) -> entanglement.CollapseResult:
+    """The collapse of ``L``, ``beta_J``, ``S_top`` rows (numbers or their
+    CSV text), one curve per L."""
+    curves = {}
+    for r in rows:
+        curves.setdefault(int(float(r["L"])), []).append((float(r["beta_J"]), float(r["S_top"])))
+    return entanglement.tee_collapse({L: np.array(c).T for L, c in curves.items()})
+
+
 def _collapsed_rows(rows: list[dict]) -> list[dict]:
     """fig6: each row with its beta_J rescaled by the fitted collapse."""
+    fit = tee_fit(rows)
     pts = [(int(float(r["L"])), float(r["beta_J"]), r["S_top"]) for r in rows]
-    curves = {}
-    for L, bj, s in pts:
-        curves.setdefault(L, []).append((bj, float(s)))
-    fit = entanglement.tee_collapse({L: np.array(c).T for L, c in curves.items()})
     return [{"beta_J": bj, "S_top": s, "L": L, "x_collapsed": (bj - fit.beta_J0) * L ** fit.nu}
             for L, bj, s in pts]
 
@@ -380,9 +422,8 @@ def emit_plot_data(figure: str, inputs: list, out_dir) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [Path(p) for p in inputs]
-    for p in paths:
-        if not p.exists():
-            raise ValidationError(f"input file not found: {p}")
+    if missing := [p for p in paths if not p.exists()]:
+        raise ValidationError(f"input file not found: {missing[0]}")
     if figure not in _FIGURES:
         raise ValidationError(f"unknown figure id {figure!r}; "
                               f"supported: {', '.join(_FIGURES)}")
@@ -400,6 +441,4 @@ def emit_plot_data(figure: str, inputs: list, out_dir) -> Path:
                 raise ValidationError(f"{p}: column {column}: {r[column]!r} is not "
                                       "a number") from None
         rows.extend(part)
-    out = out_dir / name
-    write_csv(out, rule(rows), written)
-    return out
+    return write_csv(out_dir / name, rule(rows), written)

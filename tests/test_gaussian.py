@@ -775,11 +775,22 @@ def _assert_trace_matches_dense(trace, frames, dense, idx):
         assert f.orthonormality_defect() < 1e-12
 
 
+class _Draws:
+    """Fixed draws in place of ``st.data()`` in an ``@example``."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy):
+        return next(self.values)
+
+
 @settings(max_examples=40)
 @given(st.integers(1, 10), st.sampled_from(["neel-fermion", "all-up", "all-down"]),
        st.tuples(st.floats(-np.pi, np.pi), _NONUNITARY_BETA,
                  st.floats(-np.pi, np.pi), _NONUNITARY_BETA),
        st.integers(1, 60), st.data())
+@example(6, "neel-fermion", (0.0, 0.0, 0.0, 0.5 * np.pi / 4), 60, _Draws(1, 6))
 def test_momentum_route_matches_dense_loop_random_couplings(cells, state, couplings,
                                                             n_periods, data):
     # |beta| >= 0.05 keeps every bond coupled.  Near a decoupled bond (J or h
@@ -794,6 +805,21 @@ def test_momentum_route_matches_dense_loop_random_couplings(cells, state, coupli
     lat = P.lattice(L, "pbc-even")
     quench = P.QuenchConfig(P.named_state(state, L), n_periods=n_periods)
     trace, frames, dense = _momentum_and_dense(P.ModelParams(*couplings), lat, quench, sub)
+    _assert_trace_matches_dense(trace, frames, dense, sub.majorana_indices(lat))
+
+
+@pytest.mark.parametrize("beta_h, n_periods", [(0.5, 60), (0.5, 300), (0.1, 300)])
+def test_field_only_momentum_loop_keeps_the_dense_loop(beta_h, n_periods):
+    # J = 0: t_k = t_{k+pi} exactly, and the Neel frame has no weight on the
+    # growing modes.  The cell blocks' sum/difference form leaves F_q's
+    # off-diagonal blocks exactly 0; products through V_q left ~1e-16 there,
+    # which those modes grew until C was 2.0 off the dense loop's
+    L = 24
+    lat = P.lattice(L, "pbc-even")
+    quench = P.QuenchConfig(P.named_state("neel-fermion", L), n_periods=n_periods)
+    sub = P.SubsystemSpec(1, 6)
+    trace, frames, dense = _momentum_and_dense(P.make_params(0.0, 0.0, 0.0, beta_h),
+                                               lat, quench, sub)
     _assert_trace_matches_dense(trace, frames, dense, sub.majorana_indices(lat))
 
 
@@ -879,8 +905,8 @@ def _mp_block_frame(f, phi, n, dps=50, budget=30):
 def _engine_frame_map(p, frame):
     """The 4x4 blocks F_q = V_q diag(t_k, t_{k+pi}) V_q^dag that the
     momentum loop steps ``frame`` with."""
-    blocks, v = gaussian._bloch_stack(p, frame.momenta)
-    return gaussian._cell_blocks(v, blocks.period(-1.0))
+    blocks, _ = gaussian._bloch_stack(p, frame.momenta)
+    return gaussian._cell_blocks(frame.momenta, blocks.period(-1.0))
 
 
 def _dense_frame_map_blocks(p, lat, q):
@@ -939,6 +965,13 @@ def test_direct_momentum_frame_matches_block_oracle_on_chord_fits(eta, n_periods
                                   P.lattice(L, "pbc-even"), quench)
 
 
+def _product_frame_map(v, t):
+    """F_q = V_q diag(t_k, t_{k+pi}) V_q^dag by products through V_q, as
+    defined, apart from the engine's sum/difference form (``_cell_blocks``)."""
+    v1, v2 = v[..., :2], v[..., 2:]
+    return v1 @ t[:, 0] @ gaussian._hc(v1) + v2 @ t[:, 1] @ gaussian._hc(v2)
+
+
 def _schur_reference_frame(fq, frame, n):
     """The momentum stack's direct frame from the generic L/L split
     (``_reference_split``, no middle block) of a ``scipy.linalg.schur``
@@ -962,7 +995,7 @@ def test_bloch_frames_equal_the_schur_split_random_couplings(cells, state, coupl
     blocks, v = gaussian._bloch_stack(P.ModelParams(*couplings), frame.momenta)
     t = blocks.period(-1.0)
     found = gaussian._bloch_frame(t, v, frame, n_periods)
-    ref = _schur_reference_frame(gaussian._cell_blocks(v, t), frame, n_periods)
+    ref = _schur_reference_frame(_product_frame_map(v, t), frame, n_periods)
     # the pivot finds a frame wherever the 4x4 Schur split does, and more
     if ref is not None:
         assert found is not None

@@ -288,9 +288,9 @@ def _engine_cell_blocks(p, q):
     """The momentum stack's 4x4 blocks F_q and H_q as the engine forms them."""
     from floquet_ising import gaussian
 
-    blocks, v = gaussian._bloch_stack(p, q)
-    return (gaussian._cell_blocks(v, blocks.period(-1.0)),
-            gaussian._cell_blocks(v, blocks.hamiltonian()))
+    blocks, _ = gaussian._bloch_stack(p, q)
+    return (gaussian._cell_blocks(q, blocks.period(-1.0)),
+            gaussian._cell_blocks(q, blocks.hamiltonian()))
 
 
 def _one_site_pairs(m, u, v):
@@ -756,12 +756,14 @@ def test_certificate_reads_both_blocks_at_one_momentum(k):
 @given(st.floats(0.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.0, 2.0), st.floats(-2.0, 2.0),
        st.floats(0.05, np.pi - 0.05))
 @example(0.0, 0.5, 0.3, 0.0, np.pi / 2)
+@example(0.0, 0.0, 2.0, 1.0, 1.0)
 def test_continuous_metric_verdict_matches_the_continuous_class(alpha_j, beta_j, alpha_h,
                                                                beta_h, k):
     # the eigenbasis verdict on the continuous block certifies exactly the
     # blocks whose continuous pair is real or complex-conjugate (at
-    # (0, 0.5, 0.3, 0), k = pi/2 the pair is +-0.8i); the same exclusions
-    # as for the Floquet verdict
+    # (0, 0.5, 0.3, 0), k = pi/2 the pair is +-0.8i; at (0, 0, 2, 1), k = 1
+    # it is +-(pi + i pi/2), not closed under conjugation without the
+    # Floquet zone); the same exclusions as for the Floquet verdict
     p = P.make_params(alpha_j, beta_j, alpha_h, beta_h)
     cert = S.pseudo_hermiticity_certificate(p, k=k, continuous=True)
     point = S.dispersion_continuous(p.J, p.h, k)
@@ -945,7 +947,7 @@ def test_overflowing_kick_raises_a_typed_error(tmp_path):
             assert info.value.condition == 800.0
         with pytest.raises(NumericalBreakdown, match="kick"):
             S.detect_edge_modes(p, P.lattice(40, "obc"))
-        spec = sweep.SweepSpec((("beta_J", 400.0, 400.0, 1),),
+        spec = sweep.SweepSpec(({"beta_J": 400.0},),
                                {"alpha_J": 0.3, "alpha_h": 0.2, "beta_h": 0.1, "L": 40,
                                 "bc": "obc", "units": "rad"}, "spectrum")
         manifest = sweep.run_sweep(spec, tmp_path)

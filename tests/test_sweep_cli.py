@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import inspect
 import json
 import multiprocessing
@@ -27,25 +28,37 @@ def read_rows(path):
 # sweep machinery
 # --------------------------------------------------------------------------
 
+def _axis_spec(axes, fixed, task, workers=1):
+    """The spec of ``sweep --axis name:start:stop:count`` for each of ``axes``."""
+    specs = [":".join(map(str, axis)) for axis in axes]
+    return sweep.SweepSpec(sweep.axis_grid(specs, fixed), fixed, task, workers)
+
+
 def test_sweep_spec_validation():
     with pytest.raises(ValidationError):
-        sweep.SweepSpec((("alpha", 0, 1, 3),), {}, "no-such-task")
+        sweep.SweepSpec(({"alpha": 0.0},), {}, "no-such-task")
     with pytest.raises(ValidationError):
-        sweep.SweepSpec((("alpha", 0, 1, 2), ("alpha", 0, 1, 2)), {}, "spectrum")
-    with pytest.raises(ValidationError):
-        sweep.SweepSpec((("alpha", 0, 1, 2),), {"alpha": 1.0}, "spectrum")
-    with pytest.raises(ValidationError):
-        sweep.SweepSpec((("alpha", 0, 1, 0),), {}, "spectrum")
+        sweep.SweepSpec(({"alpha": 0.0},), {}, "spectrum", workers=0)
+    with pytest.raises(ValidationError, match="at least one --axis"):
+        sweep.axis_grid([], {})
+    with pytest.raises(ValidationError, match="expected name:start:stop:count"):
+        sweep.axis_grid(["alpha:0:1"], {})
+    with pytest.raises(ValidationError, match="distinct"):
+        sweep.axis_grid(["alpha:0:1:2", "alpha:0:1:2"], {})
+    with pytest.raises(ValidationError, match="also be fixed"):
+        sweep.axis_grid(["alpha:0:1:2"], {"alpha": 1.0})
+    with pytest.raises(ValidationError, match="not a numeric config key"):
+        sweep.axis_grid(["bc:0:1:2"], {})
+    with pytest.raises(ValidationError, match="count must be >= 1"):
+        sweep.axis_grid(["alpha:0:1:0"], {})
 
 
 def test_grid_enumeration_row_major():
-    spec = sweep.SweepSpec((("alpha", 0.0, 1.0, 2), ("beta_J", 0.0, 2.0, 3)), {},
-                           "spectrum")
-    pts = list(spec.grid())
-    assert [i for i, _ in pts] == list(range(6))
-    assert pts[0][1]["alpha"] == 0.0 and pts[0][1]["beta_J"] == 0.0
-    assert pts[1][1]["beta_J"] == 1.0
-    assert pts[3][1]["alpha"] == 1.0 and pts[3][1]["beta_J"] == 0.0
+    pts = sweep.axis_grid(["alpha:0.0:1.0:2", "beta_J:0.0:2.0:3"], {"beta_h": 0.5})
+    assert len(pts) == 6
+    assert pts[0] == {"alpha": 0.0, "beta_J": 0.0}
+    assert pts[1]["beta_J"] == 1.0
+    assert pts[3]["alpha"] == 1.0 and pts[3]["beta_J"] == 0.0
 
 
 SPEC_ARGS = dict(
@@ -56,7 +69,7 @@ SPEC_ARGS = dict(
 
 
 def test_sweep_deterministic_reruns(tmp_path):
-    spec = sweep.SweepSpec(workers=1, **SPEC_ARGS)
+    spec = _axis_spec(workers=1, **SPEC_ARGS)
     m1 = sweep.run_sweep(spec, tmp_path / "r1")
     m2 = sweep.run_sweep(spec, tmp_path / "r2")
     b1 = (tmp_path / "r1" / "spectrum_sweep.csv").read_bytes()
@@ -69,7 +82,7 @@ def test_sweep_deterministic_reruns(tmp_path):
 def test_sweep_worker_count_independent(tmp_path):
     blobs = []
     for workers in (1, 4, 8):
-        spec = sweep.SweepSpec(workers=workers, **SPEC_ARGS)
+        spec = _axis_spec(workers=workers, **SPEC_ARGS)
         out = tmp_path / f"w{workers}"
         sweep.run_sweep(spec, out)
         blobs.append((out / "spectrum_sweep.csv").read_bytes())
@@ -88,7 +101,7 @@ def test_sweep_bytes_do_not_depend_on_workers(axis, values, count, L):
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         for workers in (1, 2):
-            spec = sweep.SweepSpec(((axis, start, stop, count),), fixed, "spectrum", workers)
+            spec = _axis_spec(((axis, start, stop, count),), fixed, "spectrum", workers)
             out = Path(tmp) / f"w{workers}"
             manifest = sweep.run_sweep(spec, out)
             csv_path = out / "spectrum_sweep.csv"
@@ -115,8 +128,8 @@ def test_manifest_records_the_pool_and_what_its_default_is_worked_out_from(tmp_p
 
 
 def test_sweep_fail_soft(tmp_path):
-    spec = sweep.SweepSpec((("L", 4, 16, 2),), {"alpha": 0.5, "beta_J": -1.0,
-                                                "beta_h": 0.5}, "spectrum")
+    spec = _axis_spec((("L", 4, 16, 2),), {"alpha": 0.5, "beta_J": -1.0,
+                                           "beta_h": 0.5}, "spectrum")
     manifest = sweep.run_sweep(spec, tmp_path)
     statuses = [p["status"] for p in manifest.points]
     assert statuses.count("error") == 1
@@ -146,7 +159,7 @@ def test_sweep_tells_crashes_from_errors(tmp_path, monkeypatch, exc, status, rc)
 def test_single_point_sweep_matches_direct(tmp_path):
     fixed = {"beta_h": 0.1, "L": 16, "n_periods": 10, "subsystem_length": 4,
              "alpha_J": 0.2, "alpha_h": 0.2}
-    spec = sweep.SweepSpec((("beta_J", -0.1, -0.1, 1),), fixed, "evolve")
+    spec = _axis_spec((("beta_J", -0.1, -0.1, 1),), fixed, "evolve")
     sweep.run_sweep(spec, tmp_path)
     rows = read_rows(tmp_path / "evolve_sweep.csv")
     p = P.make_params(0.2, -0.1, 0.2, 0.1)
@@ -162,7 +175,7 @@ def test_steady_entropy_sweep_matches_the_run(tmp_path):
     # and the growth rate S(2) / 4 at horizon L_A / 2 = 2, as the CSV prints them
     fixed = {"alpha_J": 0.2, "alpha_h": 0.2, "beta_h": 0.1, "L": 16, "n_periods": 40,
              "subsystem_length": 4}
-    spec = sweep.SweepSpec((("beta_J", -0.3, -0.1, 2),), fixed, "steady-entropy")
+    spec = _axis_spec((("beta_J", -0.3, -0.1, 2),), fixed, "steady-entropy")
     manifest = sweep.run_sweep(spec, tmp_path)
     assert [p["status"] for p in manifest.points] == ["ok", "ok"]
     rows = read_rows(tmp_path / "steady-entropy_sweep.csv")
@@ -184,7 +197,7 @@ def test_steady_entropy_sweep_matches_the_run(tmp_path):
 def test_sweep_tasks_reject_k_field(tmp_path, task):
     fixed = {"alpha_J": 0.2, "alpha_h": 0.2, "beta_h": 0.1, "L": 16,
              "n_periods": 4, "subsystem_length": 4, "K": 0.1}
-    spec = sweep.SweepSpec((("beta_J", -0.1, -0.1, 1),), fixed, task)
+    spec = _axis_spec((("beta_J", -0.1, -0.1, 1),), fixed, task)
     manifest = sweep.run_sweep(spec, tmp_path)
     assert [p["status"] for p in manifest.points] == ["error"]
     assert "longitudinal K field" in manifest.points[0]["error"]
@@ -196,25 +209,24 @@ def test_unknown_bc_is_a_validation_error(tmp_path, bc):
     cfgfile.write_text(f"alpha = 0.2\nbeta_J = -0.1\nbeta_h = 0.1\nL = 8\n"
                        f"n_periods = 4\nbc = {bc}\n")
     assert cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path), "evolve"]) == 2
-    spec = sweep.SweepSpec((("beta_J", -0.1, -0.1, 1),),
-                           {"alpha": 0.2, "beta_h": 0.1, "L": 8, "n_periods": 4, "bc": bc},
-                           "evolve")
+    spec = _axis_spec((("beta_J", -0.1, -0.1, 1),),
+                      {"alpha": 0.2, "beta_h": 0.1, "L": 8, "n_periods": 4, "bc": bc},
+                      "evolve")
     manifest = sweep.run_sweep(spec, tmp_path)
     assert [p["status"] for p in manifest.points] == ["error"]
     assert "pbc-even, pbc-odd, obc" in manifest.points[0]["error"]
 
 
-def test_sweep_axis_of_an_int_key_takes_whole_numbers(tmp_path):
+def test_sweep_axis_of_an_int_key_takes_whole_numbers():
     fixed = {"alpha": 0.5, "beta_J": -1.0, "beta_h": 0.5}
-    spec = sweep.SweepSpec((("L", 8, 9, 3),), fixed, "spectrum")
     with pytest.raises(ValidationError, match="whole numbers"):
-        sweep.run_sweep(spec, tmp_path)
+        sweep.axis_grid(["L:8:9:3"], fixed)
 
 
 def test_manifest_contents(tmp_path):
-    spec = sweep.SweepSpec((("alpha", 0.5, 0.5, 1),),
-                           {"beta_J": -1.0, "beta_h": 0.5, "L": 16, "seed": 7},
-                           "spectrum")
+    spec = _axis_spec((("alpha", 0.5, 0.5, 1),),
+                      {"beta_J": -1.0, "beta_h": 0.5, "L": 16, "seed": 7},
+                      "spectrum")
     manifest = sweep.run_sweep(spec, tmp_path)
     data = json.loads((tmp_path / "manifest.json").read_text())
     assert data["seed"] == 7
@@ -241,9 +253,9 @@ def test_sweep_manifest_records_the_seed_its_points_used(tmp_path, flags, seed):
 # --------------------------------------------------------------------------
 
 def test_emit_fig2(tmp_path):
-    spec = sweep.SweepSpec((("alpha", 0.4, 1.6, 3),),
-                           {"beta_J": -1.0, "beta_h": 0.5, "L": 16},
-                           "spectrum")
+    spec = _axis_spec((("alpha", 0.4, 1.6, 3),),
+                      {"beta_J": -1.0, "beta_h": 0.5, "L": 16},
+                      "spectrum")
     sweep.run_sweep(spec, tmp_path)
     out = sweep.emit_plot_data("fig2", [tmp_path / "spectrum_sweep.csv"],
                               tmp_path / "plots")
@@ -254,7 +266,7 @@ def test_emit_fig2(tmp_path):
 def test_emit_fig3(tmp_path):
     fixed = {"beta_h": 0.1, "L": 16, "n_periods": 6, "subsystem_length": 4,
              "alpha_J": 0.2, "alpha_h": 0.2}
-    spec = sweep.SweepSpec((("beta_J", -0.2, 0.1, 2),), fixed, "evolve")
+    spec = _axis_spec((("beta_J", -0.2, 0.1, 2),), fixed, "evolve")
     sweep.run_sweep(spec, tmp_path)
     out = sweep.emit_plot_data("fig3", [tmp_path / "evolve_sweep.csv"],
                               tmp_path / "plots")
@@ -395,7 +407,7 @@ def test_cli_and_sweep_share_task_defaults(tmp_path, task, csv_name, column, n_r
                        + "beta_J = -1.5\n")
     rc = cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path / "cli"), task])
     assert rc == 0
-    spec = sweep.SweepSpec((("beta_J", -1.5, -1.5, 1),), fixed, task)
+    spec = _axis_spec((("beta_J", -1.5, -1.5, 1),), fixed, task)
     sweep.run_sweep(spec, tmp_path / "sweep")
     sweep_csv = tmp_path / "sweep" / f"{task}_sweep.csv"
     got = [r[column] for r in read_rows(sweep_csv)]
@@ -447,13 +459,21 @@ def test_cli_tee_point_error_keeps_its_exit_code_and_message_in_the_pool(tmp_pat
     # failing point's error gives the serial loop's exit code and message
     cfgfile = tmp_path / "tee.cfg"
     cfgfile.write_text("alpha_J = 0.2\nalpha_h = 0.2\nbeta_h = -0.3\nn_periods = 40\n" + grid)
-    errs = []
+    # the manifest records every point, the first failing one as an error
+    # with that message, and no output
+    errs, points = [], []
     for workers in ("1", "2"):
         assert cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path / workers),
                          "--workers", workers, "tee"]) == rc
         errs.append(capsys.readouterr().err)
         assert not (tmp_path / workers / "tee.csv").exists()
+        manifest = json.loads((tmp_path / workers / "manifest.json").read_text())
+        assert manifest["outputs"] == {}
+        points.append(manifest["points"])
     assert errs[0] == errs[1] and message in errs[0]
+    assert points[0] == points[1]
+    failed = next(p for p in points[0] if p["status"] != "ok")
+    assert failed["status"] == "error" and message in failed["error"]
     assert not multiprocessing.active_children()
 
 
@@ -464,13 +484,24 @@ def test_cli_tee_and_scaling_outputs_do_not_depend_on_workers(tmp_path):
                        "tee_sizes = 8,12,16\ntee_beta_j = -0.4,-0.2,5\n")
     sc_cfg = tmp_path / "sc.cfg"
     sc_cfg.write_text(SCALING_CFG + "scaling_sizes = 16,20,24,28,32,40\nscaling_ratio = 4\n")
-    for workers in ("1", "2"):
-        for cfg, cmd in ((tee_cfg, "tee"), (sc_cfg, "scaling")):
-            assert cli.main(["--config", str(cfg), "--out-dir", str(tmp_path / workers),
+    # each manifest records every point ok and the digest of each file written
+    for cfg, cmd, names, n_points in ((tee_cfg, "tee", ("tee.csv", "tee_collapse.json"), 15),
+                                      (sc_cfg, "scaling", ("scaling.csv", "scaling_fit.json"), 6)):
+        manifests = []
+        for workers in ("1", "2"):
+            out = tmp_path / cmd / workers
+            assert cli.main(["--config", str(cfg), "--out-dir", str(out),
                              "--workers", workers, cmd]) == 0
             assert not multiprocessing.active_children()
-    for name in ("tee.csv", "tee_collapse.json", "scaling.csv", "scaling_fit.json"):
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+            assert manifests[-1]["outputs"] == {
+                name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+        for name in names:
+            assert ((tmp_path / cmd / "1" / name).read_bytes()
+                    == (tmp_path / cmd / "2" / name).read_bytes())
+        assert manifests[0]["points"] == manifests[1]["points"]
+        assert [p["status"] for p in manifests[0]["points"]] == ["ok"] * n_points
+        assert [m["parallel"]["pool_workers"] for m in manifests] == [1, 2]
 
 
 @pytest.mark.parametrize("env, cpus, workers", [
@@ -620,8 +651,8 @@ def test_cli_and_sweep_count_the_same_real_modes(tmp_path):
                    "--beta-j", "-0.1", "--beta-h", "0.1", "--L", "40", "--bc", "obc"])
     assert rc == 0
     summary = json.loads((tmp_path / "spectrum_summary.json").read_text())
-    spec = sweep.SweepSpec((("beta_J", -0.1, -0.1, 1),),
-                           {"alpha": 0.2, "beta_h": 0.1, "L": 40, "bc": "obc"}, "spectrum")
+    spec = _axis_spec((("beta_J", -0.1, -0.1, 1),),
+                      {"alpha": 0.2, "beta_h": 0.1, "L": 40, "bc": "obc"}, "spectrum")
     sweep.run_sweep(spec, tmp_path / "sweep")
     row = read_rows(tmp_path / "sweep" / "spectrum_sweep.csv")[0]
     assert summary["phase"] == row["phase"] == "critical-volume"
@@ -664,11 +695,13 @@ def test_periodic_census_counts_exactly_the_real_rows(tmp_path, alpha, beta_h, d
     # beta_j is the CLI flag spelling, not a config key
     (["sweep", "--task", "spectrum", "--axis", "beta_j:0:1:3"], "", "axis beta_j"),
     (["tee"], "tee_sizes = 8,x\n", "config line 4"),
+    # a repeated size would run its points twice and merge their curves
+    (["tee"], "tee_sizes = 8,8,12,16\n", "tee_sizes repeats a size"),
     (["tee"], "tee_beta_j = -0.4,-0.2\n", "config line 4"),
     (["tee"], "tee_beta_j = -0.4,-0.2,0\n", "config line 4"),
     (["tee"], "tee_beta_j = -0.4,-0.2,-1\n", "config line 4"),
     (["scaling"], "scaling_sizes = 20,x\n", "config line 4"),
-], ids=["axis-fields", "axis-count", "axis-name", "tee-sizes", "tee-beta-j",
+], ids=["axis-fields", "axis-count", "axis-name", "tee-sizes", "tee-sizes-repeated", "tee-beta-j",
         "tee-beta-j-zero", "tee-beta-j-negative", "scaling-sizes"])
 def test_cli_malformed_list_inputs_exit_2(tmp_path, capsys, argv, cfg, message):
     cfgfile = tmp_path / "run.cfg"
