@@ -17,9 +17,9 @@ from .spectral import (DispersionPoint, EdgeModeRecord, MetricOperator,
                        quasienergies_from_transfer,
                        spectrum_conjugation_defect)
 from .gaussian import (CorrelationMatrix, EntropyTrace, GaussianFrame,
-                       correlation_from_frame, evolve_continuous,
-                       continuous_hamiltonian, initial_frame, period_map,
-                       run_to_steady_state, stroboscopic_run)
+                       correlation_from_frame, entropy_trace, evolve_continuous,
+                       continuous_hamiltonian, initial_frame, period_frames,
+                       period_map, run_to_steady_state, stroboscopic_run)
 from .entanglement import (CollapseResult, EntropyReport, ScalingFit,
                            TeeResult, fit_scaling, mutual_information,
                            renyi_entropy, subsystem_entropy, tee,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from functools import cache
 from pathlib import Path
 
@@ -95,29 +96,29 @@ def cmd_spectrum(args):
 
 
 def cmd_evolve(args):
-    cfg = _load_config(args, "evolve")
+    t0, cfg, workers = time.time(), _load_config(args, "evolve"), _workers(args)
     params, lat, quench = model_from_config(cfg)
-    dump_dir = Path(args.dump_correlations) if args.dump_correlations else None
-    files = []
+    sub, frames = subsystem_from_config(cfg, lat.L), gaussian.period_frames(params, lat, quench)
+    dump = Path(args.dump_correlations) if args.dump_correlations else None
+    name = "correlations_{:05d}.bin".format
 
-    def dump(frame):
-        fname = f"correlations_{frame.period_count:05d}.bin"
-        gaussian.correlation_from_frame(frame).c.astype("<c16").tofile(dump_dir / fname)
-        files.append(fname)
+    def dumped(frames):  # each frame's C written as it passes
+        dump.mkdir(parents=True, exist_ok=True)
+        for period, frame in enumerate(frames, 1):
+            gaussian.correlation_from_frame(frame).c.astype("<c16").tofile(dump / name(period))
+            yield frame
 
-    if dump_dir:
-        dump_dir.mkdir(parents=True, exist_ok=True)
-    trace = gaussian.stroboscopic_run(params, lat, quench, subsystem_from_config(cfg, lat.L),
-                                      dump if dump_dir else None, _workers(args))
-    if dump_dir:
-        sidecar = {"dtype": "complex128", "byte_order": "little-endian",
-                   "layout": "row-major", "shape": [2 * lat.L, 2 * lat.L],
-                   "files": files}
-        (dump_dir / "correlations.json").write_text(json.dumps(sidecar, indent=2))
-    csv_path = _out_dir(args) / (args.out or "evolve.csv")
-    sweep.write_csv(csv_path, sweep.trace_rows(trace),
-                    ["period", "S_A", "norm_log", "purity_residual"])
-    print(f"wrote {csv_path}")
+    trace = gaussian.entropy_trace(dumped(frames) if dump else frames, sub, lat, workers)
+    written = [sweep.write_csv(_out_dir(args) / (args.out or "evolve.csv"),
+                               sweep.trace_rows(trace))]
+    if dump:
+        sidecar = {"dtype": "complex128", "byte_order": "little-endian", "layout": "row-major",
+                   "shape": [2 * lat.L, 2 * lat.L], "files": [name(p) for p in trace.periods]}
+        written.append(dump / "correlations.json")
+        written[-1].write_text(json.dumps(sidecar, indent=2))
+    sweep.write_manifest(sweep.SweepSpec(({},), cfg, "evolve", workers), _out_dir(args), t0,
+                         [("ok", None)], written, sweep.pool_size(workers, quench.n_periods))
+    print(f"wrote {written[0]}")
     return 0
 
 
@@ -176,7 +177,7 @@ def cmd_cft_compare(args):
     params = make_params(args.amplitude, -args.amplitude * args.eta,
                          args.amplitude, -args.amplitude * args.eta, units="rad")
     frames = gaussian.evolve_continuous(params, lat, named_state("neel-fermion", L), t_grid)
-    s_num = entanglement.subsystem_entropies(frames, SubsystemSpec(1, la), lat)
+    s_num = gaussian.entropy_trace(frames, SubsystemSpec(1, la), lat).entropy
     s_num -= s_num[0]
     report = cft.compare_to_numerics(curve, t_grid, s_num)
 

@@ -27,6 +27,8 @@ _CLAMP = 1e-14
 _PURITY_SLACK = 1e-6
 _VOLUME_SLOPE = 0.05     # fit_scaling: linear slope (nats/site) above which volume may win
 _LOG_COEFFICIENT = 0.02  # fit_scaling: chord-log coefficient above which log may win
+_MIN_SCALING_POINTS = 6  # fit_scaling's (L, L_A, S_A) samples, checked by sweep.scaling_grid too
+_MIN_COLLAPSE_SIZES = 3  # tee_collapse's curves, checked by sweep.tee_grid too
 
 
 @dataclass(frozen=True)
@@ -97,14 +99,6 @@ def subsystem_entropy(frame: gaussian.GaussianFrame, subsystem: SubsystemSpec,
                       lat: LatticeSpec) -> EntropyReport:
     """Entropy of the subsystem in the frame's state, from its block of C."""
     return _entropy(frame, subsystem.majorana_indices(lat))
-
-
-def subsystem_entropies(frames: list[gaussian.GaussianFrame], subsystem: SubsystemSpec,
-                        lat: LatticeSpec) -> np.ndarray:
-    """Each ``subsystem_entropy`` of the frames of one run, in stacked calls."""
-    idx = subsystem.majorana_indices(lat)
-    rows, block = gaussian._block_plan(frames[0], idx)
-    return np.array(gaussian.stacked_entropies([f.blocks[:, rows] for f in frames], block, len(idx)))
 
 
 def _renyi_from_nu(nu: np.ndarray, n: int) -> float:
@@ -188,8 +182,8 @@ def fit_scaling(points) -> ScalingFit:
     and the log fit is tighter, otherwise area.
     """
     pts = np.array([(float(L), float(la), float(s)) for L, la, s in points])
-    if len(pts) < 6:
-        raise ValidationError("need at least 6 scaling points")
+    if len(pts) < _MIN_SCALING_POINTS:
+        raise ValidationError(f"need at least {_MIN_SCALING_POINTS} scaling points")
     L, la, s = pts.T
     if not np.all((la > 0) & (la < L)):
         raise ValidationError("every scaling point needs 0 < L_A < L")
@@ -258,8 +252,8 @@ def tee_collapse(curves: dict[int, tuple[np.ndarray, np.ndarray]]) -> CollapseRe
     ties break toward smaller nu, then smaller beta0.  Raises
     CollapseError if no rescaled overlap exists.
     """
-    if len(curves) < 3:
-        raise ValidationError("collapse needs at least 3 system sizes")
+    if len(curves) < _MIN_COLLAPSE_SIZES:
+        raise ValidationError(f"collapse needs at least {_MIN_COLLAPSE_SIZES} system sizes")
     curves = {L: tuple(np.asarray(c)[:, np.argsort(c[0], kind="stable")])
               for L, c in curves.items()}
     all_betas = np.concatenate([b for b, _ in curves.values()])

@@ -23,23 +23,23 @@ one 4x2 block per two-site Bloch momentum q, each moved by its own 4x4
 block F_q = V_q diag(t_k, t_{k+pi}) V_q^dag (``_cell_blocks``), and
 isotropy pairs q with -q.  Every frame is such a stack of Bloch blocks
 (``GaussianFrame``); the dense frame is the one-cell stack.
-Both the stroboscopic loop and the continuous-time flow run on the
-momentum stack where ``_momentum_route`` allows it (pbc-even, L divisible
-by 4, a state of period 2), and on the one-cell stack everywhere else.
-So does the direct steady state, which forms the n-period frame from the
-frame map's blocks: on the momentum stack from the closed-form eigenpairs
-of the 2x2 one-site Bloch blocks t_k, t_{k+pi}, pivoted on the rows of
-maximal volume (``_bloch_frame``), and on the one-cell stack from a Schur
-form of the L x L + reflection-sector block alone (``_sector_split``): the
-- block is the inverse transpose of the +, so its modes and its split
-follow from the + sector's.  Each step on the
-momentum stack is closed-form (``_qr``, ``BlochBlocks.flow``), where the
-one-cell stack takes LAPACK's QR and ``expm``.
+Both the stroboscopic loop, an iterator of frames (``period_frames``), and the
+continuous-time flow run on the momentum stack where ``_momentum_route`` allows
+it (pbc-even, L divisible by 4, a state of period 2), and on the one-cell stack
+everywhere else.  So does the direct steady state, which forms the n-period
+frame from the frame map's blocks: on the momentum stack from the closed-form
+eigenpairs of the 2x2 one-site Bloch blocks t_k, t_{k+pi}, pivoted on the rows
+of maximal volume (``_bloch_frame``), and on the one-cell stack from a Schur
+form of the L x L + reflection-sector block alone (``_sector_split``): the -
+block is the inverse transpose of the +, so its modes and its split follow from
+the + sector's.  Each step on the momentum stack is closed-form (``_qr``,
+``BlochBlocks.flow``), where the one-cell stack takes LAPACK's QR and ``expm``.
+``entropy_trace`` reads the entropies of any stream of frames.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -61,7 +61,7 @@ _ISOLATION_TOL = 1e-6
 _ROUNDING_TOL = 1e-12
 _PAIRS = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])  # _PAIRS[5 - i]: the rest
 _MAX_SWEEPS = 4  # isotropy corrections before orthonormalize gives up (read at call time)
-_RECORD_BYTES = 8 << 20  # frame rows stroboscopic_run holds before taking their entropies
+_RECORD_BYTES = 8 << 20  # frame rows entropy_trace holds before taking their entropies
 _STACK_BYTES = 1 << 20  # frame rows and C_A blocks stacked into one entropy call
 
 
@@ -288,21 +288,6 @@ def correlation_block(frame: GaussianFrame, majorana_idx: np.ndarray) -> np.ndar
     """Restricted C block without forming the full matrix (``_block_plan``)."""
     rows, block = _block_plan(frame, majorana_idx)
     return block(frame.blocks[:, rows])
-
-
-def stacked_entropies(rows: list[np.ndarray], block, size: int, workers: int = 1) -> list:
-    """The entropies of the size x size blocks ``block`` makes of the
-    entries of ``rows`` (``_block_plan``): one stacked call per chunk of
-    entries whose rows and blocks fill up to ``_STACK_BYTES`` (at least
-    one), the chunks mapped over ``workers`` processes (``sweep.map_points``)."""
-    per_chunk = max(1, _STACK_BYTES // (rows[0].nbytes + 16 * size * size))
-    return [s for part in sweep.map_points(
-        lambda i: entanglement.entropy_from_majorana_block(
-            block(np.stack(rows[i:i + per_chunk]))).entropy,
-        range(0, len(rows), per_chunk), workers) for s in part]
-
-
-Observer = Callable[[GaussianFrame], None]
 
 
 @dataclass
@@ -652,14 +637,44 @@ def _momentum_route(lat: LatticeSpec, state: ProductState) -> bool:
     return lat.bc is BoundaryCondition.PBC_EVEN and lat.L % 4 == 0 and occ[2:] == occ[:-2]
 
 
-def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig,
-                        observe: Observer | None = None) -> GaussianFrame:
-    """Evolve for the configured number of periods and return the frame.
+def _evolution(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig):
+    """The initial frame of ``quench``, the loop's one-period step and the
+    direct n-period frame (or None), on the momentum stack where
+    ``_momentum_route`` allows it, else on the one-cell stack."""
+    quench.require_free_fermion()
+    frame = initial_frame(quench, lat)
+    if _momentum_route(lat, quench.initial_state):
+        frame = GaussianFrame.from_dense(frame, lat)
+        blocks, v = _bloch_stack(params, frame.momenta)
+        t = blocks.period(-1.0)
+        fq = _cell_blocks(frame.momenta, t)
+        return frame, lambda f: _advance(f, fq @ f.blocks, "momentum"), partial(_bloch_frame, t, v)
+    kicks = build_kick_forms(params, lat)
+    return frame, partial(period_map, kicks=kicks), partial(_dominant_frame, kicks)
 
-    This is the one stroboscopic loop: ``observe(frame)``, when given, is
-    called with the frame after every period.  The frame is the momentum
-    stack where ``_momentum_route`` allows it, else the one-cell stack.
-    Without an observer it is first sought directly, on that stack: on
+
+def _loop(frame: GaussianFrame, step, n: int) -> Iterator[GaussianFrame]:
+    for _ in range(n):
+        frame = step(frame)
+        yield frame
+
+
+def period_frames(params: ModelParams, lat: LatticeSpec,
+                  quench: QuenchConfig) -> Iterator[GaussianFrame]:
+    """The frame after each of the configured periods: the one stroboscopic
+    loop.  On the momentum stack, where ``_momentum_route`` allows it, it
+    steps one 4x2 block per momentum (``route == "momentum"``); on the
+    one-cell stack it steps the frame with ``period_map`` (``route ==
+    "loop"``).  The quench is checked on the call, before the first frame."""
+    frame, step, _ = _evolution(params, lat, quench)
+    return _loop(frame, step, quench.n_periods)
+
+
+def run_to_steady_state(params: ModelParams, lat: LatticeSpec,
+                        quench: QuenchConfig) -> GaussianFrame:
+    """The frame after the configured number of periods.
+
+    It is first sought directly, on the stack ``period_frames`` steps: on
     the momentum stack from the eigenpairs of the two 2x2 one-site Bloch
     blocks t_k, t_{k+pi} of each momentum q, pivoted on the two modes of
     maximal volume (``_bloch_frame``), which misses only where a t has no
@@ -668,82 +683,72 @@ def run_to_steady_state(params: ModelParams, lat: LatticeSpec, quench: QuenchCon
     which gives the - sector's too (``_dominant_frame``), split at the L/L
     cut or with one edge pair straddling it.  It is returned, with
     ``route == "schur"``, only where it provably equals the loop's frame on
-    every block.  Otherwise the loop runs: on the momentum stack it steps
-    one 4x2 block per momentum (``route == "momentum"``); on the one-cell
-    stack it steps the frame with ``period_map`` (``route == "loop"``).
+    every block.  Otherwise it is the last frame of the loop of
+    ``period_frames``, of which only the current frame is held.
     """
-    quench.require_free_fermion()
-    frame = initial_frame(quench, lat)
-    if _momentum_route(lat, quench.initial_state):
-        frame = GaussianFrame.from_dense(frame, lat)
-        blocks, v = _bloch_stack(params, frame.momenta)
-        t = blocks.period(-1.0)
-        fq = _cell_blocks(frame.momenta, t)
-        direct = partial(_bloch_frame, t, v)
-        step = lambda f: _advance(f, fq @ f.blocks, "momentum")
-    else:
-        kicks = build_kick_forms(params, lat)
-        direct = partial(_dominant_frame, kicks)
-        step = partial(period_map, kicks=kicks)
-    if observe is None:
-        found = direct(frame, quench.n_periods)
-        if found is not None:
-            return found
-    for _ in range(quench.n_periods):
-        frame = step(frame)
-        if observe is not None:
-            observe(frame)
+    frame, step, direct = _evolution(params, lat, quench)
+    if (found := direct(frame, quench.n_periods)) is not None:
+        return found
+    for frame in _loop(frame, step, quench.n_periods):
+        pass
     return frame
 
 
-def stroboscopic_run(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig,
-                     subsystem: SubsystemSpec, observe: Observer | None = None,
-                     workers: int = 1) -> EntropyTrace:
-    """Per-period subsystem entropy for the configured quench.
+def entropy_trace(frames: Iterable[GaussianFrame], subsystem: SubsystemSpec,
+                  lat: LatticeSpec, workers: int = 1) -> EntropyTrace:
+    """The subsystem entropy of each frame of ``frames``, in order, with its
+    norm bookkeeping and its isotropy defect ||Phi^T Phi|| as
+    ``orthonormalize`` measured it (``purity_residual``; orthonormality
+    holds by QR).
 
-    The loop of ``run_to_steady_state`` records after every period the rows
-    of the frame that the subsystem's block reads (``_block_plan``, made
-    once per run), the norm bookkeeping and the frame's isotropy defect
-    ||Phi^T Phi|| as ``orthonormalize`` measured it (``purity_residual``;
-    orthonormality holds by QR), then calls ``observe(frame)`` when given.
-    The entropies are taken from those rows after the loop, or whenever
-    they fill ``_RECORD_BYTES``, in stacked chunks over ``workers``
-    processes (``stacked_entropies``): each period's is independent of the
-    others, and the trace is the same for any worker count.  Where the loop
-    raises, the recorded periods are evaluated first, so an entropy that
-    failed before it is raised in its place, as in a serial run.
-
-    On periodic chains the parity sector is taken from the lattice spec; use
-    ``preferred_sector`` to match the initial state's fermion parity when
-    comparing against the spin-language oracle.
+    Each frame's rows that the subsystem's block reads are held
+    (``_block_plan``, made once from the first frame).  The entropies are
+    taken from them whenever they fill ``_RECORD_BYTES`` and after the last
+    frame, in stacked calls of the frames whose rows and blocks fill up to
+    ``_STACK_BYTES`` (at least one), mapped over ``workers`` processes
+    (``sweep.map_points``): each frame's is independent of the others, and
+    the trace is the same for any worker count.  Where ``frames`` raises,
+    the held frames are evaluated first, so an entropy that failed before
+    it is raised in its place, as in a serial run.
     """
     idx = subsystem.majorana_indices(lat)
     plan, held, ents, norms, purs = None, [], [], [], []
 
     def flush():
         if held:
-            ents.extend(stacked_entropies(held, plan[1], len(idx), workers))
+            per_chunk = max(1, _STACK_BYTES // (held[0].nbytes + 16 * len(idx) ** 2))
+            ents.extend(s for part in sweep.map_points(
+                lambda i: entanglement.entropy_from_majorana_block(
+                    plan[1](np.stack(held[i:i + per_chunk]))).entropy,
+                range(0, len(held), per_chunk), workers) for s in part)
             held.clear()
 
-    def record(frame: GaussianFrame):
-        nonlocal plan
-        plan = plan or _block_plan(frame, idx)
-        held.append(frame.blocks[:, plan[0]])
-        norms.append(frame.norm_log)
-        purs.append(frame.isotropy)
-        if len(held) * held[0].nbytes >= _RECORD_BYTES:
-            flush()
-        if observe is not None:
-            observe(frame)
-
     try:
-        run_to_steady_state(params, lat, quench, record)
+        for frame in frames:
+            plan = plan or _block_plan(frame, idx)
+            held.append(frame.blocks[:, plan[0]])
+            norms.append(frame.norm_log)
+            purs.append(frame.isotropy)
+            if len(held) * held[0].nbytes >= _RECORD_BYTES:
+                flush()
     except Exception:
-        flush()  # raises instead where an earlier period's entropy fails
+        flush()  # raises instead where an earlier frame's entropy fails
         raise
     flush()
     return EntropyTrace(np.arange(1, len(ents) + 1), np.asarray(ents),
                         np.asarray(norms), np.asarray(purs))
+
+
+def stroboscopic_run(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig,
+                     subsystem: SubsystemSpec, workers: int = 1) -> EntropyTrace:
+    """Per-period subsystem entropy for the configured quench: the
+    ``entropy_trace`` of ``period_frames``.
+
+    On periodic chains the parity sector is taken from the lattice spec; use
+    ``preferred_sector`` to match the initial state's fermion parity when
+    comparing against the spin-language oracle.
+    """
+    return entropy_trace(period_frames(params, lat, quench), subsystem, lat, workers)
 
 
 # --------------------------------------------------------------------------

@@ -6,11 +6,11 @@ for ``sweep --axis``, ``tee_grid`` or ``scaling_grid``), each over the
 fixed config.  Points are independent: ``map_points`` deals them out to
 this process and forked worker processes, one share each, and gathers the
 results in grid order, so reruns and different worker counts produce
-byte-identical outputs; it maps ``gaussian.stroboscopic_run``'s per-period
-entropies too.  A failing point does not abort the sweep: manifest.json
-records every point's status, telling expected failures (``error``) from
-crashes, with the seed, the pool, the BLAS thread variables and the
-digest of every output.
+byte-identical outputs; it maps ``gaussian.entropy_trace``'s entropies
+too.  A failing point does not abort the sweep: manifest.json
+(``write_manifest``, which ``evolve`` writes too) records every point's
+status, telling expected failures (``error``) from crashes, with the
+seed, the pool, the BLAS thread variables and the digest of every output.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .errors import NumericalBreakdown, ValidationError, WorkerError
 from .params import (_CONFIG_KEYS, TeePartition, model_from_config,
                      subsystem_from_config, swept_value)
 from . import ed, entanglement, gaussian, spectral
+from .entanglement import _MIN_COLLAPSE_SIZES, _MIN_SCALING_POINTS
 
 TASKS = {}
 DEFAULTS = {}
@@ -157,6 +158,8 @@ def tee_grid(cfg: dict) -> tuple:
     betas = np.linspace(*cfg.get("tee_beta_j", (-0.55, -0.05, 11)))
     if len(set(sizes := cfg.get("tee_sizes", [32, 48, 64]))) != len(sizes):
         raise ValidationError(f"tee_sizes repeats a size: {sizes}")  # one curve per L
+    if len(sizes) < _MIN_COLLAPSE_SIZES:
+        raise ValidationError(f"collapse needs at least {_MIN_COLLAPSE_SIZES} system sizes")
     return tuple({"L": L, "beta_J": float(bj)} for L in sizes for bj in betas)
 
 
@@ -174,8 +177,12 @@ def scaling_grid(cfg: dict) -> tuple:
     the block of its first max(2, L // ``scaling_ratio``) sites."""
     if (ratio := cfg.get("scaling_ratio", 10)) < 1:
         raise ValidationError(f"scaling_ratio must be >= 1, got {ratio}")
+    if len(sizes := cfg.get("scaling_sizes", [60, 80, 100, 140, 180, 200])) < _MIN_SCALING_POINTS:
+        raise ValidationError(f"need at least {_MIN_SCALING_POINTS} scaling points")
+    if any(max(2, L // ratio) >= L for L in sizes):
+        raise ValidationError("every scaling point needs 0 < L_A < L")
     return tuple({"L": L, "subsystem_start": 1, "subsystem_length": max(2, L // ratio)}
-                 for L in cfg.get("scaling_sizes", [60, 80, 100, 140, 180, 200]))
+                 for L in sizes)
 
 
 @_task("spin-quench", L=12, bc="obc", initial_state="x-down", n_periods=100)
@@ -324,9 +331,6 @@ class RunManifest:
     points: list
     outputs: dict
 
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2, sort_keys=True)
-
 
 def write_csv(path: Path, rows: list[dict], fieldnames=None) -> Path:
     if not rows:
@@ -368,16 +372,23 @@ def run_sweep(spec: SweepSpec, out_dir, write=None) -> RunManifest:
     try:
         written = (write or partial(_sweep_csv, spec, out_dir))(results)
     finally:
-        manifest = RunManifest(
-            version=__version__, spec=asdict(spec), seed=spec.fixed.get("seed"),
-            # what the default --workers is worked out from, and the pool it gave
-            parallel={"pool_workers": pool_size(spec.workers, len(spec.points)), "cpus": _cpus(),
-                      "blas_thread_env": {k: os.environ.get(k) for k in BLAS_THREAD_ENV}},
-            wallclock_s=time.time() - t0,
-            points=[{"index": i, "status": status, **({"error": err} if err else {})}
-                    for i, (status, _, err, _) in enumerate(results)],
-            outputs={p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written})
-        (out_dir / "manifest.json").write_text(manifest.to_json())
+        manifest = write_manifest(spec, out_dir, t0, [(s, err) for s, _, err, _ in results],
+                                  written, pool_size(spec.workers, len(spec.points)))
+    return manifest
+
+
+def write_manifest(spec: SweepSpec, out_dir: Path, t0, statuses, written, pool) -> RunManifest:
+    """manifest.json in ``out_dir``: ``spec``, its pool, time, statuses and output digests."""
+    manifest = RunManifest(
+        version=__version__, spec=asdict(spec), seed=spec.fixed.get("seed"),
+        # what the default --workers is worked out from, and the pool it gave
+        parallel={"pool_workers": pool, "cpus": _cpus(),
+                  "blas_thread_env": {k: os.environ.get(k) for k in BLAS_THREAD_ENV}},
+        wallclock_s=time.time() - t0,
+        points=[{"index": i, "status": status, **({"error": err} if err else {})}
+                for i, (status, err) in enumerate(statuses)],
+        outputs={p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written})
+    (out_dir / "manifest.json").write_text(json.dumps(vars(manifest), indent=2, sort_keys=True))
     return manifest
 
 

@@ -130,8 +130,7 @@ def test_real_nu_spectrum_matches_complex_hermitian_reference(L, bc, couplings,
     top = L - 1 if lat.bc.periodic else L - start + 1
     sub = P.SubsystemSpec(start, data.draw(st.integers(1, top)))
     quench = P.QuenchConfig(P.named_state("neel-fermion", L), n_periods=n_periods)
-    frame = gaussian.run_to_steady_state(P.ModelParams(*couplings), lat, quench,
-                                         lambda f: None)
+    *_, frame = gaussian.period_frames(P.ModelParams(*couplings), lat, quench)
     idx = sub.majorana_indices(lat)
     ref = _reference_nu(gaussian.correlation_from_frame(frame).c[np.ix_(idx, idx)])
     rep = E.subsystem_entropy(frame, sub, lat)
@@ -188,21 +187,27 @@ def _outcome(call):
 @given(st.sampled_from(["pbc-even", "obc"]), st.sampled_from(["run", "gathered"]),
        st.integers(1, 40),
        st.tuples(st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
-                 st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0)), st.data())
-def test_stacked_entropies_are_the_block_by_block_ones(bc, shape, size, couplings, data):
+                 st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0)),
+       st.sampled_from(["periods", "continuous"]), st.data())
+def test_stacked_entropies_are_the_block_by_block_ones(bc, shape, size, couplings, source,
+                                                       data):
     # one stacked call of the block builder and of the kernel gives each
-    # frame's block, nu and entropy bit for bit as the lone call does, on
-    # the momentum stack (pbc-even Neel, 4 | L) and the one-cell stack, for
+    # frame's block, nu and entropy bit for bit as the lone call does, and
+    # so does entropy_trace, on the frames of the stroboscopic loop and of
+    # the continuous flow, each on the momentum stack (pbc-even Neel,
+    # 4 | L) and the one-cell stack, for
     # a contiguous run of indices and a non-cell-aligned one (an odd site
     # count from an even start, wrapped on the periodic chain, where the
     # block gathers from the Toeplitz view); and a stack with bad blocks
     # raises what a block-by-block loop raises first
     L = 16
     lat = P.lattice(L, bc)
-    frames = []
-    gaussian.run_to_steady_state(P.ModelParams(*couplings), lat, P.QuenchConfig(
-        P.named_state("neel-fermion", L), n_periods=size), frames.append)
-    assert frames[0].route == ("momentum" if bc == "pbc-even" else "loop")
+    params, neel = P.ModelParams(*couplings), P.named_state("neel-fermion", L)
+    if source == "periods":
+        frames = list(gaussian.period_frames(params, lat, P.QuenchConfig(neel, n_periods=size)))
+    else:
+        frames = gaussian.evolve_continuous(params, lat, neel, 0.1 * np.arange(1, size + 1))
+    assert len(frames[0].blocks) == (L // 2 if bc == "pbc-even" else 1)
     if shape == "run":
         start = data.draw(st.integers(1, L - 1))
         sub = P.SubsystemSpec(start, data.draw(st.integers(1, L - start)))
@@ -220,9 +225,10 @@ def test_stacked_entropies_are_the_block_by_block_ones(bc, shape, size, coupling
         E.entropy_from_majorana_block(b) for b in lone]
     assert stacked.entropy.tolist() == [r.entropy for r in loop]
     assert np.array_equal(stacked.nu, [r.nu for r in loop])
-    assert E.subsystem_entropies(frames, sub, lat).tolist() == stacked.entropy.tolist()
+    assert gaussian.entropy_trace(frames, sub, lat).entropy.tolist() == stacked.entropy.tolist()
     with unittest.mock.patch.object(gaussian, "_STACK_BYTES", 1):  # one frame a call
-        assert E.subsystem_entropies(frames, sub, lat).tolist() == stacked.entropy.tolist()
+        assert gaussian.entropy_trace(frames, sub, lat).entropy.tolist() == \
+            stacked.entropy.tolist()
     for _ in range(data.draw(st.integers(1, 2))):
         _spoil(blocks[data.draw(st.integers(0, size - 1))],
                data.draw(st.sampled_from(["real", "nu", "eig"])))

@@ -245,9 +245,8 @@ def test_purity_residual_is_the_measured_isotropy_defect():
     p = P.make_params(0.2, -0.1, 0.2, 0.1)
     lat = P.lattice(24, "pbc-even")
     quench = P.QuenchConfig(P.named_state("neel-fermion", 24), n_periods=12)
-    seen = []
-    trace = gaussian.stroboscopic_run(p, lat, quench, P.SubsystemSpec(1, 6),
-                                      lambda frame: seen.append(frame.isotropy_defect()))
+    trace = gaussian.stroboscopic_run(p, lat, quench, P.SubsystemSpec(1, 6))
+    seen = [frame.isotropy_defect() for frame in gaussian.period_frames(p, lat, quench)]
     assert trace.purity_residual.tolist() == seen
     assert gaussian.initial_frame(quench, lat).isotropy is None
 
@@ -275,7 +274,8 @@ def test_frame_invariants_every_period_random_couplings(L, bc, couplings, n_peri
         assert 0.0 <= s_a <= la * np.log(2) + 1e-12
         assert abs(s_a - s_rest) < 1e-10
 
-    gaussian.run_to_steady_state(P.ModelParams(*couplings), lat, quench, check)
+    for frame in gaussian.period_frames(P.ModelParams(*couplings), lat, quench):
+        check(frame)
     assert periods == list(range(1, n_periods + 1))
 
 
@@ -284,6 +284,8 @@ def test_stroboscopic_rejects_k_field():
     quench = P.QuenchConfig(P.named_state("neel-fermion", 8), n_periods=5, K=0.1)
     with pytest.raises(ValidationError):
         gaussian.stroboscopic_run(p, P.lattice(8), quench, P.SubsystemSpec(1, 2))
+    with pytest.raises(ValidationError):  # on the call, before the first frame
+        gaussian.period_frames(p, P.lattice(8), quench)
 
 
 def test_run_to_steady_state_rejects_k_field():
@@ -293,21 +295,16 @@ def test_run_to_steady_state_rejects_k_field():
         gaussian.run_to_steady_state(p, P.lattice(8), quench)
 
 
-def test_run_to_steady_state_observes_every_period():
+def test_period_frames_yield_every_period():
     p = P.make_params(0.2, -0.1, 0.2, 0.1)
     lat = P.lattice(10, "pbc-even")
     quench = P.QuenchConfig(P.named_state("neel-fermion", 10), n_periods=7)
-    seen = []
-    frame = gaussian.run_to_steady_state(p, lat, quench, seen.append)
+    seen = list(gaussian.period_frames(p, lat, quench))
     assert [f.period_count for f in seen] == list(range(1, 8))
-    assert seen[-1] is frame
-    # the observer sees the same frames the trace is recorded from
-    norms = []
-    trace = gaussian.stroboscopic_run(p, lat, quench, P.SubsystemSpec(1, 3),
-                                      lambda f: norms.append(f.norm_log))
+    # the trace is recorded from the same frames
+    trace = gaussian.stroboscopic_run(p, lat, quench, P.SubsystemSpec(1, 3))
     assert np.array_equal(trace.periods, np.arange(1, 8))
-    assert np.array_equal(trace.norm_log, norms)
-    assert norms[-1] == frame.norm_log
+    assert np.array_equal(trace.norm_log, [f.norm_log for f in seen])
 
 
 @settings(max_examples=40)
@@ -320,7 +317,7 @@ def test_trace_is_the_serial_trace_for_any_worker_count_and_chunk(L, bc, state, 
                                                                   n_periods, budget, data):
     # the entropies, taken after the loop from the recorded rows, chunk by
     # chunk (a budget of 1 byte flushes every period) on one or two
-    # processes, equal bit for bit the entropy of each observed frame's
+    # processes, equal bit for bit the entropy of each frame's
     # block, as a serial run takes them; so do the norm and purity columns
     lat = P.lattice(L, bc)
     start = data.draw(st.integers(1, L))
@@ -328,18 +325,17 @@ def test_trace_is_the_serial_trace_for_any_worker_count_and_chunk(L, bc, state, 
         1, max(1, min(L - 1, L if lat.bc.periodic else L - start + 1)))))
     quench = P.QuenchConfig(P.named_state(state, L), n_periods=n_periods)
     p, idx = P.ModelParams(*couplings), sub.majorana_indices(lat)
-    frames, traces = [], []
+    traces = []
     with unittest.mock.patch.object(gaussian, "_RECORD_BYTES", budget):
         for workers in (1, 2):
-            frames.clear()
             try:
-                traces.append(gaussian.stroboscopic_run(p, lat, quench, sub, frames.append,
-                                                        workers))
+                traces.append(gaussian.stroboscopic_run(p, lat, quench, sub, workers=workers))
             except NumericalBreakdown as exc:
                 traces.append(exc)
     if isinstance(traces[0], Exception):  # the same breakdown on either pool
         assert [(type(t), str(t)) for t in traces] == [(type(traces[0]), str(traces[0]))] * 2
         return
+    frames = list(gaussian.period_frames(p, lat, quench))
     serial = [entanglement.entropy_from_majorana_block(
         gaussian.correlation_block(f, idx)).entropy for f in frames]
     for trace in traces:
@@ -350,12 +346,12 @@ def test_trace_is_the_serial_trace_for_any_worker_count_and_chunk(L, bc, state, 
 
 
 def _raise_from_a_failing_entropy(monkeypatch, workers, bad, stop, raised, held, stacked):
-    # period `bad`'s entropy fails and the observer raises after period
+    # period `bad`'s entropy fails and the frame source raises after period
     # `stop`: a serial run meets whichever comes first, and the entropy of
-    # a period before its observer.  The failure is injected where the
-    # stacked path takes its entropies, one call per chunk of periods, on
-    # the one-cell stack; the run holds the rows of `held` periods and
-    # stacks `stacked` of them into one call.
+    # a period before the source's next frame.  The failure is injected
+    # where the stacked path takes its entropies, one call per chunk of
+    # periods, on the one-cell stack; the run holds the rows of `held`
+    # periods and stacks `stacked` of them into one call.
     p = P.make_params(0.2, -0.1, 0.2, 0.1)
     lat = P.lattice(12, "obc")
     quench = P.QuenchConfig(P.named_state("neel-fermion", 12), n_periods=8)
@@ -369,17 +365,19 @@ def _raise_from_a_failing_entropy(monkeypatch, workers, bad, stop, raised, held,
             raise PurityViolation(f"period {bad}")
         return report
 
-    def observe(frame):
-        if frame.period_count == stop:
-            raise RuntimeError(f"observer at {stop}")
+    def source():
+        for frame in gaussian.period_frames(p, lat, quench):
+            yield frame
+            if frame.period_count == stop:
+                raise RuntimeError(f"source after {stop}")
 
     rows, block = 8 * 12 * 16, 8 * 8 * 16  # bytes a period holds and stacks
     monkeypatch.setattr(entanglement, "entropy_from_majorana_block", failing)
     monkeypatch.setattr(gaussian, "_RECORD_BYTES", held * rows)
     monkeypatch.setattr(gaussian, "_STACK_BYTES", stacked * (rows + block))
     with pytest.raises(raised, match=f"period {bad}" if raised is PurityViolation
-                       else f"observer at {stop}"):
-        gaussian.stroboscopic_run(p, lat, quench, sub, observe, workers)
+                       else f"source after {stop}"):
+        gaussian.entropy_trace(source(), sub, lat, workers)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -753,10 +751,9 @@ def test_one_cell_direct_frame_takes_one_schur(monkeypatch, couplings, L, bc, ro
 # --------------------------------------------------------------------------
 
 def _momentum_and_dense(p, lat, quench, subsystem):
-    """stroboscopic_run with the frames it observed, and the dense frames."""
-    frames = []
-    trace = gaussian.stroboscopic_run(p, lat, quench, subsystem, frames.append)
-    return trace, frames, _dense_frames(p, lat, quench)
+    """stroboscopic_run, the frames of its loop, and the dense frames."""
+    trace = gaussian.stroboscopic_run(p, lat, quench, subsystem)
+    return trace, list(gaussian.period_frames(p, lat, quench)), _dense_frames(p, lat, quench)
 
 
 def _assert_trace_matches_dense(trace, frames, dense, idx):
@@ -850,8 +847,7 @@ def test_momentum_route_taken_only_without_self_paired_momenta(L, bc, pattern):
     lat = P.lattice(L, bc)
     state = P.ProductState("z", pattern) if pattern else P.named_state("neel-fermion", L)
     quench = P.QuenchConfig(state, n_periods=20)
-    frames = []
-    gaussian.run_to_steady_state(p, lat, quench, frames.append)
+    frames = list(gaussian.period_frames(p, lat, quench))
     dense = _dense_frames(p, lat, quench)
     assert {f.route for f in frames} == {"loop"}
     assert np.array_equal(frames[-1].phi, dense[-1].phi)
@@ -868,7 +864,7 @@ def test_momentum_route_raises_on_rank_loss():
         gaussian.orthonormalize(fq @ frame.blocks, partner=frame.partner)
     quench = P.QuenchConfig(P.named_state("neel-fermion", 8), n_periods=10)
     with pytest.raises(DegenerateEvolution):
-        gaussian.run_to_steady_state(p, lat, quench, lambda frame: None)
+        list(gaussian.period_frames(p, lat, quench))
 
 
 # --------------------------------------------------------------------------
@@ -1067,11 +1063,9 @@ def test_momentum_chain_takes_no_dense_schur(monkeypatch):
 
 def _assert_momentum_fallback(p, lat, quench):
     """No direct frame: the fallback is the momentum loop itself, bit for
-    bit the observed run's."""
+    bit the last of ``period_frames``."""
     direct = gaussian.run_to_steady_state(p, lat, quench)
-    frames = []
-    gaussian.run_to_steady_state(p, lat, quench, frames.append)
-    loop = frames[-1]
+    *_, loop = gaussian.period_frames(p, lat, quench)
     assert direct.route == loop.route == "momentum"
     assert np.array_equal(direct.blocks, loop.blocks)
     assert (direct.norm_log, direct.isotropy, direct.period_count) == \
@@ -1092,9 +1086,8 @@ def test_momentum_chains_take_the_pivot_frame(monkeypatch, couplings, L, n_perio
     monkeypatch.setattr(gaussian, "_dominant_frame", _no_dense_schur)
     p, lat = P.make_params(*couplings), P.lattice(L, "pbc-even")
     quench = P.QuenchConfig(P.named_state("neel-fermion", L), n_periods=n_periods)
-    direct, frames = gaussian.run_to_steady_state(p, lat, quench), []
-    gaussian.run_to_steady_state(p, lat, quench, frames.append)
-    loop = frames[-1]
+    direct = gaussian.run_to_steady_state(p, lat, quench)
+    *_, loop = gaussian.period_frames(p, lat, quench)
     assert (direct.route, loop.route) == ("schur", "momentum")
     c_direct, c_loop = (gaussian.correlation_from_frame(f).c for f in (direct, loop))
     assert np.max(np.abs(c_direct - c_loop)) <= 1e-12
@@ -1138,9 +1131,8 @@ def test_pivot_frame_equals_the_momentum_loop(cells, state, couplings, n_periods
     L = 4 * cells
     p, lat = P.ModelParams(alpha_j, beta_j, alpha_h, beta_h), P.lattice(L, "pbc-even")
     quench = P.QuenchConfig(P.named_state(state, L), n_periods=n_periods)
-    direct, frames = gaussian.run_to_steady_state(p, lat, quench), []
-    gaussian.run_to_steady_state(p, lat, quench, frames.append)
-    loop = frames[-1]
+    direct = gaussian.run_to_steady_state(p, lat, quench)
+    *_, loop = gaussian.period_frames(p, lat, quench)
     # no misses: a finite t whose (LAPACK) eigenvectors pass the kappa gate
     # goes direct
     t = gaussian._bloch_stack(p, direct.momenta)[0].period(-1.0)
@@ -1234,7 +1226,7 @@ def test_closed_form_qr_of_a_zero_column_raises_on_rank_loss():
 
 
 def test_momentum_stacks_call_neither_lapack_qr_nor_expm(monkeypatch):
-    # at an area-law point the L = 40 pbc-even Neel loop (observed), its
+    # at an area-law point the L = 40 pbc-even Neel loop (period_frames), its
     # direct frame, the per-period trace and the continuous flow step on
     # closed forms alone; the one-cell stack (obc) keeps LAPACK's QR and expm
     calls = []
@@ -1246,8 +1238,8 @@ def test_momentum_stacks_call_neither_lapack_qr_nor_expm(monkeypatch):
     for bc in ("pbc-even", "obc"):
         lat = P.lattice(40, bc)
         quench = P.QuenchConfig(neel, n_periods=30)
-        frames = [gaussian.run_to_steady_state(p, lat, quench, lambda f: None),
-                  gaussian.run_to_steady_state(p, lat, quench)]
+        *_, loop = gaussian.period_frames(p, lat, quench)
+        frames = [loop, gaussian.run_to_steady_state(p, lat, quench)]
         gaussian.stroboscopic_run(p, lat, quench, P.SubsystemSpec(1, 10))
         frames += gaussian.evolve_continuous(p, lat, neel, [0.5, 1.0])
         if bc == "pbc-even":
@@ -1280,7 +1272,7 @@ def test_correlation_block_is_the_restricted_dense_formula(idx, route):
         frame = gaussian.GaussianFrame(blocks, frame.momenta, frame.partner)
         assert frame.momenta[0] == 0.0 and frame.orthonormality_defect() < 1e-12
     else:
-        frame = gaussian.run_to_steady_state(p, lat, quench, lambda f: None)
+        *_, frame = gaussian.period_frames(p, lat, quench)
         assert (frame.route, len(frame.blocks)) == ("momentum", L // 2)
         idx = [i * L // 8 for i in idx]
     sub = frame.phi[idx]
@@ -1329,7 +1321,7 @@ def test_strided_block_and_real_gates_equal_the_gather_and_cprime_path(cells, co
     L = 4 * cells
     lat = P.lattice(L, "pbc-even")
     quench = P.QuenchConfig(P.named_state("neel-fermion", L), n_periods=n_periods)
-    frame = gaussian.run_to_steady_state(P.ModelParams(*couplings), lat, quench, lambda f: None)
+    *_, frame = gaussian.period_frames(P.ModelParams(*couplings), lat, quench)
     assert frame.route == "momentum"
     if kind == "odd-length":
         start = data.draw(st.integers(1, L - 1))
@@ -1589,9 +1581,9 @@ def test_momentum_chain_builds_no_chain_kicks(monkeypatch):
     monkeypatch.setattr(gaussian, "build_kick_forms", spy)
     p, lat = P.make_params(0.2, -0.1, 0.2, 0.1), P.lattice(40, "pbc-even")
     neel = P.named_state("neel-fermion", 40)
-    quench, frames = P.QuenchConfig(neel, n_periods=50), []
+    quench = P.QuenchConfig(neel, n_periods=50)
     f = gaussian.run_to_steady_state(p, lat, quench)
-    gaussian.run_to_steady_state(p, lat, quench, frames.append)
+    frames = list(gaussian.period_frames(p, lat, quench))
     c = gaussian.evolve_continuous(p, lat, neel, [0.5, 1.0])
     assert (f.route, frames[-1].route, len(f.blocks), len(c[-1].blocks), len(calls)) == \
         ("schur", "momentum", 20, 20, 0)

@@ -445,9 +445,9 @@ def test_cli_tee_rejects_k_field(tmp_path, K, rc, workers):
 
 
 @pytest.mark.parametrize("grid, rc, message", [
-    ("tee_sizes = 8,12\ntee_beta_j = -0.4,500,2\n", 3, "|Im| = 785.4 "),
-    ("tee_sizes = 8,12\ntee_beta_j = -0.4,1000,3\n", 3, "|Im| = 785.1 "),
-    ("tee_sizes = 8,12\ntee_beta_j = 500,1000,2\n", 3, "|Im| = 785.4 "),
+    ("tee_sizes = 8,12,16\ntee_beta_j = -0.4,500,2\n", 3, "|Im| = 785.4 "),
+    ("tee_sizes = 8,12,16\ntee_beta_j = -0.4,1000,3\n", 3, "|Im| = 785.1 "),
+    ("tee_sizes = 8,12,16\ntee_beta_j = 500,1000,2\n", 3, "|Im| = 785.4 "),
     ("tee_sizes = 8,3,12\ntee_beta_j = -0.4,-0.2,1\n", 2, "3 sites cannot be quartered"),
 ], ids=["breakdown-in-worker", "breakdown-in-worker-first", "breakdown-here",
         "validation-in-worker"])
@@ -701,13 +701,19 @@ def test_periodic_census_counts_exactly_the_real_rows(tmp_path, alpha, beta_h, d
     (["tee"], "tee_beta_j = -0.4,-0.2,0\n", "config line 4"),
     (["tee"], "tee_beta_j = -0.4,-0.2,-1\n", "config line 4"),
     (["scaling"], "scaling_sizes = 20,x\n", "config line 4"),
+    # grids the fit or the collapse would reject after every point ran
+    (["tee"], "tee_sizes = 16,24\n", "collapse needs at least 3 system sizes"),
+    (["scaling"], "scaling_sizes = 20,25,30,40,50\n", "need at least 6 scaling points"),
+    (["scaling"], "scaling_ratio = 1\n", "every scaling point needs 0 < L_A < L"),
 ], ids=["axis-fields", "axis-count", "axis-name", "tee-sizes", "tee-sizes-repeated", "tee-beta-j",
-        "tee-beta-j-zero", "tee-beta-j-negative", "scaling-sizes"])
+        "tee-beta-j-zero", "tee-beta-j-negative", "scaling-sizes", "tee-two-sizes",
+        "scaling-five-sizes", "scaling-ratio-one"])
 def test_cli_malformed_list_inputs_exit_2(tmp_path, capsys, argv, cfg, message):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("alpha = 0.2\nbeta_h = -0.3\nn_periods = 10\n" + cfg)
     assert cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path), *argv]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()  # rejected before any point ran
 
 
 def _readme_commands():
@@ -795,6 +801,7 @@ def test_cli_evolve_dump_rejects_k_field(tmp_path):
         rc = cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path),
                        "evolve", *extra])
         assert rc == 2
+        assert not (tmp_path / "manifest.json").exists()  # written only by a complete run
 
 
 def test_cli_evolve_csv_same_with_and_without_dump(tmp_path):
@@ -826,11 +833,15 @@ def test_cli_evolve_dump_on_the_momentum_route_matches_the_dense_loop(tmp_path):
                    "evolve", "--dump-correlations", str(dump)])
     assert rc == 0
     params, lat, quench = P.model_from_config(P.parse_config(text))
-    assert gaussian.run_to_steady_state(params, lat, quench, lambda f: None).route == "momentum"
+    assert next(gaussian.period_frames(params, lat, quench)).route == "momentum"
     kicks = spectral.build_kick_forms(params, lat)
     frame = gaussian.initial_frame(quench, lat)
     files = json.loads((dump / "correlations.json").read_text())["files"]
     assert len(files) == 6
+    # the manifest hashes the sidecar and the CSV, not the dumps
+    outputs = json.loads((tmp_path / "manifest.json").read_text())["outputs"]
+    assert outputs == {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                       for p in (dump / "correlations.json", tmp_path / "evolve.csv")}
     for name in files:
         frame = gaussian.period_map(frame, kicks)
         c = np.fromfile(dump / name, dtype="<c16").reshape(32, 32)
@@ -849,11 +860,20 @@ def test_cli_evolve_at_the_strobe_benchmark_size(tmp_path):
     cfgfile.write_text(text)
     assert cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path), "evolve"]) == 0
     rows = read_rows(tmp_path / "evolve.csv")
+    # the manifest of a one-point evolve sweep, on the pool its entropies may use
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["points"] == [{"index": 0, "status": "ok"}]
+    assert (manifest["spec"]["task"], manifest["spec"]["points"]) == ("evolve", [{}])
+    assert manifest["spec"]["fixed"] == {**sweep.DEFAULTS["evolve"], **P.parse_config(text)}
+    assert manifest["seed"] is None
+    assert manifest["parallel"]["pool_workers"] == sweep.pool_size(sweep.default_workers(), 5)
+    assert manifest["outputs"] == {
+        "evolve.csv": hashlib.sha256((tmp_path / "evolve.csv").read_bytes()).hexdigest()}
     s, pur = (np.array([float(r[c]) for r in rows]) for c in ("S_A", "purity_residual"))
     assert len(s) == 5 and np.all(np.isfinite(s))
     assert s.min() >= 0 and s.max() <= 100 * np.log(2) and pur.max() < 1e-8
     params, lat, quench = P.model_from_config(P.parse_config(text))
-    frame = gaussian.run_to_steady_state(params, lat, quench, lambda f: None)
+    *_, frame = gaussian.period_frames(params, lat, quench)
     idx = P.SubsystemSpec(1, 100).majorana_indices(lat)
     ref = E.entropy_from_majorana_block(
         gaussian.correlation_from_frame(frame).c[np.ix_(idx, idx)]).entropy
@@ -881,9 +901,10 @@ def test_cli_scaling_ratio_from_config(tmp_path):
     assert len(rows) == 6
 
 
-@pytest.mark.parametrize("ratio", [0, -3])
+@pytest.mark.parametrize("ratio", [0, -3, 1])
 def test_cli_scaling_ratio_below_one_rejected(tmp_path, monkeypatch, ratio):
-    # bad input (exit 2), caught before any evolution runs
+    # bad input (exit 2), caught before any evolution runs; ratio 1 gives
+    # L_A = L, which the fit rejects
     def no_run(*args, **kwargs):
         raise AssertionError("evolution ran")
 
@@ -893,6 +914,7 @@ def test_cli_scaling_ratio_below_one_rejected(tmp_path, monkeypatch, ratio):
     rc = cli.main(["--config", str(cfgfile), "--out-dir", str(tmp_path), "scaling"])
     assert rc == 2
     assert not (tmp_path / "scaling.csv").exists()
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_cli_scaling_needs_no_L(tmp_path):
