@@ -23,8 +23,6 @@ from .errors import CapacityError, ValidationError
 from .params import LatticeSpec, ModelParams, ProductState, QuenchConfig
 
 MAX_SITES = 14
-_STEADY_RTOL = 1e-6  # quench_experiment: relative repeat tolerance of the Sx vector
-_STEADY_RUNS = 10    # quench_experiment: consecutive repeats that mark the steady state
 
 
 def _check_size(L: int):
@@ -143,7 +141,6 @@ class ObservableTrace:
     sx: np.ndarray              # (n_periods, L)
     sx_edge_corr: np.ndarray    # (n_periods,)
     ghz: np.ndarray             # (n_periods,)
-    first_steady: int | None = None
 
     @property
     def n_periods(self) -> int:
@@ -152,33 +149,15 @@ class ObservableTrace:
 
 def quench_experiment(params: ModelParams, lat: LatticeSpec,
                       quench: QuenchConfig) -> ObservableTrace:
-    """Per-period spin observables for the configured quench.
-
-    The steady-state detector records the first period after which the
-    observable vector repeats (period-1 or period-2) within ``_STEADY_RTOL``
-    for ``_STEADY_RUNS`` consecutive checks; evolution continues to
-    n_periods regardless.
-    """
+    """Per-period spin observables for the configured quench."""
     L = lat.L
     psi = product_state(quench.initial_state)
     sx = np.zeros((quench.n_periods, L))
     edge = np.zeros(quench.n_periods)
     ghz = np.zeros(quench.n_periods)
-    first_steady = None
-    run = 0
     for t in range(quench.n_periods):
         psi = apply_floquet_period(psi, params, lat, K=quench.K)
         sx[t] = sx_expectations(psi, L)
         edge[t] = sx_edge_correlation(psi, L)
         ghz[t] = ghz_overlap(psi)
-        if t >= 2:
-            scale = max(np.max(np.abs(sx[t])), 1e-9)
-            d1 = np.max(np.abs(sx[t] - sx[t - 1])) / scale
-            d2 = np.max(np.abs(sx[t] - sx[t - 2])) / scale
-            if min(d1, d2) < _STEADY_RTOL:
-                run += 1
-                if run >= _STEADY_RUNS and first_steady is None:
-                    first_steady = t + 1 - _STEADY_RUNS
-            else:
-                run = 0
-    return ObservableTrace(sx, edge, ghz, first_steady)
+    return ObservableTrace(sx, edge, ghz)

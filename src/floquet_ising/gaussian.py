@@ -715,13 +715,14 @@ def entropy_trace(frames: Iterable[GaussianFrame], subsystem: SubsystemSpec,
     plan, held, ents, norms, purs = None, [], [], [], []
 
     def flush():
-        if held:
-            per_chunk = max(1, _STACK_BYTES // (held[0].nbytes + 16 * len(idx) ** 2))
+        nonlocal held
+        rows, held = held, []  # off the list first: a failing entropy leaves none held
+        if rows:
+            per_chunk = max(1, _STACK_BYTES // (rows[0].nbytes + 16 * len(idx) ** 2))
             ents.extend(s for part in sweep.map_points(
                 lambda i: entanglement.entropy_from_majorana_block(
-                    plan[1](np.stack(held[i:i + per_chunk]))).entropy,
-                range(0, len(held), per_chunk), workers) for s in part)
-            held.clear()
+                    plan[1](np.stack(rows[i:i + per_chunk]))).entropy,
+                range(0, len(rows), per_chunk), workers) for s in part)
 
     try:
         for frame in frames:

@@ -37,14 +37,16 @@ Conventions
   argument principle counts B_+'s eigenvalues in each disc from det of the
   tridiagonal pencil K2_+ - z K1_+^-1, a closed-form 2 x 2 transfer-matrix
   power per contour point, and Rayleigh-quotient iteration on the band of
-  B_+ locates a disc's one eigenvalue.  Anything else falls back to the dense
-  eigenvalues, and the report records why.
+  B_+ gives a disc's one eigenvalue with its eigenvector.  Anything else
+  falls back to the dense eigenvalues, each refined with its vector by the
+  same iteration, and the report records why.  A record's decay length is
+  the closed form of its kind (``_decay_lengths``), not a fit.
 * What the scan and the census need of the chain length alone is built
   once per length and shared read-only (``_band_plan``, ``_chain_plan``,
   ``_census_momenta``): the probe columns and scatter indices of the
   sector bands, the sector phases, the chiral signs, the start vector of
-  inverse iteration and the census momenta.  No disc constant is kept
-  there; each is read at call time.
+  the Rayleigh-quotient iteration and the census momenta.  No disc
+  constant is kept there; each is read at call time.
 """
 
 from __future__ import annotations
@@ -248,7 +250,7 @@ class TransferMatrix:
     on first read; ``eigenvalues`` (the L eigenvalues mu of ``b_plus`` and
     then their inverses, see ``build_transfer_matrix``) are computed on
     first read too.  Eigenvectors are computed only for the edge scan's
-    candidates (``_candidate_vectors``).
+    candidates (``_rayleigh_pair``).
     """
 
     band: np.ndarray
@@ -287,7 +289,7 @@ class _ChainPlan(NamedTuple):
 
     phase: np.ndarray   # i(-1)^m, m < L: the mirror-row entries of the sector basis
     chiral: np.ndarray  # (-1)^m, m < 2L, a column: the chiral sign Gamma
-    start: np.ndarray   # e^{im}, m < L: the start vector of inverse iteration
+    start: np.ndarray   # e^{im}, m < L: the start vector of the Rayleigh-quotient iteration
 
 
 @lru_cache(maxsize=64)
@@ -397,7 +399,7 @@ def build_transfer_matrix(params: ModelParams, lat: LatticeSpec) -> TransferMatr
     eigenvalue 1/mu.  Nothing is diagonalized here: the spectrum is one
     L x L eigvals of the dense ``b_plus`` on first read of ``eigenvalues``,
     and the edge scan solves on the band for the few eigenvectors it reads
-    (``_candidate_vectors``).  An overflowing kick raises
+    (``_rayleigh_pair``).  An overflowing kick raises
     NumericalBreakdown (``MajoranaQuadraticForm``).
     """
     kicks = build_kick_forms(params, lat)
@@ -642,23 +644,6 @@ def _site_weights(vec: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=0)
 
 
-def _localization_length(weights: np.ndarray) -> float:
-    """Decay length (sites) from the least-squares slope of log weight
-    over the outer quarter, sum (x - xbar) y / sum (x - xbar)^2."""
-    L = len(weights)
-    n = max(3, L // 4)
-    if weights[:n].sum() >= weights[-n:].sum():
-        tail = weights[:n]
-    else:
-        tail = weights[-n:][::-1]
-    y = np.log(np.maximum(tail, 1e-300))
-    x = np.arange(n) - (n - 1) / 2.0
-    slope = x @ y / (x @ x)
-    if slope >= 0:
-        return float("inf")
-    return float(-2.0 / slope)  # weights are |psi|^2
-
-
 def _require_edge_lattice(lat: LatticeSpec) -> None:
     if lat.bc.periodic:
         raise ValidationError("edge modes are defined for open chains")
@@ -705,34 +690,14 @@ def _solve_shifted(band: np.ndarray, shift: complex, x: np.ndarray) -> np.ndarra
     return y
 
 
-def _candidate_vectors(tm: TransferMatrix, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit right eigenvectors of the sector eigenvalues mu, then of 1/mu,
-    and the eigenvalue condition kappa = 1/|l^H r| of each pair.
-
-    Two steps of inverse iteration on the pentadiagonal B_+ - mu
-    (``_solve_shifted``), shifted off mu by ``tm.tol`` so that no pivot
-    cancels to zero; a residual ||B_+ x - mu x|| above 64 tol raises
-    NumericalBreakdown.  l of mu is conj(r) of 1/mu, so kappa = 1/|v_-^T v_+|.
-    """
-    band, tol = tm.band, tm.tol
-    L = band.shape[1]
-    c = np.empty((L, len(mu)), dtype=complex)
-    try:
-        for col, shift in enumerate(mu + tol):
-            x = _chain_plan(L).start  # read-only: zgbsv solves into a copy
-            for _ in range(2):
-                x = _solve_shifted(band, shift, x)
-                x /= np.linalg.norm(x)
-            c[:, col] = x
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdown(f"inverse iteration failed: {exc}") from exc
-    residual = np.linalg.norm(_band_matvec(band, c) - c * mu, axis=0)
-    if not np.all(residual <= 64 * tol):
-        raise NumericalBreakdown(f"edge candidate residual {np.max(residual):.1e} "
-                                 f"above its gate {64 * tol:.1e}")
+def _candidate_vectors(tm: TransferMatrix, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit right eigenvectors of M for the unit eigenvectors c (L x k) of
+    B_+, those of mu and then of 1/mu (``_sector_vectors``), and the
+    eigenvalue condition kappa = 1/|l^H r| of each pair: l of mu is conj(r)
+    of 1/mu, so kappa = 1/|v_-^T v_+|."""
     v = _sector_vectors(tm.kicks.field_form, c)
     with np.errstate(divide="ignore"):
-        kappa = 1.0 / np.abs(np.sum(v[:, :len(mu)] * v[:, len(mu):], axis=0))
+        kappa = 1.0 / np.abs(np.sum(v[:, :c.shape[1]] * v[:, c.shape[1]:], axis=0))
     return v, kappa
 
 
@@ -803,53 +768,82 @@ def _disc_count(tm: TransferMatrix, z0: float) -> int:
         theta, phase = theta[order], phase[order]
 
 
-def _disc_eigenvalue(band: np.ndarray, tol: float, z0: float) -> complex:
-    """The one eigenvalue of B_+ in the disc around z0: Rayleigh-quotient
-    iteration from z0 on the band (``_solve_shifted``) until the residual
-    ||B_+ x - mu x|| is within tol.  A quotient outside the disc is not
-    kept (the shift stays, a step of inverse iteration); no converged mu
-    within ``_RQI_STEPS`` steps is the "iteration" fallback."""
-    mu, x = complex(z0), _chain_plan(band.shape[1]).start
+def _rayleigh_pair(band: np.ndarray, tol: float, centre: complex, offset: float,
+                   miss: Exception) -> tuple[complex, np.ndarray]:
+    """An eigenpair (mu, x) of B_+ near ``centre``, x a unit vector, by
+    Rayleigh-quotient iteration on the band from mu = ``centre`` and the
+    chain's start vector: each step solves with B_+ - mu - ``offset``
+    (``_solve_shifted``) and takes the quotient as mu, unless it lies
+    ``_DISC_RADIUS`` or more from ``centre`` (mu then stays: a step of
+    inverse iteration).  The pair is returned once its residual
+    ||B_+ x - mu x|| is within tol, the one check of an edge candidate; a
+    singular solve or no such pair within ``_RQI_STEPS`` steps raises ``miss``."""
+    mu, x = complex(centre), _chain_plan(band.shape[1]).start
     for _ in range(_RQI_STEPS):
         try:
-            x = _solve_shifted(band, mu, x)
+            x = _solve_shifted(band, mu + offset, x)
         except np.linalg.LinAlgError:
             break
         x /= np.linalg.norm(x)
         bx = _band_matvec(band, x)
         quotient = np.vdot(x, bx)
-        if abs(quotient - z0) < _DISC_RADIUS:
+        if abs(quotient - centre) < _DISC_RADIUS:
             mu = quotient
-            if np.linalg.norm(bx - mu * x) <= tol:
-                return mu
-    raise _DenseFallback("iteration")
+        if np.linalg.norm(bx - mu * x) <= tol:
+            return mu, x
+    raise miss
 
 
-def _window_eigenvalues(tm: TransferMatrix) -> np.ndarray:
-    """The eigenvalues of B_+ in the discs around +1 and -1, which hold the
-    edge window, without a dense solve: a disc count (``_disc_count``) of
-    0 gives none, of 1 one (``_disc_eigenvalue``), of more the
-    "disc-count" fallback."""
-    found = []
+def _window_centres(tm: TransferMatrix):
+    """Each centre z0 = +1, -1 whose disc |z - z0| < ``_DISC_RADIUS`` (the
+    two hold the edge window) holds one eigenvalue of B_+, by its count
+    (``_disc_count``), taken as the centre is reached; a count of 2 or more
+    is the "disc-count" fallback."""
     for z0 in (1.0, -1.0):
         count = _disc_count(tm, z0)
         if count not in (0, 1):
             raise _DenseFallback("disc-count")
         if count:
-            found.append(_disc_eigenvalue(tm.band, tm.tol, z0))
-    return np.array(found, dtype=complex)
+            yield z0
 
 
-def _edge_candidates(tm: TransferMatrix) -> tuple[np.ndarray, str | None]:
-    """The sector eigenvalues mu with mu or 1/mu in the edge window and the
-    reason for a fallback: from the discs (``_window_eigenvalues``) and
-    None, else, where those fall back, from the dense ``eigenvalues``."""
+def _in_window(mu: np.ndarray) -> np.ndarray:
+    """Whether mu or 1/mu of each sector eigenvalue is in the edge window."""
+    kinds = _edge_kinds(quasienergies_from_eigenvalues(_pairs(mu)))
+    return (kinds != "").reshape(2, -1).any(axis=0)
+
+
+def _edge_candidates(tm: TransferMatrix) -> tuple[np.ndarray, np.ndarray, str | None]:
+    """The sector eigenpairs (mu, unit columns c, by ``_rayleigh_pair``) with
+    mu or 1/mu in the edge window, and the reason for a fallback: None where
+    the discs that hold one eigenvalue give them (a miss there is the
+    "iteration" fallback), else from the dense ``eigenvalues`` in the window,
+    every solve off its mu by tol, since a dense mu and the quotients after
+    it can be eigenvalues to the last bit (a miss raises NumericalBreakdown)."""
     try:
-        mu, fallback = _window_eigenvalues(tm), None
+        pairs = [_rayleigh_pair(tm.band, tm.tol, z0, 0.0, _DenseFallback("iteration"))
+                 for z0 in _window_centres(tm)]
+        fallback = None
     except _DenseFallback as exc:
         mu, fallback = tm.eigenvalues[:tm.n // 2], str(exc)
-    kinds = _edge_kinds(quasienergies_from_eigenvalues(_pairs(mu)))
-    return mu[(kinds != "").reshape(2, -1).any(axis=0)], fallback
+        miss = NumericalBreakdown(f"no eigenpair within {_RQI_STEPS} Rayleigh-quotient "
+                                  "steps of a dense eigenvalue")
+        pairs = [_rayleigh_pair(tm.band, tm.tol, m, tm.tol, miss) for m in mu[_in_window(mu)]]
+    mu = np.array([m for m, _ in pairs], dtype=complex)
+    c = np.array([x for _, x in pairs], dtype=complex).reshape(-1, tm.n // 2).T
+    keep = _in_window(mu)
+    return mu[keep], c[:, keep], fallback
+
+
+def _decay_lengths(params: ModelParams) -> dict[str, float]:
+    """Decay length xi = -1/ln r (sites) of a zero and of a pi edge mode in
+    closed form, r the ratio per site of the semi-infinite chain's mode
+    amplitude: r_0 = |tan h / tan J|, r_pi = 1/|tan J tan h|; inf where
+    r >= 1, where no mode decays."""
+    tan_j, tan_h = abs(cmath.tan(params.J)), abs(cmath.tan(params.h))
+    with np.errstate(all="ignore"):  # a tan of 0 or inf: r = 0 or inf
+        r = np.divide([tan_h, 1.0], [tan_j, tan_j * tan_h])
+        return dict(zip(("zero", "pi"), np.where(r < 1, -1.0 / np.log(r), np.inf).tolist()))
 
 
 def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
@@ -865,33 +859,37 @@ def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
     B_+ = K1_+ K2_+ with both sector kicks tridiagonal, so det(B_+ - z) is
     det K1_+ det(K2_+ - z K1_+^-1), and the constant first factor drops
     out of every phase step: the pencil's determinant is a closed form,
-    O(1) per contour point.  A count of 1 is located by Rayleigh-quotient
-    iteration from z0 on the band of B_+.  A disc count of 2 or more, a
-    contour unresolved at the point cap, a zero or non-finite determinant
-    or an iteration that does not converge inside its disc fall back to
-    the dense eigenvalues of B_+, the reason in ``fallback``.
-    An overflowing kick raises NumericalBreakdown before any of this
-    (``MajoranaQuadraticForm``).
+    O(1) per contour point.  A count of 1 is located, with its
+    eigenvector, by Rayleigh-quotient iteration from z0 on the band of B_+
+    (``_rayleigh_pair``), whose residual test is the candidate's one check.
+    A disc count of 2 or more, a contour unresolved at the point cap, a
+    zero or non-finite determinant or an iteration that does not converge
+    inside its disc fall back to the dense eigenvalues of B_+, the reason
+    in ``fallback``; each dense candidate is refined with its vector by the
+    same iteration, and one that does not converge raises
+    NumericalBreakdown.  An overflowing kick raises NumericalBreakdown
+    before any of this (``MajoranaQuadraticForm``).
 
-    Only candidates get eigenvectors (``_candidate_vectors``).  One with
-    more than half its weight on the outer ``_EDGE_FRACTION`` of sites is
-    an edge mode.  With ``refine``, an edge pair's energies are split in
-    extended precision (``_refine_pair``).  A candidate with eigenvalue
-    condition kappa >= ``_COND_CUTOFF`` (an exceptional point in the edge
-    window; the constant, like those of the discs, is read at call time)
-    or a failed residual gate raises NumericalBreakdown, with the worst
-    kappa as ``condition``; bulk eigenvalues are not judged.  Near alpha =
-    pi/4 the edge modes delocalize at finite size; an empty scan there
-    raises no error but sets ``delocalization_warning``.  The report's
+    Only candidates get eigenvectors.  One with more than half its weight
+    on the outer ``_EDGE_FRACTION`` of sites is an edge mode; its
+    ``localization_length`` is the closed-form decay length of its kind
+    (``_decay_lengths``).  With ``refine``, an edge pair's energies are
+    split in extended precision (``_refine_pair``).  A candidate with
+    eigenvalue condition kappa >= ``_COND_CUTOFF`` (an exceptional point
+    in the edge window; the constant, like those of the discs, is read at
+    call time) raises NumericalBreakdown, with the worst kappa as
+    ``condition``; bulk eigenvalues are not judged.  Near alpha = pi/4 the
+    edge modes delocalize at finite size; an empty scan there raises no
+    error but sets ``delocalization_warning``.  The report's
     ``quasienergies`` are computed densely if read.
     """
     _require_edge_lattice(lat)
     tm = build_transfer_matrix(params, lat)
-    mu, fallback = _edge_candidates(tm)
+    mu, c, fallback = _edge_candidates(tm)
     pairs = _pairs(mu)
     eps = quasienergies_from_eigenvalues(pairs)
     kinds = _edge_kinds(eps)
-    vecs, kappa = _candidate_vectors(tm, mu)
+    vecs, kappa = _candidate_vectors(tm, c)
     if np.any(kappa >= _COND_CUTOFF):
         raise NumericalBreakdown("ill-conditioned edge candidate: exceptional point "
                                  "in the edge window", condition=float(kappa.max()))
@@ -899,7 +897,7 @@ def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
     ne = max(1, int(_EDGE_FRACTION * (tm.n // 2)))
     lw, rw = weights[:ne].sum(axis=0), weights[-ne:].sum(axis=0)
 
-    records = []
+    records, xi = [], _decay_lengths(params)
     for kind in ("zero", "pi"):
         sel = np.flatnonzero((kinds == kind) & (lw + rw > 0.5))
         energies = eps[sel]
@@ -909,8 +907,7 @@ def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
                 tm, pairs[sel], vecs[:, sel], left[:, sel]))
             # keep the refined value closest to each raw one
             energies = eref[np.abs(eref[:, None] - energies[None, :]).argmin(axis=0)]
-        records += [EdgeModeRecord(kind, complex(e), _localization_length(weights[:, k]),
-                                   float(lw[k]), float(rw[k]))
+        records += [EdgeModeRecord(kind, complex(e), xi[kind], float(lw[k]), float(rw[k]))
                     for e, k in zip(energies, sel)]
 
     a = (params.alpha_J % (np.pi / 2.0))

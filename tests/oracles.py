@@ -1,8 +1,9 @@
 """Brute-force references that the tests check the package against.
 
-The dense Majorana correlation matrix of a spin state, and the invariants
+The dense Majorana correlation matrix of a spin state, the invariants
 and bond expectations of a Majorana correlation matrix C (the array held
-by ``gaussian.CorrelationMatrix``).  Nothing in the package calls them.
+by ``gaussian.CorrelationMatrix``), and the decay length of an edge mode's
+site weights by a tail fit.  Nothing in the package calls them.
 """
 
 import numpy as np
@@ -63,3 +64,16 @@ def xx_expectations(c: np.ndarray, lat: LatticeSpec) -> np.ndarray:
     if lat.bc.periodic:
         vals.append((lat.bc.wrap_sign * 1j * c[2 * L - 1, 0]).real)
     return np.array(vals)
+
+
+def decay_length_fit(weights: np.ndarray) -> float:
+    """Decay length (sites, of the amplitude) of an edge mode from its site
+    weights |psi|^2: -2 over the least-squares slope of log weight over the
+    outer quarter of the heavier end, on the weights above 1e-20 of the
+    largest only, since those below are rounding; inf where the tail
+    does not decay."""
+    n = max(3, len(weights) // 4)
+    tail = weights[:n] if weights[:n].sum() >= weights[-n:].sum() else weights[-n:][::-1]
+    site = np.flatnonzero(tail > 1e-20 * weights.max())
+    slope = np.polyfit(site, np.log(tail[site]), 1)[0]
+    return float(-2.0 / slope) if slope < 0 else float("inf")

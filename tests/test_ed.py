@@ -133,7 +133,7 @@ def test_k_field_breaks_z2():
     assert not np.allclose(np.abs(a), np.abs(b), atol=1e-6)
 
 
-def test_quench_experiment_trace_and_steady_detector():
+def test_quench_experiment_trace():
     p = P.make_params(0.5, -0.5, 0.5, 1.5)  # trivial phase: fast collapse
     lat = P.lattice(8, "obc")
     quench = P.QuenchConfig(P.named_state("random-x", 8, seed=1), n_periods=60)
@@ -142,7 +142,6 @@ def test_quench_experiment_trace_and_steady_detector():
     assert np.max(np.abs(trace.sx[9])) < 0.05
     assert np.all(np.abs(trace.sx) <= 0.5 + 1e-9)
     assert np.all(np.abs(trace.sx_edge_corr) <= 0.25 + 1e-9)
-    assert trace.first_steady is not None
 
 
 def test_zero_pi_phase_edge_bulk_distinction():

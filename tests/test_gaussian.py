@@ -398,6 +398,30 @@ def test_trace_raises_a_failing_entropy_from_mid_chunk(monkeypatch, workers, bad
     _raise_from_a_failing_entropy(monkeypatch, workers, bad, stop, raised, 8, 3)
 
 
+def test_trace_takes_each_entropy_once_when_one_fails(monkeypatch):
+    # four periods held, one per entropy call, the second call failing:
+    # the failure leaves no rows held, so the source's frames are not
+    # evaluated again on the way out, and two calls are made, not six
+    p = P.make_params(0.2, -0.1, 0.2, 0.1)
+    lat = P.lattice(12, "obc")
+    quench = P.QuenchConfig(P.named_state("neel-fermion", 12), n_periods=8)
+    calls, entropy = [], entanglement.entropy_from_majorana_block
+
+    def failing(blocks):
+        calls.append(len(blocks))
+        if len(calls) == 2:
+            raise PurityViolation("second call")
+        return entropy(blocks)
+
+    rows, block = 8 * 12 * 16, 8 * 8 * 16  # bytes a period holds and stacks
+    monkeypatch.setattr(entanglement, "entropy_from_majorana_block", failing)
+    monkeypatch.setattr(gaussian, "_RECORD_BYTES", 4 * rows)
+    monkeypatch.setattr(gaussian, "_STACK_BYTES", rows + block)
+    with pytest.raises(PurityViolation, match="second call"):
+        gaussian.entropy_trace(gaussian.period_frames(p, lat, quench), P.SubsystemSpec(1, 4), lat)
+    assert calls == [1, 1]
+
+
 def _dense_frames(p, lat, quench):
     """Every frame of the dense reference: period_map looped over the kick
     forms from the initial frame."""

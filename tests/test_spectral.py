@@ -1,4 +1,5 @@
 import cmath
+import sys
 import warnings
 from unittest import mock
 
@@ -12,6 +13,7 @@ from floquet_ising import params as P
 from floquet_ising import spectral as S
 from floquet_ising import sweep
 from floquet_ising.errors import MetricPoleError, NumericalBreakdown, ValidationError
+from oracles import decay_length_fit
 
 RNG = np.random.default_rng(42)
 
@@ -623,17 +625,44 @@ def test_refined_edge_pair_has_no_cancellation_floor():
     assert max(abs(m.energy) for m in rep.edge_modes) <= 1e-12
 
 
-@given(st.integers(8, 400), st.floats(0.01, 5.0), st.integers(0, 2**32 - 1), st.booleans())
-def test_localization_length_is_the_polyfit_slope(L, decay, seed, mirrored):
-    # a noisy exponential tail, heavier on the left (or, mirrored, on the
-    # right): the closed-form slope over the outer quarter is polyfit's
-    noise = 0.4 * decay * np.random.default_rng(seed).uniform(-1.0, 1.0, L)
-    weights = np.exp(-decay * np.arange(L) + noise)
-    weights /= weights.sum()
-    n = max(3, L // 4)
-    slope = np.polyfit(np.arange(n), np.log(np.maximum(weights[:n], 1e-300)), 1)[0]
-    length = S._localization_length(weights[::-1] if mirrored else weights)
-    assert length == pytest.approx(-2.0 / slope, rel=1e-12)
+def _edge_columns(p, lat):
+    """The scan's own candidate vectors: the site weights and the kind of
+    each column that ``detect_edge_modes`` makes an edge record of."""
+    tm = S.build_transfer_matrix(p, lat)
+    mu, c, _ = S._edge_candidates(tm)
+    weights = S._site_weights(S._candidate_vectors(tm, c)[0])
+    kinds = S._edge_kinds(S.quasienergies_from_eigenvalues(S._pairs(mu)))
+    ne = max(1, int(S._EDGE_FRACTION * lat.L))
+    edge = (kinds != "") & (weights[:ne].sum(axis=0) + weights[-ne:].sum(axis=0) > 0.5)
+    return weights[:, edge], kinds[edge]
+
+
+@given(st.integers(8, 160), st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
+       st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0))
+@example(144, 1.5 * np.pi / 4, -0.1 * np.pi / 4, 1.5 * np.pi / 4, 0.5 * np.pi / 4)  # 0pi
+@example(40, 0.3 * np.pi / 4, -np.pi / 4, 0.3 * np.pi / 4, 0.5 * np.pi / 4)
+@example(40, np.pi / 2, 0.0, 0.5, 0.2)  # |tan J| ~ 1e16: xi_0 ~ 0.03, a mode on one site
+def test_edge_records_decay_by_the_closed_form(L, aj, bj, ah, bh):
+    # each record's decay length is -1/ln r of its kind, r_0 = |tan h /
+    # tan J| and r_pi = 1/|tan J tan h| (inf where r >= 1); where that is
+    # 0.15 to L/12 sites it is the slope of the mode's own tail over the
+    # weights above the rounding floor, within 1e-3
+    p, lat = P.ModelParams(aj, bj, ah, bh), P.lattice(L, "obc")
+    try:
+        rep = S.detect_edge_modes(p, lat, refine=False)
+    except NumericalBreakdown:
+        return
+    tan_j, tan_h = abs(np.tan(p.J)), abs(np.tan(p.h))
+    with np.errstate(all="ignore"):
+        ratio = {"zero": np.divide(tan_h, tan_j), "pi": np.divide(1.0, tan_j * tan_h)}
+        xi = {k: -1.0 / np.log(r) if r < 1 else np.inf for k, r in ratio.items()}
+    for m in rep.edge_modes:
+        assert m.localization_length == pytest.approx(xi[m.kind], rel=1e-12, abs=1e-300)
+    weights, kinds = _edge_columns(p, lat)
+    assert sorted(kinds) == sorted(m.kind for m in rep.edge_modes)
+    for w, kind in zip(weights.T, kinds):
+        if 0.15 <= xi[kind] <= L / 12:
+            assert decay_length_fit(w) == pytest.approx(xi[kind], rel=1e-3)
 
 
 def test_edge_detection_requires_open_chain():
@@ -893,6 +922,21 @@ def test_classifier_agrees_with_parameter_labels():
             p = P.make_params(alpha, bj, alpha, 0.5)
             assert S.classify_phase(p, L=40) is P.phase_label_from_params(p), \
                 (alpha, bj)
+
+
+def test_few_isolated_real_modes_past_the_log_count_are_ambiguous():
+    # 6 of 160 real modes at L = 40: more than the isolated few of the
+    # log-law label and a density short of the volume law's 0.1, so the
+    # census calls it ambiguous where the couplings alone say volume law
+    p = P.make_params(1.9, -0.95, 1.9, 0.95)
+    assert S.count_real_modes(p, 40) == S.RealModeCensus(6, 160)
+    assert S.classify_phase(p, L=40) is P.PhaseLabel.AMBIGUOUS
+    assert P.phase_label_from_params(p) is P.PhaseLabel.CRITICAL_VOLUME
+    # its two neighbouring boundaries: 4 modes, and a density of 0.1
+    assert S.classify_phase_from_spectrum(None, S.RealModeCensus(4, 160)) \
+        is P.PhaseLabel.CRITICAL_LOG
+    assert S.classify_phase_from_spectrum(None, S.RealModeCensus(16, 160)) \
+        is P.PhaseLabel.CRITICAL_VOLUME
 
 
 def test_imaginary_couplings_eigenvalues_off_unit_circle():
@@ -1269,10 +1313,15 @@ def test_pencil_repeats_with_period_two_between_its_end_columns(L, aj, bj, ah, b
 @given(st.integers(8, 40), st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
        st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0))
 def test_candidate_vectors_match_the_dense_eig(L, aj, bj, ah, bh):
-    # inverse-iteration vectors of every sector eigenvalue, and their kappa,
-    # against the dense 2L x 2L eig wherever that eig determines them
+    # the Rayleigh-quotient vectors of every sector eigenvalue, the
+    # iteration run from each dense one as the dense fallback runs it, and
+    # their kappa, against the dense 2L x 2L eig wherever that eig
+    # determines them
     tm = S.build_transfer_matrix(P.ModelParams(aj, bj, ah, bh), P.lattice(L, "obc"))
-    v, kappa = S._candidate_vectors(tm, tm.eigenvalues[:L])
+    miss = NumericalBreakdown("no eigenpair")
+    c = np.column_stack([S._rayleigh_pair(tm.band, tm.tol, mu, tm.tol, miss)[1]
+                         for mu in tm.eigenvalues[:L]])
+    v, kappa = S._candidate_vectors(tm, c)
     m = _dense_m(tm)
     scale = np.linalg.norm(m, 2)
     assert np.allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-12)
@@ -1308,7 +1357,7 @@ def _dense_scan(p, lat, refine=False):
     """``detect_edge_modes`` on the dense eigenvalues of B_+: the discs
     fall back (reason "reference") before they count.  ``mock.patch`` and
     not the ``monkeypatch`` fixture, which hypothesis rejects under ``given``."""
-    with mock.patch.object(S, "_window_eigenvalues",
+    with mock.patch.object(S, "_window_centres",
                            side_effect=S._DenseFallback("reference")):
         return S.detect_edge_modes(p, lat, refine=refine)
 
@@ -1455,6 +1504,44 @@ def test_windowed_scan_forms_no_dense_block(monkeypatch):
     assert {m.kind for m in dense.edge_modes} == {m.kind for m in rep.edge_modes}
 
 
+def _solve_callers(monkeypatch):
+    """The name of the function that makes each ``_solve_shifted`` call."""
+    callers, solve = [], S._solve_shifted
+    monkeypatch.setattr(S, "_solve_shifted", lambda *a: callers.append(
+        sys._getframe(1).f_code.co_name) or solve(*a))
+    return callers
+
+
+def test_edge_scan_solves_only_inside_the_rayleigh_iteration(monkeypatch):
+    # the 0pi point of the grid at L = 144: each candidate's vector is the
+    # one its Rayleigh-quotient iteration converged to, so every banded
+    # solve of the scan is a step of that iteration, and every record's
+    # decay length is the closed form of its kind
+    p = P.make_params(1.5, -0.1, 1.5, 0.5)
+    callers = _solve_callers(monkeypatch)
+    rep = S.detect_edge_modes(p, P.lattice(144, "obc"))
+    assert rep.fallback is None
+    assert [m.kind for m in rep.edge_modes] == ["zero", "zero", "pi", "pi"]
+    assert 2 <= len(callers) <= 2 * S._RQI_STEPS and set(callers) == {"_rayleigh_pair"}
+    xi = S._decay_lengths(p)
+    assert [m.localization_length for m in rep.edge_modes] == [xi[m.kind] for m in rep.edge_modes]
+
+
+def test_dense_fallback_takes_its_pairs_from_the_same_iteration(monkeypatch):
+    # the 0pi point with its contours left unresolved: the dense
+    # eigenvalues in the edge window are refined by the same iteration, and
+    # one that does not converge raises NumericalBreakdown
+    p, lat = P.make_params(1.5, -0.1, 1.5, 0.5), P.lattice(40, "obc")
+    monkeypatch.setattr(S, "_DISC_STEP", 0.0)
+    callers = _solve_callers(monkeypatch)
+    rep = S.detect_edge_modes(p, lat)
+    assert rep.fallback == "contour" and len(rep.edge_modes) == 4
+    assert len(callers) >= 4 and set(callers) == {"_rayleigh_pair"}
+    monkeypatch.setattr(S, "_RQI_STEPS", 0)
+    with pytest.raises(NumericalBreakdown, match="Rayleigh-quotient"):
+        S.detect_edge_modes(p, lat)
+
+
 @pytest.mark.parametrize("bj", [_GRID_BETAS[4], _GRID_BETAS[6]])
 def test_windowed_scan_misses_the_slow_decay_zero_mode_like_the_dense_one(bj):
     # alpha = 1.2, beta_J = +-0.4: the zero mode decays by only 0.975 per
@@ -1468,16 +1555,29 @@ def test_windowed_scan_misses_the_slow_decay_zero_mode_like_the_dense_one(bj):
     assert S.classify_phase(p) is P.PhaseLabel.PI_MODE
 
 
+_SOLVE_SHIFTED = S._solve_shifted
+
+
+def _singular_at_the_disc_centres(band, shift, x):
+    """``_solve_shifted`` with B_+ -+ 1 singular: the discs' iterations,
+    whose first solves are there, miss; the dense path's, off every mu by
+    tol, do not."""
+    if shift in (1.0, -1.0):
+        raise np.linalg.LinAlgError("singular matrix")
+    return _SOLVE_SHIFTED(band, shift, x)
+
+
 @pytest.mark.parametrize("reason, patch, point", [
     ("disc-count", {}, (0.05, 0.0, 0.05, 0.0)),      # weak unitary kicks: 3 eigenvalues
     ("singular-lu", {"_DISC_RADIUS": 0.0}, (0.0, 0.0, 0.0, 0.0)),  # B_+ - 1 = 0
     ("contour", {"_DISC_STEP": 0.0}, (1.5, -0.1, 1.5, 0.5)),        # never resolved
-    ("iteration", {"_RQI_STEPS": 0}, (1.5, -0.1, 1.5, 0.5)),        # never converged
+    ("iteration", {"_solve_shifted": _singular_at_the_disc_centres},
+     (1.5, -0.1, 1.5, 0.5)),                                        # never converged
 ])
 def test_windowed_scan_falls_back_to_the_dense_labels(monkeypatch, reason, patch, point):
-    # each fallback, forced through the disc constants (read at call
-    # time), gives the dense scan's edge modes and labels, the reason in
-    # ``fallback``
+    # each fallback, forced through the disc constants or the solve (read
+    # at call time), gives the dense scan's edge modes and labels, the
+    # reason in ``fallback``
     p = P.make_params(*point)
     lat = P.lattice(40, "obc")
     no_real_modes = S.RealModeCensus(0, 80)
@@ -1513,13 +1613,14 @@ def test_length_plans_are_read_only():
     assert S.allowed_momenta(P.lattice(L, "pbc-even")).flags.writeable
 
 
-@pytest.mark.parametrize("reason, name, value", [("contour", "_DISC_STEP", 0.0),
-                                                 ("iteration", "_RQI_STEPS", 0)])
+@pytest.mark.parametrize("reason, name, value", [
+    ("contour", "_DISC_STEP", 0.0),
+    ("iteration", "_solve_shifted", _singular_at_the_disc_centres)])
 def test_forced_fallback_reads_the_disc_constants_after_the_plan_is_warm(
         monkeypatch, reason, name, value):
     # the plans hold no disc constant: with the plans of this length warm,
-    # a constant patched afterwards still forces its fallback, and the
-    # patched scan builds no plan of its own
+    # a constant (or the solve) patched afterwards still forces its
+    # fallback, and the patched scan builds no plan of its own
     p, lat = P.make_params(1.5, -0.1, 1.5, 0.5), P.lattice(40, "obc")
     warm = S.detect_edge_modes(p, lat, refine=False)
     assert warm.fallback is None
