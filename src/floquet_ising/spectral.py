@@ -768,20 +768,21 @@ def _disc_count(tm: TransferMatrix, z0: float) -> int:
         theta, phase = theta[order], phase[order]
 
 
-def _rayleigh_pair(band: np.ndarray, tol: float, centre: complex, offset: float,
-                   miss: Exception) -> tuple[complex, np.ndarray]:
+def _rayleigh_pair(band: np.ndarray, tol: float, centre: complex) -> tuple[complex, np.ndarray]:
     """An eigenpair (mu, x) of B_+ near ``centre``, x a unit vector, by
     Rayleigh-quotient iteration on the band from mu = ``centre`` and the
-    chain's start vector: each step solves with B_+ - mu - ``offset``
-    (``_solve_shifted``) and takes the quotient as mu, unless it lies
-    ``_DISC_RADIUS`` or more from ``centre`` (mu then stays: a step of
-    inverse iteration).  The pair is returned once its residual
+    chain's start vector: each step solves with B_+ - mu - tol
+    (``_solve_shifted``; off mu, since a centre and the quotients after it
+    can be eigenvalues to the last bit) and takes the quotient as mu,
+    unless it lies ``_DISC_RADIUS`` or more from ``centre`` (mu then stays:
+    a step of inverse iteration).  The pair is returned once its residual
     ||B_+ x - mu x|| is within tol, the one check of an edge candidate; a
-    singular solve or no such pair within ``_RQI_STEPS`` steps raises ``miss``."""
+    singular solve or no such pair within ``_RQI_STEPS`` steps is the
+    "iteration" fallback."""
     mu, x = complex(centre), _chain_plan(band.shape[1]).start
     for _ in range(_RQI_STEPS):
         try:
-            x = _solve_shifted(band, mu + offset, x)
+            x = _solve_shifted(band, mu + tol, x)
         except np.linalg.LinAlgError:
             break
         x /= np.linalg.norm(x)
@@ -791,7 +792,7 @@ def _rayleigh_pair(band: np.ndarray, tol: float, centre: complex, offset: float,
             mu = quotient
         if np.linalg.norm(bx - mu * x) <= tol:
             return mu, x
-    raise miss
+    raise _DenseFallback("iteration")
 
 
 def _window_centres(tm: TransferMatrix):
@@ -816,34 +817,41 @@ def _in_window(mu: np.ndarray) -> np.ndarray:
 def _edge_candidates(tm: TransferMatrix) -> tuple[np.ndarray, np.ndarray, str | None]:
     """The sector eigenpairs (mu, unit columns c, by ``_rayleigh_pair``) with
     mu or 1/mu in the edge window, and the reason for a fallback: None where
-    the discs that hold one eigenvalue give them (a miss there is the
-    "iteration" fallback), else from the dense ``eigenvalues`` in the window,
-    every solve off its mu by tol, since a dense mu and the quotients after
-    it can be eigenvalues to the last bit (a miss raises NumericalBreakdown)."""
+    the discs that hold one eigenvalue give them, else from the dense
+    ``eigenvalues`` in the window, where a miss of the iteration raises
+    NumericalBreakdown."""
     try:
-        pairs = [_rayleigh_pair(tm.band, tm.tol, z0, 0.0, _DenseFallback("iteration"))
-                 for z0 in _window_centres(tm)]
+        pairs = [_rayleigh_pair(tm.band, tm.tol, z0) for z0 in _window_centres(tm)]
         fallback = None
     except _DenseFallback as exc:
         mu, fallback = tm.eigenvalues[:tm.n // 2], str(exc)
-        miss = NumericalBreakdown(f"no eigenpair within {_RQI_STEPS} Rayleigh-quotient "
-                                  "steps of a dense eigenvalue")
-        pairs = [_rayleigh_pair(tm.band, tm.tol, m, tm.tol, miss) for m in mu[_in_window(mu)]]
+        try:
+            pairs = [_rayleigh_pair(tm.band, tm.tol, m) for m in mu[_in_window(mu)]]
+        except _DenseFallback:
+            raise NumericalBreakdown(f"no eigenpair within {_RQI_STEPS} Rayleigh-quotient "
+                                     "steps of a dense eigenvalue") from None
     mu = np.array([m for m, _ in pairs], dtype=complex)
     c = np.array([x for _, x in pairs], dtype=complex).reshape(-1, tm.n // 2).T
     keep = _in_window(mu)
     return mu[keep], c[:, keep], fallback
 
 
+def _decay_length(a: float, b: float) -> float:
+    """Decay length xi = -1/ln r (sites) of an edge mode whose amplitude
+    falls by r = a/b per site (a, b >= 0); inf where r >= 1, where it does
+    not decay."""
+    r = a / b if b else math.inf
+    if r >= 1:
+        return math.inf
+    return -1.0 / math.log(r) if r else 0.0
+
+
 def _decay_lengths(params: ModelParams) -> dict[str, float]:
-    """Decay length xi = -1/ln r (sites) of a zero and of a pi edge mode in
-    closed form, r the ratio per site of the semi-infinite chain's mode
-    amplitude: r_0 = |tan h / tan J|, r_pi = 1/|tan J tan h|; inf where
-    r >= 1, where no mode decays."""
+    """Decay length of a zero and of a pi edge mode in closed form, from
+    the ratio per site of the semi-infinite chain's mode amplitude:
+    r_0 = |tan h / tan J|, r_pi = 1/|tan J tan h|."""
     tan_j, tan_h = abs(cmath.tan(params.J)), abs(cmath.tan(params.h))
-    with np.errstate(all="ignore"):  # a tan of 0 or inf: r = 0 or inf
-        r = np.divide([tan_h, 1.0], [tan_j, tan_j * tan_h])
-        return dict(zip(("zero", "pi"), np.where(r < 1, -1.0 / np.log(r), np.inf).tolist()))
+    return {"zero": _decay_length(tan_h, tan_j), "pi": _decay_length(1.0, tan_j * tan_h)}
 
 
 def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
@@ -897,7 +905,8 @@ def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
     ne = max(1, int(_EDGE_FRACTION * (tm.n // 2)))
     lw, rw = weights[:ne].sum(axis=0), weights[-ne:].sum(axis=0)
 
-    records, xi = [], _decay_lengths(params)
+    records = []
+    xi = _decay_lengths(params)
     for kind in ("zero", "pi"):
         sel = np.flatnonzero((kinds == kind) & (lw + rw > 0.5))
         energies = eps[sel]

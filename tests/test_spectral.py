@@ -1318,9 +1318,7 @@ def test_candidate_vectors_match_the_dense_eig(L, aj, bj, ah, bh):
     # their kappa, against the dense 2L x 2L eig wherever that eig
     # determines them
     tm = S.build_transfer_matrix(P.ModelParams(aj, bj, ah, bh), P.lattice(L, "obc"))
-    miss = NumericalBreakdown("no eigenpair")
-    c = np.column_stack([S._rayleigh_pair(tm.band, tm.tol, mu, tm.tol, miss)[1]
-                         for mu in tm.eigenvalues[:L]])
+    c = np.column_stack([S._rayleigh_pair(tm.band, tm.tol, mu)[1] for mu in tm.eigenvalues[:L]])
     v, kappa = S._candidate_vectors(tm, c)
     m = _dense_m(tm)
     scale = np.linalg.norm(m, 2)
@@ -1555,27 +1553,28 @@ def test_windowed_scan_misses_the_slow_decay_zero_mode_like_the_dense_one(bj):
     assert S.classify_phase(p) is P.PhaseLabel.PI_MODE
 
 
-_SOLVE_SHIFTED = S._solve_shifted
+_RAYLEIGH_PAIR = S._rayleigh_pair
 
 
-def _singular_at_the_disc_centres(band, shift, x):
-    """``_solve_shifted`` with B_+ -+ 1 singular: the discs' iterations,
-    whose first solves are there, miss; the dense path's, off every mu by
-    tol, do not."""
-    if shift in (1.0, -1.0):
-        raise np.linalg.LinAlgError("singular matrix")
-    return _SOLVE_SHIFTED(band, shift, x)
+def _singular_from_the_disc_centres(band, tol, centre):
+    """``_rayleigh_pair`` whose every solve is singular when it starts at a
+    disc centre z0 = +-1 (a float; the dense path starts at its complex
+    eigenvalues): the discs' iterations miss, the dense path's do not."""
+    if type(centre) is not float:
+        return _RAYLEIGH_PAIR(band, tol, centre)
+    with mock.patch.object(S, "_solve_shifted", side_effect=np.linalg.LinAlgError):
+        return _RAYLEIGH_PAIR(band, tol, centre)
 
 
 @pytest.mark.parametrize("reason, patch, point", [
     ("disc-count", {}, (0.05, 0.0, 0.05, 0.0)),      # weak unitary kicks: 3 eigenvalues
     ("singular-lu", {"_DISC_RADIUS": 0.0}, (0.0, 0.0, 0.0, 0.0)),  # B_+ - 1 = 0
     ("contour", {"_DISC_STEP": 0.0}, (1.5, -0.1, 1.5, 0.5)),        # never resolved
-    ("iteration", {"_solve_shifted": _singular_at_the_disc_centres},
+    ("iteration", {"_rayleigh_pair": _singular_from_the_disc_centres},
      (1.5, -0.1, 1.5, 0.5)),                                        # never converged
 ])
 def test_windowed_scan_falls_back_to_the_dense_labels(monkeypatch, reason, patch, point):
-    # each fallback, forced through the disc constants or the solve (read
+    # each fallback, forced through the disc constants or the iteration (read
     # at call time), gives the dense scan's edge modes and labels, the
     # reason in ``fallback``
     p = P.make_params(*point)
@@ -1615,11 +1614,11 @@ def test_length_plans_are_read_only():
 
 @pytest.mark.parametrize("reason, name, value", [
     ("contour", "_DISC_STEP", 0.0),
-    ("iteration", "_solve_shifted", _singular_at_the_disc_centres)])
+    ("iteration", "_rayleigh_pair", _singular_from_the_disc_centres)])
 def test_forced_fallback_reads_the_disc_constants_after_the_plan_is_warm(
         monkeypatch, reason, name, value):
     # the plans hold no disc constant: with the plans of this length warm,
-    # a constant (or the solve) patched afterwards still forces its
+    # a constant (or the iteration) patched afterwards still forces its
     # fallback, and the patched scan builds no plan of its own
     p, lat = P.make_params(1.5, -0.1, 1.5, 0.5), P.lattice(40, "obc")
     warm = S.detect_edge_modes(p, lat, refine=False)
