@@ -22,16 +22,15 @@ Conventions
   continuous certificate, 4 N^-1 h_k N (N = ``_NAMBU_FROM_MAJORANA``).
 * Each kick is a direct sum of commuting two-Majorana rotations, so its
   exponential is assembled bond by bond in closed form (exact, O(L)).
-* Both kicks (``build_kick_forms``, which ``build_transfer_matrix`` calls)
-  are odd under the chiral sign Gamma = diag((-1)^m) and the mirror
-  P: m -> 2L-1-m on every boundary condition, so M commutes with
-  R = Gamma P and splits into two L-dimensional reflection sectors
-  (``sector_basis``).  Gamma swaps them and, in the symmetric time frame,
-  inverts the map (chiral pairing): the eigenvalues of the L x L sector
-  block B_+ (R = +i) give every mu and its inverse, and an eigenvector of
-  B_+ gives the right vectors of both.  Left eigenvectors need no second
-  solve: M^T M = 1 makes the left vector of mu the conjugate of the right
-  vector of 1/mu.
+* Both kicks (``build_kick_forms``) are odd under the chiral sign
+  Gamma = diag((-1)^m) and the mirror P: m -> 2L-1-m on every boundary
+  condition, so M commutes with R = Gamma P and splits into two
+  L-dimensional reflection sectors (``sector_basis``).  Gamma swaps them
+  and, in the symmetric time frame, inverts the map (chiral pairing): the
+  eigenvalues of the L x L sector block B_+ (R = +i) give every mu and its
+  inverse, and an eigenvector of B_+ gives the right vectors of both.  Left
+  eigenvectors need no second solve: M^T M = 1 makes the left vector of mu
+  the conjugate of the right vector of 1/mu.
 * The edge window (eps near 0 and pi) lies in the discs |mu -+ 1| < 0.02,
   so the edge scan needs no dense spectrum (``detect_edge_modes``): the
   argument principle counts B_+'s eigenvalues in each disc from det of the
@@ -42,11 +41,11 @@ Conventions
   same iteration, and the report records why.  A record's decay length is
   the closed form of its kind (``_decay_lengths``), not a fit.
 * What the scan and the census need of the chain length alone is built
-  once per length and shared read-only (``_band_plan``, ``_chain_plan``,
-  ``_census_momenta``): the probe columns and scatter indices of the
-  sector bands, the sector phases, the chiral signs, the start vector of
-  the Rayleigh-quotient iteration and the census momenta.  No disc
-  constant is kept there; each is read at call time.
+  once per length and shared read-only (``_sector_plan``, ``_chain_plan``,
+  ``_census_momenta``): the template chain and gather indices of the
+  closed-form sector bands, the sector phases, the chiral signs, the start
+  vector of the Rayleigh-quotient iteration and the census momenta.  No
+  disc constant is kept there; each is read at call time.
 """
 
 from __future__ import annotations
@@ -144,9 +143,15 @@ class MajoranaQuadraticForm:
         if x.dtype == np.clongdouble:
             t = self.angle.astype(np.clongdouble)[:, None]
             c, s = np.cos(t), np.sin(t)
-        y = x[self.partner] * (sign * s)
-        y += c * x
-        return y
+        return _rotate(x, self.partner, c, s, sign)
+
+
+def _rotate(x: np.ndarray, partner, cos, sin, sign: float) -> np.ndarray:
+    """A kick's rows x_partner(p) (sign sin_p) + cos_p x_p in the one order
+    every kick takes, so the same operands give the same bits."""
+    y = x[partner] * (sign * sin)
+    y += cos * x
+    return y
 
 
 class KickForms(NamedTuple):
@@ -186,6 +191,14 @@ def build_kick_forms(params: ModelParams, lat: LatticeSpec) -> KickForms:
     bonds (``_kick_bonds``)."""
     return KickForms(*(MajoranaQuadraticForm(lat.n_majorana, *bonds)
                        for bonds in _kick_bonds(params, lat)))
+
+
+def _kick_scalars(params: ModelParams, lat: LatticeSpec) -> list:
+    """(cos, sin) of each kick's angles [4s_0, 4s_b, -4s_0, -4s_b, 0], s_0
+    and s_b its first and last bond value (``_kick_bonds``), coupling first,
+    as ``MajoranaQuadraticForm`` forms them: same bits, same overflow error."""
+    return [_kick_cos_sin(np.concatenate([4 * s[[0, -1]], -4 * s[[0, -1]], np.zeros(1)]))
+            for _, _, s in _kick_bonds(params, lat)]
 
 
 _G_FIELD = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)  # g''
@@ -245,22 +258,28 @@ class TransferMatrix:
     edge scan's banded solves.  ``pencil`` (2 x 3 x L) holds the three
     diagonals of the tridiagonal sector kicks K2_+ and K1_+^-1, entry
     [i, j] at row 1 + i - j, whose pencil K2_+ - z K1_+^-1 gives the disc
-    counts their determinant phases in closed form (``_det_phases``); the
-    scan reads nothing else.  The dense ``b_plus`` is formed from the band
-    on first read; ``eigenvalues`` (the L eigenvalues mu of ``b_plus`` and
-    then their inverses, see ``build_transfer_matrix``) are computed on
-    first read too.  Eigenvectors are computed only for the edge scan's
-    candidates (``_rayleigh_pair``).
+    counts their determinant phases in closed form (``_det_phases``);
+    ``field_kick``, the field kick's cos and sin (``_sector_vectors``).  The
+    kick forms ``kicks`` (read by the edge-pair refine alone), the dense
+    ``b_plus`` and ``eigenvalues`` (those of ``b_plus``, then their
+    inverses) are formed on first read; eigenvectors only for the edge
+    scan's candidates (``_rayleigh_pair``).
     """
 
     band: np.ndarray
     pencil: np.ndarray
     tol: float
-    kicks: KickForms
+    field_kick: list
+    params: ModelParams
+    lat: LatticeSpec
 
     @property
     def n(self) -> int:
-        return self.kicks.coupling_form.n
+        return self.lat.n_majorana
+
+    @cached_property
+    def kicks(self) -> KickForms:
+        return build_kick_forms(self.params, self.lat)
 
     @cached_property
     def b_plus(self) -> np.ndarray:
@@ -290,30 +309,26 @@ class _ChainPlan(NamedTuple):
     phase: np.ndarray   # i(-1)^m, m < L: the mirror-row entries of the sector basis
     chiral: np.ndarray  # (-1)^m, m < 2L, a column: the chiral sign Gamma
     start: np.ndarray   # e^{im}, m < L: the start vector of the Rayleigh-quotient iteration
+    pairs: np.ndarray   # m XOR 1, m < 2L: each Majorana's field-bond partner ...
+    field: np.ndarray   # ... and the index of its field angle (``_kick_scalars``), a column
 
 
 @lru_cache(maxsize=64)
 def _chain_plan(L: int) -> _ChainPlan:
     m = np.arange(2 * L)
-    plan = _ChainPlan(1j * (-1.0) ** m[:L], ((-1.0) ** m)[:, None], np.exp(1j * m[:L]))
+    plan = _ChainPlan(1j * (-1.0) ** m[:L], ((-1.0) ** m)[:, None], np.exp(1j * m[:L]),
+                      m ^ 1, 2 * (m[:, None] % 2))
     _read_only(*plan)
     return plan
-
-
-def _sector_columns(n: int, colour: np.ndarray, k: int) -> np.ndarray:
-    """n x k sums of ``sector_basis`` columns, u_m added to column colour[m]
-    (the columns of one colour must not share a row)."""
-    m = np.arange(n // 2)
-    u = np.zeros((n, k), dtype=complex)
-    u[m, colour], u[n - 1 - m, colour] = 1.0, _chain_plan(n // 2).phase
-    return u
 
 
 def sector_basis(n: int) -> np.ndarray:
     """sqrt(2) times an orthonormal basis of the reflection sector R = +i:
     the n x n/2 columns e_m + i(-1)^m e_{n-1-m}, m < n/2, whose top n/2
     rows are the identity.  Their conjugates span R = -i."""
-    return _sector_columns(n, np.arange(n // 2), n // 2)
+    m, u = np.arange(n // 2), np.zeros((n, n // 2), dtype=complex)
+    u[m, m], u[n - 1 - m, m] = 1.0, _chain_plan(n // 2).phase
+    return u
 
 
 def _band_index(L: int, w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -324,91 +339,75 @@ def _band_index(L: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     return i[inside], j[inside]
 
 
-class _BandPlan(NamedTuple):
-    """What ``_sector_bands`` needs of n and w alone, read-only: the 2w + 1
-    probe columns and, for every band entry [i, j], its row i, its offset
-    i - j, its column j and the probe colour[j] that holds it."""
-
-    probes: np.ndarray
-    rows: np.ndarray
-    offsets: np.ndarray
-    cols: np.ndarray
-    colours: np.ndarray
-
-
 @lru_cache(maxsize=64)
-def _band_plan(n: int, w: int) -> _BandPlan:
-    colour = np.arange(n // 2) % (2 * w + 1)
-    i, j = _band_index(n // 2, w)
-    plan = _BandPlan(_sector_columns(n, colour, 2 * w + 1), i, i - j, j, colour[j])
+def _sector_plan(L: int, bc: BoundaryCondition) -> tuple[np.ndarray, ...]:
+    """What ``build_transfer_matrix`` needs of (L, bc) alone, read-only: the
+    ``sector_basis`` of the template chain (L0 = min(L, 8 + L % 2) sites),
+    its Majoranas' coupling partners and angle indices (``_kick_scalars``),
+    each band (L x 7) and pencil entry's flat index into its blocks."""
+    L0 = min(L, 8 + L % 2)
+    size, j = 2 * L0 * L0, np.arange(L)
+    p, q, _ = _kick_bonds(ModelParams(0.0, 0.0, 0.0, 0.0), LatticeSpec(L0, bc))[0]  # no value read
+    partner, angle = np.arange(2 * L0), np.full(2 * L0, 4)
+    partner[p], partner[q] = q, p
+    angle[p], angle[q], angle[p[-1]], angle[q[-1]] = 0, 2, 1, 3
+    # the template column of column j: three at each end, the middle two between
+    src = np.where(j < 3, j, np.where(j >= L - 3, j + L0 - L, 3 + (j - 3) % 2))
+    index = []
+    for w, top, blocks in ((2, 4, [0]), (1, 1, [1, 2])):  # K1 K2 U; K2 U, K1^-1 U
+        i, k = _band_index(L, w)
+        index.append(np.full((len(blocks), top + w + 1, L), 3 * size))  # 3 size: a zero
+        index[-1][:, top + i - k, k] = np.c_[blocks] * size + (src[k] + i - k) * L0 + src[k]
+    plan = sector_basis(2 * L0), partner, angle[:, None], index[0][0].T.copy(), index[1]
     _read_only(*plan)
     return plan
 
 
-def _sector_bands(n: int, w: int, top: int, *steps) -> np.ndarray:
-    """The band |i - j| <= w of the L x L sector block of each kick in
-    ``steps`` (the top L rows of the kick applied to ``sector_basis(n)``),
-    entry [i, j] at row top + i - j of a zeroed (top + w + 1) x L array,
-    one such array per kick.
-
-    Each bond joins neighbouring rows or (the periodic wrap) a row and its
-    mirror, so one kick's block is tridiagonal (w = 1) and a period's
-    pentadiagonal (w = 2).  The band comes from 2w + 1 kicked
-    probe columns in O(L), not from the L basis columns: probe r is the sum
-    of the basis columns u_m with m = r (mod 2w + 1), and [i, j] is row i
-    of probe j mod 2w + 1.  Columns of one colour are 2w + 1 apart, so no
-    row ever mixes two of them, and the band is the dense kick's bit for bit.
-    The probes and the scatter indices are built once per (n, w)
-    (``_band_plan``).
-    """
-    plan = _band_plan(n, w)
-    bands = np.zeros((len(steps), top + w + 1, n // 2), dtype=complex)
-    rows = top + plan.offsets
-    for band, step in zip(bands, steps):
-        band[rows, plan.cols] = step(plan.probes)[plan.rows, plan.colours]
-    return bands
-
-
-def _sector_vectors(field_form: MajoranaQuadraticForm, c: np.ndarray) -> np.ndarray:
+def _sector_vectors(field_kick: list, c: np.ndarray) -> np.ndarray:
     """Unit right eigenvectors [v_+, v_-] of M for the unit eigenvectors c
     (L x k) of B_+: v_+ = U c / sqrt(2) in the ``sector_basis`` U, written
     by index (top L rows c / sqrt(2), row 2L-1-m that times i(-1)^m), and
-    v_- = Gamma K2 v_+ is the chiral partner with eigenvalue 1/mu."""
+    v_- = Gamma K2 v_+ is the chiral partner with eigenvalue 1/mu, K2
+    rotating each field bond by its cos and sin ``field_kick``."""
     plan = _chain_plan(len(c))
     c = c / math.sqrt(2.0)
     v_plus = np.concatenate([c, (plan.phase[:, None] * c)[::-1]])
-    v_minus = plan.chiral * field_form.kick(v_plus)
+    cos, sin = field_kick
+    v_minus = plan.chiral * _rotate(v_plus, plan.pairs, cos[plan.field], sin[plan.field], 1.0)
     v_minus /= np.linalg.norm(v_minus, axis=0)
     return np.hstack([v_plus, v_minus])
 
 
 def build_transfer_matrix(params: ModelParams, lat: LatticeSpec) -> TransferMatrix:
-    """M = K1 K2 (K1 = exp(4W'), K2 = exp(4W'')) of the chain by the bands of
-    its L x L sector blocks, the kicks from ``build_kick_forms``.
+    """M = K1 K2 (K1 = exp(4W'), K2 = exp(4W'')) by the bands of its L x L
+    sector blocks, closed forms of the kick scalars (``_kick_scalars``).
 
     Both kicks are odd under Gamma and P on every boundary condition, so
     each commutes with R = Gamma P (R^2 = -1) and leaves the sector R = +i
     of ``sector_basis`` invariant; a kick's sector block is the top L rows
     of the kicked basis, and B_+ = K1_+ K2_+.  Each kick's block is
-    tridiagonal and B_+ pentadiagonal; their bands come from probe columns
-    (``_sector_bands``), bit for bit the dense kicks': five for B_+, three
-    each for K2_+ (the field kick) and K1_+^-1 (the coupling kick with sign
-    -1), the ``pencil`` of the disc counts.  Gamma swaps the sectors and
-    inverts the map in the symmetric frame K2^{1/2} K1 K2^{1/2}, so for
-    M v = mu v the vector K2^{-1/2} Gamma K2^{1/2} v = Gamma K2 v has
-    eigenvalue 1/mu.  Nothing is diagonalized here: the spectrum is one
-    L x L eigvals of the dense ``b_plus`` on first read of ``eigenvalues``,
-    and the edge scan solves on the band for the few eigenvectors it reads
-    (``_rayleigh_pair``).  An overflowing kick raises
-    NumericalBreakdown (``MajoranaQuadraticForm``).
+    tridiagonal and B_+ pentadiagonal: the band, and the ``pencil`` of K2_+
+    and K1_+^-1 (the coupling kick with sign -1).  On a uniform chain a
+    column repeats the one two before it but for the boundary entries: row
+    0 (the open end or the wraparound bond) reaches columns 0 to 2, the
+    mirror rows (the sector's halves meet at the middle bond) L-2 and L-1.
+    So the blocks are those of a template chain of at most 9 sites, same
+    parity and boundary (``_sector_plan``), kicked from the scalars in the
+    kick's order (``_rotate``): three end columns kept at each end, the
+    middle two repeated, bit for bit the dense kicks' (signed zeros too).
+    Nothing is diagonalized here (``eigenvalues``, ``_rayleigh_pair``).  An
+    overflowing kick raises the NumericalBreakdown of ``build_kick_forms``.
     """
-    kicks = build_kick_forms(params, lat)
-    n = lat.n_majorana
-    band = np.asfortranarray(_sector_bands(n, 2, 4, kicks.step)[0])
-    pencil = _sector_bands(n, 1, 1, kicks.field_form.kick,
-                           lambda x: kicks.coupling_form.kick(x, -1.0))
+    (cos1, sin1), field_kick = _kick_scalars(params, lat)
+    u, partner, angle, band, pencil = _sector_plan(lat.L, lat.bc)
+    chain = _chain_plan(len(u) // 2)
+    k2 = _rotate(u, chain.pairs, field_kick[0][chain.field], field_kick[1][chain.field], 1.0)
+    cos1, sin1 = cos1[angle], sin1[angle]
+    blocks = np.concatenate([_rotate(k2, partner, cos1, sin1, 1.0).ravel(), k2.ravel(),
+                             _rotate(u, partner, cos1, sin1, -1.0).ravel(), [0]])
+    band = blocks[band].T  # L x 7 in C order: the band in Fortran order
     tol = lat.L * np.finfo(float).eps * np.abs(band).sum(axis=0).max()
-    return TransferMatrix(band, pencil, tol, kicks)
+    return TransferMatrix(band, blocks[pencil], tol, field_kick, params, lat)
 
 
 def fold_real_part(re: np.ndarray | float) -> np.ndarray | float:
@@ -695,7 +694,7 @@ def _candidate_vectors(tm: TransferMatrix, c: np.ndarray) -> tuple[np.ndarray, n
     B_+, those of mu and then of 1/mu (``_sector_vectors``), and the
     eigenvalue condition kappa = 1/|l^H r| of each pair: l of mu is conj(r)
     of 1/mu, so kappa = 1/|v_-^T v_+|."""
-    v = _sector_vectors(tm.kicks.field_form, c)
+    v = _sector_vectors(tm.field_kick, c)
     with np.errstate(divide="ignore"):
         kappa = 1.0 / np.abs(np.sum(v[:, :c.shape[1]] * v[:, c.shape[1]:], axis=0))
     return v, kappa
@@ -716,7 +715,7 @@ def _det_phases(tm: TransferMatrix, z: np.ndarray) -> np.ndarray:
     the eigenvalues of M, rho = r-/r+, S_k = (1 - rho^(k+1)) / (1 - rho),
     k + 1 where tr^2 = 4 det).  Each z's entries are scaled to at most 1 and
     r+^(m-1) adds only its phase, so nothing overflows.  A zero or non-finite
-    det T is the "singular-lu" fallback (a name kept: no LU is formed)."""
+    det T is a nan phase, "singular-lu" to its disc (no LU is formed)."""
     L = tm.pencil.shape[2]
     c = tm.pencil[:, :, [0, 1, 2, 3, L - 2, L - 1], None]
     t = c[0] - c[1] * z
@@ -737,24 +736,21 @@ def _det_phases(tm: TransferMatrix, z: np.ndarray) -> np.ndarray:
         x0 = s1 * (m00 * v0 + m01 * v1) - r_minus * s2 * v0
         x1 = s1 * (da * v0 - pa * v1) - r_minus * s2 * v1
         det_t = d_last * x0 - p_last * x1
-    if not np.all(np.isfinite(det_t) & (det_t != 0)):
-        raise _DenseFallback("singular-lu")
-    return np.angle(det_t) + (m - 1) * np.angle(r_plus)
+        phase = np.angle(det_t) + (m - 1) * np.angle(r_plus)
+    return np.where(np.isfinite(det_t) & (det_t != 0), phase, np.nan)
 
 
-def _disc_count(tm: TransferMatrix, z0: float) -> int:
+def _disc_count(tm: TransferMatrix, z0: float, theta: np.ndarray, phase: np.ndarray) -> int:
     """Eigenvalues of B_+ in |z - z0| < ``_DISC_RADIUS`` by the argument
     principle: the winding number of det(K2_+ - z K1_+^-1) on the circle,
-    which is that of det(B_+ - z) (``_det_phases``, closed form), sampled at
-    ``_DISC_POINTS`` angles, with a midpoint inserted in every step whose
-    phase change reaches ``_DISC_STEP``, up to ``_DISC_POINTS_MAX`` points
-    (beyond: the "contour" fallback)."""
-    def circle(t):
-        return z0 + _DISC_RADIUS * np.exp(1j * t)
-
-    theta = 2 * np.pi * np.arange(_DISC_POINTS) / _DISC_POINTS
-    phase = _det_phases(tm, circle(theta))
+    which is that of det(B_+ - z) (``_det_phases``, closed form), from its
+    ``phase`` at the angles ``theta``, with a midpoint inserted in every
+    step whose phase change reaches ``_DISC_STEP``, up to
+    ``_DISC_POINTS_MAX`` points (beyond: the "contour" fallback); a nan
+    phase is the "singular-lu" fallback."""
     while True:
+        if np.isnan(phase).any():
+            raise _DenseFallback("singular-lu")
         step = np.angle(np.exp(1j * (np.roll(phase, -1) - phase)))
         coarse = np.abs(step) >= _DISC_STEP
         if not coarse.any():
@@ -763,7 +759,7 @@ def _disc_count(tm: TransferMatrix, z0: float) -> int:
             raise _DenseFallback("contour")
         mid = (theta + np.diff(theta, append=2 * np.pi) / 2)[coarse]
         theta = np.concatenate([theta, mid])
-        phase = np.concatenate([phase, _det_phases(tm, circle(mid))])
+        phase = np.concatenate([phase, _det_phases(tm, z0 + _DISC_RADIUS * np.exp(1j * mid))])
         order = np.argsort(theta)
         theta, phase = theta[order], phase[order]
 
@@ -799,9 +795,11 @@ def _window_centres(tm: TransferMatrix):
     """Each centre z0 = +1, -1 whose disc |z - z0| < ``_DISC_RADIUS`` (the
     two hold the edge window) holds one eigenvalue of B_+, by its count
     (``_disc_count``), taken as the centre is reached; a count of 2 or more
-    is the "disc-count" fallback."""
-    for z0 in (1.0, -1.0):
-        count = _disc_count(tm, z0)
+    is the "disc-count" fallback.  One ``_det_phases`` call starts both."""
+    theta = 2 * np.pi * np.arange(_DISC_POINTS) / _DISC_POINTS
+    circles = [z0 + _DISC_RADIUS * np.exp(1j * theta) for z0 in (1.0, -1.0)]
+    for z0, phase in zip((1.0, -1.0), np.split(_det_phases(tm, np.concatenate(circles)), 2)):
+        count = _disc_count(tm, z0, theta, phase)
         if count not in (0, 1):
             raise _DenseFallback("disc-count")
         if count:
@@ -867,7 +865,9 @@ def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
     B_+ = K1_+ K2_+ with both sector kicks tridiagonal, so det(B_+ - z) is
     det K1_+ det(K2_+ - z K1_+^-1), and the constant first factor drops
     out of every phase step: the pencil's determinant is a closed form,
-    O(1) per contour point.  A count of 1 is located, with its
+    O(1) per contour point.  The band and the pencil are closed forms of
+    the kick scalars, the boundary entries a template chain's
+    (``build_transfer_matrix``).  A count of 1 is located, with its
     eigenvector, by Rayleigh-quotient iteration from z0 on the band of B_+
     (``_rayleigh_pair``), whose residual test is the candidate's one check.
     A disc count of 2 or more, a contour unresolved at the point cap, a
@@ -876,13 +876,13 @@ def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
     in ``fallback``; each dense candidate is refined with its vector by the
     same iteration, and one that does not converge raises
     NumericalBreakdown.  An overflowing kick raises NumericalBreakdown
-    before any of this (``MajoranaQuadraticForm``).
+    before any of this (``_kick_scalars``).
 
     Only candidates get eigenvectors.  One with more than half its weight
     on the outer ``_EDGE_FRACTION`` of sites is an edge mode; its
     ``localization_length`` is the closed-form decay length of its kind
-    (``_decay_lengths``).  With ``refine``, an edge pair's energies are
-    split in extended precision (``_refine_pair``).  A candidate with
+    (``_decay_lengths``).  With ``refine``, the kick forms split an edge
+    pair's energies in extended precision (``_refine_pair``).  A candidate with
     eigenvalue condition kappa >= ``_COND_CUTOFF`` (an exceptional point
     in the edge window; the constant, like those of the discs, is read at
     call time) raises NumericalBreakdown, with the worst kappa as

@@ -961,7 +961,7 @@ def test_edge_scan_raises_at_an_exceptional_point(monkeypatch):
     window = (np.minimum(re, np.abs(re - np.pi)) < 1e-3) & (np.abs(eps.imag) <= 1e-2)
     mu, c = np.linalg.eig(tm.b_plus)
     c = c[:, linear_sum_assignment(np.abs(tm.eigenvalues[:lat.L, None] - mu))[1]]
-    v = S._sector_vectors(tm.kicks.field_form, c)
+    v = S._sector_vectors(tm.field_kick, c)
     kappa = 1.0 / np.abs(np.sum(v[:, :lat.L] * v[:, lat.L:], axis=0))
     judged = kappa[np.unique(np.flatnonzero(window) % lat.L)]
     assert judged.size
@@ -997,6 +997,23 @@ def test_overflowing_kick_raises_a_typed_error(tmp_path):
         manifest = sweep.run_sweep(spec, tmp_path)
     assert [pt["status"] for pt in manifest.points] == ["error"]
     assert manifest.points[0]["error"].startswith("NumericalBreakdown: kick")
+
+
+@pytest.mark.parametrize("bc", ["obc", "pbc-even", "pbc-odd"])
+@pytest.mark.parametrize("beta_j, beta_h", [(400.0, 0.1), (0.1, 400.0), (380.0, 400.0),
+                                            (400.0, 380.0)])
+def test_transfer_matrix_overflows_as_the_kick_forms_do(bc, beta_j, beta_h):
+    # the closed-form blocks take their scalars as the forms take their
+    # angles: the same NumericalBreakdown, condition and message, the
+    # coupling kick's first where both overflow
+    p, lat = P.ModelParams(0.3, beta_j, 0.2, beta_h), P.lattice(8, bc)
+    errors = []
+    for build in (S.build_kick_forms, S.build_transfer_matrix):
+        with pytest.raises(NumericalBreakdown) as info:
+            build(p, lat)
+        errors.append((str(info.value), info.value.condition))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == (2 * beta_j if beta_j > 1 else 2 * beta_h)
 
 
 def test_overflowing_dispersion_raises_a_typed_error():
@@ -1245,9 +1262,9 @@ def test_period_map_keeps_both_sectors(L, bc, sign, aj, bj, ah, bh):
        st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
        st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0), st.integers(0, 2**32 - 1))
 def test_banded_transfer_block_is_the_dense_kick_bit_for_bit(L, bc, aj, bj, ah, bh, seed):
-    # the band from five probe columns, the dense block formed from it, the
-    # scan's shift and the index-written sector vectors equal the dense
-    # kick of the whole sector basis and its products exactly
+    # the closed-form band, the dense block formed from it, the scan's
+    # shift and the index-written sector vectors equal the dense kick of
+    # the whole sector basis and its products exactly
     tm = S.build_transfer_matrix(P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc))
     kicks = tm.kicks
     dense = kicks.step(S.sector_basis(2 * L))[:L]
@@ -1256,7 +1273,7 @@ def test_banded_transfer_block_is_the_dense_kick_bit_for_bit(L, bc, aj, bj, ah, 
     assert np.array_equal(tm.b_plus.view(np.uint64), dense.view(np.uint64))  # signed zeros too
     assert tm.tol == L * np.finfo(float).eps * np.linalg.norm(dense, 1)
     x = np.random.default_rng(seed).standard_normal((L, 3, 2)) @ [1, 1j]
-    v_plus = S._sector_vectors(kicks.field_form, x)[:, :3]
+    v_plus = S._sector_vectors(tm.field_kick, x)[:, :3]
     assert np.array_equal(v_plus.view(np.uint64),
                           (S.sector_basis(2 * L) @ x / np.sqrt(2.0)).view(np.uint64))
     # the banded product within the rounding bound of a five-term sum
@@ -1269,10 +1286,10 @@ def test_banded_transfer_block_is_the_dense_kick_bit_for_bit(L, bc, aj, bj, ah, 
        st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
        st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0))
 def test_pencil_diagonals_are_the_dense_sector_kicks_bit_for_bit(L, bc, aj, bj, ah, bh):
-    # the three diagonals of K2_+ (field kick) and K1_+^-1 (coupling kick,
-    # sign -1) from three probe columns each equal the dense kicks of the
-    # whole sector basis exactly; both blocks are tridiagonal, and the two
-    # corners outside the matrix are zero
+    # the three closed-form diagonals of K2_+ (field kick) and K1_+^-1
+    # (coupling kick, sign -1) equal the dense kicks of the whole sector
+    # basis exactly; both blocks are tridiagonal, and the two corners
+    # outside the matrix are zero
     tm = S.build_transfer_matrix(P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc))
     kicks, pencil = tm.kicks, tm.pencil
     assert pencil.shape == (2, 3, L)
@@ -1284,6 +1301,22 @@ def test_pencil_diagonals_are_the_dense_sector_kicks_bit_for_bit(L, bc, aj, bj, 
         got = band[1 + i[inside] - j[inside], j[inside]]
         assert np.array_equal(got.view(np.uint64), dense[inside].view(np.uint64))
         assert band[0, 0] == 0 and band[2, -1] == 0
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 60), st.sampled_from(["pbc-even", "pbc-odd", "obc"]),
+       st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
+       st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0), st.integers(0, 2**32 - 1))
+def test_chiral_partner_vectors_are_the_field_form_kick_bit_for_bit(L, bc, aj, bj, ah, bh, seed):
+    # v_- = Gamma K2 v_+ from the field kick's two cos and sin (no kick
+    # form) equals Gamma times the field form's kick of v_+, normalized,
+    # bit for bit
+    tm = S.build_transfer_matrix(P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc))
+    x = np.random.default_rng(seed).standard_normal((L, 3, 2)) @ [1, 1j]
+    v = S._sector_vectors(tm.field_kick, x)
+    ref = (-1.0) ** np.arange(2 * L)[:, None] * tm.kicks.field_form.kick(v[:, :3])
+    ref /= np.linalg.norm(ref, axis=0)
+    assert np.array_equal(v[:, 3:].view(np.uint64), ref.view(np.uint64))
 
 
 @settings(max_examples=60)
@@ -1387,7 +1420,7 @@ def _reference_det_phases(tm, z):
     """arg det(B_+ - z) mod 2 pi at each z from one banded LU of B_+ - z
     each (``zgbtrf`` on the LAPACK band, the scan's phases before the
     tridiagonal pencil): the arguments of U's diagonal plus pi per row
-    swap (the wrapper's pivots are 0-based)."""
+    swap (the wrapper's pivots are 0-based), nan where B_+ - z is singular."""
     ab = tm.band
     rows = np.arange(ab.shape[1])
     diag, swaps = np.empty((len(z), len(rows)), dtype=complex), np.empty(len(z))
@@ -1395,20 +1428,22 @@ def _reference_det_phases(tm, z):
         a = ab.copy(order="F")
         a[4] -= zi
         lu, piv, info = scipy.linalg.lapack.zgbtrf(a, 2, 2, overwrite_ab=1)
-        if info != 0:
-            raise S._DenseFallback("singular-lu")
-        diag[i], swaps[i] = lu[4], np.count_nonzero(piv != rows)
+        diag[i], swaps[i] = lu[4], np.count_nonzero(piv != rows) if info == 0 else np.nan
     return np.angle(diag).sum(axis=1) + np.pi * swaps
 
 
 def _disc_outcomes(tm, det_phases=S._det_phases):
     """The disc counts around +1 and -1 with the given phases, each the
-    fallback reason where its count falls back."""
+    fallback reason where its count falls back, both discs started from
+    one call as ``_window_centres`` starts them."""
     out = []
+    theta = 2 * np.pi * np.arange(S._DISC_POINTS) / S._DISC_POINTS
     with mock.patch.object(S, "_det_phases", det_phases):
-        for z0 in (1.0, -1.0):
+        start = np.split(det_phases(tm, np.concatenate(
+            [z0 + S._DISC_RADIUS * np.exp(1j * theta) for z0 in (1.0, -1.0)])), 2)
+        for z0, phase in zip((1.0, -1.0), start):
             try:
-                out.append(S._disc_count(tm, z0))
+                out.append(S._disc_count(tm, z0, theta, phase))
             except S._DenseFallback as exc:
                 out.append(str(exc))
     return out
@@ -1599,7 +1634,7 @@ def test_length_plans_are_read_only():
     L = 40
     S.count_real_modes(P.make_params(1.5, -0.1, 1.5, 0.5), L)
     S.detect_edge_modes(P.make_params(1.5, -0.1, 1.5, 0.5), P.lattice(L, "obc"))
-    arrays = [*S._band_plan(2 * L, 1), *S._band_plan(2 * L, 2), *S._chain_plan(L),
+    arrays = [*S._sector_plan(L, P.BoundaryCondition.OBC), *S._chain_plan(L),
               S._census_momenta(L, P.BoundaryCondition.PBC_EVEN),
               S._census_momenta(L, P.BoundaryCondition.PBC_ODD)]
     for a in arrays:
@@ -1623,25 +1658,41 @@ def test_forced_fallback_reads_the_disc_constants_after_the_plan_is_warm(
     p, lat = P.make_params(1.5, -0.1, 1.5, 0.5), P.lattice(40, "obc")
     warm = S.detect_edge_modes(p, lat, refine=False)
     assert warm.fallback is None
-    misses = S._band_plan.cache_info().misses, S._chain_plan.cache_info().misses
+    misses = S._sector_plan.cache_info().misses, S._chain_plan.cache_info().misses
     monkeypatch.setattr(S, name, value)
     rep = S.detect_edge_modes(p, lat, refine=False)
     assert rep.fallback == reason and rep.edge_modes == _dense_scan(p, lat).edge_modes
-    assert (S._band_plan.cache_info().misses, S._chain_plan.cache_info().misses) == misses
+    assert (S._sector_plan.cache_info().misses, S._chain_plan.cache_info().misses) == misses
 
 
 def test_second_classify_phase_of_a_length_builds_no_plan(monkeypatch):
     # two classify_phase calls that both run the L = 144 edge scan: the
-    # second finds its probe columns and band indices in the per-length
-    # plan (no new _band_plan cache miss)
+    # second finds its template chain and gather indices in the per-length
+    # plan (no new _sector_plan cache miss)
     scans, detect = [], S.detect_edge_modes
     monkeypatch.setattr(S, "detect_edge_modes",
                         lambda *a, **k: scans.append(1) or detect(*a, **k))
     S.classify_phase(P.make_params(1.5, -0.1, 1.5, 0.5))
-    misses = S._band_plan.cache_info().misses
+    misses = S._sector_plan.cache_info().misses
     label = S.classify_phase(P.make_params(1.4, -0.1, 1.4, 0.5))
-    assert (len(scans), S._band_plan.cache_info().misses, label) == \
+    assert (len(scans), S._sector_plan.cache_info().misses, label) == \
         (2, misses, P.PhaseLabel.ZERO_PI)
+
+
+def test_edge_scan_builds_the_kick_forms_only_to_refine(monkeypatch):
+    # the 0pi point at L = 144: classify_phase takes both discs' starting
+    # phases from one _det_phases call and builds no kick form; the refine
+    # of its two edge pairs builds them once
+    calls = {"build_kick_forms": [], "_det_phases": []}
+    for name, seen in calls.items():
+        monkeypatch.setattr(S, name, lambda *a, seen=seen, fn=getattr(S, name), **k:
+                            seen.append(1) or fn(*a, **k))
+    p = P.make_params(1.5, -0.1, 1.5, 0.5)
+    assert S.classify_phase(p) is P.PhaseLabel.ZERO_PI
+    assert (len(calls["build_kick_forms"]), len(calls["_det_phases"])) == (0, 1)
+    rep = S.detect_edge_modes(p, P.lattice(144, "obc"), refine=True)
+    assert [m.kind for m in rep.edge_modes] == ["zero", "zero", "pi", "pi"]
+    assert len(calls["build_kick_forms"]) == 1
 
 
 def test_spectrum_sweep_task_solves_no_dense_spectrum(monkeypatch):
