@@ -291,10 +291,17 @@ class TransferMatrix:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
+        """A sector eigenvalue that underflowed (below the smallest normal
+        double, so 1/mu overflows; eig can return an exact 0) or is not
+        finite raises NumericalBreakdown, as a failed solve does."""
         try:
             mu = np.linalg.eigvals(self.b_plus)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
             raise NumericalBreakdown(f"eigenvalue solve failed: {exc}") from exc
+        bad = ~(np.isfinite(mu) & (np.abs(mu) >= np.finfo(float).tiny))
+        if bad.any():
+            raise NumericalBreakdown(f"sector eigenvalue {mu[bad][0]:.4g} underflowed or is "
+                                     "not finite: its partner 1/mu has no double")
         return _pairs(mu)
 
 
@@ -612,31 +619,6 @@ def quasienergies_from_transfer(tm: TransferMatrix) -> SpectrumReport:
     return SpectrumReport(tm)
 
 
-def _refine_pair(tm: TransferMatrix, mu, vr, vl) -> np.ndarray:
-    """Eigenvalues of a two-mode cluster via biorthogonal projection.
-
-    The invariant plane of a nearly degenerate pair is well conditioned even
-    when the individual eigenvectors are not; applying M to that plane in
-    extended precision resolves exponentially small edge splittings that
-    plain double-precision eig smears to ~1e-6.  An edge pair mu, 1/mu sits
-    in two reflection sectors, so the projected 2x2 map is near diagonal and
-    its eigenvalues are split with (b00 - b11)^2 + 4 b01 b10, not with
-    tr^2 - 4 det, which cancels there.  ``vr``, ``vl``: vectors of ``mu``.
-    """
-    vr = np.linalg.qr(vr)[0].astype(np.clongdouble)
-    vl = np.linalg.qr(vl)[0].astype(np.clongdouble)
-    s = vl.conj().T @ vr
-    det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
-    if abs(det) < 1e-12:
-        return mu
-    mvr = tm.kicks.step(vr)
-    s_inv = np.array([[s[1, 1], -s[0, 1]], [-s[1, 0], s[0, 0]]], dtype=s.dtype) / det
-    b = s_inv @ (vl.conj().T @ mvr)
-    tr = b[0, 0] + b[1, 1]
-    disc = np.sqrt((b[0, 0] - b[1, 1]) ** 2 + 4 * b[0, 1] * b[1, 0])
-    return np.array([complex((tr + disc) / 2), complex((tr - disc) / 2)])
-
-
 def _site_weights(vec: np.ndarray) -> np.ndarray:
     p = np.abs(vec) ** 2
     w = p[0::2] + p[1::2]
@@ -652,8 +634,7 @@ def _require_edge_lattice(lat: LatticeSpec) -> None:
 
 def _pairs(mu: np.ndarray) -> np.ndarray:
     """The sector eigenvalues mu and then their chiral partners 1/mu."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # mu underflowed to 0: no partner
-        return np.concatenate([mu, 1.0 / mu])
+    return np.concatenate([mu, 1.0 / mu])
 
 
 def _edge_kinds(eps: np.ndarray) -> np.ndarray:
@@ -881,8 +862,12 @@ def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
     Only candidates get eigenvectors.  One with more than half its weight
     on the outer ``_EDGE_FRACTION`` of sites is an edge mode; its
     ``localization_length`` is the closed-form decay length of its kind
-    (``_decay_lengths``).  With ``refine``, the kick forms split an edge
-    pair's energies in extended precision (``_refine_pair``).  A candidate with
+    (``_decay_lengths``).  With ``refine``, each record's mu is the
+    two-sided Rayleigh quotient l^H M r / l^H r = v_-^T M v_+ / v_-^T v_+,
+    M applied by the kick forms in extended precision, and its partner's
+    1/mu: an edge pair mu, 1/mu lies in two reflection sectors, where the
+    pair's projected map is diagonal.  Kinds and weights are the unrefined
+    mu's, so the refine moves no label.  A candidate with
     eigenvalue condition kappa >= ``_COND_CUTOFF`` (an exceptional point
     in the edge window; the constant, like those of the discs, is read at
     call time) raises NumericalBreakdown, with the worst kappa as
@@ -894,8 +879,7 @@ def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
     _require_edge_lattice(lat)
     tm = build_transfer_matrix(params, lat)
     mu, c, fallback = _edge_candidates(tm)
-    pairs = _pairs(mu)
-    eps = quasienergies_from_eigenvalues(pairs)
+    eps = quasienergies_from_eigenvalues(_pairs(mu))
     kinds = _edge_kinds(eps)
     vecs, kappa = _candidate_vectors(tm, c)
     if np.any(kappa >= _COND_CUTOFF):
@@ -905,19 +889,14 @@ def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
     ne = max(1, int(_EDGE_FRACTION * (tm.n // 2)))
     lw, rw = weights[:ne].sum(axis=0), weights[-ne:].sum(axis=0)
 
-    records = []
-    xi = _decay_lengths(params)
-    for kind in ("zero", "pi"):
-        sel = np.flatnonzero((kinds == kind) & (lw + rw > 0.5))
-        energies = eps[sel]
-        if refine and len(sel) == 2:
-            left = np.roll(vecs, len(mu), axis=1).conj()
-            eref = quasienergies_from_eigenvalues(_refine_pair(
-                tm, pairs[sel], vecs[:, sel], left[:, sel]))
-            # keep the refined value closest to each raw one
-            energies = eref[np.abs(eref[:, None] - energies[None, :]).argmin(axis=0)]
-        records += [EdgeModeRecord(kind, complex(e), xi[kind], float(lw[k]), float(rw[k]))
-                    for e, k in zip(energies, sel)]
+    if refine and len(mu):  # two-sided Rayleigh quotients; the kappa gate bounds 1/denominator
+        v_plus, v_minus = np.split(vecs.astype(np.clongdouble), 2, axis=1)
+        eps = quasienergies_from_eigenvalues(_pairs(
+            np.sum(v_minus * tm.kicks.step(v_plus), axis=0) / np.sum(v_minus * v_plus, axis=0)))
+
+    xi, edge = _decay_lengths(params), lw + rw > 0.5
+    records = [EdgeModeRecord(kind, complex(eps[k]), xi[kind], float(lw[k]), float(rw[k]))
+               for kind in ("zero", "pi") for k in np.flatnonzero((kinds == kind) & edge)]
 
     a = (params.alpha_J % (np.pi / 2.0))
     return SpectrumReport(tm, records, (not records) and abs(a - PI4) < 0.1 * PI4, fallback)

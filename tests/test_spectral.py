@@ -625,6 +625,40 @@ def test_refined_edge_pair_has_no_cancellation_floor():
     assert max(abs(m.energy) for m in rep.edge_modes) <= 1e-12
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="long double is plain double here: the refine gains no digits")
+@settings(max_examples=4)
+@given(st.integers(8, 24), st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
+       st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0))
+@example(18, 2.005652598123242, 0.2242496452185141, 2.005652598123242, -1.3839106311816078)
+@example(10, 0.9844053153699868, 0.0, 0.0, 0.1875)  # refined 2e-26 farther, both 4e-17 off
+def test_refined_edge_energies_match_the_40_digit_eig(L, aj, bj, ah, bh):
+    # each refined record (the two-sided Rayleigh quotient in extended
+    # precision) lies within 1e-15 of a 40-digit eig of B_+ and no farther
+    # from it than the unrefined record, up to the rounding of a double
+    # energy: the fold rounds Re eps + pi in [0, 2 pi], so two energies of
+    # one mode at that floor differ in error by up to a unit of spacing(2 pi)
+    # (up to 4.3e-16 seen on pi modes); kinds, end weights and decay lengths
+    # are the unrefined scan's
+    p, lat = P.ModelParams(aj, bj, ah, bh), P.lattice(L, "obc")
+    try:
+        refined = S.detect_edge_modes(p, lat).edge_modes
+        raw = S.detect_edge_modes(p, lat, refine=False).edge_modes
+    except NumericalBreakdown:
+        return
+    same = lambda m: (m.kind, m.left_weight, m.right_weight, m.localization_length)
+    assert [same(m) for m in refined] == [same(m) for m in raw]
+    if not refined:
+        return
+    ref = _sector_energies_mp(p, lat)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        error = lambda e: float(min(abs(e - x - 2 * k * mpmath.pi)
+                                    for x in ref for k in (-1, 0, 1)))
+        for m, r in zip(refined, raw):
+            assert error(m.energy) <= min(1e-15, error(r.energy) + np.spacing(2 * np.pi)), (m, r)
+
+
 def _edge_columns(p, lat):
     """The scan's own candidate vectors: the site weights and the kind of
     each column that ``detect_edge_modes`` makes an edge record of."""
@@ -997,6 +1031,21 @@ def test_overflowing_kick_raises_a_typed_error(tmp_path):
         manifest = sweep.run_sweep(spec, tmp_path)
     assert [pt["status"] for pt in manifest.points] == ["error"]
     assert manifest.points[0]["error"].startswith("NumericalBreakdown: kick")
+
+
+def test_underflowed_sector_eigenvalue_raises_a_typed_error():
+    # the dense B_+ of this open chain has an eigenvalue that underflows to
+    # an exact 0, whose partner 1/mu has no double: the dense spectrum
+    # raises NumericalBreakdown instead of a log of zero (a RuntimeWarning),
+    # and so does the edge scan, whose discs fall back to that spectrum
+    p = P.ModelParams(-2.4220124821642286, -19.753644251286456, 1e-72, -0.6662632025551591)
+    lat = P.lattice(30, "obc")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalBreakdown, match="underflowed"):
+            S.detect_edge_modes(p, lat)
+        with pytest.raises(NumericalBreakdown, match="underflowed"):
+            S.SpectrumReport(S.build_transfer_matrix(p, lat)).quasienergies
 
 
 @pytest.mark.parametrize("bc", ["obc", "pbc-even", "pbc-odd"])

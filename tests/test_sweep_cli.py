@@ -382,6 +382,20 @@ def test_cli_spectrum_exits_3_where_the_dispersion_overflows(tmp_path, capsys):
     assert not (tmp_path / "spectrum.csv").exists()
 
 
+def test_cli_spectrum_exits_3_where_a_sector_eigenvalue_underflows(tmp_path, capsys):
+    # an open chain whose dense sector eigenvalue underflows to 0: a
+    # numerical breakdown (exit 3), not nan and -inf rows labelled trivial
+    cfg = tmp_path / "underflow.cfg"
+    cfg.write_text("units = rad\nalpha_J = -2.4220124821642286\nbeta_J = -19.753644251286456\n"
+                   "alpha_h = 1e-72\nbeta_h = -0.6662632025551591\nL = 30\nbc = obc\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "spectrum"])
+    assert rc == 3
+    assert "underflowed" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "spectrum.csv").exists()
+
+
 def test_cli_spectrum_is_finite_where_the_squared_dispersion_overflows(tmp_path):
     # beta_J = 250 pi/4: cos(2h +- 2J) is finite but (x/4)^2 is not; the
     # rows hold finite +-eps pairs and exit 0, with no RuntimeWarning
