@@ -39,7 +39,8 @@ Conventions
   B_+ gives a disc's one eigenvalue with its eigenvector.  Anything else
   falls back to the dense eigenvalues, each refined with its vector by the
   same iteration, and the report records why.  A record's decay length is
-  the closed form of its kind (``_decay_lengths``), not a fit.
+  the closed form of its kind (``_decay_lengths``), not a fit; its refined
+  energy a quotient on the same band in long double.  No kick form is built.
 * What the scan and the census need of the chain length alone is built
   once per length and shared read-only (``_sector_plan``, ``_chain_plan``,
   ``_census_momenta``): the template chain and gather indices of the
@@ -96,6 +97,20 @@ def _kick_cos_sin(angle, what: str = "kick exp(4W)") -> tuple[np.ndarray, np.nda
     return cos, sin
 
 
+def _period_cos_sin(kicks: list, J: complex, h: complex) -> list:
+    """The two kicks' (cos, sin), each kick tested (``_kick_cos_sin``): the one
+    overflow test of a period.  Where the product of the kicks' largest cos or
+    sin (by modulus, one from each kick) is not finite, the period has no
+    double-precision form: NumericalBreakdown, condition |Im 2J| + |Im 2h|."""
+    with np.errstate(over="ignore"):  # |z| of finite parts may pass the largest double
+        a, b = (float(np.abs(np.concatenate(kick, axis=None)).max()) for kick in kicks)
+    if not math.isfinite(a * b):  # a product of Python floats overflows to inf silently
+        grow = abs((2 * J).imag) + abs((2 * h).imag)
+        raise NumericalBreakdown(f"period exp(4W') exp(4W'') overflows: the kicks' growth "
+                                 f"|Im 2J| + |Im 2h| = {grow:.4g}", condition=grow)
+    return kicks
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class MajoranaQuadraticForm:
     """Antisymmetric W of H = i sum_jk a_j W_jk a_k on ``n`` Majoranas.
@@ -104,16 +119,15 @@ class MajoranaQuadraticForm:
     W_{p[i] q[i]} = s[i] = -W_{q[i] p[i]} as index and value arrays, in
     0-based Majorana indices.  Kicks touch each Majorana at most once,
     which makes their exponentials exact closed forms.  Derived once here:
-    ``partner``, each Majorana's bond partner (itself if unbonded);
-    ``angle``, its rotation angle (+4s at p, -4s at q, 0 if unbonded);
-    ``cos`` and ``sin`` of the angles as complex128 columns.  An index
-    outside [0, n) or two bonds on one Majorana raise ValidationError; an
-    overflowing angle raises NumericalBreakdown (``_kick_cos_sin``).
+    ``partner``, each Majorana's bond partner (itself if unbonded), and
+    ``cos`` and ``sin`` of its rotation angle (+4s at p, -4s at q, 0 if
+    unbonded) as complex128 columns, for the one-cell evolution stack.  An
+    index outside [0, n) or two bonds on one Majorana raise ValidationError;
+    an overflowing angle raises NumericalBreakdown (``_kick_cos_sin``).
     """
 
     n: int
     partner: np.ndarray = field(repr=False)
-    angle: np.ndarray = field(repr=False)
     cos: np.ndarray = field(repr=False)
     sin: np.ndarray = field(repr=False)
 
@@ -130,20 +144,14 @@ class MajoranaQuadraticForm:
         angle[p], angle[q] = 4 * s, -4 * s
         cos, sin = (a[:, None] for a in _kick_cos_sin(angle))
         # the dataclass is frozen: set the fields past its __setattr__
-        self.__dict__.update(n=n, partner=partner, angle=angle, cos=cos, sin=sin)
+        self.__dict__.update(n=n, partner=partner, cos=cos, sin=sin)
 
     def kick(self, x: np.ndarray, sign: float = 1.0) -> np.ndarray:
         """exp(sign * 4 W) @ x as one rotation per bond, O(n) per column.
 
         Row p of the result is cos(t_p) x_p + sign sin(t_p) x_partner(p),
-        t_p = angle_p.  For clongdouble ``x`` (the edge-pair refine) the
-        cosines and sines of the exact angles are taken in that precision.
-        """
-        c, s = self.cos, self.sin
-        if x.dtype == np.clongdouble:
-            t = self.angle.astype(np.clongdouble)[:, None]
-            c, s = np.cos(t), np.sin(t)
-        return _rotate(x, self.partner, c, s, sign)
+        t_p the angle of Majorana p."""
+        return _rotate(x, self.partner, self.cos, self.sin, sign)
 
 
 def _rotate(x: np.ndarray, partner, cos, sin, sign: float) -> np.ndarray:
@@ -188,17 +196,21 @@ def _kick_bonds(params: ModelParams, lat: LatticeSpec):
 
 def build_kick_forms(params: ModelParams, lat: LatticeSpec) -> KickForms:
     """The two kick generators (W', W'') for the given chain, from its
-    bonds (``_kick_bonds``)."""
-    return KickForms(*(MajoranaQuadraticForm(lat.n_majorana, *bonds)
-                       for bonds in _kick_bonds(params, lat)))
+    bonds (``_kick_bonds``); an overflowing period raises (``_period_cos_sin``)."""
+    forms = KickForms(*(MajoranaQuadraticForm(lat.n_majorana, *bonds)
+                        for bonds in _kick_bonds(params, lat)))
+    _period_cos_sin([(f.cos, f.sin) for f in forms], params.J, params.h)
+    return forms
 
 
-def _kick_scalars(params: ModelParams, lat: LatticeSpec) -> list:
+def _kick_scalars(params: ModelParams, lat: LatticeSpec, dtype) -> list:
     """(cos, sin) of each kick's angles [4s_0, 4s_b, -4s_0, -4s_b, 0], s_0
     and s_b its first and last bond value (``_kick_bonds``), coupling first,
-    as ``MajoranaQuadraticForm`` forms them: same bits, same overflow error."""
-    return [_kick_cos_sin(np.concatenate([4 * s[[0, -1]], -4 * s[[0, -1]], np.zeros(1)]))
-            for _, _, s in _kick_bonds(params, lat)]
+    in ``dtype``: complex128 as ``build_kick_forms`` forms them (same bits,
+    same overflow errors), long double for the edge-pair refine."""
+    angles = (np.concatenate([4 * s[[0, -1]], -4 * s[[0, -1]], np.zeros(1)]).astype(dtype)
+              for _, _, s in _kick_bonds(params, lat))
+    return _period_cos_sin([_kick_cos_sin(a) for a in angles], params.J, params.h)
 
 
 _G_FIELD = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)  # g''
@@ -216,8 +228,9 @@ class BlochBlocks:
 
     def period(self, sign: float = 1.0) -> np.ndarray:
         """exp(sign 4W'_k) exp(sign 4W''_k), each kick cos 2x + sign sin 2x g;
-        an overflowing kick raises NumericalBreakdown (``_kick_cos_sin``)."""
+        an overflowing kick or period raises NumericalBreakdown (``_period_cos_sin``)."""
         (c1, c2), (s1, s2) = _kick_cos_sin(np.array([2 * self.J, 2 * self.h]))
+        _period_cos_sin([(c1, s1), (c2, s2)], self.J, self.h)
         return ((c1 * np.eye(2) + sign * s1 * self.coupling)
                 @ (c2 * np.eye(2) + sign * s2 * _G_FIELD))
 
@@ -260,26 +273,20 @@ class TransferMatrix:
     [i, j] at row 1 + i - j, whose pencil K2_+ - z K1_+^-1 gives the disc
     counts their determinant phases in closed form (``_det_phases``);
     ``field_kick``, the field kick's cos and sin (``_sector_vectors``).  The
-    kick forms ``kicks`` (read by the edge-pair refine alone), the dense
-    ``b_plus`` and ``eigenvalues`` (those of ``b_plus``, then their
+    dense ``b_plus`` and ``eigenvalues`` (those of ``b_plus``, then their
     inverses) are formed on first read; eigenvectors only for the edge
-    scan's candidates (``_rayleigh_pair``).
+    scan's candidates (``_rayleigh_pair``).  No kick form is built.
     """
 
     band: np.ndarray
     pencil: np.ndarray
     tol: float
     field_kick: list
-    params: ModelParams
     lat: LatticeSpec
 
     @property
     def n(self) -> int:
         return self.lat.n_majorana
-
-    @cached_property
-    def kicks(self) -> KickForms:
-        return build_kick_forms(self.params, self.lat)
 
     @cached_property
     def b_plus(self) -> np.ndarray:
@@ -385,9 +392,21 @@ def _sector_vectors(field_kick: list, c: np.ndarray) -> np.ndarray:
     return np.hstack([v_plus, v_minus])
 
 
+def _sector_blocks(scalars: list, lat: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The band and pencil of ``TransferMatrix`` from ``_kick_scalars``, in their dtype."""
+    (cos1, sin1), (cos2, sin2) = scalars
+    u, partner, angle, band, pencil = _sector_plan(lat.L, lat.bc)
+    chain = _chain_plan(len(u) // 2)
+    k2 = _rotate(u, chain.pairs, cos2[chain.field], sin2[chain.field], 1.0)
+    cos1, sin1 = cos1[angle], sin1[angle]
+    blocks = np.concatenate([_rotate(k2, partner, cos1, sin1, 1.0).ravel(), k2.ravel(),
+                             _rotate(u, partner, cos1, sin1, -1.0).ravel(), [0]])
+    return blocks[band].T, blocks[pencil]  # band: L x 7 in C order, so Fortran 7 x L
+
+
 def build_transfer_matrix(params: ModelParams, lat: LatticeSpec) -> TransferMatrix:
     """M = K1 K2 (K1 = exp(4W'), K2 = exp(4W'')) by the bands of its L x L
-    sector blocks, closed forms of the kick scalars (``_kick_scalars``).
+    sector blocks, closed forms of the kick scalars (``_sector_blocks``).
 
     Both kicks are odd under Gamma and P on every boundary condition, so
     each commutes with R = Gamma P (R^2 = -1) and leaves the sector R = +i
@@ -403,18 +422,12 @@ def build_transfer_matrix(params: ModelParams, lat: LatticeSpec) -> TransferMatr
     kick's order (``_rotate``): three end columns kept at each end, the
     middle two repeated, bit for bit the dense kicks' (signed zeros too).
     Nothing is diagonalized here (``eigenvalues``, ``_rayleigh_pair``).  An
-    overflowing kick raises the NumericalBreakdown of ``build_kick_forms``.
+    overflowing kick or period raises as ``build_kick_forms`` does.
     """
-    (cos1, sin1), field_kick = _kick_scalars(params, lat)
-    u, partner, angle, band, pencil = _sector_plan(lat.L, lat.bc)
-    chain = _chain_plan(len(u) // 2)
-    k2 = _rotate(u, chain.pairs, field_kick[0][chain.field], field_kick[1][chain.field], 1.0)
-    cos1, sin1 = cos1[angle], sin1[angle]
-    blocks = np.concatenate([_rotate(k2, partner, cos1, sin1, 1.0).ravel(), k2.ravel(),
-                             _rotate(u, partner, cos1, sin1, -1.0).ravel(), [0]])
-    band = blocks[band].T  # L x 7 in C order: the band in Fortran order
+    scalars = _kick_scalars(params, lat, complex)
+    band, pencil = _sector_blocks(scalars, lat)
     tol = lat.L * np.finfo(float).eps * np.abs(band).sum(axis=0).max()
-    return TransferMatrix(band, blocks[pencil], tol, field_kick, params, lat)
+    return TransferMatrix(band, pencil, tol, scalars[1], lat)
 
 
 def fold_real_part(re: np.ndarray | float) -> np.ndarray | float:
@@ -856,25 +869,26 @@ def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
     inside its disc fall back to the dense eigenvalues of B_+, the reason
     in ``fallback``; each dense candidate is refined with its vector by the
     same iteration, and one that does not converge raises
-    NumericalBreakdown.  An overflowing kick raises NumericalBreakdown
-    before any of this (``_kick_scalars``).
+    NumericalBreakdown.  An overflowing kick or period raises
+    NumericalBreakdown before any of this (``_kick_scalars``).
 
-    Only candidates get eigenvectors.  One with more than half its weight
-    on the outer ``_EDGE_FRACTION`` of sites is an edge mode; its
+    Only candidates get eigenvectors.  One with more than half its weight on
+    the outer ``_EDGE_FRACTION`` of sites is an edge mode; its
     ``localization_length`` is the closed-form decay length of its kind
     (``_decay_lengths``).  With ``refine``, each record's mu is the
-    two-sided Rayleigh quotient l^H M r / l^H r = v_-^T M v_+ / v_-^T v_+,
-    M applied by the kick forms in extended precision, and its partner's
-    1/mu: an edge pair mu, 1/mu lies in two reflection sectors, where the
-    pair's projected map is diagonal.  Kinds and weights are the unrefined
-    mu's, so the refine moves no label.  A candidate with
-    eigenvalue condition kappa >= ``_COND_CUTOFF`` (an exceptional point
-    in the edge window; the constant, like those of the discs, is read at
-    call time) raises NumericalBreakdown, with the worst kappa as
-    ``condition``; bulk eigenvalues are not judged.  Near alpha = pi/4 the
-    edge modes delocalize at finite size; an empty scan there raises no
-    error but sets ``delocalization_warning``.  The report's
-    ``quasienergies`` are computed densely if read.
+    two-sided Rayleigh quotient l^H M r / l^H r = v_-^T M v_+ / v_-^T v_+ =
+    w^T B_+ x / w^T x (M v_+ = U B_+ x, x = v_+[:L], w = U^T v_-), B_+ the
+    band in long double (``_sector_blocks``; no kick form is built), and its
+    partner's 1/mu: an edge pair mu, 1/mu lies in two reflection sectors,
+    where the pair's projected map is diagonal.  Kinds and weights are the
+    unrefined mu's, so the refine moves no label.  A candidate with
+    eigenvalue condition kappa >= ``_COND_CUTOFF`` (an exceptional point in
+    the edge window; the constant, like those of the discs, is read at call
+    time) raises NumericalBreakdown, with the worst kappa as ``condition``;
+    bulk eigenvalues are not judged.  Near alpha = pi/4 the edge modes
+    delocalize at finite size; an empty scan there raises no error but sets
+    ``delocalization_warning``.  The report's ``quasienergies`` are computed
+    densely if read.
     """
     _require_edge_lattice(lat)
     tm = build_transfer_matrix(params, lat)
@@ -890,9 +904,11 @@ def detect_edge_modes(params: ModelParams, lat: LatticeSpec,
     lw, rw = weights[:ne].sum(axis=0), weights[-ne:].sum(axis=0)
 
     if refine and len(mu):  # two-sided Rayleigh quotients; the kappa gate bounds 1/denominator
-        v_plus, v_minus = np.split(vecs.astype(np.clongdouble), 2, axis=1)
+        L, band = lat.L, _sector_blocks(_kick_scalars(params, lat, np.clongdouble), lat)[0]
+        v_plus, v_minus = np.split(vecs.astype(band.dtype), 2, axis=1)
+        x, w = v_plus[:L], v_minus[:L] + _chain_plan(L).phase[:, None] * v_minus[::-1][:L]
         eps = quasienergies_from_eigenvalues(_pairs(
-            np.sum(v_minus * tm.kicks.step(v_plus), axis=0) / np.sum(v_minus * v_plus, axis=0)))
+            np.sum(w * _band_matvec(band, x), axis=0) / np.sum(w * x, axis=0)))
 
     xi, edge = _decay_lengths(params), lw + rw > 0.5
     records = [EdgeModeRecord(kind, complex(eps[k]), xi[kind], float(lw[k]), float(rw[k]))

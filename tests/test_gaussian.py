@@ -1596,6 +1596,31 @@ def test_continuous_flow_runs_where_the_kicks_overflow(bc, n_blocks):
         assert anticommutation_defect(c) <= 1e-10 and purity_defect(c) <= 1e-10
 
 
+@pytest.mark.parametrize("L, bc, raised_in", [(20, "obc", "build_kick_forms"),
+                                              (21, "obc", "build_kick_forms"),
+                                              (20, "pbc-even", "period")])
+@pytest.mark.parametrize("state", ["neel-fermion", "all-up"])
+def test_overflowing_period_raises_a_typed_error(L, bc, raised_in, state):
+    # |Im 2J| = 611.5 and |Im 2h| = 254.0: each kick's cos and sin are
+    # finite, their products are not.  The direct frame and the loop's
+    # first frame raise NumericalBreakdown (condition |Im 2J| + |Im 2h|)
+    # without a RuntimeWarning, from the kick forms on the one-cell stack
+    # and from the one-site blocks' period on the momentum stack
+    p = P.ModelParams(1.838849070774832, 305.7605778031261,
+                      -1.7887682043279145, 127.00018446793942)
+    lat, quench = P.lattice(L, bc), P.QuenchConfig(P.named_state(state, L), n_periods=184)
+    assert gaussian._momentum_route(lat, quench.initial_state) == (bc == "pbc-even")
+    grow = abs((2 * p.J).imag) + abs((2 * p.h).imag)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in (lambda: gaussian.run_to_steady_state(p, lat, quench),
+                     lambda: next(gaussian.period_frames(p, lat, quench))):
+            with pytest.raises(NumericalBreakdown, match="period") as info:
+                call()
+            assert info.value.condition == grow
+            assert any(entry.name == raised_in for entry in info.traceback)
+
+
 def test_momentum_chain_builds_no_chain_kicks(monkeypatch):
     # the L = 40 pbc-even Neel direct frame, loop and continuous flow read
     # the one-site Bloch blocks alone: no build_kick_forms call

@@ -50,42 +50,45 @@ def metric_residual(eta, hk):
 # kick forms
 # --------------------------------------------------------------------------
 
-def _dense_w(form):
-    """The dense n x n matrix W of a kick form: W[j, partner[j]] = angle[j]/4."""
-    w = np.zeros((form.n, form.n), dtype=complex)
-    w[np.arange(form.n), form.partner] = form.angle / 4
-    return w
+def _dense_ws(p, lat):
+    """The dense n x n matrices W' and W'' of the chain's bonds
+    (``S._kick_bonds``): W_pq = s = -W_qp."""
+    ws = []
+    for i, j, s in S._kick_bonds(p, lat):
+        ws.append(np.zeros((lat.n_majorana,) * 2, dtype=complex))
+        ws[-1][i, j], ws[-1][j, i] = s, -s
+    return ws
 
 
-def _dense_m(tm):
-    """The dense 2L x 2L one-period map M of a transfer matrix."""
-    return tm.kicks.step(np.eye(tm.n, dtype=complex))
+def _dense_m(p, lat):
+    """The dense 2L x 2L one-period map M of the chain."""
+    return S.build_kick_forms(p, lat).step(np.eye(lat.n_majorana, dtype=complex))
 
 
 def test_zero_coupling_gives_zero_form():
-    p = P.ModelParams(0.0, 0.0, 0.3, 0.1)
-    w1, _ = S.build_kick_forms(p, P.lattice(6, "obc"))
-    assert np.all(_dense_w(w1) == 0)
+    p, lat = P.ModelParams(0.0, 0.0, 0.3, 0.1), P.lattice(6, "obc")
+    w1, _ = S.build_kick_forms(p, lat)
+    assert np.all(_dense_ws(p, lat)[0] == 0)
+    assert np.array_equal(w1.kick(np.eye(12, dtype=complex)), np.eye(12))
 
 
 def test_bond_counting_open_chain():
-    p = P.ModelParams(0.3, 0.0, 0.5, 0.0)
-    w1, w2 = S.build_kick_forms(p, P.lattice(2, "obc"))
+    p, lat = P.ModelParams(0.3, 0.0, 0.5, 0.0), P.lattice(2, "obc")
+    w1, w2 = S.build_kick_forms(p, lat)
     assert np.count_nonzero(w1.partner != np.arange(4)) == 2  # single (a_2, a_3) pair
     assert np.count_nonzero(w2.partner != np.arange(4)) == 4
-    assert np.count_nonzero(_dense_w(w1)) == 2  # antisymmetric pair
+    assert np.count_nonzero(_dense_ws(p, lat)[0]) == 2  # antisymmetric pair
 
 
 def test_kick_exponential_matches_expm():
     # each kick on the identity, and the period step on it for both signs
-    p = random_params()
-    forms = S.build_kick_forms(p, P.lattice(5, "pbc-odd"))
+    p, lat = random_params(), P.lattice(5, "pbc-odd")
+    forms, (w1, w2) = S.build_kick_forms(p, lat), _dense_ws(p, lat)
     eye = np.eye(10, dtype=complex)
-    for form in forms:
-        assert np.allclose(form.kick(eye), scipy.linalg.expm(4 * _dense_w(form)), atol=1e-12)
+    for form, w in zip(forms, (w1, w2)):
+        assert np.allclose(form.kick(eye), scipy.linalg.expm(4 * w), atol=1e-12)
     for sign in (1.0, -1.0):
-        dense = (scipy.linalg.expm(sign * 4 * _dense_w(forms.coupling_form))
-                 @ scipy.linalg.expm(sign * 4 * _dense_w(forms.field_form)))
+        dense = scipy.linalg.expm(sign * 4 * w1) @ scipy.linalg.expm(sign * 4 * w2)
         assert np.allclose(forms.step(eye, sign), dense, atol=1e-12)
 
 
@@ -94,10 +97,10 @@ def test_kick_exponential_matches_expm():
 def test_kick_matches_expm_every_boundary_and_sign(bc, sign):
     # pbc-even carries the wrap sign, obc leaves both end Majoranas unbonded
     rng = np.random.default_rng(7)
-    p = random_params(rng)
+    p, lat = random_params(rng), P.lattice(5, bc)
     x = rng.normal(size=(10, 3)) + 1j * rng.normal(size=(10, 3))
-    for form in S.build_kick_forms(p, P.lattice(5, bc)):
-        dense = scipy.linalg.expm(sign * 4 * _dense_w(form))
+    for form, w in zip(S.build_kick_forms(p, lat), _dense_ws(p, lat)):
+        dense = scipy.linalg.expm(sign * 4 * w)
         assert np.allclose(form.kick(np.eye(10, dtype=complex), sign), dense, atol=1e-12)
         assert np.allclose(form.kick(x, sign), dense @ x, atol=1e-12)
 
@@ -117,18 +120,21 @@ def _chain_bonds(p, lat):
 
 @pytest.mark.parametrize("bc", ["pbc-even", "pbc-odd", "obc"])
 def test_kick_forms_match_bond_loop(bc):
-    # reference: the forms filled one bond at a time
+    # reference: the forms filled one bond at a time; each form's cos and
+    # sin are those of the loop's angles bit for bit
     p, lat = random_params(np.random.default_rng(11)), P.lattice(7, bc)
-    for form, bonds in zip(S.build_kick_forms(p, lat), _chain_bonds(p, lat)):
+    for form, dense_w, bonds in zip(S.build_kick_forms(p, lat), _dense_ws(p, lat),
+                                    _chain_bonds(p, lat)):
         w = np.zeros((14, 14), dtype=complex)
         partner, angle = np.arange(14), np.zeros(14, dtype=complex)
         for a, b, s in bonds:
             w[a, b], w[b, a] = w[a, b] + s, w[b, a] - s
             partner[a], partner[b] = b, a
             angle[a], angle[b] = 4 * s, -4 * s
-        assert np.array_equal(_dense_w(form), w)
+        assert np.array_equal(dense_w, w)
         assert np.array_equal(form.partner, partner)
-        assert np.array_equal(form.angle, angle)
+        for got, want in zip((form.cos, form.sin), S._kick_cos_sin(angle)):
+            assert np.array_equal(_bits(got), _bits(want[:, None]))
 
 
 def test_kick_forms_hold_no_dense_matrix():
@@ -171,7 +177,7 @@ def _form_outcome(make):
        st.sampled_from(["none", "negative", "too-large", "overlap", "overflow"]))
 def test_kick_form_from_its_bonds_is_the_built_form_bit_for_bit(L, bc, aj, bj, ah, bh, bad):
     # the chain's bonds (``_chain_bonds``) as index and value arrays give
-    # build_kick_forms's partner, angle, cos and sin bit for bit, and a bad
+    # build_kick_forms's partner, cos and sin bit for bit, and a bad
     # bond (index outside the form, two bonds on one Majorana, an angle
     # whose cos and sin overflow) its typed error
     params, lat = P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc)
@@ -188,7 +194,7 @@ def test_kick_form_from_its_bonds_is_the_built_form_bit_for_bit(L, bc, aj, bj, a
             s[-1] += 400j
         rebuilt = _form_outcome(lambda: S.MajoranaQuadraticForm(n, p, q, s))
         if bad == "none":
-            for name in ("partner", "angle", "cos", "sin"):
+            for name in ("partner", "cos", "sin"):
                 a, b = getattr(rebuilt, name), getattr(form, name)
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert np.array_equal(_bits(a), _bits(b)), name
@@ -202,7 +208,7 @@ def test_transfer_matrix_invariants():
     p = random_params()
     lat = P.lattice(6, "pbc-even")
     tm = S.build_transfer_matrix(p, lat)
-    m = _dense_m(tm)
+    m = _dense_m(p, lat)
     assert abs(np.linalg.det(m) - 1) < 1e-8
     # complex orthogonality and reciprocal eigenvalue pairing
     assert np.allclose(m.T @ m, np.eye(tm.n), atol=1e-10)
@@ -221,8 +227,7 @@ def test_unitary_case_orthogonal_unit_modulus():
 
 def test_identity_when_couplings_vanish():
     p = P.ModelParams(0.0, 0.0, 0.0, 0.0)
-    tm = S.build_transfer_matrix(p, P.lattice(4, "obc"))
-    assert np.allclose(_dense_m(tm), np.eye(8))
+    assert np.allclose(_dense_m(p, P.lattice(4, "obc")), np.eye(8))
 
 
 # --------------------------------------------------------------------------
@@ -572,21 +577,26 @@ def test_edge_modes_localized_and_real():
 def _sector_energies_mp(p, lat):
     """Quasienergies +-i log mu of the open chain from a 40-digit eig
     of the reflection-sector block B_+ (``build_transfer_matrix``), with
-    the kick angles taken as the double values the kick forms hold."""
+    the kick angles +-4s taken from the chain's bonds as doubles."""
     mpmath = pytest.importorskip("mpmath")
     forms = S.build_kick_forms(p, lat)
     n, L = forms.coupling_form.n, lat.L
+    angles = []
+    for bonds in _chain_bonds(p, lat):
+        angles.append(np.zeros(n, dtype=complex))
+        for a, b, s in bonds:
+            angles[-1][a], angles[-1][b] = 4 * s, -4 * s
     with mpmath.workdps(40):
-        def kick(form, x):
-            c = [mpmath.cos(mpmath.mpc(a)) for a in form.angle]
-            s = [mpmath.sin(mpmath.mpc(a)) for a in form.angle]
+        def kick(form, angle, x):
+            c = [mpmath.cos(mpmath.mpc(a)) for a in angle]
+            s = [mpmath.sin(mpmath.mpc(a)) for a in angle]
             return [[c[r] * x[r][j] + s[r] * x[form.partner[r]][j] for j in range(L)]
                     for r in range(n)]
         basis = [[mpmath.mpc(0)] * L for _ in range(n)]
         for m in range(L):
             basis[m][m] = mpmath.mpc(1)
             basis[n - 1 - m][m] = mpmath.mpc(0, (-1) ** m)
-        b_plus = kick(forms.coupling_form, kick(forms.field_form, basis))[:L]
+        b_plus = kick(forms.coupling_form, angles[0], kick(forms.field_form, angles[1], basis))[:L]
         mu = mpmath.eig(mpmath.matrix(b_plus), left=False, right=False)
         eps = [sign * 1j * mpmath.log(x) for x in mu for sign in (1, -1)]
     return eps
@@ -1065,6 +1075,41 @@ def test_transfer_matrix_overflows_as_the_kick_forms_do(bc, beta_j, beta_h):
     assert errors[0][1] == (2 * beta_j if beta_j > 1 else 2 * beta_h)
 
 
+# each kick of this chain is finite (|Im 2J| = 611.5, |Im 2h| = 254.0), but
+# the products of the two kicks' cos and sin are not
+PERIOD_OVERFLOW = P.ModelParams(1.838849070774832, 305.7605778031261,
+                                -1.7887682043279145, 127.00018446793942)
+
+
+@pytest.mark.parametrize("L", [20, 21])
+def test_overflowing_period_raises_a_typed_error_in_the_edge_scan(L):
+    # the kick forms, the closed-form band and the edge scan raise the one
+    # period NumericalBreakdown (condition |Im 2J| + |Im 2h|), without a
+    # RuntimeWarning
+    p, lat = PERIOD_OVERFLOW, P.lattice(L, "obc")
+    grow = abs((2 * p.J).imag) + abs((2 * p.h).imag)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in (S.build_kick_forms, S.build_transfer_matrix, S.detect_edge_modes):
+            with pytest.raises(NumericalBreakdown, match="period") as info:
+                call(p, lat)
+            assert info.value.condition == grow
+
+
+@pytest.mark.parametrize("bc", ["obc", "pbc-even", "pbc-odd"])
+def test_period_just_under_the_overflow_bound_is_finite(bc):
+    # |Im 2J| + |Im 2h| = 708, below the bound (~711.2, where cos 2J cos 2h
+    # passes the largest double): the kicks, the band, the pencil and the
+    # one-site period are built, finite, without a RuntimeWarning
+    p, lat = P.ModelParams(0.3, 200.0, 0.2, 154.0), P.lattice(9, bc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        m = S.build_kick_forms(p, lat).step(np.eye(lat.n_majorana, dtype=complex))
+        tm = S.build_transfer_matrix(p, lat)
+        t = S.bloch_blocks(p.J, p.h, [0.0, 1.0]).period()
+    assert all(np.isfinite(a).all() for a in (m, tm.band, tm.pencil, t))
+
+
 def test_overflowing_dispersion_raises_a_typed_error():
     # the same point in the momentum census: cos(2h +- 2J) overflows, so
     # the census and the dispersion raise NumericalBreakdown (condition =
@@ -1244,8 +1289,7 @@ def test_classify_phase_skips_the_edge_scan_the_census_decides(monkeypatch):
 
 def _dense_edge_kinds(p, L, tol_edge=1e-3, im_tol=1e-2, edge_fraction=0.1):
     """Kinds of localized zero and pi modes from one eig of the dense map."""
-    tm = S.build_transfer_matrix(p, P.lattice(L, "obc"))
-    mu, vr = np.linalg.eig(_dense_m(tm))
+    mu, vr = np.linalg.eig(_dense_m(p, P.lattice(L, "obc")))
     ne = max(1, int(edge_fraction * L))
     kinds = set()
     for eps, vec in zip(S.quasienergies_from_eigenvalues(mu), vr.T):
@@ -1265,8 +1309,9 @@ def _dense_edge_kinds(p, L, tol_edge=1e-3, im_tol=1e-2, edge_fraction=0.1):
        st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
        st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0))
 def test_sector_spectrum_matches_the_dense_eig(L, bc, aj, bj, ah, bh):
-    tm = S.build_transfer_matrix(P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc))
-    m = _dense_m(tm)
+    p, lat = P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc)
+    tm = S.build_transfer_matrix(p, lat)
+    m = _dense_m(p, lat)
     scale = np.linalg.norm(m, 2)
     mu = np.linalg.eigvals(m)
     cost = np.abs(tm.eigenvalues[:, None] - mu[None, :])
@@ -1283,8 +1328,8 @@ def test_kick_forms_are_odd_under_the_chiral_sign_and_the_mirror(L, bc, aj, bj, 
     # Gamma = diag((-1)^m) and the mirror P: m -> 2L-1-m, both kicks have
     # Gamma W Gamma = -W (bonds join Majoranas of opposite parity) and
     # P W P = -W (the mirror image of each bond is a bond of opposite angle)
-    for form in S.build_kick_forms(P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc)):
-        w, gamma = _dense_w(form), (-1.0) ** np.arange(2 * L)
+    for w in _dense_ws(P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc)):
+        gamma = (-1.0) ** np.arange(2 * L)
         assert np.array_equal(gamma[:, None] * w * gamma, -w)
         assert np.array_equal(w[::-1, ::-1], -w)
 
@@ -1314,9 +1359,9 @@ def test_banded_transfer_block_is_the_dense_kick_bit_for_bit(L, bc, aj, bj, ah, 
     # the closed-form band, the dense block formed from it, the scan's
     # shift and the index-written sector vectors equal the dense kick of
     # the whole sector basis and its products exactly
-    tm = S.build_transfer_matrix(P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc))
-    kicks = tm.kicks
-    dense = kicks.step(S.sector_basis(2 * L))[:L]
+    p, lat = P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc)
+    tm = S.build_transfer_matrix(p, lat)
+    dense = S.build_kick_forms(p, lat).step(S.sector_basis(2 * L))[:L]
     assert tm.band.shape == (7, L) and tm.band.flags.f_contiguous
     assert not tm.band[:2].any()
     assert np.array_equal(tm.b_plus.view(np.uint64), dense.view(np.uint64))  # signed zeros too
@@ -1339,8 +1384,9 @@ def test_pencil_diagonals_are_the_dense_sector_kicks_bit_for_bit(L, bc, aj, bj, 
     # (coupling kick, sign -1) equal the dense kicks of the whole sector
     # basis exactly; both blocks are tridiagonal, and the two corners
     # outside the matrix are zero
-    tm = S.build_transfer_matrix(P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc))
-    kicks, pencil = tm.kicks, tm.pencil
+    p, lat = P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc)
+    tm = S.build_transfer_matrix(p, lat)
+    kicks, pencil = S.build_kick_forms(p, lat), tm.pencil
     assert pencil.shape == (2, 3, L)
     i, j = np.indices((L, L))
     inside = np.abs(i - j) <= 1
@@ -1360,10 +1406,11 @@ def test_chiral_partner_vectors_are_the_field_form_kick_bit_for_bit(L, bc, aj, b
     # v_- = Gamma K2 v_+ from the field kick's two cos and sin (no kick
     # form) equals Gamma times the field form's kick of v_+, normalized,
     # bit for bit
-    tm = S.build_transfer_matrix(P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc))
+    p, lat = P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc)
+    tm = S.build_transfer_matrix(p, lat)
     x = np.random.default_rng(seed).standard_normal((L, 3, 2)) @ [1, 1j]
     v = S._sector_vectors(tm.field_kick, x)
-    ref = (-1.0) ** np.arange(2 * L)[:, None] * tm.kicks.field_form.kick(v[:, :3])
+    ref = (-1.0) ** np.arange(2 * L)[:, None] * S.build_kick_forms(p, lat).field_form.kick(v[:, :3])
     ref /= np.linalg.norm(ref, axis=0)
     assert np.array_equal(v[:, 3:].view(np.uint64), ref.view(np.uint64))
 
@@ -1399,10 +1446,11 @@ def test_candidate_vectors_match_the_dense_eig(L, aj, bj, ah, bh):
     # iteration run from each dense one as the dense fallback runs it, and
     # their kappa, against the dense 2L x 2L eig wherever that eig
     # determines them
-    tm = S.build_transfer_matrix(P.ModelParams(aj, bj, ah, bh), P.lattice(L, "obc"))
+    p, lat = P.ModelParams(aj, bj, ah, bh), P.lattice(L, "obc")
+    tm = S.build_transfer_matrix(p, lat)
     c = np.column_stack([S._rayleigh_pair(tm.band, tm.tol, mu)[1] for mu in tm.eigenvalues[:L]])
     v, kappa = S._candidate_vectors(tm, c)
-    m = _dense_m(tm)
+    m = _dense_m(p, lat)
     scale = np.linalg.norm(m, 2)
     assert np.allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-12)
     assert np.linalg.norm(m @ v - v * tm.eigenvalues, axis=0).max() <= 1e-10 * scale
@@ -1728,10 +1776,10 @@ def test_second_classify_phase_of_a_length_builds_no_plan(monkeypatch):
         (2, misses, P.PhaseLabel.ZERO_PI)
 
 
-def test_edge_scan_builds_the_kick_forms_only_to_refine(monkeypatch):
+def test_edge_scan_builds_no_kick_form_refined_or_not(monkeypatch):
     # the 0pi point at L = 144: classify_phase takes both discs' starting
-    # phases from one _det_phases call and builds no kick form; the refine
-    # of its two edge pairs builds them once
+    # phases from one _det_phases call and builds no kick form; nor does
+    # the refine of its two edge pairs, which reads the long-double band
     calls = {"build_kick_forms": [], "_det_phases": []}
     for name, seen in calls.items():
         monkeypatch.setattr(S, name, lambda *a, seen=seen, fn=getattr(S, name), **k:
@@ -1741,7 +1789,7 @@ def test_edge_scan_builds_the_kick_forms_only_to_refine(monkeypatch):
     assert (len(calls["build_kick_forms"]), len(calls["_det_phases"])) == (0, 1)
     rep = S.detect_edge_modes(p, P.lattice(144, "obc"), refine=True)
     assert [m.kind for m in rep.edge_modes] == ["zero", "zero", "pi", "pi"]
-    assert len(calls["build_kick_forms"]) == 1
+    assert len(calls["build_kick_forms"]) == 0
 
 
 def test_spectrum_sweep_task_solves_no_dense_spectrum(monkeypatch):

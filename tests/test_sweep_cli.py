@@ -396,6 +396,39 @@ def test_cli_spectrum_exits_3_where_a_sector_eigenvalue_underflows(tmp_path, cap
     assert not (tmp_path / "out" / "spectrum.csv").exists()
 
 
+_PERIOD_OVERFLOW = {"units": "rad", "alpha_J": 1.838849070774832, "beta_J": 305.7605778031261,
+                    "alpha_h": -1.7887682043279145, "beta_h": 127.00018446793942,
+                    "L": 21, "bc": "obc", "n_periods": 184}
+
+
+@pytest.mark.parametrize("command, message", [
+    ("evolve", "period exp(4W') exp(4W'') overflows"),
+    ("spectrum", "dispersion overflows")])  # the command's census runs before its edge scan
+def test_cli_exits_3_where_the_period_overflows(tmp_path, capsys, command, message):
+    # each kick of this chain is finite but their products are not: a
+    # numerical breakdown (exit 3) with no output, not a RuntimeWarning
+    cfg = tmp_path / "period.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in _PERIOD_OVERFLOW.items()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), command])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize("task", ["steady-entropy", "tee"])
+def test_sweep_point_whose_period_overflows_is_an_error(tmp_path, task):
+    # the same chain as a sweep point: an "error" with the period's message,
+    # not a "crash" on an overflow RuntimeWarning
+    fixed = {k: v for k, v in _PERIOD_OVERFLOW.items() if k != "beta_J"}
+    beta_j = _PERIOD_OVERFLOW["beta_J"]
+    spec = _axis_spec((("beta_J", beta_j, beta_j, 1),), {**fixed, "subsystem_length": 4}, task)
+    manifest = sweep.run_sweep(spec, tmp_path)
+    assert [p["status"] for p in manifest.points] == ["error"]
+    assert "period exp(4W') exp(4W'') overflows" in manifest.points[0]["error"]
+
+
 def test_cli_spectrum_is_finite_where_the_squared_dispersion_overflows(tmp_path):
     # beta_J = 250 pi/4: cos(2h +- 2J) is finite but (x/4)^2 is not; the
     # rows hold finite +-eps pairs and exit 0, with no RuntimeWarning
