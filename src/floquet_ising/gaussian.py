@@ -354,10 +354,14 @@ def _dominant_frame(kicks: KickForms, frame: GaussianFrame, n: int) -> GaussianF
     on T_+ and T_+^-1, and y = Q^dag Phi0 and the frame Q (S coords) go
     through U (two entries per column), Q_+ and Q_- = conj(Q_+) J.  The
     L/L split (no middle block) is tried first and, where it misses, the
-    split that carries the edge pair straddling the L/L cut.
+    split that carries the edge pair straddling the L/L cut.  A B_+ or B_-
+    that overflows is a miss.
     """
     u = sector_basis(kicks.coupling_form.n)
-    b_plus, b_minus = (kicks.step(x, -1.0)[:len(x) // 2] for x in (u, u.conj()))
+    with np.errstate(over="ignore", invalid="ignore"):  # finite kicks, overflowing sums
+        b_plus, b_minus = (kicks.step(x, -1.0)[:len(x) // 2] for x in (u, u.conj()))
+    if not (np.isfinite(b_plus).all() and np.isfinite(b_minus).all()):
+        return None
     try:
         t, q = scipy.linalg.schur(b_plus, output="complex")
     except np.linalg.LinAlgError:  # the Schur iteration did not converge
@@ -397,12 +401,14 @@ def _sector_form(t: np.ndarray, q: np.ndarray, b_minus: np.ndarray):
     ``ztrexc`` moves mu_0 right after it: the L/L split's top is then the
     first k or k + 1 modes, as mu_0 lies below or above the L/L cut, so
     both splits read one order.  The - form read from t^-1 must pass
-    ||B_- Q_- - Q_- T_-|| <= _OVERLAP_TOL ||B_-||.
+    ||B_- Q_- - Q_- T_-|| <= _OVERLAP_TOL ||B_-||; a mode whose log is not
+    finite, or a residual that is not, is a miss.
     """
     L, mu = len(t), np.diag(t)
-    if not np.all(mu):  # singular: the - form does not exist
+    with np.errstate(all="ignore"):  # mu = 0, or |mu| or 1/mu past the largest double
+        pairs = np.log(np.abs(np.stack([mu, 1.0 / mu])))
+    if not np.isfinite(pairs).all():  # the - form does not exist in double precision
         return None
-    pairs = np.log(np.abs(np.stack([mu, 1.0 / mu])))
     log_mu = np.sort(pairs.ravel())[::-1]
     cut = (log_mu[:-1] + log_mu[1:]) / 2
     above = lambda i: np.count_nonzero(pairs > cut[i], axis=0)  # members of each pair
@@ -428,8 +434,11 @@ def _sector_form(t: np.ndarray, q: np.ndarray, b_minus: np.ndarray):
         return None
     t_inv, info = scipy.linalg.lapack.ztrtri(t)
     q_minus = q[:, ::-1].conj()
-    if info != 0 or not (np.linalg.norm(b_minus @ q_minus - q_minus @ t_inv[::-1, ::-1].T)
-                         <= _OVERLAP_TOL * np.linalg.norm(b_minus)):
+    # both sides scaled by a power of two (exact) to max |B_-| < 1: no norm overflows
+    scale = 2.0 ** -np.frexp(np.abs(b_minus.view(float)).max())[1]
+    with np.errstate(all="ignore"):
+        res = np.linalg.norm(b_minus * scale @ q_minus - q_minus @ (t_inv[::-1, ::-1].T * scale))
+    if info != 0 or not res <= _OVERLAP_TOL * np.linalg.norm(b_minus * scale):
         return None
     return t, q, t_inv, cuts
 

@@ -21,7 +21,8 @@ Conventions
   exp(-4W''_{-k}), h_k = i(W'_{-k} + W''_{-k}), and so does the
   continuous certificate, 4 N^-1 h_k N (N = ``_NAMBU_FROM_MAJORANA``).
 * Each kick is a direct sum of commuting two-Majorana rotations, so its
-  exponential is assembled bond by bond in closed form (exact, O(L)).
+  exponential is a closed form (exact, O(L)), gathered from the cos and sin
+  of a kick's at most five angles (``_kick_scalars``, ``_kick_forms``).
 * Both kicks (``build_kick_forms``) are odd under the chiral sign
   Gamma = diag((-1)^m) and the mirror P: m -> 2L-1-m on every boundary
   condition, so M commutes with R = Gamma P and splits into two
@@ -41,12 +42,13 @@ Conventions
   same iteration, and the report records why.  A record's decay length is
   the closed form of its kind (``_decay_lengths``), not a fit; its refined
   energy a quotient on the same band in long double.  No kick form is built.
-* What the scan and the census need of the chain length alone is built
-  once per length and shared read-only (``_sector_plan``, ``_chain_plan``,
-  ``_census_momenta``): the template chain and gather indices of the
-  closed-form sector bands, the sector phases, the chiral signs, the start
-  vector of the Rayleigh-quotient iteration and the census momenta.  No
-  disc constant is kept there; each is read at call time.
+* What the kicks, the scan and the census need of the chain length alone
+  is built once per length and shared read-only (``_sector_plan``,
+  ``_coupling_plan``, ``_chain_plan``, ``_census_momenta``): the template
+  chain and gather indices of the sector bands, each Majorana's bond
+  partners and angle indices, the sector phases, the chiral signs, the
+  start vector of the Rayleigh-quotient iteration and the census momenta.
+  No disc constant is kept there; each is read at call time.
 """
 
 from __future__ import annotations
@@ -111,40 +113,17 @@ def _period_cos_sin(kicks: list, J: complex, h: complex) -> list:
     return kicks
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class MajoranaQuadraticForm:
-    """Antisymmetric W of H = i sum_jk a_j W_jk a_k on ``n`` Majoranas.
-
-    ``MajoranaQuadraticForm(n, p, q, s)`` takes the entries
-    W_{p[i] q[i]} = s[i] = -W_{q[i] p[i]} as index and value arrays, in
-    0-based Majorana indices.  Kicks touch each Majorana at most once,
-    which makes their exponentials exact closed forms.  Derived once here:
-    ``partner``, each Majorana's bond partner (itself if unbonded), and
-    ``cos`` and ``sin`` of its rotation angle (+4s at p, -4s at q, 0 if
-    unbonded) as complex128 columns, for the one-cell evolution stack.  An
-    index outside [0, n) or two bonds on one Majorana raise ValidationError;
-    an overflowing angle raises NumericalBreakdown (``_kick_cos_sin``).
-    """
+    """A kick exp(4W) on ``n`` Majoranas, W a sum of disjoint bonds W_pq = s =
+    -W_qp, as a record (``_kick_forms``): each Majorana's bond ``partner``
+    (itself if unbonded), and the ``cos`` and ``sin`` of its angle (+4s at
+    p, -4s at q, 0 if unbonded) as columns."""
 
     n: int
     partner: np.ndarray = field(repr=False)
     cos: np.ndarray = field(repr=False)
     sin: np.ndarray = field(repr=False)
-
-    def __init__(self, n: int, p, q, s):
-        p, q, s = np.asarray(p, dtype=int), np.asarray(q, dtype=int), np.asarray(s, dtype=complex)
-        touched = np.concatenate([p, q])
-        if touched.size and not (0 <= touched.min() and touched.max() < n):
-            raise ValidationError(f"kick bond indices must lie in [0, {n})")
-        if np.any(np.bincount(touched) > 1):
-            raise ValidationError("kick bonds must be disjoint")
-        partner = np.arange(n)
-        partner[p], partner[q] = q, p
-        angle = np.zeros(n, dtype=complex)
-        angle[p], angle[q] = 4 * s, -4 * s
-        cos, sin = (a[:, None] for a in _kick_cos_sin(angle))
-        # the dataclass is frozen: set the fields past its __setattr__
-        self.__dict__.update(n=n, partner=partner, cos=cos, sin=sin)
 
     def kick(self, x: np.ndarray, sign: float = 1.0) -> np.ndarray:
         """exp(sign * 4 W) @ x as one rotation per bond, O(n) per column.
@@ -194,23 +173,34 @@ def _kick_bonds(params: ModelParams, lat: LatticeSpec):
     return (p, q, s), (site, site + 1, np.full(L, params.h / 2.0))
 
 
-def build_kick_forms(params: ModelParams, lat: LatticeSpec) -> KickForms:
-    """The two kick generators (W', W'') for the given chain, from its
-    bonds (``_kick_bonds``); an overflowing period raises (``_period_cos_sin``)."""
-    forms = KickForms(*(MajoranaQuadraticForm(lat.n_majorana, *bonds)
-                        for bonds in _kick_bonds(params, lat)))
-    _period_cos_sin([(f.cos, f.sin) for f in forms], params.J, params.h)
-    return forms
-
-
 def _kick_scalars(params: ModelParams, lat: LatticeSpec, dtype) -> list:
     """(cos, sin) of each kick's angles [4s_0, 4s_b, -4s_0, -4s_b, 0], s_0
     and s_b its first and last bond value (``_kick_bonds``), coupling first,
-    in ``dtype``: complex128 as ``build_kick_forms`` forms them (same bits,
-    same overflow errors), long double for the edge-pair refine."""
+    in ``dtype`` (complex128, or long double for the edge-pair refine): on
+    the uniform chain every angle of a kick is one of these five, so every
+    kick is gathered from them (``_kick_forms``).  An overflowing kick or
+    period raises NumericalBreakdown (``_period_cos_sin``)."""
     angles = (np.concatenate([4 * s[[0, -1]], -4 * s[[0, -1]], np.zeros(1)]).astype(dtype)
               for _, _, s in _kick_bonds(params, lat))
     return _period_cos_sin([_kick_cos_sin(a) for a in angles], params.J, params.h)
+
+
+def _kick_forms(scalars: list, L: int, bc: BoundaryCondition) -> KickForms:
+    """The two kick forms of the L-site chain of ``bc``, the one gather of
+    the kick scalars (``_kick_scalars``, in their dtype) by each Majorana's
+    partner and angle index (``_coupling_plan``, ``_chain_plan``)."""
+    (cos1, sin1), (cos2, sin2) = scalars
+    (partner, k1), chain = _coupling_plan(L, bc), _chain_plan(L)
+    k2 = chain.field
+    return KickForms(MajoranaQuadraticForm(2 * L, partner, cos1[k1], sin1[k1]),
+                     MajoranaQuadraticForm(2 * L, chain.pairs, cos2[k2], sin2[k2]))
+
+
+def build_kick_forms(params: ModelParams, lat: LatticeSpec) -> KickForms:
+    """The two kick forms (W', W'') of the chain, gathered from its kick
+    scalars (``_kick_forms``); an overflowing kick or period raises
+    NumericalBreakdown (``_kick_scalars``)."""
+    return _kick_forms(_kick_scalars(params, lat, complex), lat.L, lat.bc)
 
 
 _G_FIELD = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)  # g''
@@ -354,17 +344,26 @@ def _band_index(L: int, w: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def _sector_plan(L: int, bc: BoundaryCondition) -> tuple[np.ndarray, ...]:
-    """What ``build_transfer_matrix`` needs of (L, bc) alone, read-only: the
-    ``sector_basis`` of the template chain (L0 = min(L, 8 + L % 2) sites),
-    its Majoranas' coupling partners and angle indices (``_kick_scalars``),
-    each band (L x 7) and pencil entry's flat index into its blocks."""
-    L0 = min(L, 8 + L % 2)
-    size, j = 2 * L0 * L0, np.arange(L)
-    p, q, _ = _kick_bonds(ModelParams(0.0, 0.0, 0.0, 0.0), LatticeSpec(L0, bc))[0]  # no value read
-    partner, angle = np.arange(2 * L0), np.full(2 * L0, 4)
+def _coupling_plan(L: int, bc: BoundaryCondition) -> tuple[np.ndarray, np.ndarray]:
+    """Each Majorana's coupling-bond partner (itself if unbonded) and the
+    index of its angle in ``_kick_scalars`` (a column) on the L-site chain
+    of ``bc``, read-only: ``_chain_plan``'s ``pairs`` and ``field`` of the
+    coupling kick."""
+    p, q, _ = _kick_bonds(ModelParams(0.0, 0.0, 0.0, 0.0), LatticeSpec(L, bc))[0]  # no value read
+    partner, angle = np.arange(2 * L), np.full((2 * L, 1), 4)
     partner[p], partner[q] = q, p
     angle[p], angle[q], angle[p[-1]], angle[q[-1]] = 0, 2, 1, 3
+    _read_only(partner, angle)
+    return partner, angle
+
+
+@lru_cache(maxsize=64)
+def _sector_plan(L: int, bc: BoundaryCondition) -> tuple[np.ndarray, ...]:
+    """What ``build_transfer_matrix`` needs of (L, bc) alone, read-only: the
+    ``sector_basis`` of the template chain (L0 = min(L, 8 + L % 2) sites)
+    and each band (L x 7) and pencil entry's flat index into its blocks."""
+    L0 = min(L, 8 + L % 2)
+    size, j = 2 * L0 * L0, np.arange(L)
     # the template column of column j: three at each end, the middle two between
     src = np.where(j < 3, j, np.where(j >= L - 3, j + L0 - L, 3 + (j - 3) % 2))
     index = []
@@ -372,7 +371,7 @@ def _sector_plan(L: int, bc: BoundaryCondition) -> tuple[np.ndarray, ...]:
         i, k = _band_index(L, w)
         index.append(np.full((len(blocks), top + w + 1, L), 3 * size))  # 3 size: a zero
         index[-1][:, top + i - k, k] = np.c_[blocks] * size + (src[k] + i - k) * L0 + src[k]
-    plan = sector_basis(2 * L0), partner, angle[:, None], index[0][0].T.copy(), index[1]
+    plan = sector_basis(2 * L0), index[0][0].T.copy(), index[1]
     _read_only(*plan)
     return plan
 
@@ -393,14 +392,13 @@ def _sector_vectors(field_kick: list, c: np.ndarray) -> np.ndarray:
 
 
 def _sector_blocks(scalars: list, lat: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The band and pencil of ``TransferMatrix`` from ``_kick_scalars``, in their dtype."""
-    (cos1, sin1), (cos2, sin2) = scalars
-    u, partner, angle, band, pencil = _sector_plan(lat.L, lat.bc)
-    chain = _chain_plan(len(u) // 2)
-    k2 = _rotate(u, chain.pairs, cos2[chain.field], sin2[chain.field], 1.0)
-    cos1, sin1 = cos1[angle], sin1[angle]
-    blocks = np.concatenate([_rotate(k2, partner, cos1, sin1, 1.0).ravel(), k2.ravel(),
-                             _rotate(u, partner, cos1, sin1, -1.0).ravel(), [0]])
+    """The band and pencil of ``TransferMatrix`` from ``_kick_scalars``, in
+    their dtype, by the template chain's kick forms (``_kick_forms``)."""
+    u, band, pencil = _sector_plan(lat.L, lat.bc)
+    coupling, field_form = _kick_forms(scalars, len(u) // 2, lat.bc)
+    k2 = field_form.kick(u)
+    blocks = np.concatenate([coupling.kick(k2).ravel(), k2.ravel(),
+                             coupling.kick(u, -1.0).ravel(), [0]])
     return blocks[band].T, blocks[pencil]  # band: L x 7 in C order, so Fortran 7 x L
 
 

@@ -55,6 +55,11 @@ def test_x_state_rejected():
         gaussian.initial_frame(P.named_state("x-down", 4), P.lattice(4, "obc"))
 
 
+def test_state_of_another_length_rejected():
+    with pytest.raises(ValidationError, match="state has 6 sites, lattice 8"):
+        gaussian.initial_frame(P.named_state("all-up", 6), P.lattice(8, "obc"))
+
+
 def test_frame_invariants_on_construction():
     frame = gaussian.initial_frame(P.named_state("neel-fermion", 8),
                                    P.lattice(8, "pbc-even"))
@@ -1619,6 +1624,34 @@ def test_overflowing_period_raises_a_typed_error(L, bc, raised_in, state):
                 call()
             assert info.value.condition == grow
             assert any(entry.name == raised_in for entry in info.traceback)
+
+
+# open L = 8 chains below the period bound (|Im 2J| + |Im 2h| = 710.69,
+# 710.17 and 640.57): the first's sector block B_+ overflows in the kick's
+# sums; the second's ||B_-|| overflows, which read the - form's test as
+# inf <= inf, and so do two of its |mu|; the third's modes are finite, and
+# only the - form's test, scaled, tells its ||B_-|| = inf from a residual
+SECTOR_OVERFLOW = [P.ModelParams(-1.3458496214483335, -287.0979243944356,
+                                 -2.8027360567794943, 68.24732867549703),
+                   P.ModelParams(-2.73812144456103, -96.38795213620027,
+                                 1.1258307755977546, 258.6954237865665),
+                   P.ModelParams(-2.3694388026468665, -9.72071664126776,
+                                 0.9912399010279191, 310.5633807135359)]
+
+
+@pytest.mark.parametrize("p", SECTOR_OVERFLOW)
+@pytest.mark.parametrize("state", ["neel-fermion", "all-up"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_overflowing_sector_block_raises_a_typed_error(p, state, n):
+    # the Schur route misses (a non-finite B_+ or B_-, or a - form whose
+    # test overflows) and the loop loses rank: DegenerateEvolution, not
+    # scipy's ValueError on a non-finite B_+ nor a "schur" frame with an
+    # infinite norm_log, and without a RuntimeWarning
+    lat, quench = P.lattice(8, "obc"), P.QuenchConfig(P.named_state(state, 8), n_periods=n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DegenerateEvolution):
+            gaussian.run_to_steady_state(p, lat, quench)
 
 
 def test_momentum_chain_builds_no_chain_kicks(monkeypatch):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import sys
 import warnings
 from unittest import mock
@@ -138,70 +139,69 @@ def test_kick_forms_match_bond_loop(bc):
 
 
 def test_kick_forms_hold_no_dense_matrix():
-    # only per-Majorana columns are stored
+    # the form is a record of per-Majorana columns
     for form in S.build_kick_forms(random_params(), P.lattice(40, "obc")):
-        arrays = [v for v in vars(form).values() if isinstance(v, np.ndarray)]
-        assert arrays and all(a.size == form.n for a in arrays)
-
-
-def test_overlapping_kick_bonds_rejected():
-    # bonds (0, 1) and (1, 2) share Majorana 1
-    with pytest.raises(ValidationError):
-        S.MajoranaQuadraticForm(4, [0, 1], [1, 2], [0.3, 0.2])
-
-
-@pytest.mark.parametrize("bond", [(-1, 0, 0.1), (3, 4, 0.1)])
-def test_kick_bond_index_outside_the_form_rejected(bond):
-    # a negative index would alias the last Majorana, one >= n would not fit
-    p, q, s = bond
-    with pytest.raises(ValidationError):
-        S.MajoranaQuadraticForm(4, [p], [q], [s])
+        assert [f.name for f in dataclasses.fields(form)] == ["n", "partner", "cos", "sin"]
+        assert all(getattr(form, name).shape[0] == form.n == getattr(form, name).size
+                   for name in ("partner", "cos", "sin"))
 
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint8)
 
 
-def _form_outcome(make):
-    """The form ``make()`` builds, or the type and condition it raises."""
-    try:
-        return make()
-    except (ValidationError, NumericalBreakdown) as exc:
-        return type(exc), getattr(exc, "condition", None)
+def _bond_loop_outcome(p, lat):
+    """Each kick's (partner, cos, sin) filled one bond at a time from the
+    chain's bonds (``_chain_bonds``), or the (NumericalBreakdown, condition)
+    of an overflowing kick (its largest |Im angle|) or period (|Im 2J| +
+    |Im 2h|, where the product of the kicks' largest |cos| or |sin| is not
+    finite), coupling kick first."""
+    kicks, n = [], lat.n_majorana
+    for bonds in _chain_bonds(p, lat):
+        partner, angle = np.arange(n), np.zeros(n, dtype=complex)
+        for a, b, s in bonds:
+            partner[a], partner[b] = b, a
+            angle[a], angle[b] = 4 * s, -4 * s
+        with np.errstate(all="ignore"):
+            cos, sin = np.cos(angle)[:, None], np.sin(angle)[:, None]
+        if not (np.isfinite(cos).all() and np.isfinite(sin).all()):
+            return NumericalBreakdown, float(np.abs(angle.imag).max())
+        kicks.append((partner, cos, sin))
+    with np.errstate(over="ignore"):
+        largest = [np.abs(np.concatenate(kick[1:])).max() for kick in kicks]
+        period = largest[0] * largest[1]
+    if not np.isfinite(period):
+        return NumericalBreakdown, abs((2 * p.J).imag) + abs((2 * p.h).imag)
+    return kicks
 
 
 @settings(max_examples=80)
 @given(st.integers(2, 40), st.sampled_from(["pbc-even", "pbc-odd", "obc"]),
        st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
        st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
-       st.sampled_from(["none", "negative", "too-large", "overlap", "overflow"]))
-def test_kick_form_from_its_bonds_is_the_built_form_bit_for_bit(L, bc, aj, bj, ah, bh, bad):
-    # the chain's bonds (``_chain_bonds``) as index and value arrays give
-    # build_kick_forms's partner, cos and sin bit for bit, and a bad
-    # bond (index outside the form, two bonds on one Majorana, an angle
-    # whose cos and sin overflow) its typed error
-    params, lat = P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc)
-    for form, bonds in zip(S.build_kick_forms(params, lat), _chain_bonds(params, lat)):
-        p, q, s = (np.array(a) for a in zip(*bonds))
-        n = form.n
-        if bad == "negative":
-            p[0] = -1
-        elif bad == "too-large":
-            q[-1] = n
-        elif bad == "overlap":
-            q[-1] = p[0]
-        elif bad == "overflow":
-            s[-1] += 400j
-        rebuilt = _form_outcome(lambda: S.MajoranaQuadraticForm(n, p, q, s))
-        if bad == "none":
-            for name in ("partner", "cos", "sin"):
-                a, b = getattr(rebuilt, name), getattr(form, name)
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert np.array_equal(_bits(a), _bits(b)), name
-        elif bad == "overflow":
-            assert rebuilt == (NumericalBreakdown, 4 * abs(s[-1].imag))
-        else:
-            assert rebuilt == (ValidationError, None)
+       st.sampled_from([1.0, 10.0, 100.0, 500.0]))
+@example(8, "obc", 0.3, 0.9, 0.2, 0.8, 500.0)  # both kicks overflow: the coupling's error
+@example(9, "pbc-even", 0.3, 0.6, 0.2, 0.3, 500.0)  # finite kicks, overflowing period
+def test_kick_form_from_its_bonds_is_the_built_form_bit_for_bit(L, bc, aj, bj, ah, bh, scale):
+    # the forms filled one bond at a time give build_kick_forms's partner,
+    # cos and sin (gathered from the kick scalars) bit for bit; where a
+    # kick or the period overflows (beta scaled up to 500) both raise
+    # NumericalBreakdown with the same condition
+    params, lat = P.ModelParams(aj, scale * bj, ah, scale * bh), P.lattice(L, bc)
+    want = _bond_loop_outcome(params, lat)
+    try:
+        got = S.build_kick_forms(params, lat)
+    except NumericalBreakdown as exc:
+        got = NumericalBreakdown, exc.condition
+    if not isinstance(want, list):
+        assert got == want
+        return
+    assert isinstance(got, S.KickForms)
+    for form, ref in zip(got, want):
+        for name, a in zip(("partner", "cos", "sin"), ref):
+            b = getattr(form, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(_bits(a), _bits(b)), name
 
 
 def test_transfer_matrix_invariants():
@@ -406,6 +406,11 @@ def test_bloch_blocks_period_trace_is_the_dispersion(aj, bj, ah, bh, k):
     assert np.all(np.abs(np.trace(t, axis1=1, axis2=2) / 2 - x4) <= 1e-12 * scale)
     assert np.all(np.abs(np.linalg.det(t) - 1) <= 1e-12 * scale)
     assert np.all(np.trace(blocks.hamiltonian(), axis1=1, axis2=2) == 0)
+
+
+def test_open_chain_has_no_momenta():
+    with pytest.raises(ValidationError, match="periodic chains"):
+        S.allowed_momenta(P.lattice(8, "obc"))
 
 
 def test_cell_momenta_cover_the_allowed_momenta():
@@ -1732,6 +1737,7 @@ def test_length_plans_are_read_only():
     S.count_real_modes(P.make_params(1.5, -0.1, 1.5, 0.5), L)
     S.detect_edge_modes(P.make_params(1.5, -0.1, 1.5, 0.5), P.lattice(L, "obc"))
     arrays = [*S._sector_plan(L, P.BoundaryCondition.OBC), *S._chain_plan(L),
+              *S._coupling_plan(8, P.BoundaryCondition.OBC),
               S._census_momenta(L, P.BoundaryCondition.PBC_EVEN),
               S._census_momenta(L, P.BoundaryCondition.PBC_ODD)]
     for a in arrays:

@@ -429,6 +429,26 @@ def test_sweep_point_whose_period_overflows_is_an_error(tmp_path, task):
     assert "period exp(4W') exp(4W'') overflows" in manifest.points[0]["error"]
 
 
+# open L = 8 chains below the period bound whose sector blocks overflow
+# (tests/test_gaussian.py, SECTOR_OVERFLOW)
+_SECTOR_OVERFLOW = [(-1.3458496214483335, -287.0979243944356,
+                     -2.8027360567794943, 68.24732867549703),
+                    (-2.73812144456103, -96.38795213620027,
+                     1.1258307755977546, 258.6954237865665)]
+
+
+@pytest.mark.parametrize("couplings", _SECTOR_OVERFLOW)
+def test_tee_point_whose_sector_block_overflows_is_an_error(tmp_path, couplings):
+    # a tee point on either chain: an "error" from the loop's lost rank,
+    # not a "crash" on scipy's non-finite input nor an "ok" read from an
+    # overflowed Schur frame
+    fixed = {"units": "rad", **dict(zip(("alpha_J", "beta_J", "alpha_h", "beta_h"), couplings)),
+             "L": 8, "bc": "obc"}
+    manifest = sweep.run_sweep(_axis_spec((("n_periods", 3, 3, 1),), fixed, "tee"), tmp_path)
+    assert [p["status"] for p in manifest.points] == ["error"]
+    assert "DegenerateEvolution" in manifest.points[0]["error"]
+
+
 def test_cli_spectrum_is_finite_where_the_squared_dispersion_overflows(tmp_path):
     # beta_J = 250 pi/4: cos(2h +- 2J) is finite but (x/4)^2 is not; the
     # rows hold finite +-eps pairs and exit 0, with no RuntimeWarning
