@@ -30,15 +30,17 @@ everywhere else.  So does the direct steady state, which forms the n-period
 frame from the frame map's blocks: on the momentum stack from the closed-form
 eigenpairs of the 2x2 one-site Bloch blocks t_k, t_{k+pi}, pivoted on the rows
 of maximal volume (``_bloch_frame``), and on the one-cell stack from a Schur
-form of the L x L + reflection-sector block alone (``_sector_split``): the -
-block is the inverse transpose of the +, so its modes and its split follow from
-the + sector's.  Each step on the momentum stack is closed-form (``_qr``,
+form of the L x L + reflection-sector block alone (``_sector_split``), split at
+the L/L cut or with the edge pair straddling it swapped across it: the - block
+is the inverse transpose of the +, so its modes and its split follow from the +
+sector's.  Each step on the momentum stack is closed-form (``_qr``,
 ``BlochBlocks.flow``), where the one-cell stack takes LAPACK's QR and ``expm``.
 ``entropy_trace`` reads the entropies of any stream of frames.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -154,14 +156,17 @@ def orthonormalize(phi: np.ndarray, partner: np.ndarray | None = None):
     one block paired with itself); each block is factorized on its own.
     Returns the new frame, the log-magnitude discarded by the first QR (the
     state-norm bookkeeping) and the isotropy defect ||q_-^T q|| measured on
-    the returned frame.  Raises DegenerateEvolution on rank loss,
-    and NumericalBreakdown (``condition`` = the defect) if the isotropy
-    defect is still above tolerance after ``_MAX_SWEEPS`` corrections.
+    the returned frame.  Raises DegenerateEvolution on rank loss or where
+    the factorization is not finite (``condition`` inf: a finite frame whose
+    norms overflow), and NumericalBreakdown (``condition`` = the defect) if
+    the isotropy defect is still above tolerance after ``_MAX_SWEEPS``
+    corrections.
     """
-    q, rd = _qr(phi, partner)
-    if rd.min() < _RANK_TOL * max(rd.max(), 1.0):
-        tiny = rd.max() * 1e-290
-        cond = float(rd.max() / rd.min()) if rd.min() > tiny else float("inf")
+    with np.errstate(over="ignore", invalid="ignore"):  # a finite frame whose norms overflow
+        q, rd = _qr(phi, partner)
+    finite = math.isfinite(top := rd.max())
+    if not (finite and rd.min() >= _RANK_TOL * max(top, 1.0)):
+        cond = float(top / rd.min()) if finite and rd.min() > top * 1e-290 else math.inf
         raise DegenerateEvolution("frame lost rank during evolution",
                                   condition=cond)
     log_mag = float(np.sum(np.log(rd)))
@@ -182,10 +187,13 @@ def _qr(phi: np.ndarray, partner: np.ndarray | None):
     a momentum stack (N > 1 two-column blocks) Gram-Schmidt with one
     re-orthogonalization ("twice is enough": Giraud, Langou & Rozloznik,
     Comput. Math. Appl. 50, 2005), norms by hypot (no square overflows); a
-    zero column gives R_jj = 0."""
+    zero column gives R_jj = 0.  |diag R| is finite only where Q is: an
+    overflowing norm is inf, and LAPACK's Q that is not finite (of a finite
+    frame near the largest double) gives NaN."""
     if partner is None or len(partner) == 1:
         q, r = np.linalg.qr(phi)
-        return q, np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+        rd = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+        return q, rd if np.isfinite(q).all() else rd * np.nan
     a, b = np.ascontiguousarray(phi.T)  # the two columns, rows x N
     r1 = np.hypot.reduce(np.abs(a), axis=0)
     a = a * (1.0 / np.maximum(r1, 1e-300))
@@ -353,9 +361,9 @@ def _dominant_frame(kicks: KickForms, frame: GaussianFrame, n: int) -> GaussianF
     is formed: ``_sector_form`` reorders T_+ once, ``_sector_split`` works
     on T_+ and T_+^-1, and y = Q^dag Phi0 and the frame Q (S coords) go
     through U (two entries per column), Q_+ and Q_- = conj(Q_+) J.  The
-    L/L split (no middle block) is tried first and, where it misses, the
-    split that carries the edge pair straddling the L/L cut.  A B_+ or B_-
-    that overflows is a miss.
+    L/L split is tried first and, where it misses and an isolated edge pair
+    mu_0, 1/mu_0 straddles the L/L cut, the L/L split with that pair
+    swapped across the cut.  A B_+ or B_- that overflows is a miss.
     """
     u = sector_basis(kicks.coupling_form.n)
     with np.errstate(over="ignore", invalid="ignore"):  # finite kicks, overflowing sums
@@ -369,13 +377,13 @@ def _dominant_frame(kicks: KickForms, frame: GaussianFrame, n: int) -> GaussianF
     form = _sector_form(t, q, b_minus)
     if form is None:
         return None
-    t, q, t_inv, cuts = form
+    t, q, t_inv, tops = form
     phase = _chain_plan(len(t)).phase[:, None]
     top, mirror = frame.blocks[0, :len(t)], frame.blocks[0, len(t):][::-1]
     y = (_hc(q) @ (top - phase * mirror) / np.sqrt(2.0),
          (q.T @ (top + phase * mirror))[::-1] / np.sqrt(2.0))
-    for k1, k2 in cuts:
-        found = _sector_split(t, t_inv, y, n, k1, k2)
+    for k in tops:
+        found = _sector_split(t, t_inv, y, n, k)
         if found is not None:
             c_plus, c_minus, log_scale = found
             a, b = q @ c_plus, q.conj() @ c_minus[::-1]
@@ -386,23 +394,22 @@ def _dominant_frame(kicks: KickForms, frame: GaussianFrame, n: int) -> GaussianF
 
 def _sector_form(t: np.ndarray, q: np.ndarray, b_minus: np.ndarray):
     """The + sector's Schur form (t, q) reordered on |mu| for
-    ``_sector_split``, with t^-1 and the splits (k1, k2) to try, of its
-    modes into a top [:k1], a middle [k1:k2] and a bottom [k2:]; or None
-    where no split is possible or the reorder or the - form fails.
+    ``_sector_split``, with t^-1 and the top sizes k to try, each a split of
+    its modes into a top [:k] and a bottom [k:]; or None where no split is
+    possible or the reorder or the - form fails.
 
     The 2L modes of F are those of t and their reciprocals.  Sorted by
     log|mu|, the L/L split cuts between the L-th and (L+1)-th and needs
     exactly one member of each (mu, 1/mu) pair above the cut; its top is
-    the + modes above it, (k, k).  The pair split puts the L-th and
-    (L+1)-th in a middle block, isolated by _ISOLATION_TOL in log|mu| from
-    its neighbours, which must be one pair mu_0, 1/mu_0, every other pair
-    keeping one member above it; its top is the + modes above the middle
-    block.  One ``ztrsen`` puts the top first and, for the pair split, one
-    ``ztrexc`` moves mu_0 right after it: the L/L split's top is then the
-    first k or k + 1 modes, as mu_0 lies below or above the L/L cut, so
-    both splits read one order.  The - form read from t^-1 must pass
-    ||B_- Q_- - Q_- T_-|| <= _OVERLAP_TOL ||B_-||; a mode whose log is not
-    finite, or a residual that is not, is a miss.
+    the + modes above it.  Where the L-th and (L+1)-th are one pair mu_0,
+    1/mu_0, isolated by _ISOLATION_TOL in log|mu| from their neighbours,
+    every other pair keeping one member above them, the L/L split with mu_0
+    and 1/mu_0 swapped across the cut is tried next.  One ``ztrsen`` puts
+    the + modes above the pair first and one ``ztrexc`` moves mu_0 right
+    after them: the two tops are then the first k and k + 1 modes, the L/L
+    split's first, so both read one order.  The - form read from t^-1 must
+    pass ||B_- Q_- - Q_- T_-|| <= _OVERLAP_TOL ||B_-||; a mode whose log is
+    not finite, or a residual that is not, is a miss.
     """
     L, mu = len(t), np.diag(t)
     with np.errstate(all="ignore"):  # mu = 0, or |mu| or 1/mu past the largest double
@@ -412,20 +419,19 @@ def _sector_form(t: np.ndarray, q: np.ndarray, b_minus: np.ndarray):
     log_mu = np.sort(pairs.ravel())[::-1]
     cut = (log_mu[:-1] + log_mu[1:]) / 2
     above = lambda i: np.count_nonzero(pairs > cut[i], axis=0)  # members of each pair
-    cuts, select = [], None
+    tops, select = [], None
     if np.all(above(L - 1) == 1):
         select = pairs[0] > cut[L - 1]
-        k = np.count_nonzero(select)
-        cuts.append((k, k))
+        tops.append(np.count_nonzero(select))
     if (min(log_mu[L - 2] - log_mu[L - 1], log_mu[L] - log_mu[L + 1]) > _ISOLATION_TOL
             and np.all(above(L - 2) + above(L) == 2) and np.count_nonzero(above(L) == 2) == 1):
         select = pairs[0] > cut[L - 2]
         k = np.count_nonzero(select)
-        cuts.append((k, k + 1))
+        tops = tops + [2 * k + 1 - tops[0]] if tops else [k, k + 1]  # |mu_0| = 1: either first
     if select is None:
         return None
     t, q, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select, t, q, job="N")
-    if info == 0 and cuts[-1][1] > cuts[-1][0]:
+    if info == 0 and len(tops) == 2:
         # mu_0: the + mode below the top with the largest |mu|
         first = k + int(np.argmax(np.abs(np.diag(t)[k:])))
         if first > k:
@@ -440,98 +446,75 @@ def _sector_form(t: np.ndarray, q: np.ndarray, b_minus: np.ndarray):
         res = np.linalg.norm(b_minus * scale @ q_minus - q_minus @ (t_inv[::-1, ::-1].T * scale))
     if info != 0 or not res <= _OVERLAP_TOL * np.linalg.norm(b_minus * scale):
         return None
-    return t, q, t_inv, cuts
+    return t, q, t_inv, tops
 
 
 def _sector_split(t: np.ndarray, t_inv: np.ndarray, y: tuple[np.ndarray, np.ndarray],
-                  n: int, k1: int, k2: int):
+                  n: int, k: int):
     """The Schur coordinates of F^n Phi0 from the reordered + sector form t
-    and t^-1 (``_sector_form``), with the + modes split into a top [:k1], a
-    middle block of h = k2 - k1 (0 or 1) modes and a bottom [k2:], and
-    y = Q^dag Phi0 as its + and - rows.  F's top T1 = diag(T_tt, J T_bb^-T
-    J), middle T2 = diag(mu_0, 1/mu_0) and bottom T3 = diag(T_bb, J T_tt^-T
-    J) hold one block of each sector (T_tt = t[:k1, :k1], T_bb = t[k2:,
-    k2:]), 2h middle modes straddling the L/L cut and L - h in each of the
-    others.  The blocks are decoupled, T = S diag(T1, T2, T3) S^-1 with
-    S = [[1, x1], [0, [[1, x2], [0, 1]]]]: two Sylvester solves in the
-    + sector, and in the - sector S_- = J S_+^-T J gives
-    x1_- = -J [x1b + x1a x2; x2]^T J and x2_- = -J x1a^T J, where x1 =
-    [x1a, x1b] is split at k2.  With z = S^-1 y, G1 a right inverse of z1
-    and W an orthonormal basis of its null space, and T2^n z2 W = P R (QR),
+    and t^-1 (``_sector_form``), with the + modes split into a top [:k] and
+    a bottom [k:], and y = Q^dag Phi0 as its + and - rows.  F's top T1 =
+    diag(T_tt, J T_bb^-T J) and bottom T2 = diag(T_bb, J T_tt^-T J) hold one
+    block of each sector (T_tt = t[:k, :k], T_bb = t[k:, k:]), L modes
+    each.  The blocks are decoupled, T = S diag(T1, T2) S^-1 with
+    S = [[1, x], [0, 1]]: one Sylvester solve in the + sector, and in the -
+    sector S_- = J S_+^-T J gives x_- = -J x^T J.  With z = S^-1 y,
 
-        F^n Phi0 ~ Q S [[1, 0], [E_mid, P], [E_bot, T3^n z3 W R^-1]]
-        E_mid = T2^n z2 G1 T1^-n,  E_bot = T3^n z3 G1 T1^-n,
+        F^n Phi0 ~ Q S [[1], [E]],    E = T2^n z2 z1^-1 T1^-n,
 
-    where T1^-n and T3^n are made of the two powers T_tt^-n and T_bb^n,
+    where T1^-n and T2^n are made of the two powers T_tt^-n and T_bb^n,
     each with its own log-scale, and so is each block of E.  Every term is
     kept (no convergence assumed).  Returns S coords as its + and - rows
     (L x L each) and the log-magnitude dropped from them, or None unless
 
-    - both Sylvester solves succeed;
+    - the Sylvester solve succeeds;
     - sigma_min(z1) > _OVERLAP_TOL max(sigma_max(z1), 1).  The unit floor
       matters: y has orthonormal columns, and a Phi0 inside the decaying
       subspace leaves a z1 of rounding size whose singular value ratio may
       still be O(1);
-    - with a middle block, the loop's rounding on it, amplified like T2^n,
-      stays below _ROUNDING_TOL of the smallest middle column:
-      eps ||T2^n|| ||z2 W|| < _ROUNDING_TOL sigma_min(T2^n z2 W);
-    - every term is finite and |E_mid|, |E_bot| <= 1.  Far above that
-      bound the exact frame leaves the loop (by 1e-9 at |E| ~ 1e8), and a
-      60-digit evolution sides with the loop.
+    - the loop's rounding on a bottom mode, amplified against the top
+      modes, stays below _ROUNDING_TOL: n max(0, max log|mu| over T2 - min
+      log|mu| over T1) < log(_ROUNDING_TOL / eps), taken in log space.  The
+      bottom modes being the top's reciprocals, the left side is
+      -2n min(0, min log|mu| over T1): 0 on the L/L split, 2n |log|mu_0||
+      with mu_0 and 1/mu_0 swapped;
+    - every term is finite and |E| <= 1.  Far above that bound the exact
+      frame leaves the loop (by 1e-9 at |E| ~ 1e8), and a 60-digit
+      evolution sides with the loop.
     """
-    L, h = len(t), k2 - k1
-    r = L - k2  # the bottom of the + sector, the top of the -
-    x1 = _sylvester(t[:k1, :k1], t[k1:, k1:], t[:k1, k1:])
-    x2 = _sylvester(t[k1:k2, k1:k2], t[k2:, k2:], t[k1:k2, k2:])
-    if x1 is None or x2 is None:
+    L, r = len(t), len(t) - k  # r: the bottom of the + sector, the top of the -
+    log_mu = np.log(np.abs(np.diag(t)))
+    log_top = np.concatenate([log_mu[:k], -log_mu[k:]])  # log|mu| over T1
+    if not -2.0 * n * log_top.min(initial=0.0) < np.log(_ROUNDING_TOL / np.finfo(float).eps):
         return None
-    sectors = ((k1, x1, x2),  # (top size, x1, x2) of the + and the - sector
-               (r, -np.concatenate([x1[:, h:] + x1[:, :h] @ x2, x2]).T[::-1, ::-1],
-                -x1[:, :h].T[::-1, ::-1]))
-    z_p, z_m = (np.concatenate([yi[:top] - x_top @ yi[top:],
-                                yi[top:top + h] - x_mid @ yi[top + h:], yi[top + h:]])
-                for yi, (top, x_top, x_mid) in zip(y, sectors))
-    k = k1 + r
-    qz, rz = np.linalg.qr(_hc(np.concatenate([z_p[:k1], z_m[:r]])), mode="complete")
-    rz = rz[:k]
+    x = _sylvester(t[:k, :k], t[k:, k:], t[:k, k:])
+    if x is None:
+        return None
+    sectors = ((k, x), (r, -x.T[::-1, ::-1]))  # (top size, x) of the + and the - sector
+    z_p, z_m = (np.concatenate([yi[:top] - x_top @ yi[top:], yi[top:]])
+                for yi, (top, x_top) in zip(y, sectors))
+    qz, rz = np.linalg.qr(_hc(np.concatenate([z_p[:k], z_m[:r]])))  # z1 = rz^dag qz^dag
     sv = np.linalg.svd(rz, compute_uv=False)
     if not sv[-1] > _OVERLAP_TOL * max(sv[0], 1.0):
         return None
-    w = qz[:, k:]
-    (p_t,), (log_t,) = _scaled_power(t_inv[None, :k1, :k1], n)  # T_tt^-n
-    (p_b,), (log_b,) = _scaled_power(t[None, k2:, k2:], n)      # T_bb^n
-    mid = np.concatenate([np.diag(t)[k1:k2], np.diag(t_inv)[k1:k2]])
-    (p2,), (log2,) = _scaled_power(np.diag(mid)[None], n)
-    v = np.concatenate([z_p[k1:k2], z_m[r:r + h]]) @ w
-    pair, r_pair = np.linalg.qr(p2 @ v)
-    sv_pair = np.linalg.svd(r_pair, compute_uv=False)
-    if not (np.finfo(float).eps * np.linalg.norm(p2, 2) * np.linalg.norm(v, 2)
-            < _ROUNDING_TOL * sv_pair.min(initial=np.inf)):
-        return None
-    # the rows below the top, in the order middle +, middle -, bottom +, bottom -
-    rest = np.concatenate([z_p[k1:k2], z_m[r:r + h], z_p[k2:], z_m[r + h:]])
-    zg = scipy.linalg.lapack.ztrtrs(rz, _hc(rest @ qz[:, :k]))[0].conj().T  # rest G1
-    zg_t, zg_b = zg[:, :k1] @ p_t, zg[:, k1:] @ p_b.T[::-1, ::-1]       # times T1^-n
-    w_r = w @ np.linalg.inv(r_pair)
-    rows = [(p2, log2, slice(0, 2 * h), None),
-            (p_b, log_b, slice(2 * h, 2 * h + r), z_p[k2:]),
-            (p_t.T[::-1, ::-1], log_t, slice(2 * h + r, None), z_m[r + h:])]
+    (p_t,), (log_t,) = _scaled_power(t_inv[None, :k, :k], n)  # T_tt^-n
+    (p_b,), (log_b,) = _scaled_power(t[None, k:, k:], n)      # T_bb^n
+    # the bottom rows, + then -, times z1^-1 = qz rz^-dag, then times T1^-n
+    zg = scipy.linalg.lapack.ztrtrs(rz, _hc(np.concatenate([z_p[k:], z_m[r:]]) @ qz))[0].conj().T
+    zg_t, zg_b = zg[:, :k] @ p_t, zg[:, k:] @ p_b.T[::-1, ::-1]
+    rows = [(p_b, log_b, slice(0, r)), (p_t.T[::-1, ::-1], log_t, slice(r, None))]
     with np.errstate(over="ignore", invalid="ignore"):
         coords = np.concatenate([np.concatenate([
-            np.exp(log_p + log_t) * (p @ zg_t[i]), np.exp(log_p + log_b) * (p @ zg_b[i]),
-            pair if z_bot is None else np.exp(log_p - log2) * (p @ z_bot @ w_r)], axis=1)
-            for p, log_p, i, z_bot in rows])
-    if not (np.all(np.isfinite(coords)) and np.abs(coords[:, :k]).max() <= 1.0):
+            np.exp(log_p + log_t) * (p @ zg_t[i]), np.exp(log_p + log_b) * (p @ zg_b[i])], axis=1)
+            for p, log_p, i in rows])
+    if not (np.all(np.isfinite(coords)) and np.abs(coords).max() <= 1.0):
         return None
     _flush(coords)
-    c_plus = np.concatenate([np.eye(k1, L), coords[:h], coords[2 * h:2 * h + r]])
-    c_minus = np.concatenate([np.eye(r, L, k1), coords[h:2 * h], coords[2 * h + r:]])
-    for c, (top, x_top, x_mid) in zip((c_plus, c_minus), sectors):
-        c[top:top + h] += x_mid @ c[top + h:]
+    c_plus = np.concatenate([np.eye(k, L), coords[:r]])
+    c_minus = np.concatenate([np.eye(r, L, k), coords[r:]])
+    for c, (top, x_top) in zip((c_plus, c_minus), sectors):
         c[:top] += x_top @ c[top:]
-    log_scale = (n * (np.sum(np.log(np.abs(np.diag(t)[:k1])))
-                      - np.sum(np.log(np.abs(np.diag(t)[k2:]))))
-                 + np.sum(np.log(sv)) + h * log2 + np.sum(np.log(sv_pair)))
+    log_scale = n * (np.sum(log_mu[:k]) - np.sum(log_mu[k:])) + np.sum(np.log(sv))
     return _flush(c_plus), _flush(c_minus), float(log_scale)
 
 
@@ -586,9 +569,9 @@ def _eig2(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and eigenvectors [d + s, c] and [b, -d - s], the sign of s taken so that
     d + s does not cancel; a zero column (t = m, or defective) or an
     overflowing square gives NaN."""
-    m, d = (t[..., 0, 0] + t[..., 1, 1]) / 2, (t[..., 0, 0] - t[..., 1, 1]) / 2
     b, c = t[..., 0, 1], t[..., 1, 0]
-    with np.errstate(all="ignore"):  # an overflowing square or a zero column
+    with np.errstate(all="ignore"):  # an overflowing sum or square, or a zero column
+        m, d = (t[..., 0, 0] + t[..., 1, 1]) / 2, (t[..., 0, 0] - t[..., 1, 1]) / 2
         s = np.sqrt(d * d + b * c)
         s = np.where((d.conj() * s).real < 0, -s, s)
         x = np.stack([np.stack([d + s, c], -1), np.stack([b, -d - s], -1)], -1)
@@ -690,7 +673,8 @@ def run_to_steady_state(params: ModelParams, lat: LatticeSpec,
     eigenbasis (J = h = 0) or the frame has no weight on a growing mode;
     on the one-cell stack from a Schur form of the L x L + sector block,
     which gives the - sector's too (``_dominant_frame``), split at the L/L
-    cut or with one edge pair straddling it.  It is returned, with
+    cut or with the edge pair that straddles it swapped across it.  It is
+    returned, with
     ``route == "schur"``, only where it provably equals the loop's frame on
     every block.  Otherwise it is the last frame of the loop of
     ``period_frames``, of which only the current frame is held.

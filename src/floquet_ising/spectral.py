@@ -420,11 +420,19 @@ def build_transfer_matrix(params: ModelParams, lat: LatticeSpec) -> TransferMatr
     kick's order (``_rotate``): three end columns kept at each end, the
     middle two repeated, bit for bit the dense kicks' (signed zeros too).
     Nothing is diagonalized here (``eigenvalues``, ``_rayleigh_pair``).  An
-    overflowing kick or period raises as ``build_kick_forms`` does.
+    overflowing kick or period raises as ``build_kick_forms`` does; below
+    that bound the kicks' sums can still overflow, and a band (through
+    ``tol``) or pencil that is not finite raises NumericalBreakdown with
+    condition |Im 2J| + |Im 2h| before any scan.
     """
     scalars = _kick_scalars(params, lat, complex)
-    band, pencil = _sector_blocks(scalars, lat)
-    tol = lat.L * np.finfo(float).eps * np.abs(band).sum(axis=0).max()
+    with np.errstate(over="ignore", invalid="ignore"):  # finite kicks, overflowing sums
+        band, pencil = _sector_blocks(scalars, lat)
+        tol = lat.L * np.finfo(float).eps * np.abs(band).sum(axis=0).max()
+    if not (np.isfinite(tol) and np.isfinite(pencil).all()):
+        grow = abs((2 * params.J).imag) + abs((2 * params.h).imag)
+        raise NumericalBreakdown(f"sector band overflows: the kicks' growth "
+                                 f"|Im 2J| + |Im 2h| = {grow:.4g}", condition=grow)
     return TransferMatrix(band, pencil, tol, scalars[1], lat)
 
 

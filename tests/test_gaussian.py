@@ -488,11 +488,18 @@ def test_direct_steady_state_equals_loop_random_couplings(L, bc, couplings, n_pe
      2, "pbc-odd", 141, "all-down"),
     # L/L coordinates |E| ~ 5e7 and 1e8: without the bound on them the L/L
     # frame is 1.0e-9 and 2.6e-9 off a 60-digit evolution, the loop 1.0e-14
-    # and 8.5e-14; the pair split takes both
+    # and 8.5e-14; the L/L split with the edge pair swapped takes both
     ((1.336498736946278, -0.4050314463735682, 1.715984568067877, 0.3917689750388441),
      11, "obc", 319, "all-down"),
     ((-1.7056810533761728, -0.39470136260284566, -1.3424830854838075, -0.9621410710147132),
      16, "obc", 286, "all-up"),
+    # 0pi open chains near alpha_J = 1.5 rad, whose 0 and pi edge pairs both
+    # sit at the L/L cut (gap ~1e-15): which land above it is rounding, and
+    # the one- and two-Schur forms may disagree on the route; the loop rules
+    ((1.5, 0.0625, 1.0, 0.0625), 14, "obc", 1, "all-down"),
+    ((1.875, 0.0625, 1.0, 0.75), 28, "obc", 2, "neel-fermion"),
+    ((1.875, 0.0625, 1.0, 0.75), 28, "obc", 2, "all-up"),
+    ((1.875, 0.0625, 1.0, 0.75), 28, "obc", 2, "all-down"),
 ])
 def test_direct_steady_state_edge_cases_equal_loop_or_fall_back(couplings, L, bc,
                                                                 n_periods, state):
@@ -518,7 +525,7 @@ def test_direct_steady_state_falls_back_to_loop(couplings, L, bc, n_periods):
     ((0.0, 0.4, 0.0, 0.4), 100, "pbc-even", 900),   # criterion-8 chord fit
     ((0.2, -0.05, 0.2, -0.3), 48, "obc", 300),      # deep trivial TEE point
     # Neel has no component on the growing edge-pair member (sigma_min(a)
-    # ~ 1e-14 at the L/L cut); the pair split carries the pair exactly
+    # ~ 1e-14 at the L/L cut); the L/L split with the pair swapped carries it
     ((0.2, -0.40, 0.2, -0.3), 24, "obc", 300),
     # two periods: far from the dominant subspace, yet the L/L split is exact
     ((0.0, 0.4, 0.0, 0.4), 24, "pbc-even", 2),
@@ -581,108 +588,114 @@ def _two_schur_form(kicks):
             np.hstack([u @ q1, u.conj() @ q2]) / np.sqrt(2.0))
 
 
-def _reference_decouple(t, q, k, b):
-    """One Schur form T, Q reordered on |mu| into its top k modes, a middle
-    block of b - k modes and the rest, with the Sylvester solutions x1, x2
-    that decouple the three blocks, or None where a middle block is not
-    isolated or a reorder or solve fails."""
-    log_mu = np.sort(np.log(np.abs(np.diag(t))))[::-1]
-    if b > k and not (min(log_mu[k - 1] - log_mu[k], log_mu[b - 1] - log_mu[b])
-                      > gaussian._ISOLATION_TOL):
-        return None
-    for count in sorted({b, k}, reverse=True):
-        select = np.log(np.abs(np.diag(t))) > (log_mu[count - 1] + log_mu[count]) / 2
-        if np.count_nonzero(select) != count:
-            return None
-        t, q, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select, t, q, job="N")
-        if info != 0:
-            return None
-    x1 = gaussian._sylvester(t[:k, :k], t[k:, k:], t[:k, k:])
-    x2 = gaussian._sylvester(t[k:b, k:b], t[b:, b:], t[k:b, b:])
-    if x1 is None or x2 is None:
-        return None
-    return t, q, x1, x2
+def _reference_sylvester(a, b, c):
+    """X with a X - X b = -c for upper-triangular a and b, or None: where
+    they share a mode, ``ztrsyl``'s perturbed solution is kept if it solves
+    the equation to 1e-12.  A mode of both sectors of the 2L x 2L form
+    (mu = 1 in each) meets no coupling between the two, so a solution
+    exists there."""
+    if not (a.size and b.size):
+        return np.zeros(c.shape, dtype=complex)
+    x, scale, info = scipy.linalg.lapack.ztrsyl(a, b, -c, isgn=-1)
+    x = x / scale
+    if info == 0 or np.linalg.norm(a @ x - x @ b + c) <= 1e-12 * max(np.linalg.norm(c), 1.0):
+        return x
+    return None
 
 
-def _reference_split(t, q, phi0, n, m):
-    """The generic split of gaussian._split on a stack of full Schur forms
-    (here the one-cell frame map's 2L x 2L T = diag(T_+, T_-)), with a
-    middle block of m modes straddling the c/c cut (m = 0 or 2), under the
-    same gates: the reference for ``gaussian._sector_split``."""
+def _reference_decouple(t, q, c, pick):
+    """One Schur form T, Q reordered into c modes on top and the rest, with
+    the Sylvester solution x that decouples the two, or None where the
+    split's rule fails or the reorder or solve fails.  With ``pick`` None
+    the top is the c modes of largest |mu|, a gap below them (the L/L
+    split); with ``pick`` 1 (0) it is the c - 1 largest and the (c+1)-th
+    (c-th), the c-th and (c+1)-th isolated by _ISOLATION_TOL in log|mu| from
+    their neighbours: the L/L split with that pair swapped across the cut
+    (either way where it ties, so that the cut has no gap)."""
+    log_mu = np.log(np.abs(np.diag(t)))
+    order = np.argsort(-log_mu, kind="stable")
+    s = log_mu[order]
+    if pick is None:
+        if not s[c - 1] > s[c]:
+            return None
+    elif min(s[c - 2] - s[c - 1], s[c] - s[c + 1]) > gaussian._ISOLATION_TOL:
+        order = np.append(order[:c - 1], order[c - 1 + pick])
+    else:
+        return None
+    select = np.isin(np.arange(len(t)), order[:c])
+    t, q, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select, t, q, job="N")
+    if info != 0:
+        return None
+    x = _reference_sylvester(t[:c, :c], t[c:, c:], t[:c, c:])
+    return None if x is None else (t, q, x)
+
+
+def _reference_split(t, q, phi0, n, pick=None):
+    """The generic split of a stack of full Schur forms (here the one-cell
+    frame map's 2L x 2L T = diag(T_+, T_-)) into c modes on top, c the
+    frame's columns, and the rest (``_reference_decouple``'s ``pick``),
+    under the same gates: the reference for ``gaussian._sector_split``."""
     c = phi0.shape[-1]
-    k, b = c - m // 2, c + m // 2
-    parts = [_reference_decouple(ti, qi, k, b) for ti, qi in zip(t, q)]
+    parts = [_reference_decouple(ti, qi, c, pick) for ti, qi in zip(t, q)]
     if any(part is None for part in parts):
         return None
-    t, q, x1, x2 = map(np.stack, zip(*parts))
-    t1, t2, t3 = t[:, :k, :k], t[:, k:b, k:b], t[:, b:, b:]
+    t, q, x = map(np.stack, zip(*parts))
+    t1, t2 = t[:, :c, :c], t[:, c:, c:]
+    log_mu = np.log(np.abs(np.diagonal(t, axis1=-2, axis2=-1)))
+    # the loop's rounding on a bottom mode, amplified against the top modes
+    growth = n * np.maximum(0.0, log_mu[:, c:].max(-1) - log_mu[:, :c].min(-1))
+    if not np.all(growth < np.log(gaussian._ROUNDING_TOL / np.finfo(float).eps)):
+        return None
     hc = gaussian._hc
     y = hc(q) @ phi0
-    z = np.concatenate([y[:, :k] - x1 @ y[:, k:], y[:, k:b] - x2 @ y[:, b:], y[:, b:]], axis=1)
-    qz, rz = np.linalg.qr(hc(z[:, :k]), mode="complete")  # z1 = rz^dag qz[:, :k]^dag
-    rz = rz[:, :k]
+    z = np.concatenate([y[:, :c] - x @ y[:, c:], y[:, c:]], axis=1)
+    qz, rz = np.linalg.qr(hc(z[:, :c]))  # z1 = rz^dag qz^dag
     sv = np.linalg.svd(rz, compute_uv=False)
     if not np.all(sv[:, -1] > gaussian._OVERLAP_TOL * np.maximum(sv[:, 0], 1.0)):
         return None
-    w = qz[:, :, k:]
     p1, log1 = gaussian._scaled_power(
-        scipy.linalg.solve_triangular(t1, np.broadcast_to(np.eye(k), t1.shape)), n)
+        scipy.linalg.solve_triangular(t1, np.broadcast_to(np.eye(c), t1.shape)), n)
     p2, log2 = gaussian._scaled_power(t2, n)
-    p3, log3 = gaussian._scaled_power(t3, n)
-    v = z[:, k:b] @ w
-    pair, r = np.linalg.qr(p2 @ v)
-    sv_pair = np.linalg.svd(r, compute_uv=False)
-    if not np.all(np.finfo(float).eps * np.linalg.norm(p2, 2, axis=(-2, -1))
-                  * np.linalg.norm(v, 2, axis=(-2, -1))
-                  < gaussian._ROUNDING_TOL * sv_pair.min(axis=-1, initial=np.inf)):
-        return None
-    # z[k:] G1 with G1 = qz[:, :k] rz^-dag
-    zg = hc(scipy.linalg.solve_triangular(rz, hc(z[:, k:] @ qz[:, :, :k])))
-    scale = lambda log_s: np.exp(log_s)[:, None, None]
+    zg = hc(scipy.linalg.solve_triangular(rz, hc(z[:, c:] @ qz)))  # z2 z1^-1
     with np.errstate(over="ignore", invalid="ignore"):
-        coords = np.concatenate([
-            np.concatenate([np.broadcast_to(np.eye(k), (len(t), k, k)),
-                            np.zeros((len(t), k, m // 2))], axis=2),
-            np.concatenate([scale(log2 + log1) * (p2 @ zg[:, :m] @ p1), pair], axis=2),
-            np.concatenate([scale(log3 + log1) * (p3 @ zg[:, m:] @ p1),
-                            scale(log3 - log2) * (p3 @ z[:, b:] @ w @ np.linalg.inv(r))],
-                           axis=2)], axis=1)
-    if not (np.all(np.isfinite(coords)) and np.abs(coords[:, k:, :k]).max() <= 1.0):
+        e = np.exp(log2 + log1)[:, None, None] * (p2 @ zg @ p1)
+    if not (np.all(np.isfinite(e)) and np.abs(e).max() <= 1.0):
         return None
-    gaussian._flush(coords)
-    coords[:, k:b] += x2 @ coords[:, b:]
-    coords[:, :k] += x1 @ coords[:, k:]
-    log_scale = (n * np.sum(np.log(np.abs(np.diagonal(t1, axis1=-2, axis2=-1))))
-                 + np.sum(np.log(sv)) + m // 2 * np.sum(log2) + np.sum(np.log(sv_pair)))
+    coords = np.concatenate([np.broadcast_to(np.eye(c), (len(t), c, c)),
+                             gaussian._flush(e)], axis=1)
+    coords[:, :c] += x @ coords[:, c:]
+    log_scale = n * np.sum(log_mu[:, :c]) + np.sum(np.log(sv))
     return q @ gaussian._flush(coords), float(log_scale)
 
 
 def _two_schur_frame(kicks, frame, n):
     """``_dominant_frame`` as it was with a second ``schur`` for B_- and the
-    generic split of the 2L x 2L form: the L/L split, then the pair split."""
+    generic split of the 2L x 2L form: the L/L split, then the L/L split
+    with the edge pair straddling it swapped, in either order where its
+    two members tie."""
     t, q = _two_schur_form(kicks)
-    for m in (0, 2):
-        found = _reference_split(t[None], q[None], frame.blocks, n, m)
+    for pick in (None, 1, 0):
+        found = _reference_split(t[None], q[None], frame.blocks, n, pick)
         if found is not None:
             return gaussian._advance(frame, found[0], "schur", n, found[1])
     return None
 
 
 def _cut_split_hits(p, lat, n_periods):
-    """Whether the L/L split (no middle block) certifies the n-period Neel
+    """Whether the L/L split (no pair swapped) certifies the n-period Neel
     frame, from the two-``schur`` reference form."""
     t, q = _two_schur_form(spectral.build_kick_forms(p, lat))
     phi0 = gaussian.initial_frame(P.named_state("neel-fermion", lat.L), lat).blocks[0]
-    return _reference_split(t[None], q[None], phi0[None], n_periods, 0) is not None
+    return _reference_split(t[None], q[None], phi0[None], n_periods) is not None
 
 
 def test_tee_row_steady_states_all_direct():
     """The steady-final TEE row at L = 24 and 32: every point takes the
     direct route and equals the dense loop.  The row needs both splits: 7
     points miss the L/L split on overlap, which no run length cures, and
-    the pair split carries them.  The L/L split needs no convergence: at
-    L = 32, beta_J = -0.32 it takes the 300-period frame, still 3.8e-10
-    from the dominant span."""
+    the L/L split with the edge pair swapped carries them.  The L/L split
+    needs no convergence: at L = 32, beta_J = -0.32 it takes the 300-period
+    frame, still 3.8e-10 from the dominant span."""
     misses = []
     for L in (24, 32):
         lat = P.lattice(L, "obc")
@@ -694,6 +707,56 @@ def test_tee_row_steady_states_all_direct():
             if not _cut_split_hits(p, lat, 300):
                 misses.append("run length" if _cut_split_hits(p, lat, 3000) else "overlap")
     assert misses == ["overlap"] * 7
+
+
+def _split_spy(monkeypatch):
+    """The (top size, hit) of each ``_sector_split`` call."""
+    calls, split = [], gaussian._sector_split
+
+    def spy(t, t_inv, y, n, k):
+        found = split(t, t_inv, y, n, k)
+        calls.append((int(k), found is not None))
+        return found
+
+    monkeypatch.setattr(gaussian, "_sector_split", spy)
+    return calls
+
+
+def test_swapped_split_carries_the_edge_pair(monkeypatch):
+    # the Neel frame has no weight on the growing edge-pair member: the L/L
+    # split misses, and the same order's other top size (mu_0 and 1/mu_0
+    # swapped across the cut) takes the frame, equal to the loop's
+    calls = _split_spy(monkeypatch)
+    p, lat = P.make_params(0.2, -0.40, 0.2, -0.3), P.lattice(24, "obc")
+    direct, loop = _direct_and_loop(p, lat, 300)
+    assert direct.route == "schur"
+    assert [hit for _, hit in calls] == [False, True] and abs(calls[0][0] - calls[1][0]) == 1
+    _assert_same_steady_state(direct, loop)
+
+
+# the seed-0 TEE grid points that loop at 3000 periods: 2n |log|mu_0|| is
+# past log(_ROUNDING_TOL / eps) ~ 8.4 on their swapped split
+_GROWTH_GATED = [(24, -0.40), (24, -0.38), (24, -0.36), (32, -0.36), (32, -0.34),
+                 (48, -0.34), (64, -0.32)]
+
+
+def test_tee_grid_swapped_splits_past_the_growth_gate_loop(monkeypatch):
+    # at 3000 periods the 37 other points of the grid go direct; these 7
+    # take the swapped split only with the growth gate lifted
+    missed = []
+    for L in (24, 32, 48, 64):
+        lat = P.lattice(L, "obc")
+        frame = gaussian.initial_frame(P.named_state("neel-fermion", L), lat)
+        for bj in np.linspace(-0.40, -0.20, 11):
+            kicks = spectral.build_kick_forms(P.make_params(0.2, bj, 0.2, -0.3), lat)
+            if gaussian._dominant_frame(kicks, frame, 3000) is None:
+                missed.append((L, round(float(bj), 2)))
+                calls = _split_spy(monkeypatch)
+                monkeypatch.setattr(gaussian, "_ROUNDING_TOL", np.inf)
+                assert gaussian._dominant_frame(kicks, frame, 3000) is not None
+                assert [hit for _, hit in calls] == [False, True]
+                monkeypatch.undo()
+    assert missed == _GROWTH_GATED
 
 
 @settings(max_examples=60)
@@ -738,6 +801,12 @@ def test_one_schur_frames_equal_two_schur_frames_on_the_tee_grid():
        st.tuples(st.floats(-np.pi, np.pi), _NONUNITARY_BETA,
                  st.floats(-np.pi, np.pi), _NONUNITARY_BETA),
        st.integers(1, 400), st.sampled_from(["neel-fermion", "all-up", "all-down"]))
+# mu = 1 in both sectors: the swapped split's top and bottom share it, and the
+# reference's 2L x 2L Sylvester equation is singular yet solved
+@example(2, "pbc-odd", (0.0, 1.0, 0.0, 1.0), 1, "neel-fermion")
+# the straddling pair ties in the reference's |mu| (a cut without a gap)
+@example(2, "pbc-odd", (0.8359375, 0.5, 0.5, 0.5), 1, "all-down")
+@example(2, "pbc-odd", (1.0, 0.0625, 1.0, 0.0625), 1, "all-down")
 def test_one_schur_frames_equal_two_schur_frames_random_couplings(L, bc, couplings,
                                                                   n_periods, state):
     _assert_same_as_two_schur(P.ModelParams(*couplings), P.lattice(L, bc), n_periods, state)
@@ -752,7 +821,7 @@ def test_one_schur_frames_equal_two_schur_frames_random_couplings(L, bc, couplin
 ])
 def test_one_cell_direct_frame_takes_one_schur(monkeypatch, couplings, L, bc, route):
     # one L x L Schur form and one reorder of it, hit or miss: the - sector
-    # is derived from the + sector, and the pair split reuses the L/L
+    # is derived from the + sector, and the swapped split reuses the L/L
     # split's order; nothing larger than L x L reaches LAPACK
     calls, sizes = [], []
 
@@ -999,10 +1068,10 @@ def _product_frame_map(v, t):
 
 def _schur_reference_frame(fq, frame, n):
     """The momentum stack's direct frame from the generic L/L split
-    (``_reference_split``, no middle block) of a ``scipy.linalg.schur``
+    (``_reference_split``, no pair swapped) of a ``scipy.linalg.schur``
     form of each 4x4 block: the reference for ``gaussian._bloch_frame``."""
     t, q = map(np.stack, zip(*(scipy.linalg.schur(f, output="complex") for f in fq)))
-    found = _reference_split(t, q, frame.blocks, n, 0)
+    found = _reference_split(t, q, frame.blocks, n)
     return None if found is None else gaussian._advance(frame, found[0], "schur", n, found[1])
 
 
@@ -1652,6 +1721,34 @@ def test_overflowing_sector_block_raises_a_typed_error(p, state, n):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DegenerateEvolution):
             gaussian.run_to_steady_state(p, lat, quench)
+
+
+# chains below the period bound whose evolution overflows: on the momentum
+# stack (L = 8 pbc-even, Neel) _eig2's mode sums and the first frame's
+# closed-form QR norms; on the one-cell stack (L = 9 pbc-odd, all-up) the
+# kicked frame is finite (max 7.0e307) but LAPACK's QR of it is not
+EVOLUTION_OVERFLOW = [(P.ModelParams(-2.735927239553451, 27.828990118735828,
+                                     -0.7836965719262183, 327.2866915850067),
+                       8, "pbc-even", "neel-fermion"),
+                      (P.ModelParams(-0.35933775001215684, -258.80044357148626,
+                                     2.3234119113096012, -96.14024707393412),
+                       9, "pbc-odd", "all-up")]
+
+
+@pytest.mark.parametrize("p, L, bc, state", EVOLUTION_OVERFLOW)
+def test_overflowing_evolution_raises_a_typed_error(p, L, bc, state):
+    # the direct frame and the loop's first frame raise the rank test's
+    # DegenerateEvolution (condition inf), without a RuntimeWarning and not
+    # an isotropy defect of nan
+    lat, quench = P.lattice(L, bc), P.QuenchConfig(P.named_state(state, L), n_periods=3)
+    assert gaussian._momentum_route(lat, quench.initial_state) == (bc == "pbc-even")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in (lambda: gaussian.run_to_steady_state(p, lat, quench),
+                     lambda: next(gaussian.period_frames(p, lat, quench))):
+            with pytest.raises(DegenerateEvolution) as info:
+                call()
+            assert info.value.condition == np.inf
 
 
 def test_momentum_chain_builds_no_chain_kicks(monkeypatch):

@@ -1101,6 +1101,41 @@ def test_overflowing_period_raises_a_typed_error_in_the_edge_scan(L):
             assert info.value.condition == grow
 
 
+# below the period bound (|Im 2J| + |Im 2h| = 710.72 < 711.18), but the
+# kicks' sums overflow: the band at L = 8, 12 and 40, the tol sum at L = 11
+BAND_OVERFLOW = P.ModelParams(-1.0520392066147748, 318.9693860337629,
+                              0.5221918847479463, 36.39289428703189)
+
+
+@pytest.mark.parametrize("L", [8, 11, 12, 40])
+def test_overflowing_sector_band_raises_a_typed_error(L):
+    # the transfer matrix and the edge scan raise NumericalBreakdown
+    # (condition |Im 2J| + |Im 2h|) before any scan, without a RuntimeWarning
+    # and not from the dense eigenvalue solve of an inf band
+    p, lat = BAND_OVERFLOW, P.lattice(L, "obc")
+    grow = abs((2 * p.J).imag) + abs((2 * p.h).imag)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in (S.build_transfer_matrix, S.detect_edge_modes):
+            with pytest.raises(NumericalBreakdown, match="sector band overflows") as info:
+                call(p, lat)
+            assert info.value.condition == grow
+
+
+def test_spectrum_point_whose_sector_band_overflows_is_an_error(tmp_path):
+    # the same chain as a spectrum sweep point, whose edge scan runs first:
+    # an "error" with the band's message, not a "crash" on a RuntimeWarning
+    p = BAND_OVERFLOW
+    spec = sweep.SweepSpec(({"beta_J": p.beta_J},),
+                           {"alpha_J": p.alpha_J, "alpha_h": p.alpha_h, "beta_h": p.beta_h,
+                            "L": 8, "bc": "obc", "units": "rad"}, "spectrum")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        manifest = sweep.run_sweep(spec, tmp_path)
+    assert [pt["status"] for pt in manifest.points] == ["error"]
+    assert "sector band overflows" in manifest.points[0]["error"]
+
+
 @pytest.mark.parametrize("bc", ["obc", "pbc-even", "pbc-odd"])
 def test_period_just_under_the_overflow_bound_is_finite(bc):
     # |Im 2J| + |Im 2h| = 708, below the bound (~711.2, where cos 2J cos 2h

@@ -429,6 +429,34 @@ def test_sweep_point_whose_period_overflows_is_an_error(tmp_path, task):
     assert "period exp(4W') exp(4W'') overflows" in manifest.points[0]["error"]
 
 
+# chains below the period bound whose band or evolution overflows
+# (tests/test_spectral.py, BAND_OVERFLOW; tests/test_gaussian.py,
+# EVOLUTION_OVERFLOW), with the command that meets them
+_BELOW_BOUND_OVERFLOW = [
+    ("spectrum", (-1.0520392066147748, 318.9693860337629, 0.5221918847479463, 36.39289428703189),
+     {"L": 8, "bc": "obc"}),
+    ("evolve", (-2.735927239553451, 27.828990118735828, -0.7836965719262183, 327.2866915850067),
+     {"L": 8, "bc": "pbc-even", "initial_state": "neel-fermion"}),
+    ("evolve", (-0.35933775001215684, -258.80044357148626, 2.3234119113096012, -96.14024707393412),
+     {"L": 9, "bc": "pbc-odd", "initial_state": "all-up"})]
+
+
+@pytest.mark.parametrize("command, couplings, chain", _BELOW_BOUND_OVERFLOW)
+def test_cli_exits_3_where_an_overflow_below_the_period_bound_is_met(tmp_path, capsys, command,
+                                                                     couplings, chain):
+    # a numerical breakdown (exit 3) with no output, not a RuntimeWarning
+    cfg = tmp_path / "overflow.cfg"
+    fixed = {"units": "rad", **dict(zip(("alpha_J", "beta_J", "alpha_h", "beta_h"), couplings)),
+             **chain, "n_periods": 3, "subsystem_length": 4}
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in fixed.items()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), command])
+    assert rc == 3
+    assert "numerical breakdown" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
 # open L = 8 chains below the period bound whose sector blocks overflow
 # (tests/test_gaussian.py, SECTOR_OVERFLOW)
 _SECTOR_OVERFLOW = [(-1.3458496214483335, -287.0979243944356,
