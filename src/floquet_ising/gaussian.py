@@ -53,7 +53,7 @@ from .errors import (DegenerateEvolution, NumericalBreakdown,
                      UnsupportedStateError, ValidationError)
 from .params import (BoundaryCondition, LatticeSpec, ModelParams,
                      ProductState, QuenchConfig, SubsystemSpec)
-from .spectral import (KickForms, _chain_plan, _kick_bonds, bloch_blocks,
+from .spectral import (KickForms, _bond_ends, _chain_plan, _kick_plans, bloch_blocks,
                        build_kick_forms, cell_momenta, sector_basis)
 
 _ISO_TOL = 1e-13
@@ -210,7 +210,8 @@ def period_map(frame: GaussianFrame, kicks: KickForms) -> GaussianFrame:
     the operator conjugation exp(4W'') exp(4W'), applied bond by bond in
     O(L^2) to the frame's one block (``KickForms.step``).
     """
-    phi = kicks.step(frame.blocks[0], -1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # finite kicks, overflowing sums
+        phi = kicks.step(frame.blocks[0], -1.0)
     return _advance(frame, phi[None], "loop")
 
 
@@ -365,7 +366,7 @@ def _dominant_frame(kicks: KickForms, frame: GaussianFrame, n: int) -> GaussianF
     mu_0, 1/mu_0 straddles the L/L cut, the L/L split with that pair
     swapped across the cut.  A B_+ or B_- that overflows is a miss.
     """
-    u = sector_basis(kicks.coupling_form.n)
+    u = sector_basis(frame.blocks.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):  # finite kicks, overflowing sums
         b_plus, b_minus = (kicks.step(x, -1.0)[:len(x) // 2] for x in (u, u.conj()))
     if not (np.isfinite(b_plus).all() and np.isfinite(b_minus).all()):
@@ -595,9 +596,10 @@ def _cell_blocks(q: np.ndarray, b: np.ndarray) -> np.ndarray:
     """V_q diag(b_k, b_{k+pi}) V_q^dag (F_q from t, U_q from exp(-4i t h)), so
     that F U_q = U_q F_q on the dense frame (``GaussianFrame``), as (1/2)[[S, e* D],
     [e D, S]]: S, D = b_k +- b_{k+pi}, e = e^{iq/2}, so exactly 0 off the diagonal at J = 0."""
-    s, d = b[:, 0] + b[:, 1], b[:, 0] - b[:, 1]
     e = np.exp(0.5j * q)[:, None, None]
-    return 0.5 * np.block([[s, e.conj() * d], [e * d, s]])
+    with np.errstate(over="ignore", invalid="ignore"):  # orthonormalize refuses overflows
+        s, d = b[:, 0] + b[:, 1], b[:, 0] - b[:, 1]
+        return 0.5 * np.block([[s, e.conj() * d], [e * d, s]])
 
 
 def _sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray | None:
@@ -640,9 +642,16 @@ def _evolution(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig):
         blocks, v = _bloch_stack(params, frame.momenta)
         t = blocks.period(-1.0)
         fq = _cell_blocks(frame.momenta, t)
-        return frame, lambda f: _advance(f, fq @ f.blocks, "momentum"), partial(_bloch_frame, t, v)
+        return frame, partial(_momentum_step, fq), partial(_bloch_frame, t, v)
     kicks = build_kick_forms(params, lat)
     return frame, partial(period_map, kicks=kicks), partial(_dominant_frame, kicks)
+
+
+def _momentum_step(fq: np.ndarray, frame: GaussianFrame) -> GaussianFrame:
+    """One period of the momentum stack, each block moved by its F_q."""
+    with np.errstate(over="ignore", invalid="ignore"):  # orthonormalize refuses overflows
+        blocks = fq @ frame.blocks
+    return _advance(frame, blocks, "momentum")
 
 
 def _loop(frame: GaussianFrame, step, n: int) -> Iterator[GaussianFrame]:
@@ -751,14 +760,14 @@ def stroboscopic_run(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig
 
 def continuous_hamiltonian(params: ModelParams, lat: LatticeSpec) -> np.ndarray:
     """Dense coefficient matrix H of H_op = sum_ij H_ij a_i a_j for the
-    continuous limit H_op = J sum XX + h sum Z (equal to i (W' + W'')),
-    scattered from the chain's bonds (``spectral._kick_bonds``) without
-    forming the kicks, which may overflow where H does not; read by
+    continuous limit H_op = J sum XX + h sum Z (equal to i (W' + W'')): each
+    Majorana's bond value [s_0, s_b, -s_0, -s_b, 0] (``spectral._bond_ends``)
+    put at its partner by the kicks' plans (``spectral._kick_plans``),
+    without forming the kicks, which may overflow where H does not; read by
     ``evolve_continuous`` off the momentum route only."""
     w = np.zeros((lat.n_majorana, lat.n_majorana), dtype=complex)
-    for p, q, s in _kick_bonds(params, lat):
-        w[p, q] += s
-        w[q, p] -= s
+    for s, (partner, k) in zip(_bond_ends(params, lat.bc), _kick_plans(lat.L, lat.bc)):
+        w[np.arange(len(w)), partner] += np.concatenate([s, -s, np.zeros(1)])[k[:, 0]]
     return 1j * w
 
 
@@ -791,8 +800,10 @@ def evolve_continuous(params: ModelParams, lat: LatticeSpec, state: ProductState
         flow = lambda dt: scipy.linalg.expm(-4j * dt * hmat)
     out, dt_u, u = [], None, None
     for dt in steps:
-        if u is None or abs(dt - dt_u) > 1e-12 * dt:
-            dt_u, u = dt, flow(dt)
-        frame = _advance(frame, u @ frame.blocks, "continuous")
+        with np.errstate(over="ignore", invalid="ignore"):  # orthonormalize refuses overflows
+            if u is None or abs(dt - dt_u) > 1e-12 * dt:
+                dt_u, u = dt, flow(dt)
+            moved = u @ frame.blocks
+        frame = _advance(frame, moved, "continuous")
         out.append(frame)
     return out

@@ -99,106 +99,84 @@ def _kick_cos_sin(angle, what: str = "kick exp(4W)") -> tuple[np.ndarray, np.nda
     return cos, sin
 
 
+def _period_overflow(J: complex, h: complex) -> NumericalBreakdown:
+    """The error of a period with no double-precision form: condition
+    |Im 2J| + |Im 2h|, the kicks' growth."""
+    grow = abs((2 * J).imag) + abs((2 * h).imag)
+    return NumericalBreakdown(f"period exp(4W') exp(4W'') overflows: the kicks' growth "
+                              f"|Im 2J| + |Im 2h| = {grow:.4g}", condition=grow)
+
+
 def _period_cos_sin(kicks: list, J: complex, h: complex) -> list:
     """The two kicks' (cos, sin), each kick tested (``_kick_cos_sin``): the one
     overflow test of a period.  Where the product of the kicks' largest cos or
     sin (by modulus, one from each kick) is not finite, the period has no
-    double-precision form: NumericalBreakdown, condition |Im 2J| + |Im 2h|."""
+    double-precision form (``_period_overflow``)."""
     with np.errstate(over="ignore"):  # |z| of finite parts may pass the largest double
         a, b = (float(np.abs(np.concatenate(kick, axis=None)).max()) for kick in kicks)
     if not math.isfinite(a * b):  # a product of Python floats overflows to inf silently
-        grow = abs((2 * J).imag) + abs((2 * h).imag)
-        raise NumericalBreakdown(f"period exp(4W') exp(4W'') overflows: the kicks' growth "
-                                 f"|Im 2J| + |Im 2h| = {grow:.4g}", condition=grow)
+        raise _period_overflow(J, h)
     return kicks
 
 
-@dataclass(frozen=True, eq=False)
-class MajoranaQuadraticForm:
-    """A kick exp(4W) on ``n`` Majoranas, W a sum of disjoint bonds W_pq = s =
-    -W_qp, as a record (``_kick_forms``): each Majorana's bond ``partner``
-    (itself if unbonded), and the ``cos`` and ``sin`` of its angle (+4s at
-    p, -4s at q, 0 if unbonded) as columns."""
-
-    n: int
-    partner: np.ndarray = field(repr=False)
-    cos: np.ndarray = field(repr=False)
-    sin: np.ndarray = field(repr=False)
-
-    def kick(self, x: np.ndarray, sign: float = 1.0) -> np.ndarray:
-        """exp(sign * 4 W) @ x as one rotation per bond, O(n) per column.
-
-        Row p of the result is cos(t_p) x_p + sign sin(t_p) x_partner(p),
-        t_p the angle of Majorana p."""
-        return _rotate(x, self.partner, self.cos, self.sin, sign)
-
-
 def _rotate(x: np.ndarray, partner, cos, sin, sign: float) -> np.ndarray:
-    """A kick's rows x_partner(p) (sign sin_p) + cos_p x_p in the one order
-    every kick takes, so the same operands give the same bits."""
+    """A kick exp(sign 4W) @ x from its (partner, cos, sin): rows x_partner(p)
+    (sign sin_p) + cos_p x_p in the one order every kick takes, so the same
+    operands give the same bits."""
     y = x[partner] * (sign * sin)
     y += cos * x
     return y
 
 
 class KickForms(NamedTuple):
-    """The two kick generators (W', W'') of one period."""
+    """The two kicks exp(4W'), exp(4W'') of one period, each a (partner, cos,
+    sin) triple (``_kick_forms``) for ``_rotate``."""
 
-    coupling_form: MajoranaQuadraticForm
-    field_form: MajoranaQuadraticForm
+    coupling: tuple
+    field: tuple
 
     def step(self, x: np.ndarray, sign: float = 1.0) -> np.ndarray:
         """exp(sign 4W') exp(sign 4W'') @ x, bond by bond: the one place
         where two kicks make a period (sign = -1 moves annihilator frames)."""
-        return self.coupling_form.kick(self.field_form.kick(x, sign), sign)
+        return _rotate(_rotate(x, *self.field, sign), *self.coupling, sign)
 
 
-def _kick_bonds(params: ModelParams, lat: LatticeSpec):
-    """The bonds (p, q, s) of W' and of W'', W_pq = s = -W_qp, as index and
-    value arrays in 0-based Majorana indices.
-
-    W' couples Majoranas (2j, 2j+1) with strength J/2; W'' couples
-    (2j-1, 2j) with h/2.  On periodic chains the wraparound bond of W'
-    carries the parity-sector sign (antiperiodic for the even sector);
-    open chains drop it.
-    """
-    L, n = lat.L, lat.n_majorana
-    site = np.arange(0, n, 2)
-    p, q, s = site[1:] - 1, site[1:], np.full(L - 1, params.J / 2.0)
-    if lat.bc.periodic:
-        # (0, n-1) stores the (a_{2L}, a_1) bond with reversed orientation,
-        # hence the extra minus sign on top of the sector sign.
-        p, q, s = (np.append(p, 0), np.append(q, n - 1),
-                   np.append(s, -lat.bc.wrap_sign * params.J / 2.0))
-    return (p, q, s), (site, site + 1, np.full(L, params.h / 2.0))
+def _bond_ends(params: ModelParams, bc: BoundaryCondition) -> list:
+    """Each kick's first and last bond value (s_0, s_b), W_pq = s = -W_qp:
+    J/2, and J/2 or a periodic chain's wraparound (0, 2L-1) bond, reversed,
+    -wrap_sign J/2; then h/2 and h/2.  Every bond of a kick is one of them."""
+    last = -bc.wrap_sign * params.J / 2.0 if bc.periodic else params.J / 2.0
+    return [np.array([params.J / 2.0, last]), np.array([params.h / 2.0, params.h / 2.0])]
 
 
 def _kick_scalars(params: ModelParams, lat: LatticeSpec, dtype) -> list:
-    """(cos, sin) of each kick's angles [4s_0, 4s_b, -4s_0, -4s_b, 0], s_0
-    and s_b its first and last bond value (``_kick_bonds``), coupling first,
-    in ``dtype`` (complex128, or long double for the edge-pair refine): on
-    the uniform chain every angle of a kick is one of these five, so every
-    kick is gathered from them (``_kick_forms``).  An overflowing kick or
-    period raises NumericalBreakdown (``_period_cos_sin``)."""
-    angles = (np.concatenate([4 * s[[0, -1]], -4 * s[[0, -1]], np.zeros(1)]).astype(dtype)
-              for _, _, s in _kick_bonds(params, lat))
+    """(cos, sin) of each kick's angles [4s_0, 4s_b, -4s_0, -4s_b, 0]
+    (``_bond_ends``), coupling first, in ``dtype`` (complex128, or long
+    double for the edge-pair refine): on the uniform chain every angle of a
+    kick is one of these five, so every kick is gathered from them
+    (``_kick_forms``).  An overflowing kick or period raises
+    NumericalBreakdown (``_period_cos_sin``)."""
+    angles = (np.concatenate([4 * s, -4 * s, np.zeros(1)]).astype(dtype)
+              for s in _bond_ends(params, lat.bc))
     return _period_cos_sin([_kick_cos_sin(a) for a in angles], params.J, params.h)
 
 
+def _kick_plans(L: int, bc: BoundaryCondition) -> tuple:
+    """Each kick's Majorana partners and angle indices, coupling first."""
+    chain = _chain_plan(L)
+    return _coupling_plan(L, bc), (chain.pairs, chain.field)
+
+
 def _kick_forms(scalars: list, L: int, bc: BoundaryCondition) -> KickForms:
-    """The two kick forms of the L-site chain of ``bc``, the one gather of
-    the kick scalars (``_kick_scalars``, in their dtype) by each Majorana's
-    partner and angle index (``_coupling_plan``, ``_chain_plan``)."""
-    (cos1, sin1), (cos2, sin2) = scalars
-    (partner, k1), chain = _coupling_plan(L, bc), _chain_plan(L)
-    k2 = chain.field
-    return KickForms(MajoranaQuadraticForm(2 * L, partner, cos1[k1], sin1[k1]),
-                     MajoranaQuadraticForm(2 * L, chain.pairs, cos2[k2], sin2[k2]))
+    """The two kicks of the L-site chain of ``bc``, the one gather of the kick
+    scalars (``_kick_scalars``, in their dtype) by ``_kick_plans``."""
+    return KickForms(*((partner, cos[k], sin[k])
+                       for (cos, sin), (partner, k) in zip(scalars, _kick_plans(L, bc))))
 
 
 def build_kick_forms(params: ModelParams, lat: LatticeSpec) -> KickForms:
-    """The two kick forms (W', W'') of the chain, gathered from its kick
-    scalars (``_kick_forms``); an overflowing kick or period raises
+    """The two kicks (W', W'') of the chain, gathered from its kick scalars
+    (``_kick_forms``); an overflowing kick or period raises
     NumericalBreakdown (``_kick_scalars``)."""
     return _kick_forms(_kick_scalars(params, lat, complex), lat.L, lat.bc)
 
@@ -218,11 +196,16 @@ class BlochBlocks:
 
     def period(self, sign: float = 1.0) -> np.ndarray:
         """exp(sign 4W'_k) exp(sign 4W''_k), each kick cos 2x + sign sin 2x g;
-        an overflowing kick or period raises NumericalBreakdown (``_period_cos_sin``)."""
+        an overflowing kick or period (``_period_cos_sin``), or a product
+        that is not finite, raises NumericalBreakdown (``_period_overflow``)."""
         (c1, c2), (s1, s2) = _kick_cos_sin(np.array([2 * self.J, 2 * self.h]))
         _period_cos_sin([(c1, s1), (c2, s2)], self.J, self.h)
-        return ((c1 * np.eye(2) + sign * s1 * self.coupling)
-                @ (c2 * np.eye(2) + sign * s2 * _G_FIELD))
+        with np.errstate(over="ignore", invalid="ignore"):  # finite kicks, overflowing sums
+            t = ((c1 * np.eye(2) + sign * s1 * self.coupling)
+                 @ (c2 * np.eye(2) + sign * s2 * _G_FIELD))
+        if not np.isfinite(t).all():
+            raise _period_overflow(self.J, self.h)
+        return t
 
     def hamiltonian(self) -> np.ndarray:
         """The continuous limit i(W'_k + W''_k) = (i/2)(J g'_k + h g'')."""
@@ -288,17 +271,19 @@ class TransferMatrix:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """A sector eigenvalue that underflowed (below the smallest normal
-        double, so 1/mu overflows; eig can return an exact 0) or is not
-        finite raises NumericalBreakdown, as a failed solve does."""
+        """A sector eigenvalue outside [tiny, 1/tiny] (tiny the smallest
+        normal double; eig can return an exact 0), where its partner 1/mu
+        over- or underflows, or not finite raises NumericalBreakdown, as a
+        failed solve does."""
         try:
             mu = np.linalg.eigvals(self.b_plus)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
             raise NumericalBreakdown(f"eigenvalue solve failed: {exc}") from exc
-        bad = ~(np.isfinite(mu) & (np.abs(mu) >= np.finfo(float).tiny))
+        a, tiny = np.abs(mu), np.finfo(float).tiny
+        bad = ~((a >= tiny) & (a <= 1 / tiny))  # nan or inf too: |mu| is not finite
         if bad.any():
-            raise NumericalBreakdown(f"sector eigenvalue {mu[bad][0]:.4g} underflowed or is "
-                                     "not finite: its partner 1/mu has no double")
+            raise NumericalBreakdown(f"sector eigenvalue {mu[bad][0]:.4g} underflowed, overflowed "
+                                     "or is not finite: outside [tiny, 1/tiny], 1/mu has no double")
         return _pairs(mu)
 
 
@@ -346,10 +331,10 @@ def _band_index(L: int, w: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=64)
 def _coupling_plan(L: int, bc: BoundaryCondition) -> tuple[np.ndarray, np.ndarray]:
     """Each Majorana's coupling-bond partner (itself if unbonded) and the
-    index of its angle in ``_kick_scalars`` (a column) on the L-site chain
-    of ``bc``, read-only: ``_chain_plan``'s ``pairs`` and ``field`` of the
-    coupling kick."""
-    p, q, _ = _kick_bonds(ModelParams(0.0, 0.0, 0.0, 0.0), LatticeSpec(L, bc))[0]  # no value read
+    index of its angle in ``_kick_scalars`` (a column) on the L-site chain of ``bc``,
+    read-only: bonds (p, p + 1), p = 1, 3, .., 2L-3, and a periodic chain's (0, 2L-1)."""
+    p = np.arange(1, 2 * L - 2, 2)
+    p, q = (np.append(p, 0), np.append(p + 1, 2 * L - 1)) if bc.periodic else (p, p + 1)
     partner, angle = np.arange(2 * L), np.full((2 * L, 1), 4)
     partner[p], partner[q] = q, p
     angle[p], angle[q], angle[p[-1]], angle[q[-1]] = 0, 2, 1, 3
@@ -395,10 +380,10 @@ def _sector_blocks(scalars: list, lat: LatticeSpec) -> tuple[np.ndarray, np.ndar
     """The band and pencil of ``TransferMatrix`` from ``_kick_scalars``, in
     their dtype, by the template chain's kick forms (``_kick_forms``)."""
     u, band, pencil = _sector_plan(lat.L, lat.bc)
-    coupling, field_form = _kick_forms(scalars, len(u) // 2, lat.bc)
-    k2 = field_form.kick(u)
-    blocks = np.concatenate([coupling.kick(k2).ravel(), k2.ravel(),
-                             coupling.kick(u, -1.0).ravel(), [0]])
+    coupling, field_kick = _kick_forms(scalars, len(u) // 2, lat.bc)
+    k2 = _rotate(u, *field_kick, 1.0)
+    blocks = np.concatenate([_rotate(k2, *coupling, 1.0).ravel(), k2.ravel(),
+                             _rotate(u, *coupling, -1.0).ravel(), [0]])
     return blocks[band].T, blocks[pencil]  # band: L x 7 in C order, so Fortran 7 x L
 
 

@@ -574,15 +574,15 @@ def test_direct_steady_state_with_an_empty_sector_block(couplings, bc, growing):
 def _sector_blocks(kicks):
     """The frame map's two L x L reflection-sector blocks B_+ and B_-:
     F U = U B_+ and F conj(U) = conj(U) B_-, U the ``sector_basis``."""
-    u = spectral.sector_basis(kicks.coupling_form.n)
-    return [kicks.step(x, -1.0)[:kicks.coupling_form.n // 2] for x in (u, u.conj())]
+    u = spectral.sector_basis(len(kicks.field[0]))
+    return [kicks.step(x, -1.0)[:len(x) // 2] for x in (u, u.conj())]
 
 
 def _two_schur_form(kicks):
     """The frame map's Schur form T = diag(T_+, T_-), Q = [U Q_+, conj(U)
     Q_-] / sqrt(2) from a Schur form of each sector block on its own: the
     reference for the one-``schur`` form of ``_dominant_frame``."""
-    u = spectral.sector_basis(kicks.coupling_form.n)
+    u = spectral.sector_basis(len(kicks.field[0]))
     (t1, q1), (t2, q2) = (scipy.linalg.schur(b, output="complex") for b in _sector_blocks(kicks))
     return (scipy.linalg.block_diag(t1, t2),
             np.hstack([u @ q1, u.conj() @ q2]) / np.sqrt(2.0))
@@ -1725,14 +1725,21 @@ def test_overflowing_sector_block_raises_a_typed_error(p, state, n):
 
 # chains below the period bound whose evolution overflows: on the momentum
 # stack (L = 8 pbc-even, Neel) _eig2's mode sums and the first frame's
-# closed-form QR norms; on the one-cell stack (L = 9 pbc-odd, all-up) the
-# kicked frame is finite (max 7.0e307) but LAPACK's QR of it is not
+# closed-form QR norms, and the second's cell-block sums; on the one-cell
+# stack (L = 9 pbc-odd, all-up) the kicked frame is finite (max 7.0e307)
+# but LAPACK's QR of it is not, and at L = 8 obc (Neel) the kick's sums
 EVOLUTION_OVERFLOW = [(P.ModelParams(-2.735927239553451, 27.828990118735828,
                                      -0.7836965719262183, 327.2866915850067),
                        8, "pbc-even", "neel-fermion"),
                       (P.ModelParams(-0.35933775001215684, -258.80044357148626,
                                      2.3234119113096012, -96.14024707393412),
-                       9, "pbc-odd", "all-up")]
+                       9, "pbc-odd", "all-up"),
+                      (P.ModelParams(-0.8242187189141084, -299.8680593133915,
+                                     0.47577593097646087, 55.37914229443349),
+                       8, "pbc-even", "neel-fermion"),
+                      (P.ModelParams(2.2848180721324605, 344.0723961334496,
+                                     3.0234376056325463, -11.401398991606193),
+                       8, "obc", "neel-fermion")]
 
 
 @pytest.mark.parametrize("p, L, bc, state", EVOLUTION_OVERFLOW)
@@ -1749,6 +1756,36 @@ def test_overflowing_evolution_raises_a_typed_error(p, L, bc, state):
             with pytest.raises(DegenerateEvolution) as info:
                 call()
             assert info.value.condition == np.inf
+
+
+def test_overflowing_momentum_period_raises_the_period_error():
+    # |Im 2J| + |Im 2h| = 710.71: the one-site kicks' largest cos and sin
+    # have a finite product, but the 2x2 product of the kicks overflows.
+    # The one-site blocks' period raises the period's NumericalBreakdown
+    # (condition |Im 2J| + |Im 2h|), without a RuntimeWarning
+    p = P.ModelParams(-2.930568260297326, -0.9731442361691163,
+                      1.4429677267223928, 354.3835019956585)
+    lat, quench = P.lattice(8, "pbc-even"), P.QuenchConfig(P.named_state("neel-fermion", 8), 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in (lambda: gaussian.run_to_steady_state(p, lat, quench),
+                     lambda: next(gaussian.period_frames(p, lat, quench))):
+            with pytest.raises(NumericalBreakdown, match="period") as info:
+                call()
+            assert info.value.condition == abs((2 * p.J).imag) + abs((2 * p.h).imag)
+            assert any(entry.name == "period" for entry in info.traceback)
+
+
+def test_overflowing_one_cell_flow_raises_a_typed_error():
+    # L = 9 obc: expm of the dense H and its product with the frame overflow;
+    # orthonormalize raises DegenerateEvolution, without a RuntimeWarning
+    p = P.ModelParams(-0.9068905370906599, -7.074336470433705,
+                      -0.11540657818450839, -163.63690236446857)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DegenerateEvolution):
+            gaussian.evolve_continuous(p, P.lattice(9, "obc"), P.named_state("neel-fermion", 9),
+                                       np.linspace(0, 11.30214909110676, 5))
 
 
 def test_momentum_chain_builds_no_chain_kicks(monkeypatch):

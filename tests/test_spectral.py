@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import sys
 import warnings
 from unittest import mock
@@ -10,6 +9,7 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from floquet_ising import gaussian as G
 from floquet_ising import params as P
 from floquet_ising import spectral as S
 from floquet_ising import sweep
@@ -53,11 +53,12 @@ def metric_residual(eta, hk):
 
 def _dense_ws(p, lat):
     """The dense n x n matrices W' and W'' of the chain's bonds
-    (``S._kick_bonds``): W_pq = s = -W_qp."""
+    (``_chain_bonds``): W_pq = s = -W_qp."""
     ws = []
-    for i, j, s in S._kick_bonds(p, lat):
+    for bonds in _chain_bonds(p, lat):
         ws.append(np.zeros((lat.n_majorana,) * 2, dtype=complex))
-        ws[-1][i, j], ws[-1][j, i] = s, -s
+        for i, j, s in bonds:
+            ws[-1][i, j], ws[-1][j, i] = s, -s
     return ws
 
 
@@ -70,14 +71,14 @@ def test_zero_coupling_gives_zero_form():
     p, lat = P.ModelParams(0.0, 0.0, 0.3, 0.1), P.lattice(6, "obc")
     w1, _ = S.build_kick_forms(p, lat)
     assert np.all(_dense_ws(p, lat)[0] == 0)
-    assert np.array_equal(w1.kick(np.eye(12, dtype=complex)), np.eye(12))
+    assert np.array_equal(S._rotate(np.eye(12, dtype=complex), *w1, 1.0), np.eye(12))
 
 
 def test_bond_counting_open_chain():
     p, lat = P.ModelParams(0.3, 0.0, 0.5, 0.0), P.lattice(2, "obc")
     w1, w2 = S.build_kick_forms(p, lat)
-    assert np.count_nonzero(w1.partner != np.arange(4)) == 2  # single (a_2, a_3) pair
-    assert np.count_nonzero(w2.partner != np.arange(4)) == 4
+    assert np.count_nonzero(w1[0] != np.arange(4)) == 2  # single (a_2, a_3) pair
+    assert np.count_nonzero(w2[0] != np.arange(4)) == 4
     assert np.count_nonzero(_dense_ws(p, lat)[0]) == 2  # antisymmetric pair
 
 
@@ -87,7 +88,7 @@ def test_kick_exponential_matches_expm():
     forms, (w1, w2) = S.build_kick_forms(p, lat), _dense_ws(p, lat)
     eye = np.eye(10, dtype=complex)
     for form, w in zip(forms, (w1, w2)):
-        assert np.allclose(form.kick(eye), scipy.linalg.expm(4 * w), atol=1e-12)
+        assert np.allclose(S._rotate(eye, *form, 1.0), scipy.linalg.expm(4 * w), atol=1e-12)
     for sign in (1.0, -1.0):
         dense = scipy.linalg.expm(sign * 4 * w1) @ scipy.linalg.expm(sign * 4 * w2)
         assert np.allclose(forms.step(eye, sign), dense, atol=1e-12)
@@ -102,8 +103,8 @@ def test_kick_matches_expm_every_boundary_and_sign(bc, sign):
     x = rng.normal(size=(10, 3)) + 1j * rng.normal(size=(10, 3))
     for form, w in zip(S.build_kick_forms(p, lat), _dense_ws(p, lat)):
         dense = scipy.linalg.expm(sign * 4 * w)
-        assert np.allclose(form.kick(np.eye(10, dtype=complex), sign), dense, atol=1e-12)
-        assert np.allclose(form.kick(x, sign), dense @ x, atol=1e-12)
+        assert np.allclose(S._rotate(np.eye(10, dtype=complex), *form, sign), dense, atol=1e-12)
+        assert np.allclose(S._rotate(x, *form, sign), dense @ x, atol=1e-12)
 
 
 def _chain_bonds(p, lat):
@@ -133,17 +134,33 @@ def test_kick_forms_match_bond_loop(bc):
             partner[a], partner[b] = b, a
             angle[a], angle[b] = 4 * s, -4 * s
         assert np.array_equal(dense_w, w)
-        assert np.array_equal(form.partner, partner)
-        for got, want in zip((form.cos, form.sin), S._kick_cos_sin(angle)):
+        assert np.array_equal(form[0], partner)
+        for got, want in zip(form[1:], S._kick_cos_sin(angle)):
             assert np.array_equal(_bits(got), _bits(want[:, None]))
 
 
+def _or_zero(lo, hi):
+    return st.sampled_from([0.0, -0.0]) | st.floats(lo, hi)
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 40), st.sampled_from(["pbc-even", "pbc-odd", "obc"]),
+       _or_zero(-np.pi, np.pi), _or_zero(-1.0, 1.0), _or_zero(-np.pi, np.pi), _or_zero(-1.0, 1.0))
+@example(2, "pbc-even", -0.0, 0.0, 0.0, -0.0)
+def test_continuous_hamiltonian_is_the_bond_sum_bit_for_bit(L, bc, aj, bj, ah, bh):
+    # H from the kicks' plans equals i (W' + W'') of the chain's bonds filled
+    # one at a time (``_chain_bonds``), signed zeros too
+    p, lat = P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc)
+    w1, w2 = _dense_ws(p, lat)
+    assert np.array_equal(_bits(G.continuous_hamiltonian(p, lat)), _bits(1j * (w1 + w2)))
+
+
 def test_kick_forms_hold_no_dense_matrix():
-    # the form is a record of per-Majorana columns
-    for form in S.build_kick_forms(random_params(), P.lattice(40, "obc")):
-        assert [f.name for f in dataclasses.fields(form)] == ["n", "partner", "cos", "sin"]
-        assert all(getattr(form, name).shape[0] == form.n == getattr(form, name).size
-                   for name in ("partner", "cos", "sin"))
+    # each kick is a (partner, cos, sin) triple of per-Majorana columns
+    kicks = S.build_kick_forms(random_params(), P.lattice(40, "obc"))
+    assert kicks._fields == ("coupling", "field")
+    for partner, cos, sin in kicks:
+        assert partner.shape == (80,) and cos.shape == sin.shape == (80, 1)
 
 
 def _bits(a):
@@ -198,8 +215,7 @@ def test_kick_form_from_its_bonds_is_the_built_form_bit_for_bit(L, bc, aj, bj, a
         return
     assert isinstance(got, S.KickForms)
     for form, ref in zip(got, want):
-        for name, a in zip(("partner", "cos", "sin"), ref):
-            b = getattr(form, name)
+        for name, a, b in zip(("partner", "cos", "sin"), ref, form):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert np.array_equal(_bits(a), _bits(b)), name
 
@@ -585,7 +601,7 @@ def _sector_energies_mp(p, lat):
     the kick angles +-4s taken from the chain's bonds as doubles."""
     mpmath = pytest.importorskip("mpmath")
     forms = S.build_kick_forms(p, lat)
-    n, L = forms.coupling_form.n, lat.L
+    n, L = lat.n_majorana, lat.L
     angles = []
     for bonds in _chain_bonds(p, lat):
         angles.append(np.zeros(n, dtype=complex))
@@ -595,13 +611,13 @@ def _sector_energies_mp(p, lat):
         def kick(form, angle, x):
             c = [mpmath.cos(mpmath.mpc(a)) for a in angle]
             s = [mpmath.sin(mpmath.mpc(a)) for a in angle]
-            return [[c[r] * x[r][j] + s[r] * x[form.partner[r]][j] for j in range(L)]
+            return [[c[r] * x[r][j] + s[r] * x[form[0][r]][j] for j in range(L)]
                     for r in range(n)]
         basis = [[mpmath.mpc(0)] * L for _ in range(n)]
         for m in range(L):
             basis[m][m] = mpmath.mpc(1)
             basis[n - 1 - m][m] = mpmath.mpc(0, (-1) ** m)
-        b_plus = kick(forms.coupling_form, angles[0], kick(forms.field_form, angles[1], basis))[:L]
+        b_plus = kick(forms.coupling, angles[0], kick(forms.field, angles[1], basis))[:L]
         mu = mpmath.eig(mpmath.matrix(b_plus), left=False, right=False)
         eps = [sign * 1j * mpmath.log(x) for x in mu for sign in (1, -1)]
     return eps
@@ -1063,6 +1079,40 @@ def test_underflowed_sector_eigenvalue_raises_a_typed_error():
             S.SpectrumReport(S.build_transfer_matrix(p, lat)).quasienergies
 
 
+# open L = 8 chains whose dense sector block has an eigenvalue above 1/tiny
+# (~4.5e307), whose partner 1/mu underflows
+EIGENVALUE_OVERFLOW = [P.ModelParams(0.02596044813829268, -354.51482246801424,
+                                     0.38326965777509603, -0.2963382005925762),
+                       P.ModelParams(-1.9935769188785868, 353.0578730084591,
+                                     2.3882269310642954, -1.803637509051307)]
+
+
+@pytest.mark.parametrize("p", EIGENVALUE_OVERFLOW)
+def test_overflowed_sector_eigenvalue_raises_a_typed_error(p):
+    # the edge scan's discs fall back to the dense spectrum, which raises
+    # NumericalBreakdown, not a RuntimeWarning from 1/mu nor a "singular-lu"
+    # report with no records after log(0); a spectrum sweep point records it
+    lat, match = P.lattice(8, "obc"), r"outside \[tiny, 1/tiny\]"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalBreakdown, match=match):
+            S.detect_edge_modes(p, lat)
+        with pytest.raises(NumericalBreakdown, match=match):
+            S.SpectrumReport(S.build_transfer_matrix(p, lat)).quasienergies
+
+
+def test_spectrum_point_whose_sector_eigenvalue_overflows_is_an_error(tmp_path):
+    p = EIGENVALUE_OVERFLOW[0]
+    spec = sweep.SweepSpec(({"beta_J": p.beta_J},),
+                           {"alpha_J": p.alpha_J, "alpha_h": p.alpha_h, "beta_h": p.beta_h,
+                            "L": 8, "bc": "obc", "units": "rad"}, "spectrum")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        manifest = sweep.run_sweep(spec, tmp_path)
+    assert [pt["status"] for pt in manifest.points] == ["error"]
+    assert "outside [tiny, 1/tiny]" in manifest.points[0]["error"]
+
+
 @pytest.mark.parametrize("bc", ["obc", "pbc-even", "pbc-odd"])
 @pytest.mark.parametrize("beta_j, beta_h", [(400.0, 0.1), (0.1, 400.0), (380.0, 400.0),
                                             (400.0, 380.0)])
@@ -1430,8 +1480,8 @@ def test_pencil_diagonals_are_the_dense_sector_kicks_bit_for_bit(L, bc, aj, bj, 
     assert pencil.shape == (2, 3, L)
     i, j = np.indices((L, L))
     inside = np.abs(i - j) <= 1
-    for band, (form, sign) in zip(pencil, ((kicks.field_form, 1.0), (kicks.coupling_form, -1.0))):
-        dense = form.kick(S.sector_basis(2 * L), sign)[:L]
+    for band, (form, sign) in zip(pencil, ((kicks.field, 1.0), (kicks.coupling, -1.0))):
+        dense = S._rotate(S.sector_basis(2 * L), *form, sign)[:L]
         assert not dense[~inside].any()
         got = band[1 + i[inside] - j[inside], j[inside]]
         assert np.array_equal(got.view(np.uint64), dense[inside].view(np.uint64))
@@ -1442,15 +1492,16 @@ def test_pencil_diagonals_are_the_dense_sector_kicks_bit_for_bit(L, bc, aj, bj, 
 @given(st.integers(2, 60), st.sampled_from(["pbc-even", "pbc-odd", "obc"]),
        st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0),
        st.floats(-np.pi, np.pi), st.floats(-1.0, 1.0), st.integers(0, 2**32 - 1))
-def test_chiral_partner_vectors_are_the_field_form_kick_bit_for_bit(L, bc, aj, bj, ah, bh, seed):
+def test_chiral_partner_vectors_are_the_field_kick_bit_for_bit(L, bc, aj, bj, ah, bh, seed):
     # v_- = Gamma K2 v_+ from the field kick's two cos and sin (no kick
-    # form) equals Gamma times the field form's kick of v_+, normalized,
+    # form) equals Gamma times the built field kick of v_+, normalized,
     # bit for bit
     p, lat = P.ModelParams(aj, bj, ah, bh), P.lattice(L, bc)
     tm = S.build_transfer_matrix(p, lat)
     x = np.random.default_rng(seed).standard_normal((L, 3, 2)) @ [1, 1j]
     v = S._sector_vectors(tm.field_kick, x)
-    ref = (-1.0) ** np.arange(2 * L)[:, None] * S.build_kick_forms(p, lat).field_form.kick(v[:, :3])
+    field = S.build_kick_forms(p, lat).field
+    ref = (-1.0) ** np.arange(2 * L)[:, None] * S._rotate(v[:, :3], *field, 1.0)
     ref /= np.linalg.norm(ref, axis=0)
     assert np.array_equal(v[:, 3:].view(np.uint64), ref.view(np.uint64))
 
