@@ -33,7 +33,10 @@ of maximal volume (``_bloch_frame``), and on the one-cell stack from a Schur
 form of the L x L + reflection-sector block alone (``_sector_split``), split at
 the L/L cut or with the edge pair straddling it swapped across it: the - block
 is the inverse transpose of the +, so its modes and its split follow from the +
-sector's.  Each step on the momentum stack is closed-form (``_qr``,
+sector's.  The same pivot, stacked over the times of a grid with the log-modes
+of the one-site Hamiltonian blocks, gives the continuous flow on the momentum
+stack without a step (``_flow_frames``); where it misses, that flow steps like
+the loop.  Every step on the momentum stack is closed-form (``_qr``,
 ``BlochBlocks.flow``), where the one-cell stack takes LAPACK's QR and ``expm``.
 ``entropy_trace`` reads the entropies of any stream of frames.
 """
@@ -81,8 +84,8 @@ class GaussianFrame:
     frame (``isotropy_defect()`` bit for bit); ``route`` is how the frame was
     made: ``"loop"`` by ``period_map``, ``"schur"`` by the direct steady
     state of ``run_to_steady_state`` (on either stack), ``"momentum"`` by
-    its momentum-block step, ``"continuous"`` by a step of
-    ``evolve_continuous``.  Both are None for initial frames."""
+    its momentum-block step, ``"continuous"`` by ``evolve_continuous``
+    (directly or by a step).  Both are None for initial frames."""
 
     blocks: np.ndarray
     momenta: np.ndarray = field(default_factory=lambda: np.zeros(1))
@@ -107,7 +110,7 @@ class GaussianFrame:
         return np.einsum("xq,qab->xaqb", u, self.blocks).reshape(n * r, n * c)
 
     def isotropy_defect(self) -> float:
-        return _isotropy(self.blocks, self.partner)[1]
+        return float(_isotropy(self.blocks[None], self.partner)[1][0])
 
     def orthonormality_defect(self) -> float:
         return _orthonormality(self.blocks)
@@ -133,14 +136,22 @@ def initial_frame(state: QuenchConfig | ProductState, lat: LatticeSpec) -> Gauss
 
 
 def _isotropy(q: np.ndarray, partner: np.ndarray | None = None):
-    """S = q_{-}^T q, ||S|| and q_- (block partner[i] of block i), one broadcast
-    on a momentum stack; a dense frame or one-cell stack pairs with itself in
-    place, so that S = q^T q is one symmetric product, exactly symmetric."""
+    """S = q_{-}^T q, ||S|| and q_- (block partner[i] of block i) of each frame
+    of the stack ``q`` (M frames on the leading axis), one broadcast on
+    momentum stacks, each frame's norm taken over its own row so that it is
+    the same alone or among others; a dense frame or one-cell stack pairs
+    with itself in place, so that S = q^T q is one symmetric product,
+    exactly symmetric."""
     if partner is None or len(partner) == 1:
-        return (s := np.swapaxes(q, -1, -2) @ q), float(np.linalg.norm(s)), q
-    p = q.T[..., partner]  # columns x rows x N, the layout ``_qr`` leaves
-    s = (p[:, None] * q.T[None]).sum(2)
-    return s.transpose(2, 0, 1), float(np.linalg.norm(s)), p.T
+        s = np.swapaxes(q, -1, -2) @ q
+        return s, np.array([np.linalg.norm(si) for si in s]), q
+    qt = q.T  # columns x rows x N x M, the layout ``_qr`` leaves
+    p = np.take(qt, partner, axis=2)
+    s = p[:, None, 0] * qt[None, :, 0]
+    for a in range(1, len(qt[0])):  # the rows in one order on any layout
+        s += p[:, None, a] * qt[None, :, a]
+    rows = np.ascontiguousarray(s.transpose(3, 0, 1, 2)).reshape(len(q), -1)
+    return s.transpose(3, 2, 0, 1), np.sqrt(np.add.reduce((rows.conj() * rows).real, 1)), p.T
 
 
 def _orthonormality(q: np.ndarray) -> float:
@@ -153,33 +164,46 @@ def orthonormalize(phi: np.ndarray, partner: np.ndarray | None = None):
 
     ``phi`` is one dense frame or, with ``partner``, a stack of blocks
     whose isotropy pairs block i with block partner[i] (the dense frame is
-    one block paired with itself); each block is factorized on its own.
+    one block paired with itself); each block is factorized on its own.  A
+    leading axis (M x N x r x c) holds M such stacks, each a frame of its
+    own: the rank test, the log-magnitude and the defect are taken per
+    frame, and only the frames whose defect is above tolerance are swept.
     Returns the new frame, the log-magnitude discarded by the first QR (the
     state-norm bookkeeping) and the isotropy defect ||q_-^T q|| measured on
-    the returned frame.  Raises DegenerateEvolution on rank loss or where
-    the factorization is not finite (``condition`` inf: a finite frame whose
-    norms overflow), and NumericalBreakdown (``condition`` = the defect) if
-    the isotropy defect is still above tolerance after ``_MAX_SWEEPS``
-    corrections.
+    the returned frame (with a frame axis, arrays of M).  Raises
+    DegenerateEvolution on rank loss or where the factorization is not
+    finite (``condition`` inf: a finite frame whose norms overflow), and
+    NumericalBreakdown (``condition`` = the defect) if the isotropy defect
+    is still above tolerance after ``_MAX_SWEEPS`` corrections, each for
+    the first frame that fails.
     """
+    frames = phi.ndim == 4
     with np.errstate(over="ignore", invalid="ignore"):  # a finite frame whose norms overflow
-        q, rd = _qr(phi, partner)
-    finite = math.isfinite(top := rd.max())
-    if not (finite and rd.min() >= _RANK_TOL * max(top, 1.0)):
-        cond = float(top / rd.min()) if finite and rd.min() > top * 1e-290 else math.inf
+        q, rd = _qr(phi if frames else phi[None], partner)
+    rd = np.ascontiguousarray(rd.reshape(len(q), -1))  # each frame's log-sum in one order
+    top, low = rd.max(1), rd.min(1)
+    lost = ~(np.isfinite(top) & (low >= _RANK_TOL * np.maximum(top, 1.0)))
+    if lost.any():
+        top, low = top[lost][0], low[lost][0]
+        cond = float(top / low) if math.isfinite(top) and low > top * 1e-290 else math.inf
         raise DegenerateEvolution("frame lost rank during evolution",
                                   condition=cond)
-    log_mag = float(np.sum(np.log(rd)))
+    log_mag = np.log(rd).sum(1)
+    s, defect, p = _isotropy(q, partner)
     for sweep in range(_MAX_SWEEPS + 1):
-        s, defect, p = _isotropy(q, partner)
-        if defect < _ISO_TOL:
+        todo = np.flatnonzero(~(defect < _ISO_TOL))
+        if not len(todo):
             break
         if sweep == _MAX_SWEEPS:
+            left = float(defect[todo[0]])
             raise NumericalBreakdown(
-                f"isotropy defect {defect:.3g} left after {_MAX_SWEEPS} sweeps",
-                condition=defect)
-        q, _ = _qr(q - 0.5 * np.conj(p) @ s, partner)
-    return q, log_mag, defect
+                f"isotropy defect {left:.3g} left after {_MAX_SWEEPS} sweeps",
+                condition=left)
+        q[todo] = _qr(q[todo] - 0.5 * np.conj(p[todo]) @ s[todo], partner)[0]
+        s[todo], defect[todo], p[todo] = _isotropy(q[todo], partner)
+    if frames:
+        return q, log_mag, defect
+    return q[0], float(log_mag[0]), float(defect[0])
 
 
 def _qr(phi: np.ndarray, partner: np.ndarray | None):
@@ -189,7 +213,8 @@ def _qr(phi: np.ndarray, partner: np.ndarray | None):
     Comput. Math. Appl. 50, 2005), norms by hypot (no square overflows); a
     zero column gives R_jj = 0.  |diag R| is finite only where Q is: an
     overflowing norm is inf, and LAPACK's Q that is not finite (of a finite
-    frame near the largest double) gives NaN."""
+    frame near the largest double) gives NaN.  A leading frame axis on a
+    momentum stack gives |diag R| per frame (M x 2N)."""
     if partner is None or len(partner) == 1:
         q, r = np.linalg.qr(phi)
         rd = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
@@ -197,10 +222,11 @@ def _qr(phi: np.ndarray, partner: np.ndarray | None):
     a, b = np.ascontiguousarray(phi.T)  # the two columns, rows x N
     r1 = np.hypot.reduce(np.abs(a), axis=0)
     a = a * (1.0 / np.maximum(r1, 1e-300))
+    a_conj = a.conj()
     for _ in range(2):
-        b = b - np.add.reduce(a.conj() * b, 0) * a
+        b = b - np.add.reduce(a_conj * b, 0) * a
     r2 = np.hypot.reduce(np.abs(b), axis=0)
-    return np.array([a, b * (1.0 / np.maximum(r2, 1e-300))]).T, np.concatenate([r1, r2])
+    return np.array([a, b * (1.0 / np.maximum(r2, 1e-300))]).T, np.concatenate([r1, r2]).T
 
 
 def period_map(frame: GaussianFrame, kicks: KickForms) -> GaussianFrame:
@@ -215,15 +241,21 @@ def period_map(frame: GaussianFrame, kicks: KickForms) -> GaussianFrame:
     return _advance(frame, phi[None], "loop")
 
 
-def _advance(frame: GaussianFrame, blocks: np.ndarray, route: str, periods: int = 1,
-             log_scale: float = 0.0) -> GaussianFrame:
+def _advance(frame: GaussianFrame, blocks: np.ndarray, route: str, periods=1,
+             log_scale=0.0):
     """The frame ``periods`` periods on, from its blocks moved by the frame
     map and the log-magnitude ``log_scale`` they dropped (a direct route's,
     ``_bloch_frame`` and ``_dominant_frame``).  The QR adds the rest, so
-    ``norm_log`` is the loop's."""
+    ``norm_log`` is the loop's.  With a leading frame axis on ``blocks``
+    (M x N x r x c), ``periods`` and ``log_scale`` hold one value per frame,
+    and the M frames are returned as a list."""
     blocks, log_mag, defect = orthonormalize(blocks, partner=frame.partner)
-    return GaussianFrame(blocks, frame.momenta, frame.partner, frame.period_count + periods,
-                         frame.norm_log + (log_scale + log_mag), defect, route)
+    if blocks.ndim == 3:
+        return GaussianFrame(blocks, frame.momenta, frame.partner, frame.period_count + periods,
+                             frame.norm_log + (log_scale + log_mag), defect, route)
+    return [GaussianFrame(b, frame.momenta, frame.partner, frame.period_count + int(n),
+                          frame.norm_log + float(s + m), float(d), route)
+            for b, n, s, m, d in zip(blocks, periods, log_scale, log_mag, defect)]
 
 
 @dataclass(frozen=True)
@@ -519,49 +551,96 @@ def _sector_split(t: np.ndarray, t_inv: np.ndarray, y: tuple[np.ndarray, np.ndar
     return _flush(c_plus), _flush(c_minus), float(log_scale)
 
 
-def _bloch_frame(t: np.ndarray, v: np.ndarray, frame: GaussianFrame,
-                 n: int) -> GaussianFrame | None:
-    """The n-period momentum stack from ``frame``, from the one-site blocks
-    t of the frame map F_q = V_q diag(t_k, t_{k+pi}) V_q^dag
-    (``_bloch_stack``), or None unless it provably equals the loop's.
+def _bloch_frame(x: np.ndarray, log_mode: np.ndarray, v: np.ndarray, frame: GaussianFrame,
+                 ns) -> tuple[np.ndarray, np.ndarray] | None:
+    """The momentum stack from ``frame`` moved by F^n at each multiplier n
+    of ``ns`` (M of them: periods, or times), where F_q = W_q diag(e^{n l})
+    W_q^-1, W_q = V_q diag(X_k, X_{k+pi}) (V_q of ``_bloch_stack``), from
+    the unit eigenvectors x of the one-site blocks (N x 2 x 2 x 2,
+    ``_eig2``) and their log-modes l per unit of the multiplier (N x 2 x 2):
+    log mu of the period blocks t, or -4i lam of the one-site H_k.  Returns
+    the blocks (M x N x 4 x 2) and the log-magnitude each frame's blocks
+    dropped, or None unless every frame provably equals the loop's.
 
-    F_q W = W D with W = V_q diag(X_k, X_{k+pi}), X the unit eigenvectors
-    of each t (``_eig2``), so F^n Phi0 = W D^n y, y = W^-1 Phi0.  The pivot
-    P is the pair of rows of D^n y of largest log-volume
-    n (log|mu_i| + log|mu_j|) + log|det y_ij|, and the other two rows R give
+    F^n Phi0 = W D^n y, y = W^-1 Phi0.  The pivot P = (i, j) at (n, q) is
+    the pair of rows of D^n y of largest log-volume
+    n Re(l_i + l_j) + log|m_ij|, m_ab = det y_ab taken at least at its
+    rounding eps |y_a| |y_b|, and the other two rows R give
 
-        F^n Phi0 ~ W_P + W_R E,    E_rc = exp(n (log mu_r - log mu_c)) (y_R y_P^-1)_rc,
+        F^n Phi0 ~ W_P + W_R E,    E_rc = exp(n (l_r - l_c)) (y_R y_P^-1)_rc,
 
-    each |E_rc| <= 1 by maximal volume (Goreinov & Tyrtyshnikov, Contemp.
-    Math. 280, 2001), taken in log space as its first factor alone may
-    overflow; ``norm_log`` adds the pivot's log-volume to the QR's term.
-    None unless t is finite, kappa(X) <= 1 / _OVERLAP_TOL (a double mode,
-    t = 1 at J = h = 0, or a defective t has no eigenbasis) and
-    sigma_min(y_P) > _OVERLAP_TOL max(sigma_max(y_P), 1) (the unit floor
-    rejects a pivot minor of rounding size) on every block.
+    y_R y_P^-1 = [m_rj, m_ir] / m_ij by Cramer's rule, so each |E_rc| <= 1
+    by maximal volume (Goreinov & Tyrtyshnikov, Contemp. Math. 280, 2001),
+    taken in log space as its first factor alone may overflow; the log-
+    magnitude is the pivots' log-volume.  Every 2x2 inverse, minor and
+    singular value is closed-form: what depends on the block alone is
+    formed once, and the pivot, E and the frame of every (n, q) in one
+    pass.  None unless the log-modes are finite (t finite), kappa(X) <=
+    1 / _OVERLAP_TOL on every block (a double mode, t = 1 or H_k = 0 at
+    J = h = 0, or a defective block has no eigenbasis) and sigma_min(y_P) >
+    _OVERLAP_TOL max(sigma_max(y_P), 1) at every (n, q) (the unit floor
+    rejects a pivot minor of rounding size).
     """
-    if not np.all(np.isfinite(t)):  # an overflowing map
-        return None
-    mu, x = _eig2(t)
-    with np.errstate(invalid="ignore"):  # kappa + 1/kappa = 2 / |det X| on unit columns
-        if not np.all(np.abs(np.linalg.det(x)) > 2.0 * _OVERLAP_TOL):
+    with np.errstate(invalid="ignore"):  # an x of NaN or inf (no eigenbasis)
+        det_x = x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0]
+        # kappa + 1/kappa = 2 / |det X| on unit columns
+        if not (np.isfinite(log_mode).all() and np.all(np.abs(det_x) > 2.0 * _OVERLAP_TOL)):
             return None
-    N, rows = len(v), np.arange(len(v))[:, None]
+    N, top, rest = len(v), _PAIRS, _PAIRS[::-1]
     w = np.einsum("nasi,nsij->nasj", v.reshape(N, 4, 2, 2), x).reshape(N, 4, 4)
-    y = np.linalg.solve(x, (_hc(v) @ frame.blocks).reshape(N, 2, 2, -1)).reshape(N, 4, -1)
-    with np.errstate(divide="ignore"):  # a mode or a minor that rounds to 0
-        log_mu = np.log(mu.reshape(N, 4))
-        volume = n * log_mu.real[:, _PAIRS].sum(-1) + np.log(np.abs(np.linalg.det(y[:, _PAIRS])))
-    pivot = np.argmax(volume, axis=1)
-    top, rest = _PAIRS[pivot], _PAIRS[len(_PAIRS) - 1 - pivot]
-    sv = np.linalg.svd(y[rows, top], compute_uv=False)
-    if not np.all(sv[:, -1] > _OVERLAP_TOL * np.maximum(sv[:, 0], 1.0)):
+    u = (_hc(v) @ frame.blocks).reshape(N, 2, 2, -1)  # V^dag Phi0, then X^-1 = adj X / det X
+    y = (np.stack([x[..., 1, 1, None] * u[:, :, 0] - x[..., 0, 1, None] * u[:, :, 1],
+                   x[..., 0, 0, None] * u[:, :, 1] - x[..., 1, 0, None] * u[:, :, 0]], 2)
+         / det_x[..., None, None]).reshape(N, 4, -1)
+    m = y[:, :, None, 0] * y[:, None, :, 1] - y[:, :, None, 1] * y[:, None, :, 0]
+    m_top = m[:, top[:, 0], top[:, 1]]  # N x 6
+    row2 = (np.abs(y) ** 2).sum(-1)[:, top]  # |y_i|^2, |y_j|^2
+    sq, f2 = np.abs(m_top) ** 2, row2.sum(-1)  # sigma_max^2 sigma_min^2, sigma_max^2 + sigma_min^2
+    # a growing pair that the frame has no weight on, to rounding, still
+    # takes the pivot (as the loop's rounding would grow) and fails the gate
+    floor = np.finfo(float).eps ** 2 * row2.prod(-1)
+    log_mode = log_mode.reshape(N, 4)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a minor that rounds to 0
+        s_max = np.sqrt(0.5 * (f2 + np.sqrt(np.maximum(f2 * f2 - 4.0 * sq, 0.0))))
+        certain = np.sqrt(sq) / s_max > _OVERLAP_TOL * np.maximum(s_max, 1.0)
+        rate, volume0 = log_mode.real[:, top].sum(-1), 0.5 * np.log(np.maximum(sq, floor))
+        log_e = (np.log(np.stack([m[:, rest, top[:, 1:]], m[:, top[:, :1], rest]], -1))
+                 - np.log(m_top)[..., None, None])
+    drift = log_mode[:, rest][..., None] - log_mode[:, top][:, :, None, :]  # l_r - l_c
+    # tables of what each pair (n, p) gives, column n 6 + p, so that the
+    # stack of every (n, q) gathers its pivots with M innermost: a frame
+    # column c is the table's (c, row, n, q)
+    table = np.concatenate([a.transpose(2, 3, 0, 1).reshape(4, -1) for a in (drift, log_e)]
+                           + [w[:, :, rest].transpose(3, 1, 0, 2).reshape(8, -1)])
+    w_top = w[:, :, top].transpose(3, 1, 0, 2).reshape(8, -1)
+    ns = np.asarray(ns, dtype=float)
+    volume = rate.T[:, :, None] * ns + volume0.T[:, :, None]  # 6 x N x M
+    at = volume.argmax(0) + 6 * np.arange(N)[:, None]
+    if not certain.ravel()[at].all():
         return None
-    with np.errstate(divide="ignore"):  # a zero entry of y_R y_P^-1
-        e = np.exp(n * (log_mu[rows, rest][:, :, None] - log_mu[rows, top][:, None, :])
-                   + np.log(y[rows, rest] @ np.linalg.inv(y[rows, top])))
-    w_top, w_rest = (np.take_along_axis(w, i[:, None], 2) for i in (top, rest))
-    return _advance(frame, w_top + w_rest @ e, "schur", n, float(volume.max(axis=1).sum()))
+    piv = np.take(table, at, axis=1)
+    e = ns * piv[:4]
+    e += piv[4:8]
+    with np.errstate(under="ignore"):
+        e = np.exp(e, out=e).reshape(2, 2, N, -1)
+    w_rest = piv[8:].reshape(2, 4, N, -1)
+    blocks = np.take(w_top, at, axis=1).reshape(2, 4, N, -1)  # W_P, then W_P + W_R E in place
+    for r in range(2):
+        blocks += w_rest[r] * e[r, :, None]
+    return blocks.T, np.ascontiguousarray(volume.max(0).T).sum(1)  # one order for any M
+
+
+def _period_frame(t: np.ndarray, v: np.ndarray, frame: GaussianFrame,
+                  n: int) -> GaussianFrame | None:
+    """The n-period momentum stack from ``frame`` (``route == "schur"``),
+    from the one-site blocks t of the frame map F_q = V_q diag(t_k, t_{k+pi})
+    V_q^dag (``_bloch_stack``): ``_bloch_frame`` at one multiplier, with the
+    log-modes log mu of t; or None where it misses."""
+    mu, x = _eig2(t)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a mode of 0 or NaN
+        log_mu = np.log(mu)
+    found = _bloch_frame(x, log_mu, v, frame, [n])
+    return None if found is None else _advance(frame, found[0], "schur", [n], found[1])[0]
 
 
 def _eig2(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -642,7 +721,7 @@ def _evolution(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig):
         blocks, v = _bloch_stack(params, frame.momenta)
         t = blocks.period(-1.0)
         fq = _cell_blocks(frame.momenta, t)
-        return frame, partial(_momentum_step, fq), partial(_bloch_frame, t, v)
+        return frame, partial(_momentum_step, fq), partial(_period_frame, t, v)
     kicks = build_kick_forms(params, lat)
     return frame, partial(period_map, kicks=kicks), partial(_dominant_frame, kicks)
 
@@ -774,26 +853,36 @@ def continuous_hamiltonian(params: ModelParams, lat: LatticeSpec) -> np.ndarray:
 def evolve_continuous(params: ModelParams, lat: LatticeSpec, state: ProductState,
                       t_grid) -> list[GaussianFrame]:
     """Frames of exp(-i H_op t)|psi_0>, normalized, at each time of the
-    non-decreasing, non-negative ``t_grid``, for the z-basis product state
-    psi_0 on ``lat`` and the continuous-limit H_op of ``params``.
+    non-decreasing grid ``t_grid`` of finite, non-negative times, for the
+    z-basis product state psi_0 on ``lat`` and the continuous-limit H_op of
+    ``params``.
 
-    Exact: the frame moves as exp(-4i t H) Phi; one exponential per
-    distinct step, each taken like a period (``route == "continuous"``):
-    ``norm_log`` accumulates the log-norm of exp(-4i t H) Phi0.  Where
-    ``_momentum_route`` allows it the frame is the momentum stack, moved by
-    the cell blocks V_q diag(u_k, u_{k+pi}) V_q^dag of the closed forms
-    u_k = exp(-4i t h_k) of the one-site blocks (``BlochBlocks.flow``);
-    elsewhere it is the one-cell stack, moved by ``expm`` of the dense
+    Exact: the frame at time T is exp(-4i T H) Phi0, orthonormalized like a
+    period (``route == "continuous"``, ``period_count`` 1, 2, ... along the
+    grid), and ``norm_log`` is the log-norm of exp(-4i T H) Phi0.  Where
+    ``_momentum_route`` allows it the frame is the momentum stack, and every
+    time of the grid is taken directly from the initial frame, with no
+    step: ``_bloch_frame`` at the times, with the log-modes -4i lam of the
+    one-site blocks H_k (``_flow_frames``).  Where that misses (J = h = 0,
+    a defective H_k, a pivot minor of rounding size), and on the one-cell
+    stack, the frame is stepped along the grid, one exponential per
+    distinct step: the momentum stack by the cell blocks
+    V_q diag(u_k, u_{k+pi}) V_q^dag of the closed forms u_k = exp(-4i t h_k)
+    (``BlochBlocks.flow``), the one-cell stack by ``expm`` of the dense
     2L x 2L H (``continuous_hamiltonian``).
     """
-    steps = np.diff(np.atleast_1d(np.asarray(t_grid, dtype=float)), prepend=0.0)
-    if steps.ndim != 1 or steps.size == 0 or not np.all(steps >= 0):
+    times = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    steps = np.diff(times, prepend=0.0)
+    if (times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times))
+            or not np.all(steps >= 0)):
         raise ValidationError("t_grid must be a non-empty, non-decreasing "
-                              "grid of non-negative times")
+                              "grid of finite, non-negative times")
     frame = initial_frame(state, lat)
     if _momentum_route(lat, state):
         frame = GaussianFrame.from_dense(frame, lat)
-        q, (blocks, _) = frame.momenta, _bloch_stack(params, frame.momenta)
+        q, (blocks, v) = frame.momenta, _bloch_stack(params, frame.momenta)
+        if (found := _flow_frames(blocks, v, frame, times)) is not None:
+            return found
         flow = lambda dt: _cell_blocks(q, blocks.flow(dt))
     else:
         hmat = continuous_hamiltonian(params, lat)[None]
@@ -806,4 +895,25 @@ def evolve_continuous(params: ModelParams, lat: LatticeSpec, state: ProductState
             moved = u @ frame.blocks
         frame = _advance(frame, moved, "continuous")
         out.append(frame)
+    return out
+
+
+def _flow_frames(blocks, v: np.ndarray, frame: GaussianFrame,
+                 times: np.ndarray) -> list[GaussianFrame] | None:
+    """The momentum stack ``frame`` at each of ``times``, each from the
+    initial frame: ``_bloch_frame`` with the eigenvectors of the one-site
+    blocks H_k (``blocks.hamiltonian()``, ``_eig2``: modes +-lam) and the
+    log-modes -4i lam of exp(-4i T H_k), over chunks of times whose pivot
+    tables (three times their frames) fill ``_RECORD_BYTES``; or None where
+    any chunk misses."""
+    lam, x = _eig2(blocks.hamiltonian())
+    with np.errstate(invalid="ignore"):  # a mode that overflowed to inf
+        log_mode = -4j * lam
+    per = max(1, _RECORD_BYTES // (3 * frame.blocks.nbytes))
+    out = []
+    for i in range(0, len(times), per):
+        found = _bloch_frame(x, log_mode, v, frame, times[i:i + per])
+        if found is None:
+            return None
+        out += _advance(frame, found[0], "continuous", range(i + 1, i + per + 1), found[1])
     return out

@@ -1080,6 +1080,9 @@ def _schur_reference_frame(fq, frame, n):
        st.tuples(st.floats(-np.pi, np.pi), _NONUNITARY_BETA,
                  st.floats(-np.pi, np.pi), _NONUNITARY_BETA),
        st.integers(1, 3000))
+# norm_log 0.0163, a small sum of O(1) logs: the 4x4 Schur reference is
+# 2-3e-14 off the exact value, more than 1e-12 |norm_log|
+@example(1, "all-down", (0.0, -1.0, 0.0, -0.73828125), 1)
 def test_bloch_frames_equal_the_schur_split_random_couplings(cells, state, couplings,
                                                              n_periods):
     L = 4 * cells
@@ -1088,14 +1091,23 @@ def test_bloch_frames_equal_the_schur_split_random_couplings(cells, state, coupl
         gaussian.initial_frame(P.named_state(state, L), lat), lat)
     blocks, v = gaussian._bloch_stack(P.ModelParams(*couplings), frame.momenta)
     t = blocks.period(-1.0)
-    found = gaussian._bloch_frame(t, v, frame, n_periods)
-    ref = _schur_reference_frame(_product_frame_map(v, t), frame, n_periods)
+    found = gaussian._period_frame(t, v, frame, n_periods)
+    fq = _product_frame_map(v, t)
+    ref = _schur_reference_frame(fq, frame, n_periods)
     # the pivot finds a frame wherever the 4x4 Schur split does, and more
     if ref is not None:
         assert found is not None
         c_found, c_ref = (gaussian.correlation_from_frame(f).c for f in (found, ref))
         assert np.max(np.abs(c_found - c_ref)) <= 1e-12
-        assert abs(found.norm_log - ref.norm_log) <= 1e-12 * abs(ref.norm_log)
+        # the reference's own rounding: a few ulps of each log it sums,
+        # n log|mu| for each mode and one per block
+        log_mu = np.log(np.abs(np.linalg.eigvals(fq)))
+        floor = 16 * np.finfo(float).eps * (n_periods * np.abs(log_mu).sum() + cells)
+        assert abs(found.norm_log - ref.norm_log) <= 1e-12 * abs(ref.norm_log) + floor
+    if (cells, state, couplings, n_periods) == (1, "all-down", (0.0, -1.0, 0.0, -0.73828125), 1):
+        exact = sum(_mp_block_frame(f, phi, n_periods, dps=60)[1]
+                    for f, phi in zip(fq, frame.blocks))
+        assert abs(found.norm_log - exact) <= 1e-14
 
 
 def test_direct_momentum_frame_matches_block_oracle_at_a_tie_across_sub_blocks():
@@ -1127,7 +1139,7 @@ def test_bloch_frame_misses_quietly(overflow):
         t[0, 0, 0, 0] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert gaussian._bloch_frame(t, v, frame, 300) is None
+        assert gaussian._period_frame(t, v, frame, 300) is None
 
 
 def _no_dense_schur(*args):
@@ -1271,6 +1283,38 @@ def test_orthonormalize_pairs_blocks_with_their_partners(monkeypatch):
     assert np.linalg.norm(fixed.phi.conj().T @ fixed.phi - np.eye(8)) < 1e-12
 
 
+def test_stacked_frames_orthonormalize_each_on_its_own(monkeypatch):
+    # M momentum stacks on a leading axis: each frame's rank test, log_mag
+    # and defect are its own, and only the frames above the isotropy
+    # tolerance are swept; a frame without a sweep is the frame alone bit
+    # for bit, and every frame's defect is its own isotropy_defect()
+    rng = np.random.default_rng(11)
+    lat = P.lattice(16, "pbc-even")
+    frame = gaussian.GaussianFrame.from_dense(
+        gaussian.initial_frame(P.named_state("neel-fermion", 16), lat), lat)
+    clean = _engine_frame_map(P.ModelParams(0.4, -0.2, 0.7, 0.3), frame) @ frame.blocks
+    noise = lambda: 1e-9 * (rng.normal(size=clean.shape) + 1j * rng.normal(size=clean.shape))
+    stack = np.stack([clean, clean + noise(), 3.0 * clean, clean + noise()])
+    calls, qr = [], gaussian._qr
+    monkeypatch.setattr(gaussian, "_qr", lambda phi, partner: calls.append(len(phi))
+                        or qr(phi, partner))
+    q, log_mag, defect = gaussian.orthonormalize(stack, frame.partner)
+    assert calls[0] == 4 and set(calls[1:]) == {2}  # the two noisy frames alone are swept
+    for i, phi in enumerate(stack):
+        alone = gaussian.orthonormalize(phi, frame.partner)
+        f = gaussian.GaussianFrame(q[i], frame.momenta, frame.partner)
+        assert defect[i] == f.isotropy_defect() < 1e-13
+        assert log_mag[i] == pytest.approx(alone[1], rel=1e-14)
+        if i in (0, 2):
+            assert np.array_equal(q[i], alone[0]) and defect[i] == alone[2]
+        else:
+            assert np.max(np.abs(q[i] - alone[0])) <= 1e-14
+    lost = stack.copy()
+    lost[3, 2, :, 1] = 2j * lost[3, 2, :, 0]  # one block of the last frame loses rank
+    with pytest.raises(DegenerateEvolution):
+        gaussian.orthonormalize(lost, frame.partner)
+
+
 @settings(max_examples=60)
 @given(st.integers(2, 24), st.sampled_from(["pbc-even", "pbc-odd"]),
        st.floats(-20.0, 30.0), st.integers(0, 2**32 - 1))
@@ -1293,7 +1337,7 @@ def test_closed_form_qr_matches_lapack_on_random_stacks(cells, bc, log_scale, se
     assert abs(np.sum(np.log(rd)) - ref_log) <= 1e-13 * abs(ref_log)
     assert gaussian._orthonormality(q) <= 1e-14 * np.sqrt(cells)
     # S of each pair by the broadcast is the matmul's
-    s, defect, _ = gaussian._isotropy(q, frame.partner)
+    (s,), (defect,), _ = gaussian._isotropy(q[None], frame.partner)
     assert np.max(np.abs(s - np.swapaxes(q[frame.partner], -1, -2) @ q)) <= 1e-15
     # random blocks are far from isotropic: no correction allowed raises
     with unittest.mock.patch.object(gaussian, "_MAX_SWEEPS", 0), \
@@ -1563,7 +1607,8 @@ def test_continuous_frames_carry_the_frame_counters():
     assert {f.route for f in frames} == {"continuous"}
 
 
-@pytest.mark.parametrize("t_grid", [[0.0, 0.5, 0.4], [-0.1, 0.2], [], [0.1, np.nan]])
+@pytest.mark.parametrize("t_grid", [[0.0, 0.5, 0.4], [-0.1, 0.2], [], [0.1, np.nan],
+                                    [0.0, np.inf], [0.0, 1.0, np.inf]])
 def test_continuous_rejects_bad_time_grid(t_grid):
     lat = P.lattice(4, "obc")
     with pytest.raises(ValidationError):
@@ -1621,6 +1666,64 @@ def test_continuous_momentum_route_matches_dense_route(L, couplings, name):
         assert (f.route, len(f.blocks)) == ("continuous", 1)
 
 
+def _stepped_flow(p, lat, state, t_grid):
+    """``evolve_continuous`` with the direct momentum flow made to miss:
+    the stepped flow."""
+    with unittest.mock.patch.object(gaussian, "_bloch_frame", return_value=None):
+        return gaussian.evolve_continuous(p, lat, state, t_grid)
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 10), st.sampled_from(["neel-fermion", "all-up", "all-down"]),
+       st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       st.lists(st.floats(0.0, 3.0), min_size=1, max_size=10),
+       st.sampled_from(["random", "J = h = 0"]), st.booleans(), st.booleans())
+# the cft-compare chain at L = 40 (eta = 0.2, amplitude 0.5 rad)
+@example(10, "neel-fermion", [0.5, -0.1, 0.5, -0.1], [0.05, 1.0, 2.5], "random", False, True)
+@example(2, "all-up", [0.3, 0.2, -0.4, 0.1], [0.7], "J = h = 0", True, True)
+def test_direct_flow_equals_the_stepped_flow(cells, state, couplings, times, line, repeat,
+                                             from_zero):
+    # every time of a non-uniform grid (repeated times, t = 0) from the
+    # initial frame equals the stepped flow, with the same counters; at
+    # J = h = 0 (H_k = 0, no eigenbasis) the direct flow misses and the
+    # stepped flow runs unchanged
+    L = 4 * cells
+    lat, psi = P.lattice(L, "pbc-even"), P.named_state(state, L)
+    p = P.ModelParams(*([0.0] * 4 if line == "J = h = 0" else couplings))
+    t_grid = sorted(times + times[:2] if repeat else times)
+    t_grid = [0.0] + t_grid if from_zero else t_grid
+    direct, stepped = (gaussian.evolve_continuous(p, lat, psi, t_grid),
+                       _stepped_flow(p, lat, psi, t_grid))
+    counts = list(range(1, len(t_grid) + 1))
+    assert [f.period_count for f in direct] == [f.period_count for f in stepped] == counts
+    assert {(f.route, len(f.blocks)) for f in direct} == {("continuous", L // 2)}
+    for f, g in zip(direct, stepped):
+        assert f.isotropy == f.isotropy_defect() < 1e-13
+        if line == "J = h = 0":
+            assert np.array_equal(f.blocks, g.blocks) and f.norm_log == g.norm_log
+        c_f, c_g = (gaussian.correlation_from_frame(x).c for x in (f, g))
+        assert np.max(np.abs(c_f - c_g)) <= 1e-12
+        assert abs(f.norm_log - g.norm_log) <= 1e-10 * max(abs(g.norm_log), 1.0)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_direct_flow_in_chunks_is_the_one_pass_flow_bit_for_bit(chunk):
+    # the kernel, the QR, the log-magnitude and the isotropy defect are
+    # taken per (time, block) and per frame: the grid cut into chunks of
+    # ``chunk`` times gives the one-pass frames bit for bit
+    L, t_grid = 40, [0.0, 0.05, 0.05, 0.4, 1.0, 2.5, 2.6, 7.0, 15.0]
+    p, lat = P.make_params(0.5, -0.1, 0.5, -0.1, units="rad"), P.lattice(L, "pbc-even")
+    neel = P.named_state("neel-fermion", L)
+    whole = gaussian.evolve_continuous(p, lat, neel, t_grid)
+    frame_bytes = whole[0].blocks.nbytes
+    with unittest.mock.patch.object(gaussian, "_RECORD_BYTES", 3 * frame_bytes * chunk):
+        parts = gaussian.evolve_continuous(p, lat, neel, t_grid)
+    for f, g in zip(whole, parts, strict=True):
+        assert np.array_equal(f.blocks, g.blocks)
+        assert (f.norm_log, f.isotropy, f.period_count, f.route) == \
+            (g.norm_log, g.isotropy, g.period_count, g.route)
+
+
 @settings(max_examples=100)
 @given(st.complex_numbers(max_magnitude=2.0), st.complex_numbers(max_magnitude=2.0),
        st.floats(-np.pi, np.pi), st.floats(0.0, 2.0), st.booleans())
@@ -1643,13 +1746,25 @@ def test_closed_form_flow_matches_expm(J, h, k, dt, nilpotent):
 @pytest.mark.parametrize("t", [1.0, 30.0])
 def test_overflowing_closed_form_flow_raises_a_typed_error(t):
     # beta_J = 400 rad: |Im 4 t lam| passes ~710 by t = 1, where cos and sin
-    # of the flow angle overflow; the momentum flow stops with
+    # of the flow angle overflow.  The direct momentum flow takes the
+    # growth in log space and answers (norm_log ~6.4e3 at t = 1, ~1.9e5 at
+    # t = 30); where it misses, the stepped flow stops with
     # NumericalBreakdown (condition = |Im angle|), without a RuntimeWarning
     p, lat = P.ModelParams(0.3, 400.0, 0.2, 0.1), P.lattice(8, "pbc-even")
+    neel = P.named_state("neel-fermion", 8)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NumericalBreakdown, match="flow") as err:
-            gaussian.evolve_continuous(p, lat, P.named_state("neel-fermion", 8), [0.001, t])
+        frames = gaussian.evolve_continuous(p, lat, neel, [0.001, t])
+        for f in frames:
+            c = gaussian.correlation_from_frame(f).c
+            assert (f.route, len(f.blocks)) == ("continuous", 4)
+            assert np.all(np.isfinite(c)) and np.isfinite(f.norm_log)
+            assert anticommutation_defect(c) <= 1e-10 and purity_defect(c) <= 1e-10
+            assert f.isotropy == f.isotropy_defect() < 1e-13
+        assert frames[-1].norm_log > 6000 * t
+        with unittest.mock.patch.object(gaussian, "_bloch_frame", return_value=None), \
+                pytest.raises(NumericalBreakdown, match="flow") as err:
+            gaussian.evolve_continuous(p, lat, neel, [0.001, t])
     assert err.value.condition > 710
 
 
