@@ -20,25 +20,27 @@ rounding level.
 On periodic chains of even length the map commutes with translation by
 two sites, so a state with that symmetry keeps it: the frame splits into
 one 4x2 block per two-site Bloch momentum q, each moved by its own 4x4
-block F_q = V_q diag(t_k, t_{k+pi}) V_q^dag (``_cell_blocks``), and
+block F_q = V_q diag(t_k, t_{k+pi}) V_q^dag (``_bloch_stack``), and
 isotropy pairs q with -q.  Every frame is such a stack of Bloch blocks
 (``GaussianFrame``); the dense frame is the one-cell stack.
-Both the stroboscopic loop, an iterator of frames (``period_frames``), and the
-continuous-time flow run on the momentum stack where ``_momentum_route`` allows
-it (pbc-even, L divisible by 4, a state of period 2), and on the one-cell stack
-everywhere else.  So does the direct steady state, which forms the n-period
-frame from the frame map's blocks: on the momentum stack from the closed-form
-eigenpairs of the 2x2 one-site Bloch blocks t_k, t_{k+pi}, pivoted on the rows
-of maximal volume (``_bloch_frame``), and on the one-cell stack from a Schur
-form of the L x L + reflection-sector block alone (``_sector_split``), split at
-the L/L cut or with the edge pair straddling it swapped across it: the - block
-is the inverse transpose of the +, so its modes and its split follow from the +
-sector's.  The same pivot, stacked over the times of a grid with the log-modes
-of the one-site Hamiltonian blocks, gives the continuous flow on the momentum
-stack without a step (``_flow_frames``); where it misses, that flow steps like
-the loop.  Every step on the momentum stack is closed-form (``_qr``,
-``BlochBlocks.flow``), where the one-cell stack takes LAPACK's QR and ``expm``.
-``entropy_trace`` reads the entropies of any stream of frames.
+
+The momentum stack (pbc-even, L divisible by 4, a state of period 2:
+``_momentum_route``) has one engine, ``_stacked_frames``: every frame is
+taken from the initial frame directly, from the closed-form eigenpairs of
+the 2x2 one-site Bloch blocks, pivoted on the rows of maximal volume
+(``_pivot``), stacked over a vector of multipliers: the periods 1..n of the
+stroboscopic loop (``period_frames``), the n of the steady state
+(``run_to_steady_state``) or the times of the continuous flow
+(``evolve_continuous``), with the log-modes of the period blocks t_k or of
+the one-site Hamiltonian blocks H_k.  Its gates are read at every
+multiplier before the first frame; where one misses, the whole run takes
+the one-cell stack, as every other chain does: the loop of ``period_map``
+with LAPACK's QR, a direct steady state from a Schur form of the L x L +
+reflection-sector block alone (``_dominant_frame``, ``_sector_split``),
+split at the L/L cut or with the edge pair straddling it swapped across
+it (the - block is the inverse transpose of the +, so its modes and its
+split follow from the + sector's), and the continuous flow stepped by
+``expm``.  ``entropy_trace`` reads the entropies of any stream of frames.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -82,9 +85,10 @@ class GaussianFrame:
 
     ``isotropy`` is ||Phi^T Phi|| as ``orthonormalize`` measured it on this
     frame (``isotropy_defect()`` bit for bit); ``route`` is how the frame was
-    made: ``"loop"`` by ``period_map``, ``"schur"`` by the direct steady
-    state of ``run_to_steady_state`` (on either stack), ``"momentum"`` by
-    its momentum-block step, ``"continuous"`` by ``evolve_continuous``
+    made: ``"loop"`` by ``period_map``, ``"schur"`` directly from the
+    initial frame, by the stacked pivot on the momentum stack (every frame
+    of ``period_frames`` and ``run_to_steady_state``) or by the Schur split
+    of the one-cell steady state, ``"continuous"`` by ``evolve_continuous``
     (directly or by a step).  Both are None for initial frames."""
 
     blocks: np.ndarray
@@ -98,10 +102,12 @@ class GaussianFrame:
     @classmethod
     def from_dense(cls, frame: GaussianFrame, lat: LatticeSpec) -> GaussianFrame:
         """Blocks of a one-cell frame whose first cell, columns 2x and 2x+1
-        on rows 4x..4x+3, repeats on every cell of ``cell_momenta``."""
+        on rows 4x..4x+3, repeats on every cell of ``cell_momenta``.  The
+        partner of q = 2 pi (m + theta) / N is -q, at (-m - 2 theta) mod N."""
         q = cell_momenta(lat)
-        partner = np.argmin(np.abs(np.exp(1j * (q[:, None] + q[None, :])) - 1), axis=1)
-        return cls(np.repeat(frame.blocks[:, :4, :2], len(q), axis=0), q, partner)
+        n = len(q)
+        partner = (-np.arange(n) - round(q[0] * n / np.pi)) % n
+        return cls(np.repeat(frame.blocks[:, :4, :2], n, axis=0), q, partner)
 
     @cached_property
     def phi(self) -> np.ndarray:
@@ -128,10 +134,9 @@ def initial_frame(state: QuenchConfig | ProductState, lat: LatticeSpec) -> Gauss
     if state.L != lat.L:
         raise ValidationError(f"state has {state.L} sites, lattice {lat.L}")
     phi = np.zeros((lat.n_majorana, lat.L), dtype=complex)
-    inv = 1.0 / np.sqrt(2.0)
-    for j, n in enumerate(state.occupations()):
-        phi[2 * j, j] = inv
-        phi[2 * j + 1, j] = (1j if n else -1j) * inv
+    inv, j = 1.0 / np.sqrt(2.0), np.arange(lat.L)
+    phi[2 * j, j] = inv
+    phi[2 * j + 1, j] = np.where(state.occupations(), 1j, -1j) * inv
     return GaussianFrame(phi[None])
 
 
@@ -245,7 +250,7 @@ def _advance(frame: GaussianFrame, blocks: np.ndarray, route: str, periods=1,
              log_scale=0.0):
     """The frame ``periods`` periods on, from its blocks moved by the frame
     map and the log-magnitude ``log_scale`` they dropped (a direct route's,
-    ``_bloch_frame`` and ``_dominant_frame``).  The QR adds the rest, so
+    ``_Pivot.blocks`` and ``_dominant_frame``).  The QR adds the rest, so
     ``norm_log`` is the loop's.  With a leading frame axis on ``blocks``
     (M x N x r x c), ``periods`` and ``log_scale`` hold one value per frame,
     and the M frames are returned as a list."""
@@ -551,16 +556,62 @@ def _sector_split(t: np.ndarray, t_inv: np.ndarray, y: tuple[np.ndarray, np.ndar
     return _flush(c_plus), _flush(c_minus), float(log_scale)
 
 
-def _bloch_frame(x: np.ndarray, log_mode: np.ndarray, v: np.ndarray, frame: GaussianFrame,
-                 ns) -> tuple[np.ndarray, np.ndarray] | None:
-    """The momentum stack from ``frame`` moved by F^n at each multiplier n
-    of ``ns`` (M of them: periods, or times), where F_q = W_q diag(e^{n l})
-    W_q^-1, W_q = V_q diag(X_k, X_{k+pi}) (V_q of ``_bloch_stack``), from
-    the unit eigenvectors x of the one-site blocks (N x 2 x 2 x 2,
-    ``_eig2``) and their log-modes l per unit of the multiplier (N x 2 x 2):
-    log mu of the period blocks t, or -4i lam of the one-site H_k.  Returns
-    the blocks (M x N x 4 x 2) and the log-magnitude each frame's blocks
-    dropped, or None unless every frame provably equals the loop's.
+class _Pivot(NamedTuple):
+    """What the stacked pivot takes from the blocks alone (``_pivot``),
+    in tables over each pair p of rows of each block q: whether the pair's
+    minor passes the gate (``certain``, entry 6 q + p), the rate and the
+    offset of its log-volume, n rate + offset at multiplier n (6 x N each),
+    the drift l_r - l_c and log E_rc at n = 0 of the other two rows with
+    their W_R (``table``, column 6 q + p) and W_P (``w_top``)."""
+
+    certain: np.ndarray
+    rate: np.ndarray
+    volume0: np.ndarray
+    table: np.ndarray
+    w_top: np.ndarray
+
+    def choose(self, ns: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every pair's log-volume on the blocks ``q`` at each multiplier of
+        ``ns`` (6 x len(q) x M) and the table column of the pair of largest
+        volume (len(q) x M)."""
+        volume = self.rate[:, q, None] * ns + self.volume0[:, q, None]
+        return volume, volume.argmax(0) + 6 * q[:, None]
+
+    def holds(self, ns: np.ndarray) -> bool:
+        """Whether the pivot of every (n, q) passes the minor gate: one
+        argmax pass over the blocks with a pair that fails it, no frame
+        formed."""
+        doubtful = np.flatnonzero(~self.certain.reshape(-1, 6).all(1))
+        return bool(self.certain[self.choose(ns, doubtful)[1]].all())
+
+    def blocks(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The blocks W_P + W_R E at each multiplier (M x N x 4 x 2) and
+        the log-magnitude each frame's blocks dropped, in one pass."""
+        N = self.rate.shape[1]
+        volume, at = self.choose(ns, np.arange(N))
+        piv = np.take(self.table, at, axis=1)
+        e = ns * piv[:4]
+        e += piv[4:8]
+        with np.errstate(under="ignore"):
+            e = np.exp(e, out=e).reshape(2, 2, N, -1)
+        w_rest = piv[8:].reshape(2, 4, N, -1)
+        blocks = np.take(self.w_top, at, axis=1).reshape(2, 4, N, -1)  # W_P, then W_P + W_R E
+        for r in range(2):
+            blocks += w_rest[r] * e[r, :, None]
+        return blocks.T, np.ascontiguousarray(volume.max(0).T).sum(1)  # one order for any M
+
+
+def _pivot(x: np.ndarray, log_mode: np.ndarray, v: np.ndarray,
+           frame: GaussianFrame) -> _Pivot | None:
+    """The pivot tables that move the momentum stack ``frame`` by F^n at any
+    multiplier n (periods, or times), where F_q = W_q diag(e^{n l}) W_q^-1,
+    W_q = V_q diag(X_k, X_{k+pi}) (V_q of ``_bloch_stack``), from the unit
+    eigenvectors x of the one-site blocks (N x 2 x 2 x 2, ``_eig2``) and
+    their log-modes l per unit of the multiplier (N x 2 x 2): log mu of the
+    period blocks t, or -4i lam of the one-site H_k.  None unless the
+    log-modes are finite (t finite) and kappa(X) <= 1 / _OVERLAP_TOL on
+    every block (a double mode, t = 1 or H_k = 0 at J = h = 0, or a
+    defective block has no eigenbasis).
 
     F^n Phi0 = W D^n y, y = W^-1 Phi0.  The pivot P = (i, j) at (n, q) is
     the pair of rows of D^n y of largest log-volume
@@ -573,13 +624,11 @@ def _bloch_frame(x: np.ndarray, log_mode: np.ndarray, v: np.ndarray, frame: Gaus
     by maximal volume (Goreinov & Tyrtyshnikov, Contemp. Math. 280, 2001),
     taken in log space as its first factor alone may overflow; the log-
     magnitude is the pivots' log-volume.  Every 2x2 inverse, minor and
-    singular value is closed-form: what depends on the block alone is
-    formed once, and the pivot, E and the frame of every (n, q) in one
-    pass.  None unless the log-modes are finite (t finite), kappa(X) <=
-    1 / _OVERLAP_TOL on every block (a double mode, t = 1 or H_k = 0 at
-    J = h = 0, or a defective block has no eigenbasis) and sigma_min(y_P) >
-    _OVERLAP_TOL max(sigma_max(y_P), 1) at every (n, q) (the unit floor
-    rejects a pivot minor of rounding size).
+    singular value is closed-form, and what depends on the block alone is
+    formed here, once.  The frame provably equals the loop's where
+    sigma_min(y_P) > _OVERLAP_TOL max(sigma_max(y_P), 1) at every (n, q)
+    (``_Pivot.holds``; the unit floor rejects a pivot minor of rounding
+    size): a gate on the block and the chosen pair alone.
     """
     with np.errstate(invalid="ignore"):  # an x of NaN or inf (no eigenbasis)
         det_x = x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0]
@@ -607,40 +656,13 @@ def _bloch_frame(x: np.ndarray, log_mode: np.ndarray, v: np.ndarray, frame: Gaus
         log_e = (np.log(np.stack([m[:, rest, top[:, 1:]], m[:, top[:, :1], rest]], -1))
                  - np.log(m_top)[..., None, None])
     drift = log_mode[:, rest][..., None] - log_mode[:, top][:, :, None, :]  # l_r - l_c
-    # tables of what each pair (n, p) gives, column n 6 + p, so that the
+    # tables of what each pair (q, p) gives, column q 6 + p, so that the
     # stack of every (n, q) gathers its pivots with M innermost: a frame
     # column c is the table's (c, row, n, q)
     table = np.concatenate([a.transpose(2, 3, 0, 1).reshape(4, -1) for a in (drift, log_e)]
                            + [w[:, :, rest].transpose(3, 1, 0, 2).reshape(8, -1)])
     w_top = w[:, :, top].transpose(3, 1, 0, 2).reshape(8, -1)
-    ns = np.asarray(ns, dtype=float)
-    volume = rate.T[:, :, None] * ns + volume0.T[:, :, None]  # 6 x N x M
-    at = volume.argmax(0) + 6 * np.arange(N)[:, None]
-    if not certain.ravel()[at].all():
-        return None
-    piv = np.take(table, at, axis=1)
-    e = ns * piv[:4]
-    e += piv[4:8]
-    with np.errstate(under="ignore"):
-        e = np.exp(e, out=e).reshape(2, 2, N, -1)
-    w_rest = piv[8:].reshape(2, 4, N, -1)
-    blocks = np.take(w_top, at, axis=1).reshape(2, 4, N, -1)  # W_P, then W_P + W_R E in place
-    for r in range(2):
-        blocks += w_rest[r] * e[r, :, None]
-    return blocks.T, np.ascontiguousarray(volume.max(0).T).sum(1)  # one order for any M
-
-
-def _period_frame(t: np.ndarray, v: np.ndarray, frame: GaussianFrame,
-                  n: int) -> GaussianFrame | None:
-    """The n-period momentum stack from ``frame`` (``route == "schur"``),
-    from the one-site blocks t of the frame map F_q = V_q diag(t_k, t_{k+pi})
-    V_q^dag (``_bloch_stack``): ``_bloch_frame`` at one multiplier, with the
-    log-modes log mu of t; or None where it misses."""
-    mu, x = _eig2(t)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a mode of 0 or NaN
-        log_mu = np.log(mu)
-    found = _bloch_frame(x, log_mu, v, frame, [n])
-    return None if found is None else _advance(frame, found[0], "schur", [n], found[1])[0]
+    return _Pivot(certain.ravel(), rate.T, volume0.T, table, w_top)
 
 
 def _eig2(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -661,24 +683,15 @@ def _eig2(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _bloch_stack(params: ModelParams, q: np.ndarray):
     """The one-site blocks at k = q/2 and k + pi (``spectral.bloch_blocks``,
     N x 2 stacks), whose ``period(-1.0)`` gives t_k, t_{k+pi} of the frame
-    map and ``flow(t)`` exp(-4i t h_k) of the continuous limit, and
+    map and ``hamiltonian()`` the h_k of the continuous limit, and
     V_q = [[1, 1], [e^{ik}, -e^{ik}]] (x) 1 / sqrt(2), which takes each
-    pair to its 4x4 cell block.  Only ``period`` forms the kicks, so only
-    it raises where they overflow."""
+    pair to its 4x4 cell block: F_q = V_q diag(t_k, t_{k+pi}) V_q^dag on the
+    momentum stack (``GaussianFrame``).  Only ``period`` forms the kicks, so
+    only it raises where they overflow."""
     blocks = bloch_blocks(params.J, params.h, -(q[:, None] / 2 + np.array([0.0, np.pi])))
     v = (np.kron([[1.0, 1.0], [1.0, -1.0]], np.eye(2)) / np.sqrt(2.0)
          * np.exp(0.5j * np.outer(q, [0, 0, 1, 1]))[:, :, None])
     return blocks, v
-
-
-def _cell_blocks(q: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """V_q diag(b_k, b_{k+pi}) V_q^dag (F_q from t, U_q from exp(-4i t h)), so
-    that F U_q = U_q F_q on the dense frame (``GaussianFrame``), as (1/2)[[S, e* D],
-    [e D, S]]: S, D = b_k +- b_{k+pi}, e = e^{iq/2}, so exactly 0 off the diagonal at J = 0."""
-    e = np.exp(0.5j * q)[:, None, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # orthonormalize refuses overflows
-        s, d = b[:, 0] + b[:, 1], b[:, 0] - b[:, 1]
-        return 0.5 * np.block([[s, e.conj() * d], [e * d, s]])
 
 
 def _sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray | None:
@@ -710,67 +723,89 @@ def _momentum_route(lat: LatticeSpec, state: ProductState) -> bool:
     return lat.bc is BoundaryCondition.PBC_EVEN and lat.L % 4 == 0 and occ[2:] == occ[:-2]
 
 
-def _evolution(params: ModelParams, lat: LatticeSpec, quench: QuenchConfig):
-    """The initial frame of ``quench``, the loop's one-period step and the
-    direct n-period frame (or None), on the momentum stack where
-    ``_momentum_route`` allows it, else on the one-cell stack."""
-    quench.require_free_fermion()
-    frame = initial_frame(quench, lat)
-    if _momentum_route(lat, quench.initial_state):
-        frame = GaussianFrame.from_dense(frame, lat)
-        blocks, v = _bloch_stack(params, frame.momenta)
-        t = blocks.period(-1.0)
-        fq = _cell_blocks(frame.momenta, t)
-        return frame, partial(_momentum_step, fq), partial(_period_frame, t, v)
-    kicks = build_kick_forms(params, lat)
-    return frame, partial(period_map, kicks=kicks), partial(_dominant_frame, kicks)
+def _stacked_frames(params: ModelParams, lat: LatticeSpec, state: ProductState,
+                    ns: np.ndarray, route: str) -> Iterator[GaussianFrame] | None:
+    """The one engine of the momentum stack: the frames of ``state`` moved
+    by F^n at each multiplier n of ``ns``, each directly from the initial
+    frame by the stacked pivot (``_pivot``), yielded in order in chunks
+    whose pivot tables (three times their frames) fill ``_RECORD_BYTES``.
+    Route ``"schur"``: F the frame map, ``ns`` periods, ``period_count`` n;
+    route ``"continuous"``: F = exp(-4i H), ``ns`` times, ``period_count``
+    1, 2, ... along them.  None off the momentum route (``_momentum_route``)
+    and where the pivot misses at any multiplier: its gates are read for
+    every multiplier, chunk by chunk, before the first frame, so a run
+    holds one stack throughout."""
+    frame = initial_frame(state, lat)
+    if not _momentum_route(lat, state):
+        return None
+    frame = GaussianFrame.from_dense(frame, lat)
+    blocks, v = _bloch_stack(params, frame.momenta)
+    flow = route == "continuous"
+    modes, x = _eig2(blocks.hamiltonian() if flow else blocks.period(-1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a mode of 0, or one past overflow
+        log_mode = -4j * modes if flow else np.log(modes)
+    pivot = _pivot(x, log_mode, v, frame)
+    ns = np.asarray(ns, dtype=float)
+    counts = np.arange(1, len(ns) + 1) if flow else ns
+    per = max(1, _RECORD_BYTES // (3 * frame.blocks.nbytes))
+    starts = range(0, len(ns), per)
+    if pivot is None or not all(pivot.holds(ns[i:i + per]) for i in starts):
+        return None
+
+    def frames():
+        for i in starts:
+            blocks, log_scale = pivot.blocks(ns[i:i + per])
+            yield from _advance(frame, blocks, route, counts[i:i + per], log_scale)
+    return frames()
 
 
-def _momentum_step(fq: np.ndarray, frame: GaussianFrame) -> GaussianFrame:
-    """One period of the momentum stack, each block moved by its F_q."""
-    with np.errstate(over="ignore", invalid="ignore"):  # orthonormalize refuses overflows
-        blocks = fq @ frame.blocks
-    return _advance(frame, blocks, "momentum")
-
-
-def _loop(frame: GaussianFrame, step, n: int) -> Iterator[GaussianFrame]:
+def _loop(frame: GaussianFrame, kicks: KickForms, n: int) -> Iterator[GaussianFrame]:
     for _ in range(n):
-        frame = step(frame)
+        frame = period_map(frame, kicks)
         yield frame
 
 
 def period_frames(params: ModelParams, lat: LatticeSpec,
                   quench: QuenchConfig) -> Iterator[GaussianFrame]:
-    """The frame after each of the configured periods: the one stroboscopic
-    loop.  On the momentum stack, where ``_momentum_route`` allows it, it
-    steps one 4x2 block per momentum (``route == "momentum"``); on the
-    one-cell stack it steps the frame with ``period_map`` (``route ==
-    "loop"``).  The quench is checked on the call, before the first frame."""
-    frame, step, _ = _evolution(params, lat, quench)
-    return _loop(frame, step, quench.n_periods)
+    """The frame after each of the configured periods, in order.  On the
+    momentum stack each is taken directly from the initial frame by the
+    stacked pivot over the periods 1..n (``_stacked_frames``, ``route ==
+    "schur"``); where it misses at any period, and on every other chain,
+    the one-cell stack steps the frame with ``period_map`` (``route ==
+    "loop"``).  The quench is checked, and the stack chosen, on the call,
+    before the first frame."""
+    quench.require_free_fermion()
+    n = quench.n_periods
+    frames = _stacked_frames(params, lat, quench.initial_state, np.arange(1, n + 1), "schur")
+    if frames is not None:
+        return frames
+    return _loop(initial_frame(quench, lat), build_kick_forms(params, lat), n)
 
 
 def run_to_steady_state(params: ModelParams, lat: LatticeSpec,
                         quench: QuenchConfig) -> GaussianFrame:
     """The frame after the configured number of periods.
 
-    It is first sought directly, on the stack ``period_frames`` steps: on
-    the momentum stack from the eigenpairs of the two 2x2 one-site Bloch
-    blocks t_k, t_{k+pi} of each momentum q, pivoted on the two modes of
-    maximal volume (``_bloch_frame``), which misses only where a t has no
-    eigenbasis (J = h = 0) or the frame has no weight on a growing mode;
-    on the one-cell stack from a Schur form of the L x L + sector block,
-    which gives the - sector's too (``_dominant_frame``), split at the L/L
-    cut or with the edge pair that straddles it swapped across it.  It is
-    returned, with
-    ``route == "schur"``, only where it provably equals the loop's frame on
-    every block.  Otherwise it is the last frame of the loop of
-    ``period_frames``, of which only the current frame is held.
+    On the momentum stack it is the stacked pivot's at that one period
+    (``_stacked_frames``), which misses only where a t has no eigenbasis
+    (J = h = 0) or the frame has no weight on a growing mode.  On the
+    one-cell stack, where that misses and on every other chain, it is
+    sought from a Schur form of the L x L + sector block, which gives the
+    - sector's too (``_dominant_frame``), split at the L/L cut or with the
+    edge pair that straddles it swapped across it.  Either is returned,
+    with ``route == "schur"``, only where it provably equals the loop's
+    frame on every block.  Otherwise it is the last frame of the one-cell
+    loop, of which only the current frame is held.
     """
-    frame, step, direct = _evolution(params, lat, quench)
-    if (found := direct(frame, quench.n_periods)) is not None:
+    quench.require_free_fermion()
+    n = quench.n_periods
+    frames = _stacked_frames(params, lat, quench.initial_state, [n], "schur")
+    if frames is not None:
+        return next(frames)
+    frame, kicks = initial_frame(quench, lat), build_kick_forms(params, lat)
+    if (found := _dominant_frame(kicks, frame, n)) is not None:
         return found
-    for frame in _loop(frame, step, quench.n_periods):
+    for frame in _loop(frame, kicks, n):
         pass
     return frame
 
@@ -783,7 +818,8 @@ def entropy_trace(frames: Iterable[GaussianFrame], subsystem: SubsystemSpec,
     holds by QR).
 
     Each frame's rows that the subsystem's block reads are held
-    (``_block_plan``, made once from the first frame).  The entropies are
+    (``_block_plan``, made once from the first frame: the evolutions choose
+    a run's stack before its first frame, and keep it).  The entropies are
     taken from them whenever they fill ``_RECORD_BYTES`` and after the last
     frame, in stacked calls of the frames whose rows and blocks fill up to
     ``_STACK_BYTES`` (at least one), mapped over ``workers`` processes
@@ -843,7 +879,7 @@ def continuous_hamiltonian(params: ModelParams, lat: LatticeSpec) -> np.ndarray:
     Majorana's bond value [s_0, s_b, -s_0, -s_b, 0] (``spectral._bond_ends``)
     put at its partner by the kicks' plans (``spectral._kick_plans``),
     without forming the kicks, which may overflow where H does not; read by
-    ``evolve_continuous`` off the momentum route only."""
+    ``evolve_continuous`` on the one-cell stack only."""
     w = np.zeros((lat.n_majorana, lat.n_majorana), dtype=complex)
     for s, (partner, k) in zip(_bond_ends(params, lat.bc), _kick_plans(lat.L, lat.bc)):
         w[np.arange(len(w)), partner] += np.concatenate([s, -s, np.zeros(1)])[k[:, 0]]
@@ -859,17 +895,14 @@ def evolve_continuous(params: ModelParams, lat: LatticeSpec, state: ProductState
 
     Exact: the frame at time T is exp(-4i T H) Phi0, orthonormalized like a
     period (``route == "continuous"``, ``period_count`` 1, 2, ... along the
-    grid), and ``norm_log`` is the log-norm of exp(-4i T H) Phi0.  Where
-    ``_momentum_route`` allows it the frame is the momentum stack, and every
-    time of the grid is taken directly from the initial frame, with no
-    step: ``_bloch_frame`` at the times, with the log-modes -4i lam of the
-    one-site blocks H_k (``_flow_frames``).  Where that misses (J = h = 0,
-    a defective H_k, a pivot minor of rounding size), and on the one-cell
-    stack, the frame is stepped along the grid, one exponential per
-    distinct step: the momentum stack by the cell blocks
-    V_q diag(u_k, u_{k+pi}) V_q^dag of the closed forms u_k = exp(-4i t h_k)
-    (``BlochBlocks.flow``), the one-cell stack by ``expm`` of the dense
-    2L x 2L H (``continuous_hamiltonian``).
+    grid), and ``norm_log`` is the log-norm of exp(-4i T H) Phi0.  On the
+    momentum stack every time of the grid is taken directly from the
+    initial frame, with no step, by the one engine of the periods
+    (``_stacked_frames``) with the log-modes -4i lam of the one-site blocks
+    H_k.  Where that misses at any time (J = h = 0, a defective H_k, a
+    pivot minor of rounding size), and on every other chain, the one-cell
+    stack is stepped along the grid by ``expm`` of the dense 2L x 2L H
+    (``continuous_hamiltonian``), one exponential per distinct step.
     """
     times = np.atleast_1d(np.asarray(t_grid, dtype=float))
     steps = np.diff(times, prepend=0.0)
@@ -877,43 +910,16 @@ def evolve_continuous(params: ModelParams, lat: LatticeSpec, state: ProductState
             or not np.all(steps >= 0)):
         raise ValidationError("t_grid must be a non-empty, non-decreasing "
                               "grid of finite, non-negative times")
-    frame = initial_frame(state, lat)
-    if _momentum_route(lat, state):
-        frame = GaussianFrame.from_dense(frame, lat)
-        q, (blocks, v) = frame.momenta, _bloch_stack(params, frame.momenta)
-        if (found := _flow_frames(blocks, v, frame, times)) is not None:
-            return found
-        flow = lambda dt: _cell_blocks(q, blocks.flow(dt))
-    else:
-        hmat = continuous_hamiltonian(params, lat)[None]
-        flow = lambda dt: scipy.linalg.expm(-4j * dt * hmat)
+    frames = _stacked_frames(params, lat, state, times, "continuous")
+    if frames is not None:
+        return list(frames)
+    frame, hmat = initial_frame(state, lat), continuous_hamiltonian(params, lat)[None]
     out, dt_u, u = [], None, None
     for dt in steps:
         with np.errstate(over="ignore", invalid="ignore"):  # orthonormalize refuses overflows
             if u is None or abs(dt - dt_u) > 1e-12 * dt:
-                dt_u, u = dt, flow(dt)
+                dt_u, u = dt, scipy.linalg.expm(-4j * dt * hmat)
             moved = u @ frame.blocks
         frame = _advance(frame, moved, "continuous")
         out.append(frame)
-    return out
-
-
-def _flow_frames(blocks, v: np.ndarray, frame: GaussianFrame,
-                 times: np.ndarray) -> list[GaussianFrame] | None:
-    """The momentum stack ``frame`` at each of ``times``, each from the
-    initial frame: ``_bloch_frame`` with the eigenvectors of the one-site
-    blocks H_k (``blocks.hamiltonian()``, ``_eig2``: modes +-lam) and the
-    log-modes -4i lam of exp(-4i T H_k), over chunks of times whose pivot
-    tables (three times their frames) fill ``_RECORD_BYTES``; or None where
-    any chunk misses."""
-    lam, x = _eig2(blocks.hamiltonian())
-    with np.errstate(invalid="ignore"):  # a mode that overflowed to inf
-        log_mode = -4j * lam
-    per = max(1, _RECORD_BYTES // (3 * frame.blocks.nbytes))
-    out = []
-    for i in range(0, len(times), per):
-        found = _bloch_frame(x, log_mode, v, frame, times[i:i + per])
-        if found is None:
-            return None
-        out += _advance(frame, found[0], "continuous", range(i + 1, i + per + 1), found[1])
     return out

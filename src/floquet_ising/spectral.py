@@ -85,16 +85,16 @@ _FEW_MODE_MAX = 4        # more isolated real modes than this are ambiguous
 # quadratic forms and kick exponentials
 # --------------------------------------------------------------------------
 
-def _kick_cos_sin(angle, what: str = "kick exp(4W)") -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of kick angles (or the flow's, ``what``), the one finiteness
-    test of a kick: where either overflows (|Im angle| beyond ~710) the
-    exponential has no double-precision form, and NumericalBreakdown is
-    raised with the largest |Im angle| as ``condition``."""
+def _kick_cos_sin(angle) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of kick angles, the one finiteness test of a kick: where
+    either overflows (|Im angle| beyond ~710) the exponential has no
+    double-precision form, and NumericalBreakdown is raised with the
+    largest |Im angle| as ``condition``."""
     with np.errstate(over="ignore", invalid="ignore"):
         cos, sin = np.cos(angle), np.sin(angle)
     if not (np.all(np.isfinite(cos)) and np.all(np.isfinite(sin))):
         grow = float(np.abs(np.imag(angle)).max())
-        raise NumericalBreakdown(f"{what} overflows: cos and sin of an angle "
+        raise NumericalBreakdown("kick exp(4W) overflows: cos and sin of an angle "
                                  f"with |Im| = {grow:.4g} are not finite", condition=grow)
     return cos, sin
 
@@ -210,16 +210,6 @@ class BlochBlocks:
     def hamiltonian(self) -> np.ndarray:
         """The continuous limit i(W'_k + W''_k) = (i/2)(J g'_k + h g'')."""
         return 0.5j * (self.J * self.coupling + self.h * _G_FIELD)
-
-    def flow(self, t: float) -> np.ndarray:
-        """exp(-4i t H_k) in closed form: H_k is traceless, H_k^2 = lam^2, so it
-        is cos(4t lam) - i (sin(4t lam)/lam) H_k, the ratio 4t at lam = 0; an
-        overflowing cos or sin raises NumericalBreakdown (``_kick_cos_sin``)."""
-        hk = self.hamiltonian()
-        lam = np.sqrt(hk[..., :1, :1] ** 2 + hk[..., :1, 1:] * hk[..., 1:, :1])
-        cos, sin = _kick_cos_sin(4 * t * lam, "flow exp(-4i t H)")
-        ratio = np.divide(sin, lam, out=np.full_like(sin, 4 * t), where=lam != 0)
-        return cos * np.eye(2) - 1j * ratio * hk
 
 
 def bloch_blocks(J: complex, h: complex, k) -> BlochBlocks:

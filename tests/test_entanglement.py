@@ -207,7 +207,10 @@ def test_stacked_entropies_are_the_block_by_block_ones(bc, shape, size, coupling
         frames = list(gaussian.period_frames(params, lat, P.QuenchConfig(neel, n_periods=size)))
     else:
         frames = gaussian.evolve_continuous(params, lat, neel, 0.1 * np.arange(1, size + 1))
-    assert len(frames[0].blocks) == (L // 2 if bc == "pbc-even" else 1)
+    # one stack for the whole run: the momentum stack's, or the one-cell
+    # stack where the pivot misses and on the open chain
+    n_blocks = {len(f.blocks) for f in frames}
+    assert n_blocks in ({L // 2}, {1}) and (bc == "pbc-even" or n_blocks == {1})
     if shape == "run":
         start = data.draw(st.integers(1, L - 1))
         sub = P.SubsystemSpec(start, data.draw(st.integers(1, L - start)))

@@ -1,9 +1,10 @@
+import types
 import unittest.mock
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 import scipy.linalg
 from scipy.linalg import expm
 
@@ -65,6 +66,39 @@ def test_frame_invariants_on_construction():
                                    P.lattice(8, "pbc-even"))
     assert frame.isotropy_defect() < 1e-12
     assert frame.orthonormality_defect() < 1e-12
+
+
+def test_initial_frame_is_the_site_loop_bit_for_bit():
+    # the entries gathered at once equal those set site by site, signed
+    # zeros included
+    rng = np.random.default_rng(3)
+    states = [P.named_state(name, L) for name in ("neel-fermion", "all-up", "all-down")
+              for L in (2, 7, 40)]
+    states += [P.ProductState("z", tuple(rng.choice([-1, 1], size=L))) for L in (3, 16, 101)]
+    for state in states:
+        phi = np.zeros((2 * state.L, state.L), dtype=complex)
+        inv = 1.0 / np.sqrt(2.0)
+        for j, n in enumerate(state.occupations()):
+            phi[2 * j, j] = inv
+            phi[2 * j + 1, j] = (1j if n else -1j) * inv
+        frame = gaussian.initial_frame(state, P.lattice(state.L, "obc"))
+        assert frame.blocks.shape == (1, *phi.shape)
+        assert frame.blocks[0].tobytes() == phi.tobytes()
+
+
+def test_momentum_partners_are_the_nearest_negative_bit_for_bit():
+    # the partner (-m - 2 theta) mod N of q = 2 pi (m + theta) / N is the
+    # momentum nearest -q on the unit circle, as an argmin over the grid
+    # finds it, for every even L to 200 and a few larger, on both boundaries
+    for bc in ("pbc-even", "pbc-odd"):
+        for L in [*range(2, 201, 2), 256, 510, 998, 1000]:
+            lat = P.lattice(L, bc)
+            q = spectral.cell_momenta(lat)
+            nearest = np.argmin(np.abs(np.exp(1j * (q[:, None] + q[None, :])) - 1), axis=1)
+            frame = gaussian.GaussianFrame.from_dense(
+                gaussian.initial_frame(P.named_state("all-up", L), lat), lat)
+            assert frame.partner.dtype == nearest.dtype
+            assert np.array_equal(frame.partner, nearest) and np.array_equal(frame.momenta, q)
 
 
 # --------------------------------------------------------------------------
@@ -428,21 +462,21 @@ def test_trace_takes_each_entropy_once_when_one_fails(monkeypatch):
 
 
 def _dense_frames(p, lat, quench):
-    """Every frame of the dense reference: period_map looped over the kick
-    forms from the initial frame."""
+    """Every frame of the dense reference, one at a time: period_map looped
+    over the kick forms from the initial frame."""
     kicks = spectral.build_kick_forms(p, lat)
-    frame, frames = gaussian.initial_frame(quench, lat), []
+    frame = gaussian.initial_frame(quench, lat)
     for _ in range(quench.n_periods):
         frame = gaussian.period_map(frame, kicks)
-        frames.append(frame)
-    return frames
+        yield frame
 
 
 def _direct_and_loop(p, lat, n_periods, state="neel-fermion"):
     """run_to_steady_state as called (direct route allowed) and the dense
     loop built explicitly, from the named initial state."""
     quench = P.QuenchConfig(P.named_state(state, lat.L), n_periods=n_periods)
-    return gaussian.run_to_steady_state(p, lat, quench), _dense_frames(p, lat, quench)[-1]
+    *_, loop = _dense_frames(p, lat, quench)
+    return gaussian.run_to_steady_state(p, lat, quench), loop
 
 
 def _assert_same_steady_state(direct, loop):
@@ -455,7 +489,7 @@ def _assert_same_steady_state(direct, loop):
 
 def _assert_equal_or_fell_back(direct, loop):
     assert loop.route == "loop"
-    if direct.route in ("schur", "momentum"):
+    if direct.route == "schur":
         _assert_same_steady_state(direct, loop)
     else:
         assert direct.route == "loop"
@@ -508,12 +542,14 @@ def test_direct_steady_state_edge_cases_equal_loop_or_fall_back(couplings, L, bc
 
 
 @pytest.mark.parametrize("couplings, L, bc, n_periods", [
-    # F = 1: every one-site block has the double mode 1 and no eigenbasis
+    # F = 1: every one-site block has the double mode 1 and no eigenbasis, so
+    # the pivot misses and the one-cell stack runs; its Schur split misses too
     ((0.0, 0.0, 0.0, 0.0), 24, "pbc-even", 300),
 ])
 def test_direct_steady_state_falls_back_to_loop(couplings, L, bc, n_periods):
     direct, loop = _direct_and_loop(P.make_params(*couplings), P.lattice(L, bc), n_periods)
-    assert (direct.route, loop.route) == ("momentum", "loop")
+    assert (direct.route, loop.route) == ("loop", "loop")
+    assert np.array_equal(direct.blocks, loop.blocks)
     c_direct, c_loop = (gaussian.correlation_from_frame(f).c for f in (direct, loop))
     assert np.max(np.abs(c_direct - c_loop)) <= 1e-10
     # F = 1 keeps the norm: both norm_logs are 0 up to rounding
@@ -849,25 +885,39 @@ def test_one_cell_direct_frame_takes_one_schur(monkeypatch, couplings, L, bc, ro
 # --------------------------------------------------------------------------
 
 def _momentum_and_dense(p, lat, quench, subsystem):
-    """stroboscopic_run, the frames of its loop, and the dense frames."""
+    """stroboscopic_run, the frames it reads, and the dense frames."""
     trace = gaussian.stroboscopic_run(p, lat, quench, subsystem)
-    return trace, list(gaussian.period_frames(p, lat, quench)), _dense_frames(p, lat, quench)
+    return (trace, list(gaussian.period_frames(p, lat, quench)),
+            list(_dense_frames(p, lat, quench)))
+
+
+def _assert_frames_match_dense(frames, dense):
+    """Every frame of a run against the dense loop: one route and one stack
+    throughout, the pivot's on the momentum stack or, where it misses, the
+    dense loop itself bit for bit."""
+    assert len({(f.route, len(f.blocks)) for f in frames}) == 1
+    assert frames[0].route in ("schur", "loop")
+    for t, (f, d) in enumerate(zip(frames, dense, strict=True)):
+        assert f.period_count == d.period_count == t + 1
+        if f.route == "loop":
+            assert np.array_equal(f.blocks, d.blocks)
+            assert (f.norm_log, f.isotropy) == (d.norm_log, d.isotropy)
+        assert np.max(np.abs(gaussian.correlation_from_frame(f).c
+                             - gaussian.correlation_from_frame(d).c)) <= 1e-10
+        assert abs(f.norm_log - d.norm_log) <= 1e-10 * max(abs(d.norm_log), 1.0)
+        assert f.isotropy == f.isotropy_defect() < 1e-13
+        assert f.orthonormality_defect() < 1e-12
 
 
 def _assert_trace_matches_dense(trace, frames, dense, idx):
-    assert [f.route for f in frames] == ["momentum"] * len(dense)
+    _assert_frames_match_dense(frames, dense)
     for t, (f, d) in enumerate(zip(frames, dense)):
-        assert f.period_count == d.period_count == t + 1
-        assert np.max(np.abs(gaussian.correlation_from_frame(f).c
-                             - gaussian.correlation_from_frame(d).c)) <= 1e-10
         block, block_d = (gaussian.correlation_block(x, idx) for x in (f, d))
         assert np.max(np.abs(block - block_d)) <= 1e-10
         s_d = entanglement.entropy_from_majorana_block(block_d).entropy
         assert abs(trace.entropy[t] - s_d) <= 1e-10
         assert abs(trace.purity_residual[t] - d.isotropy) <= 1e-10
-        assert abs(trace.norm_log[t] - d.norm_log) <= 1e-10 * max(abs(d.norm_log), 1.0)
-        assert f.isotropy == f.isotropy_defect() < 1e-13
-        assert f.orthonormality_defect() < 1e-12
+        assert trace.norm_log[t] == f.norm_log
 
 
 class _Draws:
@@ -905,10 +955,10 @@ def test_momentum_route_matches_dense_loop_random_couplings(cells, state, coupli
 
 @pytest.mark.parametrize("beta_h, n_periods", [(0.5, 60), (0.5, 300), (0.1, 300)])
 def test_field_only_momentum_loop_keeps_the_dense_loop(beta_h, n_periods):
-    # J = 0: t_k = t_{k+pi} exactly, and the Neel frame has no weight on the
-    # growing modes.  The cell blocks' sum/difference form leaves F_q's
-    # off-diagonal blocks exactly 0; products through V_q left ~1e-16 there,
-    # which those modes grew until C was 2.0 off the dense loop's
+    # J = 0: the Neel frame has no weight on the growing modes, so the pivot
+    # minor of largest volume is of rounding size and the whole run takes the
+    # one-cell stack from its first frame, the dense loop itself.  The Neel
+    # state is a product of field eigenstates: every frame keeps its C
     L = 24
     lat = P.lattice(L, "pbc-even")
     quench = P.QuenchConfig(P.named_state("neel-fermion", L), n_periods=n_periods)
@@ -916,12 +966,16 @@ def test_field_only_momentum_loop_keeps_the_dense_loop(beta_h, n_periods):
     trace, frames, dense = _momentum_and_dense(P.make_params(0.0, 0.0, 0.0, beta_h),
                                                lat, quench, sub)
     _assert_trace_matches_dense(trace, frames, dense, sub.majorana_indices(lat))
+    assert {(f.route, len(f.blocks)) for f in frames} == {("loop", 1)}
+    c0 = gaussian.correlation_from_frame(gaussian.initial_frame(quench, lat)).c
+    for f in frames:
+        assert np.max(np.abs(gaussian.correlation_from_frame(f).c - c0)) <= 1e-10
 
 
 def test_momentum_route_pairs_each_momentum_with_its_negative():
-    # isotropy pairs block q with block -q.  On the alpha = pi/4 line the
-    # paired sweep fires 7 times in these 150 periods (QR alone would leave
-    # ||Phi^T Phi|| = 6e-13); the route tracks the dense loop throughout
+    # isotropy pairs block q with block -q.  On the alpha = pi/4 line 120 of
+    # these 150 pivot frames arrive with ||Phi^T Phi|| above tolerance and
+    # take one paired sweep; the route tracks the dense loop throughout
     L = 40
     lat = P.lattice(L, "pbc-even")
     quench = P.QuenchConfig(P.named_state("neel-fermion", L), n_periods=150)
@@ -946,13 +1000,15 @@ def test_momentum_route_taken_only_without_self_paired_momenta(L, bc, pattern):
     state = P.ProductState("z", pattern) if pattern else P.named_state("neel-fermion", L)
     quench = P.QuenchConfig(state, n_periods=20)
     frames = list(gaussian.period_frames(p, lat, quench))
-    dense = _dense_frames(p, lat, quench)
+    dense = list(_dense_frames(p, lat, quench))
     assert {f.route for f in frames} == {"loop"}
     assert np.array_equal(frames[-1].phi, dense[-1].phi)
 
 
 def test_momentum_route_raises_on_rank_loss():
-    # overwhelming damping annihilates the Neel state's surviving amplitude
+    # overwhelming damping annihilates the Neel state's surviving amplitude:
+    # the frame map's blocks, and the run (the pivot misses at J = 0, and
+    # the one-cell loop runs)
     p = P.ModelParams(0.0, 0.0, 0.0, 25.0)
     lat = P.lattice(8, "pbc-even")
     frame = gaussian.GaussianFrame.from_dense(
@@ -997,10 +1053,10 @@ def _mp_block_frame(f, phi, n, dps=50, budget=30):
 
 
 def _engine_frame_map(p, frame):
-    """The 4x4 blocks F_q = V_q diag(t_k, t_{k+pi}) V_q^dag that the
-    momentum loop steps ``frame`` with."""
-    blocks, _ = gaussian._bloch_stack(p, frame.momenta)
-    return gaussian._cell_blocks(frame.momenta, blocks.period(-1.0))
+    """The 4x4 blocks F_q = V_q diag(t_k, t_{k+pi}) V_q^dag of ``frame``'s
+    momenta, from the engine's one-site blocks t and V_q (``_bloch_stack``)."""
+    blocks, v = gaussian._bloch_stack(p, frame.momenta)
+    return _product_frame_map(v, blocks.period(-1.0))
 
 
 def _dense_frame_map_blocks(p, lat, q):
@@ -1040,7 +1096,7 @@ def _assert_direct_matches_oracle(p, lat, quench):
                  st.floats(-np.pi, np.pi), _NONUNITARY_BETA),
        st.integers(1, 3000))
 def test_direct_momentum_frame_matches_block_oracle(cells, state, couplings, n_periods):
-    # where a block's split misses a gate the momentum loop runs instead
+    # where the pivot misses a gate the one-cell stack runs instead
     L = 4 * cells
     p, lat = P.ModelParams(*couplings), P.lattice(L, "pbc-even")
     quench = P.QuenchConfig(P.named_state(state, L), n_periods=n_periods)
@@ -1061,7 +1117,7 @@ def test_direct_momentum_frame_matches_block_oracle_on_chord_fits(eta, n_periods
 
 def _product_frame_map(v, t):
     """F_q = V_q diag(t_k, t_{k+pi}) V_q^dag by products through V_q, as
-    defined, apart from the engine's sum/difference form (``_cell_blocks``)."""
+    defined."""
     v1, v2 = v[..., :2], v[..., 2:]
     return v1 @ t[:, 0] @ gaussian._hc(v1) + v2 @ t[:, 1] @ gaussian._hc(v2)
 
@@ -1069,7 +1125,7 @@ def _product_frame_map(v, t):
 def _schur_reference_frame(fq, frame, n):
     """The momentum stack's direct frame from the generic L/L split
     (``_reference_split``, no pair swapped) of a ``scipy.linalg.schur``
-    form of each 4x4 block: the reference for ``gaussian._bloch_frame``."""
+    form of each 4x4 block: the reference for ``gaussian._pivot``."""
     t, q = map(np.stack, zip(*(scipy.linalg.schur(f, output="complex") for f in fq)))
     found = _reference_split(t, q, frame.blocks, n)
     return None if found is None else gaussian._advance(frame, found[0], "schur", n, found[1])
@@ -1091,7 +1147,9 @@ def test_bloch_frames_equal_the_schur_split_random_couplings(cells, state, coupl
         gaussian.initial_frame(P.named_state(state, L), lat), lat)
     blocks, v = gaussian._bloch_stack(P.ModelParams(*couplings), frame.momenta)
     t = blocks.period(-1.0)
-    found = gaussian._period_frame(t, v, frame, n_periods)
+    frames = gaussian._stacked_frames(P.ModelParams(*couplings), lat, P.named_state(state, L),
+                                      [n_periods], "schur")
+    found = None if frames is None else next(frames)
     fq = _product_frame_map(v, t)
     ref = _schur_reference_frame(fq, frame, n_periods)
     # the pivot finds a frame wherever the 4x4 Schur split does, and more
@@ -1126,10 +1184,9 @@ def test_direct_momentum_frame_matches_block_oracle_at_a_tie_across_sub_blocks()
 
 
 @pytest.mark.parametrize("overflow", [False, True])
-def test_bloch_frame_misses_quietly(overflow):
-    lat = P.lattice(8, "pbc-even")
-    frame = gaussian.GaussianFrame.from_dense(
-        gaussian.initial_frame(P.named_state("neel-fermion", 8), lat), lat)
+def test_bloch_frame_misses_quietly(monkeypatch, overflow):
+    lat, neel = P.lattice(8, "pbc-even"), P.named_state("neel-fermion", 8)
+    frame = gaussian.GaussianFrame.from_dense(gaussian.initial_frame(neel, lat), lat)
     # t_k = t_{k+pi} = [[1, 1], [0, 1]] on every block: defective, no
     # eigenbasis (V_q = [[1, 1], [e^{ik}, -e^{ik}]] (x) 1 / sqrt(2), k = q/2)
     v = np.stack([np.kron([[1, 1], [np.exp(0.5j * q), -np.exp(0.5j * q)]], np.eye(2))
@@ -1137,9 +1194,12 @@ def test_bloch_frame_misses_quietly(overflow):
     t = np.tile([[1.0, 1.0], [0.0, 1.0]], (len(v), 2, 1, 1)).astype(complex)
     if overflow:  # the one-site blocks of a period that overflowed
         t[0, 0, 0, 0] = np.nan
+    blocks = types.SimpleNamespace(period=lambda sign: t)
+    monkeypatch.setattr(gaussian, "_bloch_stack", lambda params, q: (blocks, v))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert gaussian._period_frame(t, v, frame, 300) is None
+        assert gaussian._stacked_frames(P.ModelParams(0.1, 0.2, 0.3, 0.4), lat, neel,
+                                        np.arange(1, 301), "schur") is None
 
 
 def _no_dense_schur(*args):
@@ -1171,17 +1231,6 @@ def test_momentum_chain_takes_no_dense_schur(monkeypatch):
     assert calls == []
 
 
-def _assert_momentum_fallback(p, lat, quench):
-    """No direct frame: the fallback is the momentum loop itself, bit for
-    bit the last of ``period_frames``."""
-    direct = gaussian.run_to_steady_state(p, lat, quench)
-    *_, loop = gaussian.period_frames(p, lat, quench)
-    assert direct.route == loop.route == "momentum"
-    assert np.array_equal(direct.blocks, loop.blocks)
-    assert (direct.norm_log, direct.isotropy, direct.period_count) == \
-        (loop.norm_log, loop.isotropy, loop.period_count)
-
-
 @pytest.mark.parametrize("couplings, L, n_periods", [
     # most blocks hold unit-circle pairs (mu, 1/mu): |mu_r| = |mu_c|, so the
     # entries of E do not decay with n, and the pivot keeps them at most 1
@@ -1193,19 +1242,26 @@ def _assert_momentum_fallback(p, lat, quench):
     pytest.param((1.0, -0.3, 1.0, 0.5), 200, 260, id="criterion-5-strong"),
 ])
 def test_momentum_chains_take_the_pivot_frame(monkeypatch, couplings, L, n_periods):
+    # the steady state and every period take the pivot, and the steady state
+    # is the last period's frame bit for bit: one kernel, per (n, q) and per
+    # frame, whatever the multipliers stacked with it
     monkeypatch.setattr(gaussian, "_dominant_frame", _no_dense_schur)
     p, lat = P.make_params(*couplings), P.lattice(L, "pbc-even")
     quench = P.QuenchConfig(P.named_state("neel-fermion", L), n_periods=n_periods)
     direct = gaussian.run_to_steady_state(p, lat, quench)
-    *_, loop = gaussian.period_frames(p, lat, quench)
-    assert (direct.route, loop.route) == ("schur", "momentum")
+    frames = list(gaussian.period_frames(p, lat, quench))
+    assert {(f.route, len(f.blocks)) for f in frames + [direct]} == {("schur", L // 2)}
+    last = frames[-1]
+    assert np.array_equal(direct.blocks, last.blocks)
+    assert (direct.norm_log, direct.isotropy, direct.period_count) == \
+        (last.norm_log, last.isotropy, n_periods)
+    *_, loop = _dense_frames(p, lat, quench)
     c_direct, c_loop = (gaussian.correlation_from_frame(f).c for f in (direct, loop))
     assert np.max(np.abs(c_direct - c_loop)) <= 1e-12
     # the loop's norm_log sums one QR term per period: a floor of one per
     # period keeps the unitary chain's (0 up to rounding) from setting the scale
     assert abs(direct.norm_log - loop.norm_log) <= 1e-12 * max(abs(loop.norm_log), n_periods)
     assert direct.isotropy == direct.isotropy_defect() < 1e-13
-    assert direct.period_count == n_periods
 
 
 @pytest.mark.parametrize("couplings", [
@@ -1214,11 +1270,19 @@ def test_momentum_chains_take_the_pivot_frame(monkeypatch, couplings, L, n_perio
     # so the largest volume lies on a pivot minor of rounding size
     (0.0, 0.0, 0.0, 0.5),
 ])
-def test_momentum_chain_without_a_certified_frame_falls_back_to_the_loop(monkeypatch,
-                                                                        couplings):
-    monkeypatch.setattr(gaussian, "_dominant_frame", _no_dense_schur)
+def test_momentum_chain_without_a_certified_frame_falls_back_to_the_loop(couplings):
+    # no certified pivot: the whole run is the one-cell stack from its first
+    # frame, the dense loop bit for bit, and so is the steady state's
+    # fallback where the one-cell Schur split misses too
+    p, lat = P.make_params(*couplings), P.lattice(24, "pbc-even")
     quench = P.QuenchConfig(P.named_state("neel-fermion", 24), n_periods=300)
-    _assert_momentum_fallback(P.make_params(*couplings), P.lattice(24, "pbc-even"), quench)
+    frames = list(gaussian.period_frames(p, lat, quench))
+    dense = list(_dense_frames(p, lat, quench))
+    assert {(f.route, len(f.blocks)) for f in frames} == {("loop", 1)}
+    for f, d in zip(frames, dense, strict=True):
+        assert np.array_equal(f.blocks, d.blocks)
+        assert (f.norm_log, f.isotropy, f.period_count) == (d.norm_log, d.isotropy, d.period_count)
+    _assert_equal_or_fell_back(gaussian.run_to_steady_state(p, lat, quench), dense[-1])
 
 
 @settings(max_examples=40)
@@ -1232,7 +1296,10 @@ def test_momentum_chain_without_a_certified_frame_falls_back_to_the_loop(monkeyp
 @example(6, "all-up", (P.PI4, -0.3 * P.PI4, P.PI4, 0.5 * P.PI4), 300, "free")
 # n (log|mu_max| - log|mu_min|) ~ 3170: D^n taken factor by factor would overflow
 @example(2, "neel-fermion", (0.3, 1.0, 0.5, 1.0), 400, "free")
-def test_pivot_frame_equals_the_momentum_loop(cells, state, couplings, n_periods, line):
+def test_pivot_frames_equal_the_dense_loop(cells, state, couplings, n_periods, line):
+    # every period of a momentum chain's period_frames against the dense
+    # loop (``_assert_frames_match_dense``): one route and one stack for the
+    # whole run, and the steady state is its last frame
     alpha_j, beta_j, alpha_h, beta_h = couplings
     if line == "beta_J = -beta_h":  # the pseudo-Hermitian volume-law line
         beta_j = -beta_h
@@ -1242,20 +1309,18 @@ def test_pivot_frame_equals_the_momentum_loop(cells, state, couplings, n_periods
     p, lat = P.ModelParams(alpha_j, beta_j, alpha_h, beta_h), P.lattice(L, "pbc-even")
     quench = P.QuenchConfig(P.named_state(state, L), n_periods=n_periods)
     direct = gaussian.run_to_steady_state(p, lat, quench)
-    *_, loop = gaussian.period_frames(p, lat, quench)
+    frames = list(gaussian.period_frames(p, lat, quench))
     # no misses: a finite t whose (LAPACK) eigenvectors pass the kappa gate
-    # goes direct
-    t = gaussian._bloch_stack(p, direct.momenta)[0].period(-1.0)
+    # goes direct, and where the gate holds at n it holds at every period
+    t = gaussian._bloch_stack(p, spectral.cell_momenta(lat))[0].period(-1.0)
     if np.isfinite(t).all() and (np.linalg.cond(np.linalg.eig(t)[1]).max()
                                  <= 1.0 / gaussian._OVERLAP_TOL):
         assert direct.route == "schur"
-    if direct.route == "schur":
-        c_direct, c_loop = (gaussian.correlation_from_frame(f).c for f in (direct, loop))
-        assert np.max(np.abs(c_direct - c_loop)) <= 1e-10
-        assert abs(direct.norm_log - loop.norm_log) <= 1e-10 * abs(loop.norm_log)
-        assert direct.period_count == loop.period_count
-    else:
-        assert np.array_equal(direct.blocks, loop.blocks)
+    if direct.route == "schur" and len(direct.blocks) == L // 2:
+        assert frames[-1].route == "schur"
+        assert np.array_equal(direct.blocks, frames[-1].blocks)
+        assert direct.norm_log == frames[-1].norm_log
+    _assert_frames_match_dense(frames, _dense_frames(p, lat, quench))
 
 
 def test_orthonormalize_pairs_blocks_with_their_partners(monkeypatch):
@@ -1368,8 +1433,8 @@ def test_closed_form_qr_of_a_zero_column_raises_on_rank_loss():
 
 
 def test_momentum_stacks_call_neither_lapack_qr_nor_expm(monkeypatch):
-    # at an area-law point the L = 40 pbc-even Neel loop (period_frames), its
-    # direct frame, the per-period trace and the continuous flow step on
+    # at an area-law point the L = 40 pbc-even Neel periods (period_frames),
+    # its steady state, the per-period trace and the continuous flow take
     # closed forms alone; the one-cell stack (obc) keeps LAPACK's QR and expm
     calls = []
     for mod, name in ((np.linalg, "qr"), (scipy.linalg, "expm")):
@@ -1386,7 +1451,7 @@ def test_momentum_stacks_call_neither_lapack_qr_nor_expm(monkeypatch):
         frames += gaussian.evolve_continuous(p, lat, neel, [0.5, 1.0])
         if bc == "pbc-even":
             assert [(f.route, len(f.blocks)) for f in frames] == [
-                ("momentum", 20), ("schur", 20), ("continuous", 20), ("continuous", 20)]
+                ("schur", 20), ("schur", 20), ("continuous", 20), ("continuous", 20)]
             assert calls == []
         else:
             assert {"qr", "expm"} <= set(calls)
@@ -1405,7 +1470,7 @@ def test_correlation_block_is_the_restricted_dense_formula(idx, route):
     lat = P.lattice(L, "pbc-odd" if route == "pbc-odd" else "pbc-even")
     quench = P.QuenchConfig(P.named_state("neel-fermion", L), n_periods=3)
     if route == "loop":
-        frame = _dense_frames(p, lat, quench)[-1]
+        *_, frame = _dense_frames(p, lat, quench)
     elif route == "pbc-odd":
         frame = gaussian.GaussianFrame.from_dense(gaussian.initial_frame(quench, lat), lat)
         fq = _engine_frame_map(p, frame)
@@ -1415,7 +1480,7 @@ def test_correlation_block_is_the_restricted_dense_formula(idx, route):
         assert frame.momenta[0] == 0.0 and frame.orthonormality_defect() < 1e-12
     else:
         *_, frame = gaussian.period_frames(p, lat, quench)
-        assert (frame.route, len(frame.blocks)) == ("momentum", L // 2)
+        assert (frame.route, len(frame.blocks)) == ("schur", L // 2)
         idx = [i * L // 8 for i in idx]
     sub = frame.phi[idx]
     block = gaussian.correlation_block(frame, np.array(idx))
@@ -1464,7 +1529,7 @@ def test_strided_block_and_real_gates_equal_the_gather_and_cprime_path(cells, co
     lat = P.lattice(L, "pbc-even")
     quench = P.QuenchConfig(P.named_state("neel-fermion", L), n_periods=n_periods)
     *_, frame = gaussian.period_frames(P.ModelParams(*couplings), lat, quench)
-    assert frame.route == "momentum"
+    assume(len(frame.blocks) == L // 2)  # the pivot's (a miss runs the one-cell stack)
     if kind == "odd-length":
         start = data.draw(st.integers(1, L - 1))
         sub = P.SubsystemSpec(start, data.draw(st.integers(0, (L - start - 1) // 2)) * 2 + 1)
@@ -1649,8 +1714,11 @@ def test_continuous_momentum_route_matches_dense_route(L, couplings, name):
         dense = gaussian.evolve_continuous(p, lat, state, t_grid)
     hmat = gaussian.continuous_hamiltonian(p, lat)
     frame0 = gaussian.initial_frame(state, lat)
+    # one stack for the whole grid: the pivot's, or where it misses the dense one
+    n_blocks = len(frames[0].blocks)
+    assert n_blocks in (L // 2, 1)
     for t, f, g in zip(t_grid, frames, dense):
-        assert (f.route, len(f.blocks), len(g.blocks)) == ("continuous", L // 2, 1)
+        assert (f.route, len(f.blocks), len(g.blocks)) == ("continuous", n_blocks, 1)
         c = gaussian.correlation_from_frame(f).c
         assert np.linalg.norm(c - gaussian.correlation_from_frame(g).c) <= 1e-10
         assert np.linalg.norm(c - _direct_flow(frame0, hmat, t)) <= 1e-10
@@ -1666,10 +1734,9 @@ def test_continuous_momentum_route_matches_dense_route(L, couplings, name):
         assert (f.route, len(f.blocks)) == ("continuous", 1)
 
 
-def _stepped_flow(p, lat, state, t_grid):
-    """``evolve_continuous`` with the direct momentum flow made to miss:
-    the stepped flow."""
-    with unittest.mock.patch.object(gaussian, "_bloch_frame", return_value=None):
+def _one_cell_flow(p, lat, state, t_grid):
+    """``evolve_continuous`` on the one-cell stack: ``expm`` steps."""
+    with unittest.mock.patch.object(gaussian, "_momentum_route", return_value=False):
         return gaussian.evolve_continuous(p, lat, state, t_grid)
 
 
@@ -1681,25 +1748,27 @@ def _stepped_flow(p, lat, state, t_grid):
 # the cft-compare chain at L = 40 (eta = 0.2, amplitude 0.5 rad)
 @example(10, "neel-fermion", [0.5, -0.1, 0.5, -0.1], [0.05, 1.0, 2.5], "random", False, True)
 @example(2, "all-up", [0.3, 0.2, -0.4, 0.1], [0.7], "J = h = 0", True, True)
-def test_direct_flow_equals_the_stepped_flow(cells, state, couplings, times, line, repeat,
-                                             from_zero):
+def test_direct_flow_equals_the_one_cell_flow(cells, state, couplings, times, line, repeat,
+                                              from_zero):
     # every time of a non-uniform grid (repeated times, t = 0) from the
-    # initial frame equals the stepped flow, with the same counters; at
+    # initial frame equals the one-cell flow, with the same counters; at
     # J = h = 0 (H_k = 0, no eigenbasis) the direct flow misses and the
-    # stepped flow runs unchanged
+    # whole grid runs the one-cell flow
     L = 4 * cells
     lat, psi = P.lattice(L, "pbc-even"), P.named_state(state, L)
     p = P.ModelParams(*([0.0] * 4 if line == "J = h = 0" else couplings))
     t_grid = sorted(times + times[:2] if repeat else times)
     t_grid = [0.0] + t_grid if from_zero else t_grid
-    direct, stepped = (gaussian.evolve_continuous(p, lat, psi, t_grid),
-                       _stepped_flow(p, lat, psi, t_grid))
+    direct, dense = (gaussian.evolve_continuous(p, lat, psi, t_grid),
+                     _one_cell_flow(p, lat, psi, t_grid))
     counts = list(range(1, len(t_grid) + 1))
-    assert [f.period_count for f in direct] == [f.period_count for f in stepped] == counts
-    assert {(f.route, len(f.blocks)) for f in direct} == {("continuous", L // 2)}
-    for f, g in zip(direct, stepped):
+    assert [f.period_count for f in direct] == [f.period_count for f in dense] == counts
+    stack = {(f.route, len(f.blocks)) for f in direct}
+    assert stack in ({("continuous", L // 2)}, {("continuous", 1)})
+    assert line == "random" or stack == {("continuous", 1)}
+    for f, g in zip(direct, dense, strict=True):
         assert f.isotropy == f.isotropy_defect() < 1e-13
-        if line == "J = h = 0":
+        if len(f.blocks) == 1:
             assert np.array_equal(f.blocks, g.blocks) and f.norm_log == g.norm_log
         c_f, c_g = (gaussian.correlation_from_frame(x).c for x in (f, g))
         assert np.max(np.abs(c_f - c_g)) <= 1e-12
@@ -1709,47 +1778,34 @@ def test_direct_flow_equals_the_stepped_flow(cells, state, couplings, times, lin
 @pytest.mark.parametrize("chunk", [1, 3, 7])
 def test_direct_flow_in_chunks_is_the_one_pass_flow_bit_for_bit(chunk):
     # the kernel, the QR, the log-magnitude and the isotropy defect are
-    # taken per (time, block) and per frame: the grid cut into chunks of
-    # ``chunk`` times gives the one-pass frames bit for bit
+    # taken per (multiplier, block) and per frame: the grid of times, or the
+    # periods 1..n, cut into chunks of ``chunk`` gives the one-pass frames
+    # bit for bit
     L, t_grid = 40, [0.0, 0.05, 0.05, 0.4, 1.0, 2.5, 2.6, 7.0, 15.0]
     p, lat = P.make_params(0.5, -0.1, 0.5, -0.1, units="rad"), P.lattice(L, "pbc-even")
     neel = P.named_state("neel-fermion", L)
-    whole = gaussian.evolve_continuous(p, lat, neel, t_grid)
-    frame_bytes = whole[0].blocks.nbytes
-    with unittest.mock.patch.object(gaussian, "_RECORD_BYTES", 3 * frame_bytes * chunk):
-        parts = gaussian.evolve_continuous(p, lat, neel, t_grid)
-    for f, g in zip(whole, parts, strict=True):
-        assert np.array_equal(f.blocks, g.blocks)
-        assert (f.norm_log, f.isotropy, f.period_count, f.route) == \
-            (g.norm_log, g.isotropy, g.period_count, g.route)
-
-
-@settings(max_examples=100)
-@given(st.complex_numbers(max_magnitude=2.0), st.complex_numbers(max_magnitude=2.0),
-       st.floats(-np.pi, np.pi), st.floats(0.0, 2.0), st.booleans())
-def test_closed_form_flow_matches_expm(J, h, k, dt, nilpotent):
-    # exp(-4i dt H_k) = cos(4 dt lam) - i (sin(4 dt lam)/lam) H_k, H_k^2 =
-    # lam^2, against scipy's expm; a nilpotent H_k (lam = 0: one column of
-    # the coupling block kept, no field) takes the limit 4 dt of the ratio
-    blocks = spectral.bloch_blocks(J, h, k)
-    if nilpotent:
-        blocks = spectral.BlochBlocks(J, 0.0, blocks.coupling * [[0, 0], [1, 0]])
-    hk = blocks.hamiltonian()
-    ref = expm(-4j * dt * hk)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        u = blocks.flow(dt)
-    bound = 1e-13 * (1.0 + np.linalg.norm(4 * dt * hk)) * max(1.0, np.linalg.norm(ref))
-    assert np.linalg.norm(u - ref) <= bound
+    quench = P.QuenchConfig(neel, n_periods=20)
+    runs = [lambda: gaussian.evolve_continuous(p, lat, neel, t_grid),
+            lambda: list(gaussian.period_frames(p, lat, quench))]
+    for run in runs:
+        whole = run()
+        frame_bytes = whole[0].blocks.nbytes
+        with unittest.mock.patch.object(gaussian, "_RECORD_BYTES", 3 * frame_bytes * chunk):
+            parts = run()
+        assert len(whole[0].blocks) == L // 2
+        for f, g in zip(whole, parts, strict=True):
+            assert np.array_equal(f.blocks, g.blocks)
+            assert (f.norm_log, f.isotropy, f.period_count, f.route) == \
+                (g.norm_log, g.isotropy, g.period_count, g.route)
 
 
 @pytest.mark.parametrize("t", [1.0, 30.0])
 def test_overflowing_closed_form_flow_raises_a_typed_error(t):
-    # beta_J = 400 rad: |Im 4 t lam| passes ~710 by t = 1, where cos and sin
-    # of the flow angle overflow.  The direct momentum flow takes the
-    # growth in log space and answers (norm_log ~6.4e3 at t = 1, ~1.9e5 at
-    # t = 30); where it misses, the stepped flow stops with
-    # NumericalBreakdown (condition = |Im angle|), without a RuntimeWarning
+    # beta_J = 400 rad: |Im 4 t lam| passes ~710 by t = 1, where the flow's
+    # exponential overflows.  The direct momentum flow takes the growth in
+    # log space and answers (norm_log ~6.4e3 at t = 1, ~1.9e5 at t = 30);
+    # where it misses, the one-cell flow's expm overflows and orthonormalize
+    # stops with DegenerateEvolution (condition inf), without a RuntimeWarning
     p, lat = P.ModelParams(0.3, 400.0, 0.2, 0.1), P.lattice(8, "pbc-even")
     neel = P.named_state("neel-fermion", 8)
     with warnings.catch_warnings():
@@ -1762,10 +1818,10 @@ def test_overflowing_closed_form_flow_raises_a_typed_error(t):
             assert anticommutation_defect(c) <= 1e-10 and purity_defect(c) <= 1e-10
             assert f.isotropy == f.isotropy_defect() < 1e-13
         assert frames[-1].norm_log > 6000 * t
-        with unittest.mock.patch.object(gaussian, "_bloch_frame", return_value=None), \
-                pytest.raises(NumericalBreakdown, match="flow") as err:
+        with unittest.mock.patch.object(gaussian, "_pivot", return_value=None), \
+                pytest.raises(DegenerateEvolution) as err:
             gaussian.evolve_continuous(p, lat, neel, [0.001, t])
-    assert err.value.condition > 710
+    assert err.value.condition == np.inf
 
 
 @pytest.mark.parametrize("bc, n_blocks", [("pbc-even", 4), ("obc", 1)])
@@ -1839,8 +1895,8 @@ def test_overflowing_sector_block_raises_a_typed_error(p, state, n):
 
 
 # chains below the period bound whose evolution overflows: on the momentum
-# stack (L = 8 pbc-even, Neel) _eig2's mode sums and the first frame's
-# closed-form QR norms, and the second's cell-block sums; on the one-cell
+# stack (L = 8 pbc-even, Neel) _eig2's mode sums, so that the pivot misses
+# and the one-cell loop's kick sums overflow; on the one-cell
 # stack (L = 9 pbc-odd, all-up) the kicked frame is finite (max 7.0e307)
 # but LAPACK's QR of it is not, and at L = 8 obc (Neel) the kick's sums
 EVOLUTION_OVERFLOW = [(P.ModelParams(-2.735927239553451, 27.828990118735828,
@@ -1904,7 +1960,7 @@ def test_overflowing_one_cell_flow_raises_a_typed_error():
 
 
 def test_momentum_chain_builds_no_chain_kicks(monkeypatch):
-    # the L = 40 pbc-even Neel direct frame, loop and continuous flow read
+    # the L = 40 pbc-even Neel steady state, periods and continuous flow read
     # the one-site Bloch blocks alone: no build_kick_forms call
     calls, build = [], spectral.build_kick_forms
     spy = lambda *a, **k: calls.append(1) or build(*a, **k)
@@ -1917,7 +1973,7 @@ def test_momentum_chain_builds_no_chain_kicks(monkeypatch):
     frames = list(gaussian.period_frames(p, lat, quench))
     c = gaussian.evolve_continuous(p, lat, neel, [0.5, 1.0])
     assert (f.route, frames[-1].route, len(f.blocks), len(c[-1].blocks), len(calls)) == \
-        ("schur", "momentum", 20, 20, 0)
+        ("schur", "schur", 20, 20, 0)
 
 
 def test_area_phase_trace_rises_then_saturates():

@@ -308,12 +308,18 @@ def _cell_stack(lat):
 
 
 def _engine_cell_blocks(p, q):
-    """The momentum stack's 4x4 blocks F_q and H_q as the engine forms them."""
+    """The momentum stack's 4x4 blocks F_q and H_q, V_q diag(b_k, b_{k+pi})
+    V_q^dag of the engine's one-site blocks b and its V_q
+    (``gaussian._bloch_stack``)."""
     from floquet_ising import gaussian
 
-    blocks, _ = gaussian._bloch_stack(p, q)
-    return (gaussian._cell_blocks(q, blocks.period(-1.0)),
-            gaussian._cell_blocks(q, blocks.hamiltonian()))
+    blocks, v = gaussian._bloch_stack(p, q)
+    cells = []
+    for b in (blocks.period(-1.0), blocks.hamiltonian()):
+        d = np.zeros((len(q), 4, 4), dtype=complex)
+        d[:, :2, :2], d[:, 2:, 2:] = b[:, 0], b[:, 1]
+        cells.append(v @ d @ np.swapaxes(v.conj(), -1, -2))
+    return cells
 
 
 def _one_site_pairs(m, u, v):

@@ -928,7 +928,7 @@ def test_cli_evolve_dump_on_the_momentum_route_matches_the_dense_loop(tmp_path):
                    "evolve", "--dump-correlations", str(dump)])
     assert rc == 0
     params, lat, quench = P.model_from_config(P.parse_config(text))
-    assert next(gaussian.period_frames(params, lat, quench)).route == "momentum"
+    assert next(gaussian.period_frames(params, lat, quench)).route == "schur"
     kicks = spectral.build_kick_forms(params, lat)
     frame = gaussian.initial_frame(quench, lat)
     files = json.loads((dump / "correlations.json").read_text())["files"]
@@ -972,7 +972,7 @@ def test_cli_evolve_at_the_strobe_benchmark_size(tmp_path):
     idx = P.SubsystemSpec(1, 100).majorana_indices(lat)
     ref = E.entropy_from_majorana_block(
         gaussian.correlation_from_frame(frame).c[np.ix_(idx, idx)]).entropy
-    assert frame.route == "momentum" and abs(s[-1] - ref) < 1e-10
+    assert frame.route == "schur" and abs(s[-1] - ref) < 1e-10
 
 
 def test_cli_scaling_default_sizes_fit(tmp_path):
